@@ -15,8 +15,9 @@
 //	    input file from the host file system into the in-memory
 //	    environment first). Pipelines without a `cat FILE` source stream
 //	    the process's standard input; output streams to standard output.
-//	    -mode selects the execution configuration, -fuse=off disables the
-//	    graph-walking fused executor (the stage-at-a-time ablation), and
+//	    -mode selects the execution configuration, -fuse=off makes
+//	    optimized mode walk the dataflow program lowered without the
+//	    fusion rewrites (Theorem 5 splits only — the ablation), and
 //	    -report prints per-stage wall times, byte counts, chunk counts and
 //	    the fired optimizer rewrites to stderr, and -trace FILE writes a
 //	    Chrome trace-event JSON timeline of the run (synthesis, planning,
@@ -192,7 +193,7 @@ func runRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	k := fs.Int("k", 8, "parallelism degree")
 	mode := fs.String("mode", "optimized", "execution mode: optimized, unoptimized, serial, pipelined")
-	fuse := fs.String("fuse", "on", "graph-walking fused executor for optimized mode: on, off")
+	fuse := fs.String("fuse", "on", "dataflow rewrites (fuse-streamers, elide-combine, push-sort-merge) in optimized mode's program: on, off")
 	combineWorkers := fs.Int("combine-workers", 0,
 		"combine-plane tree-reduction workers (0 = match the chunk pool)")
 	report := fs.Bool("report", false, "print the per-stage execution report to stderr")

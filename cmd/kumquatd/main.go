@@ -14,8 +14,9 @@
 //	POST /v1/execute?script=...&k=8&mode=optimized&fuse=on
 //	                      body streams in as input, stdout streams back,
 //	                      run report arrives in the X-Kumquat-Report trailer
-//	                      (fuse=off pins the stage-at-a-time optimized path;
-//	                      the report names the fired optimizer rewrites)
+//	                      (fuse=off walks the Theorem-5-only program in
+//	                      optimized mode; the report names the fired
+//	                      optimizer rewrites)
 //	GET  /v1/version      build info + service limits
 //	GET  /v1/traces/{id}  recorded trace as Chrome trace-event JSON
 //	                      (?format=raw for span records); execute requests

@@ -30,14 +30,13 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"io"
 	"log/slog"
 	"strings"
 	"time"
 
-	"kumquat/internal/obs"
 	"kumquat/internal/pipeline"
-	"kumquat/internal/textio"
+	"kumquat/internal/unix"
 )
 
 // Runner executes a single-stage script on one input shard — the remote
@@ -188,7 +187,7 @@ type StageStat struct {
 	// Spec is the stage's command text.
 	Spec string
 	// Remote marks stages whose shards were dispatched to workers (false
-	// = the stage ran locally: sequential, non-parallel, or
+	// = the stage ran on the coordinator: sequential, non-parallel, or
 	// non-dispatchable specs).
 	Remote bool
 	// Shards is the number of shards the stage's input split into (0
@@ -201,95 +200,56 @@ type StageStat struct {
 	BytesIn, BytesOut int64
 }
 
-// ExecutePlan runs one compiled pipeline over the cluster: parallel
-// stages shard their input and dispatch to workers, everything else runs
-// locally on the coordinator, and stage boundaries are barriers (the
-// u_k configuration with remote leaves). It returns the output stream,
-// per-stage accounting, and the run's dispatch stats.
-func (co *Coordinator) ExecutePlan(ctx context.Context, plan *pipeline.Plan, corpus string, combineWorkers int) (string, []StageStat, *Stats, error) {
-	return co.executePlan(ctx, plan, corpus, textio.LineSeq{}, false, combineWorkers)
-}
-
-// ExecutePlanSeq is ExecutePlan over a pre-indexed corpus: the first
-// stage's shards come from the shared ingest line index (computed once
-// when the corpus was registered) instead of a fresh boundary scan, so
-// repeated dispatches of one multi-GB corpus never re-walk it.
-func (co *Coordinator) ExecutePlanSeq(ctx context.Context, plan *pipeline.Plan, corpus textio.LineSeq, combineWorkers int) (string, []StageStat, *Stats, error) {
-	return co.executePlan(ctx, plan, corpus.Str(), corpus, true, combineWorkers)
-}
-
-func (co *Coordinator) executePlan(ctx context.Context, plan *pipeline.Plan, corpus string, ingest textio.LineSeq, haveIngest bool, combineWorkers int) (string, []StageStat, *Stats, error) {
+// ExecutePlan runs one compiled pipeline over the cluster. It is
+// Plan.Execute walking the Unoptimized program at k = Shards — stage
+// boundaries are barriers, stdin is drained, stage 0 shards from env's
+// shared ingest index — with the coordinator as the leaf runner: a
+// dispatchable parallel stage's shards go to the workers, every other
+// fan-out is handed back to the in-process runner. The output streams to
+// out; the per-stage accounting and the run's dispatch stats return.
+func (co *Coordinator) ExecutePlan(ctx context.Context, env *unix.Env, plan *pipeline.Plan, stdin io.Reader, out io.Writer, combineWorkers int) ([]StageStat, *Stats, error) {
 	st := &Stats{}
-	data := corpus
-	var stages []StageStat
-	for si, sp := range plan.Stages {
-		if si > 0 {
-			haveIngest = false // the ingest index only describes stage 0's input
-		}
-		if err := ctx.Err(); err != nil {
-			return "", stages, st, err
-		}
-		stat := StageStat{Spec: sp.Spec, BytesIn: int64(len(data))}
-		sctx, ssp := obs.StartSpan(ctx, "cluster-stage")
-		ssp.Attr("spec", sp.Spec)
-		start := time.Now()
-		var next string
-		var err error
-		if co.dispatchable(sp) {
-			var chunks []string
-			if haveIngest {
-				chunks = ingest.Chunk(co.cfg.Shards)
-			} else {
-				chunks = textio.ChunkLines(data, co.cfg.Shards)
+	leaves := func(local pipeline.Leaves) pipeline.Leaves {
+		return func(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error) {
+			if !co.dispatchable(cmd) {
+				return local(ctx, cmd, chunks)
 			}
-			ssp.AttrInt("shards", int64(len(chunks)))
-			var outs []string
-			outs, err = co.runShards(sctx, sp, chunks, st)
-			if err == nil {
-				stat.Remote = true
-				stat.Shards = len(chunks)
-				_, csp := obs.StartSpan(sctx, "combine")
-				csp.AttrInt("parts", int64(len(outs)))
-				cstart := time.Now()
-				next, err = sp.Synth.Combiner.CombineKTree(outs, combineWorkers)
-				stat.CombineWall = time.Since(cstart)
-				csp.End()
-				if err != nil {
-					err = fmt.Errorf("cluster: stage %q combine: %w", sp.Spec, err)
-				}
-			}
-		} else {
-			next, err = sp.Cmd.Run(data)
-			if err != nil {
-				err = fmt.Errorf("cluster: stage %q: %w", sp.Spec, err)
-			}
+			return co.runShards(ctx, cmd, chunks, st)
 		}
-		ssp.End()
-		if err != nil {
-			return "", stages, st, err
-		}
-		stat.Wall = time.Since(start)
-		stat.BytesOut = int64(len(next))
-		stages = append(stages, stat)
-		data = next
+	}
+	// Remote partials combine on the sequential tree unless the request
+	// asked for more: the coordinator's CPUs are not the cluster's.
+	ms, err := plan.Execute(ctx, env, stdin, out, pipeline.ModeUnoptimized, co.cfg.Shards,
+		pipeline.WithLeaves(leaves), pipeline.WithCombineWorkers(max(1, combineWorkers)))
+	if err != nil {
+		return nil, st, err
 	}
 	co.total.AddAll(st)
-	return data, stages, st, nil
+	stages := make([]StageStat, len(ms))
+	for i, m := range ms {
+		stages[i] = StageStat{
+			Spec:        m.Spec,
+			Remote:      m.Chunks > 0 && co.dispatchable(plan.Stages[i].Cmd),
+			Shards:      m.Chunks,
+			Wall:        m.Wall,
+			CombineWall: m.CombineWall,
+			BytesIn:     m.BytesIn,
+			BytesOut:    m.BytesOut,
+		}
+	}
+	return stages, st, nil
 }
 
-// dispatchable reports whether a stage's shards may run remotely: the
-// planner must have marked it parallel with a combiner, more than one
-// shard must be configured, and the spec must round-trip as a
-// single-stage script on a worker (a leading "cat FILE" would be
-// re-interpreted as an input source there, not a stage).
-func (co *Coordinator) dispatchable(sp *pipeline.StagePlan) bool {
-	if !sp.Parallel || sp.Synth == nil || sp.Synth.Combiner == nil {
-		return false
-	}
+// dispatchable reports whether a parallel stage's shards may run
+// remotely (the walker only fans out stages the planner marked parallel
+// with a combiner): more than one shard must be configured, and the spec
+// must round-trip as a single-stage script on a worker (a leading "cat
+// FILE" would be re-interpreted as an input source there, not a stage).
+func (co *Coordinator) dispatchable(cmd unix.Command) bool {
 	if co.cfg.Shards < 2 || len(co.cfg.Workers) == 0 {
 		return false
 	}
-	return scriptRoundTrips(sp.Spec)
+	return scriptRoundTrips(cmd.Spec())
 }
 
 // scriptRoundTrips checks that spec, parsed as a standalone script,

@@ -82,6 +82,14 @@ func compilePlan(t *testing.T, script string) *pipeline.Plan {
 	return plan.PipelinePlans()[0]
 }
 
+// executePlan runs ExecutePlan over an in-memory corpus on stdin and
+// returns the collected output stream.
+func executePlan(ctx context.Context, co *Coordinator, plan *pipeline.Plan, corpus string) (string, []StageStat, *Stats, error) {
+	var out strings.Builder
+	stages, st, err := co.ExecutePlan(ctx, unix.DefaultEnv(), plan, strings.NewReader(corpus), &out, 0)
+	return out.String(), stages, st, err
+}
+
 // serialRun computes the oracle: every stage to completion, in order.
 func serialRun(t *testing.T, plan *pipeline.Plan, corpus string) string {
 	t.Helper()
@@ -125,7 +133,7 @@ func TestExecutePlanMatchesSerial(t *testing.T) {
 	co := New(testConfig(runners, "a", "b", "c"))
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, stages, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, stages, st, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestRetryFailover(t *testing.T) {
 	co := New(testConfig(runners, "bad", "good"))
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func TestLocalFallback(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +240,7 @@ func TestSpeculationWins(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +280,7 @@ func TestEjectionReadmission(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +311,14 @@ func TestDispatchGuards(t *testing.T) {
 	}
 	plan := compilePlan(t, "sort | uniq -c")
 	for _, sp := range plan.Stages {
-		if sp.Parallel && sp.Synth != nil && sp.Synth.Combiner != nil && !co.dispatchable(sp) {
+		if sp.Parallel && sp.Synth != nil && sp.Synth.Combiner != nil && !co.dispatchable(sp.Cmd) {
 			t.Fatalf("parallel stage %q unexpectedly not dispatchable", sp.Spec)
 		}
 	}
 	one := New(Config{Workers: []string{"a"}, Shards: 1,
 		NewRunner: func(addr string) Runner { return runners["a"] }})
 	for _, sp := range plan.Stages {
-		if one.dispatchable(sp) {
+		if one.dispatchable(sp.Cmd) {
 			t.Fatalf("stage %q dispatchable with a single shard", sp.Spec)
 		}
 	}
@@ -328,7 +336,7 @@ func TestEmptyShardsStillRun(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "wc -l")
 	corpus := "x\ny\n"
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, corpus, 0)
+	out, _, st, err := executePlan(context.Background(), co, plan, corpus)
 	if err != nil {
 		t.Fatal(err)
 	}

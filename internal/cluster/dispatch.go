@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"kumquat/internal/obs"
-	"kumquat/internal/pipeline"
 	"kumquat/internal/server/client"
+	"kumquat/internal/unix"
 )
 
 // errNoWorkers reports an exhausted rotation: every worker is ejected
@@ -50,7 +50,11 @@ func (l *latencies) quantile(q float64) (time.Duration, bool) {
 // runShards executes one parallel stage's chunks across the cluster,
 // concurrently, returning the per-shard outputs in shard order (the
 // order CombineKTree needs for byte-identity with the local combine).
-func (co *Coordinator) runShards(ctx context.Context, sp *pipeline.StagePlan, chunks []string, st *Stats) ([]string, error) {
+func (co *Coordinator) runShards(ctx context.Context, cmd unix.Command, chunks []string, st *Stats) ([]string, error) {
+	ctx, csp := obs.StartSpan(ctx, "cluster-stage")
+	csp.Attr("spec", cmd.Spec())
+	csp.AttrInt("shards", int64(len(chunks)))
+	defer csp.End()
 	outs := make([]string, len(chunks))
 	errs := make([]error, len(chunks))
 	lat := &latencies{}
@@ -61,7 +65,7 @@ func (co *Coordinator) runShards(ctx context.Context, sp *pipeline.StagePlan, ch
 			defer wg.Done()
 			sctx, ssp := obs.StartSpan(ctx, "shard")
 			ssp.AttrInt("shard", int64(i))
-			outs[i], errs[i] = co.runShard(sctx, sp, chunks[i], lat, st)
+			outs[i], errs[i] = co.runShard(sctx, cmd, chunks[i], lat, st)
 			ssp.End()
 		}(i)
 	}
@@ -71,7 +75,7 @@ func (co *Coordinator) runShards(ctx context.Context, sp *pipeline.StagePlan, ch
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: stage %q shard %d: %w", sp.Spec, i, err)
+			return nil, fmt.Errorf("cluster: stage %q shard %d: %w", cmd.Spec(), i, err)
 		}
 	}
 	return outs, nil
@@ -81,7 +85,7 @@ func (co *Coordinator) runShards(ctx context.Context, sp *pipeline.StagePlan, ch
 // speculation) first, local in-process execution as the last resort.
 // Shards are idempotent — the output is a pure function of (stage spec,
 // shard bytes) — so a re-run anywhere yields identical bytes.
-func (co *Coordinator) runShard(ctx context.Context, sp *pipeline.StagePlan, chunk string, lat *latencies, st *Stats) (string, error) {
+func (co *Coordinator) runShard(ctx context.Context, cmd unix.Command, chunk string, lat *latencies, st *Stats) (string, error) {
 	st.Shards.Add(1)
 	start := time.Now()
 	if co.cfg.OnShardLatency != nil {
@@ -89,7 +93,7 @@ func (co *Coordinator) runShard(ctx context.Context, sp *pipeline.StagePlan, chu
 		// failure, local fallback included.
 		defer func() { co.cfg.OnShardLatency(time.Since(start)) }()
 	}
-	out, err := co.dispatch(ctx, sp.Spec, chunk, lat, st)
+	out, err := co.dispatch(ctx, cmd.Spec(), chunk, lat, st)
 	if err == nil {
 		lat.record(time.Since(start))
 		st.RemoteRuns.Add(1)
@@ -104,7 +108,7 @@ func (co *Coordinator) runShard(ctx context.Context, sp *pipeline.StagePlan, chu
 	if span := obs.FromContext(ctx); span.Enabled() {
 		span.EventAttr("local-fallback", "remote-error", err.Error())
 	}
-	out, lerr := sp.Cmd.Run(chunk)
+	out, lerr := cmd.Run(chunk)
 	if lerr != nil {
 		return "", fmt.Errorf("local fallback (remote: %v): %w", err, lerr)
 	}

@@ -17,7 +17,7 @@ func tracedExecute(t *testing.T, co *Coordinator, script, corpus string) *obs.Tr
 	trc := obs.NewTracer(1, "test")
 	ctx, root := trc.StartTrace(context.Background(), "run")
 	plan := compilePlan(t, script)
-	out, _, _, err := co.ExecutePlan(ctx, plan, corpus, 0)
+	out, _, _, err := executePlan(ctx, co, plan, corpus)
 	root.End()
 	if err != nil {
 		t.Fatal(err)

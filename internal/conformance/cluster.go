@@ -242,7 +242,7 @@ func ReplayCluster(ctx context.Context, sys *kumquat.System, cases []*Case, opts
 			if perr != nil {
 				return nil, fmt.Errorf("conformance: cluster oracle compile: %w", perr)
 			}
-			oracle.out, oracle.err = execCase(ctx, plan, cs, Config{Mode: kumquat.Serial.String(), K: 1})
+			oracle.out, oracle.err = reference(plan, cs)
 		}
 
 		// Every case runs traced: tracing rides the same requests the

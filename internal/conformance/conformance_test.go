@@ -70,27 +70,33 @@ func TestGenCoversProfilesAndSources(t *testing.T) {
 	}
 }
 
-// TestConfigsSweep: the sweep must cover the three non-serial modes, the
-// worker counts {1, 4, GOMAXPROCS}, and a serial-combine-plane variant.
+// TestConfigsSweep: the sweep must cover all four modes (serial included:
+// the oracle is the independent reference, not a mode), the worker counts
+// {1, 4, GOMAXPROCS}, a serial-combine-plane variant, and external-stdin
+// rows for both optimized programs.
 func TestConfigsSweep(t *testing.T) {
 	configs := Configs()
 	modes := map[string]bool{}
 	ks := map[int]bool{}
 	combineVariant := false
+	external := map[bool]bool{} // keyed by NoFuse
 	for _, c := range configs {
 		modes[c.Mode] = true
 		ks[c.K] = true
 		if c.CombineWorkers == 1 {
 			combineVariant = true
 		}
+		if c.ExternalStdin && c.Mode == "optimized" {
+			external[c.NoFuse] = true
+		}
 	}
-	for _, m := range []string{"optimized", "unoptimized", "pipelined"} {
+	for _, m := range []string{"optimized", "unoptimized", "serial", "pipelined"} {
 		if !modes[m] {
 			t.Errorf("mode %q missing from sweep %v", m, configs)
 		}
 	}
-	if modes["serial"] {
-		t.Error("serial mode must not be part of the sweep (it is the oracle)")
+	if !external[false] || !external[true] {
+		t.Errorf("external-stdin rows must cover fuse on and off, got %v", external)
 	}
 	if !ks[1] || !ks[4] {
 		t.Errorf("worker counts 1 and 4 must be swept, got %v", ks)

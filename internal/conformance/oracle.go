@@ -3,6 +3,7 @@ package conformance
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 
 	"kumquat"
@@ -13,27 +14,32 @@ import (
 // bound (0 = the executor's default).
 type Config struct {
 	// Mode is the execution mode name ("optimized", "unoptimized",
-	// "pipelined") — the JSON-friendly form of kumquat.Mode.
+	// "serial", "pipelined") — the JSON-friendly form of kumquat.Mode.
 	Mode string `json:"mode"`
 	// K is the data-parallelism degree.
 	K int `json:"k"`
 	// CombineWorkers bounds the combine plane (0 = default).
 	CombineWorkers int `json:"combine_workers,omitempty"`
-	// NoFuse disables the graph-walking fused executor for optimized-mode
-	// rows, pinning the legacy stage-at-a-time path. Fusion is on by
-	// default, so the plain optimized rows exercise the fused program and
-	// these are the explicit fuse-off ablation.
+	// NoFuse makes optimized-mode rows walk the Theorem-5-only program
+	// instead of the rewritten one. Fusion is on by default, so the plain
+	// optimized rows exercise the rewritten program and these are the
+	// explicit fuse-off ablation.
 	NoFuse bool `json:"no_fuse,omitempty"`
+	// ExternalStdin feeds a stdin-sourced case's corpus through a reader
+	// the executor cannot see through, so it takes the live-stream path a
+	// socket or terminal would (file-sourced cases are unaffected).
+	ExternalStdin bool `json:"external_stdin,omitempty"`
 }
 
 // Configs enumerates the sweep every case runs under: optimized and
 // unoptimized at every worker count in {1, 4, GOMAXPROCS}, each mode
 // once more with the combine plane forced serial at the widest k,
 // optimized fuse-off ablation rows at every worker count (the plain
-// optimized rows run the fused dataflow program, so fused and unfused
-// executions are both held to the oracle), and the pipelined (T_orig)
-// configuration. The serial oracle is run separately and is not part of
-// the sweep.
+// optimized rows run the rewritten dataflow program, so both programs
+// are held to the oracle), the serial (u_1) and pipelined (T_orig)
+// configurations, and external-stdin rows for every configuration that
+// treats a live source differently. Every mode runs on the one region
+// walker, so the oracle is the independent reference below, not a mode.
 func Configs() []Config {
 	ks := workerCounts()
 	widest := ks[0]
@@ -52,12 +58,38 @@ func Configs() []Config {
 	for _, k := range ks {
 		out = append(out, Config{Mode: kumquat.Optimized.String(), K: k, NoFuse: true})
 	}
-	out = append(out, Config{Mode: kumquat.Pipelined.String(), K: 1})
+	out = append(out,
+		Config{Mode: kumquat.Serial.String(), K: 1},
+		Config{Mode: kumquat.Pipelined.String(), K: 1})
+	for _, k := range ks {
+		out = append(out,
+			Config{Mode: kumquat.Optimized.String(), K: k, ExternalStdin: true},
+			Config{Mode: kumquat.Optimized.String(), K: k, NoFuse: true, ExternalStdin: true})
+	}
+	out = append(out,
+		Config{Mode: kumquat.Serial.String(), K: 1, ExternalStdin: true},
+		Config{Mode: kumquat.Pipelined.String(), K: 1, ExternalStdin: true})
 	return out
 }
 
+// reference is the oracle every configuration is diffed against: each
+// stage's command run to completion over the previous stage's output, in
+// order — no Program, no worker pool, no executor. It is deliberately a
+// second path: the region walker runs every mode, Serial included, and
+// must not be its own reference.
+func reference(plan *kumquat.Plan, c *Case) (string, error) {
+	data := c.Corpus
+	for _, sp := range plan.PipelinePlans()[0].Stages {
+		var err error
+		if data, err = sp.Cmd.Run(data); err != nil {
+			return "", err
+		}
+	}
+	return data, nil
+}
+
 // Divergence records one case × configuration whose result differed from
-// the serial oracle.
+// the reference oracle.
 type Divergence struct {
 	// Case replays the failure (Corpus truncated for the report when
 	// large; Seed+Index regenerate it exactly).
@@ -73,15 +105,15 @@ type Divergence struct {
 	Shrunk *Case `json:"shrunk,omitempty"`
 }
 
-// oracleResult is one case's serial-oracle outcome, computed once and
-// reused by every plane that diffs against it.
+// oracleResult is one case's reference outcome, computed once and reused
+// by every plane that diffs against it.
 type oracleResult struct {
 	out string
 	err error
 }
 
 // RunCase compiles one case and executes it under every config,
-// byte-diffing each result against the serial oracle. It returns the
+// byte-diffing each result against the reference oracle. It returns the
 // divergences and the number of executions performed (oracle included).
 // A compile error is a generator bug and is returned as err.
 func RunCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, error) {
@@ -91,14 +123,14 @@ func RunCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config
 
 // runCase is RunCase plus the oracle outcome and the compiled plan, so
 // callers that diff further planes against the same case (the serve
-// replay) reuse the oracle instead of re-running the serial execution,
+// replay) reuse the oracle instead of re-running the reference,
 // and Run aggregates the plan's optimizer fire counters into the report.
 func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, oracleResult, *kumquat.Plan, error) {
 	plan, err := compileCase(ctx, sys, c)
 	if err != nil {
 		return nil, 0, oracleResult{}, nil, err
 	}
-	want, wantErr := execCase(ctx, plan, c, Config{Mode: kumquat.Serial.String(), K: 1})
+	want, wantErr := reference(plan, c)
 	oracle := oracleResult{out: want, err: wantErr}
 	execs := 1
 	var divs []Divergence
@@ -145,7 +177,11 @@ func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (str
 		opts = append(opts, kumquat.WithFuse(false))
 	}
 	if c.Source == "" {
-		opts = append(opts, kumquat.WithStdin(strings.NewReader(c.Corpus)))
+		var stdin io.Reader = strings.NewReader(c.Corpus)
+		if cfg.ExternalStdin {
+			stdin = struct{ io.Reader }{stdin} // hides the in-memory type
+		}
+		opts = append(opts, kumquat.WithStdin(stdin))
 	}
 	rep, err := plan.Execute(ctx, opts...)
 	if err != nil {

@@ -101,7 +101,7 @@ func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts R
 			if err != nil {
 				return nil, err
 			}
-			oracle.out, oracle.err = execCase(ctx, p, cs, Config{Mode: kumquat.Serial.String(), K: 1})
+			oracle.out, oracle.err = reference(p, cs)
 		}
 
 		var out strings.Builder

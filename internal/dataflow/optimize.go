@@ -91,8 +91,10 @@ type Region struct {
 	Rules []Rule
 }
 
-// Program is the optimizer's output: the region sequence the fused
-// executor walks, plus the per-rule fire counters.
+// Program is a lowering's output: the region sequence the executor
+// walks, plus the per-rule fire counters. Every execution configuration
+// is one Program — Optimize builds the rewritten ones, Stagewise the
+// stage-at-a-time baselines.
 type Program struct {
 	// Graph is the IR the program was optimized from.
 	Graph *Graph
@@ -105,9 +107,9 @@ type Program struct {
 
 // Options tunes Optimize.
 type Options struct {
-	// Disable turns individual rewrites off (the -fuse=off path disables
-	// all three at once by not running the program; Disable exists for
-	// finer-grained ablation in tests and benchmarks).
+	// Disable turns individual rewrites off. The -fuse=off configuration
+	// is the program lowered with all three disabled (Theorem 5 splits
+	// only); tests and benchmarks ablate rules one at a time.
 	Disable map[Rule]bool
 	// UnsafeAssumeOrderInsensitive makes RuleElideCombine treat every
 	// consumer as order-insensitive — a deliberately broken legality
@@ -188,13 +190,26 @@ func Optimize(g *Graph, opts Options) *Program {
 			// Theorem 5: exact closure feeds any parallel consumer.
 			r.Exit = ExitSplit
 			r.Rules = append(r.Rules, RuleTheorem5)
-		case !opts.disabled(RulePushSortMerge) && sortClass(last) && streamableRegion(g, next):
+		case !opts.disabled(RulePushSortMerge) && sortClass(last) && p.Streamable(next):
 			// Rule 3: the combine happens, but lazily, inside the
 			// downstream stage's read loop.
 			r.Exit = ExitMerge
 			r.Rules = append(r.Rules, RulePushSortMerge)
 			p.Fired[RulePushSortMerge]++
 		}
+	}
+	return p
+}
+
+// Stagewise lowers the graph without any rewrite: one region per stage,
+// every exit a combine, so each stage boundary is a barrier. With
+// parallel set, regions keep the planner's data-parallel verdict (the
+// u_k configuration, and the cluster coordinator's program); without it
+// every region is serial (u_1, and T_orig's pipe-connected stages).
+func Stagewise(g *Graph, parallel bool) *Program {
+	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
+	for i, n := range g.Nodes {
+		p.Regions[i] = &Region{Nodes: []int{i}, Parallel: parallel && n.Stage.Parallel}
 	}
 	return p
 }
@@ -241,16 +256,18 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 	return g.Nodes[next.Nodes[0]].OrderInsensitive
 }
 
-// streamableRegion reports whether the region can consume a live stream
-// with output identical to its chunked execution: fused regions are line
+// Streamable reports whether the region can consume a live stream with
+// output identical to its chunked execution: fused regions are line
 // mappers (always streamable), single parallel stages must be streamable
 // with a concat combiner (streamed output equals chunk-and-concat), and
-// single serial stages need only the streaming capability.
-func streamableRegion(g *Graph, r *Region) bool {
+// single serial stages need only the streaming capability. It is the one
+// streamability predicate: the optimizer's push-sort-merge legality check
+// and the executor's live-stream decision both ask it.
+func (p *Program) Streamable(r *Region) bool {
 	if r.Fused {
 		return true
 	}
-	n := g.Nodes[r.Nodes[0]]
+	n := p.Graph.Nodes[r.Nodes[0]]
 	if !n.Streamable {
 		return false
 	}

@@ -7,10 +7,9 @@ import (
 	"kumquat/internal/unix"
 )
 
-// The four Run* entry points are compatibility wrappers over the streaming
-// executor in stream.go: they accept and return whole strings, but execute
-// through the same reader/writer core as Plan.Execute, so their outputs
-// are byte-identical to a streamed run.
+// The four Run* entry points are compatibility wrappers over Plan.Execute:
+// they accept and return whole strings, but run on the same region walker
+// (walk.go), so their outputs are byte-identical to a streamed run.
 
 // runString executes the plan in the given mode over string input/output.
 func (p *Plan) runString(env *unix.Env, stdin string, mode Mode, k int) (string, error) {

@@ -1,25 +1,17 @@
 package pipeline
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kumquat/internal/dataflow"
-	"kumquat/internal/obs"
-	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
-// RegionMetrics records one optimizer region's execution in the fused
-// graph-walking mode: which stages it covered, how it ran, and the
-// region-level combine share — the per-region CombineWall the fused
-// executor reports instead of per-stage figures (inside a fused region
-// there is no per-stage combine to measure; the rewrite removed it).
+// RegionMetrics records one program region's execution: which stages it
+// covered, how it ran, and the region-level combine share — the
+// per-region CombineWall reported instead of per-stage figures (inside a
+// fused region there is no per-stage combine to measure; the rewrite
+// removed it).
 type RegionMetrics struct {
 	// Stages holds the member stage indices, in pipeline order.
 	Stages []int
@@ -39,18 +31,19 @@ type RegionMetrics struct {
 	BytesIn, BytesOut int64
 	// Chunks is the number of parallel instances the region ran as.
 	Chunks int
-	// Streamed marks regions that consumed a lazily merged stream
-	// incrementally instead of running chunk-parallel.
+	// Streamed marks regions that consumed a live stream (an external
+	// stdin, an upstream streamed region, a lazily merged sort)
+	// incrementally behind a pipe instead of running chunk-parallel.
 	Streamed bool
 }
 
-// RunInfo is the fused executor's run report, filled in when an Execute
-// call carries a WithRunInfo option: whether the graph-walking mode ran,
-// which rewrites its program applied, and the per-region metrics.
+// RunInfo is the rewritten program's run report, filled in when an
+// Execute call carries a WithRunInfo option: whether the rewritten
+// program ran, which rewrites it applied, and the per-region metrics.
 type RunInfo struct {
-	// Fused reports that the graph-walking fused mode executed the plan
-	// (false when fusion was disabled, the mode was not Optimized, or a
-	// live external stdin forced the legacy streaming path).
+	// Fused reports that the rewritten program executed the plan — true
+	// exactly for Optimized mode with fusion on, whatever the source
+	// (file, in-memory or live external stdin).
 	Fused bool
 	// Rewrites counts the optimizer rewrites applied by the program that
 	// ran, per rule name.
@@ -59,18 +52,20 @@ type RunInfo struct {
 	Regions []RegionMetrics
 }
 
-// WithFuse toggles the graph-walking fused executor for optimized-mode
-// runs (default on). Off reproduces the legacy stage-at-a-time optimized
-// path — the -fuse=off ablation the benchmarks and the conformance plane
-// compare against.
+// WithFuse chooses which program an Optimized-mode run walks (default
+// on): the rewritten one (fuse-streamers, elide-combine, push-sort-merge
+// applied), or — off — the same graph lowered with those three rewrites
+// disabled, leaving only Theorem 5's split exits. It is the -fuse=off
+// ablation the benchmarks and the conformance plane compare against; the
+// executor is the same either way.
 func WithFuse(on bool) ExecOpt {
-	return func(ex *executor) { ex.fuse = on }
+	return func(c *execConfig) { c.fuse = on }
 }
 
-// WithRunInfo directs the executor to fill info with the fused run's
-// region metrics and applied rewrites.
+// WithRunInfo directs the executor to fill info with the rewritten
+// program's region metrics and applied rewrites.
 func WithRunInfo(info *RunInfo) ExecOpt {
-	return func(ex *executor) { ex.runInfo = info }
+	return func(c *execConfig) { c.runInfo = info }
 }
 
 // regionRun returns the region's executable: the composed fused mapper,
@@ -82,221 +77,14 @@ func regionRun(p *Plan, r *dataflow.Region) unix.Command {
 	return p.Stages[r.Nodes[0]].Cmd
 }
 
-// runRegionChunks executes the region's command on each chunk
-// concurrently, bounded by the shared worker pool (the fused analogue of
-// runChunks).
-func (ex *executor) runRegionChunks(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error) {
-	_, span := obs.StartSpan(ctx, "chunks")
-	span.AttrInt("n", int64(len(chunks)))
-	defer span.End()
-	outs := make([]string, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if err := ex.pool.acquire(ex.ctx); err != nil {
-			errs[i] = err
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer ex.pool.release()
-			outs[i], errs[i] = cmd.Run(chunks[i])
-		}(i)
+// ruleNames lists the rewrites that shaped a region, as reports and
+// spans print them (nil when none fired).
+func ruleNames(r *dataflow.Region) []string {
+	var names []string
+	for _, rule := range r.Rules {
+		names = append(names, string(rule))
 	}
-	wg.Wait()
-	if err := ex.ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", cmd.Spec(), i, err)
-		}
-	}
-	return outs, nil
-}
-
-// runGraph is the graph-walking fused executor: it walks the optimized
-// program region by region, running fused regions chunk-parallel end to
-// end. The stream is materialized, split across chunk views, or a lazy
-// merge reader, according to the previous region's exit; there is no live
-// external source on this path (Execute falls back to the legacy
-// streaming executor for those).
-func (ex *executor) runGraph(p *Plan, stdin io.Reader, out io.Writer) ([]StageMetrics, error) {
-	prog := p.Program
-	metrics := make([]StageMetrics, len(p.Stages))
-	for i, sp := range p.Stages {
-		metrics[i].Spec = sp.Spec
-	}
-	info := ex.runInfo
-	if info != nil {
-		info.Fused = true
-		info.Rewrites = make(map[string]int, len(prog.Fired))
-		for r, n := range prog.Fired {
-			info.Rewrites[string(r)] = n
-		}
-	}
-
-	var data string
-	var ingest textio.LineSeq
-	haveIngest := false
-	if p.InputFile != "" {
-		seq, err := ex.env.FS.ReadSeq(p.InputFile)
-		if err != nil {
-			return nil, err
-		}
-		data, ingest, haveIngest = seq.Str(), seq, true
-	} else if stdin != nil {
-		buf, err := io.ReadAll(unix.ContextReader(ex.ctx, stdin))
-		if err != nil {
-			return nil, err
-		}
-		data = textio.View(buf)
-	}
-
-	var (
-		chunks []string  // non-nil while a split exit left the stream split
-		lazy   io.Reader // non-nil while a merge-stream exit left it lazy
-	)
-	for ri, r := range prog.Regions {
-		if ri > 0 {
-			haveIngest = false // the ingest index only describes region 0's input
-		}
-		if err := ex.ctx.Err(); err != nil {
-			return metrics, err
-		}
-		rm := RegionMetrics{
-			Fused:  r.Fused,
-			Exit:   r.Exit.String(),
-			Stages: append([]int(nil), r.Nodes...),
-		}
-		for _, rule := range r.Rules {
-			rm.Rules = append(rm.Rules, string(rule))
-		}
-		cmd := regionRun(p, r)
-		last := ri == len(prog.Regions)-1
-		rctx, rsp := obs.StartSpan(ex.ctx, "region")
-		if rsp.Enabled() {
-			rsp.Attr("exit", rm.Exit)
-			rsp.AttrInt("stages", int64(len(r.Nodes)))
-			if len(rm.Rules) > 0 {
-				rsp.Attr("rules", strings.Join(rm.Rules, ","))
-			}
-			if r.Fused {
-				rsp.Attr("fused", "true")
-			}
-		}
-		start := time.Now()
-		switch {
-		case lazy != nil:
-			// A merge-stream exit: consume the lazy k-way merge
-			// incrementally (the optimizer guarantees this region
-			// streams) and materialize the region's own output. Any
-			// further exit is moot — the output is the true stream.
-			rm.Streamed = true
-			var sb strings.Builder
-			var bytesIn atomic.Int64
-			counted := &countReader{r: unix.ContextReader(ex.ctx, lazy), n: &bytesIn}
-			if err := unix.Exec(ex.ctx, cmd, counted, &sb); err != nil {
-				rsp.End()
-				return metrics, fmt.Errorf("pipeline: stage %q: %w", cmd.Spec(), err)
-			}
-			rm.BytesIn = bytesIn.Load()
-			data, lazy = sb.String(), nil
-			rm.BytesOut = int64(len(data))
-		case chunks != nil:
-			// A split exit: the chunk views feed this (parallel) region
-			// directly, no re-split.
-			rm.BytesIn = totalLen(chunks)
-			outs, err := ex.runRegionChunks(rctx, cmd, chunks)
-			if err != nil {
-				rsp.End()
-				return metrics, err
-			}
-			rm.Chunks = len(chunks)
-			chunks = nil
-			if err := ex.regionExit(rctx, p, r, last, outs, &rm, &data, &chunks, &lazy); err != nil {
-				rsp.End()
-				return metrics, err
-			}
-		default:
-			rm.BytesIn = int64(len(data))
-			if r.Parallel && ex.k > 1 {
-				outs, err := ex.runRegionChunks(rctx, cmd, ex.chunkStream(data, ingest, haveIngest))
-				if err != nil {
-					rsp.End()
-					return metrics, err
-				}
-				rm.Chunks = ex.k
-				if err := ex.regionExit(rctx, p, r, last, outs, &rm, &data, &chunks, &lazy); err != nil {
-					rsp.End()
-					return metrics, err
-				}
-			} else {
-				next, err := cmd.Run(data)
-				if err != nil {
-					rsp.End()
-					return metrics, fmt.Errorf("pipeline: stage %q: %w", cmd.Spec(), err)
-				}
-				data = next
-				rm.BytesOut = int64(len(data))
-			}
-		}
-		rm.Wall = time.Since(start)
-		rsp.End()
-		ex.attribute(metrics, r, &rm)
-		if info != nil {
-			info.Regions = append(info.Regions, rm)
-		}
-	}
-	if chunks != nil {
-		return metrics, errSplitFinal
-	}
-	if lazy != nil {
-		// Defensive: the optimizer never ends a program on a merge-stream
-		// exit, but draining keeps the invariant local.
-		if _, err := io.Copy(out, unix.ContextReader(ex.ctx, lazy)); err != nil {
-			return metrics, err
-		}
-		return metrics, nil
-	}
-	_, err := io.WriteString(out, data)
-	return metrics, err
-}
-
-// regionExit applies the region's exit to its chunk outputs, updating the
-// stream state (exactly one of data/chunks/lazy becomes current).
-func (ex *executor) regionExit(ctx context.Context, p *Plan, r *dataflow.Region, last bool, outs []string, rm *RegionMetrics, data *string, chunks *[]string, lazy *io.Reader) error {
-	exit := r.Exit
-	if last {
-		exit = dataflow.ExitCombine
-	}
-	switch exit {
-	case dataflow.ExitSplit:
-		*chunks = outs
-		rm.BytesOut = totalLen(outs)
-	case dataflow.ExitConcat:
-		*data = strings.Join(outs, "")
-		rm.BytesOut = int64(len(*data))
-	case dataflow.ExitMerge:
-		sc, ok := p.Stages[r.Nodes[len(r.Nodes)-1]].Cmd.(*unix.SortCmd)
-		if !ok {
-			return fmt.Errorf("pipeline: merge-stream exit on non-sort stage %q", r.Exit)
-		}
-		*lazy = sc.MergeReader(outs...)
-		rm.BytesOut = totalLen(outs)
-	default:
-		sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
-		var scratch StageMetrics
-		combined, err := ex.combine(ctx, sp, outs, &scratch)
-		if err != nil {
-			return err
-		}
-		rm.CombineWall = scratch.CombineWall
-		*data = combined
-		rm.BytesOut = int64(len(combined))
-	}
-	return nil
+	return names
 }
 
 // attribute maps region metrics onto the per-stage metrics slice: shared
@@ -304,7 +92,7 @@ func (ex *executor) regionExit(ctx context.Context, p *Plan, r *dataflow.Region,
 // boundary stages, and the region wall to the first member — per-stage
 // walls inside a fused region do not exist, which is the point of the
 // fusion.
-func (ex *executor) attribute(metrics []StageMetrics, r *dataflow.Region, rm *RegionMetrics) {
+func attribute(metrics []StageMetrics, r *dataflow.Region, rm *RegionMetrics) {
 	for _, id := range r.Nodes {
 		metrics[id].Chunks = rm.Chunks
 		metrics[id].Streamed = rm.Streamed

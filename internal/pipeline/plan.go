@@ -23,9 +23,10 @@ type StagePlan struct {
 	// significant stream reduction: parallelizing them costs more than it
 	// saves, so they run serially (§2's tr -cs decision).
 	Sequential bool
-	// Eliminated marks parallel stages whose combiner the optimizer removed
-	// per Theorem 5: their output substreams feed the next parallel stage
-	// directly.
+	// Eliminated marks parallel stages whose combiner Theorem 5 removes:
+	// their output substreams feed the next parallel stage directly. It is
+	// read off the Theorem-5-only program (Table 3's count), not decided
+	// here.
 	Eliminated bool
 	// StreamOutput records whether the command's outputs terminate with
 	// newlines — Theorem 5's precondition (tr -d '\n' violates it).
@@ -41,15 +42,28 @@ type Plan struct {
 	// the shared engine, unlike a windowed Stats delta).
 	SynthStats cache.Stats
 	// Graph is the pipeline lowered into the order-aware dataflow IR, and
-	// Program is the optimizer's region sequence over it — the fused
-	// executor's input (stream.go's graph-walking mode).
+	// Program is the optimizer's rewritten region sequence over it — what
+	// Optimized mode walks with fusion on.
 	Graph   *dataflow.Graph
 	Program *dataflow.Program
+	// The other configurations' programs (see Execute): theorem5 is the
+	// graph optimized with the three dataflow rewrites disabled, serial and
+	// stagewise are the unrewritten one-region-per-stage lowerings.
+	theorem5, serial, stagewise *dataflow.Program
 }
 
-// Compile synthesizes a combiner for every stage and applies the paper's
-// two planning decisions: sequential execution of non-reducing rerun
-// stages, and intermediate combiner elimination (§3.5). Repeated stages —
+// theorem5Only disables the three dataflow rewrites, leaving Optimize's
+// Theorem 5 splits — the WithFuse(false) program.
+var theorem5Only = dataflow.Options{Disable: map[dataflow.Rule]bool{
+	dataflow.RuleFuseStreamers: true,
+	dataflow.RuleElideCombine:  true,
+	dataflow.RulePushSortMerge: true,
+}}
+
+// Compile synthesizes a combiner for every stage, applies the paper's
+// planning decision to run non-reducing rerun stages sequentially, and
+// lowers the result to the dataflow programs the executor walks
+// (intermediate combiner elimination, §3.5, happens there). Repeated stages —
 // within one pipeline or across pipelines compiled through the same
 // engine — resolve from the engine's combiner cache instead of re-running
 // synthesis.
@@ -88,24 +102,14 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 		sp.StreamOutput = probeStreamOutput(cmd)
 		plan.Stages = append(plan.Stages, sp)
 	}
-	// Theorem 5: a parallel stage whose combiner is concat and whose
-	// outputs are streams feeds its substreams directly into a following
-	// parallel stage; the intermediate combiner disappears. The final
-	// stage always combines (a single output stream must emerge).
-	for i := 0; i+1 < len(plan.Stages); i++ {
-		cur, next := plan.Stages[i], plan.Stages[i+1]
-		if cur.Parallel && cur.StreamOutput && next.Parallel &&
-			cur.Synth.Combiner.IsConcat() {
-			cur.Eliminated = true
-		}
-	}
 	plan.lower(dataflow.Options{})
 	return plan, nil
 }
 
-// lower builds the plan's dataflow IR and optimized program. Compile runs
-// it with default options; tests re-lower with ablation or
-// deliberately-unsound options to pin the optimizer's behaviour.
+// lower builds the plan's dataflow IR and every configuration's program;
+// opts shape only the rewritten Program. Compile runs it with default
+// options; tests re-lower with ablation or deliberately-unsound options
+// to pin the optimizer's behaviour.
 func (p *Plan) lower(opts dataflow.Options) {
 	stages := make([]dataflow.Stage, len(p.Stages))
 	for i, sp := range p.Stages {
@@ -120,6 +124,14 @@ func (p *Plan) lower(opts dataflow.Options) {
 	}
 	p.Graph = dataflow.Build(p.InputFile, stages)
 	p.Program = dataflow.Optimize(p.Graph, opts)
+	p.theorem5 = dataflow.Optimize(p.Graph, theorem5Only)
+	p.serial = dataflow.Stagewise(p.Graph, false)
+	p.stagewise = dataflow.Stagewise(p.Graph, true)
+	for _, r := range p.theorem5.Regions {
+		if r.Exit == dataflow.ExitSplit {
+			p.Stages[r.Nodes[len(r.Nodes)-1]].Eliminated = true
+		}
+	}
 }
 
 // Relower rebuilds the plan's optimized program under explicit optimizer

@@ -3,17 +3,12 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"kumquat/internal/obs"
-	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
@@ -80,13 +75,6 @@ type stageError struct {
 func (e *stageError) Error() string { return fmt.Sprintf("pipeline: stage %q: %v", e.spec, e.err) }
 func (e *stageError) Unwrap() error { return e.err }
 
-// errSplitSerial and errSplitFinal are the planner-invariant violations the
-// optimized executor guards against.
-var (
-	errSplitSerial = errors.New("pipeline: split stream reached serial stage")
-	errSplitFinal  = errors.New("pipeline: stream still split after final stage")
-)
-
 // workerPool bounds the number of in-flight chunk executions to the
 // machine's parallelism. One pool is shared across all stages of an
 // Execute call, so asking for k far beyond the hardware queues the excess
@@ -113,28 +101,28 @@ func (wp *workerPool) acquire(ctx context.Context) error {
 
 func (wp *workerPool) release() { <-wp.sem }
 
-// countReader / countWriter thread byte accounting through a stage without
-// copying. Counts are atomics because streamed stages update them from
-// their own goroutine while the report is assembled on the caller's.
+// countReader / countWriter thread byte accounting through a piped
+// region without copying. Each is used by one region goroutine, and the
+// counts are read only after the walk's teardown has waited for it.
 type countReader struct {
 	r io.Reader
-	n *atomic.Int64
+	n int64
 }
 
 func (cr *countReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
+	cr.n += int64(n)
 	return n, err
 }
 
 type countWriter struct {
 	w io.Writer
-	n *atomic.Int64
+	n int64
 }
 
 func (cw *countWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
+	cw.n += int64(n)
 	return n, err
 }
 
@@ -206,57 +194,37 @@ func (ar *asyncReader) Read(p []byte) (int, error) {
 	}
 }
 
-// executor carries one Execute call's shared state.
-type executor struct {
-	ctx context.Context
-	env *unix.Env
-	k   int
-	// external marks the source as a caller-supplied stdin reader whose
-	// Read may block indefinitely; such sources get an asyncReader so
-	// cancellation doesn't hang the executor.
-	external bool
-	pool     *workerPool
+// execConfig collects one Execute call's options. It only chooses what
+// the walker is handed — which Program, which combine bound, which leaf
+// runner — and is gone once the walk starts.
+type execConfig struct {
 	// combineWorkers bounds the tree combine's concurrency (the §3.5
-	// combine plane). It defaults to the chunk pool's size so combine
+	// combine plane); 0 defaults to the chunk pool's size so combine
 	// parallelism matches execution parallelism.
 	combineWorkers int
-	// fuse enables the graph-walking fused executor for optimized-mode
-	// runs over materialized sources (default on; see WithFuse).
+	// fuse selects Optimized mode's program: the rewritten one (default)
+	// or the Theorem-5-only lowering (see WithFuse).
 	fuse bool
-	// runInfo, when non-nil, receives the fused run's region metrics and
-	// applied rewrites (see WithRunInfo).
+	// runInfo, when non-nil, receives the rewritten program's region
+	// metrics and applied rewrites (see WithRunInfo).
 	runInfo *RunInfo
+	// leaves wraps the local chunk fan-out (see WithLeaves).
+	leaves func(local Leaves) Leaves
 }
 
 // ExecOpt tunes one Execute call beyond the mode/k pair.
-type ExecOpt func(*executor)
+type ExecOpt func(*execConfig)
 
 // WithCombineWorkers bounds the concurrency of the tree-reduction
 // combine plane; n <= 0 keeps the default (the chunk worker pool's
 // size). 1 selects the sequential tree, which still beats the left fold
 // on copied bytes for boundary-local combiners.
 func WithCombineWorkers(n int) ExecOpt {
-	return func(ex *executor) {
+	return func(c *execConfig) {
 		if n > 0 {
-			ex.combineWorkers = n
+			c.combineWorkers = n
 		}
 	}
-}
-
-// combine recombines a parallel stage's chunk outputs through the
-// stage's synthesized combiner on the tree-reduction plane, recording
-// the combine's share of the stage wall in m.CombineWall.
-func (ex *executor) combine(ctx context.Context, sp *StagePlan, outs []string, m *StageMetrics) (string, error) {
-	_, span := obs.StartSpan(ctx, "combine")
-	span.AttrInt("parts", int64(len(outs)))
-	start := time.Now()
-	v, err := sp.Synth.Combiner.CombineKTree(outs, ex.combineWorkers)
-	m.CombineWall = time.Since(start)
-	span.End()
-	if err != nil {
-		return "", fmt.Errorf("pipeline: stage %q combine: %w", sp.Spec, err)
-	}
-	return v, nil
 }
 
 // Execute runs the plan in the given mode with k-way data parallelism,
@@ -267,52 +235,50 @@ func (ex *executor) combine(ctx context.Context, sp *StagePlan, outs []string, m
 // reaped before returning; the one residue of cancellation is a single
 // parked helper when the external stdin reader is blocked mid-Read — it
 // exits as soon as that Read returns, as any io.Reader demands.
+//
+// A mode is data, not a code path: it selects which dataflow Program the
+// one region walker (walk.go) is handed and what happens to an external
+// stdin — drained up front (Serial, Unoptimized), kept live so streamable
+// regions overlap through pipes in bounded memory (Optimized), or always
+// live with every region pipe-connected (Pipelined).
 func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out io.Writer, mode Mode, k int, opts ...ExecOpt) ([]StageMetrics, error) {
+	cfg := execConfig{fuse: true}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
 	// k > GOMAXPROCS the extra chunks wait for a pool slot.
-	poolSize := k
-	if n := runtime.GOMAXPROCS(0); n < poolSize {
-		poolSize = n
-	}
-	if poolSize < 1 {
-		poolSize = 1
+	poolSize := max(1, min(k, runtime.GOMAXPROCS(0)))
+	if cfg.combineWorkers == 0 {
+		cfg.combineWorkers = poolSize
 	}
 	ex := &executor{
-		ctx:            ctx,
 		env:            env,
 		k:              k,
-		external:       p.InputFile == "" && stdin != nil && !inMemoryReader(stdin),
 		pool:           newWorkerPool(poolSize),
-		combineWorkers: poolSize,
-		fuse:           true,
+		combineWorkers: cfg.combineWorkers,
 	}
-	for _, opt := range opts {
-		opt(ex)
-	}
-	var ms []StageMetrics
-	var err error
 	switch mode {
-	case ModeSerial, ModeUnoptimized:
-		ms, err = ex.runBarriered(p, stdin, out, mode == ModeUnoptimized)
+	case ModeSerial:
+		ex.prog = p.serial
+	case ModeUnoptimized:
+		ex.prog = p.stagewise
 	case ModeOptimized:
-		// The fused graph-walking mode handles every materialized source;
-		// a live external stdin keeps the legacy streaming path so the
-		// bounded-memory property survives. Either way the resolved source
-		// stays a materialized string rather than round-tripping through a
-		// reader.
-		if ex.fuse && p.Program != nil && !ex.external {
-			ms, err = ex.runGraph(p, stdin, out)
-		} else {
-			ms, err = ex.runOptimized(p, stdin, out)
+		ex.keepLive = true
+		if ex.prog = p.theorem5; cfg.fuse {
+			// Only the rewritten program reports regions and rewrites.
+			ex.prog, ex.info = p.Program, cfg.runInfo
 		}
 	case ModePipelined:
-		var src io.Reader
-		if src, err = p.sourceReader(env, stdin); err == nil {
-			ms, err = ex.runPipelined(p, src, out)
-		}
+		ex.prog, ex.piped = p.serial, true
 	default:
 		return nil, fmt.Errorf("pipeline: unknown execution mode %v", mode)
 	}
+	ex.leaves = ex.runLocal
+	if cfg.leaves != nil {
+		ex.leaves = cfg.leaves(ex.runLocal)
+	}
+	ms, err := ex.walk(ctx, p, stdin, out)
 	// Cancellation dominates: whatever secondary failure the teardown
 	// produced (poisoned pipes, aborted chunk runs), the caller asked to
 	// stop and gets ctx.Err().
@@ -322,20 +288,9 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 	return ms, err
 }
 
-// source wraps an external (caller-supplied, possibly blocking) stream in
-// an asyncReader bound to the given context; in-memory sources pass
-// through untouched.
-func (ex *executor) source(ctx context.Context, src io.Reader) io.Reader {
-	if ex.external {
-		return newAsyncReader(ctx, src)
-	}
-	return src
-}
-
 // inMemoryReader reports whether r reads from memory already held by the
 // caller (the compat wrappers' strings.Reader stdin): such input is
-// materialized, never blocks, and needs neither async decoupling nor
-// stream-preserving execution.
+// materialized, never blocks, and needs no async decoupling.
 func inMemoryReader(r io.Reader) bool {
 	switch r.(type) {
 	case *strings.Reader, *bytes.Reader, *bytes.Buffer:
@@ -344,480 +299,10 @@ func inMemoryReader(r io.Reader) bool {
 	return false
 }
 
-// sourceReader resolves the pipeline's input: the registered input file,
-// or the provided stdin reader when the pipeline reads standard input.
-func (p *Plan) sourceReader(env *unix.Env, stdin io.Reader) (io.Reader, error) {
-	if p.InputFile == "" {
-		if stdin == nil {
-			return strings.NewReader(""), nil
-		}
-		return stdin, nil
-	}
-	data, err := env.FS.Read(p.InputFile)
-	if err != nil {
-		return nil, err
-	}
-	return strings.NewReader(data), nil
-}
-
-// runChunks executes the stage's command on each chunk concurrently,
-// bounded by the shared worker pool.
-func (ex *executor) runChunks(ctx context.Context, sp *StagePlan, chunks []string) ([]string, error) {
-	_, span := obs.StartSpan(ctx, "chunks")
-	span.AttrInt("n", int64(len(chunks)))
-	defer span.End()
-	outs := make([]string, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if err := ex.pool.acquire(ctx); err != nil {
-			errs[i] = err
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer ex.pool.release()
-			outs[i], errs[i] = sp.Cmd.Run(chunks[i])
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", sp.Spec, i, err)
-		}
-	}
-	return outs, nil
-}
-
 func totalLen(ss []string) int64 {
 	var n int64
 	for _, s := range ss {
 		n += int64(len(s))
 	}
 	return n
-}
-
-// runBarriered executes stages in order with a barrier between each: the
-// serial (u_1) configuration when parallel is false, the unoptimized
-// parallel (u_k) configuration when true. Each stage's input and output
-// are materialized; parallel stages split their input into zero-copy chunk
-// views, run on the shared pool, and combine.
-func (ex *executor) runBarriered(p *Plan, stdin io.Reader, out io.Writer, parallel bool) ([]StageMetrics, error) {
-	var data string
-	var ingest textio.LineSeq
-	haveIngest := false
-	if p.InputFile != "" {
-		// Registered files are already in memory: use the zero-copy string
-		// view and the shared ingest line index (computed once per
-		// registered corpus, shared across stages, modes and requests).
-		seq, err := ex.env.FS.ReadSeq(p.InputFile)
-		if err != nil {
-			return nil, err
-		}
-		data, ingest, haveIngest = seq.Str(), seq, true
-	} else if stdin != nil {
-		buf, err := io.ReadAll(unix.ContextReader(ex.ctx, ex.source(ex.ctx, stdin)))
-		if err != nil {
-			return nil, err
-		}
-		data = textio.View(buf)
-	}
-	metrics := make([]StageMetrics, 0, len(p.Stages))
-	for _, sp := range p.Stages {
-		if err := ex.ctx.Err(); err != nil {
-			return metrics, err
-		}
-		sctx, ssp := obs.StartSpan(ex.ctx, "stage")
-		ssp.Attr("spec", sp.Spec)
-		m := StageMetrics{Spec: sp.Spec, BytesIn: int64(len(data))}
-		start := time.Now()
-		var next string
-		if parallel && sp.Parallel && ex.k > 1 {
-			chunks := ex.chunkStream(data, ingest, haveIngest)
-			outs, err := ex.runChunks(sctx, sp, chunks)
-			if err != nil {
-				ssp.End()
-				return metrics, err
-			}
-			m.Chunks = len(chunks)
-			next, err = ex.combine(sctx, sp, outs, &m)
-			if err != nil {
-				ssp.End()
-				return metrics, err
-			}
-		} else {
-			var err error
-			next, err = sp.Cmd.Run(data)
-			if err != nil {
-				ssp.End()
-				return metrics, fmt.Errorf("pipeline: stage %q: %w", sp.Spec, err)
-			}
-		}
-		m.Wall = time.Since(start)
-		m.BytesOut = int64(len(next))
-		metrics = append(metrics, m)
-		data = next
-		haveIngest = false
-		ssp.End()
-	}
-	if _, err := io.WriteString(out, data); err != nil {
-		return metrics, err
-	}
-	return metrics, nil
-}
-
-// chunkStream splits the current stream k-ways: through the shared
-// ingest index while the stream is still the registered input (the
-// index's precomputed boundaries replace a byte scan per split point),
-// and by scanning otherwise.
-func (ex *executor) chunkStream(data string, ingest textio.LineSeq, haveIngest bool) []string {
-	if haveIngest {
-		return ingest.Chunk(ex.k)
-	}
-	return textio.ChunkLines(data, ex.k)
-}
-
-// runSplitStage executes one parallel stage over the split stream: run
-// every chunk on the pool, then either keep the stream split (eliminated
-// combiner, Figure 5c) or combine into a single stream. Exactly one of
-// keep/combined is meaningful: keep is non-nil while the stream stays
-// split.
-func (ex *executor) runSplitStage(ctx context.Context, sp *StagePlan, chunks []string, m *StageMetrics) (keep []string, combined string, err error) {
-	start := time.Now()
-	m.BytesIn = totalLen(chunks)
-	outs, err := ex.runChunks(ctx, sp, chunks)
-	if err != nil {
-		return nil, "", err
-	}
-	m.Chunks = len(chunks)
-	if sp.Eliminated {
-		m.Wall += time.Since(start)
-		m.BytesOut = totalLen(outs)
-		return outs, "", nil
-	}
-	combined, err = ex.combine(ctx, sp, outs, m)
-	if err != nil {
-		return nil, "", err
-	}
-	m.Wall += time.Since(start)
-	m.BytesOut = int64(len(combined))
-	return nil, combined, nil
-}
-
-// streamableStage reports whether the optimized executor may run a stage
-// incrementally instead of chunk-parallel: the command must be able to
-// stream, and — when the planner marked it parallel — streaming must be
-// output-equivalent to chunk-and-combine (true for concat combiners and
-// for stages whose combiner was eliminated; line mappers produce disjoint
-// output lines, so concatenating streamed output equals combining chunks).
-func streamableStage(sp *StagePlan) bool {
-	if !unix.CanStream(sp.Cmd) {
-		return false
-	}
-	if !sp.Parallel {
-		return true
-	}
-	return sp.Eliminated || (sp.Synth != nil && sp.Synth.Combiner != nil && sp.Synth.Combiner.IsConcat())
-}
-
-// runOptimized executes the T_k configuration over readers and writers.
-// The stream is in one of three states as stages consume it:
-//
-//   - materialized: the whole stream is in memory (file inputs start here,
-//     and buffering/combining returns here). Parallel stages split it into
-//     zero-copy chunk views and run k instances — the paper's T_k.
-//   - split: an eliminated combiner left it as k chunk views; the next
-//     parallel stage consumes them directly (Figure 5c).
-//   - live: the stream is being produced incrementally (WithStdin sources
-//     and streamed stages). Streamable stages overlap through pipes
-//     without materializing it; the first whole-stream stage buffers.
-//
-// Chunk-parallelism is preferred whenever the stream is already in memory;
-// streaming is used only while the source is genuinely incremental, where
-// materializing would cost the bounded-memory property.
-func (ex *executor) runOptimized(p *Plan, stdin io.Reader, out io.Writer) (ms []StageMetrics, err error) {
-	ctx, cancel := context.WithCancel(ex.ctx)
-	// finish() cancels on every streaming path; this covers the early
-	// input-resolution returns so the child context never leaks.
-	defer cancel()
-	metrics := make([]StageMetrics, len(p.Stages))
-	var (
-		streamWG sync.WaitGroup
-		pipes    []*io.PipeReader
-	)
-	// finish tears down in-flight streamed stages: cancel their contexts,
-	// poison their pipes so blocked reads/writes return, and wait. Run on
-	// every exit path so no goroutine outlives Execute.
-	finish := func(failure error) {
-		cancel()
-		if failure == nil {
-			failure = io.ErrClosedPipe
-		}
-		for _, pr := range pipes {
-			pr.CloseWithError(failure)
-		}
-		streamWG.Wait()
-	}
-
-	var (
-		chunks     []string  // non-nil while the stream is split across k views
-		data       string    // the stream, while materialized
-		haveData   bool      // data is valid
-		cur        io.Reader // the stream, while live
-		ingest     textio.LineSeq
-		haveIngest bool // ingest indexes data (first stage only)
-	)
-	switch {
-	case p.InputFile != "":
-		seq, err := ex.env.FS.ReadSeq(p.InputFile)
-		if err != nil {
-			return nil, err
-		}
-		data, haveData = seq.Str(), true
-		ingest, haveIngest = seq, true
-	case stdin == nil:
-		haveData = true
-	case !ex.external:
-		// In-memory stdin (the compat wrappers): the input is already
-		// materialized, so read it up front and let parallel stages
-		// chunk it — preserving the legacy T_k behaviour. The read still
-		// goes through ContextReader so a cancelled ctx aborts the drain
-		// instead of being ignored until the first stage runs.
-		buf, err := io.ReadAll(unix.ContextReader(ex.ctx, stdin))
-		if err != nil {
-			return nil, err
-		}
-		data, haveData = textio.View(buf), true
-	default:
-		cur = newAsyncReader(ctx, stdin)
-	}
-
-	for i := range p.Stages {
-		sp := p.Stages[i]
-		m := &metrics[i]
-		m.Spec = sp.Spec
-		if i > 0 {
-			haveIngest = false // the ingest index only describes stage 0's input
-		}
-		if err := ctx.Err(); err != nil {
-			finish(err)
-			return metrics, err
-		}
-		sctx, ssp := obs.StartSpan(ctx, "stage")
-		ssp.Attr("spec", sp.Spec)
-		if chunks != nil {
-			// Split stream: the planner guarantees only parallel stages
-			// follow an eliminated combiner.
-			if !sp.Parallel || ex.k <= 1 {
-				ssp.End()
-				finish(errSplitSerial)
-				return metrics, fmt.Errorf("%w %q", errSplitSerial, sp.Spec)
-			}
-			keep, combined, cerr := ex.runSplitStage(sctx, sp, chunks, m)
-			ssp.End()
-			if cerr != nil {
-				finish(cerr)
-				return metrics, cerr
-			}
-			if keep != nil {
-				chunks = keep
-				continue
-			}
-			chunks = nil
-			data, haveData = combined, true
-			continue
-		}
-		if !haveData && streamableStage(sp) {
-			// Live stream, incremental stage: overlap through a pipe. The
-			// stage span is handed to the goroutine and ends when the
-			// stage's stream drains, so its duration covers the overlap.
-			ssp.Attr("streamed", "true")
-			pr, pw := io.Pipe()
-			pipes = append(pipes, pr)
-			in := cur
-			m.Streamed = true
-			var bytesIn, bytesOut atomic.Int64
-			start := time.Now()
-			streamWG.Add(1)
-			go func(sp *StagePlan, m *StageMetrics) {
-				defer streamWG.Done()
-				defer ssp.End()
-				cr := &countReader{r: in, n: &bytesIn}
-				cw := &countWriter{w: pw, n: &bytesOut}
-				serr := unix.Exec(ctx, sp.Cmd, cr, cw)
-				m.Wall = time.Since(start)
-				m.BytesIn = bytesIn.Load()
-				m.BytesOut = bytesOut.Load()
-				if serr != nil {
-					var up *stageError
-					if !errors.As(serr, &up) {
-						serr = &stageError{spec: sp.Spec, err: serr}
-					}
-					pw.CloseWithError(serr)
-					return
-				}
-				pw.Close()
-			}(sp, m)
-			cur = pr
-			continue
-		}
-		if !haveData {
-			// Live stream, whole-stream stage: buffer it. The drain time
-			// counts toward this stage's wall (as it does in pipelined
-			// mode, where the stage itself performs the read).
-			drainStart := time.Now()
-			buf, rerr := io.ReadAll(unix.ContextReader(ctx, cur))
-			if rerr != nil {
-				ssp.End()
-				finish(rerr)
-				return metrics, rerr
-			}
-			m.Wall = time.Since(drainStart)
-			data, haveData = textio.View(buf), true
-		}
-		// Materialized stream.
-		m.BytesIn = int64(len(data))
-		if sp.Parallel && ex.k > 1 {
-			keep, combined, cerr := ex.runSplitStage(sctx, sp, ex.chunkStream(data, ingest, haveIngest), m)
-			ssp.End()
-			if cerr != nil {
-				finish(cerr)
-				return metrics, cerr
-			}
-			if keep != nil {
-				chunks = keep
-				haveData = false
-				continue
-			}
-			data = combined
-		} else {
-			start := time.Now()
-			outStr, serr := sp.Cmd.Run(data)
-			ssp.End()
-			if serr != nil {
-				serr = fmt.Errorf("pipeline: stage %q: %w", sp.Spec, serr)
-				finish(serr)
-				return metrics, serr
-			}
-			m.Wall += time.Since(start)
-			m.BytesOut = int64(len(outStr))
-			data = outStr
-		}
-	}
-	if chunks != nil {
-		finish(errSplitFinal)
-		return metrics, errSplitFinal
-	}
-	if haveData {
-		_, werr := io.WriteString(out, data)
-		finish(werr)
-		return metrics, werr
-	}
-	_, copyErr := io.Copy(out, unix.ContextReader(ctx, cur))
-	finish(copyErr)
-	return metrics, copyErr
-}
-
-// runPipelined executes the T_orig configuration: every stage runs
-// concurrently, connected by pipes. Streaming-capable stages process
-// incrementally; whole-stream stages buffer inside their goroutine. Stage
-// failures are collected in stage order and joined; an upstream failure
-// propagating through a pipe poisons the downstream stages without being
-// double-reported.
-func (ex *executor) runPipelined(p *Plan, src io.Reader, out io.Writer) ([]StageMetrics, error) {
-	ctx, cancel := context.WithCancel(ex.ctx)
-	defer cancel()
-	metrics := make([]StageMetrics, len(p.Stages))
-	fails := make([]error, len(p.Stages))
-	var (
-		wg    sync.WaitGroup
-		pipes []*io.PipeReader
-	)
-	reader := ex.source(ctx, src)
-	for i := range p.Stages {
-		sp := p.Stages[i]
-		m := &metrics[i]
-		m.Spec = sp.Spec
-		m.Streamed = unix.CanStream(sp.Cmd)
-		_, ssp := obs.StartSpan(ctx, "stage")
-		ssp.Attr("spec", sp.Spec)
-		pr, pw := io.Pipe()
-		pipes = append(pipes, pr)
-		in := reader
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer ssp.End()
-			var bytesIn, bytesOut atomic.Int64
-			cr := &countReader{r: in, n: &bytesIn}
-			cw := &countWriter{w: pw, n: &bytesOut}
-			start := time.Now()
-			err := unix.Exec(ctx, sp.Cmd, cr, cw)
-			m.Wall = time.Since(start)
-			m.BytesIn = bytesIn.Load()
-			m.BytesOut = bytesOut.Load()
-			if err != nil {
-				var up *stageError
-				if errors.As(err, &up) {
-					// Upstream failure read off the pipe: pass it through
-					// without re-reporting it for this stage.
-					pw.CloseWithError(up)
-					return
-				}
-				se := &stageError{spec: sp.Spec, err: err}
-				fails[i] = se
-				pw.CloseWithError(se)
-				return
-			}
-			pw.Close()
-		}(i)
-		reader = pr
-	}
-	_, copyErr := io.Copy(out, unix.ContextReader(ctx, reader))
-	if copyErr != nil {
-		// Final sink failed (or ctx cancelled): poison every pipe so
-		// blocked stages unwind instead of leaking. The poison is wrapped
-		// as a pass-through stage error so live stages don't record the
-		// sink failure as their own.
-		cancel()
-		poison := copyErr
-		var se *stageError
-		if !errors.As(poison, &se) {
-			poison = &stageError{spec: "<output sink>", err: copyErr}
-		}
-		for _, pr := range pipes {
-			pr.CloseWithError(poison)
-		}
-	}
-	wg.Wait()
-	var errs []error
-	for _, f := range fails {
-		if f != nil {
-			errs = append(errs, f)
-		}
-	}
-	if copyErr != nil {
-		var up *stageError
-		if !errors.As(copyErr, &up) || len(errs) == 0 {
-			// The copy error is either independent of any stage failure or
-			// the only record of one that slipped past the fails slice.
-			already := false
-			for _, e := range errs {
-				if errors.Is(copyErr, e) || errors.Is(e, copyErr) {
-					already = true
-				}
-			}
-			if !already {
-				errs = append(errs, copyErr)
-			}
-		}
-	}
-	if len(errs) > 0 {
-		return metrics, errors.Join(errs...)
-	}
-	return metrics, nil
 }

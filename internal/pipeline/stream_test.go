@@ -10,33 +10,81 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"kumquat/internal/dataflow"
+	"kumquat/internal/unix"
 )
 
 var allModes = []Mode{ModeOptimized, ModeUnoptimized, ModeSerial, ModePipelined}
 
-// TestExecuteModesAgree runs one pipeline through every mode and checks
-// byte-identical output against the serial ground truth.
+// reference is the tests' independent oracle: every stage's command run
+// to completion over the previous output — no Program, no pool, no
+// executor.
+func reference(t *testing.T, plan *Plan, input string) string {
+	t.Helper()
+	data := input
+	for _, sp := range plan.Stages {
+		var err error
+		if data, err = sp.Cmd.Run(data); err != nil {
+			t.Fatalf("reference stage %q: %v", sp.Spec, err)
+		}
+	}
+	return data
+}
+
+// pipeSource serves s through an io.Pipe: an external stdin the executor
+// cannot see through, read incrementally like a socket.
+func pipeSource(s string) io.Reader {
+	pr, pw := io.Pipe()
+	go func() {
+		_, err := io.WriteString(pw, s)
+		pw.CloseWithError(err)
+	}()
+	return pr
+}
+
+// TestExecuteModesAgree runs one pipeline through every source kind ×
+// fuse setting × mode × k and checks byte-identical output against the
+// independent reference — the whole configuration matrix of the one
+// region walker, live-stdin-with-fusion included.
 func TestExecuteModesAgree(t *testing.T) {
 	syn := newSynth()
-	syn.Env.FS.Register("in.txt", "Some Light text\nmore WORDS here\nlight Again\n")
-	plan := compilePlan(t, syn, "cat in.txt | tr A-Z a-z | sort | uniq -c\n")
-	want, err := plan.RunSerial(syn.Env, "")
-	if err != nil {
-		t.Fatal(err)
+	const corpus = "Some Light text\nmore WORDS here\nlight Again\nno match\n"
+	syn.Env.FS.Register("in.txt", corpus)
+	const stages = "tr A-Z a-z | grep i | sort | uniq -c\n"
+	filePlan := compilePlan(t, syn, "cat in.txt | "+stages)
+	stdinPlan := compilePlan(t, syn, stages)
+	if filePlan.Program.Fired[dataflow.RuleFuseStreamers] == 0 {
+		t.Fatal("pipeline does not exercise fusion")
 	}
-	for _, mode := range allModes {
-		for _, k := range []int{1, 2, 4} {
-			var out strings.Builder
-			ms, err := plan.Execute(context.Background(), syn.Env, nil, &out, mode, k)
-			if err != nil {
-				t.Errorf("%v k=%d: %v", mode, k, err)
-				continue
-			}
-			if out.String() != want {
-				t.Errorf("%v k=%d = %q, want %q", mode, k, out.String(), want)
-			}
-			if len(ms) != len(plan.Stages) {
-				t.Errorf("%v k=%d: %d metrics for %d stages", mode, k, len(ms), len(plan.Stages))
+	want := reference(t, stdinPlan, corpus)
+	sources := []struct {
+		name  string
+		plan  *Plan
+		stdin func() io.Reader
+	}{
+		{"file", filePlan, func() io.Reader { return nil }},
+		{"in-memory stdin", stdinPlan, func() io.Reader { return strings.NewReader(corpus) }},
+		{"external stdin", stdinPlan, func() io.Reader { return pipeSource(corpus) }},
+	}
+	for _, src := range sources {
+		for _, fuse := range []bool{true, false} {
+			for _, mode := range allModes {
+				for _, k := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s fuse=%v %v k=%d", src.name, fuse, mode, k)
+					var out strings.Builder
+					ms, err := src.plan.Execute(context.Background(), syn.Env, src.stdin(), &out, mode, k, WithFuse(fuse))
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if out.String() != want {
+						t.Errorf("%s = %q, want %q", name, out.String(), want)
+					}
+					if len(ms) != len(src.plan.Stages) {
+						t.Errorf("%s: %d metrics for %d stages", name, len(ms), len(src.plan.Stages))
+					}
+				}
 			}
 		}
 	}
@@ -81,16 +129,22 @@ func (w *interleaveWriter) Write(p []byte) (int, error) {
 
 // TestOptimizedStreamsLineMapperPipeline checks the acceptance property:
 // a line-mapper-only pipeline streams end to end — output is produced
-// while input is still being read, in optimized and pipelined modes.
+// while input is still being read, in optimized and pipelined modes. In
+// optimized mode fusion is on, so the bounded-memory property must
+// survive it: the fused region itself consumes the live external stdin.
 func TestOptimizedStreamsLineMapperPipeline(t *testing.T) {
 	syn := newSynth()
 	plan := compilePlan(t, syn, "grep light | cut -c 1-5\n")
 	for _, mode := range []Mode{ModeOptimized, ModePipelined} {
 		gen := &lineGen{total: 100000}
 		w := &interleaveWriter{gen: gen}
-		ms, err := plan.Execute(context.Background(), syn.Env, gen, w, mode, 4)
+		var info RunInfo
+		ms, err := plan.Execute(context.Background(), syn.Env, gen, w, mode, 4, WithRunInfo(&info))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
+		}
+		if fused := mode == ModeOptimized; info.Fused != fused || (info.Rewrites["fuse-streamers"] > 0) != fused {
+			t.Errorf("%v: run info fused=%v rewrites=%v, want the rewritten program exactly in optimized mode", mode, info.Fused, info.Rewrites)
 		}
 		if !w.sawPartial.Load() {
 			t.Errorf("%v: no output arrived before input was exhausted; pipeline materialized the stream", mode)
@@ -125,27 +179,65 @@ func (g *cancellingGen) Read(p []byte) (int, error) {
 	return copy(p, line), nil
 }
 
-// TestExecuteCancellation cancels mid-stream in every mode: Execute must
-// return ctx.Err() promptly and leak no goroutines.
+// cancellingCmd wraps a stage command so that running any chunk cancels
+// the context: a cancellation that lands in the middle of a region's
+// chunk fan-out.
+type cancellingCmd struct {
+	unix.Command
+	cancel context.CancelFunc
+}
+
+func (c cancellingCmd) Run(input string) (string, error) {
+	c.cancel()
+	return c.Command.Run(input)
+}
+
+// TestExecuteCancellation cancels mid-stream in every mode, and
+// mid-region in the chunk fan-out: Execute must return ctx.Err()
+// promptly and leak no goroutines.
 func TestExecuteCancellation(t *testing.T) {
 	syn := newSynth()
 	plan := compilePlan(t, syn, "grep light | sort | uniq -c\n")
+	// The mid-region row: a file-sourced plan whose sort cancels from
+	// inside its first chunk run, with far more chunks than pool slots, so
+	// the fan-out is still acquiring slots when the context dies.
+	syn.Env.FS.Register("c.txt", strings.Repeat("light word here\n", 4096))
+	midRegion := compilePlan(t, syn, "cat c.txt | sort | uniq -c\n")
+	sortStage := midRegion.Stages[0]
+	rows := []struct {
+		name  string
+		plan  *Plan
+		mode  Mode
+		k     int
+		stdin bool
+	}{
+		{"optimized", plan, ModeOptimized, 4, true},
+		{"unoptimized", plan, ModeUnoptimized, 4, true},
+		{"serial", plan, ModeSerial, 4, true},
+		{"pipelined", plan, ModePipelined, 4, true},
+		{"mid-region fan-out", midRegion, ModeUnoptimized, 64, false},
+	}
 	before := runtime.NumGoroutine()
-	for _, mode := range allModes {
+	for _, row := range rows {
 		ctx, cancel := context.WithCancel(context.Background())
-		gen := &cancellingGen{after: 500, cancel: cancel}
+		var stdin io.Reader
+		if row.stdin {
+			stdin = &cancellingGen{after: 500, cancel: cancel}
+		} else {
+			sortStage.Cmd = cancellingCmd{Command: sortStage.Cmd, cancel: cancel}
+		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := plan.Execute(ctx, syn.Env, gen, io.Discard, mode, 4)
+			_, err := row.plan.Execute(ctx, syn.Env, stdin, io.Discard, row.mode, row.k)
 			done <- err
 		}()
 		select {
 		case err := <-done:
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%v: err = %v, want context.Canceled", mode, err)
+				t.Errorf("%s: err = %v, want context.Canceled", row.name, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: Execute did not return after cancellation", mode)
+			t.Fatalf("%s: Execute did not return after cancellation", row.name)
 		}
 		cancel()
 	}

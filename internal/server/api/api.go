@@ -97,14 +97,14 @@ type ExecuteReport struct {
 	Stages []ExecuteStage `json:"stages"`
 	// SynthCache is the compile-time combiner-cache activity.
 	SynthCache kumquat.SynthCacheStats `json:"synth_cache"`
-	// Fused reports that the graph-walking fused executor ran (optimized
-	// mode with fuse=on and a materialized source).
+	// Fused reports that the rewritten dataflow program ran (optimized
+	// mode with fuse=on, over a file, an in-memory or a live stdin).
 	Fused bool `json:"fused,omitempty"`
-	// Rewrites counts the dataflow-optimizer rewrites the fused run
-	// applied, per rule name; omitted when the fused executor did not run.
+	// Rewrites counts the dataflow-optimizer rewrites the run's program
+	// applied, per rule name; omitted when Fused is false.
 	Rewrites map[string]int `json:"rewrites,omitempty"`
-	// Regions carries the fused run's per-region execution measurements;
-	// omitted when the fused executor did not run.
+	// Regions carries the rewritten program's per-region execution
+	// measurements; omitted when Fused is false.
 	Regions []ExecuteRegion `json:"regions,omitempty"`
 	// Cluster carries the coordinator's shard-dispatch accounting when the
 	// request executed in cluster mode; omitted otherwise.

@@ -139,9 +139,9 @@ type ExecuteOptions struct {
 	K int
 	// CombineWorkers bounds the combine plane; 0 = server default.
 	CombineWorkers int
-	// Fuse selects the optimized-mode executor: "" = server default (on),
-	// "on" the graph-walking fused program, "off" the stage-at-a-time
-	// ablation.
+	// Fuse selects the program optimized mode walks: "" = server default
+	// (on), "on" the rewritten dataflow program, "off" the
+	// Theorem-5-only ablation.
 	Fuse string
 	// Cluster selects coordinator dispatch on a cluster-configured
 	// server: "" = server default (on when workers are configured),

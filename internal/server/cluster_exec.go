@@ -1,30 +1,35 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"kumquat"
 	"kumquat/internal/cluster"
 	"kumquat/internal/obs"
-	"kumquat/internal/textio"
 )
 
 // executeCluster serves an execute request through the cluster
-// coordinator: each pipeline's corpus is materialized, parallel stages
-// shard across the worker daemons (with retry, speculation and local
-// fallback), and the combined output streams back with the usual report
-// trailer — extended with the run's ClusterReport. Semantics mirror the
-// in-process unoptimized execution: stage boundaries are barriers, `>
-// FILE` redirects register into the request environment, and standard
-// input feeds the first stdin-reading pipeline.
+// coordinator: each pipeline runs through the one executor with the
+// coordinator as its leaf runner, so parallel stages shard across the
+// worker daemons (with retry, speculation and local fallback), and the
+// combined output streams back with the usual report trailer — extended
+// with the run's ClusterReport. Semantics are the in-process unoptimized
+// execution's: stage boundaries are barriers, `> FILE` redirects register
+// into the request environment, and standard input feeds the first
+// stdin-reading pipeline.
 func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kumquat.Env, plan *kumquat.Plan, stdin io.Reader, combineWorkers int, sink io.Writer, span *obs.Span, remoteTrace bool) {
 	// Cluster dispatch shards a materialized corpus, so drain stdin once
 	// up front (the status line is not committed yet: read failures can
-	// still answer 400 instead of hiding in a trailer).
-	stdinData := ""
+	// still answer 400 instead of hiding in a trailer). One reader serves
+	// the whole script: standard input feeds the first stdin-reading
+	// pipeline; later ones see it already drained, as in the local
+	// executor.
+	var body bytes.Reader
 	if stdin != nil {
 		b, err := io.ReadAll(stdin)
 		if err != nil {
@@ -32,9 +37,7 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kum
 			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 			return
 		}
-		// Hold the drained body as a zero-copy view: sharding slices it,
-		// so a multi-GB corpus is never duplicated per request.
-		stdinData = textio.View(b)
+		body.Reset(b)
 	}
 
 	rep := ExecuteReport{
@@ -43,46 +46,24 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kum
 		SynthCache:  plan.SynthCache(),
 	}
 	plans := plan.PipelinePlans()
-	inputs := plan.Inputs()
 	outs := plan.OutputFiles()
 	runStats := &cluster.Stats{}
 	start := time.Now()
 	for i, pl := range plans {
-		corpus := ""
-		var ingest textio.LineSeq
-		haveIngest := false
-		if inputs[i] != "" {
-			seq, err := env.ReadSeq(inputs[i])
-			if err != nil {
-				s.endTrace(w, span, remoteTrace, nil)
-				w.Header().Set(ErrorTrailer, "input "+inputs[i]+": "+err.Error())
-				return
-			}
-			corpus, ingest, haveIngest = seq.Str(), seq, true
-		} else {
-			// Standard input feeds the first stdin-reading pipeline; later
-			// ones see it already drained, as in the local executor.
-			corpus, stdinData = stdinData, ""
+		var target io.Writer = sink
+		var redirect *strings.Builder
+		if outs[i] != "" {
+			redirect = &strings.Builder{}
+			target = redirect
 		}
-		var out string
-		var stages []cluster.StageStat
-		var st *cluster.Stats
-		var err error
-		if haveIngest {
-			// File inputs dispatch through the environment's shared line
-			// index — shard boundaries come from the once-computed ingest
-			// LineSeq instead of a fresh corpus walk.
-			out, stages, st, err = s.clu.ExecutePlanSeq(r.Context(), pl, ingest, combineWorkers)
-		} else {
-			out, stages, st, err = s.clu.ExecutePlan(r.Context(), pl, corpus, combineWorkers)
-		}
+		stages, st, err := s.clu.ExecutePlan(r.Context(), env.Unix(), pl, &body, target, combineWorkers)
 		runStats.AddAll(st)
 		if err != nil {
 			s.endTrace(w, span, remoteTrace, nil)
 			w.Header().Set(ErrorTrailer, err.Error())
 			return
 		}
-		for j, cs := range stages {
+		for _, cs := range stages {
 			rep.Stages = append(rep.Stages, ExecuteStage{
 				Spec:          cs.Spec,
 				Parallel:      cs.Remote,
@@ -92,21 +73,14 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kum
 				BytesIn:       cs.BytesIn,
 				BytesOut:      cs.BytesOut,
 			})
+		}
+		if redirect != nil {
 			// Redirected pipelines count toward neither stream total,
 			// matching the in-process report semantics.
-			if j == 0 && outs[i] == "" {
-				rep.BytesIn += cs.BytesIn
-			}
-		}
-		if outs[i] != "" {
-			env.Register(outs[i], out)
-			continue
-		}
-		n, werr := io.WriteString(sink, out)
-		rep.BytesOut += int64(n)
-		if werr != nil {
-			span.End() // keep the trace complete even though the client is gone
-			return
+			env.Register(outs[i], redirect.String())
+		} else if n := len(stages); n > 0 {
+			rep.BytesIn += stages[0].BytesIn
+			rep.BytesOut += stages[n-1].BytesOut
 		}
 	}
 	rep.WallMS = ms(time.Since(start))

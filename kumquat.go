@@ -74,6 +74,12 @@ func (e *Env) Read(name string) (string, error) { return e.u.FS.Read(name) }
 // at ingest; see unix.FS.ReadSeq).
 func (e *Env) ReadSeq(name string) (textio.LineSeq, error) { return e.u.FS.ReadSeq(name) }
 
+// Unix exposes the underlying command environment for execution planes
+// outside this package (paired with Plan.PipelinePlans): kumquatd's
+// cluster coordinator hands it to the executor so stage 0 shards from the
+// shared ingest index.
+func (e *Env) Unix() *unix.Env { return e.u }
+
 // Close releases resources the environment owns — today, the memory
 // mappings behind RegisterFile. Call only once no output or view derived
 // from a mapped file will be used again.
@@ -297,9 +303,9 @@ func (p *Plan) Inputs() []string {
 }
 
 // PipelinePlans exposes the compiled per-pipeline plans for execution
-// planes outside this package — kumquatd's cluster coordinator walks the
-// stages itself to dispatch shards to remote workers. The slice is
-// shared with the Plan, not copied.
+// planes outside this package — kumquatd's cluster coordinator executes
+// each one with itself as the leaf runner, dispatching shards to remote
+// workers. The slice is shared with the Plan, not copied.
 func (p *Plan) PipelinePlans() []*pipeline.Plan { return p.plans }
 
 // OutputFiles returns each pipeline's `> FILE` redirect target, in
@@ -429,13 +435,13 @@ func WithMode(m Mode) ExecOption {
 	return func(c *execConfig) { c.mode = m }
 }
 
-// WithFuse toggles the dataflow optimizer's fused execution for Optimized
-// runs (default: on). When on, the plan's optimized region program runs
-// fused regions chunk-parallel end to end — adjacent line-streaming stages
+// WithFuse chooses which dataflow program an Optimized run walks (default:
+// on). On, it is the rewritten program — adjacent line-streaming stages
 // execute as one per-chunk pass, combines are elided into order-insensitive
 // consumers, and sort combines push into downstream k-way merge readers;
-// RunReport.Rewrites names what fired. Off reproduces the legacy
-// stage-at-a-time optimized executor (the -fuse=off ablation).
+// RunReport.Rewrites names what fired. Off, the same executor walks the
+// program lowered with those three rewrites disabled (Theorem 5 splits
+// only) — the -fuse=off ablation. The other modes ignore it.
 func WithFuse(on bool) ExecOption {
 	return func(c *execConfig) { c.fuse = on }
 }
@@ -503,7 +509,8 @@ type RegionReport struct {
 	BytesOut int64
 	// Chunks is the number of parallel instances the region ran as.
 	Chunks int
-	// Streamed marks regions that consumed a lazily merged stream.
+	// Streamed marks regions that consumed a live stream (external stdin,
+	// an upstream streamed region, a lazily merged sort) incrementally.
 	Streamed bool
 }
 
@@ -528,15 +535,16 @@ type RunReport struct {
 	// is attributed at the engine's lookup site, so the counts stay
 	// exact under concurrent use of the same System.
 	SynthCache SynthCacheStats
-	// Fused reports that the graph-walking fused executor ran (Optimized
-	// mode with fusion on and a materialized source).
+	// Fused reports that the rewritten dataflow program ran: Optimized
+	// mode with fusion on, over any source (file, in-memory or live
+	// stdin).
 	Fused bool
-	// Rewrites counts, per rule name, the dataflow rewrites the fused
-	// run applied (fuse-streamers, elide-combine, push-sort-merge); nil
-	// when the fused executor did not run.
+	// Rewrites counts, per rule name, the dataflow rewrites the run's
+	// program applied (fuse-streamers, elide-combine, push-sort-merge);
+	// nil when Fused is false.
 	Rewrites map[string]int
-	// Regions holds one entry per optimizer region of a fused run, in
-	// order across pipelines; nil when the fused executor did not run.
+	// Regions holds one entry per region of the rewritten program, in
+	// order across pipelines; nil when Fused is false.
 	Regions []RegionReport
 	// Output is the captured output stream when no WithOutput sink was
 	// given; empty otherwise.
