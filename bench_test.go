@@ -8,6 +8,7 @@ package kumquat
 import (
 	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"kumquat/internal/bench"
@@ -56,7 +57,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable3Planning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := bench.NewHarness(benchScale, []int{1})
-		results, err := h.PlanOnly()
+		results, err := h.PlanOnly(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func BenchmarkTable3Planning(b *testing.B) {
 func benchCatalogAt(b *testing.B, k int, optimized bool) {
 	h := bench.NewHarness(benchScale, []int{k})
 	// Compile plans once (synthesis amortized as in the paper's workflow).
-	results, err := h.PlanOnly()
+	results, err := h.PlanOnly(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func BenchmarkSynthesis(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				syn := synth.New(unix.DefaultEnv(), synth.Options{Seed: int64(i + 1)})
-				res, _ := syn.SynthesizeSpec(spec)
+				res, _ := syn.Synthesize(context.Background(), spec)
 				if res == nil {
 					b.Fatal("no result")
 				}
@@ -183,7 +184,7 @@ func BenchmarkAblationGradient(b *testing.B) {
 				syn := synth.New(unix.DefaultEnv(),
 					synth.Options{Seed: int64(i + 1), DisableGradient: mode.disable})
 				for _, spec := range []string{"uniq -c", `tr -cs A-Za-z '\n'`, "wc -l"} {
-					if res, _ := syn.SynthesizeSpec(spec); res == nil {
+					if res, _ := syn.Synthesize(context.Background(), spec); res == nil {
 						b.Fatal("no result")
 					}
 				}
@@ -226,20 +227,18 @@ func BenchmarkAblationElimination(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := pipeline.Compile(parsed.Pipelines[0], syn)
+	plan, err := pipeline.CompileContext(context.Background(), parsed.Pipelines[0], syn)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, mode := range []string{"unoptimized", "optimized"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var err error
+				m := pipeline.ModeUnoptimized
 				if mode == "optimized" {
-					_, err = plan.RunOptimized(env, "", 8)
-				} else {
-					_, err = plan.RunParallel(env, "", 8)
+					m = pipeline.ModeOptimized
 				}
-				if err != nil {
+				if _, err := plan.Execute(context.Background(), env, nil, io.Discard, m, 8); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -115,7 +115,7 @@ func main() {
 		}
 		fmt.Fprintf(w, "ran %d scripts in %v\n\n", len(results), time.Since(start).Round(time.Millisecond))
 	case needPlans[*table]:
-		results, err = h.PlanOnly()
+		results, err = h.PlanOnly(ctx)
 		if err != nil {
 			fatal(err)
 		}
@@ -136,13 +136,13 @@ func main() {
 		case "7":
 			bench.WriteTable7(w, results, ks, medianU1(results))
 		case "8":
-			bench.WriteTable8(w, h.Synthesizer())
+			bench.WriteTable8(ctx, w, h.Synthesizer())
 		case "9":
-			bench.WriteTable9(w, h.Synthesizer())
+			bench.WriteTable9(ctx, w, h.Synthesizer())
 		case "10":
-			bench.WriteTable10(w, h.Synthesizer())
+			bench.WriteTable10(ctx, w, h.Synthesizer())
 		case "summary":
-			writeSummary(h)
+			writeSummary(ctx, h)
 		}
 		fmt.Fprintln(w)
 	}
@@ -173,13 +173,13 @@ func medianU1(results []*bench.ScriptResult) time.Duration {
 	return ds[len(ds)/2]
 }
 
-func writeSummary(h *bench.Harness) {
+func writeSummary(ctx context.Context, h *bench.Harness) {
 	syn := h.Synthesizer()
 	supported, unsupported := 0, 0
 	var minD, maxD, sum time.Duration
 	var durations []time.Duration
 	for _, spec := range bench.UniqueCommands() {
-		res, _ := syn.SynthesizeSpec(spec)
+		res, _ := syn.Synthesize(ctx, spec)
 		if res == nil {
 			continue
 		}

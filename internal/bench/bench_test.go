@@ -127,7 +127,7 @@ func TestTable3PerScriptExact(t *testing.T) {
 		t.Skip("full planning pass skipped in -short mode")
 	}
 	h := NewHarness(400, []int{1})
-	results, err := h.PlanOnly()
+	results, err := h.PlanOnly(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestTable8Histogram(t *testing.T) {
 		t.Skip("synthesis over all unique commands skipped in -short mode")
 	}
 	h := NewHarness(100, []int{1})
-	rows := Table8(h.Synthesizer())
+	rows := Table8(context.Background(), h.Synthesizer())
 	if len(rows) == 0 {
 		t.Fatal("empty Table 8")
 	}
@@ -268,7 +268,7 @@ func TestTable9Unsupported(t *testing.T) {
 	h := NewHarness(100, []int{1})
 	syn := h.Synthesizer()
 	var b strings.Builder
-	WriteTable9(&b, syn)
+	WriteTable9(context.Background(), &b, syn)
 	out := b.String()
 	// Table 9's rows that appear in our catalog: tail +2, tail +3, the
 	// equality-gated awk. (sed 1d / 2d appear inside unix50 scripts.)

@@ -52,7 +52,7 @@ func CompareExecutors(ctx context.Context, scale, k int) (*ExecComparison, error
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pipeline.Compile(script.Pipelines[0], syn)
+	plan, err := pipeline.CompileContext(ctx, script.Pipelines[0], syn)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func CompareFusion(ctx context.Context, scale int) (*FuseComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pipeline.Compile(script.Pipelines[0], syn)
+	plan, err := pipeline.CompileContext(ctx, script.Pipelines[0], syn)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ type Harness struct {
 	Opts synth.Options
 
 	env *unix.Env
-	syn *synth.Synthesizer
+	syn *synth.Engine
 }
 
 // NewHarness builds a harness with a shared environment and synthesizer:
@@ -49,7 +49,7 @@ func NewHarness(scale int, ks []int) *Harness {
 func (h *Harness) Env() *unix.Env { return h.env }
 
 // Synthesizer exposes the shared synthesizer (for Table 8/9/10 reporting).
-func (h *Harness) Synthesizer() *synth.Synthesizer { return h.syn }
+func (h *Harness) Synthesizer() *synth.Engine { return h.syn }
 
 // PipelineCounts records Table 3's per-pipeline "k/n" pairs.
 type PipelineCounts struct {
@@ -84,7 +84,7 @@ func Speedup(base, d time.Duration) float64 {
 // serial order as it goes so that later pipelines' synthesis can observe
 // the temp files earlier pipelines write (8.3_3's comm needs tmp.ex.types
 // to exist when its combiner is synthesized).
-func (h *Harness) scriptPlans(spec ScriptSpec) ([]*pipeline.Plan, *pipeline.Script, error) {
+func (h *Harness) scriptPlans(ctx context.Context, spec ScriptSpec) ([]*pipeline.Plan, *pipeline.Script, error) {
 	script, err := pipeline.ParseScript(spec.Source, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s/%s: %w", spec.Suite, spec.Name, err)
@@ -93,17 +93,17 @@ func (h *Harness) scriptPlans(spec ScriptSpec) ([]*pipeline.Plan, *pipeline.Scri
 	for i, p := range script.Pipelines {
 		// Execute pipeline serially first so its outputs exist for the
 		// compilation of subsequent pipelines.
-		plan, err := pipeline.Compile(p, h.syn)
+		plan, err := pipeline.CompileContext(ctx, p, h.syn)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s/%s pipeline %d: %w", spec.Suite, spec.Name, i, err)
 		}
 		plans[i] = plan
-		out, err := plan.RunSerial(h.env, "")
-		if err != nil {
+		var out strings.Builder
+		if _, err := plan.Execute(ctx, h.env, nil, &out, pipeline.ModeSerial, 1); err != nil {
 			return nil, nil, fmt.Errorf("%s/%s pipeline %d run: %w", spec.Suite, spec.Name, i, err)
 		}
 		if p.OutputFile != "" {
-			h.env.FS.Register(p.OutputFile, out)
+			h.env.FS.Register(p.OutputFile, out.String())
 		}
 	}
 	return plans, script, nil
@@ -136,7 +136,7 @@ func (h *Harness) RunScript(ctx context.Context, spec ScriptSpec) (*ScriptResult
 	if err := RegisterInputs(h.env, spec.Input, h.Scale); err != nil {
 		return nil, err
 	}
-	plans, script, err := h.scriptPlans(spec)
+	plans, script, err := h.scriptPlans(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -210,13 +210,13 @@ func (h *Harness) RunAll(ctx context.Context) ([]*ScriptResult, error) {
 
 // PlanOnly compiles every catalog script without timing runs (fast path for
 // Table 3).
-func (h *Harness) PlanOnly() ([]*ScriptResult, error) {
+func (h *Harness) PlanOnly(ctx context.Context) ([]*ScriptResult, error) {
 	var out []*ScriptResult
 	for _, spec := range Catalog() {
 		if err := RegisterInputs(h.env, spec.Input, h.Scale); err != nil {
 			return nil, err
 		}
-		plans, _, err := h.scriptPlans(spec)
+		plans, _, err := h.scriptPlans(ctx, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // ioStages are the streaming stages the data-plane benchmark drives over
-// the corpus: concat-class line mappers (the LineEmitter fast path) plus
+// the corpus: concat-class line mappers plus
 // the field-kernel consumers. Each runs standalone through unix.Exec so
 // the measurement isolates the per-line cost of the command substrate —
 // reading, line scanning, field splitting, emission — from planner and
@@ -72,11 +72,11 @@ type IOIngest struct {
 // throughput and allocations/line over one corpus, plus the ingest
 // figures and the allocation gate verdict.
 type IOComparison struct {
-	Scale       int      `json:"scale_lines"`
-	CorpusBytes int64    `json:"corpus_bytes"`
-	Rounds      int      `json:"rounds"`
-	CPUs        int      `json:"cpus"`
-	Ingest      IOIngest `json:"ingest"`
+	Scale       int          `json:"scale_lines"`
+	CorpusBytes int64        `json:"corpus_bytes"`
+	Rounds      int          `json:"rounds"`
+	CPUs        int          `json:"cpus"`
+	Ingest      IOIngest     `json:"ingest"`
 	Stages      []IOStageRun `json:"stages"`
 	// GateLimit is the allocations/line ceiling and GateStages the number
 	// of streaming stages that met it; GatePass requires at least three.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -125,9 +124,9 @@ func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *la
 	defer cancel()
 
 	type result struct {
-		out  string
-		err  error
-		dup  bool // produced by the speculative duplicate
+		out string
+		err error
+		dup bool // produced by the speculative duplicate
 	}
 	resc := make(chan result, 2) // never blocks: at most two senders
 	var wg sync.WaitGroup
@@ -213,11 +212,11 @@ func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Sta
 		if try > 0 {
 			st.Retries.Add(1)
 			span.EventInt("retry", "attempt", int64(try))
-			d := co.backoff(try-1, last)
+			d := client.Backoff(co.cfg.RetryBase, co.cfg.RetryCap, try-1, last)
 			if co.cfg.OnRetryBackoff != nil {
 				co.cfg.OnRetryBackoff(d)
 			}
-			if !sleepCtx(ctx, d) {
+			if !client.Sleep(ctx, d) {
 				return "", ctx.Err()
 			}
 		}
@@ -250,40 +249,4 @@ func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Sta
 		}
 	}
 	return "", last
-}
-
-// backoff computes the delay before retry try+1: full jitter over an
-// exponentially growing ceiling, floored at the worker's Retry-After
-// hint when the failure was load shedding.
-func (co *Coordinator) backoff(try int, err error) time.Duration {
-	shift := uint(try)
-	if shift > 20 {
-		shift = 20
-	}
-	ceil := co.cfg.RetryBase << shift
-	if ceil <= 0 || ceil > co.cfg.RetryCap {
-		ceil = co.cfg.RetryCap
-	}
-	d := time.Duration(rand.Int63n(int64(ceil) + 1))
-	var busy *client.BusyError
-	if errors.As(err, &busy) && busy.RetryAfter > d {
-		d = busy.RetryAfter
-	}
-	return d
-}
-
-// sleepCtx waits for d or until ctx is done, reporting whether the full
-// delay elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

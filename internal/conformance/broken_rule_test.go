@@ -26,7 +26,7 @@ func TestBrokenElideRuleCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pipeline.Compile(s.Pipelines[0], eng)
+	plan, err := pipeline.CompileContext(context.Background(), s.Pipelines[0], eng)
 	if err != nil {
 		t.Fatal(err)
 	}

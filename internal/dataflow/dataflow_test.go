@@ -1,5 +1,5 @@
 // Tests for the dataflow plane live in an external test package so they
-// can drive the real lowering path — pipeline.Compile produces the graph
+// can drive the real lowering path — pipeline.CompileContext produces the graph
 // and program under test — without an import cycle (pipeline imports
 // dataflow).
 package dataflow_test
@@ -28,7 +28,7 @@ func compile(t *testing.T, eng *synth.Engine, script string) *pipeline.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pipeline.Compile(s.Pipelines[0], eng)
+	plan, err := pipeline.CompileContext(context.Background(), s.Pipelines[0], eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +297,10 @@ func TestFusedMapperComposes(t *testing.T) {
 }
 
 // TestFusedRunAllocations pins the fused pass's allocation behaviour:
-// with every member stage on the unix.LineEmitter fast path, one Run
-// over a chunk allocates O(1) — the composed sink, per-stage scratch,
-// and output builder growth — not O(lines). A per-line regression (a
-// MapLine slice or result string sneaking back into the hot loop) blows
-// the bound by orders of magnitude.
+// one Run over a chunk allocates O(1) — the composed line function,
+// per-stage scratch, and output builder growth — not O(lines). A
+// per-line regression (a result slice or string sneaking back into the
+// hot loop) blows the bound by orders of magnitude.
 func TestFusedRunAllocations(t *testing.T) {
 	env := unix.DefaultEnv()
 	specs := []string{"tr a-z A-Z", "grep A", "cut -c 1-8"}

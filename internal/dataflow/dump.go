@@ -31,9 +31,6 @@ func (p *Program) Dump() string {
 		if n.LineMapper {
 			caps = append(caps, "linemapper")
 		}
-		if n.Streamable {
-			caps = append(caps, "streamable")
-		}
 		if n.OrderInsensitive {
 			caps = append(caps, "order-insensitive")
 		}

@@ -11,8 +11,9 @@ import (
 // over a chunk exactly the bytes the staged execution produces in
 // len(mappers) passes — without materializing any intermediate stream.
 //
-// It implements unix.LineMapper, so every existing execution surface
-// (streaming via unix.Exec, chunk runs via Run) accepts it unchanged.
+// It is itself a unix.LineMapper whose line function is the composed
+// chain, so it runs on the same two drivers as any single command:
+// unix.RunLines over a chunk, unix.Exec over a live stream.
 type FusedMapper struct {
 	spec    string
 	mappers []unix.LineMapper
@@ -33,76 +34,24 @@ func (f *FusedMapper) Spec() string { return f.spec }
 // Len reports how many stages the mapper fuses.
 func (f *FusedMapper) Len() int { return len(f.mappers) }
 
-// MapLine maps one input line through the whole chain, collecting the
-// terminal output lines. Line mappers are line-independent and
-// order-preserving, so feeding each intermediate line onward immediately
-// yields the same sequence as materializing each stage's full output.
-func (f *FusedMapper) MapLine(line string) []string {
-	var out []string
-	f.collect(0, line, &out)
-	return out
-}
-
-func (f *FusedMapper) collect(depth int, line string, out *[]string) {
-	if depth == len(f.mappers) {
-		*out = append(*out, line)
-		return
-	}
-	for _, next := range f.mappers[depth].MapLine(line) {
-		f.collect(depth+1, next, out)
-	}
-}
-
-// Run executes the fused pass over a whole chunk: one scan of the input,
-// one output builder, no intermediate streams. The chain is composed
-// once per call into a single per-line function, so the executor can
-// share one FusedMapper across parallel chunk goroutines; stages that
-// implement unix.LineEmitter run allocation-free inside it (scratch
-// reuse, transient views consumed depth-first before the next line).
-// MapLine exists for the streaming surface.
+// Run executes the fused pass over a whole chunk. The chain is composed
+// once per call, so the executor can share one FusedMapper across
+// parallel chunk goroutines.
 func (f *FusedMapper) Run(input string) (string, error) {
-	if input == "" {
-		return "", nil
-	}
-	var b strings.Builder
-	b.Grow(len(input))
-	sink := f.newSink(&b)
-	rest := input
-	for rest != "" {
-		var line string
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			line, rest = rest, ""
-		}
-		sink(line)
-	}
-	return b.String(), nil
+	return unix.RunLines(f, input), nil
 }
 
-// newSink composes the stage chain backwards from the terminal writer
-// into one per-line function. Every emitted line is fully processed by
-// the downstream stages before the emitting stage sees the next one, so
-// each emitter's transient scratch views stay valid exactly as long as
-// they are needed.
-func (f *FusedMapper) newSink(b *strings.Builder) unix.EmitFunc {
-	sink := unix.EmitFunc(func(line string) {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	})
+// LineFunc composes the stage chain backwards from emit into one
+// per-line function, each member owning its own scratch. Line mappers are
+// line-independent and order-preserving, and every emitted line is fully
+// processed by the downstream stages before the emitting stage sees the
+// next one, so feeding each intermediate line onward immediately yields
+// the same sequence as materializing each stage's full output — and each
+// member's transient scratch views stay valid exactly as long as they
+// are needed.
+func (f *FusedMapper) LineFunc(emit unix.EmitFunc) unix.EmitFunc {
 	for d := len(f.mappers) - 1; d >= 0; d-- {
-		next := sink
-		if le, ok := unix.AsLineEmitter(f.mappers[d]); ok {
-			scratch := new([]byte)
-			sink = func(line string) { le.EmitLine(line, scratch, next) }
-		} else {
-			lm := f.mappers[d]
-			sink = func(line string) {
-				for _, out := range lm.MapLine(line) {
-					next(out)
-				}
-			}
-		}
+		emit = f.mappers[d].LineFunc(emit)
 	}
-	return sink
+	return emit
 }

@@ -6,7 +6,7 @@
 // Order-Aware Dataflow Model for Parallel Unix Pipelines" applied to the
 // KumQuat combiner taxonomy).
 //
-// pipeline.Compile lowers every linear script into a Graph and runs
+// pipeline.CompileContext lowers every linear script into a Graph and runs
 // Optimize over it; the optimized Program drives the fused executor in
 // internal/pipeline, which runs fused regions chunk-parallel end to end
 // instead of combining and re-splitting at every stage boundary.
@@ -116,11 +116,10 @@ type Node struct {
 	// Stage is the lowering input.
 	Stage Stage
 	// LineMapper reports that the command maps input lines to output
-	// lines independently (unix.AsLineMapper) — the fusion substrate.
+	// lines independently (unix.AsLineMapper) — the fusion substrate,
+	// and the one capability that lets a stage consume a live stream
+	// incrementally.
 	LineMapper bool
-	// Streamable reports that the command can process its input
-	// incrementally (unix.CanStream).
-	Streamable bool
 	// OrderInsensitive reports that the command's output depends only on
 	// the multiset of input lines (unix.IsOrderInsensitive).
 	OrderInsensitive bool
@@ -156,7 +155,6 @@ func Build(inputFile string, stages []Stage) *Graph {
 	for i, st := range stages {
 		n := &Node{ID: i, Stage: st}
 		_, n.LineMapper = unix.AsLineMapper(st.Cmd)
-		n.Streamable = unix.CanStream(st.Cmd)
 		n.OrderInsensitive = unix.IsOrderInsensitive(st.Cmd)
 		n.Class = combinerClass(st.Synth)
 		g.Nodes = append(g.Nodes, n)

@@ -258,18 +258,15 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 
 // Streamable reports whether the region can consume a live stream with
 // output identical to its chunked execution: fused regions are line
-// mappers (always streamable), single parallel stages must be streamable
-// with a concat combiner (streamed output equals chunk-and-concat), and
-// single serial stages need only the streaming capability. It is the one
-// streamability predicate: the optimizer's push-sort-merge legality check
-// and the executor's live-stream decision both ask it.
+// mappers (always streamable), single parallel stages must be line
+// mappers with a concat combiner (streamed output equals
+// chunk-and-concat), and single serial stages need only be line mappers.
+// It is the one streamability predicate: the optimizer's push-sort-merge
+// legality check and the executor's live-stream decision both ask it.
 func (p *Program) Streamable(r *Region) bool {
 	if r.Fused {
 		return true
 	}
 	n := p.Graph.Nodes[r.Nodes[0]]
-	if !n.Streamable {
-		return false
-	}
-	return !n.Stage.Parallel || n.Class == ClassConcat
+	return n.LineMapper && (!n.Stage.Parallel || n.Class == ClassConcat)
 }

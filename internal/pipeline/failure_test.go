@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,10 +15,10 @@ func TestSerialErrorPropagation(t *testing.T) {
 	syn := newSynth()
 	// xargs cat on a stream of non-file words fails at run time.
 	plan := compilePlan(t, syn, "xargs cat\n")
-	if _, err := plan.RunSerial(syn.Env, "not-a-file\n"); err == nil {
+	if _, err := runPlan(plan, syn.Env, "not-a-file\n", ModeSerial, 1); err == nil {
 		t.Error("serial executor must surface command errors")
 	}
-	if _, err := plan.RunPipelined(syn.Env, "not-a-file\n"); err == nil {
+	if _, err := runPlan(plan, syn.Env, "not-a-file\n", ModePipelined, 1); err == nil {
 		t.Error("pipelined executor must surface command errors")
 	}
 }
@@ -30,20 +31,20 @@ func TestParallelChunkErrorPropagation(t *testing.T) {
 	plan := compilePlan(t, syn, "xargs cat\n")
 	input := "ok1\nok2\nmissing-file\nok1\n"
 	for _, k := range []int{2, 4} {
-		if _, err := plan.RunParallel(syn.Env, input, k); err == nil {
+		if _, err := runPlan(plan, syn.Env, input, ModeUnoptimized, k); err == nil {
 			t.Errorf("u%d must surface chunk errors", k)
 		}
-		if _, err := plan.RunOptimized(syn.Env, input, k); err == nil {
+		if _, err := runPlan(plan, syn.Env, input, ModeOptimized, k); err == nil {
 			t.Errorf("T%d must surface chunk errors", k)
 		}
 	}
 	// And with a clean input, all succeed and agree.
 	clean := "ok1\nok2\nok1\n"
-	want, err := plan.RunSerial(syn.Env, clean)
+	want, err := runPlan(plan, syn.Env, clean, ModeSerial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.RunParallel(syn.Env, clean, 3)
+	got, err := runPlan(plan, syn.Env, clean, ModeUnoptimized, 3)
 	if err != nil || got != want {
 		t.Errorf("clean parallel run = %q, %v", got, err)
 	}
@@ -74,7 +75,7 @@ func TestMalformedProgramRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		plan.Program = &dataflow.Program{Graph: plan.Graph, Regions: tc.regions}
-		_, err := plan.RunOptimized(syn.Env, "", 2)
+		_, err := runPlan(plan, syn.Env, "", ModeOptimized, 2)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
 		}
@@ -84,7 +85,7 @@ func TestMalformedProgramRejected(t *testing.T) {
 func TestMissingInputFile(t *testing.T) {
 	syn := newSynth()
 	plan := compilePlan(t, syn, "cat never-registered.txt | sort\n")
-	if _, err := plan.RunSerial(syn.Env, ""); err == nil {
+	if _, err := runPlan(plan, syn.Env, "", ModeSerial, 1); err == nil {
 		t.Error("missing input file must error")
 	}
 }
@@ -95,7 +96,7 @@ func TestCompileUnknownCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(s.Pipelines[0], syn); err == nil {
+	if _, err := CompileContext(context.Background(), s.Pipelines[0], syn); err == nil {
 		t.Error("unknown command must fail compilation")
 	}
 }
@@ -116,7 +117,7 @@ func TestParseScriptErrors(t *testing.T) {
 				t.Errorf("ParseScript(%q) returned no pipelines and no error", bad)
 				continue
 			}
-			if _, cerr := Compile(s.Pipelines[0], newSynth()); cerr == nil {
+			if _, cerr := CompileContext(context.Background(), s.Pipelines[0], newSynth()); cerr == nil {
 				t.Errorf("neither parse nor compile failed for %q", bad)
 			}
 		}
@@ -152,7 +153,7 @@ func TestPipelinedLargeStream(t *testing.T) {
 	}
 	syn.Env.FS.Register("big.txt", b.String())
 	plan := compilePlan(t, syn, "cat big.txt | grep light | cut -c 1-5 | wc -l\n")
-	out, err := plan.RunPipelined(syn.Env, "")
+	out, err := runPlan(plan, syn.Env, "", ModePipelined, 1)
 	if err != nil || out != "20000\n" {
 		t.Errorf("pipelined big stream = %q, %v", out, err)
 	}
@@ -164,8 +165,8 @@ func TestOptimizedManyChunksFewLines(t *testing.T) {
 	syn := newSynth()
 	syn.Env.FS.Register("tiny", "B\na\n")
 	plan := compilePlan(t, syn, "cat tiny | tr A-Z a-z | sort | uniq -c\n")
-	want, _ := plan.RunSerial(syn.Env, "")
-	got, err := plan.RunOptimized(syn.Env, "", 64)
+	want, _ := runPlan(plan, syn.Env, "", ModeSerial, 1)
+	got, err := runPlan(plan, syn.Env, "", ModeOptimized, 64)
 	if err != nil || got != want {
 		t.Errorf("T64 on 2-line input = %q, %v; want %q", got, err, want)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,21 +83,31 @@ func TestParseQuotedPipeInCommand(t *testing.T) {
 }
 
 // compilePlan compiles a single-pipeline script with a shared synthesizer.
-func compilePlan(t *testing.T, syn *synth.Synthesizer, script string) *Plan {
+func compilePlan(t *testing.T, syn *synth.Engine, script string) *Plan {
 	t.Helper()
 	s, err := ParseScript(script, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Compile(s.Pipelines[0], syn)
+	plan, err := CompileContext(context.Background(), s.Pipelines[0], syn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return plan
 }
 
-func newSynth() *synth.Synthesizer {
+func newSynth() *synth.Engine {
 	return synth.New(unix.DefaultEnv(), synth.Options{Seed: 1})
+}
+
+// runPlan executes the plan in one mode over string input and output.
+func runPlan(p *Plan, env *unix.Env, stdin string, mode Mode, k int) (string, error) {
+	var out strings.Builder
+	_, err := p.Execute(context.Background(), env, strings.NewReader(stdin), &out, mode, k)
+	if err != nil {
+		return "", err
+	}
+	return out.String(), nil
 }
 
 func TestCompileWordFrequency(t *testing.T) {
@@ -147,7 +158,7 @@ func TestExecutorsAgreeOnWordFrequency(t *testing.T) {
 	syn.Env.FS.Register("in.txt", bookInput(200))
 	plan := compilePlan(t, syn,
 		`cat in.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
-	want, err := plan.RunSerial(syn.Env, "")
+	want, err := runPlan(plan, syn.Env, "", ModeSerial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +166,14 @@ func TestExecutorsAgreeOnWordFrequency(t *testing.T) {
 		t.Fatalf("serial output suspicious: %q", want[:min(80, len(want))])
 	}
 	for _, k := range []int{1, 2, 3, 4, 8, 16} {
-		got, err := plan.RunParallel(syn.Env, "", k)
+		got, err := runPlan(plan, syn.Env, "", ModeUnoptimized, k)
 		if err != nil {
 			t.Fatalf("u%d: %v", k, err)
 		}
 		if got != want {
 			t.Errorf("u%d output differs from serial", k)
 		}
-		got, err = plan.RunOptimized(syn.Env, "", k)
+		got, err = runPlan(plan, syn.Env, "", ModeOptimized, k)
 		if err != nil {
 			t.Fatalf("T%d: %v", k, err)
 		}
@@ -170,7 +181,7 @@ func TestExecutorsAgreeOnWordFrequency(t *testing.T) {
 			t.Errorf("T%d output differs from serial", k)
 		}
 	}
-	got, err := plan.RunPipelined(syn.Env, "")
+	got, err := runPlan(plan, syn.Env, "", ModePipelined, 1)
 	if err != nil {
 		t.Fatalf("pipelined: %v", err)
 	}
@@ -194,19 +205,19 @@ func TestExecutorsAgreeAcrossPipelines(t *testing.T) {
 	syn.Env.FS.Register("in.txt", bookInput(120))
 	for _, script := range scripts {
 		plan := compilePlan(t, syn, script+"\n")
-		want, err := plan.RunSerial(syn.Env, "")
+		want, err := runPlan(plan, syn.Env, "", ModeSerial, 1)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", script, err)
 		}
 		for _, k := range []int{2, 5, 16} {
-			if got, err := plan.RunParallel(syn.Env, "", k); err != nil || got != want {
+			if got, err := runPlan(plan, syn.Env, "", ModeUnoptimized, k); err != nil || got != want {
 				t.Errorf("%s: u%d mismatch (err=%v)", script, k, err)
 			}
-			if got, err := plan.RunOptimized(syn.Env, "", k); err != nil || got != want {
+			if got, err := runPlan(plan, syn.Env, "", ModeOptimized, k); err != nil || got != want {
 				t.Errorf("%s: T%d mismatch (err=%v)", script, k, err)
 			}
 		}
-		if got, err := plan.RunPipelined(syn.Env, ""); err != nil || got != want {
+		if got, err := runPlan(plan, syn.Env, "", ModePipelined, 1); err != nil || got != want {
 			t.Errorf("%s: pipelined mismatch (err=%v)", script, err)
 		}
 	}
@@ -226,11 +237,11 @@ func TestTheorem5Equivalence(t *testing.T) {
 		s.Lines = shape.Config{Min: 5, Max: 40, Distinct: 40}
 		in := gen.Stream(s)
 		syn.Env.FS.Register("x", in)
-		u, err := plan.RunParallel(syn.Env, "", 4)
+		u, err := runPlan(plan, syn.Env, "", ModeUnoptimized, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := plan.RunOptimized(syn.Env, "", 4)
+		o, err := runPlan(plan, syn.Env, "", ModeOptimized, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,8 +281,8 @@ func TestPlanWithUnsupportedStage(t *testing.T) {
 	if par != 1 || total != 2 {
 		t.Errorf("counts = %d/%d, want 1/2", par, total)
 	}
-	want, _ := plan.RunSerial(syn.Env, "")
-	got, err := plan.RunOptimized(syn.Env, "", 4)
+	want, _ := runPlan(plan, syn.Env, "", ModeSerial, 1)
+	got, err := runPlan(plan, syn.Env, "", ModeOptimized, 4)
 	if err != nil || got != want {
 		t.Errorf("optimized with serial stage: %q vs %q (err=%v)", got, want, err)
 	}
@@ -280,7 +291,7 @@ func TestPlanWithUnsupportedStage(t *testing.T) {
 func TestStdinPipeline(t *testing.T) {
 	syn := newSynth()
 	plan := compilePlan(t, syn, "sort -n\n")
-	out, err := plan.RunParallel(syn.Env, "3\n1\n2\n", 2)
+	out, err := runPlan(plan, syn.Env, "3\n1\n2\n", ModeUnoptimized, 2)
 	if err != nil || out != "1\n2\n3\n" {
 		t.Errorf("stdin pipeline = %q, %v", out, err)
 	}

@@ -60,19 +60,14 @@ var theorem5Only = dataflow.Options{Disable: map[dataflow.Rule]bool{
 	dataflow.RulePushSortMerge: true,
 }}
 
-// Compile synthesizes a combiner for every stage, applies the paper's
-// planning decision to run non-reducing rerun stages sequentially, and
-// lowers the result to the dataflow programs the executor walks
+// CompileContext synthesizes a combiner for every stage, applies the
+// paper's planning decision to run non-reducing rerun stages sequentially,
+// and lowers the result to the dataflow programs the executor walks
 // (intermediate combiner elimination, §3.5, happens there). Repeated stages —
 // within one pipeline or across pipelines compiled through the same
 // engine — resolve from the engine's combiner cache instead of re-running
-// synthesis.
-func Compile(p *Pipeline, eng *synth.Engine) (*Plan, error) {
-	return CompileContext(context.Background(), p, eng)
-}
-
-// CompileContext is Compile with cancellation: a cancelled ctx aborts the
-// in-flight stage synthesis mid-round and returns ctx.Err().
+// synthesis. A cancelled ctx aborts the in-flight stage synthesis
+// mid-round and returns ctx.Err().
 func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan, error) {
 	plan := &Plan{InputFile: p.InputFile}
 	for _, spec := range p.Stages {
@@ -107,7 +102,7 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 }
 
 // lower builds the plan's dataflow IR and every configuration's program;
-// opts shape only the rewritten Program. Compile runs it with default
+// opts shape only the rewritten Program. CompileContext runs it with default
 // options; tests re-lower with ablation or deliberately-unsound options
 // to pin the optimizer's behaviour.
 func (p *Plan) lower(opts dataflow.Options) {

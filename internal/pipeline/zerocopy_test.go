@@ -48,7 +48,7 @@ func TestMappedInputMatchesRegistered(t *testing.T) {
 	ref := newSynth()
 	ref.Env.FS.Register("in.txt", corpus)
 	refPlan := compilePlan(t, ref, "cat in.txt | tr A-Z a-z | sort | uniq -c\n")
-	want, err := refPlan.RunSerial(ref.Env, "")
+	want, err := runPlan(refPlan, ref.Env, "", ModeSerial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -395,28 +396,35 @@ func (c *Client) attempt(ctx context.Context, op func() (retryable bool, err err
 		if !retryable || try >= c.retry.Max || ctx.Err() != nil {
 			return err
 		}
-		delay := c.backoff(try, err)
+		delay := Backoff(c.retry.Base, c.retry.Cap, try, err)
 		if c.notify != nil {
 			c.notify(err, try+1, delay)
 		}
-		if !sleep(ctx, delay) {
+		if !Sleep(ctx, delay) {
 			return err
 		}
 	}
 }
 
-// backoff computes the delay before retry number try+1: full jitter over
-// an exponentially growing ceiling, floored at the server's Retry-After
-// hint when the error carries one.
-func (c *Client) backoff(try int, err error) time.Duration {
-	ceil := c.retry.Base << uint(try)
-	if c.retry.Cap > 0 && ceil > c.retry.Cap {
-		ceil = c.retry.Cap
+// Backoff computes the delay before retry number try+1: full jitter over
+// the exponentially growing ceiling min(cap, base·2^try), floored at the
+// server's Retry-After hint when err carries one. A cap ≤ 0 leaves the
+// growth unbounded. The ceiling saturates at the cap once base·2^try no
+// longer fits a Duration, so a long retry chain keeps backing off instead
+// of overflowing to a zero delay. It is the one backoff policy: the
+// client's transparent retries and the cluster coordinator's shard
+// re-dispatches both use it.
+func Backoff(base, cap time.Duration, try int, err error) time.Duration {
+	base = max(base, 0)
+	if cap <= 0 {
+		cap = math.MaxInt64 - 1 // the jitter draw below needs ceil+1
 	}
-	var delay time.Duration
-	if ceil > 0 {
-		delay = time.Duration(rand.Int63n(int64(ceil) + 1))
+	shift := min(uint(try), 62)
+	ceil := base << shift
+	if ceil>>shift != base || ceil > cap {
+		ceil = cap // overflowed, or past the cap
 	}
+	delay := time.Duration(rand.Int63n(int64(ceil) + 1))
 	var busy *BusyError
 	if errors.As(err, &busy) && busy.RetryAfter > delay {
 		delay = busy.RetryAfter
@@ -424,9 +432,9 @@ func (c *Client) backoff(try int, err error) time.Duration {
 	return delay
 }
 
-// sleep waits for d or until ctx is done, reporting whether the full
+// Sleep waits for d or until ctx is done, reporting whether the full
 // delay elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
+func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}

@@ -310,3 +310,35 @@ func TestExecuteTruncatedBodyMidStream(t *testing.T) {
 		t.Fatal("partial bytes discarded instead of delivered")
 	}
 }
+
+// TestBackoffSaturatesAtCap: the exponential ceiling must saturate at the
+// cap, not overflow. Deep into a long retry chain Base<<try no longer fits
+// a Duration (and a shift ≥ 64 is zero), which used to collapse the
+// ceiling to a non-positive value and retry with no delay at all.
+func TestBackoffSaturatesAtCap(t *testing.T) {
+	const base, limit = 50 * time.Millisecond, time.Second
+	for _, try := range []int{0, 5, 40, 64, 70, 1000} {
+		var most time.Duration
+		for i := 0; i < 64; i++ {
+			d := client.Backoff(base, limit, try, nil)
+			if d < 0 || d > limit {
+				t.Fatalf("try %d: delay %v outside [0, %v]", try, d, limit)
+			}
+			most = max(most, d)
+		}
+		if most == 0 {
+			t.Errorf("try %d: 64 draws all chose a zero delay", try)
+		}
+		if try == 0 && most > base {
+			t.Errorf("try 0: delay %v above the first ceiling %v", most, base)
+		}
+	}
+	// Uncapped growth saturates too instead of wrapping negative.
+	if d := client.Backoff(time.Hour, 0, 62, nil); d < 0 {
+		t.Errorf("uncapped overflow chose %v", d)
+	}
+	// The Retry-After floor applies on top of the jitter.
+	if d := client.Backoff(base, limit, 3, &client.BusyError{RetryAfter: 7 * time.Second}); d != 7*time.Second {
+		t.Errorf("Retry-After floor: delay %v, want 7s", d)
+	}
+}

@@ -56,10 +56,6 @@ type call struct {
 	ok   bool
 }
 
-// Synthesizer is the legacy name for Engine, kept so existing call sites
-// and the string-keyed SynthesizeSpec workflow continue to compile.
-type Synthesizer = Engine
-
 // New returns an Engine over the given command environment (the default
 // environment when env is nil).
 func New(env *unix.Env, opts Options) *Engine {
@@ -187,11 +183,6 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 		close(c.done)
 		return r, tier, r.Err
 	}
-}
-
-// SynthesizeSpec is the legacy context-free form of Synthesize.
-func (e *Engine) SynthesizeSpec(spec string) (*Result, error) {
-	return e.Synthesize(context.Background(), spec)
 }
 
 // Stats returns a snapshot of the engine's cache activity: memory hits

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -15,9 +16,9 @@ import (
 func synthesize(t *testing.T, spec string) *Result {
 	t.Helper()
 	s := New(unix.DefaultEnv(), Options{Seed: 1})
-	res, err := s.SynthesizeSpec(spec)
+	res, err := s.Synthesize(context.Background(), spec)
 	if res == nil {
-		t.Fatalf("SynthesizeSpec(%q): %v", spec, err)
+		t.Fatalf("Synthesize(%q): %v", spec, err)
 	}
 	return res
 }
@@ -381,11 +382,11 @@ func TestReductionRatio(t *testing.T) {
 
 func TestSynthesizerCache(t *testing.T) {
 	s := New(unix.DefaultEnv(), Options{Seed: 1})
-	r1, err := s.SynthesizeSpec("wc -l")
+	r1, err := s.Synthesize(context.Background(), "wc -l")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := s.SynthesizeSpec("wc -l")
+	r2, _ := s.Synthesize(context.Background(), "wc -l")
 	if r1 != r2 {
 		t.Error("cache should return the identical result")
 	}
@@ -394,8 +395,8 @@ func TestSynthesizerCache(t *testing.T) {
 func TestDeterministicSynthesis(t *testing.T) {
 	a := New(unix.DefaultEnv(), Options{Seed: 42})
 	b := New(unix.DefaultEnv(), Options{Seed: 42})
-	ra, _ := a.SynthesizeSpec("uniq -c")
-	rb, _ := b.SynthesizeSpec("uniq -c")
+	ra, _ := a.Synthesize(context.Background(), "uniq -c")
+	rb, _ := b.Synthesize(context.Background(), "uniq -c")
 	if plausibleA, plausibleB := ra.Plausible, rb.Plausible; len(plausibleA) != len(plausibleB) {
 		t.Fatalf("non-deterministic plausible sets: %d vs %d", len(plausibleA), len(plausibleB))
 	} else {
@@ -409,7 +410,7 @@ func TestDeterministicSynthesis(t *testing.T) {
 
 func TestGradientAblationStillCorrect(t *testing.T) {
 	s := New(unix.DefaultEnv(), Options{Seed: 5, DisableGradient: true})
-	res, err := s.SynthesizeSpec("wc -l")
+	res, err := s.Synthesize(context.Background(), "wc -l")
 	if err != nil {
 		t.Fatalf("no-gradient synthesis failed: %v", err)
 	}

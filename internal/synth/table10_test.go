@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestTable10Identities(t *testing.T) {
 
 	s := New(unix.DefaultEnv(), Options{Seed: 1})
 	for _, tc := range cases {
-		res, err := s.SynthesizeSpec(tc.spec)
+		res, err := s.Synthesize(context.Background(), tc.spec)
 		if res == nil || res.Err != nil {
 			t.Errorf("%s: synthesis failed: %v / %v", tc.spec, err, res)
 			continue
@@ -135,7 +136,7 @@ func TestTable10SearchSpaces(t *testing.T) {
 	}
 	s := New(unix.DefaultEnv(), Options{Seed: 1})
 	for spec, want := range cases {
-		res, _ := s.SynthesizeSpec(spec)
+		res, _ := s.Synthesize(context.Background(), spec)
 		if res == nil {
 			t.Errorf("%s: no result", spec)
 			continue

@@ -405,48 +405,56 @@ func (p *awkParser) parseTerm() (awkExpr, error) {
 func (a *awkCmd) Spec() string { return a.spec }
 
 func (a *awkCmd) Run(input string) (string, error) {
-	return runLineMapper(a, input), nil
+	return RunLines(a, input), nil
 }
 
-// MapLine implements LineMapper: each benchmark awk program is a pure
-// per-line map/filter.
-func (a *awkCmd) MapLine(line string) []string {
-	ctx := &awkCtx{line: line, fields: textio.AppendFields(nil, line), ofs: a.ofs}
-	var out []string
-	for _, r := range a.rules {
-		if r.pattern != nil {
-			v := r.pattern.eval(ctx)
-			truthy := v.n != 0
-			if !v.numeric {
-				truthy = v.s != ""
-			}
-			if !truthy {
-				continue
-			}
-		}
-		for _, st := range r.actions {
-			switch {
-			case st.print:
-				if len(st.args) == 0 {
-					out = append(out, ctx.field(0))
+// LineFunc implements LineMapper: each benchmark awk program is a pure
+// per-line map/filter. The line context (field slice included) and the
+// print buffer are reused across lines.
+func (a *awkCmd) LineFunc(emit EmitFunc) EmitFunc {
+	ctx := &awkCtx{ofs: a.ofs}
+	var buf []byte
+	return func(line string) {
+		ctx.line, ctx.rebuilt = line, false
+		ctx.fields = textio.AppendFields(ctx.fields[:0], line)
+		for _, r := range a.rules {
+			if r.pattern != nil {
+				v := r.pattern.eval(ctx)
+				truthy := v.n != 0
+				if !v.numeric {
+					truthy = v.s != ""
+				}
+				if !truthy {
 					continue
 				}
-				parts := make([]string, len(st.args))
-				for i, e := range st.args {
-					parts[i] = e.eval(ctx).s
+			}
+			for _, st := range r.actions {
+				switch {
+				case st.print:
+					if len(st.args) == 0 {
+						emit(ctx.field(0))
+						continue
+					}
+					b := buf[:0]
+					for i, e := range st.args {
+						if i > 0 {
+							b = append(b, ctx.ofs...)
+						}
+						b = append(b, e.eval(ctx).s...)
+					}
+					buf = b
+					emit(textio.View(b))
+				case st.assignExpr != nil:
+					v := st.assignExpr.eval(ctx)
+					for len(ctx.fields) < st.assignField {
+						ctx.fields = append(ctx.fields, "")
+					}
+					ctx.fields[st.assignField-1] = v.s
+					ctx.rebuilt = true
 				}
-				out = append(out, strings.Join(parts, ctx.ofs))
-			case st.assignExpr != nil:
-				v := st.assignExpr.eval(ctx)
-				for len(ctx.fields) < st.assignField {
-					ctx.fields = append(ctx.fields, "")
-				}
-				ctx.fields[st.assignField-1] = v.s
-				ctx.rebuilt = true
 			}
 		}
 	}
-	return out
 }
 
 // CompareLiterals exposes numeric comparison constants ($1 >= 1000 → 1000),

@@ -32,34 +32,36 @@ type Command interface {
 	Run(input string) (string, error)
 }
 
+// EmitFunc receives one line (without terminator). The string may be a
+// transient view — into the stream driver's read buffer, or into scratch
+// owned by the line function that emitted it — valid only until that
+// function is handed its next line, so receivers must finish with it (copy
+// it out or complete all processing) before returning.
+type EmitFunc func(line string)
+
 // LineMapper is implemented by commands that map each input line to zero or
 // more output lines independently — the "Mapping Input Lines to Disjoint
 // Output Lines" class of §3.4 (tr without -s, grep without -c, cut, sed s///,
-// awk filters, rev, ...). The pipelined executor streams these commands
-// line-by-line; everything else buffers its whole input.
+// awk filters, rev, ...). It is the one per-line contract: the chunk driver
+// (RunLines), the stream driver behind Exec, and fused regions all run a
+// command through the function LineFunc returns; everything else is a
+// whole-stream Run.
 type LineMapper interface {
 	Command
-	// MapLine maps one input line (without terminator) to zero or more
-	// output lines (without terminators).
-	MapLine(line string) []string
+	// LineFunc binds the command's per-line map to a downstream sink: the
+	// returned function maps one input line to zero or more output lines
+	// and hands each to emit, in order, before it returns. Lines that pass
+	// through unchanged are emitted as-is; rewritten lines are built in
+	// scratch the returned function owns and reuses, so it allocates
+	// nothing per line in steady state — and must not be shared between
+	// goroutines: each concurrent chunk or stream asks for its own.
+	LineFunc(emit EmitFunc) EmitFunc
 }
 
-// Streamer is the primary execution contract for incremental commands:
-// input is consumed from r and output produced on w without materializing
-// either stream, and ctx cancels the computation between lines/chunks.
-// LineMappers get a Streamer implementation for free via AsStreamer; only
-// genuinely whole-stream commands (sort, wc, uniq -c, ...) fall back to
-// the buffering Command.Run path inside Exec.
-type Streamer interface {
-	Command
-	// StreamTo consumes input from r and writes output to w incrementally,
-	// returning ctx.Err() promptly when ctx is cancelled mid-stream.
-	StreamTo(ctx context.Context, r io.Reader, w io.Writer) error
-}
-
-// AsLineMapper probes a command's line-streaming capability, honouring the
-// flag-dependent AsLineMapper escape hatch (tr -s and sed Nq are not
-// line-independent even though their types implement MapLine).
+// AsLineMapper probes a command's line-mapping capability, honouring the
+// flag-dependent AsLineMapper escape hatch (tr -s, grep -c, sed Nq and
+// cat FILE are not line-independent even though their types implement
+// LineFunc).
 func AsLineMapper(c Command) (LineMapper, bool) {
 	type asLM interface {
 		AsLineMapper() (LineMapper, bool)
@@ -73,27 +75,15 @@ func AsLineMapper(c Command) (LineMapper, bool) {
 	return nil, false
 }
 
-// AsStreamer adapts a command to the Streamer contract: commands that
-// implement it directly are returned as-is, line mappers are wrapped, and
-// whole-stream commands report false.
-func AsStreamer(c Command) (Streamer, bool) {
-	if s, ok := c.(Streamer); ok {
-		return s, true
-	}
-	if lm, ok := AsLineMapper(c); ok {
-		return lineMapperStreamer{lm}, true
-	}
-	return nil, false
-}
-
-// CanStream reports whether Exec would run the command incrementally.
+// CanStream reports whether Exec would run the command incrementally:
+// exactly when it is a line mapper.
 func CanStream(c Command) bool {
-	_, ok := AsStreamer(c)
+	_, ok := AsLineMapper(c)
 	return ok
 }
 
-// Exec is the execution entry point over readers and writers: streaming
-// commands process r incrementally; whole-stream commands buffer r, run,
+// Exec is the execution entry point over readers and writers: line
+// mappers process r incrementally; whole-stream commands buffer r, run,
 // and write their full output to w. ctx cancels either path — between
 // lines for streamed commands, between the read/run/write phases for
 // buffered ones (a Read that keeps returning data observes cancellation
@@ -102,8 +92,8 @@ func Exec(ctx context.Context, cmd Command, r io.Reader, w io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s, ok := AsStreamer(cmd); ok {
-		return s.StreamTo(ctx, ContextReader(ctx, r), w)
+	if lm, ok := AsLineMapper(cmd); ok {
+		return streamLines(ctx, lm, ContextReader(ctx, r), w)
 	}
 	buf, err := io.ReadAll(ContextReader(ctx, r))
 	if err != nil {
@@ -118,15 +108,6 @@ func Exec(ctx context.Context, cmd Command, r io.Reader, w io.Writer) error {
 	}
 	_, err = io.WriteString(w, out)
 	return err
-}
-
-// lineMapperStreamer adapts a LineMapper to the Streamer contract.
-type lineMapperStreamer struct {
-	LineMapper
-}
-
-func (s lineMapperStreamer) StreamTo(ctx context.Context, r io.Reader, w io.Writer) error {
-	return streamLineMapper(ctx, s.LineMapper, r, w)
 }
 
 // ContextReader wraps r so that every Read first observes ctx: once ctx is
@@ -151,13 +132,20 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 	return cr.r.Read(p)
 }
 
-// runLineMapper evaluates a LineMapper over a whole input stream.
-func runLineMapper(lm LineMapper, input string) string {
+// RunLines is the chunk driver: it evaluates a line mapper over a whole
+// materialized stream — one scan of the input, one output builder, one
+// line function for the call (so concurrent chunk runs share nothing).
+// Every line-mapper command's Run is this, and so is a fused region's.
+func RunLines(lm LineMapper, input string) string {
 	if input == "" {
 		return ""
 	}
 	var b strings.Builder
 	b.Grow(len(input))
+	mapLine := lm.LineFunc(func(line string) {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	})
 	rest := input
 	for rest != "" {
 		var line string
@@ -166,32 +154,27 @@ func runLineMapper(lm LineMapper, input string) string {
 		} else {
 			line, rest = rest, ""
 		}
-		for _, out := range lm.MapLine(line) {
-			b.WriteString(out)
-			b.WriteByte('\n')
-		}
+		mapLine(line)
 	}
 	return b.String()
 }
 
-// streamLineMapper drives a LineMapper incrementally from r to w, checking
-// ctx every few lines so a cancelled execution aborts promptly without
-// paying a per-line context poll on the hot path. Commands with a
-// LineEmitter fast path run allocation-free per line: the reader's line
-// view feeds EmitLine, whose output views are copied straight into the
-// pooled chunk buffer — no per-line string, field slice, or result slice.
-func streamLineMapper(ctx context.Context, lm LineMapper, r io.Reader, w io.Writer) error {
+// streamLines is the stream driver: it runs a line mapper incrementally
+// from r to w, checking ctx every few lines so a cancelled execution
+// aborts promptly without paying a per-line context poll on the hot path.
+// The reader's transient line view feeds the line function, whose output
+// views are copied straight into the pooled chunk buffer — no per-line
+// string, field slice, or result slice.
+func streamLines(ctx context.Context, lm LineMapper, r io.Reader, w io.Writer) error {
 	br := newLineReader(r)
 	bw := newChunkWriter(w)
 	defer bw.release()
-	le, fast := lm.(LineEmitter)
-	var scratch []byte
 	var emitErr error
-	emit := func(out string) {
+	mapLine := lm.LineFunc(func(out string) {
 		if emitErr == nil {
 			emitErr = bw.writeLine(out)
 		}
-	}
+	})
 	for n := 0; ; n++ {
 		if n&63 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -205,17 +188,9 @@ func streamLineMapper(ctx context.Context, lm LineMapper, r io.Reader, w io.Writ
 		if err != nil {
 			return err
 		}
-		if fast {
-			le.EmitLine(line, &scratch, emit)
-			if emitErr != nil {
-				return emitErr
-			}
-			continue
-		}
-		for _, out := range lm.MapLine(line) {
-			if err := bw.writeLine(out); err != nil {
-				return err
-			}
+		mapLine(line)
+		if emitErr != nil {
+			return emitErr
 		}
 	}
 	return bw.flush()

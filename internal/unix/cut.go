@@ -124,43 +124,59 @@ func (c *cutCmd) FieldDelim() byte {
 }
 
 func (c *cutCmd) Run(input string) (string, error) {
-	return runLineMapper(c, input), nil
+	return RunLines(c, input), nil
 }
 
-// MapLine implements LineMapper: cut is line-independent.
-func (c *cutCmd) MapLine(line string) []string {
-	if c.chars {
-		var b strings.Builder
-		for i := 0; i < len(line); i++ {
-			if c.selected(i + 1) {
-				b.WriteByte(line[i])
+// LineFunc implements LineMapper: cut is line-independent. A single
+// contiguous -c range is a substring view of the input; everything else is
+// assembled in the function's scratch. Field mode passes delimiter-free
+// lines through whole, and splits the rest through the shared field
+// kernel (no per-line field slice). The byte loops append to a local and
+// store the grown scratch back once per line.
+func (c *cutCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	switch {
+	case c.chars && len(c.ranges) == 1:
+		lo, hi := c.ranges[0].lo-1, c.ranges[0].hi
+		return func(line string) {
+			emit(line[min(lo, len(line)):min(hi, len(line))])
+		}
+	case c.chars:
+		return func(line string) {
+			b := buf[:0]
+			for i := 0; i < len(line); i++ {
+				if c.selected(i + 1) {
+					b = append(b, line[i])
+				}
 			}
+			buf = b
+			emit(textio.View(b))
 		}
-		return []string{b.String()}
 	}
-	if !hasByte(line, c.delim) {
-		return []string{line}
+	return func(line string) {
+		if strings.IndexByte(line, c.delim) < 0 {
+			emit(line)
+			return
+		}
+		b := buf[:0]
+		fs := textio.FieldsByte(line, c.delim)
+		field, wrote := 0, false
+		for {
+			f, ok := fs.Next()
+			if !ok {
+				break
+			}
+			field++
+			if !c.selected(field) {
+				continue
+			}
+			if wrote {
+				b = append(b, c.delim)
+			}
+			b = append(b, f...)
+			wrote = true
+		}
+		buf = b
+		emit(textio.View(b))
 	}
-	// One pass through the shared field-splitting kernel: no per-line
-	// field slice, no re-materialized one-byte delimiter string (the old
-	// strings.Split(line, string(c.delim)) paid both on every line).
-	var b strings.Builder
-	fs := textio.FieldsByte(line, c.delim)
-	field, wrote := 0, false
-	for {
-		f, ok := fs.Next()
-		if !ok {
-			break
-		}
-		field++
-		if !c.selected(field) {
-			continue
-		}
-		if wrote {
-			b.WriteByte(c.delim)
-		}
-		b.WriteString(f)
-		wrote = true
-	}
-	return []string{b.String()}
 }

@@ -360,6 +360,23 @@ func TestGrepFoldWithClasses(t *testing.T) {
 	}
 }
 
+// TestFmtWidthValidation: scripts arrive over /v1/execute, so a width that
+// is not a positive integer is a parse error, never a silent default.
+func TestFmtWidthValidation(t *testing.T) {
+	for _, spec := range []string{"fmt -wabc", "fmt -w", "fmt -w0", "fmt -w-3", "fmt -w 0", "fmt -w x", "fmt -w1x"} {
+		if _, err := Parse(spec, nil); err == nil || !strings.Contains(err.Error(), "fmt:") {
+			t.Errorf("Parse(%q) = %v, want a fmt: parse error", spec, err)
+		}
+	}
+	for spec, want := range map[string]string{
+		"fmt": "a b c\n", "fmt -w3": "a b\nc\n", "fmt -w 3": "a b\nc\n", "fmt -w9 -w1": "a\nb\nc\n",
+	} {
+		if got := run(t, spec, "a b c\n"); got != want {
+			t.Errorf("%q = %q, want %q", spec, got, want)
+		}
+	}
+}
+
 func TestEmptyInputAcrossCommands(t *testing.T) {
 	// Every stream command must handle "" gracefully; counters emit zero.
 	for spec, want := range map[string]string{

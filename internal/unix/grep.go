@@ -83,15 +83,17 @@ func (g *grepCmd) Run(input string) (string, error) {
 		}
 		return strconv.Itoa(n) + "\n", nil
 	}
-	return runLineMapper(g, input), nil
+	return RunLines(g, input), nil
 }
 
-// MapLine implements LineMapper for the filtering (non -c) mode.
-func (g *grepCmd) MapLine(line string) []string {
-	if g.keep(line) {
-		return []string{line}
+// LineFunc implements LineMapper for the filtering (non -c) mode: a kept
+// line is emitted as-is, a dropped one produces nothing.
+func (g *grepCmd) LineFunc(emit EmitFunc) EmitFunc {
+	return func(line string) {
+		if g.keep(line) {
+			emit(line)
+		}
 	}
-	return nil
 }
 
 // AsLineMapper reports line-independence: true unless counting.

@@ -2,6 +2,7 @@ package unix
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -41,7 +42,8 @@ func (c *catCmd) Run(input string) (string, error) {
 	return input, nil
 }
 
-func (c *catCmd) MapLine(line string) []string { return []string{line} }
+// LineFunc implements LineMapper for stdin cat: the identity map.
+func (c *catCmd) LineFunc(emit EmitFunc) EmitFunc { return emit }
 
 // AsLineMapper: stdin cat is the identity line map.
 func (c *catCmd) AsLineMapper() (LineMapper, bool) {
@@ -63,14 +65,19 @@ func newRev(spec string, args []string, _ *Env) (Command, error) {
 
 func (r *revCmd) Spec() string { return r.spec }
 
-func (r *revCmd) Run(input string) (string, error) { return runLineMapper(r, input), nil }
+func (r *revCmd) Run(input string) (string, error) { return RunLines(r, input), nil }
 
-func (r *revCmd) MapLine(line string) []string {
-	b := []byte(line)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
+// LineFunc implements LineMapper: the reversed line is built in scratch.
+func (r *revCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	return func(line string) {
+		b := append(buf[:0], line...)
+		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
+			b[i], b[j] = b[j], b[i]
+		}
+		buf = b
+		emit(textio.View(b))
 	}
-	return []string{string(b)}
 }
 
 // fmtCmd implements fmt -wN for the one width the benchmarks use (fmt -w1:
@@ -83,53 +90,56 @@ type fmtCmd struct {
 func newFmt(spec string, args []string, _ *Env) (Command, error) {
 	f := &fmtCmd{spec: spec, width: 75}
 	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-w" && i+1 < len(args):
-			i++
-			fmt.Sscanf(args[i], "%d", &f.width)
-		case strings.HasPrefix(a, "-w"):
-			fmt.Sscanf(a[2:], "%d", &f.width)
-		default:
-			return nil, fmt.Errorf("fmt: unsupported argument %q", a)
+		w, ok := strings.CutPrefix(args[i], "-w")
+		if !ok {
+			return nil, fmt.Errorf("fmt: unsupported argument %q", args[i])
 		}
+		if w == "" {
+			if i++; i == len(args) {
+				return nil, fmt.Errorf("fmt: -w needs a width")
+			}
+			w = args[i]
+		}
+		n, err := strconv.Atoi(w)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("fmt: invalid width %q", w)
+		}
+		f.width = n
 	}
 	return f, nil
 }
 
 func (f *fmtCmd) Spec() string { return f.spec }
 
-func (f *fmtCmd) Run(input string) (string, error) { return runLineMapper(f, input), nil }
+func (f *fmtCmd) Run(input string) (string, error) { return RunLines(f, input), nil }
 
-// MapLine greedily packs words into lines of at most width characters; with
-// -w1 every word lands on its own line. Words longer than the width get a
-// line of their own, as in GNU fmt.
-func (f *fmtCmd) MapLine(line string) []string {
-	fs := textio.Fields(line)
-	w, ok := fs.Next()
-	if !ok {
-		return []string{""}
-	}
-	// Pack through a builder instead of the old cur += " " + w fold,
-	// which reallocated the accumulator once per appended word.
-	var out []string
-	var b strings.Builder
-	b.WriteString(w)
-	for {
-		w, ok = fs.Next()
-		if !ok {
-			break
+// LineFunc implements LineMapper: it greedily packs words into lines of at
+// most width characters; with -w1 every word lands on its own line. Words
+// longer than the width get a line of their own, as in GNU fmt, and a
+// blank line stays one empty line.
+func (f *fmtCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	return func(line string) {
+		b := buf[:0]
+		fs := textio.Fields(line)
+		for {
+			w, ok := fs.Next()
+			if !ok {
+				break
+			}
+			switch {
+			case len(b) == 0:
+			case len(b)+1+len(w) <= f.width:
+				b = append(b, ' ')
+			default:
+				emit(textio.View(b))
+				b = b[:0]
+			}
+			b = append(b, w...)
 		}
-		if b.Len()+1+len(w) <= f.width {
-			b.WriteByte(' ')
-			b.WriteString(w)
-			continue
-		}
-		out = append(out, b.String())
-		b.Reset()
-		b.WriteString(w)
+		buf = b
+		emit(textio.View(b))
 	}
-	return append(out, b.String())
 }
 
 // colCmd implements col -bx: -b removes backspace sequences (char pairs
@@ -162,32 +172,33 @@ func newCol(spec string, args []string, _ *Env) (Command, error) {
 
 func (c *colCmd) Spec() string { return c.spec }
 
-func (c *colCmd) Run(input string) (string, error) { return runLineMapper(c, input), nil }
+func (c *colCmd) Run(input string) (string, error) { return RunLines(c, input), nil }
 
-func (c *colCmd) MapLine(line string) []string {
-	var b strings.Builder
-	col := 0
-	for i := 0; i < len(line); i++ {
-		ch := line[i]
-		switch {
-		case ch == '\b' && c.noBackspace:
-			// col -b: a backspace erases the previous character.
-			if b.Len() > 0 {
-				s := b.String()
-				b.Reset()
-				b.WriteString(s[:len(s)-1])
-				col--
+// LineFunc implements LineMapper: one pass per line into scratch, whose
+// length is the output column the tab stops count from.
+func (c *colCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	return func(line string) {
+		b := buf[:0]
+		for i := 0; i < len(line); i++ {
+			ch := line[i]
+			switch {
+			case ch == '\b' && c.noBackspace:
+				// col -b: a backspace erases the previous character.
+				if len(b) > 0 {
+					b = b[:len(b)-1]
+				}
+			case ch == '\t' && c.tabsToSpaces:
+				for n := 8 - len(b)%8; n > 0; n-- {
+					b = append(b, ' ')
+				}
+			default:
+				b = append(b, ch)
 			}
-		case ch == '\t' && c.tabsToSpaces:
-			n := 8 - col%8
-			b.WriteString(strings.Repeat(" ", n))
-			col += n
-		default:
-			b.WriteByte(ch)
-			col++
 		}
+		buf = b
+		emit(textio.View(b))
 	}
-	return []string{b.String()}
 }
 
 // iconvCmd implements iconv -f utf-8 -t ascii//translit: transliterate
@@ -212,7 +223,7 @@ func newIconv(spec string, args []string, _ *Env) (Command, error) {
 
 func (ic *iconvCmd) Spec() string { return ic.spec }
 
-func (ic *iconvCmd) Run(input string) (string, error) { return runLineMapper(ic, input), nil }
+func (ic *iconvCmd) Run(input string) (string, error) { return RunLines(ic, input), nil }
 
 var translitTable = map[rune]string{
 	'á': "a", 'à': "a", 'â': "a", 'ä': "a", 'ã': "a", 'å': "a",
@@ -230,24 +241,28 @@ var translitTable = map[rune]string{
 	'—': "-", '–': "-", '…': "...",
 }
 
-func (ic *iconvCmd) MapLine(line string) []string {
-	if isASCII(line) {
-		return []string{line}
-	}
-	var b strings.Builder
-	for _, r := range line {
-		switch {
-		case r < 0x80:
-			b.WriteRune(r)
-		default:
-			if t, ok := translitTable[r]; ok {
-				b.WriteString(t)
+// LineFunc implements LineMapper: ASCII lines pass through untouched,
+// others are transliterated rune by rune into scratch.
+func (ic *iconvCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	return func(line string) {
+		if isASCII(line) {
+			emit(line)
+			return
+		}
+		b := buf[:0]
+		for _, r := range line {
+			if r < 0x80 {
+				b = append(b, byte(r))
+			} else if t, ok := translitTable[r]; ok {
+				b = append(b, t...)
 			} else {
-				b.WriteByte('?')
+				b = append(b, '?')
 			}
 		}
+		buf = b
+		emit(textio.View(b))
 	}
-	return []string{b.String()}
 }
 
 func isASCII(s string) bool {

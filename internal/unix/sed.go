@@ -101,7 +101,7 @@ func (s *sedCmd) Spec() string { return s.spec }
 
 func (s *sedCmd) Run(input string) (string, error) {
 	if s.sub {
-		return runLineMapper(s, input), nil
+		return RunLines(s, input), nil
 	}
 	lines := textio.Lines(input)
 	var out []string
@@ -121,12 +121,21 @@ func (s *sedCmd) Run(input string) (string, error) {
 	return textio.JoinLines(out), nil
 }
 
-// MapLine implements LineMapper for substitutions, which are per-line.
-func (s *sedCmd) MapLine(line string) []string {
-	if s.global {
-		return []string{s.re.ReplaceAll(line, s.repl)}
+// LineFunc implements LineMapper for substitutions, which are per-line.
+// Lines without a match pass through unchanged (ReplaceFirst already
+// returns its input then; s///g gets an explicit match probe first,
+// trading a second scan of matching lines for an allocation-free pass
+// over the rest).
+func (s *sedCmd) LineFunc(emit EmitFunc) EmitFunc {
+	if !s.global {
+		return func(line string) { emit(s.re.ReplaceFirst(line, s.repl)) }
 	}
-	return []string{s.re.ReplaceFirst(line, s.repl)}
+	return func(line string) {
+		if s.re.MatchString(line) {
+			line = s.re.ReplaceAll(line, s.repl)
+		}
+		emit(line)
+	}
 }
 
 // AsLineMapper reports line-independence (substitutions only; Nd and Nq

@@ -3,6 +3,8 @@ package unix
 import (
 	"fmt"
 	"strings"
+
+	"kumquat/internal/textio"
 )
 
 // trCmd implements GNU tr for the flag combinations the benchmarks use:
@@ -304,11 +306,52 @@ func (t *trCmd) pureTranslate() bool {
 	return true
 }
 
-// MapLine implements LineMapper for tr invocations without cross-line
-// effects. Translating a byte *to* '\n' splits the line.
-func (t *trCmd) MapLine(line string) []string {
-	out, _ := t.Run(line)
-	return strings.Split(out, "\n")
+// LineFunc implements LineMapper for tr invocations without cross-line
+// effects: lines with no affected byte pass through untouched; others are
+// rewritten into the function's scratch in one pass. Translating a byte
+// *to* '\n' splits the line.
+func (t *trCmd) LineFunc(emit EmitFunc) EmitFunc {
+	var buf []byte
+	return func(line string) {
+		changed := false
+		for i := 0; i < len(line); i++ {
+			if t.affected[line[i]] {
+				changed = true
+				break
+			}
+		}
+		if !changed {
+			emit(line)
+			return
+		}
+		b := buf[:0] // a local for the byte loop; stored back once
+		split := false
+		for i := 0; i < len(line); i++ {
+			c := line[i]
+			if t.deleteSet[c] {
+				continue
+			}
+			if t.translated[c] {
+				c = t.translate[c]
+				if c == '\n' {
+					split = true
+				}
+			}
+			b = append(b, c)
+		}
+		buf = b
+		if !split {
+			emit(textio.View(b))
+			return
+		}
+		start := 0
+		for i := 0; i <= len(b); i++ {
+			if i == len(b) || b[i] == '\n' {
+				emit(textio.View(b[start:i]))
+				start = i + 1
+			}
+		}
+	}
 }
 
 // AsLineMapper returns the command as a LineMapper when its flags permit

@@ -1,7 +1,6 @@
 package unix
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -451,49 +450,6 @@ func TestEnvAssignPrefix(t *testing.T) {
 	out, err := cmd.Run("b\n")
 	if err != nil || out != "b\n" {
 		t.Errorf("comm with env prefix = %q, %v", out, err)
-	}
-}
-
-func TestLineMapperAgreesWithRun(t *testing.T) {
-	// For every LineMapper command, runLineMapper must agree with Run.
-	specs := []string{
-		"grep light", "cut -c 1-4", `sed 's/a/b/'`, "rev",
-		`awk '{print NF}'`, "fmt -w1", "tr A-Z a-z",
-	}
-	in := "light a\nDARK bb\nlight light ccc\n"
-	for _, spec := range specs {
-		cmd, err := Parse(spec, nil)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", spec, err)
-		}
-		lm, ok := AsLineMapper(cmd)
-		if !ok {
-			t.Errorf("%q should be a LineMapper", spec)
-			continue
-		}
-		want, _ := cmd.Run(in)
-		if got := runLineMapper(lm, in); got != want {
-			t.Errorf("%q: MapLine path %q != Run %q", spec, got, want)
-		}
-	}
-}
-
-func TestStreamLineMapper(t *testing.T) {
-	cmd, _ := Parse("grep light", nil)
-	lm, _ := AsLineMapper(cmd)
-	var out strings.Builder
-	in := strings.NewReader("light\ndark\nlight x\n")
-	if err := streamLineMapper(context.Background(), lm, in, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != "light\nlight x\n" {
-		t.Errorf("streamLineMapper = %q", out.String())
-	}
-	// Exec reaches the same path through the primary contract.
-	out.Reset()
-	err := Exec(context.Background(), cmd, strings.NewReader("dark\nlight y\n"), &out)
-	if err != nil || out.String() != "light y\n" {
-		t.Errorf("Exec = %q, %v", out.String(), err)
 	}
 }
 
