@@ -367,9 +367,9 @@ func writeBenchIO(ctx context.Context, path string, scale int) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("corpus=%d bytes (%d lines) mapped=%v map=%.2fms index=%.1fms chunk64=%.3fms (%d allocs)\n",
+	fmt.Printf("corpus=%d bytes (%d lines) mapped=%v map=%.2fms chunk64=%.3fms (%d allocs)\n",
 		cmp.CorpusBytes, cmp.Scale, cmp.Ingest.Mapped, cmp.Ingest.MapWallMS,
-		cmp.Ingest.IndexWallMS, cmp.Ingest.ChunkWallMS, cmp.Ingest.ChunkAllocs)
+		cmp.Ingest.ChunkWallMS, cmp.Ingest.ChunkAllocs)
 	for _, s := range cmp.Stages {
 		fmt.Printf("%-22s %9.1f ms %8.1f MB/s  %.3f allocs/line\n",
 			s.Spec, s.WallMS, s.MBPerSec, s.AllocsPerLine)

@@ -119,9 +119,7 @@ func CompareCombine(ctx context.Context, scale, workers int) (*CombineComparison
 		Agree:   true,
 	}
 	const reps = 5
-	// One LineSeq indexes the input's lines for every chunking below —
-	// the data-plane idiom the combine layers share.
-	input := textio.ScanLines(genSortedWords(scale))
+	input := genSortedWords(scale)
 
 	for _, spec := range combineSpecs {
 		env := unix.DefaultEnv()
@@ -135,7 +133,7 @@ func CompareCombine(ctx context.Context, scale, workers int) (*CombineComparison
 			return nil, fmt.Errorf("bench: %q: %w", spec, err)
 		}
 		for _, k := range combineKs {
-			chunks := input.Chunk(k)
+			chunks := textio.ChunkLines(input, k)
 			outs := make([]string, len(chunks))
 			lines := 0
 			for i, ch := range chunks {
@@ -182,7 +180,7 @@ func CompareCombine(ctx context.Context, scale, workers int) (*CombineComparison
 	}
 	sc := sortCmd.(*unix.SortCmd)
 	for _, k := range combineKs {
-		chunks := input.Chunk(k)
+		chunks := textio.ChunkLines(input, k)
 		streams := make([]string, len(chunks))
 		lines := 0
 		for i, ch := range chunks {

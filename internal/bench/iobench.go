@@ -51,17 +51,16 @@ type IOStageRun struct {
 }
 
 // IOIngest reports the corpus ingest measurement: the mmap (or fallback)
-// of the host file, the once-computed line index, and the cost of
-// re-chunking the shared index k ways — the operations the zero-copy data
-// plane claims are pointer arithmetic.
+// of the host file and the cost of splitting the mapping k ways — the
+// operations the zero-copy data plane claims are pointer arithmetic.
 type IOIngest struct {
 	// Mapped is true when the corpus came in through an OS memory mapping
 	// rather than the read-into-buffer fallback.
 	Mapped bool `json:"mapped"`
-	// MapWallMS is the MapFile cost; IndexWallMS the one-time line scan;
-	// ChunkWallMS the k-way re-chunk of the shared index (k=64).
+	// MapWallMS is the MapFile cost; ChunkWallMS the k-way line-aligned
+	// split of the still-untouched mapping (textio.ChunkLines, k=64: its
+	// 63 boundary probes are the mapping's first page faults).
 	MapWallMS   float64 `json:"map_wall_ms"`
-	IndexWallMS float64 `json:"index_wall_ms"`
 	ChunkWallMS float64 `json:"chunk_wall_ms"`
 	// ChunkAllocs is the heap allocation count of the 64-way chunking —
 	// O(k) slice headers, not O(bytes), when the plane is zero-copy.
@@ -95,8 +94,8 @@ func (w *countWriter) Write(p []byte) (int, error) {
 }
 
 // CompareIO measures the zero-copy data plane: it writes a genText corpus
-// of `scale` lines to a host file, ingests it through MapFile + the
-// shared line index, and streams each ioStages entry over the mapped view
+// of `scale` lines to a host file, ingests it through MapFile +
+// ChunkLines, and streams each ioStages entry over the mapped view
 // measuring throughput and heap allocations per input line.
 func CompareIO(ctx context.Context, scale int) (*IOComparison, error) {
 	if scale <= 0 {
@@ -130,16 +129,13 @@ func CompareIO(ctx context.Context, scale int) (*IOComparison, error) {
 	cmp.Ingest.Mapped = m.Mapped()
 	cmp.CorpusBytes = int64(m.Len())
 
-	idxStart := time.Now()
-	seq := textio.ScanBytes(m.Bytes())
-	cmp.Ingest.IndexWallMS = float64(time.Since(idxStart).Microseconds()) / 1000
-	lines := seq.Len()
+	view, lines := m.View(), scale
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	chunkStart := time.Now()
-	chunks := seq.Chunk(64)
+	chunks := textio.ChunkLines(view, 64)
 	cmp.Ingest.ChunkWallMS = float64(time.Since(chunkStart).Microseconds()) / 1000
 	runtime.ReadMemStats(&after)
 	cmp.Ingest.ChunkAllocs = after.Mallocs - before.Mallocs
@@ -152,7 +148,6 @@ func CompareIO(ctx context.Context, scale int) (*IOComparison, error) {
 	}
 
 	env := unix.DefaultEnv()
-	view := m.View()
 	for _, spec := range ioStages {
 		cmd, err := unix.Parse(spec, env)
 		if err != nil {

@@ -202,11 +202,11 @@ type StageStat struct {
 
 // ExecutePlan runs one compiled pipeline over the cluster. It is
 // Plan.Execute walking the Unoptimized program at k = Shards — stage
-// boundaries are barriers, stdin is drained, stage 0 shards from env's
-// shared ingest index — with the coordinator as the leaf runner: a
-// dispatchable parallel stage's shards go to the workers, every other
-// fan-out is handed back to the in-process runner. The output streams to
-// out; the per-stage accounting and the run's dispatch stats return.
+// boundaries are barriers, stdin is drained, an input file is read from
+// env — with the coordinator as the leaf runner: a dispatchable parallel
+// stage's shards go to the workers, every other fan-out is handed back to
+// the in-process runner. The output streams to out; the per-stage
+// accounting and the run's dispatch stats return.
 func (co *Coordinator) ExecutePlan(ctx context.Context, env *unix.Env, plan *pipeline.Plan, stdin io.Reader, out io.Writer, combineWorkers int) ([]StageStat, *Stats, error) {
 	st := &Stats{}
 	leaves := func(local pipeline.Leaves) pipeline.Leaves {

@@ -15,8 +15,7 @@ type Stats struct {
 	// LocalRuns counts shards that degraded to in-process execution.
 	RemoteRuns atomic.Int64
 	LocalRuns  atomic.Int64
-	// Retries counts re-dispatches after failed attempts (client-level
-	// transport retries included via the retry-notify hook).
+	// Retries counts shard re-dispatches after failed attempts.
 	Retries atomic.Int64
 	// Speculations counts straggler duplicates launched;
 	// SpeculationWins counts duplicates whose result arrived first.

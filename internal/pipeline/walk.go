@@ -61,8 +61,7 @@ type executor struct {
 //
 //   - materialized: the whole stream is in data (file and in-memory
 //     sources start here; combining, concatenating and draining return
-//     here). While it is still the registered input, seq carries the
-//     shared ingest line index so chunking is a lookup, not a scan.
+//     here); a parallel region splits it with textio.ChunkLines.
 //   - split: a split exit left the k chunk outputs in chunks; the next
 //     parallel region consumes them directly, with no combine and re-split.
 //   - live: the stream is still being produced behind live — an external
@@ -71,19 +70,8 @@ type executor struct {
 //     it; the first region that cannot drains it back to materialized.
 type stream struct {
 	data   string
-	seq    textio.LineSeq
-	hasSeq bool
 	chunks []string
 	live   io.Reader
-}
-
-// chunk splits the materialized stream k ways: through the shared ingest
-// index while one describes it, by scanning otherwise.
-func (st *stream) chunk(k int) []string {
-	if st.hasSeq {
-		return st.seq.Chunk(k)
-	}
-	return textio.ChunkLines(st.data, k)
 }
 
 // drain materializes a live stream, observing ctx between reads.
@@ -93,17 +81,17 @@ func drain(ctx context.Context, r io.Reader) (string, error) {
 }
 
 // source resolves the pipeline's input into the walk's initial stream:
-// the registered input file (materialized, with its shared line index),
-// or stdin — live when the configuration keeps it so, drained otherwise.
+// the registered input file (materialized), or stdin — live when the
+// configuration keeps it so, drained otherwise.
 func (ex *executor) source(ctx context.Context, p *Plan, stdin io.Reader) (stream, error) {
 	var st stream
 	switch {
 	case p.InputFile != "":
-		seq, err := ex.env.FS.ReadSeq(p.InputFile)
+		data, err := ex.env.FS.Read(p.InputFile)
 		if err != nil {
 			return st, err
 		}
-		st = stream{data: seq.Str(), seq: seq, hasSeq: true}
+		st = stream{data: data}
 	case stdin != nil:
 		external := !inMemoryReader(stdin)
 		if external {
@@ -320,7 +308,7 @@ func (ex *executor) runRegion(ctx context.Context, p *Plan, r *dataflow.Region, 
 			rm.BytesOut = int64(len(next))
 			return nil
 		}
-		chunks = st.chunk(ex.k)
+		chunks = textio.ChunkLines(st.data, ex.k)
 	}
 	outs, err := ex.leaves(ctx, cmd, chunks)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,6 +34,42 @@ func TestDrainHonorsCancellation(t *testing.T) {
 			t.Errorf("fuse=%v: drain consumed %d bytes after cancellation", fuse, len(input)-r.Len())
 		}
 	}
+}
+
+// TestIngestAllocatesPerChunk: reading a freshly registered file and
+// splitting it k ways costs O(k) heap bytes — k substring headers over
+// the registered string — not O(lines): no per-line structure stands
+// between the file and its first parallel region.
+func TestIngestAllocatesPerChunk(t *testing.T) {
+	const lines, k = 200_000, 4
+	corpus := strings.Repeat("light word here\n", lines)
+	syn := newSynth()
+	syn.Env.FS.Register("in.txt", corpus)
+	plan := compilePlan(t, syn, "cat in.txt | wc -l\n")
+	if got, err := runPlan(plan, syn.Env, "", ModeOptimized, k); err != nil || got != "200000\n" {
+		t.Fatalf("wc -l = %q, %v", got, err)
+	}
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		// A fresh registration each round: the file is new to the FS, as
+		// it is on every request of a daemon.
+		syn.Env.FS.Register("in.txt", corpus)
+		runtime.ReadMemStats(&before)
+		if _, err := plan.Execute(context.Background(), syn.Env, nil, io.Discard, ModeOptimized, k); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < best {
+			best = d
+		}
+	}
+	// One byte per line is far above the O(k) cost and far below any
+	// per-line index (8 B/line for an offset table).
+	if best > lines {
+		t.Errorf("Execute over a fresh %d-line file allocated %d bytes (%.1f B/line), want O(k)", lines, best, float64(best)/lines)
+	}
+	t.Logf("ingest+run allocated %d bytes", best)
 }
 
 // TestMappedInputMatchesRegistered: a pipeline over an mmap-backed input

@@ -65,10 +65,9 @@ type RetryPolicy struct {
 
 // Client talks to one kumquatd instance.
 type Client struct {
-	base   string
-	hc     *http.Client
-	retry  RetryPolicy
-	notify func(err error, attempt int, delay time.Duration)
+	base  string
+	hc    *http.Client
+	retry RetryPolicy
 }
 
 // Option configures a Client.
@@ -90,14 +89,6 @@ func WithHTTPClient(hc *http.Client) Option {
 // only after the retries are exhausted.
 func WithRetry(max int, base, cap time.Duration) Option {
 	return func(c *Client) { c.retry = RetryPolicy{Max: max, Base: base, Cap: cap} }
-}
-
-// WithRetryNotify registers a callback invoked before every retry sleep
-// with the error being retried, the attempt number (1 = first retry) and
-// the chosen delay. The cluster coordinator uses it to count retries in
-// run reports and /metrics.
-func WithRetryNotify(f func(err error, attempt int, delay time.Duration)) Option {
-	return func(c *Client) { c.notify = f }
 }
 
 // New returns a client for the server at base (e.g.
@@ -396,11 +387,7 @@ func (c *Client) attempt(ctx context.Context, op func() (retryable bool, err err
 		if !retryable || try >= c.retry.Max || ctx.Err() != nil {
 			return err
 		}
-		delay := Backoff(c.retry.Base, c.retry.Cap, try, err)
-		if c.notify != nil {
-			c.notify(err, try+1, delay)
-		}
-		if !Sleep(ctx, delay) {
+		if !Sleep(ctx, Backoff(c.retry.Base, c.retry.Cap, try, err)) {
 			return err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"kumquat"
 	"kumquat/internal/obs"
+	"kumquat/internal/textio"
 )
 
 // handleSynthesize serves POST /v1/synthesize: one command spec in, the
@@ -257,7 +258,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "reading request body for input %q: %v", inputs[0], rerr)
 			return
 		}
-		env.Register(inputs[0], string(data))
+		// data is owned here and never mutated: bind a view, not a copy.
+		env.Register(inputs[0], textio.View(data))
 		stdin = nil
 	}
 

@@ -1,6 +1,6 @@
 // Package server implements kumquatd's service plane: an HTTP/JSON API
-// over one shared kumquat.System, so the synthesis engine's spec memo,
-// LRU and on-disk combiner cache stay warm across requests and users.
+// over one shared kumquat.System, so the synthesis engine's LRU and
+// on-disk combiner cache stay warm across requests and users.
 //
 // Endpoints:
 //

@@ -9,6 +9,7 @@
 package cache
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -113,7 +114,7 @@ type Tier int
 const (
 	// TierMiss means nothing was cached: a full synthesis ran.
 	TierMiss Tier = iota
-	// TierMemory means the spec memo or the in-memory LRU served the call.
+	// TierMemory means the in-memory LRU served the call.
 	TierMemory
 	// TierDisk means the on-disk store served the call.
 	TierDisk
@@ -136,7 +137,7 @@ func (t Tier) String() string {
 
 // Stats is a point-in-time snapshot of cache activity.
 type Stats struct {
-	// Hits counts syntheses resolved from memory (spec memo or LRU).
+	// Hits counts syntheses resolved from memory (the LRU).
 	Hits int64
 	// DiskHits counts syntheses resolved from the on-disk store.
 	DiskHits int64
@@ -200,12 +201,19 @@ func (c *Counters) Snapshot() Stats {
 }
 
 // LRU is a thread-safe fixed-capacity least-recently-used map from cache
-// keys to opaque values (the engine stores *synth.Result).
+// keys to opaque values (the engine stores *synth.Result). Get and Put
+// are O(1): every warm synthesis lookup of a many-client daemon lands
+// here, under the one mutex.
 type LRU struct {
 	mu    sync.Mutex
 	cap   int
-	order []string // keys, least recently used first
-	items map[string]any
+	order *list.List // of *lruItem, most recently used first
+	items map[string]*list.Element
+}
+
+type lruItem struct {
+	key string
+	v   any
 }
 
 // NewLRU returns an LRU holding at most capacity entries
@@ -214,37 +222,43 @@ func NewLRU(capacity int) *LRU {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &LRU{cap: capacity, items: make(map[string]any, capacity)}
+	return &LRU{cap: capacity, order: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
-// Get returns the value for key and marks it most recently used.
+// Get returns the value for key and marks it most recently used. A nil
+// LRU is a disabled tier: every Get misses and every Put is dropped.
 func (l *LRU) Get(key string) (any, bool) {
+	if l == nil {
+		return nil, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.items[key]
-	if ok {
-		l.touch(key)
+	el, ok := l.items[key]
+	if !ok {
+		return nil, false
 	}
-	return v, ok
+	l.order.MoveToFront(el)
+	return el.Value.(*lruItem).v, true
 }
 
 // Put inserts or refreshes key, evicting the least recently used entry
 // when the cache is full.
 func (l *LRU) Put(key string, v any) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.items[key]; ok {
-		l.items[key] = v
-		l.touch(key)
+	if el, ok := l.items[key]; ok {
+		el.Value.(*lruItem).v = v
+		l.order.MoveToFront(el)
 		return
 	}
 	if len(l.items) >= l.cap {
-		oldest := l.order[0]
-		l.order = l.order[1:]
-		delete(l.items, oldest)
+		oldest := l.order.Remove(l.order.Back()).(*lruItem)
+		delete(l.items, oldest.key)
 	}
-	l.items[key] = v
-	l.order = append(l.order, key)
+	l.items[key] = l.order.PushFront(&lruItem{key: key, v: v})
 }
 
 // Len reports the current entry count.
@@ -252,17 +266,6 @@ func (l *LRU) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.items)
-}
-
-// touch moves key to the most-recently-used end; the caller holds l.mu.
-func (l *LRU) touch(key string) {
-	for i, k := range l.order {
-		if k == key {
-			copy(l.order[i:], l.order[i+1:])
-			l.order[len(l.order)-1] = key
-			return
-		}
-	}
 }
 
 // Store is the optional on-disk combiner store: one JSON file per cache

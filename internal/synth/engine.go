@@ -21,13 +21,14 @@ import (
 // sharded with dsl.Shards, each shard filtered against the observation
 // set, and survivors merged in shard order, so results are byte-identical
 // to a sequential run at any worker count), and Algorithm 2's gradient
-// mutations are scored concurrently. Results are memoized per spec text
-// and cached under a canonical command signature (normalized argv +
-// delimiter set + options) in an in-memory LRU and, optionally, an
-// on-disk store, so repeated stages and repeated invocations resolve
-// without re-running synthesis. Concurrent requests for the same
-// uncached spec are single-flighted: one synthesis runs, the rest wait
-// and share its verdict.
+// mutations are scored concurrently. Results are cached in one bounded
+// in-memory LRU — under the exact spec text, so a repeat resolves before
+// it is even parsed, and under a canonical command signature (normalized
+// argv + delimiter set + options), so quoting variants share a result —
+// and, optionally, an on-disk store, so repeated stages and repeated
+// invocations resolve without re-running synthesis. Concurrent requests
+// for the same uncached spec are single-flighted: one synthesis runs, the
+// rest wait and share its verdict.
 //
 // An Engine is safe for concurrent use.
 type Engine struct {
@@ -39,16 +40,21 @@ type Engine struct {
 	workers  int
 	counters cache.Counters
 
-	mu       sync.Mutex
-	memo     map[string]*Result // exact spec text → result (legacy cache tier)
-	inflight map[string]*call   // spec → in-progress synthesis (single-flight)
-	lru      *cache.LRU         // canonical signature → *Result
-	disk     *cache.Store       // nil unless Opts.CacheDir is set
+	mu       sync.Mutex       // orders spec-text lookups against inflight
+	inflight map[string]*call // spec → in-progress synthesis (single-flight)
+	// lru maps both specKey(spec text) and the canonical signature to the
+	// one *Result; nil when Opts.CacheSize is negative.
+	lru  *cache.LRU
+	disk *cache.Store // nil unless Opts.CacheDir is set
 }
+
+// specKey is the LRU key of an exact spec text. The NUL keeps it disjoint
+// from canonical signatures (hex digests) whatever the text is.
+func specKey(spec string) string { return "spec\x00" + spec }
 
 // call is one in-progress synthesis that concurrent callers of the same
 // spec coalesce onto: followers wait on done instead of re-running the
-// cold synthesis. ok is true when the leader memoized a verdict; false
+// cold synthesis. ok is true when the leader cached a verdict; false
 // (cancellation, parse failure) sends followers back to retry.
 type call struct {
 	done chan struct{}
@@ -63,11 +69,7 @@ func New(env *unix.Env, opts Options) *Engine {
 		env = unix.DefaultEnv()
 	}
 	opts = opts.withDefaults()
-	e := &Engine{
-		Opts: opts,
-		Env:  env,
-		memo: map[string]*Result{},
-	}
+	e := &Engine{Opts: opts, Env: env}
 	e.workers = opts.Workers
 	if e.workers == 0 {
 		e.workers = runtime.GOMAXPROCS(0)
@@ -96,28 +98,29 @@ func Synthesize(ctx context.Context, spec string, opts Options) (*Result, error)
 }
 
 // Synthesize parses a command spec and synthesizes its combiner,
-// consulting the spec memo, the canonical-signature LRU and the on-disk
-// store before running Algorithms 1–2. Cancelling ctx aborts synthesis
-// mid-round; the returned Result then carries the best-so-far survivor
-// set with Err set to ctx.Err(), and is not cached.
+// consulting the in-memory LRU (by spec text, then by canonical
+// signature) and the on-disk store before running Algorithms 1–2.
+// Cancelling ctx aborts synthesis mid-round; the returned Result then
+// carries the best-so-far survivor set with Err set to ctx.Err(), and is
+// not cached.
 func (e *Engine) Synthesize(ctx context.Context, spec string) (*Result, error) {
 	r, _, err := e.SynthesizeTier(ctx, spec)
 	return r, err
 }
 
 // SynthesizeTier is Synthesize plus an exact attribution of which cache
-// tier served the call: cache.TierMemory (spec memo or LRU, including
-// waits coalesced onto another caller's in-flight synthesis),
-// cache.TierDisk (on-disk store) or cache.TierMiss (full synthesis ran).
-// The attribution is decided at the lookup site, so unlike a Stats delta
-// it stays exact when other calls run concurrently.
+// tier served the call: cache.TierMemory (the LRU, including waits
+// coalesced onto another caller's in-flight synthesis), cache.TierDisk
+// (on-disk store) or cache.TierMiss (full synthesis ran). The attribution
+// is decided at the lookup site, so unlike a Stats delta it stays exact
+// when other calls run concurrently.
 //
 // Concurrent calls for the same uncached spec are single-flighted: one
 // leader runs the synthesis, the rest wait and share its verdict — under
 // a many-client daemon a cold spec costs one synthesis, not one per
 // request. A follower whose own ctx cancels while waiting returns a
 // best-effort Result carrying ctx.Err(); a leader whose ctx cancels
-// leaves nothing memoized, and its followers retry.
+// leaves nothing cached, and its followers retry.
 func (e *Engine) SynthesizeTier(ctx context.Context, spec string) (*Result, cache.Tier, error) {
 	ctx, span := obs.StartSpan(ctx, "synth")
 	if span == nil {
@@ -135,11 +138,13 @@ func (e *Engine) SynthesizeTier(ctx context.Context, spec string) (*Result, cach
 
 // synthesizeTier is SynthesizeTier without the tracing wrapper.
 func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cache.Tier, error) {
+	key := specKey(spec)
 	for {
 		e.mu.Lock()
-		if r, ok := e.memo[spec]; ok {
+		if v, ok := e.lru.Get(key); ok {
 			e.mu.Unlock()
 			e.counters.Hit()
+			r := v.(*Result)
 			return r, cache.TierMemory, r.Err
 		}
 		if c, ok := e.inflight[spec]; ok {
@@ -175,7 +180,9 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 		r, tier := e.synthesizeCommand(ctx, cmd)
 		e.mu.Lock()
 		if ctx.Err() == nil {
-			e.memo[spec] = r
+			// Negative verdicts (non-stream, multi-input) are cached here
+			// too: they have no canonical-signature entry.
+			e.lru.Put(key, r)
 			c.r, c.ok = r, true
 		}
 		delete(e.inflight, spec)
@@ -186,7 +193,7 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 }
 
 // Stats returns a snapshot of the engine's cache activity: memory hits
-// (spec memo and LRU), disk hits, and misses (full synthesis runs).
+// (the LRU), disk hits, and misses (full synthesis runs).
 func (e *Engine) Stats() cache.Stats { return e.counters.Snapshot() }
 
 // Workers reports the resolved worker-pool size.
@@ -194,7 +201,7 @@ func (e *Engine) Workers() int { return e.workers }
 
 // SynthesizeCommand runs cache lookup and, on a miss, Algorithm 1 for one
 // already-parsed black-box command. Most callers want Synthesize, which
-// adds the spec-text memo tier.
+// resolves a repeated spec text before parsing it.
 func (e *Engine) SynthesizeCommand(ctx context.Context, cmd unix.Command) *Result {
 	r, _ := e.synthesizeCommand(ctx, cmd)
 	return r
@@ -209,7 +216,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	if ns, ok := cmd.(interface{ NonStream() bool }); ok && ns.NonStream() {
 		res.Err = ErrNonStream
 		res.Duration = time.Since(start)
-		e.counters.Miss() // memoized repeats count as hits; keep stats consistent
+		e.counters.Miss() // cached repeats count as hits; keep stats consistent
 		return res, cache.TierMiss
 	}
 	if mi, ok := cmd.(interface{ MultiInput() bool }); ok && mi.MultiInput() {
@@ -229,11 +236,9 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 
 	argv := canonicalArgv(cmd.Spec())
 	key := cache.Key(argv, delimBytes(p.delims), e.keyOptions())
-	if e.lru != nil {
-		if v, ok := e.lru.Get(key); ok {
-			e.counters.Hit()
-			return v.(*Result), cache.TierMemory
-		}
+	if v, ok := e.lru.Get(key); ok {
+		e.counters.Hit()
+		return v.(*Result), cache.TierMemory
 	}
 	// Commands whose behaviour depends on the simulated file system —
 	// file-name input mode (xargs-style probes read the FS) or commands
@@ -247,9 +252,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 		if ent, ok := e.disk.Get(key); ok {
 			if r, ok := e.resultFromEntry(ent, cmd); ok {
 				e.counters.DiskHit()
-				if e.lru != nil {
-					e.lru.Put(key, r)
-				}
+				e.lru.Put(key, r)
 				return r, cache.TierDisk
 			}
 		}
@@ -258,9 +261,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	e.counters.Miss()
 	res = e.synthesize(ctx, cmd, rng, p, start)
 	if ctx.Err() == nil {
-		if e.lru != nil {
-			e.lru.Put(key, res)
-		}
+		e.lru.Put(key, res)
 		if diskable && cacheableErr(res.Err) {
 			e.disk.Put(key, e.entryFromResult(res, argv)) //nolint:errcheck // accelerator only
 		}

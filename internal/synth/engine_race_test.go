@@ -11,7 +11,7 @@ import (
 
 // TestEngineConcurrentClients hammers one shared engine from many
 // goroutines — the daemon's access pattern — mixing cold synthesis,
-// warm memo/LRU hits, negative verdicts, Stats snapshots and LRU churn
+// warm LRU hits, negative verdicts, Stats snapshots and LRU churn
 // (tiny capacity forces evictions). Run under -race (CI does) this pins
 // the engine's concurrency contract; the final counter check pins that
 // every call was attributed to exactly one tier.
@@ -58,11 +58,12 @@ func TestEngineConcurrentClients(t *testing.T) {
 		t.Errorf("expected at least %d misses (one per distinct spec), got %d", len(specs), st.Misses)
 	}
 
-	// After the storm, every spec must be memo-warm: a sequential pass
-	// reports TierMemory for all of them.
+	// After the storm the engine still serves: the capacity-2 LRU cannot
+	// hold five specs, but each one is memory-warm right after a call.
 	for _, spec := range specs {
+		eng.SynthesizeTier(context.Background(), spec)
 		if _, tier, _ := eng.SynthesizeTier(context.Background(), spec); tier != cache.TierMemory {
-			t.Errorf("post-storm SynthesizeTier(%q) tier = %v, want memory", spec, tier)
+			t.Errorf("post-storm repeat SynthesizeTier(%q) tier = %v, want memory", spec, tier)
 		}
 	}
 }

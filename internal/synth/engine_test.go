@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kumquat/internal/synth/cache"
 	"kumquat/internal/unix"
 )
 
@@ -131,9 +132,9 @@ func testCancellationMidRound(t *testing.T, workers int) {
 	}
 }
 
-// TestEngineMemoryCache checks both memory tiers: the exact-spec memo and
-// the canonical-signature LRU (which also serves whitespace variants of
-// the same command).
+// TestEngineMemoryCache checks both keys of the memory tier: the exact
+// spec text and the canonical signature (which also serves whitespace
+// variants of the same command).
 func TestEngineMemoryCache(t *testing.T) {
 	eng := New(unix.DefaultEnv(), Options{Seed: 1})
 	r1, err := eng.Synthesize(context.Background(), "wc -l")
@@ -144,12 +145,12 @@ func TestEngineMemoryCache(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("cold synthesis stats %+v, want 1 miss", st)
 	}
-	// Exact repeat → memo hit, identical pointer.
+	// Exact repeat → spec-text hit, identical pointer.
 	r2, _ := eng.Synthesize(context.Background(), "wc -l")
 	if r1 != r2 {
-		t.Error("repeated spec did not return the memoized result")
+		t.Error("repeated spec did not return the cached result")
 	}
-	// Whitespace variant → same canonical argv → LRU hit, no new miss.
+	// Whitespace variant → same canonical argv → signature hit, no new miss.
 	r3, err := eng.Synthesize(context.Background(), "wc  -l")
 	if err != nil {
 		t.Fatal(err)
@@ -159,10 +160,47 @@ func TestEngineMemoryCache(t *testing.T) {
 		t.Errorf("whitespace variant re-ran synthesis: %+v", st)
 	}
 	if st.Hits != 2 {
-		t.Errorf("stats %+v, want 2 hits (memo + LRU)", st)
+		t.Errorf("stats %+v, want 2 hits (spec text + signature)", st)
 	}
 	if resultFingerprint(t, r1) != resultFingerprint(t, r3) {
 		t.Error("canonical-cache result differs from original")
+	}
+}
+
+// TestEngineMemoryBounded: the LRU is the only in-memory tier, so a
+// daemon sent an endless stream of distinct specs (every distinct grep
+// pattern is one) retains at most CacheSize results — positive verdicts
+// and the negative ones that have no canonical-signature entry alike.
+func TestEngineMemoryBounded(t *testing.T) {
+	const capacity = 8
+	eng := New(unix.DefaultEnv(), Options{
+		Seed: 1, CacheSize: capacity,
+		MaxRounds: 1, PairsPerShape: 1, MutationIters: 1,
+	})
+	ctx := context.Background()
+	results := map[string]*Result{}
+	for i := 0; i < 2*capacity; i++ {
+		for _, spec := range []string{fmt.Sprintf("grep pat%d", i), fmt.Sprintf("ls dir%d", i)} {
+			r, _ := eng.Synthesize(ctx, spec)
+			if r == nil {
+				t.Fatalf("Synthesize(%q) returned no result", spec)
+			}
+			results[spec] = r
+		}
+	}
+	if got := eng.lru.Len(); got > capacity {
+		t.Errorf("engine holds %d cache entries after %d distinct specs, want <= %d", got, len(results), capacity)
+	}
+	// A result the engine no longer serves from memory is one it no
+	// longer retains: a dropped spec re-synthesizes to a fresh pointer.
+	held := 0
+	for spec, r := range results {
+		if again, tier, _ := eng.SynthesizeTier(ctx, spec); tier == cache.TierMemory && again == r {
+			held++
+		}
+	}
+	if held > capacity {
+		t.Errorf("engine still serves %d of %d results from memory, want <= %d", held, len(results), capacity)
 	}
 }
 

@@ -45,8 +45,9 @@ type Options struct {
 	// pool (0 = GOMAXPROCS, 1 = fully sequential). Synthesis results are
 	// identical at every worker count; only wall time changes.
 	Workers int
-	// CacheSize caps the in-memory combiner LRU in entries
-	// (0 = cache.DefaultCapacity; negative disables the LRU tier).
+	// CacheSize caps the in-memory combiner LRU in entries — a spec
+	// holds up to two, its exact text and its canonical signature
+	// (0 = cache.DefaultCapacity; negative disables in-memory caching).
 	CacheSize int
 	// CacheDir, when non-empty, enables the on-disk combiner store so
 	// synthesis results persist across processes.

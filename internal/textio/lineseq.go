@@ -2,7 +2,6 @@ package textio
 
 import (
 	"bytes"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -13,7 +12,8 @@ import (
 // checks — indexes it once instead of re-splitting it into a fresh
 // []string on every pass. A LineSeq costs one []int allocation (half the
 // memory of the equivalent []string headers) and its Line method returns
-// zero-copy substrings of the backing string.
+// zero-copy substrings of the backing string. It is for walking lines by
+// number; splitting a stream k ways needs no index (see ChunkLines).
 //
 // Line boundaries follow Lines' semantics exactly: a trailing newline does
 // not produce an empty final line, an unterminated final line is still a
@@ -25,14 +25,6 @@ type LineSeq struct {
 	// the sentinel is len(str)+1, as if the stream carried a virtual
 	// trailing newline, which keeps the indexing formula uniform.
 	offs []int
-}
-
-// ScanBytes indexes a byte-backed stream into a LineSeq without copying:
-// the LineSeq's backing string is a zero-copy view of b, so b must not be
-// mutated while the LineSeq (or any string derived from it) is alive.
-// This is the ingest entry point for mmap-backed inputs.
-func ScanBytes(b []byte) LineSeq {
-	return ScanLines(View(b))
 }
 
 // ScanLines indexes stream s into a LineSeq in one pass.
@@ -78,35 +70,11 @@ func (ls LineSeq) Line(i int) string {
 // Str returns the backing stream.
 func (ls LineSeq) Str() string { return ls.str }
 
-// Chunk splits the indexed stream into k line-aligned substreams using the
-// precomputed offsets — byte-identical to ChunkLines(ls.Str(), k) but with
-// a binary search per split point instead of a byte scan.
-func (ls LineSeq) Chunk(k int) []string {
-	// Real split points are the offsets that sit immediately after a
-	// newline: every interior offset, and the sentinel only when the final
-	// line is terminated (sentinel == len(str), not len(str)+1).
-	var bounds []int
-	if len(ls.offs) > 0 {
-		bounds = ls.offs[1:]
-	}
-	if n := len(bounds); n > 0 && bounds[n-1] > len(ls.str) {
-		bounds = bounds[:n-1]
-	}
-	offs := chunkOffsets(len(ls.str), k, func(from int) int {
-		i := sort.SearchInts(bounds, from+1)
-		if i == len(bounds) {
-			return -1
-		}
-		// chunkOffsets expects the newline's position relative to from;
-		// bounds[i] is the offset just past it.
-		return bounds[i] - 1 - from
-	})
-	chunks := make([]string, len(offs)-1)
-	for i := range chunks {
-		chunks[i] = ls.str[offs[i]:offs[i+1]]
-	}
-	return chunks
-}
+// Chunk is ChunkLines over the backing stream. Its only caller is the
+// repo benchmark's textio.chunk_us probe (benchmark/ is frozen); the
+// executor splits with ChunkLines directly, and this shim retires with
+// the probe.
+func (ls LineSeq) Chunk(k int) []string { return ChunkLines(ls.str, k) }
 
 // builders pools scratch buffers for combine-output assembly. A pooled
 // buffer keeps its grown capacity across combines, so a steady-state

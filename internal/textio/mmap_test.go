@@ -50,10 +50,10 @@ func TestMapFileMatchesReadFile(t *testing.T) {
 		}
 		// The universal indexed view over the mapping must agree with a
 		// scan of the copied contents line for line.
-		seq := ScanBytes(m.Bytes())
+		seq := ScanLines(m.View())
 		wantLines := Lines(string(want))
 		if seq.Len() != len(wantLines) {
-			t.Errorf("%s: ScanBytes.Len() = %d, want %d", name, seq.Len(), len(wantLines))
+			t.Errorf("%s: ScanLines.Len() = %d, want %d", name, seq.Len(), len(wantLines))
 		} else {
 			for i := range wantLines {
 				if seq.Line(i) != wantLines[i] {

@@ -7,7 +7,6 @@
 package textio
 
 import (
-	"bytes"
 	"strings"
 	"unsafe"
 )
@@ -209,65 +208,6 @@ func CountByte(d byte, s string) int {
 	return n
 }
 
-// ChunkOffsets computes the k-way line-aligned split of data as k+1 byte
-// offsets: chunk i is data[offs[i]:offs[i+1]]. Offsets are monotonically
-// nondecreasing, offs[0] == 0 and offs[k] == len(data), and every interior
-// offset sits immediately after a '\n'. Chunks are balanced by byte count:
-// each split point is the first line boundary at or after the ideal byte
-// offset. When data has fewer lines than k, trailing chunks are empty
-// (consecutive equal offsets).
-//
-// This is the zero-copy core of the pipeline input splitter: callers slice
-// a single backing buffer instead of materializing per-chunk copies.
-func ChunkOffsets(data []byte, k int) []int {
-	return chunkOffsets(len(data), k, func(from int) int {
-		return bytes.IndexByte(data[from:], '\n')
-	})
-}
-
-// chunkOffsets is the shared split core behind ChunkOffsets and
-// ChunkLines: n is the input length and index returns the position of the
-// next '\n' at or after an offset, relative to that offset (-1 if none).
-func chunkOffsets(n, k int, index func(from int) int) []int {
-	if k <= 1 {
-		return []int{0, n}
-	}
-	offs := make([]int, 1, k+1)
-	start := 0
-	for i := 0; i < k-1; i++ {
-		target := start + (n-start)/(k-i)
-		j := index(target)
-		if j < 0 {
-			break
-		}
-		cut := target + j + 1
-		offs = append(offs, cut)
-		start = cut
-	}
-	offs = append(offs, n)
-	for len(offs) < k+1 {
-		offs = append(offs, n)
-	}
-	return offs
-}
-
-// ChunkViews splits data into k line-aligned subslices that share data's
-// backing array (no bytes are copied). The concatenation of the views
-// equals data; trailing views are empty when data has fewer lines than k.
-// Callers must not mutate data while the views are alive.
-//
-// This is the []byte face of the splitter for byte-buffer callers; the
-// executor splits its materialized streams through ChunkLines, whose
-// substrings are the same zero-copy views over the same offsets core.
-func ChunkViews(data []byte, k int) [][]byte {
-	offs := ChunkOffsets(data, k)
-	views := make([][]byte, len(offs)-1)
-	for i := range views {
-		views[i] = data[offs[i]:offs[i+1]]
-	}
-	return views
-}
-
 // View returns b's bytes as a string without copying. The caller must
 // guarantee b is never mutated afterwards — the executor upholds this by
 // treating stage input buffers as immutable once chunked.
@@ -276,22 +216,31 @@ func View(b []byte) string {
 }
 
 // ChunkLines splits stream s into k line-aligned substreams whose
-// concatenation equals s. Chunks are balanced by byte count: each split
-// point is the first line boundary at or after the ideal byte offset.
-// Fewer than k nonempty chunks may be returned when s has fewer lines than
-// k; trailing chunks are then empty strings so that len(result) == k.
+// concatenation equals s: the one splitter behind every parallel region,
+// shard dispatch and benchmark. Chunks are balanced by byte count: each
+// split point is the first line boundary at or after the ideal byte
+// offset of what remains, so a split costs k-1 newline probes whatever
+// the stream's size. len(result) == max(k, 1); when s has fewer lines
+// than k the trailing chunks are empty.
 //
 // The substrings share s's backing array (Go substring slicing does not
-// copy) and come from the same split core as ChunkOffsets/ChunkViews, so
-// the string and []byte splitters always agree.
+// copy), so splitting a memory-mapped input moves no bytes.
 func ChunkLines(s string, k int) []string {
-	offs := chunkOffsets(len(s), k, func(from int) int {
-		return strings.IndexByte(s[from:], '\n')
-	})
-	chunks := make([]string, len(offs)-1)
-	for i := range chunks {
-		chunks[i] = s[offs[i]:offs[i+1]]
+	if k <= 1 {
+		return []string{s}
 	}
+	chunks := make([]string, k)
+	i, start := 0, 0
+	for ; i < k-1; i++ {
+		target := start + (len(s)-start)/(k-i)
+		j := strings.IndexByte(s[target:], '\n')
+		if j < 0 {
+			break
+		}
+		cut := target + j + 1
+		chunks[i], start = s[start:cut], cut
+	}
+	chunks[i] = s[start:]
 	return chunks
 }
 

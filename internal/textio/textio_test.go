@@ -2,9 +2,11 @@ package textio
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestIsStream(t *testing.T) {
@@ -251,6 +253,53 @@ func TestChunkLinesConcatInvariant(t *testing.T) {
 	}
 }
 
+// TestChunkLinesEdges pins the splitter's boundary cases as literal
+// chunk lists: len(result) == max(k, 1), concatenation round-trips, every
+// cut sits just after a newline, and the chunks alias the input.
+func TestChunkLinesEdges(t *testing.T) {
+	cases := []struct {
+		name string
+		s    string
+		k    int
+		want []string
+	}{
+		{"empty", "", 4, []string{"", "", "", ""}},
+		{"empty k=1", "", 1, []string{""}},
+		{"no newline at all", "one line no terminator", 3, []string{"one line no terminator", "", ""}},
+		{"lone newline", "\n", 2, []string{"\n", ""}},
+		{"no trailing newline", "alpha\nbeta\ngamma", 3, []string{"alpha\n", "beta\ngamma", ""}},
+		{"unterminated tail stays whole", "a\nb\ntail", 2, []string{"a\nb\ntail", ""}},
+		{"unterminated tail after a cut", "a\nb\nc\nd\ntail", 2, []string{"a\nb\nc\nd\n", "tail"}},
+		{"fewer lines than k", "B\na\n", 5, []string{"B\n", "a\n", "", "", ""}},
+		{"k=1", "a\nb\n", 1, []string{"a\nb\n"}},
+		{"k=0", "a\nb\n", 0, []string{"a\nb\n"}},
+		{"k<0", "a\nb\n", -3, []string{"a\nb\n"}},
+		{"cut is the first boundary at or after the target", "a\nb\nc\nd\n", 2, []string{"a\nb\nc\n", "d\n"}},
+		{"one line spans several targets", "0123456789abcdef\nx\n", 4, []string{"0123456789abcdef\n", "x\n", "", ""}},
+		{"target lands inside the last line", "x\n0123456789abcdef\n", 4, []string{"x\n0123456789abcdef\n", "", "", ""}},
+	}
+	for _, c := range cases {
+		got := ChunkLines(c.s, c.k)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ChunkLines(%q, %d) = %q, want %q", c.name, c.s, c.k, got, c.want)
+		}
+	}
+
+	// Views, not copies: every nonempty chunk starts where the previous
+	// one ended inside s's own backing array.
+	s := strings.Repeat("line of words\n", 50) + "tail"
+	off := 0
+	for i, c := range ChunkLines(s, 8) {
+		if c != "" && unsafe.StringData(c) != unsafe.StringData(s[off:]) {
+			t.Errorf("chunk %d does not alias the input at offset %d", i, off)
+		}
+		off += len(c)
+	}
+	if off != len(s) {
+		t.Errorf("chunks cover %d of %d bytes", off, len(s))
+	}
+}
+
 func TestChunkLinesBalance(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 1000; i++ {
@@ -261,6 +310,20 @@ func TestChunkLinesBalance(t *testing.T) {
 		if len(c) < 2000 || len(c) > 3500 {
 			t.Errorf("chunk %d badly balanced: %d bytes", i, len(c))
 		}
+	}
+}
+
+// TestView pins the no-copy string view helper.
+func TestView(t *testing.T) {
+	if got := View(nil); got != "" {
+		t.Errorf("View(nil) = %q", got)
+	}
+	b := []byte("hello\n")
+	if got := View(b); got != "hello\n" {
+		t.Errorf("View = %q", got)
+	}
+	if got := View(b[:0]); got != "" {
+		t.Errorf("View(empty) = %q", got)
 	}
 }
 

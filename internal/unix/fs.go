@@ -2,7 +2,9 @@ package unix
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,17 +13,14 @@ import (
 )
 
 // fsEntry is one registered file: its contents as a string view (a
-// zero-copy alias of the backing bytes for mapped and byte-registered
-// files) plus the lazily computed line index shared by every consumer.
+// zero-copy alias of the backing bytes for mapped files). An entry is
+// immutable once registered, so the seed corpus's entries are shared by
+// every FS in the process.
 type fsEntry struct {
 	data string
 	// mapping is non-nil when data aliases an OS memory mapping; the FS
 	// keeps it alive until Close so no view can dangle.
 	mapping *textio.Mapping
-	// once guards seq: the line index is computed at most once per entry
-	// and then shared k-ways across stages, modes and requests.
-	once sync.Once
-	seq  textio.LineSeq
 }
 
 // FS is the simulated file system backing xargs, comm and file. The paper's
@@ -31,12 +30,10 @@ type fsEntry struct {
 // on word-list inputs (the words are not files) but succeeds on lists of
 // legal file names (drawn from this FS).
 //
-// Contents are byte-backed: RegisterBytes and RegisterMapping alias their
-// input without copying (mmap ingest is pointer arithmetic end to end),
-// and every entry carries a line index computed once on first use (see
-// ReadSeq). Mapped entries stay alive — even after Remove or
-// re-registration — until Close, so zero-copy views handed out earlier
-// can never dangle.
+// Register keeps the caller's string and RegisterMapping aliases the
+// mapping's bytes, so ingest copies nothing. Mapped entries stay alive —
+// even after Remove or re-registration — until Close, so zero-copy views
+// handed out earlier can never dangle.
 type FS struct {
 	mu     sync.RWMutex
 	files  map[string]*fsEntry
@@ -46,26 +43,36 @@ type FS struct {
 	retired []*textio.Mapping
 }
 
-// NewFS returns a file system pre-seeded with a deterministic corpus:
-// 48 small text files (f000.txt .. f047.txt), a handful of script files,
-// and a sorted dictionary at "dict.sorted" (used by comm-based spell
-// checking). Benchmarks register additional inputs on top.
-func NewFS() *FS {
-	fs := &FS{files: make(map[string]*fsEntry)}
+// seedCorpus builds the deterministic corpus every FS starts from, once
+// per process: 48 small text files (f000.txt .. f047.txt), a handful of
+// script files, and a sorted dictionary at "dict.sorted" (used by
+// comm-based spell checking). names is the sorted legal-file-name
+// dictionary. Both results are shared: callers clone before mutating.
+var seedCorpus = sync.OnceValues(func() (files map[string]*fsEntry, names []string) {
+	files = make(map[string]*fsEntry)
 	rng := rand.New(rand.NewSource(0x5eed))
 	for i := 0; i < 48; i++ {
 		name := fmt.Sprintf("f%03d.txt", i)
-		fs.files[name] = &fsEntry{data: syntheticText(rng, 3+rng.Intn(6))}
-		fs.corpus = append(fs.corpus, name)
+		files[name] = &fsEntry{data: syntheticText(rng, 3+rng.Intn(6))}
+		names = append(names, name)
 	}
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("s%02d.sh", i)
-		fs.files[name] = &fsEntry{data: syntheticScript(rng, 2+rng.Intn(12))}
-		fs.corpus = append(fs.corpus, name)
+		files[name] = &fsEntry{data: syntheticScript(rng, 2+rng.Intn(12))}
+		names = append(names, name)
 	}
-	fs.files["dict.sorted"] = &fsEntry{data: defaultDict()}
-	sort.Strings(fs.corpus)
-	return fs
+	files["dict.sorted"] = &fsEntry{data: defaultDict()}
+	sort.Strings(names)
+	return files, names
+})
+
+// NewFS returns a file system pre-seeded with the deterministic corpus
+// (see seedCorpus). It runs per request on the service plane, so it only
+// clones the seed's map and name list; benchmarks and requests register
+// additional inputs on top, invisibly to every other FS.
+func NewFS() *FS {
+	files, names := seedCorpus()
+	return &FS{files: maps.Clone(files), corpus: slices.Clone(names)}
 }
 
 // DictionaryNames returns the corpus file names used as the synthesizer's
@@ -93,15 +100,6 @@ func (fs *FS) Register(name, content string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.put(name, &fsEntry{data: content})
-}
-
-// RegisterBytes adds or replaces a file whose contents alias b without
-// copying. The caller must not mutate b afterwards — the entry's string
-// face and line index are views of the same bytes.
-func (fs *FS) RegisterBytes(name string, b []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.put(name, &fsEntry{data: textio.View(b)})
 }
 
 // RegisterMapping adds or replaces a file backed by a memory mapping.
@@ -132,8 +130,8 @@ func (fs *FS) Remove(name string) {
 }
 
 // Close releases every mapping the FS ever owned (live and retired).
-// Call only when no view of any mapped file — string, []byte, or
-// LineSeq — can be used again; typically at process or test teardown.
+// Call only when no view of any mapped file — string or []byte — can be
+// used again; typically at process or test teardown.
 func (fs *FS) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -164,18 +162,16 @@ func (fs *FS) Read(name string) (string, error) {
 	return e.data, nil
 }
 
-// ReadSeq returns the line index of a registered file, computing it on
-// first use and sharing the one index across every later caller — the
-// ingest-once contract of the data plane: k workers chunking the same
-// corpus, repeated requests against a warm daemon, and sortedness checks
-// all walk the same []int.
+// ReadSeq indexes a registered file's lines, afresh on every call. Its
+// only caller is the repo benchmark's textio.index probe (benchmark/ is
+// frozen); the executor reads with Read and splits with
+// textio.ChunkLines, and this shim retires with the probe.
 func (fs *FS) ReadSeq(name string) (textio.LineSeq, error) {
 	e, err := fs.lookup(name)
 	if err != nil {
 		return textio.LineSeq{}, err
 	}
-	e.once.Do(func() { e.seq = textio.ScanLines(e.data) })
-	return e.seq, nil
+	return textio.ScanLines(e.data), nil
 }
 
 func (fs *FS) lookup(name string) (*fsEntry, error) {

@@ -3,6 +3,7 @@ package unix
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,62 +11,61 @@ import (
 	"kumquat/internal/textio"
 )
 
-// TestReadSeqSharedAcrossWorkers: k workers pulling the same file's line
-// index concurrently must all see one identical, fully built index — the
-// ingest-once contract (run under -race, this also proves the sync.Once
-// publication is sound).
-func TestReadSeqSharedAcrossWorkers(t *testing.T) {
-	fs := NewFS()
-	content := strings.Repeat("alpha beta\ngamma\n", 500) + "tail"
-	fs.Register("shared.txt", content)
-	const workers = 16
-	seqs := make([]textio.LineSeq, workers)
+// TestNewFSIsolated: every FS starts from the same once-built seed corpus
+// and owns its own name space — Register, Remove and AddToDictionary on
+// one are invisible to every other, including FSs built concurrently
+// (run under -race, this also proves the shared seed is only ever read).
+func TestNewFSIsolated(t *testing.T) {
+	ref := NewFS()
+	wantNames, wantDict := ref.Names(), ref.DictionaryNames()
+	if len(wantNames) != 57 || len(wantDict) != 56 {
+		t.Fatalf("seed corpus: %d names, %d dictionary names; want 57, 56", len(wantNames), len(wantDict))
+	}
+	const builders = 8
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < builders; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			seq, err := fs.ReadSeq("shared.txt")
-			if err != nil {
-				t.Error(err)
-				return
+			fs := NewFS()
+			if got := fs.Names(); !reflect.DeepEqual(got, wantNames) {
+				t.Errorf("builder %d: Names() = %v, want %v", w, got, wantNames)
 			}
-			// Each worker walks its own chunk of the shared index, the
-			// way parallel stages consume the ingest.
-			chunks := seq.Chunk(workers)
-			if w < len(chunks) && chunks[w] != "" {
-				_ = textio.CountByte('\n', chunks[w])
+			for _, name := range wantNames {
+				got, err := fs.Read(name)
+				want, _ := ref.Read(name)
+				if err != nil || got != want {
+					t.Errorf("builder %d: Read(%s) = %q, %v; want %q", w, name, got, err, want)
+				}
 			}
-			seqs[w] = seq
+			fs.Register("f000.txt", "overwritten\n")
+			fs.Register("private.txt", "mine\n")
+			fs.Remove("f001.txt")
+			fs.AddToDictionary("a-first.txt", "dict\n")
 		}(w)
 	}
 	wg.Wait()
-	want, err := fs.ReadSeq("shared.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, seq := range seqs {
-		if seq.Str() != want.Str() || seq.Len() != want.Len() {
-			t.Fatalf("worker %d saw a different index (%d lines vs %d)", w, seq.Len(), want.Len())
+
+	for _, fs := range []*FS{ref, NewFS()} {
+		if got := fs.Names(); !reflect.DeepEqual(got, wantNames) {
+			t.Errorf("Names() after other FSs mutated = %v, want %v", got, wantNames)
 		}
-	}
-	if got := strings.Join(want.Chunk(1), ""); got != content {
-		t.Fatalf("index round-trip = %q", got)
+		if got := fs.DictionaryNames(); !reflect.DeepEqual(got, wantDict) {
+			t.Errorf("DictionaryNames() after other FSs mutated = %v, want %v", got, wantDict)
+		}
+		if got, _ := fs.Read("f000.txt"); got == "overwritten\n" {
+			t.Error("Register on another FS leaked into this one")
+		}
 	}
 }
 
-// TestRegisterBytesAliases: RegisterBytes must not copy — Read returns a
-// view of the registered bytes.
-func TestRegisterBytesAliases(t *testing.T) {
-	fs := NewFS()
-	b := []byte("one\ntwo\n")
-	fs.RegisterBytes("b.txt", b)
-	got, err := fs.Read("b.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "one\ntwo\n" {
-		t.Fatalf("Read = %q", got)
+// TestNewFSAllocations pins the per-request cost of an environment: NewFS
+// clones the seed's map and name list and regenerates nothing (the parent
+// rebuilt all 57 synthetic files per call: 357 allocations).
+func TestNewFSAllocations(t *testing.T) {
+	NewFS() // build the seed outside the measurement
+	if got := testing.AllocsPerRun(100, func() { NewFS() }); got > 30 {
+		t.Errorf("NewFS allocates %.0f objects per call, want <= 30", got)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestRegisterMappingLifetime(t *testing.T) {
 	if seq.Str() != content {
 		t.Fatal("line index dangled after Remove")
 	}
-	if got := strings.Join(seq.Chunk(4), ""); got != content {
+	if got := strings.Join(textio.ChunkLines(view, 4), ""); got != content {
 		t.Fatal("chunk views dangled after Remove")
 	}
 

@@ -70,14 +70,10 @@ func (e *Env) RegisterFile(name, path string) error {
 // Read returns a registered file's contents.
 func (e *Env) Read(name string) (string, error) { return e.u.FS.Read(name) }
 
-// ReadSeq returns a registered file's shared line index (computed once
-// at ingest; see unix.FS.ReadSeq).
-func (e *Env) ReadSeq(name string) (textio.LineSeq, error) { return e.u.FS.ReadSeq(name) }
-
 // Unix exposes the underlying command environment for execution planes
 // outside this package (paired with Plan.PipelinePlans): kumquatd's
-// cluster coordinator hands it to the executor so stage 0 shards from the
-// shared ingest index.
+// cluster coordinator hands it to the executor, which reads the input
+// file from it.
 func (e *Env) Unix() *unix.Env { return e.u }
 
 // Close releases resources the environment owns — today, the memory
@@ -106,7 +102,7 @@ type CacheTier = cache.Tier
 const (
 	// TierMiss means a full synthesis ran.
 	TierMiss = cache.TierMiss
-	// TierMemory means the spec memo or in-memory LRU served the call.
+	// TierMemory means the in-memory LRU served the call.
 	TierMemory = cache.TierMemory
 	// TierDisk means the on-disk combiner store served the call.
 	TierDisk = cache.TierDisk
