@@ -1,8 +1,9 @@
 // Package hotalloc flags per-iteration allocation patterns inside loops
 // in designated hot-path packages: fmt.Sprintf calls, string<->[]byte
-// conversions, and string concatenation with +. The combine-plane
-// speedups pinned in BENCH_combine.json hold only while the data plane
-// stays allocation-lean, and ROADMAP item 3 (zero-copy []byte data plane)
+// conversions, and string concatenation with +. The repo benchmark's
+// `dsl.combine.*` timings and `unix.<cmd>.allocs_per_line` figures
+// (BENCHMARK.json) hold only while the data plane stays
+// allocation-lean, and ROADMAP item 3 (zero-copy []byte data plane)
 // will rebuild exactly these call sites — this analyzer keeps new ones
 // from creeping in ahead of that refactor.
 //

@@ -236,27 +236,30 @@ func TestMidPatternDollarCaret(t *testing.T) {
 	}
 }
 
+var compileErrorPatterns = []string{`\(`, `[abc`, `a\`, `[[:nope:]]`}
+
 func TestCompileErrors(t *testing.T) {
-	for _, bad := range []string{`\(`, `[abc`, `a\`, `[[:nope:]]`} {
+	for _, bad := range compileErrorPatterns {
 		if _, err := Compile(bad); err == nil {
 			t.Errorf("Compile(%q) should fail", bad)
 		}
 	}
 }
 
+var examplePatterns = []string{
+	"light.*light",
+	"^[^aeiou]*[aeiou][^aeiou]*$",
+	"[KQRBN]",
+	"T..:..:..",
+	`\(.\).*\1`,
+	"AT&T",
+	"^....$",
+	"Bell",
+}
+
 func TestExampleGeneratesMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	patterns := []string{
-		"light.*light",
-		"^[^aeiou]*[aeiou][^aeiou]*$",
-		"[KQRBN]",
-		"T..:..:..",
-		`\(.\).*\1`,
-		"AT&T",
-		"^....$",
-		"Bell",
-	}
-	for _, p := range patterns {
+	for _, p := range examplePatterns {
 		re := MustCompile(p)
 		for i := 0; i < 50; i++ {
 			ex := re.Example(rng)

@@ -25,7 +25,7 @@ import (
 func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kumquat.Env, plan *kumquat.Plan, stdin io.Reader, combineWorkers int, sink io.Writer, span *obs.Span, remoteTrace bool) {
 	// Cluster dispatch shards a materialized corpus, so drain stdin once
 	// up front (the status line is not committed yet: read failures can
-	// still answer 400 instead of hiding in a trailer). One reader serves
+	// still answer 400/413 instead of hiding in a trailer). One reader serves
 	// the whole script: standard input feeds the first stdin-reading
 	// pipeline; later ones see it already drained, as in the local
 	// executor.
@@ -34,7 +34,7 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, env *kum
 		b, err := io.ReadAll(stdin)
 		if err != nil {
 			s.endTrace(w, span, remoteTrace, nil)
-			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+			writeError(w, bodyErrStatus(err), "reading request body: %v", err)
 			return
 		}
 		body.Reset(b)

@@ -20,7 +20,7 @@ import (
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req SynthesizeRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
 	}
 	if strings.TrimSpace(req.Spec) == "" {
@@ -76,7 +76,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 	var req ParallelizeRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
 	}
 	if strings.TrimSpace(req.Script) == "" {
@@ -255,7 +255,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if inputs := plan.Inputs(); len(inputs) > 0 && inputs[0] != "" {
 		data, rerr := io.ReadAll(body)
 		if rerr != nil {
-			writeError(w, http.StatusBadRequest, "reading request body for input %q: %v", inputs[0], rerr)
+			writeError(w, bodyErrStatus(rerr), "reading request body for input %q: %v", inputs[0], rerr)
 			return
 		}
 		// data is owned here and never mutated: bind a view, not a copy.
@@ -400,6 +400,16 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 		return errors.New("trailing data after JSON body")
 	}
 	return nil
+}
+
+// bodyErrStatus is the status for a failed request-body read: 413 when
+// the body ran past the server's limit, 400 otherwise.
+func bodyErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // ensureTrailingNewline appends the newline the script grammar requires

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +187,37 @@ func TestExecuteBadScript(t *testing.T) {
 	_, err := c.Execute(context.Background(), "sort >", client.ExecuteOptions{}, nil, &out)
 	if err == nil || !strings.Contains(err.Error(), "redirect without target") {
 		t.Errorf("want redirect-without-target error, got %v", err)
+	}
+}
+
+// TestBodyLimit pins Config.MaxBodyBytes: a JSON body or a file-bound
+// execute body past the limit answers 413 (not a generic 400), and a
+// request inside the limit is still served.
+func TestBodyLimit(t *testing.T) {
+	srv := server.New(server.Config{MaxBodyBytes: 64})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	execute := ts.URL + "/v1/execute?" + url.Values{"script": {"cat book.txt | sort"}}.Encode()
+	for _, tc := range []struct {
+		name, url, ctype, body string
+		want                   int
+	}{
+		{"oversize JSON", ts.URL + "/v1/synthesize", "application/json",
+			`{"spec": "` + strings.Repeat(" ", 64) + `sort"}`, http.StatusRequestEntityTooLarge},
+		{"oversize file-bound body", execute, "text/plain",
+			strings.Repeat("line\n", 20), http.StatusRequestEntityTooLarge},
+		{"in-limit JSON", ts.URL + "/v1/synthesize", "application/json",
+			`{"spec": "sort"}`, http.StatusOK},
+		{"in-limit file-bound body", execute, "text/plain", "b\na\n", http.StatusOK},
+	} {
+		resp, err := http.Post(tc.url, tc.ctype, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 }
 

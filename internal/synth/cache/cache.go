@@ -225,12 +225,8 @@ func NewLRU(capacity int) *LRU {
 	return &LRU{cap: capacity, order: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
-// Get returns the value for key and marks it most recently used. A nil
-// LRU is a disabled tier: every Get misses and every Put is dropped.
+// Get returns the value for key and marks it most recently used.
 func (l *LRU) Get(key string) (any, bool) {
-	if l == nil {
-		return nil, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	el, ok := l.items[key]
@@ -244,9 +240,6 @@ func (l *LRU) Get(key string) (any, bool) {
 // Put inserts or refreshes key, evicting the least recently used entry
 // when the cache is full.
 func (l *LRU) Put(key string, v any) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if el, ok := l.items[key]; ok {

@@ -43,7 +43,7 @@ type Engine struct {
 	mu       sync.Mutex       // orders spec-text lookups against inflight
 	inflight map[string]*call // spec → in-progress synthesis (single-flight)
 	// lru maps both specKey(spec text) and the canonical signature to the
-	// one *Result; nil when Opts.CacheSize is negative.
+	// one *Result.
 	lru  *cache.LRU
 	disk *cache.Store // nil unless Opts.CacheDir is set
 }
@@ -69,16 +69,13 @@ func New(env *unix.Env, opts Options) *Engine {
 		env = unix.DefaultEnv()
 	}
 	opts = opts.withDefaults()
-	e := &Engine{Opts: opts, Env: env}
+	e := &Engine{Opts: opts, Env: env, lru: cache.NewLRU(opts.CacheSize)}
 	e.workers = opts.Workers
 	if e.workers == 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	if e.workers < 1 {
 		e.workers = 1
-	}
-	if opts.CacheSize >= 0 {
-		e.lru = cache.NewLRU(opts.CacheSize)
 	}
 	if opts.CacheDir != "" {
 		// Store errors degrade to a memory-only engine: the disk tier is

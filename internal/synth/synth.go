@@ -47,7 +47,7 @@ type Options struct {
 	Workers int
 	// CacheSize caps the in-memory combiner LRU in entries — a spec
 	// holds up to two, its exact text and its canonical signature
-	// (0 = cache.DefaultCapacity; negative disables in-memory caching).
+	// (0 = cache.DefaultCapacity).
 	CacheSize int
 	// CacheDir, when non-empty, enables the on-disk combiner store so
 	// synthesis results persist across processes.

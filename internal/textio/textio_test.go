@@ -253,32 +253,35 @@ func TestChunkLinesConcatInvariant(t *testing.T) {
 	}
 }
 
+// chunkLinesEdgeCases is the splitter's boundary table; it also seeds
+// FuzzChunkLines.
+var chunkLinesEdgeCases = []struct {
+	name string
+	s    string
+	k    int
+	want []string
+}{
+	{"empty", "", 4, []string{"", "", "", ""}},
+	{"empty k=1", "", 1, []string{""}},
+	{"no newline at all", "one line no terminator", 3, []string{"one line no terminator", "", ""}},
+	{"lone newline", "\n", 2, []string{"\n", ""}},
+	{"no trailing newline", "alpha\nbeta\ngamma", 3, []string{"alpha\n", "beta\ngamma", ""}},
+	{"unterminated tail stays whole", "a\nb\ntail", 2, []string{"a\nb\ntail", ""}},
+	{"unterminated tail after a cut", "a\nb\nc\nd\ntail", 2, []string{"a\nb\nc\nd\n", "tail"}},
+	{"fewer lines than k", "B\na\n", 5, []string{"B\n", "a\n", "", "", ""}},
+	{"k=1", "a\nb\n", 1, []string{"a\nb\n"}},
+	{"k=0", "a\nb\n", 0, []string{"a\nb\n"}},
+	{"k<0", "a\nb\n", -3, []string{"a\nb\n"}},
+	{"cut is the first boundary at or after the target", "a\nb\nc\nd\n", 2, []string{"a\nb\nc\n", "d\n"}},
+	{"one line spans several targets", "0123456789abcdef\nx\n", 4, []string{"0123456789abcdef\n", "x\n", "", ""}},
+	{"target lands inside the last line", "x\n0123456789abcdef\n", 4, []string{"x\n0123456789abcdef\n", "", "", ""}},
+}
+
 // TestChunkLinesEdges pins the splitter's boundary cases as literal
 // chunk lists: len(result) == max(k, 1), concatenation round-trips, every
 // cut sits just after a newline, and the chunks alias the input.
 func TestChunkLinesEdges(t *testing.T) {
-	cases := []struct {
-		name string
-		s    string
-		k    int
-		want []string
-	}{
-		{"empty", "", 4, []string{"", "", "", ""}},
-		{"empty k=1", "", 1, []string{""}},
-		{"no newline at all", "one line no terminator", 3, []string{"one line no terminator", "", ""}},
-		{"lone newline", "\n", 2, []string{"\n", ""}},
-		{"no trailing newline", "alpha\nbeta\ngamma", 3, []string{"alpha\n", "beta\ngamma", ""}},
-		{"unterminated tail stays whole", "a\nb\ntail", 2, []string{"a\nb\ntail", ""}},
-		{"unterminated tail after a cut", "a\nb\nc\nd\ntail", 2, []string{"a\nb\nc\nd\n", "tail"}},
-		{"fewer lines than k", "B\na\n", 5, []string{"B\n", "a\n", "", "", ""}},
-		{"k=1", "a\nb\n", 1, []string{"a\nb\n"}},
-		{"k=0", "a\nb\n", 0, []string{"a\nb\n"}},
-		{"k<0", "a\nb\n", -3, []string{"a\nb\n"}},
-		{"cut is the first boundary at or after the target", "a\nb\nc\nd\n", 2, []string{"a\nb\nc\n", "d\n"}},
-		{"one line spans several targets", "0123456789abcdef\nx\n", 4, []string{"0123456789abcdef\n", "x\n", "", ""}},
-		{"target lands inside the last line", "x\n0123456789abcdef\n", 4, []string{"x\n0123456789abcdef\n", "", "", ""}},
-	}
-	for _, c := range cases {
+	for _, c := range chunkLinesEdgeCases {
 		got := ChunkLines(c.s, c.k)
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: ChunkLines(%q, %d) = %q, want %q", c.name, c.s, c.k, got, c.want)

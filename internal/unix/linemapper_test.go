@@ -2,6 +2,7 @@ package unix_test
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -161,6 +162,39 @@ func TestRunAllocations(t *testing.T) {
 		})
 		if allocs > 40 {
 			t.Errorf("%q: Run allocated %.0f times over 2010 lines, want O(1)", spec, allocs)
+		}
+	}
+}
+
+// TestExecStreamingAllocations pins the reader/writer entry point the way
+// TestRunAllocations pins the chunk driver: each stage streamed through
+// unix.Exec stays under 2 heap allocations per input line — a regression
+// that reintroduces per-line heap traffic fails here.
+func TestExecStreamingAllocations(t *testing.T) {
+	const lines = 20000
+	var b strings.Builder
+	for i := 0; i < lines; i++ {
+		if i%3 == 0 {
+			b.WriteString("The Light shines; some light words, here\n")
+		} else {
+			b.WriteString("a dark and Stormy night of plain words\n")
+		}
+	}
+	in := b.String()
+	ctx := context.Background()
+	for _, spec := range []string{"cat", "tr A-Z a-z", "grep light", "cut -c 1-24",
+		"cut -d ' ' -f 1", `sed 's/light/dark/'`, "wc -w"} {
+		cmd, err := unix.Parse(spec, nil)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := unix.Exec(ctx, cmd, strings.NewReader(in), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perLine := allocs / lines; perLine > 2 {
+			t.Errorf("%q: Exec allocated %.3f times per line over %d lines, want <= 2", spec, perLine, lines)
 		}
 	}
 }

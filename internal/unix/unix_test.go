@@ -19,20 +19,21 @@ func run(t *testing.T, spec, input string) string {
 	return out
 }
 
+var tokenizeCases = []struct {
+	in   string
+	want []string
+}{
+	{`tr -cs A-Za-z '\n'`, []string{"tr", "-cs", "A-Za-z", `\n`}},
+	{`sed s/\$/'0s'/`, []string{"sed", "s/$/0s/"}},
+	{`awk "\$1 >= 1000"`, []string{"awk", "$1 >= 1000"}},
+	{`cut -d ',' -f 3,1`, []string{"cut", "-d", ",", "-f", "3,1"}},
+	{`grep '\(.\).*\1'`, []string{"grep", `\(.\).*\1`}},
+	{`awk -v OFS="\t" "{print \$2,\$1}"`, []string{"awk", "-v", `OFS=\t`, "{print $2,$1}"}},
+	{`sed "s;^;pg/;"`, []string{"sed", "s;^;pg/;"}},
+}
+
 func TestTokenize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{`tr -cs A-Za-z '\n'`, []string{"tr", "-cs", "A-Za-z", `\n`}},
-		{`sed s/\$/'0s'/`, []string{"sed", "s/$/0s/"}},
-		{`awk "\$1 >= 1000"`, []string{"awk", "$1 >= 1000"}},
-		{`cut -d ',' -f 3,1`, []string{"cut", "-d", ",", "-f", "3,1"}},
-		{`grep '\(.\).*\1'`, []string{"grep", `\(.\).*\1`}},
-		{`awk -v OFS="\t" "{print \$2,\$1}"`, []string{"awk", "-v", `OFS=\t`, "{print $2,$1}"}},
-		{`sed "s;^;pg/;"`, []string{"sed", "s;^;pg/;"}},
-	}
-	for _, c := range cases {
+	for _, c := range tokenizeCases {
 		got, err := Tokenize(c.in)
 		if err != nil {
 			t.Errorf("Tokenize(%q): %v", c.in, err)
@@ -50,8 +51,10 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+var tokenizeErrorCases = []string{"'unterminated", `"open`, `trailing\`}
+
 func TestTokenizeErrors(t *testing.T) {
-	for _, bad := range []string{"'unterminated", `"open`, `trailing\`} {
+	for _, bad := range tokenizeErrorCases {
 		if _, err := Tokenize(bad); err == nil {
 			t.Errorf("Tokenize(%q) should fail", bad)
 		}
