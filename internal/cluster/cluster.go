@@ -1,12 +1,13 @@
 // Package cluster is kumquatd's fault-tolerant cluster execution plane:
-// a coordinator that splits a pipeline's input corpus into line-aligned
-// byte-range shards (the textio offsets core), fans the shards out to
-// worker daemons over the typed client (each worker executes one stage
-// spec on one shard — a remote leaf of the combine tree), and recombines
-// the partial results with the same Associative/CombineKTree machinery
-// the in-process combine plane uses. The output is byte-identical to the
-// local unoptimized u_k execution, which the conformance plane holds to
-// the serial oracle.
+// a leaf runner for the one executor. Coordinator.Execute is
+// kumquat.Plan.Execute — the same script-run loop, walker, line-aligned
+// splitter (textio.ChunkLines) and Associative/CombineKTree combine plane
+// as a local Unoptimized run at k = Shards — with one difference: a
+// parallel stage's chunk fan-out goes to worker daemons over the typed
+// client (each worker executes one stage spec on one shard — a remote
+// leaf of the combine tree). The output and the RunReport are therefore
+// those of the local u_k execution, which the conformance plane holds to
+// the serial oracle; what this package adds is dispatch.
 //
 // Failure handling is the design axis, not a bolt-on. Shards are
 // idempotent — a shard's output is a pure function of (stage spec, shard
@@ -30,12 +31,13 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"strings"
 	"time"
 
+	"kumquat"
 	"kumquat/internal/pipeline"
+	"kumquat/internal/server/api"
 	"kumquat/internal/unix"
 )
 
@@ -149,9 +151,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator owns the worker pool and executes compiled pipeline plans
-// across it. It is safe for concurrent use; cumulative counters feed
-// /metrics while each ExecutePlan call gets its own Stats.
+// Coordinator owns the worker pool and executes compiled plans across
+// it. It is safe for concurrent use; cumulative counters feed /metrics
+// while each Execute call gets its own Stats.
 type Coordinator struct {
 	cfg  Config
 	pool *pool
@@ -172,42 +174,31 @@ func (co *Coordinator) Workers() []string {
 	return out
 }
 
-// Healthy reports how many workers are currently in the rotation.
-func (co *Coordinator) Healthy() int { return co.pool.healthy() }
-
 // Shards reports the per-stage shard count dispatch splits into.
 func (co *Coordinator) Shards() int { return co.cfg.Shards }
 
 // TotalStats snapshots the coordinator's cumulative dispatch counters
 // (every run since construction) for the /metrics surface.
-func (co *Coordinator) TotalStats() StatsSnapshot { return co.total.Snapshot() }
+func (co *Coordinator) TotalStats() api.ClusterReport { return co.report(co.total) }
 
-// StageStat is one stage's execution accounting from a cluster run.
-type StageStat struct {
-	// Spec is the stage's command text.
-	Spec string
-	// Remote marks stages whose shards were dispatched to workers (false
-	// = the stage ran on the coordinator: sequential, non-parallel, or
-	// non-dispatchable specs).
-	Remote bool
-	// Shards is the number of shards the stage's input split into (0
-	// when the stage ran unsharded).
-	Shards int
-	// Wall is the stage's wall-clock time, CombineWall the share spent
-	// recombining shard outputs.
-	Wall, CombineWall time.Duration
-	// BytesIn and BytesOut measure the stage's stream volume.
-	BytesIn, BytesOut int64
+// report snapshots st as the wire report, stamped with the pool's size
+// and current health.
+func (co *Coordinator) report(st *Stats) api.ClusterReport {
+	cr := st.Snapshot()
+	cr.Workers, cr.Healthy = len(co.cfg.Workers), co.pool.healthy()
+	return cr
 }
 
-// ExecutePlan runs one compiled pipeline over the cluster. It is
-// Plan.Execute walking the Unoptimized program at k = Shards — stage
-// boundaries are barriers, stdin is drained, an input file is read from
-// env — with the coordinator as the leaf runner: a dispatchable parallel
-// stage's shards go to the workers, every other fan-out is handed back to
-// the in-process runner. The output streams to out; the per-stage
-// accounting and the run's dispatch stats return.
-func (co *Coordinator) ExecutePlan(ctx context.Context, env *unix.Env, plan *pipeline.Plan, stdin io.Reader, out io.Writer, combineWorkers int) ([]StageStat, *Stats, error) {
+// Execute runs a compiled script over the cluster. It is plan.Execute —
+// the one script-run loop: redirects, byte totals, the RunReport — with
+// three things pinned after the caller's opts: the Unoptimized program
+// (stage boundaries are barriers, stdin is drained), k = Shards, and the
+// coordinator as the leaf runner, so a dispatchable parallel stage's
+// shards go to the workers and every other fan-out is handed back to the
+// in-process runner. Remote partials combine on the sequential tree unless
+// opts ask for more: the coordinator's CPUs are not the cluster's. The
+// ClusterReport is this run's dispatch accounting, returned on error too.
+func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...kumquat.ExecOption) (*kumquat.RunReport, api.ClusterReport, error) {
 	st := &Stats{}
 	leaves := func(local pipeline.Leaves) pipeline.Leaves {
 		return func(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error) {
@@ -217,27 +208,14 @@ func (co *Coordinator) ExecutePlan(ctx context.Context, env *unix.Env, plan *pip
 			return co.runShards(ctx, cmd, chunks, st)
 		}
 	}
-	// Remote partials combine on the sequential tree unless the request
-	// asked for more: the coordinator's CPUs are not the cluster's.
-	ms, err := plan.Execute(ctx, env, stdin, out, pipeline.ModeUnoptimized, co.cfg.Shards,
-		pipeline.WithLeaves(leaves), pipeline.WithCombineWorkers(max(1, combineWorkers)))
-	if err != nil {
-		return nil, st, err
-	}
+	all := append([]kumquat.ExecOption{kumquat.WithCombineWorkers(1)}, opts...)
+	all = append(all,
+		kumquat.WithMode(kumquat.Unoptimized),
+		kumquat.WithParallelism(co.cfg.Shards),
+		kumquat.WithLeaves(leaves))
+	rep, err := plan.Execute(ctx, all...)
 	co.total.AddAll(st)
-	stages := make([]StageStat, len(ms))
-	for i, m := range ms {
-		stages[i] = StageStat{
-			Spec:        m.Spec,
-			Remote:      m.Chunks > 0 && co.dispatchable(plan.Stages[i].Cmd),
-			Shards:      m.Chunks,
-			Wall:        m.Wall,
-			CombineWall: m.CombineWall,
-			BytesIn:     m.BytesIn,
-			BytesOut:    m.BytesOut,
-		}
-	}
-	return stages, st, nil
+	return rep, co.report(st), err
 }
 
 // dispatchable reports whether a parallel stage's shards may run

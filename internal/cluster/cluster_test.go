@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"kumquat"
-	"kumquat/internal/pipeline"
+	"kumquat/internal/server/api"
 	"kumquat/internal/unix"
 )
 
@@ -63,14 +63,14 @@ func (f *fakeRunner) callCount() int {
 	return f.calls
 }
 
-// compilePlan builds one compiled pipeline plan through the real
-// synthesis engine (cached across tests via the shared system).
+// compilePlan builds one compiled plan through the real synthesis engine
+// (cached across tests via the shared system).
 var (
 	testSysOnce sync.Once
 	testSys     *kumquat.System
 )
 
-func compilePlan(t *testing.T, script string) *pipeline.Plan {
+func compilePlan(t *testing.T, script string) *kumquat.Plan {
 	t.Helper()
 	testSysOnce.Do(func() {
 		testSys = kumquat.New(kumquat.NewEnv())
@@ -79,27 +79,32 @@ func compilePlan(t *testing.T, script string) *pipeline.Plan {
 	if err != nil {
 		t.Fatalf("parallelize %q: %v", script, err)
 	}
-	return plan.PipelinePlans()[0]
+	return plan
 }
 
-// executePlan runs ExecutePlan over an in-memory corpus on stdin and
-// returns the collected output stream.
-func executePlan(ctx context.Context, co *Coordinator, plan *pipeline.Plan, corpus string) (string, []StageStat, *Stats, error) {
-	var out strings.Builder
-	stages, st, err := co.ExecutePlan(ctx, unix.DefaultEnv(), plan, strings.NewReader(corpus), &out, 0)
-	return out.String(), stages, st, err
+// executePlan runs Coordinator.Execute over an in-memory corpus on stdin
+// and returns the collected output stream, the per-stage reports and the
+// run's dispatch accounting.
+func executePlan(ctx context.Context, co *Coordinator, plan *kumquat.Plan, corpus string) (string, []kumquat.StageReport, api.ClusterReport, error) {
+	rep, cr, err := co.Execute(ctx, plan, kumquat.WithStdin(strings.NewReader(corpus)))
+	if err != nil {
+		return "", nil, cr, err
+	}
+	return rep.Output, rep.Stages, cr, nil
 }
 
 // serialRun computes the oracle: every stage to completion, in order.
-func serialRun(t *testing.T, plan *pipeline.Plan, corpus string) string {
+func serialRun(t *testing.T, plan *kumquat.Plan, corpus string) string {
 	t.Helper()
 	data := corpus
-	for _, sp := range plan.Stages {
-		out, err := sp.Cmd.Run(data)
+	for _, st := range plan.Stages() {
+		cmd, err := unix.Parse(st.Spec, unix.DefaultEnv())
 		if err != nil {
-			t.Fatalf("serial stage %q: %v", sp.Spec, err)
+			t.Fatalf("serial stage %q: %v", st.Spec, err)
 		}
-		data = out
+		if data, err = cmd.Run(data); err != nil {
+			t.Fatalf("serial stage %q: %v", st.Spec, err)
+		}
 	}
 	return data
 }
@@ -123,38 +128,40 @@ func testConfig(runners map[string]*fakeRunner, addrs ...string) Config {
 
 const testCorpus = "pear\napple\npear\nfig\napple\npear\nkiwi\nfig\n"
 
-// TestExecutePlanMatchesSerial: healthy cluster, parallel stages shard
+// TestExecuteMatchesSerial: healthy cluster, parallel stages shard
 // to the workers and the combined output is byte-identical to the
 // serial run.
-func TestExecutePlanMatchesSerial(t *testing.T) {
+func TestExecuteMatchesSerial(t *testing.T) {
 	runners := map[string]*fakeRunner{
 		"a": {addr: "a"}, "b": {addr: "b"}, "c": {addr: "c"},
 	}
 	co := New(testConfig(runners, "a", "b", "c"))
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, stages, st, err := executePlan(context.Background(), co, plan, testCorpus)
+	out, stages, snap, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, testCorpus); out != want {
 		t.Fatalf("cluster output diverges:\n%q\nwant\n%q", out, want)
 	}
-	snap := st.Snapshot()
 	if snap.RemoteRuns == 0 || snap.LocalRuns != 0 {
 		t.Fatalf("healthy cluster ran remote=%d local=%d", snap.RemoteRuns, snap.LocalRuns)
 	}
-	remote := 0
+	sharded := 0
 	for _, sg := range stages {
-		if sg.Remote {
-			remote++
-			if sg.Shards != 3 {
-				t.Fatalf("stage %q sharded %d ways, want 3", sg.Spec, sg.Shards)
+		if sg.Parallel {
+			sharded++
+			if sg.Chunks != 3 {
+				t.Fatalf("stage %q sharded %d ways, want 3", sg.Spec, sg.Chunks)
 			}
 		}
 	}
-	if remote == 0 {
-		t.Fatal("no stage was dispatched remotely")
+	if sharded == 0 {
+		t.Fatal("no stage was sharded")
+	}
+	if snap.Workers != 3 || snap.Healthy != 3 {
+		t.Fatalf("worker accounting wrong: %+v", snap)
 	}
 }
 
@@ -170,14 +177,13 @@ func TestRetryFailover(t *testing.T) {
 	co := New(testConfig(runners, "bad", "good"))
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
+	out, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, testCorpus); out != want {
 		t.Fatalf("failover output diverges: %q != %q", out, want)
 	}
-	snap := st.Snapshot()
 	if snap.Retries == 0 {
 		t.Fatal("failing worker produced no retries")
 	}
@@ -204,14 +210,13 @@ func TestLocalFallback(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
+	out, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, testCorpus); out != want {
 		t.Fatalf("fallback output diverges:\n%q\nwant\n%q", out, want)
 	}
-	snap := st.Snapshot()
 	if snap.LocalRuns == 0 {
 		t.Fatal("dead cluster produced no local runs")
 	}
@@ -221,8 +226,8 @@ func TestLocalFallback(t *testing.T) {
 	if snap.Ejections == 0 {
 		t.Fatal("dead workers were never ejected")
 	}
-	if co.Healthy() != 0 {
-		t.Fatalf("Healthy() = %d with every worker dead", co.Healthy())
+	if snap.Healthy != 0 {
+		t.Fatalf("Healthy = %d with every worker dead", snap.Healthy)
 	}
 }
 
@@ -240,14 +245,13 @@ func TestSpeculationWins(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
+	out, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, testCorpus); out != want {
 		t.Fatalf("speculated output diverges: %q != %q", out, want)
 	}
-	snap := st.Snapshot()
 	if snap.Speculations == 0 {
 		t.Fatal("stalled shard never speculated")
 	}
@@ -280,14 +284,13 @@ func TestEjectionReadmission(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := executePlan(context.Background(), co, plan, testCorpus)
+	out, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, testCorpus); out != want {
 		t.Fatalf("readmission output diverges: %q != %q", out, want)
 	}
-	snap := st.Snapshot()
 	if snap.Ejections == 0 || snap.Readmissions == 0 {
 		t.Fatalf("eject/readmit cycle not observed: %+v", snap)
 	}
@@ -309,17 +312,18 @@ func TestDispatchGuards(t *testing.T) {
 	if scriptRoundTrips("cat data.txt") {
 		t.Fatal("cat FILE must not round-trip as a dispatchable stage")
 	}
-	plan := compilePlan(t, "sort | uniq -c")
-	for _, sp := range plan.Stages {
-		if sp.Parallel && sp.Synth != nil && sp.Synth.Combiner != nil && !co.dispatchable(sp.Cmd) {
-			t.Fatalf("parallel stage %q unexpectedly not dispatchable", sp.Spec)
-		}
-	}
 	one := New(Config{Workers: []string{"a"}, Shards: 1,
 		NewRunner: func(addr string) Runner { return runners["a"] }})
-	for _, sp := range plan.Stages {
-		if one.dispatchable(sp.Cmd) {
-			t.Fatalf("stage %q dispatchable with a single shard", sp.Spec)
+	for _, spec := range []string{"sort", "uniq -c"} {
+		cmd, err := unix.Parse(spec, unix.DefaultEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !co.dispatchable(cmd) {
+			t.Fatalf("parallel stage %q unexpectedly not dispatchable", spec)
+		}
+		if one.dispatchable(cmd) {
+			t.Fatalf("stage %q dispatchable with a single shard", spec)
 		}
 	}
 }
@@ -336,14 +340,14 @@ func TestEmptyShardsStillRun(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "wc -l")
 	corpus := "x\ny\n"
-	out, _, st, err := executePlan(context.Background(), co, plan, corpus)
+	out, _, snap, err := executePlan(context.Background(), co, plan, corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialRun(t, plan, corpus); out != want {
 		t.Fatalf("padded-shard output = %q, want %q", out, want)
 	}
-	if got := st.Snapshot().Shards; got != 4 {
+	if got := snap.Shards; got != 4 {
 		t.Fatalf("dispatched %d shards, want 4 (empty shards must run)", got)
 	}
 }

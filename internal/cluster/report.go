@@ -1,9 +1,13 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"kumquat/internal/server/api"
+)
 
 // Stats counts the failure-handling work of cluster dispatch. The
-// coordinator keeps one per ExecutePlan call (surfaced in the execute
+// coordinator keeps one per Execute call (surfaced in the execute
 // trailer's ClusterReport) and one cumulative instance (surfaced as
 // /metrics gauges). All fields are atomics: dispatch goroutines update
 // them concurrently.
@@ -27,21 +31,10 @@ type Stats struct {
 	Readmissions atomic.Int64
 }
 
-// StatsSnapshot is a plain-integer copy of a Stats, safe to serialize.
-type StatsSnapshot struct {
-	Shards          int64
-	RemoteRuns      int64
-	LocalRuns       int64
-	Retries         int64
-	Speculations    int64
-	SpeculationWins int64
-	Ejections       int64
-	Readmissions    int64
-}
-
-// Snapshot reads every counter once.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
+// Snapshot reads every counter once into the wire report (Workers and
+// Healthy are the coordinator's to stamp).
+func (s *Stats) Snapshot() api.ClusterReport {
+	return api.ClusterReport{
 		Shards:          s.Shards.Load(),
 		RemoteRuns:      s.RemoteRuns.Load(),
 		LocalRuns:       s.LocalRuns.Load(),

@@ -9,7 +9,7 @@ import (
 	"kumquat/internal/obs"
 )
 
-// tracedExecute runs ExecutePlan under a root span and returns the
+// tracedExecute runs Coordinator.Execute under a root span and returns the
 // recorded trace, so tests can assert on the dispatch events the
 // cluster plane annotates its shard spans with.
 func tracedExecute(t *testing.T, co *Coordinator, script, corpus string) *obs.TraceData {

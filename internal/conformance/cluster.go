@@ -137,8 +137,8 @@ func (n *node) kill() {
 // hard-killed; at 80% the remaining workers follow, forcing the
 // coordinator into local fallback for the tail of the suite. oracles
 // optionally carries precomputed serial outcomes, index-aligned with
-// cases (missing entries are computed through sys).
-func ReplayCluster(ctx context.Context, sys *kumquat.System, cases []*Case, opts ClusterOptions, oracles []oracleResult) (*ChaosReport, error) {
+// cases (missing entries are computed here).
+func ReplayCluster(ctx context.Context, cases []*Case, opts ClusterOptions, oracles []oracleResult) (*ChaosReport, error) {
 	const workers = 3
 	var serving sync.WaitGroup
 	defer serving.Wait()
@@ -238,11 +238,7 @@ func ReplayCluster(ctx context.Context, sys *kumquat.System, cases []*Case, opts
 		if i < len(oracles) {
 			oracle = oracles[i]
 		} else {
-			plan, perr := compileCase(ctx, sys, cs)
-			if perr != nil {
-				return nil, fmt.Errorf("conformance: cluster oracle compile: %w", perr)
-			}
-			oracle.out, oracle.err = reference(plan, cs)
+			oracle.out, oracle.err = reference(cs)
 		}
 
 		// Every case runs traced: tracing rides the same requests the

@@ -3,8 +3,6 @@ package conformance
 import (
 	"context"
 	"testing"
-
-	"kumquat"
 )
 
 // TestReplayClusterHandcrafted drives handcrafted cases through the full
@@ -15,7 +13,6 @@ func TestReplayClusterHandcrafted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos topology boot is too heavy for -short")
 	}
-	sys := kumquat.New(kumquat.NewEnv())
 	cases := []*Case{
 		{Script: "sort | uniq -c | sort -rn\n", Corpus: "b\na\nb\nc\na\nb\n", Profile: "hand"},
 		{Script: "grep -c a\n", Corpus: "apple\nfig\npear\nbanana\n", Profile: "hand"},
@@ -23,7 +20,7 @@ func TestReplayClusterHandcrafted(t *testing.T) {
 		{Script: "wc -l\n", Corpus: "", Profile: "hand-empty"},
 		{Script: "sort -u\n", Corpus: "c\na\nc\nb\na\n", Profile: "hand"},
 	}
-	rep, err := ReplayCluster(context.Background(), sys, cases, ClusterOptions{Seed: 7}, nil)
+	rep, err := ReplayCluster(context.Background(), cases, ClusterOptions{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		rep.Serve = sr
 	}
 	if opts.Cluster {
-		cr, err := ReplayCluster(ctx, sys, cases,
+		cr, err := ReplayCluster(ctx, cases,
 			ClusterOptions{Seed: opts.Seed, SynthWorkers: opts.SynthWorkers}, oracles)
 		if err != nil {
 			return nil, err

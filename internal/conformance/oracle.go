@@ -7,6 +7,8 @@ import (
 	"strings"
 
 	"kumquat"
+	"kumquat/internal/pipeline"
+	"kumquat/internal/unix"
 )
 
 // Config is one execution configuration of the differential sweep: an
@@ -72,16 +74,25 @@ func Configs() []Config {
 	return out
 }
 
-// reference is the oracle every configuration is diffed against: each
-// stage's command run to completion over the previous stage's output, in
-// order — no Program, no worker pool, no executor. It is deliberately a
-// second path: the region walker runs every mode, Serial included, and
-// must not be its own reference.
-func reference(plan *kumquat.Plan, c *Case) (string, error) {
+// reference is the oracle every configuration is diffed against: the
+// case's script parsed here, each stage's command run to completion over
+// the previous stage's output, in order — no planner, no Program, no
+// worker pool, no executor. It is deliberately a second path: the region
+// walker runs every mode, Serial included, and must not be its own
+// reference.
+func reference(c *Case) (string, error) {
+	script, err := pipeline.ParseScript(c.Script, nil)
+	if err != nil {
+		return "", err
+	}
+	env := unix.DefaultEnv()
 	data := c.Corpus
-	for _, sp := range plan.PipelinePlans()[0].Stages {
-		var err error
-		if data, err = sp.Cmd.Run(data); err != nil {
+	for _, spec := range script.Pipelines[0].Stages {
+		cmd, err := unix.Parse(spec, env)
+		if err != nil {
+			return "", err
+		}
+		if data, err = cmd.Run(data); err != nil {
 			return "", err
 		}
 	}
@@ -130,7 +141,7 @@ func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config
 	if err != nil {
 		return nil, 0, oracleResult{}, nil, err
 	}
-	want, wantErr := reference(plan, c)
+	want, wantErr := reference(c)
 	oracle := oracleResult{out: want, err: wantErr}
 	execs := 1
 	var divs []Divergence

@@ -79,29 +79,11 @@ func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts R
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// The local plan is needed only to (re)compute a missing oracle
-		// and to cross-check a not-yet-seen script; with precomputed
-		// oracles, repeated scripts skip compilation entirely.
-		var plan *kumquat.Plan
-		getPlan := func() (*kumquat.Plan, error) {
-			if plan != nil {
-				return plan, nil
-			}
-			var err error
-			if plan, err = compileCase(ctx, sys, cs); err != nil {
-				return nil, fmt.Errorf("conformance: serve oracle compile: %w", err)
-			}
-			return plan, nil
-		}
 		var oracle oracleResult
 		if i < len(oracles) {
 			oracle = oracles[i]
 		} else {
-			p, err := getPlan()
-			if err != nil {
-				return nil, err
-			}
-			oracle.out, oracle.err = reference(p, cs)
+			oracle.out, oracle.err = reference(cs)
 		}
 
 		var out strings.Builder
@@ -126,9 +108,11 @@ func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts R
 			})
 			continue
 		}
-		localPlan, err := getPlan()
+		// The local plan only cross-checks a not-yet-seen script's counts;
+		// repeated scripts skip compilation entirely.
+		localPlan, err := compileCase(ctx, sys, cs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("conformance: serve plan compile: %w", err)
 		}
 		rep.PlansChecked++
 		par, total, elim := localPlan.Counts()

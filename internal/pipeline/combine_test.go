@@ -28,13 +28,13 @@ func TestCombineWorkersIdenticalOutput(t *testing.T) {
 			t.Fatalf("workers=%d: output diverged:\n%q\nvs\n%q", workers, out.String(), want)
 		}
 		sawCombine := false
-		for _, m := range ms {
+		for i, m := range ms {
 			if m.Chunks > 1 && m.CombineWall > 0 {
 				sawCombine = true
 			}
 			if m.Chunks <= 1 && m.CombineWall != 0 {
 				t.Errorf("workers=%d: unchunked stage %q has CombineWall %v",
-					workers, m.Spec, m.CombineWall)
+					workers, plan.Stages[i].Spec, m.CombineWall)
 			}
 		}
 		if !sawCombine {

@@ -48,7 +48,6 @@ func (m Mode) String() string {
 // StageMetrics records one stage's execution measurements for the run
 // report: wall time, stream volume, and how the stage actually ran.
 type StageMetrics struct {
-	Spec     string
 	Wall     time.Duration
 	BytesIn  int64
 	BytesOut int64

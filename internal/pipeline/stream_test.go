@@ -152,9 +152,9 @@ func TestOptimizedStreamsLineMapperPipeline(t *testing.T) {
 		if w.bytes.Load() != 6*gen.total { // "light" + "\n" per line
 			t.Errorf("%v: wrote %d bytes, want %d", mode, w.bytes.Load(), 6*gen.total)
 		}
-		for _, m := range ms {
+		for i, m := range ms {
 			if !m.Streamed {
-				t.Errorf("%v: stage %q did not stream", mode, m.Spec)
+				t.Errorf("%v: stage %q did not stream", mode, plan.Stages[i].Spec)
 			}
 		}
 	}
@@ -372,9 +372,9 @@ func TestExecuteMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range ms {
+	for i, m := range ms {
 		if m.Streamed {
-			t.Errorf("unoptimized mode streamed stage %q", m.Spec)
+			t.Errorf("unoptimized mode streamed stage %q", plan.Stages[i].Spec)
 		}
 	}
 }

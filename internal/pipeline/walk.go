@@ -25,8 +25,9 @@ type Leaves func(ctx context.Context, cmd unix.Command, chunks []string) ([]stri
 // wrap(local), where local is the executor's pooled in-process runner —
 // so an implementation can dispatch some regions elsewhere and hand the
 // rest back. It is an internal seam for execution planes inside this
-// module (cluster.Coordinator), deliberately not plumbed to the CLI, the
-// HTTP API or the kumquat package's options.
+// module (cluster.Coordinator): kumquat.Plan.Execute forwards it as
+// kumquat.WithLeaves, whose parameter type cannot be named outside the
+// module, and it is deliberately not plumbed to the CLI or the HTTP API.
 func WithLeaves(wrap func(local Leaves) Leaves) ExecOpt {
 	return func(c *execConfig) { c.leaves = wrap }
 }
@@ -211,9 +212,6 @@ func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out i
 	err := lr.finish(ex.walkRegions(ctx, lr, p, stdin, out, rms))
 
 	metrics := make([]StageMetrics, len(p.Stages))
-	for i, sp := range p.Stages {
-		metrics[i].Spec = sp.Spec
-	}
 	for ri, r := range regions {
 		attribute(metrics, r, &rms[ri])
 	}

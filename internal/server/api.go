@@ -20,9 +20,6 @@ type SynthesizeResponse = api.SynthesizeResponse
 // ParallelizeRequest is the POST /v1/parallelize body.
 type ParallelizeRequest = api.ParallelizeRequest
 
-// StageVerdict is one stage's planning outcome.
-type StageVerdict = api.StageVerdict
-
 // ParallelizeResponse is the POST /v1/parallelize reply.
 type ParallelizeResponse = api.ParallelizeResponse
 

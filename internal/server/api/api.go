@@ -59,17 +59,9 @@ type ParallelizeRequest struct {
 	Files map[string]string `json:"files,omitempty"`
 }
 
-// StageVerdict is one stage's planning outcome.
-type StageVerdict struct {
-	Spec     string `json:"spec"`
-	Combiner string `json:"combiner,omitempty"`
-	// Parallel stages run k instances and recombine; Sequential marks
-	// rerun-only stages the planner keeps serial; Eliminated marks
-	// parallel stages whose combiner Theorem 5 removed.
-	Parallel   bool `json:"parallel"`
-	Sequential bool `json:"sequential"`
-	Eliminated bool `json:"eliminated"`
-}
+// StageVerdict is one stage's planning outcome: the planner's own
+// verdict struct, which carries the wire's JSON tags.
+type StageVerdict = kumquat.StageInfo
 
 // ParallelizeResponse is the POST /v1/parallelize reply: the plan
 // summary (the paper's Table 3 row for the script).

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,57 @@ func TestClusterVersionAndMetrics(t *testing.T) {
 	for _, g := range []string{"kumquatd_cluster_workers 3", "kumquatd_cluster_healthy 3", "kumquatd_cluster_shards"} {
 		if !strings.Contains(metrics, g) {
 			t.Fatalf("metrics missing %q:\n%s", g, metrics)
+		}
+	}
+}
+
+// TestClusterReportMatchesLocal: a cluster run is the one script-run loop
+// with remote leaves, so its output and its report must be those of the
+// same loop run locally over the same program (Unoptimized, k = shards) —
+// for a single pipeline and for a script whose redirect a later pipeline
+// consumes. Only what a clock, the dispatch plane or request order decide
+// is normalized away: walls, mode, the cluster block, cache warmth.
+func TestClusterReportMatchesLocal(t *testing.T) {
+	c, _ := bootCluster(t, 3)
+	input := strings.Repeat("pear\napple\npear\nfig\nkiwi\napple\n", 40)
+	normalize := func(rep *server.ExecuteReport) {
+		rep.Mode, rep.Cluster, rep.WallMS = "", nil, 0
+		rep.SynthCache = kumquat.SynthCacheStats{}
+		for i := range rep.Stages {
+			rep.Stages[i].WallMS, rep.Stages[i].CombineWallMS = 0, 0
+		}
+	}
+	for _, script := range []string{
+		"sort | uniq -c",
+		"sort > tmp.txt\ncat tmp.txt | uniq -c",
+		// tr's combiner is eliminated: a cluster run reports the planner's
+		// verdict, like every other mode.
+		"tr A-Z a-z | sort",
+	} {
+		var cout, lout strings.Builder
+		crep, err := c.Execute(context.Background(), script,
+			client.ExecuteOptions{Cluster: "on"}, strings.NewReader(input), &cout)
+		if err != nil {
+			t.Fatalf("%q cluster: %v", script, err)
+		}
+		lrep, err := c.Execute(context.Background(), script,
+			client.ExecuteOptions{Cluster: "off", Mode: "unoptimized", K: 3}, strings.NewReader(input), &lout)
+		if err != nil {
+			t.Fatalf("%q local: %v", script, err)
+		}
+		if cout.String() != lout.String() {
+			t.Fatalf("%q: cluster output diverges from local:\n%q\nvs\n%q", script, cout.String(), lout.String())
+		}
+		if crep.Mode != "cluster" || crep.Parallelism != 3 || crep.Cluster == nil || crep.Cluster.RemoteRuns == 0 {
+			t.Fatalf("%q: cluster report lost its stamp: %+v", script, crep)
+		}
+		if crep.BytesIn == 0 || crep.BytesOut != int64(cout.Len()) {
+			t.Fatalf("%q: byte totals %d in / %d out for %d output bytes", script, crep.BytesIn, crep.BytesOut, cout.Len())
+		}
+		normalize(crep)
+		normalize(lrep)
+		if !reflect.DeepEqual(crep, lrep) {
+			t.Errorf("%q: reports differ\ncluster %+v\nlocal   %+v", script, crep, lrep)
 		}
 	}
 }

@@ -108,17 +108,9 @@ func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 		Parallelized: par,
 		Total:        total,
 		Eliminated:   elim,
+		Stages:       plan.Stages(),
 		SynthCache:   plan.SynthCache(),
 		DurationMS:   ms(time.Since(start)),
-	}
-	for _, st := range plan.Stages() {
-		resp.Stages = append(resp.Stages, StageVerdict{
-			Spec:       st.Spec,
-			Combiner:   st.Combiner,
-			Parallel:   st.Parallel,
-			Sequential: st.Sequential,
-			Eliminated: st.Eliminated,
-		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -229,6 +221,11 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			rec.traceID = span.SpanContext().TraceID.String()
 		}
 	}
+	// The one exit: whichever path returns, the trace root ends (tagged
+	// with failure, if any) and a finished run's report goes out.
+	var rep *ExecuteReport
+	var failure error
+	defer func() { finishExecute(w, span, remoteTrace, rep, failure) }()
 
 	body := io.Reader(r.Body)
 	if s.cfg.MaxBodyBytes > 0 {
@@ -238,6 +235,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	env := kumquat.NewEnv()
 	plan, err := s.sys.ParallelizeInEnv(r.Context(), env, ensureTrailingNewline(script))
 	if err != nil {
+		failure = err
 		status := http.StatusBadRequest
 		if r.Context().Err() != nil {
 			status = http.StatusServiceUnavailable
@@ -255,6 +253,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if inputs := plan.Inputs(); len(inputs) > 0 && inputs[0] != "" {
 		data, rerr := io.ReadAll(body)
 		if rerr != nil {
+			failure = rerr
 			writeError(w, bodyErrStatus(rerr), "reading request body for input %q: %v", inputs[0], rerr)
 			return
 		}
@@ -270,58 +269,64 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Trailer", trailers)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	fw := &flushWriter{w: w}
+	opts := []kumquat.ExecOption{
+		kumquat.WithCombineWorkers(combineWorkers),
+		kumquat.WithOutput(&flushWriter{w: w}),
+	}
 	if useCluster {
-		s.executeCluster(w, r, env, plan, stdin, combineWorkers, fw, span, remoteTrace)
+		rep, failure = s.executeCluster(w, r, plan, stdin, opts...)
 		return
 	}
-	rep, err := plan.Execute(r.Context(),
+	run, err := plan.Execute(r.Context(), append(opts,
 		kumquat.WithParallelism(k),
 		kumquat.WithMode(mode),
 		kumquat.WithFuse(fuse),
-		kumquat.WithCombineWorkers(combineWorkers),
-		kumquat.WithStdin(stdin),
-		kumquat.WithOutput(fw))
+		kumquat.WithStdin(stdin))...)
 	if err != nil {
 		// The stream may already be half-written; the error must travel
 		// as a trailer. (Before the first byte this still downgrades the
 		// response to an empty 200 + error trailer — the price of
 		// streaming.)
-		s.endTrace(w, span, remoteTrace, nil)
+		failure = err
 		w.Header().Set(ErrorTrailer, err.Error())
 		return
 	}
-	out := executeReport(rep)
-	s.endTrace(w, span, remoteTrace, &out)
-	report, merr := json.Marshal(out)
-	if merr != nil {
-		w.Header().Set(ErrorTrailer, merr.Error())
+	out := executeReport(run)
+	rep = &out
+}
+
+// finishExecute is handleExecute's deferred exit. It ends the request's
+// trace root, with an error attribute on a failing path: a remote
+// (coordinator-joined) trace ships the worker's span records back in the
+// trace trailer, a local ?trace=on stamps the report with the summary
+// the client uses to fetch the full trace. Then a finished run's report
+// goes out as its trailer.
+func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *ExecuteReport, failure error) {
+	if span != nil {
+		if failure != nil {
+			span.Attr("error", failure.Error())
+		}
+		span.End()
+		if remote {
+			if recs, err := json.Marshal(span.Records()); err == nil {
+				w.Header().Set(TraceTrailer, string(recs))
+			}
+		} else if rep != nil {
+			rep.Trace = &TraceSummary{
+				TraceID: span.SpanContext().TraceID.String(),
+				Spans:   len(span.Records()),
+			}
+		}
+	}
+	if rep == nil {
+		return
+	}
+	report, err := json.Marshal(rep)
+	if err != nil {
+		w.Header().Set(ErrorTrailer, err.Error())
 		return
 	}
 	w.Header().Set(ReportTrailer, string(report))
-}
-
-// endTrace finishes a traced execute. On a remote (coordinator-joined)
-// trace it ships the worker's span records back in the trace trailer;
-// on a local ?trace=on it stamps the report with the trace summary the
-// client uses to fetch the full trace.
-func (s *Server) endTrace(w http.ResponseWriter, span *obs.Span, remote bool, rep *ExecuteReport) {
-	if span == nil {
-		return
-	}
-	span.End()
-	if remote {
-		if recs, err := json.Marshal(span.Records()); err == nil {
-			w.Header().Set(TraceTrailer, string(recs))
-		}
-		return
-	}
-	if rep != nil {
-		rep.Trace = &TraceSummary{
-			TraceID: span.SpanContext().TraceID.String(),
-			Spans:   len(span.Records()),
-		}
-	}
 }
 
 // executeReport converts a RunReport to its wire form.

@@ -175,9 +175,6 @@ func (s *Server) SetDraining(on bool) {
 	}
 }
 
-// Draining reports whether the server is in its shutdown drain.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // System exposes the shared system, e.g. for pre-warming caches before
 // serving.
 func (s *Server) System() *kumquat.System { return s.sys }
@@ -319,8 +316,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.clu != nil {
 		cs := s.clu.TotalStats()
 		gauges = append(gauges,
-			gauge{"kumquatd_cluster_workers", "Configured cluster workers.", float64(len(s.clu.Workers()))},
-			gauge{"kumquatd_cluster_healthy", "Workers currently in the rotation.", float64(s.clu.Healthy())},
+			gauge{"kumquatd_cluster_workers", "Configured cluster workers.", float64(cs.Workers)},
+			gauge{"kumquatd_cluster_healthy", "Workers currently in the rotation.", float64(cs.Healthy)},
 			gauge{"kumquatd_cluster_shards", "Cumulative shards dispatched.", float64(cs.Shards)},
 			gauge{"kumquatd_cluster_remote_runs", "Cumulative shards resolved on workers.", float64(cs.RemoteRuns)},
 			gauge{"kumquatd_cluster_local_runs", "Cumulative shards degraded to local execution.", float64(cs.LocalRuns)},

@@ -1,11 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -299,5 +302,78 @@ func TestTraceRingEviction(t *testing.T) {
 	}
 	if _, err := c.TraceData(ctx, second); err != nil {
 		t.Errorf("latest trace not served: %v", err)
+	}
+}
+
+// TestTraceRootEndsOnEarlyFailure: a traced execute that fails before
+// streaming — the script does not parse, or the `cat FILE` body runs past
+// MaxBodyBytes — must still finish its root span. The trace the request
+// log names holds an ended `execute` root carrying the error, and no
+// recorded child is left pointing at a parent that never finished.
+func TestTraceRootEndsOnEarlyFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name, script, body string
+		maxBody            int64
+		want               int
+	}{
+		{name: "script does not parse", script: "sort >", body: "b\na\n", want: http.StatusBadRequest},
+		{name: "file body over the limit", script: "cat in.txt | sort", body: strings.Repeat("x\n", 64),
+			maxBody: 16, want: http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs bytes.Buffer
+			h := server.New(server.Config{
+				SynthOptions: kumquat.Options{Seed: 1},
+				MaxBodyBytes: tc.maxBody,
+				Logger:       slog.New(slog.NewJSONHandler(&logs, nil)),
+			}).Handler()
+
+			// Served in-process, so the request log is complete on return.
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+				"/v1/execute?trace=on&script="+url.QueryEscape(tc.script), strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Fatalf("status = %d, want %d: %s", rec.Code, tc.want, rec.Body)
+			}
+			var entry struct {
+				TraceID string `json:"trace_id"`
+			}
+			for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+				json.Unmarshal([]byte(line), &entry) //nolint:errcheck // only the finish line carries trace_id
+			}
+			if entry.TraceID == "" {
+				t.Fatalf("request log names no trace_id:\n%s", logs.String())
+			}
+
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+entry.TraceID+"?format=raw", nil))
+			var td obs.TraceData
+			if err := json.Unmarshal(rec.Body.Bytes(), &td); err != nil {
+				t.Fatalf("trace fetch (status %d): %v", rec.Code, err)
+			}
+			ids := map[string]bool{}
+			var root *obs.SpanRecord
+			for i, sp := range td.Spans {
+				ids[sp.SpanID] = true
+				if sp.Name == "execute" && sp.ParentID == "" {
+					root = &td.Spans[i]
+				}
+			}
+			if root == nil {
+				t.Fatalf("failed execute left no finished root span: %+v", td.Spans)
+			}
+			hasErr := false
+			for _, a := range root.Attrs {
+				hasErr = hasErr || (a.Key == "error" && a.Value != "")
+			}
+			if !hasErr {
+				t.Errorf("root span carries no error attribute: %+v", root.Attrs)
+			}
+			for _, sp := range td.Spans {
+				if sp.ParentID != "" && !ids[sp.ParentID] {
+					t.Errorf("span %q orphaned: parent %s never finished", sp.Name, sp.ParentID)
+				}
+			}
+		})
 	}
 }

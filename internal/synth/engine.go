@@ -196,15 +196,8 @@ func (e *Engine) Stats() cache.Stats { return e.counters.Snapshot() }
 // Workers reports the resolved worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// SynthesizeCommand runs cache lookup and, on a miss, Algorithm 1 for one
-// already-parsed black-box command. Most callers want Synthesize, which
-// resolves a repeated spec text before parsing it.
-func (e *Engine) SynthesizeCommand(ctx context.Context, cmd unix.Command) *Result {
-	r, _ := e.synthesizeCommand(ctx, cmd)
-	return r
-}
-
-// synthesizeCommand is SynthesizeCommand with the serving cache tier:
+// synthesizeCommand runs cache lookup and, on a miss, Algorithm 1 for one
+// already-parsed black-box command, and names the serving cache tier:
 // TierMemory for an LRU hit, TierDisk for an on-disk hit, TierMiss when
 // synthesis (or an unsupported-command verdict) ran from scratch.
 func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Result, cache.Tier) {

@@ -16,6 +16,14 @@
 //	plan, err := sys.Parallelize("cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c")
 //	out, err := plan.Run(16)
 //
+// Plan.Execute is the one script-run loop: every way a compiled script
+// runs — the four modes, the legacy Run* wrappers, kumquatd, and the
+// cluster coordinator (which passes itself in as the leaf runner through
+// WithLeaves) — goes through it. Its RunReport is the executor's own
+// record: StageReport and RegionReport embed the walker's metrics structs
+// beside the planning verdict rather than re-declaring their fields, and
+// Mode is the executor's enum.
+//
 // Commands are the pure-Go substrate in internal/unix; they behave like
 // their GNU counterparts for the flag combinations the paper's benchmarks
 // use and are exercised strictly as black boxes by the synthesizer.
@@ -69,12 +77,6 @@ func (e *Env) RegisterFile(name, path string) error {
 
 // Read returns a registered file's contents.
 func (e *Env) Read(name string) (string, error) { return e.u.FS.Read(name) }
-
-// Unix exposes the underlying command environment for execution planes
-// outside this package (paired with Plan.PipelinePlans): kumquatd's
-// cluster coordinator hands it to the executor, which reads the input
-// file from it.
-func (e *Env) Unix() *unix.Env { return e.u }
 
 // Close releases resources the environment owns — today, the memory
 // mappings behind RegisterFile. Call only once no output or view derived
@@ -298,21 +300,6 @@ func (p *Plan) Inputs() []string {
 	return inputs
 }
 
-// PipelinePlans exposes the compiled per-pipeline plans for execution
-// planes outside this package — kumquatd's cluster coordinator executes
-// each one with itself as the leaf runner, dispatching shards to remote
-// workers. The slice is shared with the Plan, not copied.
-func (p *Plan) PipelinePlans() []*pipeline.Plan { return p.plans }
-
-// OutputFiles returns each pipeline's `> FILE` redirect target, in
-// script order ("" = the pipeline writes to the output sink). Paired
-// with PipelinePlans for out-of-package execution planes.
-func (p *Plan) OutputFiles() []string {
-	out := make([]string, len(p.outs))
-	copy(out, p.outs)
-	return out
-}
-
 // Stages describes each stage's planning verdict, in order.
 func (p *Plan) Stages() []StageInfo {
 	var out []StageInfo
@@ -338,40 +325,39 @@ func stageInfo(sp *pipeline.StagePlan) StageInfo {
 	return info
 }
 
-// StageInfo is one stage's planning verdict.
+// StageInfo is one stage's planning verdict. It is also the wire form
+// kumquatd's /v1/parallelize reply carries per stage (api.StageVerdict),
+// hence the JSON tags.
 type StageInfo struct {
-	Spec       string
-	Combiner   string // composite combiner display ("" when none)
-	Parallel   bool
-	Sequential bool
-	Eliminated bool
+	Spec string `json:"spec"`
+	// Combiner is the composite combiner's display ("" when none).
+	Combiner string `json:"combiner,omitempty"`
+	// Parallel stages run k instances and recombine; Sequential marks
+	// rerun-only stages the planner keeps serial; Eliminated marks
+	// parallel stages whose combiner Theorem 5 removed.
+	Parallel   bool `json:"parallel"`
+	Sequential bool `json:"sequential"`
+	Eliminated bool `json:"eliminated"`
 }
 
 // Mode selects an execution configuration for Plan.Execute; the four
-// values mirror the paper's measurement setups.
-type Mode int
+// values mirror the paper's measurement setups. It is the executor's own
+// enum, re-exported.
+type Mode = pipeline.Mode
 
 const (
 	// Optimized is T_k: the optimized data-parallel pipeline with combiner
 	// elimination and streaming stage overlap.
-	Optimized Mode = iota
+	Optimized = pipeline.ModeOptimized
 	// Unoptimized is u_k: a combiner after every parallel stage, with a
 	// barrier at every stage boundary.
-	Unoptimized
+	Unoptimized = pipeline.ModeUnoptimized
 	// Serial is u_1: every stage runs to completion in order.
-	Serial
+	Serial = pipeline.ModeSerial
 	// Pipelined is T_orig: the original pipeline with Unix-style stage
 	// overlap and no data parallelism.
-	Pipelined
+	Pipelined = pipeline.ModePipelined
 )
-
-func (m Mode) String() string {
-	pm, err := m.internal()
-	if err != nil {
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-	return pm.String()
-}
 
 // ParseMode parses a mode name ("optimized", "unoptimized", "serial",
 // "pipelined") — the inverse of Mode.String, for CLI flags.
@@ -384,21 +370,6 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("kumquat: unknown mode %q (want optimized, unoptimized, serial or pipelined)", s)
 }
 
-func (m Mode) internal() (pipeline.Mode, error) {
-	switch m {
-	case Optimized:
-		return pipeline.ModeOptimized, nil
-	case Unoptimized:
-		return pipeline.ModeUnoptimized, nil
-	case Serial:
-		return pipeline.ModeSerial, nil
-	case Pipelined:
-		return pipeline.ModePipelined, nil
-	default:
-		return 0, fmt.Errorf("kumquat: unknown execution mode Mode(%d)", int(m))
-	}
-}
-
 // ExecOption configures Plan.Execute.
 type ExecOption func(*execConfig)
 
@@ -409,6 +380,7 @@ type execConfig struct {
 	stdin          io.Reader
 	out            io.Writer
 	fuse           bool
+	leaves         func(local pipeline.Leaves) pipeline.Leaves
 }
 
 // WithParallelism sets the data-parallelism degree k (default:
@@ -421,9 +393,13 @@ func WithParallelism(k int) ExecOption {
 // tree reduction that merges each parallel stage's k substreams
 // (default: the executor's chunk pool size, i.e. min(k, GOMAXPROCS)).
 // The combined output is byte-identical at every worker count; the knob
-// trades combine wall time only.
+// trades combine wall time only. n <= 0 keeps whatever is already set.
 func WithCombineWorkers(n int) ExecOption {
-	return func(c *execConfig) { c.combineWorkers = n }
+	return func(c *execConfig) {
+		if n > 0 {
+			c.combineWorkers = n
+		}
+	}
 }
 
 // WithMode selects the execution configuration (default: Optimized).
@@ -457,27 +433,26 @@ func WithOutput(w io.Writer) ExecOption {
 	return func(c *execConfig) { c.out = w }
 }
 
+// WithLeaves forwards the executor's leaf seam (pipeline.WithLeaves): every
+// chunk fan-out of the run goes through wrap(local), where local is the
+// pooled in-process runner. Its parameter type lives in an internal
+// package, so the option is usable only by execution planes inside this
+// module — cluster.Coordinator dispatches shards to worker daemons through
+// it — and is not plumbed to the CLI or the HTTP API.
+func WithLeaves(wrap func(local pipeline.Leaves) pipeline.Leaves) ExecOption {
+	return func(c *execConfig) { c.leaves = wrap }
+}
+
 // StageReport is one stage's planning verdict together with its execution
 // measurements from a single Execute call.
 type StageReport struct {
 	StageInfo
+	// StageMetrics is the walker's record of how the stage ran: Wall
+	// (streamed stages overlap, so stage walls can sum to more than the
+	// report's), CombineWall, BytesIn/BytesOut, Chunks, Streamed.
+	pipeline.StageMetrics
 	// Pipeline is the index of the script pipeline the stage belongs to.
 	Pipeline int
-	// Wall is the stage's wall-clock activity time. Streamed stages
-	// overlap, so stage walls can sum to more than the report's Wall.
-	Wall time.Duration
-	// CombineWall is the share of Wall spent recombining the stage's k
-	// chunk outputs on the combine plane (zero when the stage was not
-	// chunked or its combiner was eliminated).
-	CombineWall time.Duration
-	// BytesIn and BytesOut measure the stage's stream volume.
-	BytesIn  int64
-	BytesOut int64
-	// Chunks is the number of parallel instances the stage ran as
-	// (0 when the stage was not chunked).
-	Chunks int
-	// Streamed marks stages that processed their input incrementally.
-	Streamed bool
 }
 
 // RegionReport describes one optimizer region of a fused run: the stages
@@ -485,29 +460,12 @@ type StageReport struct {
 // fused region the per-stage combine no longer exists — CombineWall is
 // reported here, per region, instead.
 type RegionReport struct {
+	// RegionMetrics is the walker's record of the region: member Stages
+	// (indices within the pipeline), Fused, Exit, Rules, and the Wall,
+	// CombineWall, BytesIn/BytesOut, Chunks and Streamed measurements.
+	pipeline.RegionMetrics
 	// Pipeline is the index of the script pipeline the region belongs to.
 	Pipeline int
-	// Stages holds the indices (within the pipeline) of the member stages.
-	Stages []int
-	// Fused marks multi-stage regions run as one composed per-chunk pass.
-	Fused bool
-	// Exit names how the region's output left it (combine, split, concat,
-	// merge-stream).
-	Exit string
-	// Rules names the optimizer rewrites that fired on the region.
-	Rules []string
-	// Wall is the region's wall-clock activity time; CombineWall is the
-	// share spent recombining its chunk outputs.
-	Wall        time.Duration
-	CombineWall time.Duration
-	// BytesIn and BytesOut measure the region's stream volume.
-	BytesIn  int64
-	BytesOut int64
-	// Chunks is the number of parallel instances the region ran as.
-	Chunks int
-	// Streamed marks regions that consumed a live stream (external stdin,
-	// an upstream streamed region, a lazily merged sort) incrementally.
-	Streamed bool
 }
 
 // RunReport describes one Execute call: total wall time, bytes read from
@@ -567,10 +525,6 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 	if cfg.k < 1 {
 		cfg.k = 1
 	}
-	mode, err := cfg.mode.internal()
-	if err != nil {
-		return nil, err
-	}
 	// Serial and pipelined modes run one instance per stage; reporting
 	// the requested k would overstate what ran.
 	if cfg.mode == Serial || cfg.mode == Pipelined {
@@ -604,12 +558,13 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 			target = redirect
 		}
 		var info pipeline.RunInfo
-		ms, err := plan.Execute(pctx, p.env.u, cfg.stdin, target, mode, cfg.k,
+		ms, err := plan.Execute(pctx, p.env.u, cfg.stdin, target, cfg.mode, cfg.k,
 			pipeline.WithCombineWorkers(cfg.combineWorkers),
 			pipeline.WithFuse(cfg.fuse),
-			pipeline.WithRunInfo(&info))
+			pipeline.WithRunInfo(&info),
+			pipeline.WithLeaves(cfg.leaves))
+		psp.End()
 		if err != nil {
-			psp.End()
 			return nil, err
 		}
 		if info.Fused {
@@ -621,45 +576,21 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 				rep.Rewrites[rule] += n
 			}
 			for _, rm := range info.Regions {
-				rep.Regions = append(rep.Regions, RegionReport{
-					Pipeline:    i,
-					Stages:      rm.Stages,
-					Fused:       rm.Fused,
-					Exit:        rm.Exit,
-					Rules:       rm.Rules,
-					Wall:        rm.Wall,
-					CombineWall: rm.CombineWall,
-					BytesIn:     rm.BytesIn,
-					BytesOut:    rm.BytesOut,
-					Chunks:      rm.Chunks,
-					Streamed:    rm.Streamed,
-				})
+				rep.Regions = append(rep.Regions, RegionReport{RegionMetrics: rm, Pipeline: i})
 			}
 		}
 		for j, m := range ms {
-			sr := StageReport{
-				Pipeline:    i,
-				Wall:        m.Wall,
-				CombineWall: m.CombineWall,
-				BytesIn:     m.BytesIn,
-				BytesOut:    m.BytesOut,
-				Chunks:      m.Chunks,
-				Streamed:    m.Streamed,
-			}
-			if j < len(plan.Stages) {
-				sr.StageInfo = stageInfo(plan.Stages[j])
-			}
-			// Redirected pipelines count toward neither total (their
-			// output never reaches the sink either).
-			if j == 0 && redirect == nil {
-				rep.BytesIn += m.BytesIn
-			}
-			rep.Stages = append(rep.Stages, sr)
+			rep.Stages = append(rep.Stages, StageReport{
+				StageInfo: stageInfo(plan.Stages[j]), StageMetrics: m, Pipeline: i,
+			})
 		}
+		// Redirected pipelines count toward neither total (their output
+		// never reaches the sink either).
 		if redirect != nil {
 			p.env.Register(p.outs[i], redirect.String())
+		} else if len(ms) > 0 {
+			rep.BytesIn += ms[0].BytesIn
 		}
-		psp.End()
 	}
 	rep.Wall = time.Since(start)
 	rep.BytesOut = counted.n
