@@ -38,12 +38,20 @@ func Lines(s string) []string {
 }
 
 // JoinLines is the inverse of Lines: it joins lines with '\n' and appends a
-// trailing newline. JoinLines(nil) is "".
+// trailing newline. JoinLines(nil) is "". The output is built once, into
+// a builder sized to it.
 func JoinLines(lines []string) string {
-	if len(lines) == 0 {
-		return ""
+	n := 0
+	for _, l := range lines {
+		n += len(l) + 1
 	}
-	return strings.Join(lines, "\n") + "\n"
+	var b strings.Builder
+	b.Grow(n)
+	for _, l := range lines {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // SplitFirst splits s at the first occurrence of delimiter d, returning the

@@ -13,19 +13,23 @@ import (
 // command substrate, beyond the happy paths in unix_test.go.
 
 func TestSortNumericEdgeCases(t *testing.T) {
-	cases := []struct{ in, want string }{
+	cases := []struct{ spec, in, want string }{
 		// Negative and decimal values.
-		{"-3\n2\n-10\n2.5\n", "-10\n-3\n2\n2.5\n"},
+		{"sort -n", "-3\n2\n-10\n2.5\n", "-10\n-3\n2\n2.5\n"},
 		// Leading blanks before the number (GNU -n skips them).
-		{"  10\n2\n", "2\n  10\n"},
+		{"sort -n", "  10\n2\n", "2\n  10\n"},
 		// Non-numeric lines compare as 0 and tie-break bytewise.
-		{"abc\n-1\n1\n", "-1\nabc\n1\n"},
+		{"sort -n", "abc\n-1\n1\n", "-1\nabc\n1\n"},
 		// Equal numeric keys fall back to the whole line.
-		{"1 b\n1 a\n", "1 a\n1 b\n"},
+		{"sort -n", "1 b\n1 a\n", "1 a\n1 b\n"},
+		// GNU sort under LC_ALL=C takes no '+' sign: "+5" is non-numeric
+		// (0) and ties with "0" bytewise, '+' before '0'.
+		{"sort -n", "+5\n3\n-1\n0\n", "-1\n+5\n0\n3\n"},
+		{"sort -rn", "+5\n3\n-1\n0\n", "3\n0\n+5\n-1\n"},
 	}
 	for _, c := range cases {
-		if got := run(t, "sort -n", c.in); got != c.want {
-			t.Errorf("sort -n %q = %q, want %q", c.in, got, c.want)
+		if got := run(t, c.spec, c.in); got != c.want {
+			t.Errorf("%s %q = %q, want %q", c.spec, c.in, got, c.want)
 		}
 	}
 }

@@ -2,11 +2,199 @@ package unix
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
+
+	"kumquat/internal/textio"
 )
+
+// The reference kernels below are sort as it stood before keys were
+// cached: the comparator re-derives both keys inside every comparison,
+// sorting is sort.SliceStable over it, and the k-way merge is a per-line
+// linear scan over all streams. They share no ordering code with sort.go,
+// so the tests here hold every production kernel (Run, MergeStreams,
+// MergeReader, IsSorted) to them byte for byte.
+
+// referenceNumValue is GNU sort -n's leading number under LC_ALL=C:
+// optional blanks, an optional '-', digits with an optional decimal part;
+// anything else is 0.
+func referenceNumValue(sv string) float64 {
+	i := 0
+	for i < len(sv) && (sv[i] == ' ' || sv[i] == '\t') {
+		i++
+	}
+	start := i
+	if i < len(sv) && sv[i] == '-' {
+		i++
+	}
+	digits := false
+	for i < len(sv) && sv[i] >= '0' && sv[i] <= '9' {
+		i++
+		digits = true
+	}
+	if i < len(sv) && sv[i] == '.' {
+		i++
+		for i < len(sv) && sv[i] >= '0' && sv[i] <= '9' {
+			i++
+			digits = true
+		}
+	}
+	if !digits {
+		return 0
+	}
+	str, neg := strings.CutPrefix(sv[start:i], "-")
+	intPart, frac, _ := strings.Cut(str, ".")
+	var v float64
+	for _, c := range intPart {
+		v = v*10 + float64(c-'0')
+	}
+	scale := 0.1
+	for _, c := range frac {
+		v += float64(c-'0') * scale
+		scale /= 10
+	}
+	if neg {
+		v = -v
+	}
+	return v
+}
+
+// referenceCompareKey compares the sort keys of two lines, before reversal
+// and the last resort.
+func referenceCompareKey(s *SortCmd, a, b string) int {
+	ka, kb := a, b
+	if s.Key > 0 {
+		ka, kb = textio.Field(a, s.Key), textio.Field(b, s.Key)
+	}
+	if s.Numeric || (s.Key > 0 && s.KeyNum) {
+		va, vb := referenceNumValue(ka), referenceNumValue(kb)
+		switch {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
+		}
+		return 0
+	}
+	if s.Fold {
+		ka, kb = strings.ToUpper(ka), strings.ToUpper(kb)
+	}
+	return strings.Compare(ka, kb)
+}
+
+// referenceLess is the full GNU ordering: the key comparison with -r (or
+// a key's r) reversal, then — except under -u — a bytewise whole-line
+// last resort reversed only by -r.
+func referenceLess(s *SortCmd, a, b string) bool {
+	c := referenceCompareKey(s, a, b)
+	if s.Reverse || s.KeyRev {
+		c = -c
+	}
+	if c == 0 && !s.Unique {
+		c = strings.Compare(a, b)
+		if s.Reverse {
+			c = -c
+		}
+	}
+	return c < 0
+}
+
+// referenceJoin is textio.JoinLines: lines terminated, nil → "".
+func referenceJoin(lines []string) string {
+	if len(lines) == 0 {
+		return ""
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// referenceDedup keeps the first line of each run of key-equal lines.
+func referenceDedup(s *SortCmd, lines []string) []string {
+	var out []string
+	for i, l := range lines {
+		if i == 0 || referenceCompareKey(s, out[len(out)-1], l) != 0 {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// referenceSortLines sorts and (under -u) dedups lines, ignoring -m.
+func referenceSortLines(s *SortCmd, lines []string) []string {
+	sorted := make([]string, len(lines))
+	copy(sorted, lines)
+	sort.SliceStable(sorted, func(i, j int) bool { return referenceLess(s, sorted[i], sorted[j]) })
+	if s.Unique {
+		sorted = referenceDedup(s, sorted)
+	}
+	return sorted
+}
+
+// referenceIsSorted reports whether no line orders before its predecessor.
+func referenceIsSorted(s *SortCmd, stream string) bool {
+	lines := textio.Lines(stream)
+	for i := 1; i < len(lines); i++ {
+		if referenceLess(s, lines[i], lines[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceSort is SortCmd.Run: -m checks sortedness and passes the one
+// stream through (deduped under -u); everything else sorts stably.
+func referenceSort(s *SortCmd, input string) (string, error) {
+	lines := textio.Lines(input)
+	if !s.Merge {
+		return referenceJoin(referenceSortLines(s, lines)), nil
+	}
+	if !referenceIsSorted(s, input) {
+		return "", fmt.Errorf("sort: -m: input is not sorted")
+	}
+	if s.Unique {
+		lines = referenceDedup(s, lines)
+	}
+	return referenceJoin(lines), nil
+}
+
+// referenceMerge is the per-line cursor scan: every output line picks the
+// least current line over all k streams (O(total·k)), ties going to the
+// earliest stream, with -u dedup applied afterwards.
+func referenceMerge(s *SortCmd, streams ...string) string {
+	type cursor struct {
+		lines []string
+		pos   int
+	}
+	cursors := make([]*cursor, 0, len(streams))
+	for _, st := range streams {
+		cursors = append(cursors, &cursor{lines: textio.Lines(st)})
+	}
+	var out []string
+	for {
+		best := -1
+		for i, c := range cursors {
+			if c.pos >= len(c.lines) {
+				continue
+			}
+			if best < 0 || referenceLess(s, c.lines[c.pos], cursors[best].lines[cursors[best].pos]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, cursors[best].lines[cursors[best].pos])
+		cursors[best].pos++
+	}
+	if s.Unique {
+		out = referenceDedup(s, out)
+	}
+	return referenceJoin(out)
+}
 
 // mergeSort builds a SortCmd for the given spec or fails the test.
 func mergeSort(t testing.TB, spec string) *SortCmd {
@@ -24,17 +212,150 @@ func genSorted(rng *rand.Rand, s *SortCmd, n int) string {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d %c%d", rng.Intn(50), 'a'+rune(rng.Intn(4)), rng.Intn(10))
 	}
-	sort.SliceStable(lines, func(i, j int) bool { return s.Less(lines[i], lines[j]) })
-	if n == 0 {
-		return ""
-	}
-	return strings.Join(lines, "\n") + "\n"
+	sort.SliceStable(lines, func(i, j int) bool { return referenceLess(s, lines[i], lines[j]) })
+	return referenceJoin(lines)
 }
 
-// TestMergeHeapMatchesScan: the heap merge must be byte-identical to the
-// retired cursor-scan merge for every comparator the benchmarks use,
-// across random stream counts and shapes (including empty streams and
-// heavy cross-stream ties).
+// sortReferenceSpecs is every flag combination the reference tests cover.
+var sortReferenceSpecs = []string{
+	"sort", "sort -r", "sort -n", "sort -rn", "sort -nr", "sort -f", "sort -u",
+	"sort -fu", "sort -nu", "sort -k 2", "sort -k2n", "sort -k2nr", "sort -m",
+}
+
+// sortReferenceCorpora returns the reference corpora: random, heavy
+// duplicates, empty lines, unterminated final lines, numeric edge
+// strings, mixed case and multibyte text.
+func sortReferenceCorpora() []string {
+	rng := rand.New(rand.NewSource(21))
+	tokens := []string{"a", "B", "b", "1", "10", "-2", "2.5", "x y", "", " ", "\t", "-", "Ab", "é"}
+	var random, dups strings.Builder
+	for i := 0; i < 60; i++ {
+		for f := rng.Intn(4); f > 0; f-- {
+			random.WriteString(tokens[rng.Intn(len(tokens))])
+			random.WriteString(strconv.Itoa(rng.Intn(20)))
+			if f > 1 {
+				random.WriteByte(" \t"[rng.Intn(2)])
+			}
+		}
+		random.WriteByte('\n')
+		dups.WriteString([]string{"a", "b", "a b", "1 x", "1 y", "2", "A", "01"}[rng.Intn(8)])
+		dups.WriteByte('\n')
+	}
+	return []string{
+		"",
+		"\n",
+		random.String(),
+		dups.String(),
+		"\n\nb\n\n a\n\n",
+		"b\na\nc",
+		"z 2\ny 1\nx",
+		"-0\n-\n.\n-.5\n1.5.3\n  7\n\t3\n+5\n0\n -2\n\t-1.5\n0.0\n00\n-0.0\n.5\n5.\n1e3\n",
+		"x 5\ny\nz 1\n a  3\n\tb\t2\nw -1\nv +4\n",
+		"b\nB\na\nA\nab\nAb\naB\nAB\nb\n",
+		"é\nÉ\nß\nñ 2\nÑ 1\nz\n日本 3\n\xff\xfe\nZ\nø\nØ 0\n",
+	}
+}
+
+// splitStreams cuts s at up to five random line boundaries into parts
+// whose concatenation is s; repeated cuts and cuts at the end leave empty
+// streams. Few parts keep the O(total·k) reference merge fast on fuzzed
+// input.
+func splitStreams(rng *rand.Rand, s string) []string {
+	cuts := []int{0, len(s)}
+	for n := rng.Intn(6); n > 0; n-- {
+		i := rng.Intn(len(s) + 1)
+		if j := strings.IndexByte(s[i:], '\n'); j >= 0 {
+			i += j + 1
+		} else {
+			i = len(s)
+		}
+		cuts = append(cuts, i)
+	}
+	sort.Ints(cuts)
+	parts := make([]string, len(cuts)-1)
+	for i := range parts {
+		parts[i] = s[cuts[i]:cuts[i+1]]
+	}
+	return parts
+}
+
+// checkSortCase holds Run, Less, MergeStreams, MergeReader and IsSorted to
+// the reference on one spec and input.
+func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
+	t.Helper()
+	s := mergeSort(t, spec)
+	want, wantErr := referenceSort(s, input)
+	got, err := s.Run(input)
+	if got != want || (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: Run(%q) = %q, %v; reference %q, %v", spec, input, got, err, want, wantErr)
+	}
+	lines := textio.Lines(input)
+	for i := 1; i < len(lines); i++ {
+		a, b := lines[i-1], lines[i]
+		if s.Less(a, b) != referenceLess(s, a, b) || s.Less(b, a) != referenceLess(s, b, a) {
+			t.Fatalf("%s: Less(%q, %q) disagrees with the reference", spec, a, b)
+		}
+	}
+	sorted := referenceJoin(referenceSortLines(s, lines))
+	for _, x := range []string{input, sorted} {
+		if got, want := s.IsSorted(x), referenceIsSorted(s, x); got != want {
+			t.Fatalf("%s: IsSorted(%q) = %v, reference %v", spec, x, got, want)
+		}
+	}
+	// Merge the sorted output split at random, and the input split at
+	// random with each part sorted on its own.
+	parts := splitStreams(rng, input)
+	for i, p := range parts {
+		parts[i] = referenceJoin(referenceSortLines(s, textio.Lines(p)))
+	}
+	for _, streams := range [][]string{splitStreams(rng, sorted), parts} {
+		want := referenceMerge(s, streams...)
+		if got := s.MergeStreams(streams...); got != want {
+			t.Fatalf("%s: MergeStreams(%q) = %q, reference %q", spec, streams, got, want)
+		}
+		read, err := io.ReadAll(iotest.OneByteReader(s.MergeReader(streams...)))
+		if err != nil || string(read) != want {
+			t.Fatalf("%s: MergeReader(%q) read %q, %v; reference %q", spec, streams, read, err, want)
+		}
+		for _, st := range streams {
+			if !s.IsSorted(st) {
+				t.Fatalf("%s: IsSorted(%q) = false on a sorted stream", spec, st)
+			}
+		}
+	}
+}
+
+// TestSortMatchesReference: every kernel agrees with the reference on
+// every covered flag combination and corpus.
+func TestSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, spec := range sortReferenceSpecs {
+		for i, in := range sortReferenceCorpora() {
+			t.Run(fmt.Sprintf("%s/%d", spec, i), func(t *testing.T) {
+				checkSortCase(t, spec, in, rng)
+			})
+		}
+	}
+}
+
+// FuzzSortMatchesReference is TestSortMatchesReference over arbitrary
+// input, seeded from the same table.
+func FuzzSortMatchesReference(f *testing.F) {
+	for i := range sortReferenceSpecs {
+		for _, in := range sortReferenceCorpora() {
+			f.Add(uint8(i), in)
+		}
+	}
+	f.Fuzz(func(t *testing.T, spec uint8, input string) {
+		rng := rand.New(rand.NewSource(int64(len(input))))
+		checkSortCase(t, sortReferenceSpecs[int(spec)%len(sortReferenceSpecs)], input, rng)
+	})
+}
+
+// TestMergeHeapMatchesScan: the merge front must be byte-identical to the
+// reference scan merge for every comparator the benchmarks use, across
+// random stream counts and shapes (including empty streams and heavy
+// cross-stream ties).
 func TestMergeHeapMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, spec := range []string{"sort", "sort -n", "sort -rn", "sort -u", "sort -f", "sort -k 2", "sort -k1n", "sort -nu"} {
@@ -45,7 +366,7 @@ func TestMergeHeapMatchesScan(t *testing.T) {
 			for i := range streams {
 				streams[i] = genSorted(rng, s, rng.Intn(12))
 			}
-			want := s.MergeStreamsScan(streams...)
+			want := referenceMerge(s, streams...)
 			got := s.MergeStreams(streams...)
 			if got != want {
 				t.Fatalf("%s k=%d: heap merge = %q, scan merge = %q", spec, k, got, want)
@@ -66,7 +387,7 @@ func TestMergeHeapStability(t *testing.T) {
 	if got != want {
 		t.Errorf("stability: got %q, want %q", got, want)
 	}
-	if scan := s.MergeStreamsScan("1 c\n", "1 b\n2 x\n", "1 a\n"); scan != got {
+	if scan := referenceMerge(s, "1 c\n", "1 b\n2 x\n", "1 a\n"); scan != got {
 		t.Errorf("heap %q disagrees with scan %q", got, scan)
 	}
 }
@@ -76,12 +397,30 @@ func TestMergeHeapStability(t *testing.T) {
 func TestMergeHeapUnterminated(t *testing.T) {
 	s := mergeSort(t, "sort")
 	got := s.MergeStreams("a\nc", "b\n", "")
-	want := s.MergeStreamsScan("a\nc", "b\n", "")
+	want := referenceMerge(s, "a\nc", "b\n", "")
 	if got != want {
 		t.Errorf("unterminated: heap %q, scan %q", got, want)
 	}
 	if got != "a\nb\nc\n" {
 		t.Errorf("unterminated: got %q", got)
+	}
+}
+
+// TestIsSortedAllocs: the merge combiner's legality check walks the stream
+// in place — no line index, no allocation — for plain, numeric and keyed
+// orderings.
+func TestIsSortedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, spec := range []string{"sort", "sort -n", "sort -k 2"} {
+		s := mergeSort(t, spec)
+		stream := genSorted(rng, s, 10000)
+		ok := false
+		if allocs := testing.AllocsPerRun(10, func() { ok = s.IsSorted(stream) }); allocs != 0 {
+			t.Errorf("%s: IsSorted allocates %v times per run, want 0", spec, allocs)
+		}
+		if !ok {
+			t.Errorf("%s: IsSorted = false on a sorted stream", spec)
+		}
 	}
 }
 
@@ -100,33 +439,78 @@ func benchStreams(b *testing.B, s *SortCmd, k, lines int) []string {
 	return streams
 }
 
-// BenchmarkMergeScan and BenchmarkMergeHeap compare the retired
-// per-line cursor scan (O(total·k)) against the heap k-way merge
-// (O(total·log k)) across the combine-plane k sweep, with allocations
-// reported: the scan materializes every line up front, the heap streams
-// through bounded cursors into a pooled builder.
-func BenchmarkMergeScan(b *testing.B) {
-	benchMerge(b, func(s *SortCmd, streams []string) string {
-		return s.MergeStreamsScan(streams...)
-	})
+// BenchmarkMergeReference and BenchmarkMergeFront compare the reference
+// per-line cursor scan (O(total·k), every line materialized up front)
+// against the production merge front (O(total·log k) over cached keys)
+// across the combine-plane k sweep, with allocations reported.
+func BenchmarkMergeReference(b *testing.B) {
+	benchMerge(b, referenceMerge)
 }
 
-// BenchmarkMergeHeap is the heap counterpart of BenchmarkMergeScan.
-func BenchmarkMergeHeap(b *testing.B) {
-	benchMerge(b, func(s *SortCmd, streams []string) string {
-		return s.MergeStreams(streams...)
-	})
+// BenchmarkMergeFront is the production counterpart of
+// BenchmarkMergeReference.
+func BenchmarkMergeFront(b *testing.B) {
+	benchMerge(b, (*SortCmd).MergeStreams)
 }
 
-func benchMerge(b *testing.B, merge func(*SortCmd, []string) string) {
+func benchMerge(b *testing.B, merge func(*SortCmd, ...string) string) {
 	s := mergeSort(b, "sort")
 	for _, k := range []int{2, 8, 32, 128} {
 		streams := benchStreams(b, s, k, 16384)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if out := merge(s, streams); out == "" {
+			for b.Loop() {
+				if out := merge(s, streams...); out == "" {
 					b.Fatal("empty merge output")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSortRun times the sort kernel on 100 000 lines drawn from a
+// Zipf(1.1) vocabulary — the shape `tr -cs` leaves of a text — for each
+// ordering class: bytewise, -u, -f fold, and the numeric classes over
+// the shapes they meet in the word-frequency script (`uniq -c` counts
+// for -rn, a numeric second field for -k2n).
+func BenchmarkSortRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	zipf := rand.NewZipf(rng, 1.1, 1, 1<<15)
+	ranks := make([]uint64, 100_000)
+	for i := range ranks {
+		ranks[i] = zipf.Uint64()
+	}
+	// word spells a rank as a pseudo-word whose order is unrelated to it.
+	word := func(r uint64) string { return strconv.FormatUint(r*2654435761%1000003+36*36, 36) }
+	cases := []struct {
+		spec string
+		line func(r uint64) string
+	}{
+		{"sort", word},
+		{"sort -rn", func(r uint64) string { return fmt.Sprintf("%7d %s", 100000/(r+1), word(r)) }},
+		{"sort -k2n", func(r uint64) string { return word(r) + " " + strconv.FormatUint(r, 10) }},
+		{"sort -f", func(r uint64) string {
+			if r%3 == 0 {
+				return strings.ToUpper(word(r))
+			}
+			return word(r)
+		}},
+		{"sort -u", word},
+	}
+	for _, c := range cases {
+		var in strings.Builder
+		for _, r := range ranks {
+			in.WriteString(c.line(r))
+			in.WriteByte('\n')
+		}
+		input := in.String()
+		s := mergeSort(b, c.spec)
+		b.Run(c.spec, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(input)))
+			for b.Loop() {
+				if _, err := s.Run(input); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

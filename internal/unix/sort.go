@@ -1,10 +1,9 @@
 package unix
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -28,6 +27,7 @@ type SortCmd struct {
 	KeyNum   bool // numeric modifier on -k
 	KeyRev   bool // r modifier on -k
 	flagsStr string
+	ord      ordering
 }
 
 func newSort(spec string, args []string, _ *Env) (Command, error) {
@@ -63,7 +63,7 @@ func newSort(spec string, args []string, _ *Env) (Command, error) {
 				case 'm':
 					s.Merge = true
 				case 's':
-					// stability: our sort is always stable
+					// stability: output is always that of a stable sort
 				default:
 					return nil, fmt.Errorf("sort: unsupported flag -%c", f)
 				}
@@ -74,6 +74,15 @@ func newSort(spec string, args []string, _ *Env) (Command, error) {
 		}
 	}
 	s.flagsStr = strings.Join(flagTokens, " ")
+	s.ord = ordering{
+		field:   s.Key,
+		numeric: s.Numeric || (s.Key > 0 && s.KeyNum),
+		fold:    s.Fold,
+		keyRev:  s.Reverse || s.KeyRev,
+		lineRev: s.Reverse,
+		unique:  s.Unique,
+	}
+	s.ord.bytewise = s.ord.field == 0 && !s.ord.numeric && !s.ord.fold
 	return s, nil
 }
 
@@ -111,55 +120,106 @@ func (s *SortCmd) Flags() string { return s.flagsStr }
 
 func (s *SortCmd) Spec() string { return s.spec }
 
-// keyOf extracts the comparison key of a line. Key extraction runs once
-// per comparison, so it goes through the zero-allocation field kernel
-// instead of materializing a field slice (the old strings.Fields here
-// allocated on every comparison of every keyed sort).
-func (s *SortCmd) keyOf(line string) string {
-	if s.Key == 0 {
-		return line
-	}
-	return textio.Field(line, s.Key)
+// ordering is a sort's flags resolved once, at parse time, into the
+// decisions every comparison would otherwise re-derive.
+type ordering struct {
+	field   int  // 1-based key field; 0 = whole line
+	numeric bool // -n, or n on -k
+	fold    bool // -f
+	keyRev  bool // -r or r on -k: reverse the key comparison
+	lineRev bool // -r: reverse the last-resort comparison as well
+	unique  bool // -u: no last resort; key-equal lines are duplicates
+	// bytewise: the key is the whole line compared bytewise, so key ties
+	// are byte-identical lines and the last resort can never decide.
+	bytewise bool
 }
 
-// numValue parses a GNU-sort-style leading numeric value: optional blanks,
-// optional sign, digits with optional decimal part. Anything else is 0.
+// sortLine is a line with its comparison key computed once, so sorting
+// and merging never re-extract a field, re-parse a number or re-fold case
+// inside a comparison.
+type sortLine struct {
+	line string
+	key  string  // the field, case-folded under -f; unused under -n
+	num  float64 // the key's numeric value under -n
+}
+
+// setKey stores line and its comparison key in l. It writes through a
+// pointer rather than returning a sortLine so that re-keying a merge
+// cursor in place costs field stores, not a struct copy.
+func (o *ordering) setKey(l *sortLine, line string) {
+	l.line = line
+	k := line
+	if o.field > 0 {
+		k = textio.Field(line, o.field)
+	}
+	if o.numeric {
+		l.num = numValue(k)
+		return
+	}
+	if o.fold {
+		k = strings.ToUpper(k)
+	}
+	l.key = k
+}
+
+// compare is the one GNU ordering, as a three-way comparison over cached
+// keys: the key comparison, reversed under -r or a key's r, falling back
+// to a bytewise whole-line last resort (reversed only under -r) on key
+// ties. Under -u the last resort is skipped: key-equal lines are
+// duplicates and compare equal. It takes pointers because a merge
+// cursor's key has just been stored field by field, and reloading it as
+// a by-value struct stalls store forwarding on every comparison.
+func (o *ordering) compare(a, b *sortLine) int {
+	var c int
+	switch {
+	case !o.numeric:
+		c = strings.Compare(a.key, b.key)
+	case a.num < b.num:
+		c = -1
+	case a.num > b.num:
+		c = 1
+	}
+	if o.keyRev {
+		c = -c
+	}
+	if c != 0 || o.unique || o.bytewise {
+		return c
+	}
+	c = strings.Compare(a.line, b.line)
+	if o.lineRev {
+		c = -c
+	}
+	return c
+}
+
+// numValue parses a GNU-sort-style leading numeric value under LC_ALL=C:
+// optional blanks, an optional '-', digits with an optional decimal part.
+// Anything else — a leading '+' included — is 0.
 func numValue(sv string) float64 {
 	i := 0
 	for i < len(sv) && (sv[i] == ' ' || sv[i] == '\t') {
 		i++
 	}
-	start := i
-	if i < len(sv) && (sv[i] == '-' || sv[i] == '+') {
+	neg := i < len(sv) && sv[i] == '-'
+	if neg {
 		i++
 	}
+	var v float64
 	digits := false
-	for i < len(sv) && sv[i] >= '0' && sv[i] <= '9' {
-		i++
+	for ; i < len(sv) && sv[i] >= '0' && sv[i] <= '9'; i++ {
+		v = v*10 + float64(sv[i]-'0')
 		digits = true
 	}
 	if i < len(sv) && sv[i] == '.' {
-		i++
-		for i < len(sv) && sv[i] >= '0' && sv[i] <= '9' {
-			i++
+		scale := 0.1
+		for i++; i < len(sv) && sv[i] >= '0' && sv[i] <= '9'; i++ {
+			v += float64(sv[i]-'0') * scale
+			scale /= 10
 			digits = true
 		}
 	}
 	if !digits {
 		return 0
-	}
-	var v float64
-	str := strings.TrimPrefix(sv[start:i], "+")
-	neg := strings.HasPrefix(str, "-")
-	str = strings.TrimPrefix(str, "-")
-	intPart, frac, _ := strings.Cut(str, ".")
-	for _, c := range intPart {
-		v = v*10 + float64(c-'0')
-	}
-	scale := 0.1
-	for _, c := range frac {
-		v += float64(c-'0') * scale
-		scale /= 10
 	}
 	if neg {
 		v = -v
@@ -167,220 +227,207 @@ func numValue(sv string) float64 {
 	return v
 }
 
-// compareKey compares the sort keys of two lines, before reversal and the
-// last-resort comparison.
-func (s *SortCmd) compareKey(a, b string) int {
-	ka, kb := s.keyOf(a), s.keyOf(b)
-	numeric := s.Numeric || (s.Key > 0 && s.KeyNum)
-	if numeric {
-		va, vb := numValue(ka), numValue(kb)
-		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if s.Fold {
-		ka, kb = strings.ToUpper(ka), strings.ToUpper(kb)
-	}
-	return strings.Compare(ka, kb)
+// Less is the full GNU ordering on two lines.
+func (s *SortCmd) Less(a, b string) bool {
+	var ka, kb sortLine
+	s.ord.setKey(&ka, a)
+	s.ord.setKey(&kb, b)
+	return s.ord.compare(&ka, &kb) < 0
 }
-
-// compare is the full GNU ordering as a three-way comparison: key
-// comparison with -r reversal, falling back to a bytewise whole-line
-// last-resort comparison on key ties (suppressed under -u, whose ties
-// are genuine). The merge heap uses the three-way form directly so one
-// comparator run distinguishes less/tie/greater.
-func (s *SortCmd) compare(a, b string) int {
-	c := s.compareKey(a, b)
-	if s.Reverse || s.KeyRev {
-		c = -c
-	}
-	if c != 0 {
-		return c
-	}
-	if s.Unique {
-		return 0 // equal keys: order among them irrelevant, dedup keeps first
-	}
-	c = strings.Compare(a, b)
-	if s.Reverse {
-		c = -c
-	}
-	return c
-}
-
-// Less is the full GNU ordering: compare < 0.
-func (s *SortCmd) Less(a, b string) bool { return s.compare(a, b) < 0 }
-
-// EqualKey reports whether two lines compare equal under the key (used by
-// -u and by merge dedup).
-func (s *SortCmd) EqualKey(a, b string) bool { return s.compareKey(a, b) == 0 }
 
 // IsSorted reports whether the stream is already ordered under this
-// command's comparator — the legality domain of the merge combiner.
-// The stream is indexed once (textio.LineSeq) rather than split into a
-// fresh []string: sortedness checks run on every merge operand during
-// synthesis domain filtering, so this path is allocation-sensitive.
+// command's comparator — the legality domain of the merge combiner, which
+// synthesis checks on every merge operand. It walks the stream with a
+// merge cursor, so it allocates nothing unless -f folds a key.
 func (s *SortCmd) IsSorted(stream string) bool {
-	ls := textio.ScanLines(stream)
-	for i := 1; i < ls.Len(); i++ {
-		if s.Less(ls.Line(i), ls.Line(i-1)) {
+	c := mergeCursor{s: stream}
+	if !c.advance(&s.ord) {
+		return true
+	}
+	prev := c.cur
+	for c.advance(&s.ord) {
+		if s.ord.compare(&c.cur, &prev) < 0 {
 			return false
 		}
+		prev = c.cur
 	}
 	return true
 }
 
 func (s *SortCmd) Run(input string) (string, error) {
-	lines := textio.Lines(input)
 	if s.Merge {
 		// Single input: merging one stream is the identity (plus -u dedup).
 		if !s.IsSorted(input) {
 			return "", fmt.Errorf("sort: -m: input is not sorted")
 		}
-	} else {
-		sorted := make([]string, len(lines))
-		copy(sorted, lines)
-		sort.SliceStable(sorted, func(i, j int) bool { return s.Less(sorted[i], sorted[j]) })
-		lines = sorted
+		return s.MergeStreams(input), nil
 	}
-	if s.Unique {
-		lines = s.dedup(lines)
+	lines := textio.Lines(input)
+	o := &s.ord
+	if o.bytewise {
+		// Ties are byte-identical lines, so an unstable sort is
+		// indistinguishable from a stable one, reversed or not.
+		slices.Sort(lines)
+		if o.keyRev {
+			slices.Reverse(lines)
+		}
+		if o.unique {
+			lines = slices.Compact(lines)
+		}
+		return textio.JoinLines(lines), nil
+	}
+	ks := make([]sortLine, len(lines))
+	for i, l := range lines {
+		o.setKey(&ks[i], l)
+	}
+	cmp := func(a, b sortLine) int { return o.compare(&a, &b) }
+	if o.unique {
+		// Key-equal lines can differ; dedup keeps the first in input order.
+		slices.SortStableFunc(ks, cmp)
+		ks = slices.CompactFunc(ks, func(a, b sortLine) bool { return cmp(a, b) == 0 })
+	} else {
+		// The last resort breaks every tie between distinct lines.
+		slices.SortFunc(ks, cmp)
+	}
+	lines = lines[:len(ks)]
+	for i := range ks {
+		lines[i] = ks[i].line
 	}
 	return textio.JoinLines(lines), nil
 }
 
-func (s *SortCmd) dedup(lines []string) []string {
-	var out []string
-	for i, l := range lines {
-		if i == 0 || !s.EqualKey(out[len(out)-1], l) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // mergeCursor walks one pre-sorted stream line by line without
-// materializing its lines: the current line is s[start:end] (terminator
-// excluded) and advance re-indexes in place. idx is the stream's position
-// in the merge argument list — the tie-stability key.
+// materializing its lines: cur is the current line with its key, next the
+// offset of the line after it. idx is the stream's position in the merge
+// argument list — the tie-stability key.
 type mergeCursor struct {
-	s          string
-	start, end int
-	idx        int
+	s    string
+	next int
+	cur  sortLine
+	idx  int
 }
 
-// newMergeCursor positions a cursor on the stream's first line; ok is
-// false for an empty stream.
-func newMergeCursor(s string, idx int) (mergeCursor, bool) {
-	if s == "" {
-		return mergeCursor{}, false
-	}
-	c := mergeCursor{s: s, idx: idx}
-	if j := strings.IndexByte(s, '\n'); j >= 0 {
-		c.end = j
-	} else {
-		c.end = len(s)
-	}
-	return c, true
-}
-
-// line returns the current line without its terminator.
-func (c *mergeCursor) line() string { return c.s[c.start:c.end] }
-
-// advance moves to the next line; ok is false once the stream is
-// exhausted. Line boundaries follow textio.Lines: a trailing newline does
-// not produce an empty final line, an unterminated final line counts.
-func (c *mergeCursor) advance() bool {
-	next := c.end + 1
-	if next >= len(c.s) {
+// advance moves to the next line and computes its key; ok is false once
+// the stream is exhausted. Line boundaries follow textio.Lines: a trailing
+// newline does not produce an empty final line, an unterminated final line
+// counts.
+func (c *mergeCursor) advance(o *ordering) bool {
+	start := c.next
+	if start >= len(c.s) {
 		return false
 	}
-	c.start = next
-	if j := strings.IndexByte(c.s[next:], '\n'); j >= 0 {
-		c.end = next + j
-	} else {
-		c.end = len(c.s)
+	end := len(c.s)
+	if j := strings.IndexByte(c.s[start:], '\n'); j >= 0 {
+		end = start + j
 	}
+	o.setKey(&c.cur, c.s[start:end])
+	c.next = end + 1
 	return true
 }
 
-// mergeHeap is the k-way merge front: a min-heap of stream cursors
-// ordered by the comparator, with ties broken by stream index so the
-// merge stays stable by argument position.
-type mergeHeap struct {
-	s  *SortCmd
-	cs []mergeCursor
+// mergeFront is the k-way merge front shared by MergeStreams and
+// MergeReader: a hand-rolled binary min-heap of stream cursors ordered by
+// (line under the ordering, stream index), so the merge is stable by
+// argument position, and -u dedup applied as lines leave the front. The
+// heap holds pointers, so restoring it moves no cursor; at k = 2 it is a
+// two-cursor loop, one comparison per line.
+type mergeFront struct {
+	o    *ordering
+	h    []*mergeCursor // heap order; h[0] holds the next line
+	last sortLine       // the last line emitted under -u
+	have bool
 }
 
-func (h *mergeHeap) Len() int { return len(h.cs) }
+func (s *SortCmd) newFront(streams []string) mergeFront {
+	cs := make([]mergeCursor, len(streams))
+	f := mergeFront{o: &s.ord, h: make([]*mergeCursor, 0, len(streams))}
+	for i, st := range streams {
+		c := &cs[i]
+		c.s, c.idx = st, i
+		if c.advance(f.o) {
+			f.h = append(f.h, c)
+		}
+	}
+	for i := len(f.h)/2 - 1; i >= 0; i-- {
+		f.down(i)
+	}
+	return f
+}
 
-func (h *mergeHeap) Less(i, j int) bool {
-	if c := h.s.compare(h.cs[i].line(), h.cs[j].line()); c != 0 {
+// before orders two cursors by their current lines, then stream index.
+func (f *mergeFront) before(a, b *mergeCursor) bool {
+	if c := f.o.compare(&a.cur, &b.cur); c != 0 {
 		return c < 0
 	}
-	return h.cs[i].idx < h.cs[j].idx
+	return a.idx < b.idx
 }
 
-func (h *mergeHeap) Swap(i, j int) { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
+// down restores the heap below slot i.
+func (f *mergeFront) down(i int) {
+	h := f.h
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && f.before(h[r], h[m]) {
+			m = r
+		}
+		if !f.before(h[m], h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
 
-func (h *mergeHeap) Push(x any) { h.cs = append(h.cs, x.(mergeCursor)) }
-
-func (h *mergeHeap) Pop() any {
-	n := len(h.cs) - 1
-	c := h.cs[n]
-	h.cs = h.cs[:n]
-	return c
+// next returns the next merged line (without its terminator); ok is false
+// once every stream is exhausted.
+func (f *mergeFront) next() (line string, ok bool) {
+	for len(f.h) > 0 {
+		c := f.h[0]
+		line = c.cur.line
+		dup := f.o.unique && f.have && f.o.compare(&f.last, &c.cur) == 0
+		if f.o.unique && !dup {
+			f.last, f.have = c.cur, true
+		}
+		if !c.advance(f.o) {
+			n := len(f.h) - 1
+			f.h[0] = f.h[n]
+			f.h = f.h[:n]
+		}
+		f.down(0)
+		if !dup {
+			return line, true
+		}
+	}
+	return "", false
 }
 
 // MergeStreams merges k pre-sorted streams under this comparator, as the
 // Unix script "sort -m <flags> $*" does in the paper's k-way combiner
 // implementation (§3.5). Stability: ties are taken from earlier streams.
 //
-// The merge front is a container/heap of per-stream cursors, so each
-// output line costs O(log k) comparisons (O(total·log k) overall) instead
-// of the O(total·k) of a per-line scan over all cursors, and no stream is
-// ever split into a []string — lines stream from the cursors straight
-// into a pooled output builder, with -u dedup applied on the fly. The
-// output is byte-identical to MergeStreamsScan, the retired scan
-// implementation kept as the benchmark baseline.
+// Each output line costs O(log k) comparisons over keys computed once per
+// line, no stream is ever split into a []string, and the output is
+// written once into a builder sized to the input (exact unless -u drops
+// lines).
 func (s *SortCmd) MergeStreams(streams ...string) string {
-	h := mergeHeap{s: s, cs: make([]mergeCursor, 0, len(streams))}
-	total := 0
-	for i, st := range streams {
-		total += len(st)
-		if c, ok := newMergeCursor(st, i); ok {
-			h.cs = append(h.cs, c)
+	f := s.newFront(streams)
+	size := 0
+	for _, st := range streams {
+		size += len(st)
+		if !textio.IsStream(st) && st != "" {
+			size++ // the terminator an unterminated final line gains
 		}
 	}
-	if len(h.cs) == 0 {
-		return ""
+	var b strings.Builder
+	b.Grow(size)
+	for line, ok := f.next(); ok; line, ok = f.next() {
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
-	heap.Init(&h)
-	buf := textio.GetBuilder()
-	defer textio.PutBuilder(buf)
-	// Exact when every stream is newline-terminated; the slack covers
-	// terminators appended to unterminated final lines.
-	buf.Grow(total + len(streams))
-	var last string
-	haveLast := false
-	for h.Len() > 0 {
-		line := h.cs[0].line()
-		if !s.Unique || !haveLast || !s.EqualKey(last, line) {
-			buf.WriteString(line)
-			buf.WriteByte('\n')
-			last, haveLast = line, true
-		}
-		if h.cs[0].advance() {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return buf.String()
+	return b.String()
 }
 
 // mergeReader is the lazy form of MergeStreams: an io.Reader that produces
@@ -388,96 +435,41 @@ func (s *SortCmd) MergeStreams(streams ...string) string {
 // the k-way merge without the combined stream ever being materialized (the
 // dataflow optimizer's push-sort-merge rewrite).
 type mergeReader struct {
-	h mergeHeap
-	// buf holds merged-but-unread bytes; Read drains it before advancing
-	// the heap again.
-	buf  []byte
-	last string
-	have bool
+	f       mergeFront
+	pending string // unread bytes of the current line
+	nl      bool   // the current line's terminator is still unread
 }
 
 // MergeReader returns a reader over the k-way merge of pre-sorted streams
 // under this comparator. The bytes read are exactly MergeStreams(streams...)
-// — same heap, same tie stability, same -u dedup — but produced
+// — same front, same tie stability, same -u dedup — but produced
 // incrementally: each Read advances the merge front just far enough to fill
 // the caller's buffer.
 func (s *SortCmd) MergeReader(streams ...string) io.Reader {
-	mr := &mergeReader{h: mergeHeap{s: s, cs: make([]mergeCursor, 0, len(streams))}}
-	for i, st := range streams {
-		if c, ok := newMergeCursor(st, i); ok {
-			mr.h.cs = append(mr.h.cs, c)
-		}
-	}
-	heap.Init(&mr.h)
-	return mr
+	return &mergeReader{f: s.newFront(streams)}
 }
 
 func (mr *mergeReader) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) {
-		if len(mr.buf) == 0 {
-			if mr.h.Len() == 0 {
+		if mr.pending == "" && !mr.nl {
+			line, ok := mr.f.next()
+			if !ok {
 				if n == 0 {
 					return 0, io.EOF
 				}
-				return n, nil
+				break
 			}
-			line := mr.h.cs[0].line()
-			if !mr.h.s.Unique || !mr.have || !mr.h.s.EqualKey(mr.last, line) {
-				mr.buf = append(mr.buf[:0], line...)
-				mr.buf = append(mr.buf, '\n')
-				mr.last, mr.have = line, true
-			}
-			if mr.h.cs[0].advance() {
-				heap.Fix(&mr.h, 0)
-			} else {
-				heap.Pop(&mr.h)
-			}
-			continue
+			mr.pending, mr.nl = line, true
 		}
-		c := copy(p[n:], mr.buf)
-		mr.buf = mr.buf[c:]
+		c := copy(p[n:], mr.pending)
+		mr.pending = mr.pending[c:]
 		n += c
+		if mr.pending == "" && n < len(p) {
+			p[n] = '\n'
+			n++
+			mr.nl = false
+		}
 	}
 	return n, nil
-}
-
-// MergeStreamsScan is the pre-heap merge: a per-line linear scan over all
-// k cursors (O(total·k) comparisons) materializing every line up front.
-// It is retained only as the ablation baseline for the k-way merge
-// benchmarks and the byte-identity tests; execution always goes through
-// MergeStreams.
-func (s *SortCmd) MergeStreamsScan(streams ...string) string {
-	type cursor struct {
-		lines []string
-		pos   int
-	}
-	cursors := make([]*cursor, 0, len(streams))
-	total := 0
-	for _, st := range streams {
-		ls := textio.Lines(st)
-		total += len(ls)
-		cursors = append(cursors, &cursor{lines: ls})
-	}
-	out := make([]string, 0, total)
-	for {
-		best := -1
-		for i, c := range cursors {
-			if c.pos >= len(c.lines) {
-				continue
-			}
-			if best < 0 || s.Less(c.lines[c.pos], cursors[best].lines[cursors[best].pos]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, cursors[best].lines[cursors[best].pos])
-		cursors[best].pos++
-	}
-	if s.Unique {
-		out = s.dedup(out)
-	}
-	return textio.JoinLines(out)
 }
