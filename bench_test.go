@@ -152,17 +152,18 @@ func BenchmarkWordFrequency(b *testing.B) {
 	}
 	modes := []struct {
 		name string
-		run  func() (string, error)
+		mode Mode
+		k    int
 	}{
-		{"u1", plan.RunSerial},
-		{"u16", func() (string, error) { return plan.RunUnoptimized(16) }},
-		{"T16", func() (string, error) { return plan.Run(16) }},
-		{"Torig", plan.RunPipelined},
+		{"u1", Serial, 1},
+		{"u16", Unoptimized, 16},
+		{"T16", Optimized, 16},
+		{"Torig", Pipelined, 1},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.run(); err != nil {
+				if _, err := plan.Execute(context.Background(), WithMode(m.mode), WithParallelism(m.k)); err != nil {
 					b.Fatal(err)
 				}
 			}

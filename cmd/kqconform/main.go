@@ -1,6 +1,6 @@
 // Command kqconform runs the conformance plane: it generates
 // random-but-valid pipelines and corpora from a seed, executes each under
-// every execution mode × worker count × combine-worker configuration,
+// every execution mode × worker count × fuse setting × stdin kind,
 // diffs every result byte-for-byte against the serial oracle,
 // stress-validates the synthesized combiners on adversarial corpora, and
 // replays the generated suite through a live loopback kumquatd.

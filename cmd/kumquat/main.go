@@ -15,14 +15,12 @@
 //	    input file from the host file system into the in-memory
 //	    environment first). Pipelines without a `cat FILE` source stream
 //	    the process's standard input; output streams to standard output.
-//	    -mode selects the execution configuration, -fuse=off makes
-//	    optimized mode walk the dataflow program lowered without the
-//	    fusion rewrites (Theorem 5 splits only — the ablation), and
-//	    -report prints per-stage wall times, byte counts, chunk counts and
-//	    the fired optimizer rewrites to stderr, and -trace FILE writes a
-//	    Chrome trace-event JSON timeline of the run (synthesis, planning,
-//	    stages, chunk batches, combines and fused regions) for
-//	    chrome://tracing or Perfetto.
+//	    -mode selects the execution configuration, -report prints
+//	    per-stage wall times, byte counts, chunk counts and the fired
+//	    optimizer rewrites to stderr, and -trace FILE writes a Chrome
+//	    trace-event JSON timeline of the run (synthesis, planning, stages,
+//	    chunk batches, combines and fused regions) for chrome://tracing or
+//	    Perfetto.
 package main
 
 import (
@@ -71,7 +69,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   kumquat synth [-synth-workers N] [-synth-cache DIR] '<command>'
   kumquat plan [-synth-workers N] [-synth-cache DIR] '<pipeline>'
-  kumquat run [-k N] [-mode MODE] [-fuse on|off] [-combine-workers N] [-report] [-trace FILE] [-synth-workers N] [-synth-cache DIR] [-input FILE]... '<pipeline>'
+  kumquat run [-k N] [-mode MODE] [-report] [-trace FILE] [-synth-workers N] [-synth-cache DIR] [-input FILE]... '<pipeline>'
   kumquat combine -g '<combiner>' -cmd '<command>' FILE1 FILE2
   kumquat version`)
 }
@@ -193,9 +191,6 @@ func runRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	k := fs.Int("k", 8, "parallelism degree")
 	mode := fs.String("mode", "optimized", "execution mode: optimized, unoptimized, serial, pipelined")
-	fuse := fs.String("fuse", "on", "dataflow rewrites (fuse-streamers, elide-combine, push-sort-merge) in optimized mode's program: on, off")
-	combineWorkers := fs.Int("combine-workers", 0,
-		"combine-plane tree-reduction workers (0 = match the chunk pool)")
 	report := fs.Bool("report", false, "print the per-stage execution report to stderr")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run (open in chrome://tracing or Perfetto)")
 	withSynth := synthFlags(fs)
@@ -210,15 +205,6 @@ func runRun(args []string) error {
 	m, err := kumquat.ParseMode(*mode)
 	if err != nil {
 		return err
-	}
-	var fuseOn bool
-	switch *fuse {
-	case "on":
-		fuseOn = true
-	case "off":
-		fuseOn = false
-	default:
-		return fmt.Errorf("run: -fuse must be on or off, got %q", *fuse)
 	}
 	env := kumquat.NewEnv()
 	// Host files are memory-mapped (falling back to a buffered read for
@@ -255,8 +241,6 @@ func runRun(args []string) error {
 	rep, err := plan.Execute(ctx,
 		kumquat.WithParallelism(*k),
 		kumquat.WithMode(m),
-		kumquat.WithFuse(fuseOn),
-		kumquat.WithCombineWorkers(*combineWorkers),
 		kumquat.WithStdin(os.Stdin),
 		kumquat.WithOutput(os.Stdout))
 	if errors.Is(err, context.Canceled) {

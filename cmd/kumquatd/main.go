@@ -11,12 +11,12 @@
 //
 //	POST /v1/synthesize   {"spec": "uniq -c"} → combiner verdict
 //	POST /v1/parallelize  {"script": "...", "files": {...}} → plan summary
-//	POST /v1/execute?script=...&k=8&mode=optimized&fuse=on
+//	POST /v1/execute?script=...&k=8&mode=optimized
 //	                      body streams in as input, stdout streams back,
 //	                      run report arrives in the X-Kumquat-Report trailer
-//	                      (fuse=off walks the Theorem-5-only program in
-//	                      optimized mode; the report names the fired
-//	                      optimizer rewrites)
+//	                      (the report names the fired optimizer rewrites);
+//	                      cluster=on|off|auto picks the dispatch plane,
+//	                      trace=on records the request
 //	GET  /v1/version      build info + service limits
 //	GET  /v1/traces/{id}  recorded trace as Chrome trace-event JSON
 //	                      (?format=raw for span records); execute requests
@@ -33,7 +33,9 @@
 // requests split their input into line-aligned shards dispatched to the
 // listed worker daemons (plain kumquatds), with retry/backoff,
 // speculative straggler re-dispatch, worker health ejection, and local
-// fallback when the worker set is exhausted. See internal/cluster.
+// fallback when the worker set is exhausted. -shards, -shard-timeout and
+// -speculate-after are the deployment's settings; the recovery policy
+// itself is fixed (see internal/cluster).
 //
 // SIGINT/SIGTERM starts a graceful drain: readiness flips to 503, the
 // listener closes, in-flight requests get -drain-timeout to finish, then
@@ -81,7 +83,6 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated worker base URLs enabling coordinator mode (e.g. http://127.0.0.1:9918,http://127.0.0.1:9919)")
 	shards := flag.Int("shards", 0, "shards per parallel stage in coordinator mode (0 = worker count)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-attempt deadline of one remote shard (0 = 30s)")
-	retryMax := flag.Int("retry-max", 0, "re-dispatches per failed shard attempt chain (0 = 3)")
 	speculateAfter := flag.Duration("speculate-after", 0, "minimum shard age before speculative re-dispatch (0 = 2s, negative disables)")
 	traceBuffer := flag.Int("trace-buffer", 64, "traces retained in the in-memory ring for GET /v1/traces/{id} (0 disables tracing)")
 	logLevel := flag.String("log-level", "info", "structured-log level: debug, info, warn, error")
@@ -125,7 +126,6 @@ func main() {
 			Workers:        splitWorkers(*workers),
 			Shards:         *shards,
 			ShardTimeout:   *shardTimeout,
-			RetryMax:       *retryMax,
 			SpeculateAfter: *speculateAfter,
 		},
 	})

@@ -49,6 +49,11 @@ func main() {
 		fmt.Printf("  %-12s chunks=%d streamed=%v %v\n", st.Spec, st.Chunks, st.Streamed, st.Wall)
 	}
 
-	serial, _ := plan.RunSerial()
-	fmt.Printf("\nmatches serial output: %v\n", rep.Output == serial)
+	// Every mode runs through the same Execute call; Serial (u_1) is the
+	// ground truth the parallel run must reproduce byte for byte.
+	serial, err := plan.Execute(context.Background(), kumquat.WithMode(kumquat.Serial))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nmatches serial output: %v\n", rep.Output == serial.Output)
 }

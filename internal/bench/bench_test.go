@@ -111,12 +111,31 @@ func TestScriptsExecuteCorrectly(t *testing.T) {
 }
 
 // table3Divergences are the three scripts whose planning counts differ
-// from the paper's published Table 3, each explained in EXPERIMENTS.md
-// (reconstruction choices, not planner bugs).
+// from the paper's published Table 3. Each difference comes from how the
+// script was reconstructed (catalog.go: Table 10 pins some stages
+// verbatim; the rest follow the cited public sources under Table 3's
+// stage counts), not from a planner bug:
+//
+//   - spell.sh plans 7/8 parallel, 3 eliminated; the paper has 6/8, 3.
+//     Only `tr -cs A-Za-z '\n'` is rerun-only (kept sequential) here;
+//     iconv, col -bx, the other two trs, sort, uniq and comm -23 all
+//     synthesize a parallel combiner in this substrate. The paper's 6/8
+//     implies a second stage without one, and we keep the reconstruction
+//     rather than forcing a stage serial to match.
+//   - 3_3.sh plans 7/9 parallel like the paper, but eliminates 3
+//     combiners to the paper's 2. In the reconstructed `rev | sort | rev
+//     | uniq -c` tail both revs have concat combiners and feed a parallel
+//     stage, so Theorem 5 removes both: one concat adjacency more than
+//     the paper's script has.
+//   - 8.3_3.sh plans 6/10 parallel like the paper, but eliminates 2 to
+//     the paper's 1. Its last pipeline, `comm -23 - tmp.ex.types | sort |
+//     head`, carries a `sort` inserted to reach Table 3's stage count of
+//     10; that sort gives comm's concat combiner a parallel successor, so
+//     Theorem 5 eliminates one more combiner.
 var table3Divergences = map[string]bool{
-	"spell.sh": true, // our spell has one rerun-only stage; paper's 6/8 implies two
-	"3_3.sh":   true, // rev|sort|rev reconstruction has one extra concat adjacency
-	"8.3_3.sh": true, // extra sort inserted to reach Table 3's stage count
+	"spell.sh": true,
+	"3_3.sh":   true,
+	"8.3_3.sh": true,
 }
 
 // TestTable3PerScriptExact pins every non-divergent script's planning
@@ -234,9 +253,12 @@ func TestTable8Histogram(t *testing.T) {
 	}
 	// The paper's buckets must all be populated: concat, rerun (both
 	// orders), merge(*), and (back '\n' add). Concat and rerun dominate.
-	// (Exact counts follow Table 10's convention — every plausible
-	// candidate per command — which differs from Table 8's own totals;
-	// see EXPERIMENTS.md.)
+	// Counts follow Table 10's convention: a command adds one to the bucket
+	// of every plausible candidate it keeps (sort counts toward merge(*) a
+	// b, merge(*) b a, rerun a b and rerun b a), not one per command. That
+	// convention does not reproduce the totals printed in the paper's
+	// Table 8, so the test pins which buckets are populated and which one
+	// dominates, not the per-bucket counts.
 	for _, label := range []string{
 		"(concat a b)", "(rerun a b)", "(rerun b a)",
 		"(merge(*) a b)", "(merge(*) b a)", `(back '\n' add a b)`, `(back '\n' add b a)`,

@@ -14,7 +14,9 @@
 // bytes) — so every recovery mechanism is a re-run:
 //
 //   - per-shard deadlines with exponential-backoff, full-jitter retries
-//     across the worker set (Retry-After honored via the client policy);
+//     across the worker set, floored at a 429's Retry-After — the only
+//     retry loop in the program (the typed client makes one attempt per
+//     call and surfaces every failure here);
 //   - speculative re-dispatch of straggler shards past a latency
 //     threshold derived from the run's completed-shard quantile
 //     (first result wins, the duplicate is cancelled and discarded);
@@ -24,6 +26,13 @@
 //     set is exhausted, so a dead cluster only costs speed, never
 //     correctness.
 //
+// Because recovery never changes a run's bytes, its policy is not
+// configuration: retry count and backoff bounds, the speculation quantile
+// and factor, the ejection threshold, cooldown and probe deadline are
+// fixed (defaultRecovery). A deployment sets what only it can know — the
+// worker addresses, the shard count, the per-shard deadline and the
+// speculation floor (Config).
+//
 // Every retry, speculation, ejection and fallback is counted per run
 // (api.ClusterReport in the execute trailer) and cumulatively (the
 // coordinator's /metrics gauges).
@@ -32,6 +41,7 @@ package cluster
 import (
 	"context"
 	"log/slog"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,8 +62,8 @@ type Runner interface {
 	Probe(ctx context.Context) error
 }
 
-// Config tunes a Coordinator. Workers is required; every other field has
-// a serviceable default.
+// Config is what a deployment sets on a Coordinator. Workers is
+// required; every other field has a serviceable default.
 type Config struct {
 	// Workers lists the worker daemons' base URLs (e.g.
 	// "http://10.0.0.2:9917"). An empty list disables cluster dispatch.
@@ -67,32 +77,11 @@ type Config struct {
 	// ShardTimeout is the per-attempt deadline of one remote shard
 	// execution (default 30s).
 	ShardTimeout time.Duration
-	// RetryMax is the number of re-dispatches after a shard attempt
-	// fails, each against a (preferably different) healthy worker with
-	// exponential backoff between attempts (default 3).
-	RetryMax int
-	// RetryBase and RetryCap bound the full-jitter backoff delays
-	// (defaults 50ms and 1s).
-	RetryBase, RetryCap time.Duration
 	// SpeculateAfter is the minimum age before a running shard may be
 	// speculatively re-dispatched (default 2s; <0 disables speculation).
+	// It is the floor of the straggler threshold, which rises with the
+	// run's completed-shard latencies (see recovery).
 	SpeculateAfter time.Duration
-	// SpeculateFactor scales the completed-shard latency quantile into
-	// the straggler threshold: a shard older than
-	// max(SpeculateAfter, SpeculateFactor × quantile) gets a duplicate
-	// dispatch (default 2.0).
-	SpeculateFactor float64
-	// SpeculateQuantile is the completed-latency quantile the straggler
-	// threshold derives from (default 0.75).
-	SpeculateQuantile float64
-	// EjectAfter is the consecutive-failure count that ejects a worker
-	// from the rotation (default 3).
-	EjectAfter int
-	// EjectCooldown is how long an ejected worker sits out before a
-	// successful probe readmits it (default 15s).
-	EjectCooldown time.Duration
-	// ProbeTimeout bounds one re-admission probe (default 2s).
-	ProbeTimeout time.Duration
 	// Logger receives structured dispatch-health logs (worker ejection
 	// and readmission); nil discards them.
 	Logger *slog.Logger
@@ -105,12 +94,50 @@ type Config struct {
 	// delay before the coordinator sleeps it. kumquatd wires it to the
 	// /metrics retry-backoff histogram.
 	OnRetryBackoff func(time.Duration)
+
+	// recovery is the dispatch recovery policy; the zero value selects
+	// defaultRecovery. Only in-package tests set it, to run the policy at
+	// test-scale timings.
+	recovery recovery
+}
+
+// recovery is the dispatch recovery policy. Shards are pure, so none of
+// it changes what a run outputs — only how soon a failed or slow shard is
+// run again, and where.
+type recovery struct {
+	// retryMax is the number of re-dispatches after a failed shard
+	// attempt, each to a (preferably different) healthy worker.
+	retryMax int
+	// retryBase and retryCap bound the full-jitter backoff before each
+	// re-dispatch (see backoff).
+	retryBase, retryCap time.Duration
+	// A running shard older than max(Config.SpeculateAfter,
+	// speculateFactor × the speculateQuantile of the wave's completed
+	// shard latencies) gets a speculative duplicate.
+	speculateFactor, speculateQuantile float64
+	// ejectAfter consecutive failures take a worker out of the rotation;
+	// after ejectCooldown a probe bounded by probeTimeout may readmit it.
+	ejectAfter    int
+	ejectCooldown time.Duration
+	probeTimeout  time.Duration
+}
+
+// defaultRecovery is the recovery policy every Coordinator runs.
+var defaultRecovery = recovery{
+	retryMax:          3,
+	retryBase:         50 * time.Millisecond,
+	retryCap:          time.Second,
+	speculateFactor:   2,
+	speculateQuantile: 0.75,
+	ejectAfter:        3,
+	ejectCooldown:     15 * time.Second,
+	probeTimeout:      2 * time.Second,
 }
 
 // withDefaults resolves the zero-value fields.
 func (c Config) withDefaults() Config {
 	if c.NewRunner == nil {
-		c.NewRunner = func(addr string) Runner { return NewHTTPRunner(addr, c) }
+		c.NewRunner = func(addr string) Runner { return NewHTTPRunner(addr) }
 	}
 	if c.Shards == 0 {
 		c.Shards = len(c.Workers)
@@ -118,35 +145,14 @@ func (c Config) withDefaults() Config {
 	if c.ShardTimeout == 0 {
 		c.ShardTimeout = 30 * time.Second
 	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 3
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap == 0 {
-		c.RetryCap = time.Second
-	}
 	if c.SpeculateAfter == 0 {
 		c.SpeculateAfter = 2 * time.Second
 	}
-	if c.SpeculateFactor == 0 {
-		c.SpeculateFactor = 2.0
-	}
-	if c.SpeculateQuantile == 0 {
-		c.SpeculateQuantile = 0.75
-	}
-	if c.EjectAfter == 0 {
-		c.EjectAfter = 3
-	}
-	if c.EjectCooldown == 0 {
-		c.EjectCooldown = 15 * time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	if c.recovery == (recovery{}) {
+		c.recovery = defaultRecovery
 	}
 	return c
 }
@@ -195,8 +201,8 @@ func (co *Coordinator) report(st *Stats) api.ClusterReport {
 // (stage boundaries are barriers, stdin is drained), k = Shards, and the
 // coordinator as the leaf runner, so a dispatchable parallel stage's
 // shards go to the workers and every other fan-out is handed back to the
-// in-process runner. Remote partials combine on the sequential tree unless
-// opts ask for more: the coordinator's CPUs are not the cluster's. The
+// in-process runner. Remote partials combine at the executor's pool width,
+// min(Shards, GOMAXPROCS), like any local run at k = Shards. The
 // ClusterReport is this run's dispatch accounting, returned on error too.
 func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...kumquat.ExecOption) (*kumquat.RunReport, api.ClusterReport, error) {
 	st := &Stats{}
@@ -208,8 +214,8 @@ func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...
 			return co.runShards(ctx, cmd, chunks, st)
 		}
 	}
-	all := append([]kumquat.ExecOption{kumquat.WithCombineWorkers(1)}, opts...)
-	all = append(all,
+	// Clip opts so the pinned options never land in the caller's array.
+	all := append(slices.Clip(opts),
 		kumquat.WithMode(kumquat.Unoptimized),
 		kumquat.WithParallelism(co.cfg.Shards),
 		kumquat.WithLeaves(leaves))

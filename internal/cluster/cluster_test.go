@@ -109,20 +109,20 @@ func serialRun(t *testing.T, plan *kumquat.Plan, corpus string) string {
 	return data
 }
 
-// testConfig returns a Config with fake runners and test-scale timings.
+// testConfig returns a Config with fake runners and the recovery policy
+// at test scale: millisecond backoffs, ejection after two failures, and a
+// cooldown that outlasts any test.
 func testConfig(runners map[string]*fakeRunner, addrs ...string) Config {
+	rec := defaultRecovery
+	rec.retryBase, rec.retryCap = time.Millisecond, 5*time.Millisecond
+	rec.ejectAfter, rec.ejectCooldown = 2, time.Minute
 	return Config{
 		Workers:        addrs,
 		NewRunner:      func(addr string) Runner { return runners[addr] },
 		Shards:         3,
 		ShardTimeout:   5 * time.Second,
-		RetryMax:       3,
-		RetryBase:      time.Millisecond,
-		RetryCap:       5 * time.Millisecond,
 		SpeculateAfter: -1, // individual tests opt in
-		EjectAfter:     2,
-		EjectCooldown:  time.Minute,
-		ProbeTimeout:   time.Second,
+		recovery:       rec,
 	}
 }
 
@@ -205,9 +205,7 @@ func TestLocalFallback(t *testing.T) {
 		"a": {addr: "a", fail: fail, probeErr: boom},
 		"b": {addr: "b", fail: fail, probeErr: boom},
 	}
-	cfg := testConfig(runners, "a", "b")
-	cfg.EjectCooldown = time.Minute // keep dead workers out for the test's duration
-	co := New(cfg)
+	co := New(testConfig(runners, "a", "b"))
 	plan := compilePlan(t, "sort | uniq -c")
 
 	out, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
@@ -241,7 +239,6 @@ func TestSpeculationWins(t *testing.T) {
 	}
 	cfg := testConfig(runners, "slow", "b", "c")
 	cfg.SpeculateAfter = 20 * time.Millisecond
-	cfg.SpeculateFactor = 100 // keep the floor decisive at test scale
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
@@ -277,10 +274,9 @@ func TestEjectionReadmission(t *testing.T) {
 	}
 	cfg := testConfig(map[string]*fakeRunner{"w": flaky}, "w")
 	cfg.Shards = 2
-	cfg.EjectAfter = 2
-	cfg.EjectCooldown = time.Millisecond
-	cfg.RetryMax = 4
-	cfg.RetryBase = 5 * time.Millisecond
+	cfg.recovery.ejectCooldown = time.Millisecond
+	cfg.recovery.retryMax = 4
+	cfg.recovery.retryBase = 5 * time.Millisecond
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -185,38 +187,40 @@ func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *la
 }
 
 // specDelay resolves the straggler threshold for a shard starting now:
-// the configured floor, raised to SpeculateFactor times the completed
+// the configured floor, raised to speculateFactor times the completed
 // quantile once enough of the wave has finished.
 func (co *Coordinator) specDelay(lat *latencies) (time.Duration, bool) {
 	if co.cfg.SpeculateAfter < 0 {
 		return 0, false
 	}
 	d := co.cfg.SpeculateAfter
-	if q, ok := lat.quantile(co.cfg.SpeculateQuantile); ok {
-		if scaled := time.Duration(float64(q) * co.cfg.SpeculateFactor); scaled > d {
+	pol := co.cfg.recovery
+	if q, ok := lat.quantile(pol.speculateQuantile); ok {
+		if scaled := time.Duration(float64(q) * pol.speculateFactor); scaled > d {
 			d = scaled
 		}
 	}
 	return d, true
 }
 
-// attempts is one dispatch chain: claim a worker, run the shard under
-// the per-attempt deadline, and on failure back off (full jitter,
-// floored at a 429's Retry-After) and retry on the next worker, up to
-// RetryMax re-dispatches.
+// attempts is one dispatch chain — the program's only retry loop: claim
+// a worker, run the shard under the per-attempt deadline, and on failure
+// back off (full jitter, floored at a 429's Retry-After) and retry on the
+// next worker, up to retryMax re-dispatches.
 func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Stats) (string, error) {
 	span := obs.FromContext(ctx)
+	pol := co.cfg.recovery
 	var last error
 	var avoid *worker
-	for try := 0; try <= co.cfg.RetryMax; try++ {
+	for try := 0; try <= pol.retryMax; try++ {
 		if try > 0 {
 			st.Retries.Add(1)
 			span.EventInt("retry", "attempt", int64(try))
-			d := client.Backoff(co.cfg.RetryBase, co.cfg.RetryCap, try-1, last)
+			d := backoff(pol.retryBase, pol.retryCap, try-1, last)
 			if co.cfg.OnRetryBackoff != nil {
 				co.cfg.OnRetryBackoff(d)
 			}
-			if !client.Sleep(ctx, d) {
+			if !sleep(ctx, d) {
 				return "", ctx.Err()
 			}
 		}
@@ -249,4 +253,44 @@ func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Sta
 		}
 	}
 	return "", last
+}
+
+// backoff computes the delay before retry number try+1: full jitter over
+// the exponentially growing ceiling min(cap, base·2^try), floored at the
+// worker's Retry-After hint when err is a client.BusyError. A cap ≤ 0
+// leaves the growth unbounded. The ceiling saturates at the cap once
+// base·2^try no longer fits a Duration, so a long retry chain keeps
+// backing off instead of overflowing to a zero delay.
+func backoff(base, cap time.Duration, try int, err error) time.Duration {
+	base = max(base, 0)
+	if cap <= 0 {
+		cap = math.MaxInt64 - 1 // the jitter draw below needs ceil+1
+	}
+	shift := min(uint(try), 62)
+	ceil := base << shift
+	if ceil>>shift != base || ceil > cap {
+		ceil = cap // overflowed, or past the cap
+	}
+	delay := time.Duration(rand.Int63n(int64(ceil) + 1))
+	var busy *client.BusyError
+	if errors.As(err, &busy) && busy.RetryAfter > delay {
+		delay = busy.RetryAfter
+	}
+	return delay
+}
+
+// sleep waits for d or until ctx is done, reporting whether the full
+// delay elapsed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }

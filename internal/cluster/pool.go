@@ -54,7 +54,7 @@ func (p *pool) healthy() int {
 // least-loaded and avoiding the given worker (the previous attempt's
 // target) when any alternative exists. If the rotation is empty,
 // ejected workers whose cooldown has expired are probed (bounded by
-// ProbeTimeout) and readmitted on success. Returns nil when no worker
+// probeTimeout) and readmitted on success. Returns nil when no worker
 // can be claimed — the caller degrades to local execution. Every
 // non-nil claim must be released via success or failure.
 func (p *pool) pick(ctx context.Context, avoid *worker, st *Stats) *worker {
@@ -63,7 +63,7 @@ func (p *pool) pick(ctx context.Context, avoid *worker, st *Stats) *worker {
 	}
 	// Rotation exhausted: try to readmit a cooled-down ejected worker.
 	for _, w := range p.cooled() {
-		pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, p.cfg.recovery.probeTimeout)
 		err := w.runner.Probe(pctx)
 		cancel()
 		p.mu.Lock()
@@ -120,7 +120,7 @@ func (p *pool) cooled() []*worker {
 	defer p.mu.Unlock()
 	var out []*worker
 	for _, w := range p.workers {
-		if w.ejected && time.Since(w.ejectedAt) >= p.cfg.EjectCooldown {
+		if w.ejected && time.Since(w.ejectedAt) >= p.cfg.recovery.ejectCooldown {
 			out = append(out, w)
 		}
 	}
@@ -146,7 +146,7 @@ func (p *pool) failure(ctx context.Context, w *worker, st *Stats) {
 	w.fails++
 	ejected := false
 	fails := w.fails
-	if !w.ejected && w.fails >= p.cfg.EjectAfter {
+	if !w.ejected && w.fails >= p.cfg.recovery.ejectAfter {
 		w.ejected = true
 		w.ejectedAt = time.Now()
 		st.Ejections.Add(1)

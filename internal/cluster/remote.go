@@ -8,9 +8,9 @@ import (
 )
 
 // HTTPRunner executes shards on one worker daemon over the typed
-// streaming client. Retry policy deliberately lives in the coordinator,
-// not the client: the coordinator spreads re-dispatches across workers
-// and counts every one, which a per-client retry loop would hide.
+// streaming client, one attempt per call. Retrying lives in the
+// coordinator alone: it spreads re-dispatches across workers and counts
+// every one.
 type HTTPRunner struct {
 	c *client.Client
 }
@@ -19,7 +19,7 @@ type HTTPRunner struct {
 // bare host:port (the -workers flag's natural spelling) gets an http://
 // scheme. Per-attempt deadlines arrive via the coordinator's context, so
 // the underlying client needs no timeout of its own.
-func NewHTTPRunner(addr string, cfg Config) *HTTPRunner {
+func NewHTTPRunner(addr string) *HTTPRunner {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}

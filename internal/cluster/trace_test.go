@@ -79,7 +79,6 @@ func TestTraceSpeculationEvents(t *testing.T) {
 	}
 	cfg := testConfig(runners, "slow", "b", "c")
 	cfg.SpeculateAfter = 20 * time.Millisecond
-	cfg.SpeculateFactor = 100
 	co := New(cfg)
 
 	td := tracedExecute(t, co, "sort", testCorpus)
@@ -102,9 +101,7 @@ func TestTraceFallbackAndEjectionEvents(t *testing.T) {
 		"a": {addr: "a", fail: fail, probeErr: boom},
 		"b": {addr: "b", fail: fail, probeErr: boom},
 	}
-	cfg := testConfig(runners, "a", "b")
-	cfg.EjectCooldown = time.Minute
-	co := New(cfg)
+	co := New(testConfig(runners, "a", "b"))
 
 	td := tracedExecute(t, co, "sort | uniq -c", testCorpus)
 	events, _ := countEvents(td)

@@ -56,10 +56,11 @@ type ChaosReport struct {
 	WorkerKilledAt  int `json:"worker_killed_at"`
 	ClusterKilledAt int `json:"cluster_killed_at"`
 	// TraceSample is a full stitched trace from the most eventful case of
-	// the suite (preferring runs that saw retries, speculation and remote
-	// shards): coordinator spans plus the worker spans shipped back in
-	// trace trailers, fetched from the coordinator's ring right after the
-	// run so eviction can't race it. Nil only if every fetch failed.
+	// the suite (preferring runs with remote shards, then runs that saw
+	// retries and speculation): coordinator spans plus the worker spans
+	// shipped back in trace trailers, fetched from the coordinator's ring
+	// right after the run so eviction can't race it. Nil only if every
+	// fetch failed.
 	TraceSample *obs.TraceData `json:"trace_sample,omitempty"`
 	// TraceSpans, TraceProcs, TraceRetryEvents and TraceSpeculationEvents
 	// summarize the sample: span count, distinct process names (≥2 proves
@@ -179,26 +180,18 @@ func ReplayCluster(ctx context.Context, cases []*Case, opts ClusterOptions, orac
 		proxyURLs = append(proxyURLs, pn.url)
 	}
 
-	// The coordinator dispatches through the proxies. Timings are scaled
-	// for a loopback suite: backoffs in single-digit milliseconds, the
-	// speculation floor just above a healthy shard's latency and well
-	// below the proxies' stall, so stalls reliably trigger speculative
-	// re-dispatch while healthy shards never do.
+	// The coordinator dispatches through the proxies with the production
+	// recovery policy. The one deployment setting scaled for a loopback
+	// suite is the speculation floor: just above a healthy shard's latency
+	// and well below the proxies' stall, so stalls reliably trigger
+	// speculative re-dispatch.
 	csrv := server.New(server.Config{
 		SynthOptions: kumquat.Options{Seed: 1, Workers: opts.SynthWorkers},
 		TraceProc:    "coordinator",
 		Cluster: cluster.Config{
-			Workers:         proxyURLs,
-			Shards:          workers,
-			ShardTimeout:    10 * time.Second,
-			RetryMax:        3,
-			RetryBase:       2 * time.Millisecond,
-			RetryCap:        20 * time.Millisecond,
-			SpeculateAfter:  150 * time.Millisecond,
-			SpeculateFactor: 3,
-			EjectAfter:      2,
-			EjectCooldown:   500 * time.Millisecond,
-			ProbeTimeout:    time.Second,
+			Workers:        proxyURLs,
+			Shards:         workers,
+			SpeculateAfter: 150 * time.Millisecond,
 		},
 	})
 	cn, err := bootNode(csrv.Handler(), &serving)
@@ -207,10 +200,10 @@ func ReplayCluster(ctx context.Context, cases []*Case, opts ClusterOptions, orac
 	}
 	defer cn.kill()
 
-	// The replay client exercises the retry policy the cluster plane
-	// asks of its own clients: 429s and transport blips are absorbed
-	// with backoff before anything surfaces.
-	c := client.New(cn.url, client.WithRetry(3, 2*time.Millisecond, 20*time.Millisecond))
+	// The replay client talks straight to the coordinator (no proxy fronts
+	// it), so every fault and every retry happens on the coordinator's
+	// shard dispatch.
+	c := client.New(cn.url)
 
 	rep := &ChaosReport{
 		Cases: len(cases), Workers: workers, Shards: workers,
@@ -269,9 +262,11 @@ func ReplayCluster(ctx context.Context, cases []*Case, opts ClusterOptions, orac
 			// immediately — the coordinator's ring evicts old traces, so
 			// waiting until the end of the suite could lose it.
 			if run.Trace != nil {
+				// A run with a remote shard outranks any all-local one: only
+				// it can show coordinator and worker spans stitched together.
 				score := 0
 				if run.Cluster.RemoteRuns > 0 {
-					score++
+					score += 5
 				}
 				if run.Cluster.Retries > 0 {
 					score += 2

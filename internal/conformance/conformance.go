@@ -1,7 +1,7 @@
 // Package conformance is the test plane of the reproduction: a
 // differential-testing subsystem that generates random-but-valid pipelines
 // and corpora from the unix command catalog, runs each through every
-// execution mode × worker count × combine-worker setting, and diffs the
+// execution mode × worker count × fuse setting × stdin kind, and diffs the
 // result byte-for-byte against the serial oracle (the paper's u_1
 // configuration — the semantics every parallel configuration must
 // reproduce exactly).

@@ -72,20 +72,16 @@ func TestGenCoversProfilesAndSources(t *testing.T) {
 
 // TestConfigsSweep: the sweep must cover all four modes (serial included:
 // the oracle is the independent reference, not a mode), the worker counts
-// {1, 4, GOMAXPROCS}, a serial-combine-plane variant, and external-stdin
-// rows for both optimized programs.
+// {1, 4, GOMAXPROCS}, and external-stdin rows for both optimized
+// programs.
 func TestConfigsSweep(t *testing.T) {
 	configs := Configs()
 	modes := map[string]bool{}
 	ks := map[int]bool{}
-	combineVariant := false
 	external := map[bool]bool{} // keyed by NoFuse
 	for _, c := range configs {
 		modes[c.Mode] = true
 		ks[c.K] = true
-		if c.CombineWorkers == 1 {
-			combineVariant = true
-		}
 		if c.ExternalStdin && c.Mode == "optimized" {
 			external[c.NoFuse] = true
 		}
@@ -100,9 +96,6 @@ func TestConfigsSweep(t *testing.T) {
 	}
 	if !ks[1] || !ks[4] {
 		t.Errorf("worker counts 1 and 4 must be swept, got %v", ks)
-	}
-	if !combineVariant {
-		t.Error("no combine-workers=1 variant in the sweep")
 	}
 }
 

@@ -12,16 +12,14 @@ import (
 )
 
 // Config is one execution configuration of the differential sweep: an
-// execution mode, a data-parallelism degree, and a combine-plane worker
-// bound (0 = the executor's default).
+// execution mode, a data-parallelism degree, the program optimized mode
+// walks, and the kind of stdin.
 type Config struct {
 	// Mode is the execution mode name ("optimized", "unoptimized",
 	// "serial", "pipelined") — the JSON-friendly form of kumquat.Mode.
 	Mode string `json:"mode"`
 	// K is the data-parallelism degree.
 	K int `json:"k"`
-	// CombineWorkers bounds the combine plane (0 = default).
-	CombineWorkers int `json:"combine_workers,omitempty"`
 	// NoFuse makes optimized-mode rows walk the Theorem-5-only program
 	// instead of the rewritten one. Fusion is on by default, so the plain
 	// optimized rows exercise the rewritten program and these are the
@@ -34,28 +32,22 @@ type Config struct {
 }
 
 // Configs enumerates the sweep every case runs under: optimized and
-// unoptimized at every worker count in {1, 4, GOMAXPROCS}, each mode
-// once more with the combine plane forced serial at the widest k,
+// unoptimized at every worker count in {1, 4, GOMAXPROCS} (the tree
+// combine runs at the chunk pool's width, min(k, GOMAXPROCS); the dsl
+// package's CombineKTree tests hold every width to the same bytes),
 // optimized fuse-off ablation rows at every worker count (the plain
-// optimized rows run the rewritten dataflow program, so both programs
-// are held to the oracle), the serial (u_1) and pipelined (T_orig)
+// optimized rows run the rewritten dataflow program, so both programs are
+// held to the oracle), the serial (u_1) and pipelined (T_orig)
 // configurations, and external-stdin rows for every configuration that
 // treats a live source differently. Every mode runs on the one region
 // walker, so the oracle is the independent reference below, not a mode.
 func Configs() []Config {
 	ks := workerCounts()
-	widest := ks[0]
-	for _, k := range ks {
-		if k > widest {
-			widest = k
-		}
-	}
 	var out []Config
 	for _, mode := range []kumquat.Mode{kumquat.Optimized, kumquat.Unoptimized} {
 		for _, k := range ks {
 			out = append(out, Config{Mode: mode.String(), K: k})
 		}
-		out = append(out, Config{Mode: mode.String(), K: widest, CombineWorkers: 1})
 	}
 	for _, k := range ks {
 		out = append(out, Config{Mode: kumquat.Optimized.String(), K: k, NoFuse: true})
@@ -180,9 +172,6 @@ func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (str
 	opts := []kumquat.ExecOption{
 		kumquat.WithMode(mode),
 		kumquat.WithParallelism(cfg.K),
-	}
-	if cfg.CombineWorkers > 0 {
-		opts = append(opts, kumquat.WithCombineWorkers(cfg.CombineWorkers))
 	}
 	if cfg.NoFuse {
 		opts = append(opts, kumquat.WithFuse(false))

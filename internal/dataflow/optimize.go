@@ -107,8 +107,8 @@ type Program struct {
 
 // Options tunes Optimize.
 type Options struct {
-	// Disable turns individual rewrites off. The -fuse=off configuration
-	// is the program lowered with all three disabled (Theorem 5 splits
+	// Disable turns individual rewrites off. The fuse-off configuration
+	// (pipeline.WithFuse(false)) is the program lowered with all three disabled (Theorem 5 splits
 	// only); tests and benchmarks ablate rules one at a time.
 	Disable map[Rule]bool
 	// UnsafeAssumeOrderInsensitive makes RuleElideCombine treat every

@@ -55,7 +55,7 @@ type RunInfo struct {
 // WithFuse chooses which program an Optimized-mode run walks (default
 // on): the rewritten one (fuse-streamers, elide-combine, push-sort-merge
 // applied), or — off — the same graph lowered with those three rewrites
-// disabled, leaving only Theorem 5's split exits. It is the -fuse=off
+// disabled, leaving only Theorem 5's split exits. It is the fuse-off
 // ablation the benchmarks and the conformance plane compare against; the
 // executor is the same either way.
 func WithFuse(on bool) ExecOpt {

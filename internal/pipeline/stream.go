@@ -100,6 +100,9 @@ func (wp *workerPool) acquire(ctx context.Context) error {
 
 func (wp *workerPool) release() { <-wp.sem }
 
+// size is the pool's slot count, which is also the tree combine's width.
+func (wp *workerPool) size() int { return cap(wp.sem) }
+
 // countReader / countWriter thread byte accounting through a piped
 // region without copying. Each is used by one region goroutine, and the
 // counts are read only after the walk's teardown has waited for it.
@@ -194,13 +197,9 @@ func (ar *asyncReader) Read(p []byte) (int, error) {
 }
 
 // execConfig collects one Execute call's options. It only chooses what
-// the walker is handed — which Program, which combine bound, which leaf
-// runner — and is gone once the walk starts.
+// the walker is handed — which Program, which leaf runner — and is gone
+// once the walk starts.
 type execConfig struct {
-	// combineWorkers bounds the tree combine's concurrency (the §3.5
-	// combine plane); 0 defaults to the chunk pool's size so combine
-	// parallelism matches execution parallelism.
-	combineWorkers int
 	// fuse selects Optimized mode's program: the rewritten one (default)
 	// or the Theorem-5-only lowering (see WithFuse).
 	fuse bool
@@ -213,18 +212,6 @@ type execConfig struct {
 
 // ExecOpt tunes one Execute call beyond the mode/k pair.
 type ExecOpt func(*execConfig)
-
-// WithCombineWorkers bounds the concurrency of the tree-reduction
-// combine plane; n <= 0 keeps the default (the chunk worker pool's
-// size). 1 selects the sequential tree, which still beats the left fold
-// on copied bytes for boundary-local combiners.
-func WithCombineWorkers(n int) ExecOpt {
-	return func(c *execConfig) {
-		if n > 0 {
-			c.combineWorkers = n
-		}
-	}
-}
 
 // Execute runs the plan in the given mode with k-way data parallelism,
 // reading the pipeline's input from stdin (when the plan has no input
@@ -246,16 +233,12 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 		opt(&cfg)
 	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
-	// k > GOMAXPROCS the extra chunks wait for a pool slot.
-	poolSize := max(1, min(k, runtime.GOMAXPROCS(0)))
-	if cfg.combineWorkers == 0 {
-		cfg.combineWorkers = poolSize
-	}
+	// k > GOMAXPROCS the extra chunks wait for a pool slot. The tree
+	// combine runs at the same width.
 	ex := &executor{
-		env:            env,
-		k:              k,
-		pool:           newWorkerPool(poolSize),
-		combineWorkers: cfg.combineWorkers,
+		env:  env,
+		k:    k,
+		pool: newWorkerPool(min(k, runtime.GOMAXPROCS(0))),
 	}
 	switch mode {
 	case ModeSerial:

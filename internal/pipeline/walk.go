@@ -47,9 +47,9 @@ type executor struct {
 	// source, whatever its kind (T_orig): unix.Exec's buffered fallback
 	// runs whole-stream commands behind the same pipes.
 	piped bool
-	pool  *workerPool
-	// combineWorkers bounds the tree combine's concurrency.
-	combineWorkers int
+	// pool bounds in-flight chunk executions; its size is also the tree
+	// combine's width.
+	pool *workerPool
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
 	// info, when non-nil, receives the region metrics and applied
@@ -344,7 +344,7 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 		_, span := obs.StartSpan(ctx, "combine")
 		span.AttrInt("parts", int64(len(outs)))
 		start := time.Now()
-		combined, err := sp.Synth.Combiner.CombineKTree(outs, ex.combineWorkers)
+		combined, err := sp.Synth.Combiner.CombineKTree(outs, ex.pool.size())
 		rm.CombineWall = time.Since(start)
 		span.End()
 		if err != nil {

@@ -90,7 +90,7 @@ type ExecuteReport struct {
 	// SynthCache is the compile-time combiner-cache activity.
 	SynthCache kumquat.SynthCacheStats `json:"synth_cache"`
 	// Fused reports that the rewritten dataflow program ran (optimized
-	// mode with fuse=on, over a file, an in-memory or a live stdin).
+	// mode, over a file, an in-memory or a live stdin).
 	Fused bool `json:"fused,omitempty"`
 	// Rewrites counts the dataflow-optimizer rewrites the run's program
 	// applied, per rule name; omitted when Fused is false.

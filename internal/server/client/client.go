@@ -3,11 +3,12 @@
 // input/output, and decodes the RunReport trailer, so callers get the
 // same surface the in-process library offers — over a socket.
 //
-// The client is also the cluster plane's transport: with WithRetry it
-// absorbs transient failures (429 load shedding, connection errors, bad
-// gateways) behind exponential backoff with full jitter, honoring
-// Retry-After, so coordinators and CLI callers only see errors that
-// survived the policy.
+// The client is also the cluster plane's transport. Every call is one
+// attempt: load shedding (BusyError, with the server's Retry-After), a
+// transport error, a truncated stream or a lost report trailer surfaces
+// to the caller as it happened. Retrying is the caller's decision — the
+// cluster coordinator's dispatch loop re-runs a failed shard on another
+// worker and counts every retry.
 package client
 
 import (
@@ -17,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -29,14 +28,13 @@ import (
 	"kumquat/internal/server/api"
 )
 
-// ErrBusy is returned when the server sheds load (HTTP 429) and the
-// retry policy (if any) is exhausted: the caller should back off and
-// retry.
+// ErrBusy is returned when the server sheds load (HTTP 429): the caller
+// should back off and retry.
 var ErrBusy = errors.New("client: server at capacity")
 
 // BusyError is the concrete 429 error: it unwraps to ErrBusy and carries
-// the server's Retry-After hint so callers layering their own retry
-// policy (the cluster coordinator) can honor it.
+// the server's Retry-After hint so a caller's retry loop (the cluster
+// coordinator's) can honor it.
 type BusyError struct {
 	// RetryAfter is the server's Retry-After hint (zero when absent).
 	RetryAfter time.Duration
@@ -50,24 +48,10 @@ func (e *BusyError) Error() string { return fmt.Sprintf("%v: %s", ErrBusy, e.Msg
 // Unwrap makes errors.Is(err, ErrBusy) hold for BusyError values.
 func (e *BusyError) Unwrap() error { return ErrBusy }
 
-// RetryPolicy tunes the client's transparent retries: up to Max retries
-// (Max+1 attempts total) with exponential backoff and full jitter —
-// each delay is uniform in [0, min(Cap, Base·2^attempt)], floored at the
-// server's Retry-After hint on 429s.
-type RetryPolicy struct {
-	// Max is the number of retries after the first attempt; 0 disables
-	// retrying.
-	Max int
-	// Base is the first backoff ceiling; Cap bounds the exponential
-	// growth.
-	Base, Cap time.Duration
-}
-
 // Client talks to one kumquatd instance.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry RetryPolicy
+	base string
+	hc   *http.Client
 }
 
 // Option configures a Client.
@@ -77,18 +61,6 @@ type Option func(*Client)
 // transports, test doubles).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithRetry enables transparent retries on transient failures: HTTP 429
-// (honoring Retry-After), 502/503/504, and transport errors (connection
-// refused or reset, unexpected EOF before the response status). Requests
-// are only retried when they are safely repeatable — the JSON endpoints
-// always are (their bodies are rebuilt per attempt; the API is
-// idempotent by construction), and Execute retries only while no output
-// byte has been streamed and its stdin can be rewound. ErrBusy surfaces
-// only after the retries are exhausted.
-func WithRetry(max int, base, cap time.Duration) Option {
-	return func(c *Client) { c.retry = RetryPolicy{Max: max, Base: base, Cap: cap} }
 }
 
 // New returns a client for the server at base (e.g.
@@ -129,12 +101,6 @@ type ExecuteOptions struct {
 	Mode string
 	// K is the data-parallelism degree; 0 = server default.
 	K int
-	// CombineWorkers bounds the combine plane; 0 = server default.
-	CombineWorkers int
-	// Fuse selects the program optimized mode walks: "" = server default
-	// (on), "on" the rewritten dataflow program, "off" the
-	// Theorem-5-only ablation.
-	Fuse string
 	// Cluster selects coordinator dispatch on a cluster-configured
 	// server: "" = server default (on when workers are configured),
 	// "off" forces local execution, "on" requires cluster mode.
@@ -150,10 +116,10 @@ type ExecuteOptions struct {
 // stream is copied to out as it arrives, and the run report decoded
 // from the response trailer is returned. A nil stdin sends no input.
 //
-// With a retry policy, attempts that fail before the first output byte
-// (connection errors, 429/5xx statuses) are retried when stdin is nil or
-// an io.Seeker (it is rewound per attempt); a failure after streaming
-// began is returned as-is — the caller owns mid-stream recovery.
+// A failure after streaming began — a broken body, an error trailer, a
+// lost report trailer — is returned with whatever bytes already reached
+// out: the output cannot be trusted complete, and whether to run the
+// script again is the caller's decision.
 func (c *Client) Execute(ctx context.Context, script string, opts ExecuteOptions, stdin io.Reader, out io.Writer) (*api.ExecuteReport, error) {
 	q := url.Values{"script": {script}}
 	if opts.Mode != "" {
@@ -162,102 +128,57 @@ func (c *Client) Execute(ctx context.Context, script string, opts ExecuteOptions
 	if opts.K > 0 {
 		q.Set("k", strconv.Itoa(opts.K))
 	}
-	if opts.CombineWorkers > 0 {
-		q.Set("combine-workers", strconv.Itoa(opts.CombineWorkers))
-	}
-	if opts.Fuse != "" {
-		q.Set("fuse", opts.Fuse)
-	}
 	if opts.Cluster != "" {
 		q.Set("cluster", opts.Cluster)
 	}
 	if opts.Trace != "" {
 		q.Set("trace", opts.Trace)
 	}
-	target := c.base + "/v1/execute?" + q.Encode()
-
-	seeker, _ := stdin.(io.Seeker)
-	rewindable := stdin == nil || seeker != nil
-	cw := &countingWriter{w: out}
-	var report *api.ExecuteReport
-	err := c.attempt(ctx, func() (retryable bool, err error) {
-		if cw.n > 0 {
-			// Output already streamed: a retry would duplicate bytes.
-			return false, errors.New("client: internal: attempt after partial stream")
-		}
-		if seeker != nil {
-			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-				return false, fmt.Errorf("client: rewinding stdin for retry: %w", err)
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, stdin)
-		if err != nil {
-			return false, err
-		}
-		// Propagate trace context: a span in ctx (a coordinator's shard
-		// dispatch) rides the W3C traceparent header, and the worker's
-		// spans come back in the trace trailer for stitching.
-		sp := obs.FromContext(ctx)
-		if sp != nil {
-			req.Header.Set("traceparent", sp.SpanContext().Traceparent())
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return rewindable, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return rewindable && retryableStatus(resp.StatusCode), decodeError(resp)
-		}
-		if _, err := io.Copy(cw, resp.Body); err != nil {
-			// The stream broke mid-body; bytes may have reached out, so
-			// never retry transparently.
-			return false, fmt.Errorf("client: streaming output: %w", err)
-		}
-		// Trailers are populated only after the body has been fully read.
-		if sp != nil {
-			if raw := resp.Trailer.Get(api.TraceTrailer); raw != "" {
-				var recs []obs.SpanRecord
-				if json.Unmarshal([]byte(raw), &recs) == nil {
-					sp.Tracer().Merge(recs)
-				}
-			}
-		}
-		if msg := resp.Trailer.Get(api.ErrorTrailer); msg != "" {
-			return false, fmt.Errorf("client: execute failed: %s", msg)
-		}
-		raw := resp.Trailer.Get(api.ReportTrailer)
-		if raw == "" {
-			// The trailer was lost (proxy dropped it, connection closed at
-			// the chunk boundary). The output cannot be trusted complete;
-			// retry only while nothing was streamed to the caller.
-			return rewindable && cw.n == 0, errors.New("client: response carried no run report trailer")
-		}
-		var rep api.ExecuteReport
-		if err := json.Unmarshal([]byte(raw), &rep); err != nil {
-			return false, fmt.Errorf("client: decoding run report: %w", err)
-		}
-		report = &rep
-		return false, nil
-	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/execute?"+q.Encode(), stdin)
 	if err != nil {
 		return nil, err
 	}
-	return report, nil
-}
-
-// countingWriter tracks whether any output byte reached the caller's
-// sink, the point past which Execute must not retry.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-// Write forwards to the wrapped sink and counts.
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+	// Propagate trace context: a span in ctx (a coordinator's shard
+	// dispatch) rides the W3C traceparent header, and the worker's spans
+	// come back in the trace trailer for stitching.
+	sp := obs.FromContext(ctx)
+	if sp != nil {
+		req.Header.Set("traceparent", sp.SpanContext().Traceparent())
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, decodeError(resp)
+	}
+	if _, err := io.Copy(out, resp.Body); err != nil {
+		return nil, fmt.Errorf("client: streaming output: %w", err)
+	}
+	// Trailers are populated only after the body has been fully read.
+	if sp != nil {
+		if raw := resp.Trailer.Get(api.TraceTrailer); raw != "" {
+			var recs []obs.SpanRecord
+			if json.Unmarshal([]byte(raw), &recs) == nil {
+				sp.Tracer().Merge(recs)
+			}
+		}
+	}
+	if msg := resp.Trailer.Get(api.ErrorTrailer); msg != "" {
+		return nil, fmt.Errorf("client: execute failed: %s", msg)
+	}
+	raw := resp.Trailer.Get(api.ReportTrailer)
+	if raw == "" {
+		// The trailer was lost (a proxy dropped it, the connection closed
+		// at the chunk boundary): the output cannot be trusted complete.
+		return nil, errors.New("client: response carried no run report trailer")
+	}
+	var rep api.ExecuteReport
+	if err := json.Unmarshal([]byte(raw), &rep); err != nil {
+		return nil, fmt.Errorf("client: decoding run report: %w", err)
+	}
+	return &rep, nil
 }
 
 // TraceData fetches one recorded trace from the server's ring by id (32
@@ -338,113 +259,35 @@ func (c *Client) postJSON(ctx context.Context, path string, body, into any) erro
 	if err != nil {
 		return err
 	}
-	return c.attempt(ctx, func() (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return c.doJSON(req, into)
-	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.doJSON(req, into)
 }
 
 // getJSON fetches a JSON reply.
 func (c *Client) getJSON(ctx context.Context, path string, into any) error {
-	return c.attempt(ctx, func() (bool, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return false, err
-		}
-		return c.doJSON(req, into)
-	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	return c.doJSON(req, into)
 }
 
-// doJSON executes one request attempt and decodes the JSON response or
-// error body, classifying the failure's retryability.
-func (c *Client) doJSON(req *http.Request, into any) (retryable bool, err error) {
+// doJSON executes the request and decodes the JSON response or error
+// body.
+func (c *Client) doJSON(req *http.Request, into any) error {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// Transport-level failure: nothing of the response was consumed,
-		// and the API is idempotent, so the attempt is safely repeatable.
-		return true, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return retryableStatus(resp.StatusCode), decodeError(resp)
+		return decodeError(resp)
 	}
-	return false, json.NewDecoder(resp.Body).Decode(into)
-}
-
-// attempt runs op under the client's retry policy: transient failures
-// sleep an exponentially-backed-off, fully-jittered delay (floored at a
-// 429's Retry-After hint) and re-run, up to Max retries.
-func (c *Client) attempt(ctx context.Context, op func() (retryable bool, err error)) error {
-	for try := 0; ; try++ {
-		retryable, err := op()
-		if err == nil {
-			return nil
-		}
-		if !retryable || try >= c.retry.Max || ctx.Err() != nil {
-			return err
-		}
-		if !Sleep(ctx, Backoff(c.retry.Base, c.retry.Cap, try, err)) {
-			return err
-		}
-	}
-}
-
-// Backoff computes the delay before retry number try+1: full jitter over
-// the exponentially growing ceiling min(cap, base·2^try), floored at the
-// server's Retry-After hint when err carries one. A cap ≤ 0 leaves the
-// growth unbounded. The ceiling saturates at the cap once base·2^try no
-// longer fits a Duration, so a long retry chain keeps backing off instead
-// of overflowing to a zero delay. It is the one backoff policy: the
-// client's transparent retries and the cluster coordinator's shard
-// re-dispatches both use it.
-func Backoff(base, cap time.Duration, try int, err error) time.Duration {
-	base = max(base, 0)
-	if cap <= 0 {
-		cap = math.MaxInt64 - 1 // the jitter draw below needs ceil+1
-	}
-	shift := min(uint(try), 62)
-	ceil := base << shift
-	if ceil>>shift != base || ceil > cap {
-		ceil = cap // overflowed, or past the cap
-	}
-	delay := time.Duration(rand.Int63n(int64(ceil) + 1))
-	var busy *BusyError
-	if errors.As(err, &busy) && busy.RetryAfter > delay {
-		delay = busy.RetryAfter
-	}
-	return delay
-}
-
-// Sleep waits for d or until ctx is done, reporting whether the full
-// delay elapsed.
-func Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// retryableStatus reports whether a non-200 status is worth retrying:
-// load shedding and gateway-transient failures are; client errors are
-// deterministic and are not.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
+	return json.NewDecoder(resp.Body).Decode(into)
 }
 
 // decodeError converts a non-200 response to a Go error, mapping 429 to

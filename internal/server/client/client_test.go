@@ -10,6 +10,7 @@ import (
 
 	"kumquat"
 	"kumquat/internal/server"
+	"kumquat/internal/server/api"
 	"kumquat/internal/server/client"
 )
 
@@ -144,7 +145,7 @@ func trailerHandler(body string, trailers map[string]string) http.Handler {
 func TestExecuteTrailerReportParsing(t *testing.T) {
 	report := `{"mode":"optimized","parallelism":8,"wall_ms":1.5,"bytes_in":6,"bytes_out":4,` +
 		`"stages":[{"spec":"sort","parallel":true,"chunks":8}],"synth_cache":{}}`
-	hs := httptest.NewServer(trailerHandler("body\n", map[string]string{server.ReportTrailer: report}))
+	hs := httptest.NewServer(trailerHandler("body\n", map[string]string{api.ReportTrailer: report}))
 	defer hs.Close()
 
 	var out strings.Builder
@@ -164,7 +165,7 @@ func TestExecuteTrailerReportParsing(t *testing.T) {
 // trailer and surfaces as an error even though the status was 200.
 func TestExecuteErrorTrailer(t *testing.T) {
 	hs := httptest.NewServer(trailerHandler("partial", map[string]string{
-		server.ErrorTrailer: "stage exploded mid-stream",
+		api.ErrorTrailer: "stage exploded mid-stream",
 	}))
 	defer hs.Close()
 
@@ -203,7 +204,7 @@ func TestMalformedJSON(t *testing.T) {
 		}
 	})
 	t.Run("report trailer", func(t *testing.T) {
-		hs := httptest.NewServer(trailerHandler("x", map[string]string{server.ReportTrailer: "{broken"}))
+		hs := httptest.NewServer(trailerHandler("x", map[string]string{api.ReportTrailer: "{broken"}))
 		defer hs.Close()
 		var out strings.Builder
 		_, err := client.New(hs.URL).Execute(context.Background(), "sort", client.ExecuteOptions{}, nil, &out)

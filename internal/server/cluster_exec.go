@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"kumquat"
+	"kumquat/internal/server/api"
 )
 
 // executeCluster serves an execute request through the cluster
@@ -15,7 +16,7 @@ import (
 // restamped mode "cluster" and extended with the run's ClusterReport.
 // Like every failing path of handleExecute it answers the client itself
 // and returns the error.
-func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, plan *kumquat.Plan, stdin io.Reader, opts ...kumquat.ExecOption) (*ExecuteReport, error) {
+func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, plan *kumquat.Plan, stdin io.Reader, sink kumquat.ExecOption) (*api.ExecuteReport, error) {
 	// Cluster dispatch shards a materialized corpus, so drain stdin once
 	// up front (the status line is not committed yet: read failures can
 	// still answer 400/413 instead of hiding in a trailer).
@@ -27,9 +28,9 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, plan *ku
 			return nil, err
 		}
 	}
-	run, cr, err := s.clu.Execute(r.Context(), plan, append(opts, kumquat.WithStdin(bytes.NewReader(body)))...)
+	run, cr, err := s.clu.Execute(r.Context(), plan, sink, kumquat.WithStdin(bytes.NewReader(body)))
 	if err != nil {
-		w.Header().Set(ErrorTrailer, err.Error())
+		w.Header().Set(api.ErrorTrailer, err.Error())
 		return nil, err
 	}
 	rep := executeReport(run)

@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"kumquat"
 	"kumquat/internal/cluster"
 	"kumquat/internal/server"
+	"kumquat/internal/server/api"
 	"kumquat/internal/server/client"
 )
 
@@ -35,12 +35,7 @@ func bootCluster(t *testing.T, n int) (*client.Client, []*httptest.Server) {
 		Cluster: cluster.Config{
 			Workers:        urls,
 			Shards:         n,
-			RetryMax:       2,
-			RetryBase:      time.Millisecond,
-			RetryCap:       10 * time.Millisecond,
 			SpeculateAfter: -1,
-			EjectAfter:     2,
-			EjectCooldown:  time.Minute,
 		},
 	})
 	cs := httptest.NewServer(csrv.Handler())
@@ -190,7 +185,7 @@ func TestClusterVersionAndMetrics(t *testing.T) {
 func TestClusterReportMatchesLocal(t *testing.T) {
 	c, _ := bootCluster(t, 3)
 	input := strings.Repeat("pear\napple\npear\nfig\nkiwi\napple\n", 40)
-	normalize := func(rep *server.ExecuteReport) {
+	normalize := func(rep *api.ExecuteReport) {
 		rep.Mode, rep.Cluster, rep.WallMS = "", nil, 0
 		rep.SynthCache = kumquat.SynthCacheStats{}
 		for i := range rep.Stages {

@@ -12,13 +12,14 @@ import (
 
 	"kumquat"
 	"kumquat/internal/obs"
+	"kumquat/internal/server/api"
 	"kumquat/internal/textio"
 )
 
 // handleSynthesize serves POST /v1/synthesize: one command spec in, the
 // synthesis verdict out, with an exact cache-tier attribution.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	var req SynthesizeRequest
+	var req api.SynthesizeRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
@@ -47,9 +48,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "synthesis cancelled: %v", ctxErr)
 		return
 	}
-	resp := SynthesizeResponse{
+	resp := api.SynthesizeResponse{
 		Spec: res.Spec,
-		Space: SpaceBreakdown{
+		Space: api.SpaceBreakdown{
 			Total: res.Space.Total(), Rec: res.Space.Rec,
 			Struct: res.Space.Struct, Run: res.Space.Run,
 		},
@@ -74,7 +75,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // input files) in, the plan summary out. Planning happens in a private
 // environment; combiners come from the shared warm engine.
 func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
-	var req ParallelizeRequest
+	var req api.ParallelizeRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
@@ -104,7 +105,7 @@ func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	par, total, elim := plan.Counts()
-	resp := ParallelizeResponse{
+	resp := api.ParallelizeResponse{
 		Parallelized: par,
 		Total:        total,
 		Eliminated:   elim,
@@ -116,7 +117,7 @@ func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExecute serves POST /v1/execute: the script comes in query
-// parameters (script, k, mode, fuse, combine-workers), the request body
+// parameters (script, k, mode, cluster, trace), the request body
 // streams in as the pipeline's input, stdout streams back as the
 // response body, and the RunReport arrives as the X-Kumquat-Report
 // trailer once the stream ends. The request body binds to the script's
@@ -145,27 +146,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		k = n
-	}
-	combineWorkers := 0
-	if cs := q.Get("combine-workers"); cs != "" {
-		n, err := strconv.Atoi(cs)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "combine-workers must be a non-negative integer")
-			return
-		}
-		combineWorkers = n
-	}
-	fuse := true
-	if fs := q.Get("fuse"); fs != "" {
-		switch fs {
-		case "on":
-			fuse = true
-		case "off":
-			fuse = false
-		default:
-			writeError(w, http.StatusBadRequest, "fuse must be on or off")
-			return
-		}
 	}
 	// cluster selects the dispatch plane: "on" demands the coordinator
 	// (400 without workers), "off" forces in-process execution, and the
@@ -223,7 +203,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// The one exit: whichever path returns, the trace root ends (tagged
 	// with failure, if any) and a finished run's report goes out.
-	var rep *ExecuteReport
+	var rep *api.ExecuteReport
 	var failure error
 	defer func() { finishExecute(w, span, remoteTrace, rep, failure) }()
 
@@ -263,32 +243,28 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Declare trailers before the body commits, then stream.
-	trailers := ReportTrailer + ", " + ErrorTrailer
+	trailers := api.ReportTrailer + ", " + api.ErrorTrailer
 	if remoteTrace {
-		trailers += ", " + TraceTrailer
+		trailers += ", " + api.TraceTrailer
 	}
 	w.Header().Set("Trailer", trailers)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	opts := []kumquat.ExecOption{
-		kumquat.WithCombineWorkers(combineWorkers),
-		kumquat.WithOutput(&flushWriter{w: w}),
-	}
+	sink := kumquat.WithOutput(&flushWriter{w: w})
 	if useCluster {
-		rep, failure = s.executeCluster(w, r, plan, stdin, opts...)
+		rep, failure = s.executeCluster(w, r, plan, stdin, sink)
 		return
 	}
-	run, err := plan.Execute(r.Context(), append(opts,
+	run, err := plan.Execute(r.Context(), sink,
 		kumquat.WithParallelism(k),
 		kumquat.WithMode(mode),
-		kumquat.WithFuse(fuse),
-		kumquat.WithStdin(stdin))...)
+		kumquat.WithStdin(stdin))
 	if err != nil {
 		// The stream may already be half-written; the error must travel
 		// as a trailer. (Before the first byte this still downgrades the
 		// response to an empty 200 + error trailer — the price of
 		// streaming.)
 		failure = err
-		w.Header().Set(ErrorTrailer, err.Error())
+		w.Header().Set(api.ErrorTrailer, err.Error())
 		return
 	}
 	out := executeReport(run)
@@ -301,7 +277,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // trace trailer, a local ?trace=on stamps the report with the summary
 // the client uses to fetch the full trace. Then a finished run's report
 // goes out as its trailer.
-func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *ExecuteReport, failure error) {
+func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *api.ExecuteReport, failure error) {
 	if span != nil {
 		if failure != nil {
 			span.Attr("error", failure.Error())
@@ -309,10 +285,10 @@ func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *Exec
 		span.End()
 		if remote {
 			if recs, err := json.Marshal(span.Records()); err == nil {
-				w.Header().Set(TraceTrailer, string(recs))
+				w.Header().Set(api.TraceTrailer, string(recs))
 			}
 		} else if rep != nil {
-			rep.Trace = &TraceSummary{
+			rep.Trace = &api.TraceSummary{
 				TraceID: span.SpanContext().TraceID.String(),
 				Spans:   len(span.Records()),
 			}
@@ -323,15 +299,15 @@ func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *Exec
 	}
 	report, err := json.Marshal(rep)
 	if err != nil {
-		w.Header().Set(ErrorTrailer, err.Error())
+		w.Header().Set(api.ErrorTrailer, err.Error())
 		return
 	}
-	w.Header().Set(ReportTrailer, string(report))
+	w.Header().Set(api.ReportTrailer, string(report))
 }
 
 // executeReport converts a RunReport to its wire form.
-func executeReport(rep *kumquat.RunReport) ExecuteReport {
-	out := ExecuteReport{
+func executeReport(rep *kumquat.RunReport) api.ExecuteReport {
+	out := api.ExecuteReport{
 		Mode:        rep.Mode.String(),
 		Parallelism: rep.Parallelism,
 		WallMS:      ms(rep.Wall),
@@ -340,7 +316,7 @@ func executeReport(rep *kumquat.RunReport) ExecuteReport {
 		SynthCache:  rep.SynthCache,
 	}
 	for _, st := range rep.Stages {
-		out.Stages = append(out.Stages, ExecuteStage{
+		out.Stages = append(out.Stages, api.ExecuteStage{
 			Spec:          st.Spec,
 			Parallel:      st.Parallel,
 			Eliminated:    st.Eliminated,
@@ -356,7 +332,7 @@ func executeReport(rep *kumquat.RunReport) ExecuteReport {
 		out.Fused = true
 		out.Rewrites = rep.Rewrites
 		for _, rg := range rep.Regions {
-			out.Regions = append(out.Regions, ExecuteRegion{
+			out.Regions = append(out.Regions, api.ExecuteRegion{
 				Pipeline:      rg.Pipeline,
 				Stages:        rg.Stages,
 				Fused:         rg.Fused,

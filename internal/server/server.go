@@ -39,6 +39,7 @@ import (
 	"kumquat"
 	"kumquat/internal/cluster"
 	"kumquat/internal/obs"
+	"kumquat/internal/server/api"
 )
 
 // Config tunes a Server. The zero value serves with defaults.
@@ -290,7 +291,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleVersion reports build info and service limits.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	resp := VersionResponse{
+	resp := api.VersionResponse{
 		BuildInfo:   kumquat.Info(),
 		MaxInFlight: s.cfg.MaxInFlight,
 		QueueDepth:  s.cfg.QueueDepth,
@@ -373,7 +374,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError writes the standard JSON error body.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // ms converts a duration to milliseconds with microsecond resolution.

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"kumquat"
 	"kumquat/internal/cluster"
@@ -41,9 +40,6 @@ func bootTracedCluster(t *testing.T, n int) (*client.Client, string) {
 		Cluster: cluster.Config{
 			Workers:        urls,
 			Shards:         n,
-			RetryMax:       2,
-			RetryBase:      time.Millisecond,
-			RetryCap:       10 * time.Millisecond,
 			SpeculateAfter: -1,
 		},
 	})

@@ -255,6 +255,9 @@ func parseAwkRule(src string) (awkRule, error) {
 		if end < brace {
 			return rule, fmt.Errorf("unbalanced braces in %q", src)
 		}
+		if rest := strings.TrimSpace(src[end+1:]); rest != "" {
+			return rule, fmt.Errorf("trailing input %q after action", rest)
+		}
 		actSrc = strings.TrimSpace(src[brace+1 : end])
 	}
 	if patSrc != "" {
@@ -308,7 +311,7 @@ func parseAwkActions(src string) ([]awkStmt, error) {
 		if ok && strings.HasPrefix(strings.TrimSpace(lhs), "$") {
 			idxStr := strings.TrimSpace(lhs)[1:]
 			idx, err := strconv.Atoi(idxStr)
-			if err != nil {
+			if err != nil || idx < 0 || idx > maxAwkAssignField {
 				return nil, fmt.Errorf("bad assignment target %q", lhs)
 			}
 			p := &awkParser{src: strings.TrimSpace(rhs)}
@@ -323,6 +326,11 @@ func parseAwkActions(src string) ([]awkStmt, error) {
 	}
 	return stmts, nil
 }
+
+// maxAwkAssignField bounds the N of a `$N = expr` assignment: assigning
+// past NF grows every line's field list to N, so an unbounded N would let
+// one program text allocate without limit.
+const maxAwkAssignField = 1 << 12
 
 type awkParser struct {
 	src string
@@ -446,6 +454,12 @@ func (a *awkCmd) LineFunc(emit EmitFunc) EmitFunc {
 					emit(textio.View(b))
 				case st.assignExpr != nil:
 					v := st.assignExpr.eval(ctx)
+					if st.assignField == 0 {
+						// $0 = v replaces the record and re-splits its fields.
+						ctx.line, ctx.rebuilt = v.s, false
+						ctx.fields = textio.AppendFields(ctx.fields[:0], ctx.line)
+						continue
+					}
 					for len(ctx.fields) < st.assignField {
 						ctx.fields = append(ctx.fields, "")
 					}

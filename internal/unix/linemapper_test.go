@@ -49,6 +49,8 @@ var lineMapperCases = []struct {
 	{specs: []string{`awk '{$1=$1};1'`}, in: "  a   b  \nc\n", want: "a b\nc\n"},
 	{specs: []string{`awk '{print $2, $0}'`}, in: "x y\nlonger line\nz\n",
 		want: "y x y\nline longer line\n z\n"},
+	// $0 = v replaces the record and re-splits its fields.
+	{specs: []string{`awk '{$0=$2; print NF, $1}'`}, in: "a b c\nq\n", want: "1 b\n0 \n"},
 	{specs: []string{"fmt -w1"}, in: "a b  c\n\nd\n", want: "a\nb\nc\n\nd\n"},
 	{specs: []string{"fmt -w5"}, in: "aa bb cc\ntoolongword x\n",
 		want: "aa bb\ncc\ntoolongword\nx\n"},

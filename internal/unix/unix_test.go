@@ -436,6 +436,9 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "nosuchcmd x", "tr", "sort -z", "grep", "cut -c 1 -f 2",
 		"sed", "sed y/a/b/", "awk", "head -n x", "uniq -d",
+		// awk: a negative or unboundedly large assignment target, and text
+		// after the closing brace.
+		"awk '{$-1=1}'", "awk '{$100000=1}'", "awk '{print}x'",
 	} {
 		if _, err := Parse(bad, nil); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)

@@ -12,14 +12,15 @@
 //	res, err := sys.Synthesize("uniq -c")
 //	fmt.Println(res.Combiner) // (stitch2 ' ' add first a b), ...
 //
-//	// Or parallelize a whole pipeline:
-//	plan, err := sys.Parallelize("cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c")
-//	out, err := plan.Run(16)
+//	// Or parallelize a whole pipeline and run it 16 ways:
+//	plan, err := sys.Parallelize("cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c\n")
+//	rep, err := plan.Execute(context.Background(), kumquat.WithParallelism(16))
+//	fmt.Print(rep.Output)
 //
 // Plan.Execute is the one script-run loop: every way a compiled script
-// runs — the four modes, the legacy Run* wrappers, kumquatd, and the
-// cluster coordinator (which passes itself in as the leaf runner through
-// WithLeaves) — goes through it. Its RunReport is the executor's own
+// runs — the four modes, kumquatd, and the cluster coordinator (which
+// passes itself in as the leaf runner through WithLeaves) — goes through
+// it. Its RunReport is the executor's own
 // record: StageReport and RegionReport embed the walker's metrics structs
 // beside the planning verdict rather than re-declaring their fields, and
 // Mode is the executor's enum.
@@ -374,32 +375,20 @@ func ParseMode(s string) (Mode, error) {
 type ExecOption func(*execConfig)
 
 type execConfig struct {
-	k              int
-	combineWorkers int
-	mode           Mode
-	stdin          io.Reader
-	out            io.Writer
-	fuse           bool
-	leaves         func(local pipeline.Leaves) pipeline.Leaves
+	k      int
+	mode   Mode
+	stdin  io.Reader
+	out    io.Writer
+	fuse   bool
+	leaves func(local pipeline.Leaves) pipeline.Leaves
 }
 
 // WithParallelism sets the data-parallelism degree k (default:
-// runtime.GOMAXPROCS(0)).
+// runtime.GOMAXPROCS(0)). Chunks run on a pool of min(k, GOMAXPROCS)
+// workers, and the tree combine that merges each parallel stage's k
+// substreams runs at the same width.
 func WithParallelism(k int) ExecOption {
 	return func(c *execConfig) { c.k = k }
-}
-
-// WithCombineWorkers bounds the concurrency of the combine plane: the
-// tree reduction that merges each parallel stage's k substreams
-// (default: the executor's chunk pool size, i.e. min(k, GOMAXPROCS)).
-// The combined output is byte-identical at every worker count; the knob
-// trades combine wall time only. n <= 0 keeps whatever is already set.
-func WithCombineWorkers(n int) ExecOption {
-	return func(c *execConfig) {
-		if n > 0 {
-			c.combineWorkers = n
-		}
-	}
 }
 
 // WithMode selects the execution configuration (default: Optimized).
@@ -413,7 +402,8 @@ func WithMode(m Mode) ExecOption {
 // consumers, and sort combines push into downstream k-way merge readers;
 // RunReport.Rewrites names what fired. Off, the same executor walks the
 // program lowered with those three rewrites disabled (Theorem 5 splits
-// only) — the -fuse=off ablation. The other modes ignore it.
+// only) — the fuse-off ablation the conformance sweep and the benchmark's
+// fusion-gain probe compare against. The other modes ignore it.
 func WithFuse(on bool) ExecOption {
 	return func(c *execConfig) { c.fuse = on }
 }
@@ -514,9 +504,6 @@ type RunReport struct {
 //	    kumquat.WithParallelism(16),
 //	    kumquat.WithStdin(os.Stdin),
 //	    kumquat.WithOutput(os.Stdout))
-//
-// The legacy Run/RunUnoptimized/RunSerial/RunPipelined methods are thin
-// wrappers over Execute with a buffered output sink.
 func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, error) {
 	cfg := execConfig{k: runtime.GOMAXPROCS(0), mode: Optimized, fuse: true}
 	for _, opt := range opts {
@@ -559,7 +546,6 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 		}
 		var info pipeline.RunInfo
 		ms, err := plan.Execute(pctx, p.env.u, cfg.stdin, target, cfg.mode, cfg.k,
-			pipeline.WithCombineWorkers(cfg.combineWorkers),
 			pipeline.WithFuse(cfg.fuse),
 			pipeline.WithRunInfo(&info),
 			pipeline.WithLeaves(cfg.leaves))
@@ -611,28 +597,3 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	cw.n += int64(n)
 	return n, err
 }
-
-// runCompat executes through Execute with a buffered sink and returns the
-// captured output — the shared body of the legacy string-based entry
-// points.
-func (p *Plan) runCompat(mode Mode, k int) (string, error) {
-	rep, err := p.Execute(context.Background(), WithMode(mode), WithParallelism(k))
-	if err != nil {
-		return "", err
-	}
-	return rep.Output, nil
-}
-
-// Run executes the optimized data-parallel pipeline with k-way parallelism
-// (the paper's T_k configuration).
-func (p *Plan) Run(k int) (string, error) { return p.runCompat(Optimized, k) }
-
-// RunUnoptimized executes with a combiner after every stage (u_k).
-func (p *Plan) RunUnoptimized(k int) (string, error) { return p.runCompat(Unoptimized, k) }
-
-// RunSerial executes every stage to completion in order (u_1).
-func (p *Plan) RunSerial() (string, error) { return p.runCompat(Serial, 1) }
-
-// RunPipelined executes the original pipeline with Unix-style stage
-// overlap (the T_orig configuration).
-func (p *Plan) RunPipelined() (string, error) { return p.runCompat(Pipelined, 1) }

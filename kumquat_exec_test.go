@@ -33,8 +33,10 @@ func registerUnix50Inputs(env *Env) {
 	env.Register("in/names.txt", names.String())
 }
 
-// TestExecuteCompatEquivalence: the legacy Run* wrappers and Execute must
-// produce byte-identical outputs in every mode on the unix50 examples.
+// TestExecuteCompatEquivalence: Execute's two output forms — captured in
+// RunReport.Output when no sink is given, streamed through WithOutput —
+// must be byte-identical in every mode on the unix50 examples, and equal
+// the serial ground truth.
 func TestExecuteCompatEquivalence(t *testing.T) {
 	env := NewEnv()
 	registerUnix50Inputs(env)
@@ -45,32 +47,26 @@ func TestExecuteCompatEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		legacy := map[Mode]func() (string, error){
-			Optimized:   func() (string, error) { return plan.Run(4) },
-			Unoptimized: func() (string, error) { return plan.RunUnoptimized(4) },
-			Serial:      plan.RunSerial,
-			Pipelined:   plan.RunPipelined,
-		}
-		want, err := plan.RunSerial()
+		serial, err := plan.Execute(ctx, WithMode(Serial))
 		if err != nil {
 			t.Fatalf("%s serial: %v", p.name, err)
 		}
-		for mode, run := range legacy {
-			old, err := run()
+		for _, mode := range []Mode{Optimized, Unoptimized, Serial, Pipelined} {
+			captured, err := plan.Execute(ctx, WithMode(mode), WithParallelism(4))
 			if err != nil {
-				t.Errorf("%s %v legacy: %v", p.name, mode, err)
+				t.Errorf("%s %v captured: %v", p.name, mode, err)
 				continue
 			}
-			rep, err := plan.Execute(ctx, WithMode(mode), WithParallelism(4))
-			if err != nil {
-				t.Errorf("%s %v Execute: %v", p.name, mode, err)
+			var streamed strings.Builder
+			if _, err := plan.Execute(ctx, WithMode(mode), WithParallelism(4), WithOutput(&streamed)); err != nil {
+				t.Errorf("%s %v streamed: %v", p.name, mode, err)
 				continue
 			}
-			if old != rep.Output {
-				t.Errorf("%s %v: legacy and Execute outputs differ (%d vs %d bytes)",
-					p.name, mode, len(old), len(rep.Output))
+			if captured.Output != streamed.String() {
+				t.Errorf("%s %v: captured and streamed outputs differ (%d vs %d bytes)",
+					p.name, mode, len(captured.Output), streamed.Len())
 			}
-			if rep.Output != want {
+			if captured.Output != serial.Output {
 				t.Errorf("%s %v: output differs from serial ground truth", p.name, mode)
 			}
 		}

@@ -1,6 +1,7 @@
 package kumquat
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,23 +27,24 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if par != 2 || total != 2 {
 		t.Errorf("counts = %d/%d", par, total)
 	}
-	want, err := plan.RunSerial()
-	if err != nil {
-		t.Fatal(err)
+	run := func(mode Mode, k int) string {
+		t.Helper()
+		rep, err := plan.Execute(context.Background(), WithMode(mode), WithParallelism(k))
+		if err != nil {
+			t.Fatalf("%v k=%d: %v", mode, k, err)
+		}
+		return rep.Output
 	}
+	want := run(Serial, 1)
 	for _, k := range []int{2, 8} {
-		got, err := plan.Run(k)
-		if err != nil || got != want {
-			t.Errorf("Run(%d) = %q, %v; want %q", k, got, err, want)
-		}
-		got, err = plan.RunUnoptimized(k)
-		if err != nil || got != want {
-			t.Errorf("RunUnoptimized(%d) = %q, %v", k, got, err)
+		for _, mode := range []Mode{Optimized, Unoptimized} {
+			if got := run(mode, k); got != want {
+				t.Errorf("%v k=%d = %q; want %q", mode, k, got, want)
+			}
 		}
 	}
-	got, err := plan.RunPipelined()
-	if err != nil || got != want {
-		t.Errorf("RunPipelined = %q, %v", got, err)
+	if got := run(Pipelined, 1); got != want {
+		t.Errorf("pipelined = %q; want %q", got, want)
 	}
 }
 
