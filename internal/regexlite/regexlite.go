@@ -610,68 +610,75 @@ func (re *Regexp) FindString(input string) (Match, bool) {
 	return re.find(input, 0)
 }
 
-// expandRepl expands a sed-style replacement: & is the whole match,
-// \1..\9 are groups, \& and \\ are literals.
-func expandRepl(repl, input string, m Match) string {
-	var b strings.Builder
+// expandRepl appends a sed-style replacement to dst: & is the whole
+// match, \1..\9 are groups, \& and \\ are literals.
+func expandRepl(dst []byte, repl, input string, m Match) []byte {
 	for i := 0; i < len(repl); i++ {
 		c := repl[i]
 		switch {
 		case c == '&':
-			b.WriteString(input[m.Start:m.End])
+			dst = append(dst, input[m.Start:m.End]...)
 		case c == '\\' && i+1 < len(repl):
 			e := repl[i+1]
 			if e >= '1' && e <= '9' {
-				b.WriteString(m.Group(input, int(e-'0')))
+				dst = append(dst, m.Group(input, int(e-'0'))...)
 			} else if e == 'n' {
-				b.WriteByte('\n')
+				dst = append(dst, '\n')
 			} else if e == 't' {
-				b.WriteByte('\t')
+				dst = append(dst, '\t')
 			} else {
-				b.WriteByte(e)
+				dst = append(dst, e)
 			}
 			i++
 		default:
-			b.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// ReplaceFirst substitutes the leftmost match with repl (sed s/// without g).
-func (re *Regexp) ReplaceFirst(input, repl string) string {
+// ReplaceFirst appends input to dst with its leftmost match replaced by
+// repl (sed s/// without g). ok is false when nothing matches; dst is then
+// returned as it was, so the caller can keep input itself.
+func (re *Regexp) ReplaceFirst(dst []byte, input, repl string) (_ []byte, ok bool) {
 	m, ok := re.find(input, 0)
 	if !ok {
-		return input
+		return dst, false
 	}
-	return input[:m.Start] + expandRepl(repl, input, m) + input[m.End:]
+	dst = append(dst, input[:m.Start]...)
+	dst = expandRepl(dst, repl, input, m)
+	return append(dst, input[m.End:]...), true
 }
 
-// ReplaceAll substitutes every non-overlapping match with repl
-// (sed s///g). Empty matches advance by one byte.
-func (re *Regexp) ReplaceAll(input, repl string) string {
-	var b strings.Builder
+// ReplaceAll appends input to dst with every non-overlapping match
+// replaced by repl (sed s///g); empty matches advance by one byte. ok is
+// false when nothing matches; dst is then returned as it was.
+func (re *Regexp) ReplaceAll(dst []byte, input, repl string) (_ []byte, ok bool) {
 	pos := 0
 	for pos <= len(input) {
-		m, ok := re.find(input, pos)
-		if !ok {
+		m, found := re.find(input, pos)
+		if !found {
 			break
 		}
-		b.WriteString(input[pos:m.Start])
-		b.WriteString(expandRepl(repl, input, m))
+		ok = true
+		dst = append(dst, input[pos:m.Start]...)
+		dst = expandRepl(dst, repl, input, m)
 		if m.End == m.Start {
 			if m.End < len(input) {
-				b.WriteByte(input[m.End])
+				dst = append(dst, input[m.End])
 			}
 			pos = m.End + 1
 		} else {
 			pos = m.End
 		}
 	}
-	if pos <= len(input) {
-		b.WriteString(input[pos:])
+	if !ok {
+		return dst, false
 	}
-	return b.String()
+	if pos <= len(input) {
+		dst = append(dst, input[pos:]...)
+	}
+	return dst, true
 }
 
 // Example generates a string that matches the pattern, using rng for

@@ -120,28 +120,38 @@ func TestGroupsCapture(t *testing.T) {
 	}
 }
 
+// replaced is sed's use of a Replace method: the rewritten line, or the
+// input itself when nothing matched.
+func replaced(replace func([]byte, string, string) ([]byte, bool), input, repl string) string {
+	b, ok := replace(nil, input, repl)
+	if !ok {
+		return input
+	}
+	return string(b)
+}
+
 func TestReplace(t *testing.T) {
 	// sed 's/T..:..:..//'
 	re := MustCompile("T..:..:..")
-	got := re.ReplaceFirst("2020-01-02T13:45:59,v1", "")
+	got := replaced(re.ReplaceFirst, "2020-01-02T13:45:59,v1", "")
 	if got != "2020-01-02,v1" {
 		t.Errorf("strip timestamp = %q", got)
 	}
 	// sed 's/T\(..\):..:../,\1/'
 	re2 := MustCompile(`T\(..\):..:..`)
-	got = re2.ReplaceFirst("2020-01-02T13:45:59,v1", `,\1`)
+	got = replaced(re2.ReplaceFirst, "2020-01-02T13:45:59,v1", `,\1`)
 	if got != "2020-01-02,13,v1" {
 		t.Errorf("hour extract = %q", got)
 	}
 	// sed 's/$/0s/' — empty match at end of line.
 	re3 := MustCompile("$")
-	got = re3.ReplaceFirst("197", "0s")
+	got = replaced(re3.ReplaceFirst, "197", "0s")
 	if got != "1970s" {
 		t.Errorf("append = %q", got)
 	}
 	// sed 's/^/prefix/'
 	re4 := MustCompile("^")
-	got = re4.ReplaceFirst("name.txt", "dir/")
+	got = replaced(re4.ReplaceFirst, "name.txt", "dir/")
 	if got != "dir/name.txt" {
 		t.Errorf("prefix = %q", got)
 	}
@@ -149,19 +159,34 @@ func TestReplace(t *testing.T) {
 
 func TestReplaceAll(t *testing.T) {
 	re := MustCompile("a")
-	if got := re.ReplaceAll("banana", "o"); got != "bonono" {
+	if got := replaced(re.ReplaceAll, "banana", "o"); got != "bonono" {
 		t.Errorf("ReplaceAll = %q", got)
 	}
 	// Empty matches must not loop.
 	re2 := MustCompile("x*")
-	got := re2.ReplaceAll("ab", "-")
+	got := replaced(re2.ReplaceAll, "ab", "-")
 	if !strings.Contains(got, "a") || !strings.Contains(got, "b") {
 		t.Errorf("empty-match ReplaceAll lost text: %q", got)
 	}
 	// & in replacement.
 	re3 := MustCompile("na")
-	if got := re3.ReplaceAll("banana", "<&>"); got != "ba<na><na>" {
+	if got := replaced(re3.ReplaceAll, "banana", "<&>"); got != "ba<na><na>" {
 		t.Errorf("& replacement = %q", got)
+	}
+}
+
+// TestReplaceAppends: both Replace methods append to the caller's buffer,
+// and leave it untouched when nothing matches.
+func TestReplaceAppends(t *testing.T) {
+	re := MustCompile("a")
+	for _, replace := range []func([]byte, string, string) ([]byte, bool){re.ReplaceFirst, re.ReplaceAll} {
+		dst := []byte("kept:")
+		if b, ok := replace(dst, "sky", "o"); ok || string(b) != "kept:" {
+			t.Errorf("no match: got %q, %v; want the buffer as it was and false", b, ok)
+		}
+		if b, ok := replace(dst, "sad", "o"); !ok || string(b) != "kept:sod" {
+			t.Errorf("match: got %q, %v; want %q, true", b, ok, "kept:sod")
+		}
 	}
 }
 

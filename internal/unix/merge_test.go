@@ -82,9 +82,20 @@ func referenceCompareKey(s *SortCmd, a, b string) int {
 		return 0
 	}
 	if s.Fold {
-		ka, kb = strings.ToUpper(ka), strings.ToUpper(kb)
+		ka, kb = referenceFold(ka), referenceFold(kb)
 	}
 	return strings.Compare(ka, kb)
+}
+
+// referenceFold is toupper in the C locale, byte by byte: only a–z fold.
+func referenceFold(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
 }
 
 // referenceLess is the full GNU ordering: the key comparison with -r (or
@@ -219,12 +230,46 @@ func genSorted(rng *rand.Rand, s *SortCmd, n int) string {
 // sortReferenceSpecs is every flag combination the reference tests cover.
 var sortReferenceSpecs = []string{
 	"sort", "sort -r", "sort -n", "sort -rn", "sort -nr", "sort -f", "sort -u",
-	"sort -fu", "sort -nu", "sort -k 2", "sort -k2n", "sort -k2nr", "sort -m",
+	"sort -ru", "sort -fu", "sort -nu", "sort -k 2", "sort -k2n", "sort -k2nr", "sort -m",
+}
+
+// radixCorpora are shaped for the bytewise radix sort: buckets both
+// above radixCutoff and between it and insertionCutoff, so every path of
+// the kernel runs — NUL and 0xFF bytes (the first and last buckets),
+// lines that are prefixes of other lines (the ended bucket at every
+// depth), prefixes shared over more than 100 bytes, runs of identical
+// lines, empty lines, and each of them again without its final newline.
+func radixCorpora() []string {
+	rng := rand.New(rand.NewSource(22))
+	line := func(alphabet string, n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	shapes := []func() string{
+		func() string { return line("\x00\xff\x01\xfea", rng.Intn(5)) },
+		func() string { return strings.Repeat("a", rng.Intn(120)) + line("ab", rng.Intn(2)) },
+		func() string { return strings.Repeat("p", 100+rng.Intn(3)) + line("pq\x00", rng.Intn(4)) },
+		func() string { return []string{"same", "same\x00", "sam", "same"}[rng.Intn(4)] },
+		func() string { return []string{"", "", "x", "\x00", " "}[rng.Intn(5)] },
+	}
+	var corpora []string
+	for _, shape := range shapes {
+		var b strings.Builder
+		for i := 0; i < 1500; i++ {
+			b.WriteString(shape())
+			b.WriteByte('\n')
+		}
+		corpora = append(corpora, b.String(), strings.TrimSuffix(b.String(), "\n"))
+	}
+	return corpora
 }
 
 // sortReferenceCorpora returns the reference corpora: random, heavy
 // duplicates, empty lines, unterminated final lines, numeric edge
-// strings, mixed case and multibyte text.
+// strings, mixed case, multibyte text and the radix corpora.
 func sortReferenceCorpora() []string {
 	rng := rand.New(rand.NewSource(21))
 	tokens := []string{"a", "B", "b", "1", "10", "-2", "2.5", "x y", "", " ", "\t", "-", "Ab", "é"}
@@ -241,7 +286,7 @@ func sortReferenceCorpora() []string {
 		dups.WriteString([]string{"a", "b", "a b", "1 x", "1 y", "2", "A", "01"}[rng.Intn(8)])
 		dups.WriteByte('\n')
 	}
-	return []string{
+	return append([]string{
 		"",
 		"\n",
 		random.String(),
@@ -253,7 +298,8 @@ func sortReferenceCorpora() []string {
 		"x 5\ny\nz 1\n a  3\n\tb\t2\nw -1\nv +4\n",
 		"b\nB\na\nA\nab\nAb\naB\nAB\nb\n",
 		"é\nÉ\nß\nñ 2\nÑ 1\nz\n日本 3\n\xff\xfe\nZ\nø\nØ 0\n",
-	}
+		"éa\nÉb\n",
+	}, radixCorpora()...)
 }
 
 // splitStreams cuts s at up to five random line boundaries into parts
@@ -334,6 +380,36 @@ func TestSortMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d", spec, i), func(t *testing.T) {
 				checkSortCase(t, spec, in, rng)
 			})
+		}
+	}
+	// GNU sort -f under LC_ALL=C folds ASCII only, so É (C3 89) still
+	// sorts before é (C3 A9); a Unicode fold would tie them and order by
+	// the next letter.
+	if got, _ := mergeSort(t, "sort -f").Run("éa\nÉb\n"); got != "Éb\néa\n" {
+		t.Errorf(`sort -f: Run("éa\nÉb\n") = %q, want "Éb\néa\n"`, got)
+	}
+}
+
+// TestSortRunAllocations: the bytewise kernel sorts the line table in
+// place, so Run allocates the table and the output and nothing that grows
+// with the line count.
+func TestSortRunAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, spec := range []string{"sort", "sort -r", "sort -u", "sort -ru"} {
+		s := mergeSort(t, spec)
+		var allocs []float64
+		for _, n := range []int{100, 20000} {
+			var b strings.Builder
+			for i := 0; i < n; i++ {
+				b.WriteString(strconv.Itoa(rng.Intn(n) * 7919))
+				b.WriteByte('\n')
+			}
+			in := b.String()
+			allocs = append(allocs, testing.AllocsPerRun(5, func() { s.Run(in) }))
+		}
+		if allocs[0] != allocs[1] || allocs[1] > 2 {
+			t.Errorf("%s: Run allocates %v times over 100 lines and %v over 20000, want the same and at most 2",
+				spec, allocs[0], allocs[1])
 		}
 	}
 }

@@ -122,19 +122,22 @@ func (s *sedCmd) Run(input string) (string, error) {
 }
 
 // LineFunc implements LineMapper for substitutions, which are per-line.
-// Lines without a match pass through unchanged (ReplaceFirst already
-// returns its input then; s///g gets an explicit match probe first,
-// trading a second scan of matching lines for an allocation-free pass
-// over the rest).
+// Lines without a match pass through unchanged; a rewritten line is built
+// in the function's scratch and emitted as a view of it.
 func (s *sedCmd) LineFunc(emit EmitFunc) EmitFunc {
-	if !s.global {
-		return func(line string) { emit(s.re.ReplaceFirst(line, s.repl)) }
+	replace := s.re.ReplaceFirst
+	if s.global {
+		replace = s.re.ReplaceAll
 	}
+	var buf []byte
 	return func(line string) {
-		if s.re.MatchString(line) {
-			line = s.re.ReplaceAll(line, s.repl)
+		b, ok := replace(buf[:0], line, s.repl)
+		if !ok {
+			emit(line)
+			return
 		}
-		emit(line)
+		buf = b
+		emit(textio.View(b))
 	}
 }
 

@@ -157,9 +157,30 @@ func (o *ordering) setKey(l *sortLine, line string) {
 		return
 	}
 	if o.fold {
-		k = strings.ToUpper(k)
+		k = foldASCII(k)
 	}
 	l.key = k
+}
+
+// foldASCII upper-cases a–z and leaves every other byte alone, as GNU
+// sort -f does under LC_ALL=C. A key with nothing to fold is returned as
+// it is; otherwise the folded copy is the one allocation.
+func foldASCII(k string) string {
+	i := 0
+	for i < len(k) && (k[i] < 'a' || k[i] > 'z') {
+		i++
+	}
+	if i == len(k) {
+		return k
+	}
+	b := make([]byte, len(k))
+	copy(b, k)
+	for ; i < len(b); i++ {
+		if 'a' <= b[i] && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return textio.View(b)
 }
 
 // compare is the one GNU ordering, as a three-way comparison over cached
@@ -267,7 +288,7 @@ func (s *SortCmd) Run(input string) (string, error) {
 	if o.bytewise {
 		// Ties are byte-identical lines, so an unstable sort is
 		// indistinguishable from a stable one, reversed or not.
-		slices.Sort(lines)
+		radixSort(lines, 0)
 		if o.keyRev {
 			slices.Reverse(lines)
 		}
@@ -294,6 +315,130 @@ func (s *SortCmd) Run(input string) (string, error) {
 		lines[i] = ks[i].line
 	}
 	return textio.JoinLines(lines), nil
+}
+
+// radixCutoff is the bucket size at or below which radixSort hands a
+// bucket to multikeySort: there, clearing and scanning 257 counters per
+// byte of depth costs more than partitioning the bucket.
+const radixCutoff = 512
+
+// radixSort sorts lines bytewise in place, given that they all share
+// their first depth bytes. It is an MSD radix sort (American flag sort):
+// one pass counts the lines per byte at depth — lines that end there
+// first, in a bucket of their own — and a second permutes every line into
+// its bucket by following cycles, so it needs no scratch. The lines that
+// ended are byte-identical and already in order. Every other bucket is
+// sorted one byte deeper by recursion, except the largest, which the loop
+// takes itself. Each recursive call therefore gets at most half the
+// lines, so the stack stays O(log n) deep however long the shared
+// prefixes run. Buckets of at most radixCutoff lines go to multikeySort.
+//
+// The order is unstable, which only lines that compare equal could
+// observe, and those are byte-identical.
+func radixSort(lines []string, depth int) {
+	for len(lines) > radixCutoff {
+		// Bucket 0 holds the lines that end at depth, bucket 1+b those
+		// whose byte at depth is b.
+		var next, end [257]int
+		for _, l := range lines {
+			end[radixKey(l, depth)]++
+		}
+		sum, largest := 0, 0
+		for k := range end {
+			n := end[k]
+			next[k] = sum
+			sum += n
+			end[k] = sum
+			if n > end[largest]-next[largest] {
+				largest = k
+			}
+		}
+		for k := range next {
+			for next[k] < end[k] {
+				l := lines[next[k]]
+				for b := radixKey(l, depth); b != k; b = radixKey(l, depth) {
+					lines[next[b]], l = l, lines[next[b]]
+					next[b]++
+				}
+				lines[next[k]] = l
+				next[k]++
+			}
+		}
+		// next[k] is now end[k]: bucket k spans lines[start:end[k]].
+		start := end[0]
+		for k := 1; k < len(end); k++ {
+			if k != largest {
+				radixSort(lines[start:end[k]], depth+1)
+			}
+			start = end[k]
+		}
+		if largest == 0 {
+			return
+		}
+		lines = lines[end[largest-1]:end[largest]]
+		depth++
+	}
+	multikeySort(lines, depth)
+}
+
+// radixKey is the bucket of l at depth: 0 once l has ended, 1+l[depth]
+// before.
+func radixKey(l string, depth int) int {
+	if depth < len(l) {
+		return int(l[depth]) + 1
+	}
+	return 0
+}
+
+// insertionCutoff is the size at or below which multikeySort finishes
+// with insertion sort.
+const insertionCutoff = 8
+
+// multikeySort is Bentley and Sedgewick's multikey quicksort over lines
+// that share their first depth bytes: a three-way partition around one
+// line's byte at depth, the lesser and greater parts sorted at the same
+// depth, the equal part one byte deeper — unless its lines have ended
+// there, which makes them byte-identical. A run of lines sharing a long
+// prefix costs one pass per byte and no counters.
+func multikeySort(lines []string, depth int) {
+	for len(lines) > insertionCutoff {
+		p := radixKey(lines[len(lines)/2], depth)
+		lt, gt := 0, len(lines)
+		for i := 0; i < gt; {
+			switch k := radixKey(lines[i], depth); {
+			case k < p:
+				lines[lt], lines[i] = lines[i], lines[lt]
+				lt++
+				i++
+			case k > p:
+				gt--
+				lines[gt], lines[i] = lines[i], lines[gt]
+			default:
+				i++
+			}
+		}
+		multikeySort(lines[:lt], depth)
+		multikeySort(lines[gt:], depth)
+		if p == 0 {
+			return
+		}
+		lines = lines[lt:gt]
+		depth++
+	}
+	insertionSort(lines, depth)
+}
+
+// insertionSort sorts lines that share their first depth bytes, comparing
+// only what follows them.
+func insertionSort(lines []string, depth int) {
+	for i := 1; i < len(lines); i++ {
+		l := lines[i]
+		j := i
+		for ; j > 0 && l[depth:] < lines[j-1][depth:]; j-- {
+			lines[j] = lines[j-1]
+		}
+		lines[j] = l
+	}
 }
 
 // mergeCursor walks one pre-sorted stream line by line without

@@ -24,12 +24,12 @@ type trCmd struct {
 	set1       []byte
 	set2       []byte // empty when deleting or squeezing only
 
-	translate  [256]byte
-	translated [256]bool // true when the byte is replaced by translate
-	deleteSet  [256]bool
-	squeezeSet [256]bool
-	affected   [256]bool // deleted or translated to a different byte
-	hasXlate   bool
+	// The tables are indexed by byte. The 0/1 ones are uint8 so that Run
+	// combines them arithmetically instead of branching on them.
+	xlate    [256]byte  // what each byte is written as; the identity unless translated
+	deleted  [256]uint8 // 1 when the input byte is deleted
+	squeezed [256]uint8 // 1 when repeats of the output byte are squeezed
+	affected [256]bool  // deleted or translated to a different byte
 }
 
 func newTr(spec string, args []string, _ *Env) (Command, error) {
@@ -77,24 +77,30 @@ func (t *trCmd) compile() {
 		inSet1[c] = true
 	}
 	member1 := func(c int) bool { return inSet1[c] != t.complement }
+	for c := range t.xlate {
+		t.xlate[c] = byte(c)
+	}
 
 	switch {
 	case t.del:
 		for c := 0; c < 256; c++ {
-			t.deleteSet[c] = member1(c)
+			if member1(c) {
+				t.deleted[c] = 1
+			}
 		}
 		if t.squeeze && len(t.set2) > 0 {
 			for _, c := range t.set2 {
-				t.squeezeSet[c] = true
+				t.squeezed[c] = 1
 			}
 		}
 	case len(t.set2) == 0:
 		// squeeze-only: squeeze members of SET1 (complemented if -c).
 		for c := 0; c < 256; c++ {
-			t.squeezeSet[c] = member1(c)
+			if member1(c) {
+				t.squeezed[c] = 1
+			}
 		}
 	default:
-		t.hasXlate = true
 		set2 := t.set2
 		last := set2[len(set2)-1]
 		if t.complement {
@@ -106,34 +112,31 @@ func (t *trCmd) compile() {
 			for c := 0; c < 256; c++ {
 				if !inSet1[c] {
 					if idx < len(set2) {
-						t.translate[c] = set2[idx]
+						t.xlate[c] = set2[idx]
 					} else {
-						t.translate[c] = last
+						t.xlate[c] = last
 					}
-					t.translated[c] = true
 					idx++
 				}
 			}
 		} else {
 			for i, c := range t.set1 {
 				if i < len(set2) {
-					t.translate[c] = set2[i]
+					t.xlate[c] = set2[i]
 				} else {
-					t.translate[c] = last
+					t.xlate[c] = last
 				}
-				t.translated[c] = true
 			}
 		}
 		if t.squeeze {
 			// Squeeze repeats of SET2 members in the output.
 			for _, c := range set2 {
-				t.squeezeSet[c] = true
+				t.squeezed[c] = 1
 			}
 		}
 	}
 	for c := 0; c < 256; c++ {
-		t.affected[c] = t.deleteSet[c] ||
-			(t.translated[c] && t.translate[c] != byte(c))
+		t.affected[c] = t.deleted[c] == 1 || t.xlate[c] != byte(c)
 	}
 }
 
@@ -142,26 +145,33 @@ func (t *trCmd) Spec() string { return t.spec }
 // Run processes the raw byte stream (tr is not line-oriented; squeezing
 // crosses line boundaries, which is exactly why concat is an incorrect
 // combiner for tr -s and KumQuat synthesizes rerun for it).
+//
+// It is one table-driven loop for every flag combination: each byte is
+// translated and stored at the write index, and the index advances unless
+// the byte is deleted or squeezed into the byte written before it — a
+// conditional increment, not a branch. The output is never longer than
+// the input, so it goes into one buffer of the input's size, returned as a
+// view.
 func (t *trCmd) Run(input string) (string, error) {
-	var b strings.Builder
-	b.Grow(len(input))
-	var prev byte
-	havePrev := false
+	out := make([]byte, len(input))
+	w := 0
+	last := uint(256) // the byte last written; 256 equals no byte
 	for i := 0; i < len(input); i++ {
-		c := input[i]
-		if t.deleteSet[c] {
-			continue
+		b := input[i]
+		c := t.xlate[b]
+		out[w] = c
+		var repeat uint8
+		if uint(c) == last {
+			repeat = 1
 		}
-		if t.translated[c] {
-			c = t.translate[c]
+		w += int(1 ^ (t.deleted[b] | t.squeezed[c]&repeat))
+		// A squeezed byte equals last already, so only a deletion keeps
+		// last from moving; the update waits on no other condition.
+		if t.deleted[b] == 0 {
+			last = uint(c)
 		}
-		if t.squeezeSet[c] && havePrev && prev == c {
-			continue
-		}
-		b.WriteByte(c)
-		prev, havePrev = c, true
 	}
-	return b.String(), nil
+	return textio.View(out[:w]), nil
 }
 
 // expandTrSet expands a tr SET description into bytes. targetLen is used by
@@ -300,10 +310,7 @@ func (t *trCmd) pureTranslate() bool {
 	if t.squeeze {
 		return false
 	}
-	if t.deleteSet['\n'] || (t.translated['\n'] && t.translate['\n'] != '\n') {
-		return false
-	}
-	return true
+	return !t.affected['\n']
 }
 
 // LineFunc implements LineMapper for tr invocations without cross-line
@@ -328,14 +335,12 @@ func (t *trCmd) LineFunc(emit EmitFunc) EmitFunc {
 		split := false
 		for i := 0; i < len(line); i++ {
 			c := line[i]
-			if t.deleteSet[c] {
+			if t.deleted[c] == 1 {
 				continue
 			}
-			if t.translated[c] {
-				c = t.translate[c]
-				if c == '\n' {
-					split = true
-				}
+			c = t.xlate[c]
+			if c == '\n' {
+				split = true
 			}
 			b = append(b, c)
 		}
