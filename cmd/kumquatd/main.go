@@ -81,7 +81,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "synthesis random seed")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 	workers := flag.String("workers", "", "comma-separated worker base URLs enabling coordinator mode (e.g. http://127.0.0.1:9918,http://127.0.0.1:9919)")
-	shards := flag.Int("shards", 0, "shards per parallel stage in coordinator mode (0 = worker count)")
+	shards := flag.Int("shards", 0, "shards per parallel segment in coordinator mode (0 = worker count)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-attempt deadline of one remote shard (0 = 30s)")
 	speculateAfter := flag.Duration("speculate-after", 0, "minimum shard age before speculative re-dispatch (0 = 2s, negative disables)")
 	traceBuffer := flag.Int("trace-buffer", 64, "traces retained in the in-memory ring for GET /v1/traces/{id} (0 disables tracing)")

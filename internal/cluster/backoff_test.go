@@ -28,7 +28,7 @@ func TestBackoffHonorsRetryAfter(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	_, err := NewHTTPRunner(hs.URL).Run(context.Background(), "sort", "b\na\n")
+	_, _, err := NewHTTPRunner(hs.URL).Run(context.Background(), "sort", "b\na\n")
 	if !errors.Is(err, client.ErrBusy) {
 		t.Fatalf("shed shard surfaced %v, want client.ErrBusy", err)
 	}

@@ -1,17 +1,21 @@
 // Package cluster is kumquatd's fault-tolerant cluster execution plane:
 // a leaf runner for the one executor. Coordinator.Execute is
-// kumquat.Plan.Execute — the same script-run loop, walker, line-aligned
-// splitter (textio.ChunkLines) and Associative/CombineKTree combine plane
-// as a local Unoptimized run at k = Shards — with one difference: a
-// parallel stage's chunk fan-out goes to worker daemons over the typed
-// client (each worker executes one stage spec on one shard — a remote
-// leaf of the combine tree). The output and the RunReport are therefore
-// those of the local u_k execution, which the conformance plane holds to
-// the serial oracle; what this package adds is dispatch.
+// kumquat.Plan.Execute over the Optimized program at k = Shards — the
+// same script-run loop, walker, line-aligned splitter (textio.ChunkLines)
+// and CombineKTree combine plane as a local Optimized run — with remote
+// leaves: a parallel segment's shards go to worker daemons over the typed
+// client. A segment is a chunk-parallel region plus every region its
+// split exits feed (pipeline.Segment), so a shard crosses the wire once
+// per barrier, not once per stage: the worker runs the segment's stages
+// as one ordinary serial script over its shard, and only what must meet
+// — a combine, a concat, a merge — comes back to the coordinator. The
+// output and the RunReport are therefore those of the local Optimized
+// execution, which the conformance plane holds to the serial oracle;
+// what this package adds is dispatch.
 //
 // Failure handling is the design axis, not a bolt-on. Shards are
-// idempotent — a shard's output is a pure function of (stage spec, shard
-// bytes) — so every recovery mechanism is a re-run:
+// idempotent — a shard's output is a pure function of (segment script,
+// shard bytes) — so every recovery mechanism is a re-run:
 //
 //   - per-shard deadlines with exponential-backoff, full-jitter retries
 //     across the worker set, floored at a 429's Retry-After — the only
@@ -48,15 +52,16 @@ import (
 	"kumquat"
 	"kumquat/internal/pipeline"
 	"kumquat/internal/server/api"
-	"kumquat/internal/unix"
 )
 
-// Runner executes a single-stage script on one input shard — the remote
+// Runner executes a segment's script on one input shard — the remote
 // leaf abstraction. The production implementation wraps the typed HTTP
 // client (NewHTTPRunner); tests substitute scripted fakes.
 type Runner interface {
-	// Run executes script over input and returns the output stream.
-	Run(ctx context.Context, script, input string) (string, error)
+	// Run executes script — stage specs joined by " | " — over input and
+	// returns the output stream and every stage's output volume, in
+	// stage order, as the worker's run report carries them.
+	Run(ctx context.Context, script, input string) (out string, stageBytes []int64, err error)
 	// Probe checks the worker's readiness (used to gate re-admission of
 	// an ejected worker).
 	Probe(ctx context.Context) error
@@ -71,7 +76,7 @@ type Config struct {
 	// NewRunner builds the transport for one worker address; nil selects
 	// the HTTP runner over the typed client. Tests inject fakes here.
 	NewRunner func(addr string) Runner
-	// Shards is the number of shards a parallel stage's input splits
+	// Shards is the number of shards a parallel segment's input splits
 	// into (0 = len(Workers)).
 	Shards int
 	// ShardTimeout is the per-attempt deadline of one remote shard
@@ -180,7 +185,7 @@ func (co *Coordinator) Workers() []string {
 	return out
 }
 
-// Shards reports the per-stage shard count dispatch splits into.
+// Shards reports the per-segment shard count dispatch splits into.
 func (co *Coordinator) Shards() int { return co.cfg.Shards }
 
 // TotalStats snapshots the coordinator's cumulative dispatch counters
@@ -197,26 +202,27 @@ func (co *Coordinator) report(st *Stats) api.ClusterReport {
 
 // Execute runs a compiled script over the cluster. It is plan.Execute —
 // the one script-run loop: redirects, byte totals, the RunReport — with
-// three things pinned after the caller's opts: the Unoptimized program
-// (stage boundaries are barriers, stdin is drained), k = Shards, and the
-// coordinator as the leaf runner, so a dispatchable parallel stage's
-// shards go to the workers and every other fan-out is handed back to the
-// in-process runner. Remote partials combine at the executor's pool width,
-// min(Shards, GOMAXPROCS), like any local run at k = Shards. The
+// three things pinned after the caller's opts: the Optimized program, k
+// = Shards, and the coordinator as the leaf runner, so a dispatchable
+// segment's shards go to the workers and every other fan-out is handed
+// back to the in-process runner. The caller hands stdin over in memory
+// (the server materializes the body first), so the walk chunks it rather
+// than streaming it. Remote partials combine at the executor's pool
+// width, min(Shards, GOMAXPROCS), like any local run at k = Shards. The
 // ClusterReport is this run's dispatch accounting, returned on error too.
 func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...kumquat.ExecOption) (*kumquat.RunReport, api.ClusterReport, error) {
 	st := &Stats{}
 	leaves := func(local pipeline.Leaves) pipeline.Leaves {
-		return func(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error) {
-			if !co.dispatchable(cmd) {
-				return local(ctx, cmd, chunks)
+		return func(ctx context.Context, seg *pipeline.Segment, chunks []string) ([]string, [][]int64, error) {
+			if !co.dispatchable(seg) {
+				return local(ctx, seg, chunks)
 			}
-			return co.runShards(ctx, cmd, chunks, st)
+			return co.runShards(ctx, seg, chunks, st)
 		}
 	}
 	// Clip opts so the pinned options never land in the caller's array.
 	all := append(slices.Clip(opts),
-		kumquat.WithMode(kumquat.Unoptimized),
+		kumquat.WithMode(kumquat.Optimized),
 		kumquat.WithParallelism(co.cfg.Shards),
 		kumquat.WithLeaves(leaves))
 	rep, err := plan.Execute(ctx, all...)
@@ -224,26 +230,33 @@ func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...
 	return rep, co.report(st), err
 }
 
-// dispatchable reports whether a parallel stage's shards may run
-// remotely (the walker only fans out stages the planner marked parallel
-// with a combiner): more than one shard must be configured, and the spec
-// must round-trip as a single-stage script on a worker (a leading "cat
-// FILE" would be re-interpreted as an input source there, not a stage).
-func (co *Coordinator) dispatchable(cmd unix.Command) bool {
+// dispatchable reports whether a segment's shards may run remotely (the
+// walker only fans out regions the planner marked parallel): more than
+// one shard must be configured, and the segment's script must round-trip
+// on a worker.
+func (co *Coordinator) dispatchable(seg *pipeline.Segment) bool {
 	if co.cfg.Shards < 2 || len(co.cfg.Workers) == 0 {
 		return false
 	}
-	return scriptRoundTrips(cmd.Spec())
+	return scriptRoundTrips(seg.Script, seg.Stages)
 }
 
-// scriptRoundTrips checks that spec, parsed as a standalone script,
-// yields exactly the same single stage reading standard input.
-func scriptRoundTrips(spec string) bool {
-	parsed, err := pipeline.ParseScript(spec+"\n", nil)
+// scriptRoundTrips checks that script, parsed as a standalone script,
+// yields exactly the given stages reading standard input (a leading "cat
+// FILE" would be re-interpreted as an input source there, not a stage).
+func scriptRoundTrips(script string, stages []string) bool {
+	parsed, err := pipeline.ParseScript(script+"\n", nil)
 	if err != nil || len(parsed.Pipelines) != 1 {
 		return false
 	}
 	p := parsed.Pipelines[0]
-	return p.InputFile == "" && p.OutputFile == "" &&
-		len(p.Stages) == 1 && strings.TrimSpace(p.Stages[0]) == strings.TrimSpace(spec)
+	if p.InputFile != "" || p.OutputFile != "" || len(p.Stages) != len(stages) {
+		return false
+	}
+	for i, spec := range stages {
+		if strings.TrimSpace(p.Stages[i]) != strings.TrimSpace(spec) {
+			return false
+		}
+	}
+	return true
 }

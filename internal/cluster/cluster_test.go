@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"kumquat"
+	"kumquat/internal/pipeline"
 	"kumquat/internal/server/api"
 	"kumquat/internal/unix"
 )
 
-// fakeRunner executes stage scripts in-process through the unix
+// fakeRunner executes segment scripts in-process through the unix
 // substrate, with scripted failures, latency and probe outcomes — a
-// worker daemon without the HTTP.
+// worker daemon without the HTTP. It records every script it was sent.
 type fakeRunner struct {
 	addr  string
 	delay time.Duration
@@ -25,18 +26,20 @@ type fakeRunner struct {
 	// probeErr is returned by Probe.
 	probeErr error
 
-	mu    sync.Mutex
-	calls int
+	mu      sync.Mutex
+	calls   int
+	scripts []string
 }
 
-func (f *fakeRunner) Run(ctx context.Context, script, input string) (string, error) {
+func (f *fakeRunner) Run(ctx context.Context, script, input string) (string, []int64, error) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
+	f.scripts = append(f.scripts, script)
 	f.mu.Unlock()
 	if f.fail != nil {
 		if err := f.fail(n); err != nil {
-			return "", err
+			return "", nil, err
 		}
 	}
 	if f.delay > 0 {
@@ -45,14 +48,25 @@ func (f *fakeRunner) Run(ctx context.Context, script, input string) (string, err
 		select {
 		case <-t.C:
 		case <-ctx.Done():
-			return "", ctx.Err()
+			return "", nil, ctx.Err()
 		}
 	}
-	cmd, err := unix.Parse(strings.TrimSpace(script), unix.DefaultEnv())
+	parsed, err := pipeline.ParseScript(script+"\n", nil)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return cmd.Run(input)
+	var stageBytes []int64
+	for _, spec := range parsed.Pipelines[0].Stages {
+		cmd, err := unix.Parse(strings.TrimSpace(spec), unix.DefaultEnv())
+		if err != nil {
+			return "", nil, err
+		}
+		if input, err = cmd.Run(input); err != nil {
+			return "", nil, err
+		}
+		stageBytes = append(stageBytes, int64(len(input)))
+	}
+	return input, stageBytes, nil
 }
 
 func (f *fakeRunner) Probe(ctx context.Context) error { return f.probeErr }
@@ -295,32 +309,102 @@ func TestEjectionReadmission(t *testing.T) {
 	}
 }
 
-// TestDispatchGuards: sharding is refused for specs that would not
+// TestDispatchGuards: sharding is refused for scripts that would not
 // round-trip as standalone scripts, and for degenerate shard counts.
 func TestDispatchGuards(t *testing.T) {
 	runners := map[string]*fakeRunner{"a": {addr: "a"}, "b": {addr: "b"}}
 	co := New(testConfig(runners, "a", "b"))
-	if !scriptRoundTrips("sort") || !scriptRoundTrips("uniq -c") {
+	if !scriptRoundTrips("sort", []string{"sort"}) || !scriptRoundTrips("uniq -c", []string{"uniq -c"}) {
 		t.Fatal("plain stage specs must round-trip")
+	}
+	if !scriptRoundTrips("tr A-Z a-z | sort", []string{"tr A-Z a-z", "sort"}) {
+		t.Fatal("a multi-stage segment script must round-trip")
+	}
+	if scriptRoundTrips("tr A-Z a-z | sort", []string{"tr A-Z a-z | sort"}) {
+		t.Fatal("a script must parse back to exactly the segment's stages")
 	}
 	// A leading `cat FILE` re-parses as an input source, not a stage, on
 	// the worker; dispatching it would execute nothing.
-	if scriptRoundTrips("cat data.txt") {
+	if scriptRoundTrips("cat data.txt", []string{"cat data.txt"}) {
 		t.Fatal("cat FILE must not round-trip as a dispatchable stage")
 	}
 	one := New(Config{Workers: []string{"a"}, Shards: 1,
 		NewRunner: func(addr string) Runner { return runners["a"] }})
-	for _, spec := range []string{"sort", "uniq -c"} {
-		cmd, err := unix.Parse(spec, unix.DefaultEnv())
-		if err != nil {
-			t.Fatal(err)
+	for _, script := range []string{"sort", "uniq -c", "tr A-Z a-z | sort"} {
+		seg := &pipeline.Segment{Stages: strings.Split(script, " | "), Script: script}
+		if !co.dispatchable(seg) {
+			t.Fatalf("parallel segment %q unexpectedly not dispatchable", script)
 		}
-		if !co.dispatchable(cmd) {
-			t.Fatalf("parallel stage %q unexpectedly not dispatchable", spec)
+		if one.dispatchable(seg) {
+			t.Fatalf("segment %q dispatchable with a single shard", script)
 		}
-		if one.dispatchable(cmd) {
-			t.Fatalf("stage %q dispatchable with a single shard", spec)
+	}
+}
+
+// TestSegmentShipsOnce: a split exit joins `tr A-Z a-z` and `sort` into
+// one segment, so each of the 3 shards crosses to a worker once, as the
+// two-stage script — not once per stage — and the run still reports
+// every member's chunks and byte volumes from the workers' per-stage
+// figures, as a local Optimized run measures them.
+func TestSegmentShipsOnce(t *testing.T) {
+	rec := &fakeRunner{addr: "a"}
+	co := New(testConfig(map[string]*fakeRunner{"a": rec}, "a"))
+	plan := compilePlan(t, "tr A-Z a-z | sort")
+	corpus := "Pear\napple\nPEAR\nfig\nApple\nkiwi\n"
+
+	rep, snap, err := co.Execute(context.Background(), plan, kumquat.WithStdin(strings.NewReader(corpus)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialRun(t, plan, corpus); rep.Output != want {
+		t.Fatalf("segment output diverges: %q != %q", rep.Output, want)
+	}
+	if len(rec.scripts) != 3 || snap.Shards != 3 || snap.RemoteRuns != 3 {
+		t.Fatalf("runner saw %d calls %q (shards %d, remote %d), want 3 remote shards",
+			len(rec.scripts), rec.scripts, snap.Shards, snap.RemoteRuns)
+	}
+	for _, script := range rec.scripts {
+		if script != "tr A-Z a-z | sort" {
+			t.Fatalf("shard shipped script %q, want the two-stage segment", script)
 		}
+	}
+	local, err := plan.Execute(context.Background(), kumquat.WithParallelism(3),
+		kumquat.WithStdin(strings.NewReader(corpus)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sg := range rep.Stages {
+		want := local.Stages[i]
+		if sg.Chunks != 3 || sg.Chunks != want.Chunks || sg.BytesIn != want.BytesIn || sg.BytesOut != want.BytesOut {
+			t.Errorf("stage %q: chunks %d, bytes %d→%d; local %d, %d→%d",
+				sg.Spec, sg.Chunks, sg.BytesIn, sg.BytesOut, want.Chunks, want.BytesIn, want.BytesOut)
+		}
+	}
+}
+
+// TestSegmentFallbackNamesMember: when the workers are gone and the
+// local fallback fails inside a segment, the error names the member
+// stage that failed and its chunk, not the segment's joined script.
+func TestSegmentFallbackNamesMember(t *testing.T) {
+	boom := errors.New("down")
+	fail := func(int) error { return boom }
+	runners := map[string]*fakeRunner{"a": {addr: "a", fail: fail, probeErr: boom}}
+	co := New(testConfig(runners, "a"))
+	plan := compilePlan(t, "tr A-Z a-z | xargs cat")
+
+	_, _, err := co.Execute(context.Background(), plan, kumquat.WithStdin(strings.NewReader("Missing-File\n")))
+	if err == nil {
+		t.Fatal("failing member produced no error")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, `stage "xargs cat" chunk 0`) || !strings.Contains(msg, "local fallback") {
+		t.Errorf("fallback error does not name the member stage: %v", err)
+	}
+	if strings.Contains(msg, "tr A-Z a-z | xargs cat") {
+		t.Errorf("fallback error names the joined script: %v", err)
+	}
+	if sent := runners["a"].scripts; len(sent) == 0 || sent[0] != "tr A-Z a-z | xargs cat" {
+		t.Errorf("worker was sent %q, want the two-stage segment", sent)
 	}
 }
 

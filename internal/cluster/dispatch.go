@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"kumquat/internal/obs"
+	"kumquat/internal/pipeline"
 	"kumquat/internal/server/client"
-	"kumquat/internal/unix"
 )
 
 // errNoWorkers reports an exhausted rotation: every worker is ejected
@@ -48,15 +48,17 @@ func (l *latencies) quantile(q float64) (time.Duration, bool) {
 	return ds[i], true
 }
 
-// runShards executes one parallel stage's chunks across the cluster,
+// runShards executes one segment's chunks across the cluster,
 // concurrently, returning the per-shard outputs in shard order (the
-// order CombineKTree needs for byte-identity with the local combine).
-func (co *Coordinator) runShards(ctx context.Context, cmd unix.Command, chunks []string, st *Stats) ([]string, error) {
-	ctx, csp := obs.StartSpan(ctx, "cluster-stage")
-	csp.Attr("spec", cmd.Spec())
+// order CombineKTree needs for byte-identity with the local combine) and
+// each shard's member output volumes.
+func (co *Coordinator) runShards(ctx context.Context, seg *pipeline.Segment, chunks []string, st *Stats) ([]string, [][]int64, error) {
+	ctx, csp := obs.StartSpan(ctx, "cluster-segment")
+	csp.Attr("script", seg.Script)
 	csp.AttrInt("shards", int64(len(chunks)))
 	defer csp.End()
 	outs := make([]string, len(chunks))
+	bytesOut := make([][]int64, len(chunks))
 	errs := make([]error, len(chunks))
 	lat := &latencies{}
 	var wg sync.WaitGroup
@@ -66,27 +68,29 @@ func (co *Coordinator) runShards(ctx context.Context, cmd unix.Command, chunks [
 			defer wg.Done()
 			sctx, ssp := obs.StartSpan(ctx, "shard")
 			ssp.AttrInt("shard", int64(i))
-			outs[i], errs[i] = co.runShard(sctx, cmd, chunks[i], lat, st)
+			outs[i], bytesOut[i], errs[i] = co.runShard(sctx, seg, i, chunks[i], lat, st)
 			ssp.End()
 		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: stage %q shard %d: %w", cmd.Spec(), i, err)
+			return nil, nil, err
 		}
 	}
-	return outs, nil
+	return outs, bytesOut, nil
 }
 
-// runShard resolves one shard: remote dispatch (with retries and
-// speculation) first, local in-process execution as the last resort.
-// Shards are idempotent — the output is a pure function of (stage spec,
-// shard bytes) — so a re-run anywhere yields identical bytes.
-func (co *Coordinator) runShard(ctx context.Context, cmd unix.Command, chunk string, lat *latencies, st *Stats) (string, error) {
+// runShard resolves shard i: remote dispatch (with retries and
+// speculation) first, local in-process execution as the last resort. It
+// returns the output and the members' output volumes — from the
+// worker's report, or measured by the local run. Shards are idempotent —
+// the output is a pure function of (segment script, shard bytes) — so a
+// re-run anywhere yields identical bytes.
+func (co *Coordinator) runShard(ctx context.Context, seg *pipeline.Segment, i int, chunk string, lat *latencies, st *Stats) (string, []int64, error) {
 	st.Shards.Add(1)
 	start := time.Now()
 	if co.cfg.OnShardLatency != nil {
@@ -94,14 +98,14 @@ func (co *Coordinator) runShard(ctx context.Context, cmd unix.Command, chunk str
 		// failure, local fallback included.
 		defer func() { co.cfg.OnShardLatency(time.Since(start)) }()
 	}
-	out, err := co.dispatch(ctx, cmd.Spec(), chunk, lat, st)
+	res, err := co.dispatch(ctx, seg, chunk, lat, st)
 	if err == nil {
 		lat.record(time.Since(start))
 		st.RemoteRuns.Add(1)
-		return out, nil
+		return res.out, seg.MemberBytes(res.stageBytes), nil
 	}
 	if ctx.Err() != nil {
-		return "", ctx.Err()
+		return "", nil, ctx.Err()
 	}
 	// Graceful degradation: the worker set failed this shard, so run it
 	// in-process — the cluster only ever costs speed, not correctness.
@@ -109,11 +113,18 @@ func (co *Coordinator) runShard(ctx context.Context, cmd unix.Command, chunk str
 	if span := obs.FromContext(ctx); span.Enabled() {
 		span.EventAttr("local-fallback", "remote-error", err.Error())
 	}
-	out, lerr := cmd.Run(chunk)
+	out, bytesOut, lerr := seg.Run(i, chunk)
 	if lerr != nil {
-		return "", fmt.Errorf("local fallback (remote: %v): %w", err, lerr)
+		return "", nil, fmt.Errorf("cluster: local fallback (remote: %v): %w", err, lerr)
 	}
-	return out, nil
+	return out, bytesOut, nil
+}
+
+// shardResult is one successful remote run of a segment over a shard:
+// the output and the worker-reported output volume of every stage.
+type shardResult struct {
+	out        string
+	stageBytes []int64
 }
 
 // dispatch races the shard's primary attempt chain against an optional
@@ -121,12 +132,12 @@ func (co *Coordinator) runShard(ctx context.Context, cmd unix.Command, chunk str
 // The first successful result wins; the loser is cancelled and its
 // result discarded (safe: shards are idempotent, duplicates are
 // byte-identical).
-func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *latencies, st *Stats) (string, error) {
+func (co *Coordinator) dispatch(ctx context.Context, seg *pipeline.Segment, chunk string, lat *latencies, st *Stats) (shardResult, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type result struct {
-		out string
+		shardResult
 		err error
 		dup bool // produced by the speculative duplicate
 	}
@@ -138,8 +149,8 @@ func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *la
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := co.attempts(actx, spec, chunk, st)
-			resc <- result{out, err, dup}
+			res, err := co.attempts(actx, seg, chunk, st)
+			resc <- result{res, err, dup}
 		}()
 	}
 	launch(false)
@@ -163,13 +174,13 @@ func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *la
 					obs.FromContext(ctx).Event("speculation-win")
 				}
 				cancel() // abandon the losing attempt, if still running
-				return r.out, nil
+				return r.shardResult, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			if pending == 0 {
-				return "", firstErr
+				return shardResult{}, firstErr
 			}
 		case <-timerC:
 			// The shard outlived the straggler threshold: re-dispatch it
@@ -181,7 +192,7 @@ func (co *Coordinator) dispatch(ctx context.Context, spec, chunk string, lat *la
 			launch(true)
 			pending++
 		case <-actx.Done():
-			return "", actx.Err()
+			return shardResult{}, actx.Err()
 		}
 	}
 }
@@ -206,8 +217,9 @@ func (co *Coordinator) specDelay(lat *latencies) (time.Duration, bool) {
 // attempts is one dispatch chain — the program's only retry loop: claim
 // a worker, run the shard under the per-attempt deadline, and on failure
 // back off (full jitter, floored at a 429's Retry-After) and retry on the
-// next worker, up to retryMax re-dispatches.
-func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Stats) (string, error) {
+// next worker, up to retryMax re-dispatches. A worker whose report does
+// not cover every stage of the script has failed the attempt.
+func (co *Coordinator) attempts(ctx context.Context, seg *pipeline.Segment, chunk string, st *Stats) (shardResult, error) {
 	span := obs.FromContext(ctx)
 	pol := co.cfg.recovery
 	var last error
@@ -221,7 +233,7 @@ func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Sta
 				co.cfg.OnRetryBackoff(d)
 			}
 			if !sleep(ctx, d) {
-				return "", ctx.Err()
+				return shardResult{}, ctx.Err()
 			}
 		}
 		w := co.pool.pick(ctx, avoid, st)
@@ -239,20 +251,23 @@ func (co *Coordinator) attempts(ctx context.Context, spec, chunk string, st *Sta
 		}
 		span.EventAttr("dispatch", "worker", w.addr)
 		actx, cancel := context.WithTimeout(ctx, co.cfg.ShardTimeout)
-		out, err := w.runner.Run(actx, spec, chunk)
+		out, stageBytes, err := w.runner.Run(actx, seg.Script, chunk)
 		cancel()
+		if err == nil && len(stageBytes) != len(seg.Stages) {
+			err = fmt.Errorf("cluster: worker %s reported %d stages for a %d-stage script", w.addr, len(stageBytes), len(seg.Stages))
+		}
 		if err == nil {
 			co.pool.success(w)
-			return out, nil
+			return shardResult{out, stageBytes}, nil
 		}
 		co.pool.failure(ctx, w, st)
 		last = err
 		avoid = w
 		if ctx.Err() != nil {
-			return "", ctx.Err()
+			return shardResult{}, ctx.Err()
 		}
 	}
-	return "", last
+	return shardResult{}, last
 }
 
 // backoff computes the delay before retry number try+1: full jitter over

@@ -26,17 +26,24 @@ func NewHTTPRunner(addr string) *HTTPRunner {
 	return &HTTPRunner{c: client.New(addr)}
 }
 
-// Run executes the single-stage script over the shard on the worker in
+// Run executes the segment's script over the shard on the worker in
 // serial mode — the shard is already the unit of parallelism, so the
-// worker must not re-split it. Cluster dispatch is forced off on the
-// worker to keep a misconfigured worker-of-workers from recursing.
-func (r *HTTPRunner) Run(ctx context.Context, script, input string) (string, error) {
+// worker must not re-split it — and returns the output with each stage's
+// output volume from the worker's run report. Cluster dispatch is forced
+// off on the worker to keep a misconfigured worker-of-workers from
+// recursing.
+func (r *HTTPRunner) Run(ctx context.Context, script, input string) (string, []int64, error) {
 	var out strings.Builder
 	opts := client.ExecuteOptions{Mode: "serial", Cluster: "off"}
-	if _, err := r.c.Execute(ctx, script, opts, strings.NewReader(input), &out); err != nil {
-		return "", err
+	rep, err := r.c.Execute(ctx, script, opts, strings.NewReader(input), &out)
+	if err != nil {
+		return "", nil, err
 	}
-	return out.String(), nil
+	stageBytes := make([]int64, len(rep.Stages))
+	for i, sg := range rep.Stages {
+		stageBytes[i] = sg.BytesOut
+	}
+	return out.String(), stageBytes, nil
 }
 
 // Probe checks the worker's readiness endpoint, so a draining worker is

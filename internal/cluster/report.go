@@ -13,7 +13,7 @@ import (
 // them concurrently.
 type Stats struct {
 	// Shards counts logical shards dispatched (one per chunk per
-	// parallel stage, whatever the attempt count).
+	// parallel segment, whatever the attempt count).
 	Shards atomic.Int64
 	// RemoteRuns counts shards whose accepted result came from a worker;
 	// LocalRuns counts shards that degraded to in-process execution.

@@ -58,8 +58,8 @@ func TestTraceRetryEvents(t *testing.T) {
 
 	td := tracedExecute(t, co, "sort", testCorpus)
 	events, spans := countEvents(td)
-	if spans["cluster-stage"] == 0 || spans["shard"] == 0 {
-		t.Fatalf("traced dispatch recorded no stage/shard spans: %v", spans)
+	if spans["cluster-segment"] == 0 || spans["shard"] == 0 {
+		t.Fatalf("traced dispatch recorded no segment/shard spans: %v", spans)
 	}
 	if events["retry"] == 0 {
 		t.Fatalf("failing worker left no retry events: %v", events)

@@ -243,7 +243,7 @@ func ReplayCluster(ctx context.Context, cases []*Case, opts ClusterOptions, orac
 		if detail, ok := diverges(oracle.out, oracle.err, out.String(), gotErr); !ok {
 			rep.Divergences = append(rep.Divergences, Divergence{
 				Case:   cs.forReport(),
-				Config: Config{Mode: "cluster/" + kumquat.Unoptimized.String(), K: workers},
+				Config: Config{Mode: "cluster/" + kumquat.Optimized.String(), K: workers},
 				Detail: detail,
 			})
 		}

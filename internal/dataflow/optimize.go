@@ -204,8 +204,8 @@ func Optimize(g *Graph, opts Options) *Program {
 // Stagewise lowers the graph without any rewrite: one region per stage,
 // every exit a combine, so each stage boundary is a barrier. With
 // parallel set, regions keep the planner's data-parallel verdict (the
-// u_k configuration, and the cluster coordinator's program); without it
-// every region is serial (u_1, and T_orig's pipe-connected stages).
+// u_k configuration); without it every region is serial (u_1, and
+// T_orig's pipe-connected stages).
 func Stagewise(g *Graph, parallel bool) *Program {
 	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
 	for i, n := range g.Nodes {

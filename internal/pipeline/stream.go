@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
@@ -135,8 +136,11 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 // until that Read returns and then exits, discarding the data — the
 // unavoidable residue of interrupting a blocking io.Reader.
 type asyncReader struct {
-	ctx     context.Context
-	r       io.Reader
+	ctx context.Context
+	r   io.Reader
+	// size is the source's declared length when it was wrapped (0 when
+	// unknown): the buffer readAll materializes it into.
+	size    int
 	res     chan asyncChunk
 	pending []byte
 	err     error
@@ -149,7 +153,36 @@ type asyncChunk struct {
 }
 
 func newAsyncReader(ctx context.Context, r io.Reader) *asyncReader {
-	return &asyncReader{ctx: ctx, r: r, res: make(chan asyncChunk)}
+	return &asyncReader{ctx: ctx, r: r, size: declaredLen(r), res: make(chan asyncChunk)}
+}
+
+// readAll materializes the whole source for a drain. Unstarted, the
+// helper reads it straight into one buffer of its declared size and hands
+// that over, instead of streaming 32 KiB copies through Read;
+// cancellation returns at once, with the same residue as Read's.
+func (ar *asyncReader) readAll() ([]byte, error) {
+	if ar.started {
+		return textio.ReadAll(ar, 0)
+	}
+	ar.started = true
+	go func() {
+		buf, err := textio.ReadAll(unix.ContextReader(ar.ctx, ar.r), ar.size)
+		select {
+		case ar.res <- asyncChunk{buf, err}:
+		case <-ar.ctx.Done():
+		}
+	}()
+	select {
+	case ch := <-ar.res:
+		// Sticky, so a later Read finds the source consumed.
+		if ar.err = ch.err; ar.err == nil {
+			ar.err = io.EOF
+		}
+		return ch.data, ch.err
+	case <-ar.ctx.Done():
+		ar.err = ar.ctx.Err()
+		return nil, ar.err
+	}
 }
 
 func (ar *asyncReader) Read(p []byte) (int, error) {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,15 +16,17 @@ import (
 	"kumquat/internal/unix"
 )
 
-// Leaves runs one region's command over its input chunks and returns the
-// per-chunk outputs in chunk order: the single (command, shard) → bytes
-// site of the repo. The executor's default is the pooled local fan-out
-// (runLocal); the cluster coordinator is the one other implementation.
-type Leaves func(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error)
+// Leaves runs one segment over its input chunks — every chunk through
+// every member — and returns the last member's per-chunk outputs in
+// chunk order, with bytesOut[i][m] the output volume of member m on
+// chunk i: the single (segment, shard) → bytes site of the repo. The
+// executor's default is the pooled local fan-out (runLocal); the cluster
+// coordinator is the one other implementation.
+type Leaves func(ctx context.Context, seg *Segment, chunks []string) (outs []string, bytesOut [][]int64, err error)
 
 // WithLeaves routes every chunk fan-out of one Execute call through
 // wrap(local), where local is the executor's pooled in-process runner —
-// so an implementation can dispatch some regions elsewhere and hand the
+// so an implementation can dispatch some segments elsewhere and hand the
 // rest back. It is an internal seam for execution planes inside this
 // module (cluster.Coordinator): kumquat.Plan.Execute forwards it as
 // kumquat.WithLeaves, whose parameter type cannot be named outside the
@@ -57,28 +60,50 @@ type executor struct {
 	info *RunInfo
 }
 
-// stream is the data between two regions, in exactly one of three states
-// (materialized ⇄ split ⇄ live; ARCHITECTURE.md draws the transitions):
+// stream is the data between two walk steps, in exactly one of two
+// states (ARCHITECTURE.md draws the transitions); the third, split, lives
+// inside a segment's leaf call:
 //
 //   - materialized: the whole stream is in data (file and in-memory
 //     sources start here; combining, concatenating and draining return
-//     here); a parallel region splits it with textio.ChunkLines.
-//   - split: a split exit left the k chunk outputs in chunks; the next
-//     parallel region consumes them directly, with no combine and re-split.
+//     here); a parallel segment splits it with textio.ChunkLines.
 //   - live: the stream is still being produced behind live — an external
 //     stdin, an upstream piped region, or a sort's lazy k-way merge.
 //     Regions that can stream overlap through pipes without materializing
 //     it; the first region that cannot drains it back to materialized.
 type stream struct {
-	data   string
-	chunks []string
-	live   io.Reader
+	data string
+	live io.Reader
 }
 
-// drain materializes a live stream, observing ctx between reads.
+// drain materializes a live stream, observing ctx between reads, into
+// one buffer of the stream's declared length when it has one. An
+// in-memory buffer is taken as it is; an unstarted external source is
+// read whole by its async helper.
 func drain(ctx context.Context, r io.Reader) (string, error) {
-	buf, err := io.ReadAll(unix.ContextReader(ctx, r))
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
+	var buf []byte
+	var err error
+	switch src := r.(type) {
+	case *bytes.Buffer:
+		buf = src.Next(src.Len())
+	case *asyncReader:
+		buf, err = src.readAll()
+	default:
+		buf, err = textio.ReadAll(unix.ContextReader(ctx, r), declaredLen(r))
+	}
 	return textio.View(buf), err
+}
+
+// declaredLen is how many bytes r says remain (bytes.Reader,
+// strings.Reader, a server's request body), or 0 when it does not say.
+func declaredLen(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return 0
 }
 
 // source resolves the pipeline's input into the walk's initial stream:
@@ -235,41 +260,41 @@ func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out i
 // out, returning the walking goroutine's own failure (live regions
 // report theirs through lr). A region over a live stream that it can
 // consume incrementally is spawned behind a pipe; every other region
-// runs here, synchronously, and leaves the stream materialized or split.
+// runs here, synchronously, as the first member of a segment, and leaves
+// the stream materialized or live.
 func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, stdin io.Reader, out io.Writer, rms []RegionMetrics) error {
 	st, err := ex.source(ctx, p, stdin)
 	if err != nil {
 		return err
 	}
 	regions := ex.prog.Regions
-	for ri, r := range regions {
+	for ri := 0; ri < len(regions); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cmd := regionRun(p, r)
-		name := "stage"
-		if r.Fused {
-			name = "region"
-		}
-		rctx, span := obs.StartSpan(ctx, name)
-		if span.Enabled() {
-			span.Attr("spec", cmd.Spec())
-			if len(r.Rules) > 0 {
-				span.Attr("exit", r.Exit.String())
-				span.Attr("rules", strings.Join(ruleNames(r), ","))
-			}
-		}
+		r := regions[ri]
 		if st.live != nil && (ex.piped || ex.prog.Streamable(r)) {
+			cmd := regionRun(p, r)
+			_, span := stepSpan(ctx, regions[ri:ri+1], cmd.Spec())
 			st.live = lr.spawn(ri, cmd, st.live, &rms[ri], span)
+			ri++
 			continue
 		}
+		end := ex.segmentEnd(ri)
+		seg := newSegment(p, regions[ri:end])
+		spec := seg.Script
+		if end == ri+1 {
+			spec = seg.Members[0].Spec()
+		}
+		sctx, span := stepSpan(ctx, regions[ri:end], spec)
 		start := time.Now()
-		err := ex.runRegion(rctx, p, r, ri == len(regions)-1, cmd, &st, &rms[ri])
+		err := ex.runSegment(sctx, p, regions[ri:end], end == len(regions), seg, &st, rms[ri:end])
 		rms[ri].Wall = time.Since(start)
 		span.End()
 		if err != nil {
 			return err
 		}
+		ri = end
 	}
 	if st.live != nil {
 		_, err = io.Copy(out, unix.ContextReader(ctx, st.live))
@@ -279,12 +304,57 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 	return err
 }
 
-// runRegion executes one region synchronously. A live stream is drained
-// first (the drain counts toward the region's wall, as it does when a
-// whole-stream command buffers behind a pipe); a split stream feeds the
-// region's leaves directly; a materialized stream is chunked for a
-// parallel region and run whole for a serial one.
-func (ex *executor) runRegion(ctx context.Context, p *Plan, r *dataflow.Region, last bool, cmd unix.Command, st *stream, rm *RegionMetrics) error {
+// segmentEnd returns the end (exclusive) of the segment starting at
+// region ri: a region run chunk-parallel takes in every region its split
+// exits feed, up to the first exit that is not a split; any other region
+// is a segment of its own.
+func (ex *executor) segmentEnd(ri int) int {
+	regions := ex.prog.Regions
+	end := ri + 1
+	if regions[ri].Parallel && ex.k > 1 {
+		for end < len(regions) && regions[end-1].Exit == dataflow.ExitSplit {
+			end++
+		}
+	}
+	return end
+}
+
+// stepSpan opens the span of one walk step: "stage" for a single stage,
+// "region" for a fused region, "segment" for a split-joined run of
+// regions.
+func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (context.Context, *obs.Span) {
+	name := "stage"
+	switch {
+	case len(regions) > 1:
+		name = "segment"
+	case regions[0].Fused:
+		name = "region"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
+	if span.Enabled() {
+		span.Attr("spec", spec)
+		var rules []string
+		for _, r := range regions {
+			rules = append(rules, ruleNames(r)...)
+		}
+		if len(rules) > 0 {
+			span.Attr("exit", regions[len(regions)-1].Exit.String())
+			span.Attr("rules", strings.Join(rules, ","))
+		}
+	}
+	return ctx, span
+}
+
+// runSegment executes one segment synchronously. A live stream is
+// drained first (the drain counts toward the first member's wall, as it
+// does when a whole-stream command buffers behind a pipe). A parallel
+// segment chunks the materialized stream and sends every chunk through
+// every member in one leaf call, then applies the last member's exit; a
+// serial one is a single region run on the whole stream. Every member
+// reports the leaf call's chunk count and its own byte volumes; the
+// segment's wall is the first member's, as a fused region's is its first
+// stage's.
+func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow.Region, last bool, seg *Segment, st *stream, rms []RegionMetrics) error {
 	if st.live != nil {
 		data, err := drain(ctx, st.live)
 		if err != nil {
@@ -292,33 +362,40 @@ func (ex *executor) runRegion(ctx context.Context, p *Plan, r *dataflow.Region, 
 		}
 		*st = stream{data: data}
 	}
-	chunks := st.chunks
-	if chunks != nil {
-		rm.BytesIn = totalLen(chunks)
-	} else {
-		rm.BytesIn = int64(len(st.data))
-		if !r.Parallel || ex.k <= 1 {
-			next, err := cmd.Run(st.data)
-			if err != nil {
-				return fmt.Errorf("pipeline: stage %q: %w", cmd.Spec(), err)
-			}
-			*st = stream{data: next}
-			rm.BytesOut = int64(len(next))
-			return nil
+	rms[0].BytesIn = int64(len(st.data))
+	if !regions[0].Parallel || ex.k <= 1 {
+		cmd := seg.Members[0]
+		next, err := cmd.Run(st.data)
+		if err != nil {
+			return fmt.Errorf("pipeline: stage %q: %w", cmd.Spec(), err)
 		}
-		chunks = textio.ChunkLines(st.data, ex.k)
+		*st = stream{data: next}
+		rms[0].BytesOut = int64(len(next))
+		return nil
 	}
-	outs, err := ex.leaves(ctx, cmd, chunks)
+	chunks := textio.ChunkLines(st.data, ex.k)
+	outs, bytesOut, err := ex.leaves(ctx, seg, chunks)
 	if err != nil {
 		return err
 	}
-	rm.Chunks = len(chunks)
-	return ex.exit(ctx, p, r, last, outs, st, rm)
+	n := len(rms)
+	for m := range rms {
+		rms[m].Chunks = len(chunks)
+		if m == n-1 {
+			break // the exit measures the last member's output
+		}
+		for _, row := range bytesOut {
+			rms[m].BytesOut += row[m]
+		}
+		rms[m+1].BytesIn = rms[m].BytesOut
+	}
+	return ex.exit(ctx, p, regions[n-1], last, outs, st, &rms[n-1])
 }
 
-// exit applies the region's exit to its chunk outputs, leaving the stream
-// in the state the exit names. The final region always combines: a single
-// output stream must emerge.
+// exit applies a segment's last exit to its chunk outputs, leaving the
+// stream in the state the exit names (a split exit never ends a
+// segment). The final region always combines: a single output stream
+// must emerge.
 func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last bool, outs []string, st *stream, rm *RegionMetrics) error {
 	kind := r.Exit
 	if last {
@@ -326,9 +403,6 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 	}
 	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
 	switch kind {
-	case dataflow.ExitSplit:
-		*st = stream{chunks: outs}
-		rm.BytesOut = totalLen(outs)
 	case dataflow.ExitConcat:
 		*st = stream{data: strings.Join(outs, "")}
 		rm.BytesOut = int64(len(st.data))
@@ -356,14 +430,15 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 	return nil
 }
 
-// runLocal is the default Leaves: the command runs on every chunk
+// runLocal is the default Leaves: the segment runs on every chunk
 // concurrently, bounded by the Execute call's shared worker pool. It is
 // the only place per-chunk goroutines are spawned.
-func (ex *executor) runLocal(ctx context.Context, cmd unix.Command, chunks []string) ([]string, error) {
+func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string) ([]string, [][]int64, error) {
 	_, span := obs.StartSpan(ctx, "chunks")
 	span.AttrInt("n", int64(len(chunks)))
 	defer span.End()
 	outs := make([]string, len(chunks))
+	bytesOut := make([][]int64, len(chunks))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for i := range chunks {
@@ -375,17 +450,17 @@ func (ex *executor) runLocal(ctx context.Context, cmd unix.Command, chunks []str
 		go func(i int) {
 			defer wg.Done()
 			defer ex.pool.release()
-			outs[i], errs[i] = cmd.Run(chunks[i])
+			outs[i], bytesOut[i], errs[i] = seg.Run(i, chunks[i])
 		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", cmd.Spec(), i, err)
+			return nil, nil, err
 		}
 	}
-	return outs, nil
+	return outs, bytesOut, nil
 }

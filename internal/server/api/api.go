@@ -157,7 +157,7 @@ type ClusterReport struct {
 	// healthy (not ejected) when the run finished.
 	Workers int `json:"workers"`
 	Healthy int `json:"healthy"`
-	// Shards counts the logical shards of this run (per parallel stage,
+	// Shards counts the logical shards of this run (per parallel segment,
 	// summed); RemoteRuns counts shard executions that completed on a
 	// worker, LocalRuns the shards that degraded to in-process execution
 	// after the worker set was exhausted.

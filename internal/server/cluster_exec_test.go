@@ -177,27 +177,35 @@ func TestClusterVersionAndMetrics(t *testing.T) {
 }
 
 // TestClusterReportMatchesLocal: a cluster run is the one script-run loop
-// with remote leaves, so its output and its report must be those of the
-// same loop run locally over the same program (Unoptimized, k = shards) —
-// for a single pipeline and for a script whose redirect a later pipeline
-// consumes. Only what a clock, the dispatch plane or request order decide
-// is normalized away: walls, mode, the cluster block, cache warmth.
+// over the Optimized program with remote leaves, so its output and its
+// report must be those of the same loop run locally in Optimized mode at
+// k = shards over the same materialized input — a `cat FILE` source, since
+// Optimized keeps a streamed stdin live. That holds for a single pipeline,
+// for a script whose redirect a later pipeline consumes, for a split
+// segment, and for a fused region feeding one. Only what a clock, the
+// dispatch plane or request order decide is normalized away: walls, mode,
+// the cluster block, cache warmth.
 func TestClusterReportMatchesLocal(t *testing.T) {
 	c, _ := bootCluster(t, 3)
-	input := strings.Repeat("pear\napple\npear\nfig\nkiwi\napple\n", 40)
+	input := strings.Repeat("pear\nApple\nPEAR\nfig\nkiwi\napple\n", 40)
 	normalize := func(rep *api.ExecuteReport) {
 		rep.Mode, rep.Cluster, rep.WallMS = "", nil, 0
 		rep.SynthCache = kumquat.SynthCacheStats{}
 		for i := range rep.Stages {
 			rep.Stages[i].WallMS, rep.Stages[i].CombineWallMS = 0, 0
 		}
+		for i := range rep.Regions {
+			rep.Regions[i].WallMS, rep.Regions[i].CombineWallMS = 0, 0
+		}
 	}
 	for _, script := range []string{
-		"sort | uniq -c",
-		"sort > tmp.txt\ncat tmp.txt | uniq -c",
-		// tr's combiner is eliminated: a cluster run reports the planner's
-		// verdict, like every other mode.
-		"tr A-Z a-z | sort",
+		"cat in.txt | sort | uniq -c",
+		"cat in.txt | sort > tmp.txt\ncat tmp.txt | uniq -c",
+		// tr's split exit joins it and sort into one shipped segment; a
+		// cluster run still reports both members' chunks and volumes.
+		"cat in.txt | tr A-Z a-z | sort",
+		// A fused region (tr | grep) feeding sort through a split exit.
+		"cat in.txt | tr A-Z a-z | grep a | sort",
 	} {
 		var cout, lout strings.Builder
 		crep, err := c.Execute(context.Background(), script,
@@ -206,7 +214,7 @@ func TestClusterReportMatchesLocal(t *testing.T) {
 			t.Fatalf("%q cluster: %v", script, err)
 		}
 		lrep, err := c.Execute(context.Background(), script,
-			client.ExecuteOptions{Cluster: "off", Mode: "unoptimized", K: 3}, strings.NewReader(input), &lout)
+			client.ExecuteOptions{Cluster: "off", Mode: "optimized", K: 3}, strings.NewReader(input), &lout)
 		if err != nil {
 			t.Fatalf("%q local: %v", script, err)
 		}

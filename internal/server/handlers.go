@@ -207,10 +207,18 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var failure error
 	defer func() { finishExecute(w, span, remoteTrace, rep, failure) }()
 
+	// A body that declares more than the limit is refused before any
+	// buffer exists; one that runs past it mid-read fails at the limit.
 	body := io.Reader(r.Body)
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if limit := s.cfg.MaxBodyBytes; limit > 0 {
+		if r.ContentLength > limit {
+			failure = &http.MaxBytesError{Limit: limit}
+			writeError(w, http.StatusRequestEntityTooLarge, "request body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit)
+			return
+		}
+		body = http.MaxBytesReader(w, r.Body, limit)
 	}
+	presize := s.presize(r)
 
 	env := kumquat.NewEnv()
 	plan, err := s.sys.ParallelizeInEnv(r.Context(), env, ensureTrailingNewline(script))
@@ -229,9 +237,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// gets the body materialized under that name. The binding is
 	// unconditional — the environment's synthetic corpus must never
 	// shadow a client's streamed data behind a colliding file name.
-	var stdin io.Reader = body
+	var stdin io.Reader = &sizedBody{r: body, n: presize}
 	if inputs := plan.Inputs(); len(inputs) > 0 && inputs[0] != "" {
-		data, rerr := io.ReadAll(body)
+		data, rerr := textio.ReadAll(body, presize)
 		if rerr != nil {
 			failure = rerr
 			writeError(w, bodyErrStatus(rerr), "reading request body for input %q: %v", inputs[0], rerr)
@@ -251,7 +259,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	sink := kumquat.WithOutput(&flushWriter{w: w})
 	if useCluster {
-		rep, failure = s.executeCluster(w, r, plan, stdin, sink)
+		rep, failure = s.executeCluster(w, r, plan, stdin, presize, sink)
 		return
 	}
 	run, err := plan.Execute(r.Context(), sink,
@@ -382,6 +390,42 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	}
 	return nil
 }
+
+// unlimitedPresize caps the buffer a declared Content-Length reserves
+// up front when the server has no body limit (MaxBodyBytes < 0): a
+// larger body still reads, growing its buffer past the cap as it arrives.
+const unlimitedPresize = 64 << 20
+
+// presize is how many bytes a reader materializing r's body may allocate
+// up front: its declared Content-Length, never more than MaxBodyBytes —
+// or, with no limit configured, than unlimitedPresize, so a declared
+// length alone cannot reserve unbounded memory. 0 when the length is
+// unknown (a chunked body).
+func (s *Server) presize(r *http.Request) int {
+	limit := s.cfg.MaxBodyBytes
+	if limit <= 0 {
+		limit = unlimitedPresize
+	}
+	return int(max(min(r.ContentLength, limit), 0))
+}
+
+// sizedBody is an execute body bound to stdin: it reports how many bytes
+// it still declares (Len, as bytes.Reader does), so the executor's drain
+// reads it into one buffer of its final size.
+type sizedBody struct {
+	r io.Reader
+	n int
+}
+
+// Read reads from the body, counting down the declared length.
+func (b *sizedBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n = max(b.n-n, 0)
+	return n, err
+}
+
+// Len reports the bytes the body still declares.
+func (b *sizedBody) Len() int { return b.n }
 
 // bodyErrStatus is the status for a failed request-body read: 413 when
 // the body ran past the server's limit, 400 otherwise.

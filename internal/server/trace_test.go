@@ -50,7 +50,7 @@ func bootTracedCluster(t *testing.T, n int) (*client.Client, string) {
 
 // TestTracePropagationAcrossCluster is the tentpole acceptance test: one
 // traced execute through a live loopback coordinator+worker cluster must
-// yield a SINGLE stitched trace — coordinator spans (execute, stage
+// yield a SINGLE stitched trace — coordinator spans (execute, segment
 // dispatch, shards) and worker spans (rpc execute, plan, run, stages)
 // sharing one trace id, joined into one tree via the traceparent header
 // out and the trace trailer back.
@@ -101,7 +101,7 @@ func TestTracePropagationAcrossCluster(t *testing.T) {
 
 	// Layer coverage: the trace spans planning, synthesis, stage
 	// execution and shard dispatch end to end.
-	for _, want := range []string{"execute", "plan", "cluster-stage", "shard", "rpc execute", "run", "stage", "synth"} {
+	for _, want := range []string{"execute", "plan", "cluster-segment", "shard", "rpc execute", "run", "stage", "synth"} {
 		if names[want] == 0 {
 			t.Errorf("stitched trace has no %q span: %v", want, names)
 		}

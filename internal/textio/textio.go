@@ -7,6 +7,7 @@
 package textio
 
 import (
+	"io"
 	"strings"
 	"unsafe"
 )
@@ -221,6 +222,34 @@ func CountByte(d byte, s string) int {
 // treating stage input buffers as immutable once chunked.
 func View(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// ReadAll reads r to EOF like io.ReadAll, but into one buffer allocated
+// up front for size bytes — the stream's declared length (an HTTP
+// Content-Length, a bytes.Reader's Len) — instead of starting at 512
+// bytes and doubling. It is the one materializing read of a request
+// body or a drained stream. size is a hint, not a limit: a shorter
+// stream returns what arrived with the reader's own error, if any, and a
+// longer one grows the buffer. size ≤ 0 means unknown.
+func ReadAll(r io.Reader, size int) ([]byte, error) {
+	if size <= 0 {
+		return io.ReadAll(r)
+	}
+	// One spare byte lets the final read report EOF without growing.
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // ChunkLines splits stream s into k line-aligned substreams whose

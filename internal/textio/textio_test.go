@@ -1,10 +1,13 @@
 package textio
 
 import (
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"unsafe"
 )
@@ -342,5 +345,26 @@ func TestCountByte(t *testing.T) {
 func TestAllDigits(t *testing.T) {
 	if !AllDigits("0123456789") || AllDigits("") || AllDigits("12a") || AllDigits("-1") {
 		t.Error("AllDigits misclassified")
+	}
+}
+
+// TestReadAllSizeHint: ReadAll returns exactly the stream whatever the
+// declared size — exact, short, long or unknown — sizes its buffer from
+// the hint, and passes a reader's error through with what arrived.
+func TestReadAllSizeHint(t *testing.T) {
+	data := strings.Repeat("light word here\n", 1000)
+	for _, size := range []int{0, -1, 1, 100, len(data), len(data) + 7} {
+		got, err := ReadAll(iotest.HalfReader(strings.NewReader(data)), size)
+		if err != nil || string(got) != data {
+			t.Errorf("size %d: read %d bytes, %v", size, len(got), err)
+		}
+		if size == len(data) && cap(got) != len(data)+1 {
+			t.Errorf("exact size: buffer grew to cap %d", cap(got))
+		}
+	}
+	boom := errors.New("boom")
+	got, err := ReadAll(io.MultiReader(strings.NewReader("ab\n"), iotest.ErrReader(boom)), 10)
+	if !errors.Is(err, boom) || string(got) != "ab\n" {
+		t.Errorf("failing reader: %q, %v", got, err)
 	}
 }

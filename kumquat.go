@@ -411,7 +411,8 @@ func WithFuse(on bool) ExecOption {
 // WithStdin supplies the standard-input stream for pipelines that read
 // standard input (no `cat FILE` source). The reader is consumed
 // incrementally: streaming stages pull from it on demand rather than
-// materializing it. Default: empty input.
+// materializing it. A *bytes.Buffer may be read in place, without a copy:
+// leave it unmodified until Execute returns. Default: empty input.
 func WithStdin(r io.Reader) ExecOption {
 	return func(c *execConfig) { c.stdin = r }
 }
