@@ -146,7 +146,7 @@ func BenchmarkWordFrequency(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys := New(env)
-	plan, err := sys.Parallelize(`cat in/text.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn` + "\n")
+	plan, err := sys.Parallelize(context.Background(), `cat in/text.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func runSynth(args []string) error {
 	}
 	sys := kumquat.NewWithOptions(nil, withSynth(kumquat.Options{Seed: *seed}))
 	start := time.Now()
-	res, err := sys.Synthesize(fs.Arg(0))
+	res, err := sys.Synthesize(context.Background(), fs.Arg(0))
 	if res == nil {
 		return err
 	}
@@ -163,7 +163,7 @@ func runPlan(args []string) error {
 		return fmt.Errorf("plan needs exactly one pipeline argument")
 	}
 	sys := kumquat.NewWithOptions(nil, withSynth(kumquat.Options{Seed: 1}))
-	plan, err := sys.Parallelize(fs.Arg(0) + "\n")
+	plan, err := sys.Parallelize(context.Background(), fs.Arg(0)+"\n")
 	if err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func runRun(args []string) error {
 		// wraps it together with planning under one tree.
 		ctx, rootSpan = trc.StartTrace(ctx, "cli")
 	}
-	plan, err := sys.ParallelizeContext(ctx, fs.Arg(0)+"\n")
+	plan, err := sys.Parallelize(ctx, fs.Arg(0)+"\n")
 	if err != nil {
 		return err
 	}

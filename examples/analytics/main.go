@@ -29,15 +29,15 @@ func main() {
 	env := kumquat.NewEnv()
 	env.Register("in/mts.csv", telemetry(120000))
 	sys := kumquat.New(env)
+	ctx := context.Background()
 
 	for _, s := range scripts {
-		plan, err := sys.Parallelize(s.src + "\n")
+		plan, err := sys.Parallelize(ctx, s.src+"\n")
 		if err != nil {
 			log.Fatalf("%s: %v", s.name, err)
 		}
 		par, total, elim := plan.Counts()
 
-		ctx := context.Background()
 		serialRep, err := plan.Execute(ctx, kumquat.WithMode(kumquat.Serial))
 		if err != nil {
 			log.Fatal(err)

@@ -14,11 +14,12 @@ func main() {
 	env := kumquat.NewEnv()
 	env.Register("data.txt", "pear\napple\npear\nquince\napple\npear\n")
 	sys := kumquat.New(env)
+	ctx := context.Background()
 
 	// 1. Ask KumQuat for the combiner of a single command. The synthesizer
 	// treats "uniq -c" as a black box, generates input stream pairs, and
 	// keeps only the DSL candidates satisfying f(x1++x2) = g(f(x1),f(x2)).
-	res, err := sys.Synthesize("uniq -c")
+	res, err := sys.Synthesize(ctx, "uniq -c")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func main() {
 		res.Space.Total(), res.Combiner)
 
 	// 2. Compile a pipeline into its data-parallel version and run it.
-	plan, err := sys.Parallelize("cat data.txt | sort | uniq -c | sort -rn\n")
+	plan, err := sys.Parallelize(ctx, "cat data.txt | sort | uniq -c | sort -rn\n")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func main() {
 	// 3. Execute with 4-way data parallelism. Execute is the streaming
 	// entry point: it takes a context, accepts io.Reader/io.Writer via
 	// WithStdin/WithOutput, and returns a per-stage run report.
-	rep, err := plan.Execute(context.Background(), kumquat.WithParallelism(4))
+	rep, err := plan.Execute(ctx, kumquat.WithParallelism(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func main() {
 
 	// Every mode runs through the same Execute call; Serial (u_1) is the
 	// ground truth the parallel run must reproduce byte for byte.
-	serial, err := plan.Execute(context.Background(), kumquat.WithMode(kumquat.Serial))
+	serial, err := plan.Execute(ctx, kumquat.WithMode(kumquat.Serial))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,15 +29,15 @@ func main() {
 	env := kumquat.NewEnv()
 	registerInputs(env)
 	sys := kumquat.New(env)
+	ctx := context.Background()
 
 	for _, p := range puzzles {
-		plan, err := sys.Parallelize(p.src + "\n")
+		plan, err := sys.Parallelize(ctx, p.src+"\n")
 		if err != nil {
 			log.Fatalf("%s: %v", p.title, err)
 		}
 		par, total, elim := plan.Counts()
 
-		ctx := context.Background()
 		serialRep, err := plan.Execute(ctx, kumquat.WithMode(kumquat.Serial))
 		if err != nil {
 			log.Fatal(err)

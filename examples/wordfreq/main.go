@@ -24,9 +24,10 @@ func main() {
 	env := kumquat.NewEnv()
 	env.Register("in/book.txt", book(60000))
 	sys := kumquat.New(env)
+	ctx := context.Background()
 
-	plan, err := sys.Parallelize(
-		`cat in/book.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn` + "\n")
+	plan, err := sys.Parallelize(ctx,
+		`cat in/book.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,6 @@ func main() {
 
 	// Every configuration goes through the streaming Execute API; the run
 	// reports carry wall time directly, so nothing is timed by hand.
-	ctx := context.Background()
 	run := func(mode kumquat.Mode, k int) *kumquat.RunReport {
 		rep, err := plan.Execute(ctx, kumquat.WithMode(mode), kumquat.WithParallelism(k))
 		if err != nil {

@@ -89,7 +89,7 @@ func compilePlan(t *testing.T, script string) *kumquat.Plan {
 	testSysOnce.Do(func() {
 		testSys = kumquat.New(kumquat.NewEnv())
 	})
-	plan, err := testSys.ParallelizeContext(context.Background(), script+"\n")
+	plan, err := testSys.Parallelize(context.Background(), script+"\n")
 	if err != nil {
 		t.Fatalf("parallelize %q: %v", script, err)
 	}

@@ -200,7 +200,7 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := sys.SynthesizeContext(ctx, spec)
+		res, err := sys.Synthesize(ctx, spec)
 		// A cancelled context is an aborted run, not a negative verdict —
 		// it must not masquerade as a "no combiner" skip and let a
 		// half-validated report read as green.

@@ -3,8 +3,6 @@ package conformance
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"strings"
 	"sync"
 
@@ -56,22 +54,16 @@ func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts R
 	srv := server.New(server.Config{
 		SynthOptions: kumquat.Options{Seed: 1, Workers: opts.SynthWorkers},
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("conformance: listen: %w", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
 	var serving sync.WaitGroup
-	serving.Add(1)
-	go func() {
-		defer serving.Done()
-		hs.Serve(ln) //nolint:errcheck // closed by Shutdown below
-	}()
 	defer serving.Wait()
-	// Shutdown needs a context that outlives the caller's (a canceled ctx
-	// would abort the graceful close), so it gets a fresh root.
-	defer hs.Shutdown(context.Background())
-	c := client.New("http://" + ln.Addr().String())
+	n, err := bootNode(srv.Handler(), &serving)
+	if err != nil {
+		return nil, err
+	}
+	// Every replayed request has returned by teardown, so a hard close
+	// loses nothing.
+	defer n.kill()
+	c := client.New(n.url)
 
 	rep := &ServeReport{Cases: len(cases), K: opts.K, Divergences: []Divergence{}}
 	plannedScripts := map[string]bool{}

@@ -217,14 +217,6 @@ func NewTracer(capacity int, proc string) *Tracer {
 	}
 }
 
-// Proc returns the tracer's process label.
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
-}
-
 // randTraceID draws a fresh random trace ID; callers hold t.mu.
 func (t *Tracer) randTraceID() TraceID {
 	var id TraceID

@@ -11,30 +11,31 @@ import (
 // covered, how it ran, and the region-level combine share — the
 // per-region CombineWall reported instead of per-stage figures (inside a
 // fused region there is no per-stage combine to measure; the rewrite
-// removed it).
+// removed it). Durations encode as integer nanoseconds under *_ns keys.
 type RegionMetrics struct {
 	// Stages holds the member stage indices, in pipeline order.
-	Stages []int
+	Stages []int `json:"stages"`
 	// Fused marks multi-stage regions run as one composed per-chunk pass.
-	Fused bool
+	Fused bool `json:"fused"`
 	// Exit names the region's output disposition (combine, split, concat,
 	// merge-stream).
-	Exit string
+	Exit string `json:"exit"`
 	// Rules names the optimizer rewrites that fired on this region.
-	Rules []string
+	Rules []string `json:"rules,omitempty"`
 	// Wall is the region's wall-clock activity time.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 	// CombineWall is the share of Wall spent recombining the region's
 	// chunk outputs (zero when the exit elided or deferred the combine).
-	CombineWall time.Duration
+	CombineWall time.Duration `json:"combine_wall_ns"`
 	// BytesIn and BytesOut measure the region's stream volume.
-	BytesIn, BytesOut int64
+	BytesIn  int64 `json:"bytes_in"`
+	BytesOut int64 `json:"bytes_out"`
 	// Chunks is the number of parallel instances the region ran as.
-	Chunks int
+	Chunks int `json:"chunks"`
 	// Streamed marks regions that consumed a live stream (an external
 	// stdin, an upstream streamed region, a lazily merged sort)
 	// incrementally behind a pipe instead of running chunk-parallel.
-	Streamed bool
+	Streamed bool `json:"streamed,omitempty"`
 }
 
 // RunInfo is the rewritten program's run report, filled in when an

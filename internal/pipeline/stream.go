@@ -46,22 +46,56 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// modes lists every Mode, in declaration order.
+var modes = [...]Mode{ModeOptimized, ModeUnoptimized, ModeSerial, ModePipelined}
+
+// ParseMode parses a mode name ("optimized", "unoptimized", "serial",
+// "pipelined") — the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range modes {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("pipeline: unknown mode %q (want optimized, unoptimized, serial or pipelined)", s)
+}
+
+// MarshalText encodes the mode as its name, so a run report carries
+// "optimized" rather than an enum ordinal.
+func (m Mode) MarshalText() ([]byte, error) {
+	if m < ModeOptimized || m > ModePipelined {
+		return nil, fmt.Errorf("pipeline: cannot encode %v", m)
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText decodes a mode name, rejecting unknown ones.
+func (m *Mode) UnmarshalText(text []byte) error {
+	parsed, err := ParseMode(string(text))
+	if err != nil {
+		return err
+	}
+	*m = parsed
+	return nil
+}
+
 // StageMetrics records one stage's execution measurements for the run
 // report: wall time, stream volume, and how the stage actually ran.
+// Durations encode as integer nanoseconds under *_ns keys.
 type StageMetrics struct {
-	Wall     time.Duration
-	BytesIn  int64
-	BytesOut int64
+	Wall     time.Duration `json:"wall_ns"`
+	BytesIn  int64         `json:"bytes_in"`
+	BytesOut int64         `json:"bytes_out"`
 	// CombineWall is the portion of Wall spent recombining the k chunk
 	// outputs (zero for unchunked, eliminated-combiner and streamed
 	// stages) — the combine plane's share of the stage.
-	CombineWall time.Duration
+	CombineWall time.Duration `json:"combine_wall_ns"`
 	// Chunks is the number of parallel instances the stage ran as
 	// (0 when the stage was not chunked).
-	Chunks int
+	Chunks int `json:"chunks"`
 	// Streamed marks stages that processed their input incrementally
 	// through a pipe instead of materializing it.
-	Streamed bool
+	Streamed bool `json:"streamed"`
 }
 
 // stageError tags a failure with the stage it originated from, so that

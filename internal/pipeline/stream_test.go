@@ -15,7 +15,29 @@ import (
 	"kumquat/internal/unix"
 )
 
-var allModes = []Mode{ModeOptimized, ModeUnoptimized, ModeSerial, ModePipelined}
+var allModes = modes[:]
+
+// TestModeTextRoundTrip: every mode encodes as its name and decodes back
+// to itself; an unknown name or ordinal is refused on both sides.
+func TestModeTextRoundTrip(t *testing.T) {
+	for _, m := range allModes {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != m.String() {
+			t.Fatalf("%v.MarshalText() = %q, %v", m, text, err)
+		}
+		var back Mode
+		if err := back.UnmarshalText(text); err != nil || back != m {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, m)
+		}
+	}
+	back := ModeSerial
+	if err := back.UnmarshalText([]byte("cluster")); err == nil || back != ModeSerial {
+		t.Fatalf("UnmarshalText(cluster) = %v, %v; want an error and no change", back, err)
+	}
+	if text, err := Mode(len(allModes)).MarshalText(); err == nil {
+		t.Fatalf("out-of-range mode encoded as %q", text)
+	}
+}
 
 // reference is the tests' independent oracle: every stage's command run
 // to completion over the previous output — no Program, no pool, no

@@ -78,28 +78,12 @@ type ParallelizeResponse struct {
 
 // ExecuteReport is the JSON payload of the X-Kumquat-Report trailer a
 // successful POST /v1/execute response carries after the streamed
-// output.
+// output: the run record itself (kumquat.RunReport, its keys flattened
+// into the top-level object) plus what only the service plane knows.
 type ExecuteReport struct {
-	Mode        string  `json:"mode"`
-	Parallelism int     `json:"parallelism"`
-	WallMS      float64 `json:"wall_ms"`
-	BytesIn     int64   `json:"bytes_in"`
-	BytesOut    int64   `json:"bytes_out"`
-	// Stages carries each stage's execution measurements.
-	Stages []ExecuteStage `json:"stages"`
-	// SynthCache is the compile-time combiner-cache activity.
-	SynthCache kumquat.SynthCacheStats `json:"synth_cache"`
-	// Fused reports that the rewritten dataflow program ran (optimized
-	// mode, over a file, an in-memory or a live stdin).
-	Fused bool `json:"fused,omitempty"`
-	// Rewrites counts the dataflow-optimizer rewrites the run's program
-	// applied, per rule name; omitted when Fused is false.
-	Rewrites map[string]int `json:"rewrites,omitempty"`
-	// Regions carries the rewritten program's per-region execution
-	// measurements; omitted when Fused is false.
-	Regions []ExecuteRegion `json:"regions,omitempty"`
+	kumquat.RunReport
 	// Cluster carries the coordinator's shard-dispatch accounting when the
-	// request executed in cluster mode; omitted otherwise.
+	// request was dispatched to the cluster; omitted otherwise.
 	Cluster *ClusterReport `json:"cluster,omitempty"`
 	// Trace summarizes the request's recorded trace when the request
 	// asked for one (?trace=on); the full trace is retrievable at
@@ -115,37 +99,6 @@ type TraceSummary struct {
 	// Spans is the number of spans recorded so far, stitched remote
 	// spans included.
 	Spans int `json:"spans"`
-}
-
-// ExecuteStage is one stage's slice of an ExecuteReport.
-type ExecuteStage struct {
-	Spec          string  `json:"spec"`
-	Parallel      bool    `json:"parallel"`
-	Eliminated    bool    `json:"eliminated"`
-	Streamed      bool    `json:"streamed"`
-	Chunks        int     `json:"chunks"`
-	WallMS        float64 `json:"wall_ms"`
-	CombineWallMS float64 `json:"combine_wall_ms"`
-	BytesIn       int64   `json:"bytes_in"`
-	BytesOut      int64   `json:"bytes_out"`
-}
-
-// ExecuteRegion is one optimizer region's slice of a fused run's
-// ExecuteReport: the member stages, the rewrites that shaped the region,
-// and its region-level metrics (inside a fused region per-stage combine
-// walls do not exist, so CombineWallMS lives here).
-type ExecuteRegion struct {
-	Pipeline      int      `json:"pipeline"`
-	Stages        []int    `json:"stages"`
-	Fused         bool     `json:"fused"`
-	Exit          string   `json:"exit"`
-	Rules         []string `json:"rules,omitempty"`
-	Streamed      bool     `json:"streamed,omitempty"`
-	Chunks        int      `json:"chunks"`
-	WallMS        float64  `json:"wall_ms"`
-	CombineWallMS float64  `json:"combine_wall_ms"`
-	BytesIn       int64    `json:"bytes_in"`
-	BytesOut      int64    `json:"bytes_out"`
 }
 
 // ClusterReport is the coordinator's accounting of one cluster-mode

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kumquat"
 	"kumquat/internal/server"
@@ -64,7 +65,7 @@ func TestExecuteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "optimized" || rep.Parallelism != 4 {
+	if rep.Mode != kumquat.Optimized || rep.Parallelism != 4 {
 		t.Fatalf("report config echo wrong: %+v", rep)
 	}
 	if len(rep.Stages) != 3 {
@@ -72,7 +73,7 @@ func TestExecuteRoundTrip(t *testing.T) {
 	}
 
 	sys := kumquat.New(kumquat.NewEnv())
-	plan, err := sys.Parallelize(script + "\n")
+	plan, err := sys.Parallelize(context.Background(), script+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +144,8 @@ func trailerHandler(body string, trailers map[string]string) http.Handler {
 // TestExecuteTrailerReportParsing: the run report riding the response
 // trailer is decoded after the full body has streamed.
 func TestExecuteTrailerReportParsing(t *testing.T) {
-	report := `{"mode":"optimized","parallelism":8,"wall_ms":1.5,"bytes_in":6,"bytes_out":4,` +
-		`"stages":[{"spec":"sort","parallel":true,"chunks":8}],"synth_cache":{}}`
+	report := `{"mode":"pipelined","parallelism":8,"wall_ns":1500000,"bytes_in":6,"bytes_out":4,` +
+		`"stages":[{"spec":"sort","parallel":true,"chunks":8,"wall_ns":900000,"combine_wall_ns":250000}],"synth_cache":{}}`
 	hs := httptest.NewServer(trailerHandler("body\n", map[string]string{api.ReportTrailer: report}))
 	defer hs.Close()
 
@@ -156,8 +157,11 @@ func TestExecuteTrailerReportParsing(t *testing.T) {
 	if out.String() != "body\n" {
 		t.Fatalf("streamed body = %q", out.String())
 	}
-	if rep.Mode != "optimized" || rep.Parallelism != 8 || len(rep.Stages) != 1 || rep.Stages[0].Chunks != 8 {
+	if rep.Mode != kumquat.Pipelined || rep.Parallelism != 8 || rep.Wall != 1500*time.Microsecond {
 		t.Fatalf("decoded report wrong: %+v", rep)
+	}
+	if len(rep.Stages) != 1 || rep.Stages[0].Chunks != 8 || rep.Stages[0].CombineWall != 250*time.Microsecond {
+		t.Fatalf("decoded stages wrong: %+v", rep.Stages)
 	}
 }
 

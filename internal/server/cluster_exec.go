@@ -13,8 +13,8 @@ import (
 // executeCluster serves an execute request through the cluster
 // coordinator: the plan's one script-run loop with the coordinator as its
 // leaf runner, so parallel segments shard across the worker daemons (with
-// retry, speculation and local fallback). The report is the local path's,
-// restamped mode "cluster" and extended with the run's ClusterReport.
+// retry, speculation and local fallback). The report is the local path's
+// — mode optimized — extended with the run's ClusterReport.
 // Like every failing path of handleExecute it answers the client itself
 // and returns the error.
 func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, plan *kumquat.Plan, stdin io.Reader, presize int, sink kumquat.ExecOption) (*api.ExecuteReport, error) {
@@ -35,7 +35,5 @@ func (s *Server) executeCluster(w http.ResponseWriter, r *http.Request, plan *ku
 		w.Header().Set(api.ErrorTrailer, err.Error())
 		return nil, err
 	}
-	rep := executeReport(run)
-	rep.Mode, rep.Cluster = "cluster", &cr
-	return &rep, nil
+	return &api.ExecuteReport{RunReport: *run, Cluster: &cr}, nil
 }

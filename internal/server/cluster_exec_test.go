@@ -47,7 +47,7 @@ func bootCluster(t *testing.T, n int) (*client.Client, []*httptest.Server) {
 func localOracle(t *testing.T, script, input string) string {
 	t.Helper()
 	sys := kumquat.New(kumquat.NewEnv())
-	plan, err := sys.Parallelize(script + "\n")
+	plan, err := sys.Parallelize(context.Background(), script+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,8 @@ func TestClusterExecuteEndToEnd(t *testing.T) {
 	if want := localOracle(t, script, input); out.String() != want {
 		t.Fatalf("cluster output diverges from oracle:\n%q\nvs\n%q", out.String(), want)
 	}
-	if rep.Mode != "cluster" {
-		t.Fatalf("report mode = %q, want cluster", rep.Mode)
-	}
-	if rep.Cluster == nil {
-		t.Fatal("cluster trailer missing from report")
+	if rep.Mode != kumquat.Optimized || rep.Cluster == nil {
+		t.Fatalf("report mode = %v with cluster block %v, want optimized with one", rep.Mode, rep.Cluster)
 	}
 	if rep.Cluster.RemoteRuns == 0 || rep.Cluster.Shards == 0 {
 		t.Fatalf("no remote dispatch recorded: %+v", rep.Cluster)
@@ -140,7 +137,7 @@ func TestClusterParamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode == "cluster" || rep.Cluster != nil {
+	if rep.Cluster != nil {
 		t.Fatalf("cluster=off still dispatched remotely: %+v", rep)
 	}
 	if out.String() != "a\nb\n" {
@@ -183,19 +180,19 @@ func TestClusterVersionAndMetrics(t *testing.T) {
 // Optimized keeps a streamed stdin live. That holds for a single pipeline,
 // for a script whose redirect a later pipeline consumes, for a split
 // segment, and for a fused region feeding one. Only what a clock, the
-// dispatch plane or request order decide is normalized away: walls, mode,
-// the cluster block, cache warmth.
+// dispatch plane or request order decide is normalized away: walls, the
+// cluster block, cache warmth.
 func TestClusterReportMatchesLocal(t *testing.T) {
 	c, _ := bootCluster(t, 3)
 	input := strings.Repeat("pear\nApple\nPEAR\nfig\nkiwi\napple\n", 40)
 	normalize := func(rep *api.ExecuteReport) {
-		rep.Mode, rep.Cluster, rep.WallMS = "", nil, 0
+		rep.Cluster, rep.Wall = nil, 0
 		rep.SynthCache = kumquat.SynthCacheStats{}
 		for i := range rep.Stages {
-			rep.Stages[i].WallMS, rep.Stages[i].CombineWallMS = 0, 0
+			rep.Stages[i].Wall, rep.Stages[i].CombineWall = 0, 0
 		}
 		for i := range rep.Regions {
-			rep.Regions[i].WallMS, rep.Regions[i].CombineWallMS = 0, 0
+			rep.Regions[i].Wall, rep.Regions[i].CombineWall = 0, 0
 		}
 	}
 	for _, script := range []string{
@@ -221,7 +218,7 @@ func TestClusterReportMatchesLocal(t *testing.T) {
 		if cout.String() != lout.String() {
 			t.Fatalf("%q: cluster output diverges from local:\n%q\nvs\n%q", script, cout.String(), lout.String())
 		}
-		if crep.Mode != "cluster" || crep.Parallelism != 3 || crep.Cluster == nil || crep.Cluster.RemoteRuns == 0 {
+		if crep.Mode != kumquat.Optimized || crep.Parallelism != 3 || crep.Cluster == nil || crep.Cluster.RemoteRuns == 0 {
 			t.Fatalf("%q: cluster report lost its stamp: %+v", script, crep)
 		}
 		if crep.BytesIn == 0 || crep.BytesOut != int64(cout.Len()) {

@@ -90,7 +90,7 @@ func TestDrainCompletesActiveStream(t *testing.T) {
 		t.Fatalf("in-flight execute severed by drain: %v", r.err)
 	}
 	sys := kumquat.New(kumquat.NewEnv())
-	plan, err := sys.Parallelize("sort | uniq -c | sort -rn\n")
+	plan, err := sys.Parallelize(context.Background(), "sort | uniq -c | sort -rn\n")
 	if err != nil {
 		t.Fatal(err)
 	}

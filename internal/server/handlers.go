@@ -275,8 +275,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(api.ErrorTrailer, err.Error())
 		return
 	}
-	out := executeReport(run)
-	rep = &out
+	rep = &api.ExecuteReport{RunReport: *run}
 }
 
 // finishExecute is handleExecute's deferred exit. It ends the request's
@@ -311,51 +310,6 @@ func finishExecute(w http.ResponseWriter, span *obs.Span, remote bool, rep *api.
 		return
 	}
 	w.Header().Set(api.ReportTrailer, string(report))
-}
-
-// executeReport converts a RunReport to its wire form.
-func executeReport(rep *kumquat.RunReport) api.ExecuteReport {
-	out := api.ExecuteReport{
-		Mode:        rep.Mode.String(),
-		Parallelism: rep.Parallelism,
-		WallMS:      ms(rep.Wall),
-		BytesIn:     rep.BytesIn,
-		BytesOut:    rep.BytesOut,
-		SynthCache:  rep.SynthCache,
-	}
-	for _, st := range rep.Stages {
-		out.Stages = append(out.Stages, api.ExecuteStage{
-			Spec:          st.Spec,
-			Parallel:      st.Parallel,
-			Eliminated:    st.Eliminated,
-			Streamed:      st.Streamed,
-			Chunks:        st.Chunks,
-			WallMS:        ms(st.Wall),
-			CombineWallMS: ms(st.CombineWall),
-			BytesIn:       st.BytesIn,
-			BytesOut:      st.BytesOut,
-		})
-	}
-	if rep.Fused {
-		out.Fused = true
-		out.Rewrites = rep.Rewrites
-		for _, rg := range rep.Regions {
-			out.Regions = append(out.Regions, api.ExecuteRegion{
-				Pipeline:      rg.Pipeline,
-				Stages:        rg.Stages,
-				Fused:         rg.Fused,
-				Exit:          rg.Exit,
-				Rules:         rg.Rules,
-				Streamed:      rg.Streamed,
-				Chunks:        rg.Chunks,
-				WallMS:        ms(rg.Wall),
-				CombineWallMS: ms(rg.CombineWall),
-				BytesIn:       rg.BytesIn,
-				BytesOut:      rg.BytesOut,
-			})
-		}
-	}
-	return out
 }
 
 // flushWriter flushes after every write so execute output streams to the

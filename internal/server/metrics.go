@@ -100,20 +100,29 @@ type gauge struct {
 	value      float64
 }
 
+// writeHelp renders a metric family's HELP and TYPE lines.
+func writeHelp(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
 // writeHist renders one histogram series in the Prometheus text
-// exposition format. The caller holds m.mu.
-func writeHist(w io.Writer, name, help string, h *histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+// exposition format: cumulative buckets, sum and count. labels holds the
+// series' own label pairs (`endpoint="execute"`), rendered ahead of each
+// bucket's le; "" for an unlabelled series. The caller holds m.mu.
+func writeHist(w io.Writer, name, labels string, h *histogram) {
+	sel, le := "", "{le="
+	if labels != "" {
+		sel, le = "{"+labels+"}", "{"+labels+",le="
+	}
 	var cum int64
 	for i, bound := range latencyBuckets {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, bound, cum)
+		fmt.Fprintf(w, "%s_bucket%s\"%g\"} %d\n", name, le, bound, cum)
 	}
 	cum += h.counts[len(latencyBuckets)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.total)
+	fmt.Fprintf(w, "%s_bucket%s\"+Inf\"} %d\n", name, le, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, h.sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, h.total)
 }
 
 // write renders the registry in the Prometheus text exposition format,
@@ -124,8 +133,7 @@ func (m *metrics) write(w io.Writer, gauges []gauge, cluster bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP kumquatd_requests_total Requests served, by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE kumquatd_requests_total counter")
+	writeHelp(w, "kumquatd_requests_total", "counter", "Requests served, by endpoint and status code.")
 	keys := make([]countKey, 0, len(m.counts))
 	for k := range m.counts {
 		keys = append(keys, k)
@@ -140,36 +148,27 @@ func (m *metrics) write(w io.Writer, gauges []gauge, cluster bool) {
 		fmt.Fprintf(w, "kumquatd_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.counts[k])
 	}
 
-	fmt.Fprintln(w, "# HELP kumquatd_request_seconds Request latency, by endpoint.")
-	fmt.Fprintln(w, "# TYPE kumquatd_request_seconds histogram")
+	writeHelp(w, "kumquatd_request_seconds", "histogram", "Request latency, by endpoint.")
 	eps := make([]string, 0, len(m.hists))
 	for ep := range m.hists {
 		eps = append(eps, ep)
 	}
 	sort.Strings(eps)
 	for _, ep := range eps {
-		h := m.hists[ep]
-		var cum int64
-		for i, bound := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "kumquatd_request_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, bound, cum)
-		}
-		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(w, "kumquatd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(w, "kumquatd_request_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(w, "kumquatd_request_seconds_count{endpoint=%q} %d\n", ep, h.total)
+		writeHist(w, "kumquatd_request_seconds", fmt.Sprintf("endpoint=%q", ep), m.hists[ep])
 	}
 
 	if cluster {
-		writeHist(w, "kumquatd_cluster_shard_seconds",
-			"Cluster shard resolution time, dispatch through final outcome (retries, speculation and local fallback included).", m.shard)
-		writeHist(w, "kumquatd_cluster_retry_backoff_seconds",
-			"Computed retry-backoff delays before shard re-dispatch.", m.backoff)
+		writeHelp(w, "kumquatd_cluster_shard_seconds", "histogram",
+			"Cluster shard resolution time, dispatch through final outcome (retries, speculation and local fallback included).")
+		writeHist(w, "kumquatd_cluster_shard_seconds", "", m.shard)
+		writeHelp(w, "kumquatd_cluster_retry_backoff_seconds", "histogram",
+			"Computed retry-backoff delays before shard re-dispatch.")
+		writeHist(w, "kumquatd_cluster_retry_backoff_seconds", "", m.backoff)
 	}
 
 	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n", g.name, g.help)
-		fmt.Fprintf(w, "# TYPE %s gauge\n", g.name)
+		writeHelp(w, g.name, "gauge", g.help)
 		fmt.Fprintf(w, "%s %g\n", g.name, g.value)
 	}
 }

@@ -52,6 +52,60 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
+	// Whole series, byte for byte: scrapers parse this text, so a labelled
+	// endpoint histogram and an unlabelled cluster one must render exactly
+	// so, HELP and TYPE lines included.
+	for _, golden := range []string{
+		`# HELP kumquatd_request_seconds Request latency, by endpoint.
+# TYPE kumquatd_request_seconds histogram
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.0001"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.00025"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.0005"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.001"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.0025"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.005"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.01"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.025"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.05"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.1"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.25"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="0.5"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="1"} 0
+kumquatd_request_seconds_bucket{endpoint="execute",le="2.5"} 1
+kumquatd_request_seconds_bucket{endpoint="execute",le="5"} 1
+kumquatd_request_seconds_bucket{endpoint="execute",le="10"} 1
+kumquatd_request_seconds_bucket{endpoint="execute",le="+Inf"} 1
+kumquatd_request_seconds_sum{endpoint="execute"} 2
+kumquatd_request_seconds_count{endpoint="execute"} 1
+`,
+		`# HELP kumquatd_cluster_retry_backoff_seconds Computed retry-backoff delays before shard re-dispatch.
+# TYPE kumquatd_cluster_retry_backoff_seconds histogram
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.0001"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.00025"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.0005"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.001"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.0025"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.005"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.01"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.025"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.05"} 0
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.1"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.25"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="0.5"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="1"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="2.5"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="5"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="10"} 1
+kumquatd_cluster_retry_backoff_seconds_bucket{le="+Inf"} 1
+kumquatd_cluster_retry_backoff_seconds_sum 0.08
+kumquatd_cluster_retry_backoff_seconds_count 1
+`,
+	} {
+		if !strings.Contains(out, golden) {
+			t.Errorf("exposition does not render this series byte for byte:\n%s\ngot:\n%s", golden, out)
+		}
+	}
+
 	// A worker (non-coordinator) exposition omits the cluster histograms.
 	var wb strings.Builder
 	m.write(&wb, nil, false)

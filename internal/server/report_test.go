@@ -1,42 +1,20 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
-	"unicode"
 
 	"kumquat"
+	"kumquat/internal/server/api"
+	"kumquat/internal/server/client"
 )
 
-// notOnTheWire lists the run-record fields executeReport deliberately
-// leaves out of the trailer. Everything else must arrive.
-var notOnTheWire = map[string]string{
-	"RunReport.Output":       "the captured stream is the response body, not a report field",
-	"StageReport.Combiner":   "planning verdict; /v1/parallelize serves it",
-	"StageReport.Sequential": "planning verdict; /v1/parallelize serves it",
-	"StageReport.Pipeline":   "stages arrive in script order; only regions carry the index",
-}
-
-// wireKey is the JSON key a run-record field travels under: its name in
-// snake_case, durations suffixed with the unit they are converted to.
-func wireKey(f reflect.StructField) string {
-	var b strings.Builder
-	for i, r := range f.Name {
-		if unicode.IsUpper(r) && i > 0 {
-			b.WriteByte('_')
-		}
-		b.WriteRune(unicode.ToLower(r))
-	}
-	if f.Type == reflect.TypeOf(time.Duration(0)) {
-		b.WriteString("_ms")
-	}
-	return b.String()
-}
-
-// fill sets every exported leaf under v to a non-zero value.
+// fill sets every exported leaf under v to a non-zero value. Integers get
+// 3, which is also a valid Mode (pipelined).
 func fill(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -59,7 +37,7 @@ func fill(v reflect.Value) {
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int, reflect.Int64:
-		v.SetInt(int64(3 * time.Millisecond)) // survives the Duration → ms conversion
+		v.SetInt(3)
 	case reflect.String:
 		v.SetString("x")
 	default:
@@ -67,59 +45,42 @@ func fill(v reflect.Value) {
 	}
 }
 
-// TestExecuteReportCarriesEveryRunField is the drift guard for the one
-// field-by-field conversion left in the repo. It walks every exported
-// field — promoted ones included — of kumquat.RunReport, StageReport and
-// RegionReport, sets it non-zero, converts, and requires the value to
-// arrive under its JSON key in api.ExecuteReport / ExecuteStage /
-// ExecuteRegion. A metric added to the walker's StageMetrics or
-// RegionMetrics therefore cannot silently miss the trailer: it fails here
-// until executeReport copies it or notOnTheWire names why not.
-func TestExecuteReportCarriesEveryRunField(t *testing.T) {
+// roundTripFunc serves a client's requests from a function, in process.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+// RoundTrip calls f.
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestExecuteTrailerIsTheRunRecord: the execute trailer is the run record
+// itself. Every exported field of kumquat.RunReport — promoted ones
+// included — is set non-zero, sent through finishExecute into a recorded
+// response, and decoded on the client's trailer path; what arrives must
+// be what left, minus Output (the response body carries the output). A
+// field the encoding drops — a `json:"-"` tag, two embedded structs
+// colliding on one key — fails here.
+func TestExecuteTrailerIsTheRunRecord(t *testing.T) {
 	var run kumquat.RunReport
 	fill(reflect.ValueOf(&run).Elem())
-	data, err := json.Marshal(executeReport(&run))
+	hc := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		rec.Header().Set("Trailer", api.ReportTrailer+", "+api.ErrorTrailer)
+		rec.WriteHeader(http.StatusOK)
+		finishExecute(rec, nil, false, &api.ExecuteReport{RunReport: run}, nil)
+		resp := rec.Result()
+		resp.Request = req
+		return resp, nil
+	})}
+	got, err := client.New("http://localhost", client.WithHTTPClient(hc)).
+		Execute(context.Background(), "sort", client.ExecuteOptions{}, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire map[string]any
-	if err := json.Unmarshal(data, &wire); err != nil {
-		t.Fatal(err)
+	want := run
+	want.Output = ""
+	if !reflect.DeepEqual(got.RunReport, want) {
+		t.Fatalf("trailer lost part of the run record\nsent %+v\ngot  %+v", want, got.RunReport)
 	}
-	first := func(key string) map[string]any {
-		list, _ := wire[key].([]any)
-		if len(list) != 1 {
-			t.Fatalf("wire report carries %d %s, want 1: %s", len(list), key, data)
-		}
-		return list[0].(map[string]any)
-	}
-	skipped := map[string]bool{}
-	for _, rec := range []struct {
-		typ  reflect.Type
-		wire map[string]any
-	}{
-		{reflect.TypeOf(run), wire},
-		{reflect.TypeOf(kumquat.StageReport{}), first("stages")},
-		{reflect.TypeOf(kumquat.RegionReport{}), first("regions")},
-	} {
-		for _, f := range reflect.VisibleFields(rec.typ) {
-			name := rec.typ.Name() + "." + f.Name
-			if f.Anonymous || !f.IsExported() {
-				continue
-			}
-			if notOnTheWire[name] != "" {
-				skipped[name] = true
-				continue
-			}
-			got, ok := rec.wire[wireKey(f)]
-			if !ok || reflect.ValueOf(got).IsZero() {
-				t.Errorf("%s does not reach the trailer: key %q = %v", name, wireKey(f), got)
-			}
-		}
-	}
-	for name := range notOnTheWire {
-		if !skipped[name] {
-			t.Errorf("notOnTheWire names %s, which no longer exists", name)
-		}
+	if got.Cluster != nil || got.Trace != nil {
+		t.Fatalf("local untraced run grew service blocks: %+v / %+v", got.Cluster, got.Trace)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"kumquat"
 	"kumquat/internal/server"
 	"kumquat/internal/server/client"
 )
@@ -134,7 +135,7 @@ func TestExecuteStdinStreaming(t *testing.T) {
 	if got, want := out.String(), "apple\npear\nquince\n"; got != want {
 		t.Errorf("output = %q, want %q", got, want)
 	}
-	if rep.Mode != "optimized" || rep.Parallelism != 4 {
+	if rep.Mode != kumquat.Optimized || rep.Parallelism != 4 {
 		t.Errorf("report config = %s/k=%d, want optimized/k=4", rep.Mode, rep.Parallelism)
 	}
 	if rep.BytesOut != int64(out.Len()) {

@@ -277,9 +277,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Get loads the entry for key, reporting false on any miss or decode
 // failure.
 func (s *Store) Get(key string) (*Entry, bool) {

@@ -129,13 +129,6 @@ func New(env *unix.Env, opts Options) *Engine {
 	return e
 }
 
-// Synthesize parses spec and synthesizes its combiner with a fresh Engine
-// over the default environment — the package-level convenience form of
-// Engine.Synthesize for one-shot callers.
-func Synthesize(ctx context.Context, spec string, opts Options) (*Result, error) {
-	return New(nil, opts).Synthesize(ctx, spec)
-}
-
 // Synthesize parses a command spec and synthesizes its combiner,
 // consulting the in-memory LRU (by spec text, then by canonical
 // signature) and the on-disk store before running Algorithms 1–2.

@@ -289,18 +289,6 @@ func TestDiskCacheExcludesEnvReaders(t *testing.T) {
 	}
 }
 
-// TestPackageLevelSynthesize exercises the one-shot convenience entry
-// point.
-func TestPackageLevelSynthesize(t *testing.T) {
-	res, err := Synthesize(context.Background(), "wc -l", Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Combiner == nil || res.Combiner.String() == "" {
-		t.Error("package-level Synthesize returned no combiner")
-	}
-}
-
 // TestParallelForBounds sanity-checks the pool helper on edge shapes.
 func TestParallelForBounds(t *testing.T) {
 	for _, tc := range []struct{ workers, n int }{

@@ -9,12 +9,12 @@
 //	sys := kumquat.New(env)
 //
 //	// Synthesize a combiner for one command:
-//	res, err := sys.Synthesize("uniq -c")
+//	res, err := sys.Synthesize(ctx, "uniq -c")
 //	fmt.Println(res.Combiner) // (stitch2 ' ' add first a b), ...
 //
 //	// Or parallelize a whole pipeline and run it 16 ways:
-//	plan, err := sys.Parallelize("cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c\n")
-//	rep, err := plan.Execute(context.Background(), kumquat.WithParallelism(16))
+//	plan, err := sys.Parallelize(ctx, "cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c\n")
+//	rep, err := plan.Execute(ctx, kumquat.WithParallelism(16))
 //	fmt.Print(rep.Output)
 //
 // Plan.Execute is the one script-run loop: every way a compiled script
@@ -23,7 +23,8 @@
 // it. Its RunReport is the executor's own
 // record: StageReport and RegionReport embed the walker's metrics structs
 // beside the planning verdict rather than re-declaring their fields, and
-// Mode is the executor's enum.
+// Mode is the executor's enum. kumquatd's execute trailer is this record
+// encoded as is.
 //
 // Commands are the pure-Go substrate in internal/unix; they behave like
 // their GNU counterparts for the flag combinations the paper's benchmarks
@@ -32,7 +33,6 @@ package kumquat
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -165,23 +165,18 @@ func (s *System) Combine(combiner, cmdSpec, y1, y2 string) (string, error) {
 // Synthesize infers a combiner for one command (Algorithm 1 + Algorithm 2).
 // The returned Result reports the search space, surviving candidates and
 // the composite combiner; err is non-nil when no combiner exists for the
-// command (the paper's Table 9 cases).
-func (s *System) Synthesize(spec string) (*Result, error) {
-	return s.syn.Synthesize(context.Background(), spec)
-}
-
-// SynthesizeContext is Synthesize with cancellation: a cancelled ctx
-// aborts synthesis mid-round and returns the best-so-far Result with its
-// Err set to ctx.Err().
-func (s *System) SynthesizeContext(ctx context.Context, spec string) (*Result, error) {
+// command (the paper's Table 9 cases). A cancelled ctx aborts synthesis
+// mid-round and returns the best-so-far Result with its Err set to
+// ctx.Err().
+func (s *System) Synthesize(ctx context.Context, spec string) (*Result, error) {
 	return s.syn.Synthesize(ctx, spec)
 }
 
-// SynthesizeTier is SynthesizeContext plus an exact attribution of the
-// cache tier that served the call (TierMemory, TierDisk or TierMiss).
-// The verdict is decided at the engine's lookup site, so it stays exact
-// when other Synthesize/Parallelize calls run concurrently — the
-// property kumquatd's per-request "cached" field relies on.
+// SynthesizeTier is Synthesize plus an exact attribution of the cache
+// tier that served the call (TierMemory, TierDisk or TierMiss). The
+// verdict is decided at the engine's lookup site, so it stays exact when
+// other Synthesize/Parallelize calls run concurrently — the property
+// kumquatd's per-request "cached" field relies on.
 func (s *System) SynthesizeTier(ctx context.Context, spec string) (*Result, CacheTier, error) {
 	return s.syn.SynthesizeTier(ctx, spec)
 }
@@ -208,14 +203,9 @@ type Plan struct {
 // applies the §3.5 optimizations (combiner elimination, sequential rerun
 // stages). Combiners for repeated stages are resolved from the system's
 // cache; the per-compilation hit/miss counts are carried into the
-// RunReport of every Execute call on the returned Plan.
-func (s *System) Parallelize(script string) (*Plan, error) {
-	return s.ParallelizeContext(context.Background(), script)
-}
-
-// ParallelizeContext is Parallelize with cancellation: a cancelled ctx
+// RunReport of every Execute call on the returned Plan. A cancelled ctx
 // aborts the in-flight stage synthesis mid-round.
-func (s *System) ParallelizeContext(ctx context.Context, script string) (*Plan, error) {
+func (s *System) Parallelize(ctx context.Context, script string) (*Plan, error) {
 	return s.ParallelizeInEnv(ctx, s.env, script)
 }
 
@@ -361,15 +351,9 @@ const (
 )
 
 // ParseMode parses a mode name ("optimized", "unoptimized", "serial",
-// "pipelined") — the inverse of Mode.String, for CLI flags.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{Optimized, Unoptimized, Serial, Pipelined} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("kumquat: unknown mode %q (want optimized, unoptimized, serial or pipelined)", s)
-}
+// "pipelined") — the inverse of Mode.String, for CLI flags. It is the
+// executor's own parser, re-exported.
+func ParseMode(s string) (Mode, error) { return pipeline.ParseMode(s) }
 
 // ExecOption configures Plan.Execute.
 type ExecOption func(*execConfig)
@@ -435,7 +419,9 @@ func WithLeaves(wrap func(local pipeline.Leaves) pipeline.Leaves) ExecOption {
 }
 
 // StageReport is one stage's planning verdict together with its execution
-// measurements from a single Execute call.
+// measurements from a single Execute call. It is also the per-stage wire
+// form of kumquatd's execute report trailer, hence the JSON tags (the
+// embedded structs' keys flatten into the stage object).
 type StageReport struct {
 	StageInfo
 	// StageMetrics is the walker's record of how the stage ran: Wall
@@ -443,7 +429,7 @@ type StageReport struct {
 	// report's), CombineWall, BytesIn/BytesOut, Chunks, Streamed.
 	pipeline.StageMetrics
 	// Pipeline is the index of the script pipeline the stage belongs to.
-	Pipeline int
+	Pipeline int `json:"pipeline"`
 }
 
 // RegionReport describes one optimizer region of a fused run: the stages
@@ -456,44 +442,47 @@ type RegionReport struct {
 	// CombineWall, BytesIn/BytesOut, Chunks and Streamed measurements.
 	pipeline.RegionMetrics
 	// Pipeline is the index of the script pipeline the region belongs to.
-	Pipeline int
+	Pipeline int `json:"pipeline"`
 }
 
 // RunReport describes one Execute call: total wall time, bytes read from
 // the sources and written to the sink, and per-stage verdicts and metrics.
+// It is the run record kumquatd sends as its execute trailer, as is:
+// Mode travels as its name, durations as integer nanoseconds under *_ns
+// keys, and Output not at all (the response body is the output).
 type RunReport struct {
 	// Mode and Parallelism echo the execution configuration.
-	Mode        Mode
-	Parallelism int
+	Mode        Mode `json:"mode"`
+	Parallelism int  `json:"parallelism"`
 	// Wall is the end-to-end wall-clock time of the run.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 	// BytesIn is the total stream volume entering the first stage of each
 	// pipeline; BytesOut is the total written to the output sink
 	// (redirected pipelines count toward neither).
-	BytesIn  int64
-	BytesOut int64
+	BytesIn  int64 `json:"bytes_in"`
+	BytesOut int64 `json:"bytes_out"`
 	// Stages holds one entry per stage across all pipelines, in order.
-	Stages []StageReport
+	Stages []StageReport `json:"stages"`
 	// SynthCache is the combiner-cache activity recorded while this
 	// plan was compiled: how many stage combiners were served from the
 	// cache (memory or disk) versus synthesized from scratch. Each call
 	// is attributed at the engine's lookup site, so the counts stay
 	// exact under concurrent use of the same System.
-	SynthCache SynthCacheStats
+	SynthCache SynthCacheStats `json:"synth_cache"`
 	// Fused reports that the rewritten dataflow program ran: Optimized
 	// mode with fusion on, over any source (file, in-memory or live
 	// stdin).
-	Fused bool
+	Fused bool `json:"fused,omitempty"`
 	// Rewrites counts, per rule name, the dataflow rewrites the run's
 	// program applied (fuse-streamers, elide-combine, push-sort-merge);
 	// nil when Fused is false.
-	Rewrites map[string]int
+	Rewrites map[string]int `json:"rewrites,omitempty"`
 	// Regions holds one entry per region of the rewritten program, in
 	// order across pipelines; nil when Fused is false.
-	Regions []RegionReport
+	Regions []RegionReport `json:"regions,omitempty"`
 	// Output is the captured output stream when no WithOutput sink was
 	// given; empty otherwise.
-	Output string
+	Output string `json:"-"`
 }
 
 // Execute runs the compiled plan. It is the primary execution entry point:

@@ -43,7 +43,7 @@ func TestExecuteCompatEquivalence(t *testing.T) {
 	sys := New(env)
 	ctx := context.Background()
 	for _, p := range unix50Pipelines {
-		plan, err := sys.Parallelize(p.src + "\n")
+		plan, err := sys.Parallelize(context.Background(), p.src+"\n")
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -112,7 +112,7 @@ func (w *trackingWriter) Write(p []byte) (int, error) {
 // via WithOutput produces output while input is still being generated.
 func TestExecuteStreamsStdinToOutput(t *testing.T) {
 	sys := New(nil)
-	plan, err := sys.Parallelize("grep light | tr a-z A-Z\n")
+	plan, err := sys.Parallelize(context.Background(), "grep light | tr a-z A-Z\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestExecuteReportVerdicts(t *testing.T) {
 	env := NewEnv()
 	env.Register("x", "Some Light text\nmore WORDS here\n")
 	sys := New(env)
-	plan, err := sys.Parallelize(`cat x | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn` + "\n")
+	plan, err := sys.Parallelize(context.Background(), `cat x | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func (g *cancelReader) Read(p []byte) (int, error) {
 // promptly with ctx.Err() and leak no goroutines.
 func TestExecuteCancellation(t *testing.T) {
 	sys := New(nil)
-	plan, err := sys.Parallelize("grep light | sort | uniq -c\n")
+	plan, err := sys.Parallelize(context.Background(), "grep light | sort | uniq -c\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestExecuteOutputRedirect(t *testing.T) {
 	env := NewEnv()
 	env.Register("in.txt", "b\na\nb\n")
 	sys := New(env)
-	plan, err := sys.Parallelize("cat in.txt | sort | uniq -c > counts.txt\ncat counts.txt | wc -l\n")
+	plan, err := sys.Parallelize(context.Background(), "cat in.txt | sort | uniq -c > counts.txt\ncat counts.txt | wc -l\n")
 	if err != nil {
 		t.Fatal(err)
 	}

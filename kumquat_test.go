@@ -11,7 +11,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	env.Register("in.txt", "b\na\nb\n")
 	sys := New(env)
 
-	res, err := sys.Synthesize("wc -l")
+	res, err := sys.Synthesize(context.Background(), "wc -l")
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -19,7 +19,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Errorf("wc -l combiner = %v", res.Combiner)
 	}
 
-	plan, err := sys.Parallelize("cat in.txt | sort | uniq -c\n")
+	plan, err := sys.Parallelize(context.Background(), "cat in.txt | sort | uniq -c\n")
 	if err != nil {
 		t.Fatalf("Parallelize: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestPublicAPIStages(t *testing.T) {
 	env := NewEnv()
 	env.Register("x", "Some Light text\nmore WORDS here\n")
 	sys := New(env)
-	plan, err := sys.Parallelize(`cat x | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn` + "\n")
+	plan, err := sys.Parallelize(context.Background(), `cat x | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPublicAPICombine(t *testing.T) {
 
 func TestPublicAPITable9(t *testing.T) {
 	sys := New(nil)
-	if _, err := sys.Synthesize("tail +2"); err == nil {
+	if _, err := sys.Synthesize(context.Background(), "tail +2"); err == nil {
 		t.Error("tail +2 must fail synthesis (Table 9)")
 	}
 }
