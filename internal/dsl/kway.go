@@ -27,9 +27,10 @@ func prepareK(c Candidate, outs []string) []string {
 }
 
 // combineSimultaneous handles the three §3.5 combiners that merge all k
-// substreams at once rather than pairwise. handled is false for every
-// other operator.
-func combineSimultaneous(env *Env, c Candidate, nonEmpty []string) (v string, handled bool, err error) {
+// substreams at once rather than pairwise; merge splits its work into up
+// to width key ranges and fails with ErrNotSorted when an operand is
+// unsorted. handled is false for every other operator.
+func combineSimultaneous(env *Env, c Candidate, nonEmpty []string, width int) (v string, handled bool, err error) {
 	switch c.Op.(type) {
 	case Concat:
 		return strings.Join(nonEmpty, ""), true, nil
@@ -37,7 +38,11 @@ func combineSimultaneous(env *Env, c Candidate, nonEmpty []string) (v string, ha
 		if env == nil || env.Merge == nil {
 			return "", true, evalErr(c.Op, "no merge comparator bound in Env")
 		}
-		return env.Merge.MergeStreams(nonEmpty...), true, nil
+		v, sorted := env.Merge.MergeStreams(width, nonEmpty...)
+		if !sorted {
+			return "", true, unsortedErr(c.Op)
+		}
+		return v, true, nil
 	case Rerun:
 		if env == nil || env.RunF == nil {
 			return "", true, evalErr(c.Op, "no command bound in Env")
@@ -102,7 +107,7 @@ func foldPairs(env *Env, op Op, nonEmpty []string) (string, error) {
 // reverse order, except for merge, where Swap is a no-op (see prepareK).
 func CombineK(env *Env, c Candidate, outs []string) (string, error) {
 	nonEmpty := prepareK(c, outs)
-	if v, handled, err := combineSimultaneous(env, c, nonEmpty); handled {
+	if v, handled, err := combineSimultaneous(env, c, nonEmpty, 1); handled {
 		return v, err
 	}
 	return foldPairs(env, c.Op, nonEmpty)
@@ -116,7 +121,8 @@ func CombineK(env *Env, c Candidate, outs []string) (string, error) {
 // optimization, never a semantic choice. Non-associative operators and
 // tiny substream counts take the serial fold; the simultaneous
 // concat/merge/rerun combiners are already k-way and are dispatched
-// exactly as CombineK dispatches them.
+// exactly as CombineK dispatches them, except that merge merges up to
+// workers key ranges concurrently (same bytes at every width).
 //
 // The tree wins twice: the level pairs evaluate concurrently (bounded by
 // workers), and the balanced bracketing copies O(n·log k) accumulator
@@ -128,7 +134,7 @@ func CombineK(env *Env, c Candidate, outs []string) (string, error) {
 // with what message) is indistinguishable from the fold's.
 func CombineKTree(env *Env, c Candidate, outs []string, workers int) (string, error) {
 	nonEmpty := prepareK(c, outs)
-	if v, handled, err := combineSimultaneous(env, c, nonEmpty); handled {
+	if v, handled, err := combineSimultaneous(env, c, nonEmpty, workers); handled {
 		return v, err
 	}
 	if !c.Op.Associative() || !treeProfitable(c.Op) || len(nonEmpty) < 3 {

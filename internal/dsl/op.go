@@ -6,7 +6,10 @@
 // enumeration used by the synthesizer.
 package dsl
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Class partitions combiners as in Figure 3. The synthesizer prefers RecOp
 // over StructOp over RunOp when building composite combiners (§3.2).
@@ -64,8 +67,10 @@ type Merger interface {
 	// IsSorted reports whether a stream is ordered under the comparator —
 	// the legality domain of merge.
 	IsSorted(stream string) bool
-	// MergeStreams merges pre-sorted streams.
-	MergeStreams(streams ...string) string
+	// MergeStreams merges the streams in up to width concurrent key
+	// ranges and reports whether every stream was sorted, checked in the
+	// same walk; merged is "" when one was not.
+	MergeStreams(width int, streams ...string) (merged string, sorted bool)
 	// Flags returns the comparator flags for display, e.g. "-rn".
 	Flags() string
 }
@@ -128,6 +133,16 @@ func selection(op Op) bool {
 // evalErr builds the error for a failed evaluation.
 func evalErr(op Op, why string) error {
 	return fmt.Errorf("dsl: %s: %s", op, why)
+}
+
+// ErrNotSorted is the error a merge wraps when an operand is not sorted:
+// the operand lies outside L(merge), found by the merge's own walk
+// rather than by an InDomain pre-pass.
+var ErrNotSorted = errors.New("operand is not sorted")
+
+// unsortedErr is evalErr for a merge over an unsorted operand.
+func unsortedErr(op Op) error {
+	return fmt.Errorf("dsl: %s: %w", op, ErrNotSorted)
 }
 
 // Candidate is an operator applied in a fixed argument order. The

@@ -75,8 +75,9 @@ func (m Merge) Eval(env *Env, y1, y2 string) (string, error) {
 	if env == nil || env.Merge == nil {
 		return "", evalErr(m, "no merge comparator bound in Env")
 	}
-	if !env.Merge.IsSorted(y1) || !env.Merge.IsSorted(y2) {
-		return "", evalErr(m, "operand is not sorted")
+	v, sorted := env.Merge.MergeStreams(1, y1, y2)
+	if !sorted {
+		return "", unsortedErr(m)
 	}
-	return env.Merge.MergeStreams(y1, y2), nil
+	return v, nil
 }

@@ -415,10 +415,13 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 		rm.BytesOut = totalLen(outs)
 	default:
 		// The stage's synthesized combiner, on the tree-reduction plane.
+		width := ex.pool.size()
 		_, span := obs.StartSpan(ctx, "combine")
 		span.AttrInt("parts", int64(len(outs)))
+		span.AttrInt("width", int64(width))
+		span.AttrInt("bytes", totalLen(outs))
 		start := time.Now()
-		combined, err := sp.Synth.Combiner.CombineKTree(outs, ex.pool.size())
+		combined, err := sp.Synth.Combiner.CombineKTree(outs, width)
 		rm.CombineWall = time.Since(start)
 		span.End()
 		if err != nil {

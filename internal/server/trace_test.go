@@ -155,7 +155,7 @@ func TestTraceLocalExecute(t *testing.T) {
 	ctx := context.Background()
 
 	var out strings.Builder
-	rep, err := c.Execute(ctx, "sort | uniq -c", client.ExecuteOptions{Trace: "on"},
+	rep, err := c.Execute(ctx, "sort | uniq -c", client.ExecuteOptions{Trace: "on", K: 2},
 		strings.NewReader("b\na\nb\n"), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +171,20 @@ func TestTraceLocalExecute(t *testing.T) {
 	names := map[string]bool{}
 	for _, sp := range td.Spans {
 		names[sp.Name] = true
+		if sp.Name != "combine" {
+			continue
+		}
+		// The combine span says how wide the merge could split and over
+		// how many bytes.
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["width"] == "" || attrs["bytes"] == "" {
+			t.Errorf("combine span attributes %v lack width or bytes", sp.Attrs)
+		}
 	}
-	for _, want := range []string{"execute", "plan", "run", "pipeline", "stage", "synth"} {
+	for _, want := range []string{"execute", "plan", "run", "pipeline", "stage", "synth", "combine"} {
 		if !names[want] {
 			t.Errorf("local trace missing %q span", want)
 		}

@@ -1,9 +1,13 @@
 package synth
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"kumquat/internal/dsl"
 	"kumquat/internal/shape"
 	"kumquat/internal/textio"
 	"kumquat/internal/unix"
@@ -84,5 +88,70 @@ func TestCombineKTreeMatchesCombineK(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCombineKSkipsUnsortedMerge: a merge member checks its domain in the
+// walk that merges, and an unsorted substream must skip it exactly as a
+// failed InDomain pre-pass did — falling through to the next member and
+// leaving no error of its own — at every width, on both sides of the
+// range-merge size cutoff.
+func TestCombineKSkipsUnsortedMerge(t *testing.T) {
+	cmd, err := unix.Parse("sort -m", unix.DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortm := cmd.(*unix.SortCmd)
+	env := &dsl.Env{RunF: sortm.Run, Merge: sortm}
+	merge, concat, rerun := dsl.Candidate{Op: dsl.Merge{}}, dsl.Candidate{Op: dsl.Concat{}}, dsl.Candidate{Op: dsl.Rerun{}}
+
+	var big strings.Builder
+	for i := 0; big.Len() < 64<<10; i++ {
+		fmt.Fprintf(&big, "w%06d\n", i)
+	}
+	for _, outs := range [][]string{
+		{"b\na\n", "", "c\n"},
+		{"a\nc\n", "b\n", "d\nb"},
+		{big.String(), "w000100\nw000050\n"},
+		{"w000100\n" + big.String(), big.String()},
+	} {
+		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			combine := map[string]func(*Combiner) (string, error){
+				"CombineK":     func(c *Combiner) (string, error) { return c.CombineK(outs) },
+				"CombineKTree": func(c *Combiner) (string, error) { return c.CombineKTree(outs, w) },
+			}
+			for name, f := range combine {
+				got, err := f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
+				if want := strings.Join(outs, ""); err != nil || got != want {
+					t.Errorf("%s width %d: merge, concat = %q, %v; want the concat %q", name, w, got, err, want)
+				}
+				_, err = f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge}, env: env})
+				if err == nil || err.Error() != "synth: no composite member accepts the substreams" {
+					t.Errorf("%s width %d: merge alone: error %v", name, w, err)
+				}
+				_, err = f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, rerun}, env: env})
+				if err == nil || err.Error() != "sort: -m: input is not sorted" {
+					t.Errorf("%s width %d: merge, rerun: error %v, want the rerun's", name, w, err)
+				}
+			}
+			_, err := dsl.CombineKTree(env, merge, outs, w)
+			if !errors.Is(err, dsl.ErrNotSorted) || err.Error() != "dsl: merge: operand is not sorted" {
+				t.Errorf("width %d: dsl.CombineKTree error %v", w, err)
+			}
+		}
+	}
+	// Without a comparator in the Env merge accepts nothing, and is
+	// skipped as before, not failed.
+	bare := &dsl.Env{RunF: sortm.Run}
+	outs := []string{"a\n", "b\n"}
+	if got, err := (&Combiner{Candidates: []dsl.Candidate{merge, concat}, env: bare}).CombineK(outs); err != nil || got != "a\nb\n" {
+		t.Errorf("merge, concat without a comparator = %q, %v; want the concat", got, err)
+	}
+	if _, err := (&Combiner{Candidates: []dsl.Candidate{merge}, env: bare}).CombineKTree(outs, 2); err == nil ||
+		err.Error() != "synth: no composite member accepts the substreams" {
+		t.Errorf("merge alone without a comparator: error %v", err)
+	}
+	if _, err := merge.Eval(env, "b\na\n", "c\n"); err == nil || err.Error() != "dsl: merge: operand is not sorted" {
+		t.Errorf("Merge.Eval on an unsorted operand: error %v", err)
 	}
 }

@@ -338,7 +338,10 @@ func (c *Combiner) CombineKTree(outs []string, workers int) (string, error) {
 }
 
 // combineK is the shared k-way dispatch: find the first candidate whose
-// domain contains every nonempty substream and combine through it.
+// domain contains every nonempty substream and combine through it. A
+// merge checks its domain in the walk that merges: an unsorted substream
+// fails it with dsl.ErrNotSorted, which skips the candidate exactly as a
+// failed InDomain does.
 func (c *Combiner) combineK(outs []string, combine func(dsl.Candidate) (string, error)) (string, error) {
 	nonEmpty := 0
 	for _, o := range outs {
@@ -355,6 +358,8 @@ func (c *Combiner) combineK(outs []string, combine func(dsl.Candidate) (string, 
 		switch cand.Op.(type) {
 		case dsl.Rerun, dsl.Concat:
 			// universal domains
+		case dsl.Merge:
+			ok = c.env != nil && c.env.Merge != nil
 		default:
 			for _, o := range outs {
 				if o != "" && !cand.Op.InDomain(c.env, o) {
@@ -370,7 +375,9 @@ func (c *Combiner) combineK(outs []string, combine func(dsl.Candidate) (string, 
 		if err == nil {
 			return v, nil
 		}
-		lastErr = err
+		if !errors.Is(err, dsl.ErrNotSorted) {
+			lastErr = err
+		}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("synth: no composite member accepts the substreams")

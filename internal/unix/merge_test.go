@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"kumquat/internal/textio"
 )
@@ -356,8 +359,8 @@ func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 	}
 	for _, streams := range [][]string{splitStreams(rng, sorted), parts} {
 		want := referenceMerge(s, streams...)
-		if got := s.MergeStreams(streams...); got != want {
-			t.Fatalf("%s: MergeStreams(%q) = %q, reference %q", spec, streams, got, want)
+		if got, sorted := s.MergeStreams(1, streams...); got != want || !sorted {
+			t.Fatalf("%s: MergeStreams(%q) = %q, %v; reference %q", spec, streams, got, sorted, want)
 		}
 		read, err := io.ReadAll(iotest.OneByteReader(s.MergeReader(streams...)))
 		if err != nil || string(read) != want {
@@ -443,8 +446,8 @@ func TestMergeHeapMatchesScan(t *testing.T) {
 				streams[i] = genSorted(rng, s, rng.Intn(12))
 			}
 			want := referenceMerge(s, streams...)
-			got := s.MergeStreams(streams...)
-			if got != want {
+			got, sorted := s.MergeStreams(1, streams...)
+			if got != want || !sorted {
 				t.Fatalf("%s k=%d: heap merge = %q, scan merge = %q", spec, k, got, want)
 			}
 		}
@@ -458,7 +461,7 @@ func TestMergeHeapMatchesScan(t *testing.T) {
 // equal-key run — which must come from the earliest stream.
 func TestMergeHeapStability(t *testing.T) {
 	s := mergeSort(t, "sort -nu")
-	got := s.MergeStreams("1 c\n", "1 b\n2 x\n", "1 a\n")
+	got, _ := s.MergeStreams(1, "1 c\n", "1 b\n2 x\n", "1 a\n")
 	want := "1 c\n2 x\n"
 	if got != want {
 		t.Errorf("stability: got %q, want %q", got, want)
@@ -472,7 +475,7 @@ func TestMergeHeapStability(t *testing.T) {
 // with Lines semantics, and the output is newline-terminated.
 func TestMergeHeapUnterminated(t *testing.T) {
 	s := mergeSort(t, "sort")
-	got := s.MergeStreams("a\nc", "b\n", "")
+	got, _ := s.MergeStreams(1, "a\nc", "b\n", "")
 	want := referenceMerge(s, "a\nc", "b\n", "")
 	if got != want {
 		t.Errorf("unterminated: heap %q, scan %q", got, want)
@@ -526,7 +529,10 @@ func BenchmarkMergeReference(b *testing.B) {
 // BenchmarkMergeFront is the production counterpart of
 // BenchmarkMergeReference.
 func BenchmarkMergeFront(b *testing.B) {
-	benchMerge(b, (*SortCmd).MergeStreams)
+	benchMerge(b, func(s *SortCmd, streams ...string) string {
+		out, _ := s.MergeStreams(1, streams...)
+		return out
+	})
 }
 
 func benchMerge(b *testing.B, merge func(*SortCmd, ...string) string) {
@@ -556,22 +562,20 @@ func BenchmarkSortRun(b *testing.B) {
 	for i := range ranks {
 		ranks[i] = zipf.Uint64()
 	}
-	// word spells a rank as a pseudo-word whose order is unrelated to it.
-	word := func(r uint64) string { return strconv.FormatUint(r*2654435761%1000003+36*36, 36) }
 	cases := []struct {
 		spec string
 		line func(r uint64) string
 	}{
-		{"sort", word},
-		{"sort -rn", func(r uint64) string { return fmt.Sprintf("%7d %s", 100000/(r+1), word(r)) }},
-		{"sort -k2n", func(r uint64) string { return word(r) + " " + strconv.FormatUint(r, 10) }},
+		{"sort", zipfWord},
+		{"sort -rn", func(r uint64) string { return fmt.Sprintf("%7d %s", 100000/(r+1), zipfWord(r)) }},
+		{"sort -k2n", func(r uint64) string { return zipfWord(r) + " " + strconv.FormatUint(r, 10) }},
 		{"sort -f", func(r uint64) string {
 			if r%3 == 0 {
-				return strings.ToUpper(word(r))
+				return strings.ToUpper(zipfWord(r))
 			}
-			return word(r)
+			return zipfWord(r)
 		}},
-		{"sort -u", word},
+		{"sort -u", zipfWord},
 	}
 	for _, c := range cases {
 		var in strings.Builder
@@ -590,5 +594,281 @@ func BenchmarkSortRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// mergeWidths are the range counts the range-merge tests run at.
+func mergeWidths() []int { return []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} }
+
+// checkMergeWidth holds mergeRanges at every width to the reference: the
+// sortedness verdict of referenceIsSorted over every stream and, when
+// sorted, referenceMerge's bytes. mergeRanges is called directly, so
+// inputs far below mergeRangeCutoff still take the cuts.
+func checkMergeWidth(t *testing.T, s *SortCmd, streams []string) {
+	t.Helper()
+	wantSorted := true
+	for _, st := range streams {
+		wantSorted = wantSorted && referenceIsSorted(s, st)
+	}
+	want := ""
+	if wantSorted {
+		want = referenceMerge(s, streams...)
+	}
+	for _, p := range mergeWidths() {
+		got, sorted := s.mergeRanges(p, streams)
+		if sorted != wantSorted || got != want {
+			t.Fatalf("%s width %d: mergeRanges(%q) = %q, %v; reference %q, %v",
+				s.Spec(), p, streams, got, sorted, want, wantSorted)
+		}
+	}
+}
+
+// sortedLines returns input's lines stably sorted by the reference,
+// key-equal duplicates kept (a run may hold them even under -u).
+func sortedLines(s *SortCmd, input string) []string {
+	lines := textio.Lines(input)
+	sort.SliceStable(lines, func(i, j int) bool { return referenceLess(s, lines[i], lines[j]) })
+	return lines
+}
+
+// dealRuns deals sorted lines at random into k runs, so each run is
+// sorted; skewed deals the lesser half, in order, to run 0 alone, so one
+// run holds every small key.
+func dealRuns(rng *rand.Rand, sorted []string, k int, skewed bool) []string {
+	deal := make([][]string, k)
+	for i, l := range sorted {
+		j := rng.Intn(k)
+		if skewed {
+			j = 0
+			if i >= len(sorted)/2 {
+				j = 1 + rng.Intn(k-1)
+			}
+		}
+		deal[j] = append(deal[j], l)
+	}
+	runs := make([]string, k)
+	for j, lines := range deal {
+		runs[j] = referenceJoin(lines)
+	}
+	return runs
+}
+
+// TestMergeWidthMatchesReference: the range merge is byte-identical to
+// the reference merge at every width, for every covered ordering, over
+// the reference corpora dealt at random, skewed runs, all-identical
+// lines, a splitter equal to thousands of lines, and empty and
+// unterminated runs.
+func TestMergeWidthMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var same, plateau strings.Builder
+	for i := 0; i < 3000; i++ {
+		same.WriteString("7 same\n")
+		plateau.WriteString("5 mid\n")
+	}
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&plateau, "%d %c\n", rng.Intn(10), 'a'+rune(rng.Intn(26)))
+	}
+	corpora := append(sortReferenceCorpora(), same.String(), plateau.String())
+	for _, spec := range sortReferenceSpecs {
+		s := mergeSort(t, spec)
+		for i, in := range corpora {
+			t.Run(fmt.Sprintf("%s/%d", spec, i), func(t *testing.T) {
+				sorted := sortedLines(s, in)
+				for _, k := range []int{1, 2, 3, 8} {
+					runs := dealRuns(rng, sorted, k, false)
+					checkMergeWidth(t, s, runs)
+					// Unterminated runs, and an empty run in front.
+					for j := range runs {
+						runs[j] = strings.TrimSuffix(runs[j], "\n")
+					}
+					checkMergeWidth(t, s, append([]string{""}, runs...))
+					if k > 1 {
+						checkMergeWidth(t, s, dealRuns(rng, sorted, k, true))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMergeWidthDetectsDescent: one out-of-order pair anywhere — inside a
+// range, at either edge of a cut, at a run's last line, in the run the
+// splitters come from or another — gives sorted == false at every width.
+// No cut ever lands between the two lines of the pair (cutRanges says
+// why), so a cut-edge descent is the one next to the cut.
+func TestMergeWidthDetectsDescent(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, spec := range []string{"sort", "sort -n", "sort -rn", "sort -u", "sort -k2n", "sort -f"} {
+		s := mergeSort(t, spec)
+		lines := make([]string, 240)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("%d %c%d", rng.Intn(1000), 'a'+rune(rng.Intn(26)), i)
+		}
+		runs := []string{
+			referenceJoin(referenceSortLines(s, lines[:160])),
+			referenceJoin(referenceSortLines(s, lines[160:])),
+		}
+		edges := 0
+		for r := range runs {
+			for _, unterminated := range []bool{false, true} {
+				rl := textio.Lines(runs[r])
+				for i := 0; i+1 < len(rl); i++ {
+					if !referenceLess(s, rl[i], rl[i+1]) {
+						continue // swapping equal lines leaves the run sorted
+					}
+					swapped := slices.Clone(rl)
+					swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+					streams := slices.Clone(runs)
+					streams[r] = referenceJoin(swapped)
+					if unterminated {
+						streams[r] = strings.TrimSuffix(streams[r], "\n")
+					}
+					checkMergeWidth(t, s, streams)
+					// Where the pair's lines start, and where the line
+					// after them does.
+					first := len(strings.Join(swapped[:i], "\n")) + min(i, 1)
+					second := first + len(swapped[i]) + 1
+					after := second + len(swapped[i+1]) + 1
+					for _, p := range mergeWidths()[1:] {
+						cuts := make([]int, (p+1)*len(streams))
+						for j, st := range streams {
+							cuts[p*len(streams)+j] = len(st)
+						}
+						s.cutRanges(streams, p, cuts)
+						for c := 1; c < p; c++ {
+							switch cuts[c*len(streams)+r] {
+							case second:
+								t.Fatalf("%s width %d: a cut separates the descent %q, %q", spec, p, swapped[i], swapped[i+1])
+							case first, after:
+								edges++
+							}
+						}
+					}
+				}
+			}
+		}
+		if edges == 0 {
+			t.Errorf("%s: no descent sat next to a cut", spec)
+		}
+	}
+}
+
+// FuzzMergeWidthMatchesReference is TestMergeWidthMatchesReference over
+// arbitrary input: the input cut into runs as it is (sorted or not) and
+// each run sorted, at a fuzzed width.
+func FuzzMergeWidthMatchesReference(f *testing.F) {
+	for i := range sortReferenceSpecs {
+		for _, in := range sortReferenceCorpora()[:12] {
+			f.Add(uint8(i), in)
+		}
+	}
+	f.Fuzz(func(t *testing.T, spec uint8, input string) {
+		s := mergeSort(t, sortReferenceSpecs[int(spec)%len(sortReferenceSpecs)])
+		rng := rand.New(rand.NewSource(int64(len(input))))
+		runs := splitStreams(rng, input)
+		checkMergeWidth(t, s, runs)
+		for i, r := range runs {
+			runs[i] = referenceJoin(referenceSortLines(s, textio.Lines(r)))
+		}
+		checkMergeWidth(t, s, runs)
+	})
+}
+
+// zipfWord spells a rank as a pseudo-word whose order is unrelated to it.
+func zipfWord(r uint64) string { return strconv.FormatUint(r*2654435761%1000003+36*36, 36) }
+
+// zipfRuns deals words of a Zipf(1.1) vocabulary — the shape `tr -cs`
+// leaves of a text, and BenchmarkSortRun's — round robin into k runs
+// until they total at least size bytes, and sorts each run.
+func zipfRuns(t testing.TB, s *SortCmd, size, k int) []string {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(8)), 1.1, 1, 1<<15)
+	bs := make([]strings.Builder, k)
+	for n, j := 0, 0; n < size; j = (j + 1) % k {
+		w := zipfWord(zipf.Uint64())
+		bs[j].WriteString(w)
+		bs[j].WriteByte('\n')
+		n += len(w) + 1
+	}
+	runs := make([]string, k)
+	for j := range runs {
+		out, err := s.Run(bs[j].String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[j] = out
+	}
+	return runs
+}
+
+// TestMergeWidthAllocations: over 1 MB at width P the range merge
+// allocates the output buffer and O(P·k) bookkeeping, nothing per line,
+// and every goroutine it starts has exited once it returns, sorted or
+// not.
+func TestMergeWidthAllocations(t *testing.T) {
+	const size = 1 << 20
+	byK := map[int][]string{}
+	for _, k := range []int{2, 4} {
+		// Sorted bytewise, the words are sorted under -n (every key is 0,
+		// so the bytewise last resort decides) and -u too.
+		byK[k] = zipfRuns(t, mergeSort(t, "sort"), size, k)
+	}
+	for _, spec := range []string{"sort", "sort -n", "sort -u"} {
+		s := mergeSort(t, spec)
+		for k, runs := range byK {
+			for _, p := range []int{1, 2, 4} {
+				allocs := testing.AllocsPerRun(5, func() { s.mergeRanges(p, runs) })
+				if bound := float64(8 + 3*p + p*k); allocs > bound {
+					t.Errorf("%s k=%d width %d: %v allocations per merge, want at most %v", spec, k, p, allocs, bound)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				s.mergeRanges(p, runs)
+				runtime.ReadMemStats(&after)
+				if bytes := after.TotalAlloc - before.TotalAlloc; bytes > size+size/8 {
+					t.Errorf("%s k=%d width %d: merge allocates %d bytes over %d input bytes", spec, k, p, bytes, size)
+				}
+			}
+		}
+	}
+	s, runs := mergeSort(t, "sort"), byK[2]
+	unsorted := []string{runs[0], runs[1][len(runs[1])/2:] + runs[1][:len(runs[1])/2]}
+	base := runtime.NumGoroutine()
+	for _, streams := range [][]string{runs, unsorted} {
+		_, sorted := s.mergeRanges(4, streams)
+		if want := &streams[0] == &runs[0]; sorted != want {
+			t.Fatalf("mergeRanges sorted = %v, want %v", sorted, want)
+		}
+		// A goroutine that has called wg.Done may still be exiting.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines after the merge returned, %d before", n, base)
+		}
+	}
+}
+
+// BenchmarkMergeWidth times the checked merge — range merge and order
+// check in one walk — over Zipf words (BenchmarkSortRun's shape) dealt
+// into k sorted runs, by total size and width. Width 1 is the single
+// heap; where the wider rows overtake it is mergeRangeCutoff.
+func BenchmarkMergeWidth(b *testing.B) {
+	s := mergeSort(b, "sort")
+	for _, size := range []int{16 << 10, 256 << 10, 1 << 20, 6 << 20} {
+		for _, k := range []int{2, 4} {
+			runs := zipfRuns(b, s, size, k)
+			for _, p := range []int{1, 2, 4} {
+				b.Run(fmt.Sprintf("bytes=%d/k=%d/width=%d", size, k, p), func(b *testing.B) {
+					b.ReportAllocs()
+					b.SetBytes(int64(size))
+					for b.Loop() {
+						if _, sorted := s.mergeRanges(p, runs); !sorted {
+							b.Fatal("sorted runs reported unsorted")
+						}
+					}
+				})
+			}
+		}
 	}
 }

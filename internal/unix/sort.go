@@ -3,8 +3,10 @@ package unix
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 
 	"kumquat/internal/textio"
 )
@@ -258,8 +260,9 @@ func (s *SortCmd) Less(a, b string) bool {
 
 // IsSorted reports whether the stream is already ordered under this
 // command's comparator — the legality domain of the merge combiner, which
-// synthesis checks on every merge operand. It walks the stream with a
-// merge cursor, so it allocates nothing unless -f folds a key.
+// synthesis checks on every observed merge operand (a combine checks it
+// inside MergeStreams instead). It walks the stream with a merge cursor,
+// so it allocates nothing unless -f folds a key.
 func (s *SortCmd) IsSorted(stream string) bool {
 	c := mergeCursor{s: stream}
 	if !c.advance(&s.ord) {
@@ -277,11 +280,13 @@ func (s *SortCmd) IsSorted(stream string) bool {
 
 func (s *SortCmd) Run(input string) (string, error) {
 	if s.Merge {
-		// Single input: merging one stream is the identity (plus -u dedup).
-		if !s.IsSorted(input) {
+		// Single input: merging one stream is the identity (plus -u
+		// dedup), and the walk that copies it checks its order.
+		out, sorted := s.MergeStreams(1, input)
+		if !sorted {
 			return "", fmt.Errorf("sort: -m: input is not sorted")
 		}
-		return s.MergeStreams(input), nil
+		return out, nil
 	}
 	lines := textio.Lines(input)
 	o := &s.ord
@@ -476,11 +481,22 @@ func (c *mergeCursor) advance(o *ordering) bool {
 // argument position, and -u dedup applied as lines leave the front. The
 // heap holds pointers, so restoring it moves no cursor; at k = 2 it is a
 // two-cursor loop, one comparison per line.
+//
+// A checked front (MergeStreams') also checks that the popped lines
+// never descend, which holds exactly when every stream is sorted: if a
+// stream has x followed by a lesser y, y joins the heap as x leaves it,
+// so the next line popped orders no later than y, and so before x. Only
+// two lines popped in a row from the same cursor can descend — a line
+// from another cursor was already in the heap when its predecessor was
+// popped as the least — so only those pairs are compared. The first
+// descent ends the merge.
 type mergeFront struct {
-	o    *ordering
-	h    []*mergeCursor // heap order; h[0] holds the next line
-	last sortLine       // the last line emitted under -u
-	have bool
+	o       *ordering
+	h       []*mergeCursor // heap order; h[0] holds the next line
+	last    sortLine       // the last line popped, kept under -u or check
+	prev    *mergeCursor   // the cursor last popped; nil before the first pop
+	check   bool           // stop at the first popped line that orders before its predecessor
+	descent bool           // a checked merge stopped at a descent
 }
 
 func (s *SortCmd) newFront(streams []string) mergeFront {
@@ -527,15 +543,23 @@ func (f *mergeFront) down(i int) {
 }
 
 // next returns the next merged line (without its terminator); ok is false
-// once every stream is exhausted.
+// once every stream is exhausted, or at a checked front's first descent.
 func (f *mergeFront) next() (line string, ok bool) {
 	for len(f.h) > 0 {
 		c := f.h[0]
-		line = c.cur.line
-		dup := f.o.unique && f.have && f.o.compare(&f.last, &c.cur) == 0
-		if f.o.unique && !dup {
-			f.last, f.have = c.cur, true
+		dup := false
+		if c == f.prev || f.o.unique && f.prev != nil {
+			cmp := f.o.compare(&c.cur, &f.last)
+			if cmp < 0 && f.check {
+				f.descent = true
+				return "", false
+			}
+			dup = cmp == 0 && f.o.unique
 		}
+		if f.check || f.o.unique {
+			f.last, f.prev = c.cur, c
+		}
+		line = c.cur.line
 		if !c.advance(f.o) {
 			n := len(f.h) - 1
 			f.h[0] = f.h[n]
@@ -549,30 +573,168 @@ func (f *mergeFront) next() (line string, ok bool) {
 	return "", false
 }
 
+// mergeRangeCutoff is the total input size below which MergeStreams
+// merges in one heap whatever its width: under it, cutting the streams
+// and starting a goroutine per range cost about what the ranges save
+// (BenchmarkMergeWidth; the table is in DESIGN.md).
+const mergeRangeCutoff = 16 << 10
+
 // MergeStreams merges k pre-sorted streams under this comparator, as the
 // Unix script "sort -m <flags> $*" does in the paper's k-way combiner
-// implementation (§3.5). Stability: ties are taken from earlier streams.
+// implementation (§3.5), and reports whether every stream was in fact
+// sorted — the merge combiner's domain, checked in the same walk. When
+// sorted is false, merged is "". Stability: ties are taken from earlier
+// streams.
 //
+// width is how many key ranges may merge concurrently (see mergeRanges),
+// never more than GOMAXPROCS; at width 1, or below mergeRangeCutoff
+// bytes, one heap merges it all.
 // Each output line costs O(log k) comparisons over keys computed once per
-// line, no stream is ever split into a []string, and the output is
-// written once into a builder sized to the input (exact unless -u drops
-// lines).
-func (s *SortCmd) MergeStreams(streams ...string) string {
-	f := s.newFront(streams)
+// line, plus at most one that checks its order, and no stream is ever
+// split into a []string.
+func (s *SortCmd) MergeStreams(width int, streams ...string) (merged string, sorted bool) {
 	size := 0
 	for _, st := range streams {
 		size += len(st)
-		if !textio.IsStream(st) && st != "" {
-			size++ // the terminator an unterminated final line gains
+	}
+	if size < mergeRangeCutoff {
+		width = 1
+	}
+	return s.mergeRanges(min(width, runtime.GOMAXPROCS(0)), streams)
+}
+
+// mergeRanges is MergeStreams split into p key ranges merged
+// concurrently. The p−1 splitters are the lines at the byte quantiles of
+// the largest stream; every stream is cut at each splitter's upper bound
+// (cutRanges), and range i merges, with its own front, the pieces between
+// cut i and cut i+1. Each range writes at its own offset into one output
+// buffer sized to the input, so without -u the output is exact and
+// needs no concatenation; under -u the gaps dedup left are closed before
+// returning.
+//
+// The bytes are MergeStreams' at any p: a line lands in range i exactly
+// when it orders after splitter i−1 and not after splitter i, so lines
+// that compare equal share a range — tie order by stream index and -u
+// dedup never cross a cut — and every line of range i orders before
+// every line of range i+1. Sortedness stays exact too: each front checks
+// the lines inside its range, and each pair a cut separates is in order
+// by construction (see cutRanges).
+func (s *SortCmd) mergeRanges(p int, streams []string) (string, bool) {
+	p = max(p, 1)
+	k := len(streams)
+	// cuts[i*k+j] is where range i begins in stream j; row p is the end.
+	cuts := make([]int, (p+1)*k)
+	for j, st := range streams {
+		cuts[p*k+j] = len(st)
+	}
+	s.cutRanges(streams, p, cuts)
+	pieces := make([]string, p*k)
+	offs := make([]int, p+1) // where each range's output begins
+	for i := 0; i < p; i++ {
+		n := 0
+		for j, st := range streams {
+			lo, hi := cuts[i*k+j], cuts[(i+1)*k+j]
+			pieces[i*k+j] = st[lo:hi]
+			n += hi - lo
+			if hi > lo && hi == len(st) && st[hi-1] != '\n' {
+				n++ // the terminator an unterminated final line gains
+			}
+		}
+		offs[i+1] = offs[i] + n
+	}
+	out := make([]byte, offs[p])
+	wrote := make([]int, p)
+	descent := make([]bool, p)
+	merge := func(i int) {
+		f := s.newFront(pieces[i*k : (i+1)*k])
+		f.check = true
+		dst := out[offs[i]:offs[i+1]]
+		n := 0
+		for line, ok := f.next(); ok; line, ok = f.next() {
+			n += copy(dst[n:], line)
+			dst[n] = '\n'
+			n++
+		}
+		wrote[i], descent[i] = n, f.descent
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < p; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			merge(i)
+		}()
+	}
+	merge(0)
+	wg.Wait()
+	n := 0
+	for i := range p {
+		if descent[i] {
+			return "", false
+		}
+		if n != offs[i] {
+			copy(out[n:], out[offs[i]:offs[i]+wrote[i]])
+		}
+		n += wrote[i]
+	}
+	return textio.View(out[:n]), true
+}
+
+// cutRanges fills rows 1 to p−1 of cuts (see mergeRanges). Splitter i is
+// the line holding byte i·len/p of the largest stream, and cut i in a
+// stream is the first line at or after cut i−1 that orders strictly
+// after splitter i, found by bisecting byte offsets snapped to line
+// starts — no line index is built. On sorted streams the splitters
+// ascend and each cut is the splitter's upper bound; on any input,
+// searching from the previous cut keeps the cuts monotone, so the pieces
+// always tile every stream.
+//
+// The pair of lines a cut separates is in order on any input, so the
+// order check need not look at it: a cut strictly inside a stream ends
+// the bisection with the line before it probed as not after the
+// splitter and the line at it probed as after, so the two compare
+// through the splitter. A cut that did not move separates the pair the
+// one before it did.
+func (s *SortCmd) cutRanges(streams []string, p int, cuts []int) {
+	k := len(streams)
+	big := ""
+	for _, st := range streams {
+		if len(st) > len(big) {
+			big = st
 		}
 	}
-	var b strings.Builder
-	b.Grow(size)
-	for line, ok := f.next(); ok; line, ok = f.next() {
-		b.WriteString(line)
-		b.WriteByte('\n')
+	if big == "" {
+		return // every stream is empty and every cut 0
 	}
-	return b.String()
+	var split, l sortLine
+	for i := 1; i < p; i++ {
+		start, end := lineAt(big, 0, i*len(big)/p)
+		s.ord.setKey(&split, big[start:end])
+		for j, st := range streams {
+			lo, hi := cuts[(i-1)*k+j], len(st)
+			for lo < hi {
+				start, end := lineAt(st, lo, lo+(hi-lo)/2)
+				s.ord.setKey(&l, st[start:end])
+				if s.ord.compare(&l, &split) > 0 {
+					hi = start
+				} else {
+					lo = min(end+1, len(st))
+				}
+			}
+			cuts[i*k+j] = lo
+		}
+	}
+}
+
+// lineAt returns the bounds of the line of st that holds byte off, its
+// terminator excluded, given that a line starts at from ≤ off.
+func lineAt(st string, from, off int) (start, end int) {
+	start = from + strings.LastIndexByte(st[from:off], '\n') + 1
+	end = len(st)
+	if j := strings.IndexByte(st[off:], '\n'); j >= 0 {
+		end = off + j
+	}
+	return start, end
 }
 
 // mergeReader is the lazy form of MergeStreams: an io.Reader that produces
@@ -586,10 +748,10 @@ type mergeReader struct {
 }
 
 // MergeReader returns a reader over the k-way merge of pre-sorted streams
-// under this comparator. The bytes read are exactly MergeStreams(streams...)
-// — same front, same tie stability, same -u dedup — but produced
-// incrementally: each Read advances the merge front just far enough to fill
-// the caller's buffer.
+// under this comparator. The bytes read are exactly those MergeStreams
+// returns for sorted streams — same front, same tie stability, same -u
+// dedup, no order check — but produced incrementally: each Read advances
+// the merge front just far enough to fill the caller's buffer.
 func (s *SortCmd) MergeReader(streams ...string) io.Reader {
 	return &mergeReader{f: s.newFront(streams)}
 }
