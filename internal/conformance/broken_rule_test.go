@@ -30,10 +30,10 @@ func TestBrokenElideRuleCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sanity: the legal program pushes the sort's merge into the
-	// consumer's read path instead of eliding it.
-	if plan.Program.Fired[dataflow.RulePushSortMerge] != 1 {
-		t.Fatalf("legal program rewrites = %v, want push-sort-merge=1", plan.Program.Fired)
+	// Sanity: the legal program elides nothing — the sort's merge runs
+	// before the order-sensitive consumer.
+	if plan.Program.Fired[dataflow.RuleElideCombine] != 0 {
+		t.Fatalf("legal program rewrites = %v, want elide-combine=0", plan.Program.Fired)
 	}
 
 	// Break the rule: every consumer now counts as order-insensitive.

@@ -65,7 +65,7 @@ func StageTemplates() []string {
 }
 
 // fusionMotifs are stage runs that each provoke one of the dataflow
-// optimizer's rewrites. The generator splices a motif into about half the
+// optimizer's rewrites or exit shapes. The generator splices a motif into about half the
 // cases so a default suite demonstrably exercises every rule — the
 // report's per-rule fire counters prove it — rather than leaving rule
 // coverage to random adjacency.
@@ -80,9 +80,9 @@ var fusionMotifs = [][]string{
 	{"sort", "wc -l"},
 	{"sort -n", "grep -c e"},
 	{"sort -r", "wc"},
-	// push-sort-merge: a sort-class stage feeding a streaming but
-	// order-sensitive line mapper; the merge happens, but lazily inside
-	// the consumer's read loop.
+	// combine then chunked consumer: a sort-class stage feeding a
+	// streaming but order-sensitive line mapper; the k-way merge must
+	// run, and the consumer re-splits its output chunk-parallel.
 	{"sort", "grep a"},
 	{"sort -r", "sed 's/a/X/'"},
 	{"sort -n", "cut -c 1-4"},

@@ -139,7 +139,8 @@ var propertyPipelines = []string{
 	// elide-combine: sort-class into order-insensitive reducers.
 	"cat in.txt | sort | wc -l\n",
 	"cat in.txt | sort -n | grep -c e\n",
-	// push-sort-merge: sort-class into order-sensitive streamers.
+	// sort-class into order-sensitive streamers: the merge combines,
+	// then the streamer runs chunk-parallel.
 	"cat in.txt | sort | sed 's/^a/X/'\n",
 	"cat in.txt | sort -r | grep a\n",
 	// mixed classes: merge, stitch (uniq -c), merge again.

@@ -22,15 +22,16 @@ const (
 	// permutation of the true stream (ClosurePerm or better), which by
 	// declaration cannot change its output.
 	RuleElideCombine Rule = "elide-combine"
-	// RulePushSortMerge pushes a sort-class stage's combine into the
-	// downstream stage's read path: instead of materializing the k-way
-	// heap merge, the downstream streaming stage consumes it lazily
-	// through unix.SortCmd.MergeReader.
+	// RulePushSortMerge named a retired rewrite: the lazy k-way merge of
+	// a sort's chunk outputs in its streaming consumer's read path. No
+	// lowering fires it and no report carries it. Its only reader is the
+	// frozen benchmark/ (batch.go, which reports its zero count); it goes
+	// with ROADMAP item 1's re-baseline.
 	RulePushSortMerge Rule = "push-sort-merge"
 	// RuleTheorem5 is the legacy intermediate-combiner elimination
 	// (exact-closed stage feeding a parallel consumer). It predates the
 	// dataflow plane and is tagged on regions for the dump, but not
-	// counted among the three new rewrites.
+	// counted among the new rewrites.
 	RuleTheorem5 Rule = "theorem5"
 )
 
@@ -50,9 +51,6 @@ const (
 	// running the combiner — legal only into an order-insensitive serial
 	// consumer over a permutation-closed edge.
 	ExitConcat
-	// ExitMerge hands the chunk outputs to the next region as a lazy
-	// k-way heap merge reader (push-sort-merge).
-	ExitMerge
 )
 
 // String names the exit as the program dump and run reports print it.
@@ -64,8 +62,6 @@ func (e ExitKind) String() string {
 		return "split"
 	case ExitConcat:
 		return "concat"
-	case ExitMerge:
-		return "merge-stream"
 	}
 	return "invalid"
 }
@@ -108,8 +104,9 @@ type Program struct {
 // Options tunes Optimize.
 type Options struct {
 	// Disable turns individual rewrites off. The fuse-off configuration
-	// (pipeline.WithFuse(false)) is the program lowered with all three disabled (Theorem 5 splits
-	// only); tests and benchmarks ablate rules one at a time.
+	// (pipeline.WithFuse(false)) is the program lowered with both
+	// disabled (Theorem 5 splits only); tests and benchmarks ablate
+	// rules one at a time.
 	Disable map[Rule]bool
 	// UnsafeAssumeOrderInsensitive makes RuleElideCombine treat every
 	// consumer as order-insensitive — a deliberately broken legality
@@ -123,12 +120,10 @@ func (o Options) disabled(r Rule) bool { return o.Disable[r] }
 
 // Optimize runs the rewrite pipeline over the graph: first the fusion
 // pass groups maximal runs of fusable stages into regions, then the
-// boundary pass decides each region's exit (combine elision, sort-merge
-// pushdown, Theorem 5 splitting).
+// boundary pass decides each region's exit (combine elision, Theorem 5
+// splitting, or the default combine).
 func Optimize(g *Graph, opts Options) *Program {
-	p := &Program{Graph: g, Fired: map[Rule]int{
-		RuleFuseStreamers: 0, RuleElideCombine: 0, RulePushSortMerge: 0,
-	}}
+	p := &Program{Graph: g, Fired: map[Rule]int{RuleFuseStreamers: 0, RuleElideCombine: 0}}
 	// Pass 1: fuse maximal runs of adjacent fusable stages.
 	for i := 0; i < len(g.Nodes); {
 		j := i
@@ -190,12 +185,6 @@ func Optimize(g *Graph, opts Options) *Program {
 			// Theorem 5: exact closure feeds any parallel consumer.
 			r.Exit = ExitSplit
 			r.Rules = append(r.Rules, RuleTheorem5)
-		case !opts.disabled(RulePushSortMerge) && sortClass(last) && p.Streamable(next):
-			// Rule 3: the combine happens, but lazily, inside the
-			// downstream stage's read loop.
-			r.Exit = ExitMerge
-			r.Rules = append(r.Rules, RulePushSortMerge)
-			p.Fired[RulePushSortMerge]++
 		}
 	}
 	return p
@@ -232,16 +221,6 @@ func regionClosure(r *Region, last *Node) Closure {
 	return closure(last)
 }
 
-// sortClass reports whether the region's last node is a sort-class stage
-// whose combine is the k-way heap merge (the push-sort-merge source).
-func sortClass(n *Node) bool {
-	if n.Class != ClassMerge || !n.Stage.Parallel {
-		return false
-	}
-	_, ok := n.Stage.Cmd.(*unix.SortCmd)
-	return ok
-}
-
 // consumerOrderInsensitive reports whether the next region's output is
 // invariant under permuting its input lines. Only single-stage regions
 // qualify: a fused region is a composition of order-preserving mappers,
@@ -261,8 +240,8 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 // mappers (always streamable), single parallel stages must be line
 // mappers with a concat combiner (streamed output equals
 // chunk-and-concat), and single serial stages need only be line mappers.
-// It is the one streamability predicate: the optimizer's push-sort-merge
-// legality check and the executor's live-stream decision both ask it.
+// The executor is its only caller: it decides whether a region consumes
+// a live stream behind a pipe or drains it first.
 func (p *Program) Streamable(r *Region) bool {
 	if r.Fused {
 		return true

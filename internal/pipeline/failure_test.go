@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"kumquat/internal/dataflow"
 )
 
 // Failure-injection tests: errors must propagate out of every executor
@@ -47,38 +45,6 @@ func TestParallelChunkErrorPropagation(t *testing.T) {
 	got, err := runPlan(plan, syn.Env, clean, ModeUnoptimized, 3)
 	if err != nil || got != want {
 		t.Errorf("clean parallel run = %q, %v", got, err)
-	}
-}
-
-// TestMalformedProgramRejected: the walker trusts the optimizer's
-// legality checks but must fail loudly, naming the offending stage, on a
-// program that breaks them.
-func TestMalformedProgramRejected(t *testing.T) {
-	syn := newSynth()
-	syn.Env.FS.Register("in.txt", "b\na\nc\n")
-	plan := compilePlan(t, syn, "cat in.txt | tr a-z A-Z | cat\n")
-	cases := []struct {
-		name    string
-		regions []*dataflow.Region
-		want    string
-	}{
-		{
-			// A merge-stream exit needs the producing stage's sort
-			// comparator; the error must name that stage, not the exit.
-			name: "merge-stream exit on a non-sort stage",
-			regions: []*dataflow.Region{
-				{Nodes: []int{0}, Parallel: true, Exit: dataflow.ExitMerge},
-				{Nodes: []int{1}},
-			},
-			want: `merge-stream exit on non-sort stage "tr a-z A-Z"`,
-		},
-	}
-	for _, tc := range cases {
-		plan.Program = &dataflow.Program{Graph: plan.Graph, Regions: tc.regions}
-		_, err := runPlan(plan, syn.Env, "", ModeOptimized, 2)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
-		}
 	}
 }
 

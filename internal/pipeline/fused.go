@@ -17,15 +17,15 @@ type RegionMetrics struct {
 	Stages []int `json:"stages"`
 	// Fused marks multi-stage regions run as one composed per-chunk pass.
 	Fused bool `json:"fused"`
-	// Exit names the region's output disposition (combine, split, concat,
-	// merge-stream).
+	// Exit names the region's output disposition (combine, split or
+	// concat).
 	Exit string `json:"exit"`
 	// Rules names the optimizer rewrites that fired on this region.
 	Rules []string `json:"rules,omitempty"`
 	// Wall is the region's wall-clock activity time.
 	Wall time.Duration `json:"wall_ns"`
 	// CombineWall is the share of Wall spent recombining the region's
-	// chunk outputs (zero when the exit elided or deferred the combine).
+	// chunk outputs (zero when the exit elided the combine).
 	CombineWall time.Duration `json:"combine_wall_ns"`
 	// BytesIn and BytesOut measure the region's stream volume.
 	BytesIn  int64 `json:"bytes_in"`
@@ -33,8 +33,8 @@ type RegionMetrics struct {
 	// Chunks is the number of parallel instances the region ran as.
 	Chunks int `json:"chunks"`
 	// Streamed marks regions that consumed a live stream (an external
-	// stdin, an upstream streamed region, a lazily merged sort)
-	// incrementally behind a pipe instead of running chunk-parallel.
+	// stdin or an upstream streamed region) incrementally behind a pipe
+	// instead of running chunk-parallel.
 	Streamed bool `json:"streamed,omitempty"`
 }
 
@@ -54,9 +54,9 @@ type RunInfo struct {
 }
 
 // WithFuse chooses which program an Optimized-mode run walks (default
-// on): the rewritten one (fuse-streamers, elide-combine, push-sort-merge
-// applied), or — off — the same graph lowered with those three rewrites
-// disabled, leaving only Theorem 5's split exits. It is the fuse-off
+// on): the rewritten one (fuse-streamers and elide-combine applied), or
+// — off — the same graph lowered with those two rewrites disabled,
+// leaving only Theorem 5's split exits. It is the fuse-off
 // ablation the benchmarks and the conformance plane compare against; the
 // executor is the same either way.
 func WithFuse(on bool) ExecOpt {

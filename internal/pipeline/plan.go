@@ -47,17 +47,16 @@ type Plan struct {
 	Graph   *dataflow.Graph
 	Program *dataflow.Program
 	// The other configurations' programs (see Execute): theorem5 is the
-	// graph optimized with the three dataflow rewrites disabled, serial and
+	// graph optimized with the dataflow rewrites disabled, serial and
 	// stagewise are the unrewritten one-region-per-stage lowerings.
 	theorem5, serial, stagewise *dataflow.Program
 }
 
-// theorem5Only disables the three dataflow rewrites, leaving Optimize's
+// theorem5Only disables the dataflow rewrites, leaving Optimize's
 // Theorem 5 splits — the WithFuse(false) program.
 var theorem5Only = dataflow.Options{Disable: map[dataflow.Rule]bool{
 	dataflow.RuleFuseStreamers: true,
 	dataflow.RuleElideCombine:  true,
-	dataflow.RulePushSortMerge: true,
 }}
 
 // CompileContext synthesizes a combiner for every stage, applies the

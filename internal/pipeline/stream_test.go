@@ -400,3 +400,48 @@ func TestExecuteMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSortCombinesIntoChunkedConsumer: a parallel sort feeding a
+// streamable but order-sensitive consumer exits through its combine (the
+// range-parallel, order-checked k-way merge), and the consumer then runs
+// chunk-parallel like any parallel region — over a file source and over
+// an external stdin alike. No live stream is made of the sort's output.
+func TestSortCombinesIntoChunkedConsumer(t *testing.T) {
+	syn := newSynth()
+	corpus := strings.Repeat("pear\napple\nfig\nquince\nloquat\nbanana\n", 50)
+	syn.Env.FS.Register("in.txt", corpus)
+	const stages = "sort | sed 's/^/> /'\n"
+	filePlan := compilePlan(t, syn, "cat in.txt | "+stages)
+	stdinPlan := compilePlan(t, syn, stages)
+	want := reference(t, stdinPlan, corpus)
+	for _, src := range []struct {
+		name  string
+		plan  *Plan
+		stdin io.Reader
+	}{
+		{"file", filePlan, nil},
+		{"external stdin", stdinPlan, pipeSource(corpus)},
+	} {
+		var out strings.Builder
+		var info RunInfo
+		ms, err := src.plan.Execute(context.Background(), syn.Env, src.stdin, &out, ModeOptimized, 4, WithRunInfo(&info))
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if out.String() != want {
+			t.Errorf("%s: output diverges from the oracle", src.name)
+		}
+		if len(ms) != 2 {
+			t.Fatalf("%s: %d metrics, want 2", src.name, len(ms))
+		}
+		if ms[0].CombineWall <= 0 {
+			t.Errorf("%s: sort stage did not combine: %+v", src.name, ms[0])
+		}
+		if ms[1].Chunks != 4 || ms[1].Streamed {
+			t.Errorf("%s: sed stage ran %d chunks, streamed=%v; want 4 chunks, not streamed", src.name, ms[1].Chunks, ms[1].Streamed)
+		}
+		if _, ok := info.Rewrites["push-sort-merge"]; ok {
+			t.Errorf("%s: run reports the retired push-sort-merge rewrite: %v", src.name, info.Rewrites)
+		}
+	}
+}

@@ -68,9 +68,9 @@ type executor struct {
 //     sources start here; combining, concatenating and draining return
 //     here); a parallel segment splits it with textio.ChunkLines.
 //   - live: the stream is still being produced behind live — an external
-//     stdin, an upstream piped region, or a sort's lazy k-way merge.
-//     Regions that can stream overlap through pipes without materializing
-//     it; the first region that cannot drains it back to materialized.
+//     stdin or an upstream piped region. Regions that can stream overlap
+//     through pipes without materializing it; the first region that
+//     cannot drains it back to materialized.
 type stream struct {
 	data string
 	live io.Reader
@@ -261,7 +261,7 @@ func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out i
 // report theirs through lr). A region over a live stream that it can
 // consume incrementally is spawned behind a pipe; every other region
 // runs here, synchronously, as the first member of a segment, and leaves
-// the stream materialized or live.
+// the stream materialized.
 func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, stdin io.Reader, out io.Writer, rms []RegionMetrics) error {
 	st, err := ex.source(ctx, p, stdin)
 	if err != nil {
@@ -393,43 +393,31 @@ func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow
 }
 
 // exit applies a segment's last exit to its chunk outputs, leaving the
-// stream in the state the exit names (a split exit never ends a
-// segment). The final region always combines: a single output stream
-// must emerge.
+// stream materialized (a split exit never ends a segment): a concat
+// exit joins them in chunk order, any other runs the stage's combiner.
+// The final region always combines: a single output stream must emerge.
 func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last bool, outs []string, st *stream, rm *RegionMetrics) error {
-	kind := r.Exit
-	if last {
-		kind = dataflow.ExitCombine
-	}
-	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
-	switch kind {
-	case dataflow.ExitConcat:
+	if r.Exit == dataflow.ExitConcat && !last {
 		*st = stream{data: strings.Join(outs, "")}
 		rm.BytesOut = int64(len(st.data))
-	case dataflow.ExitMerge:
-		sc, ok := sp.Cmd.(*unix.SortCmd)
-		if !ok {
-			return fmt.Errorf("pipeline: merge-stream exit on non-sort stage %q", sp.Spec)
-		}
-		*st = stream{live: sc.MergeReader(outs...)}
-		rm.BytesOut = totalLen(outs)
-	default:
-		// The stage's synthesized combiner, on the tree-reduction plane.
-		width := ex.pool.size()
-		_, span := obs.StartSpan(ctx, "combine")
-		span.AttrInt("parts", int64(len(outs)))
-		span.AttrInt("width", int64(width))
-		span.AttrInt("bytes", totalLen(outs))
-		start := time.Now()
-		combined, err := sp.Synth.Combiner.CombineKTree(outs, width)
-		rm.CombineWall = time.Since(start)
-		span.End()
-		if err != nil {
-			return fmt.Errorf("pipeline: stage %q combine: %w", sp.Spec, err)
-		}
-		*st = stream{data: combined}
-		rm.BytesOut = int64(len(combined))
+		return nil
 	}
+	// The stage's synthesized combiner, on the tree-reduction plane.
+	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
+	width := ex.pool.size()
+	_, span := obs.StartSpan(ctx, "combine")
+	span.AttrInt("parts", int64(len(outs)))
+	span.AttrInt("width", int64(width))
+	span.AttrInt("bytes", totalLen(outs))
+	start := time.Now()
+	combined, err := sp.Synth.Combiner.CombineKTree(outs, width)
+	rm.CombineWall = time.Since(start)
+	span.End()
+	if err != nil {
+		return fmt.Errorf("pipeline: stage %q combine: %w", sp.Spec, err)
+	}
+	*st = stream{data: combined}
+	rm.BytesOut = int64(len(combined))
 	return nil
 }
 

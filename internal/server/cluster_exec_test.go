@@ -231,3 +231,31 @@ func TestClusterReportMatchesLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterSortFeedsDispatchedConsumer: a sort feeding a streamable
+// consumer combines on the coordinator, and the consumer is then its own
+// dispatched segment, so `sort | grep a` ships two segments of Shards
+// shards each — with bytes identical to a local run.
+func TestClusterSortFeedsDispatchedConsumer(t *testing.T) {
+	const shards = 3
+	c, _ := bootCluster(t, shards)
+	input := strings.Repeat("pear\napple\nfig\nbanana\nkiwi\n", 40)
+	script := "sort | grep a"
+
+	var cout, lout strings.Builder
+	rep, err := c.Execute(context.Background(), script,
+		client.ExecuteOptions{Cluster: "on"}, strings.NewReader(input), &cout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(context.Background(), script,
+		client.ExecuteOptions{Cluster: "off", Mode: "optimized", K: shards}, strings.NewReader(input), &lout); err != nil {
+		t.Fatal(err)
+	}
+	if cout.String() != lout.String() {
+		t.Fatalf("cluster output diverges from local:\n%q\nvs\n%q", cout.String(), lout.String())
+	}
+	if rep.Cluster == nil || rep.Cluster.Shards != 2*shards {
+		t.Fatalf("cluster report %+v, want %d shards (two segments of %d)", rep.Cluster, 2*shards, shards)
+	}
+}

@@ -7,13 +7,14 @@ import (
 )
 
 // LineSeq is an indexed view of a stream's lines: the backing string plus
-// one offset per line start. It exists so that code which walks the same
-// stream repeatedly — sortedness checks, k-way merging, combiner domain
-// checks — indexes it once instead of re-splitting it into a fresh
-// []string on every pass. A LineSeq costs one []int allocation (half the
-// memory of the equivalent []string headers) and its Line method returns
-// zero-copy substrings of the backing string. It is for walking lines by
-// number; splitting a stream k ways needs no index (see ChunkLines).
+// one offset per line start, for code that walks a stream's lines by
+// number — xargs, the combiner domain checks' in-domain test reference,
+// and FS.ReadSeq. Sortedness checks, k-way merging and the combiner
+// domain checks walk their operands in place and build no index. A
+// LineSeq costs one []int allocation (half the memory of the equivalent
+// []string headers) and its Line method returns zero-copy substrings of
+// the backing string. Splitting a stream k ways needs no index (see
+// ChunkLines).
 //
 // Line boundaries follow Lines' semantics exactly: a trailing newline does
 // not produce an empty final line, an unterminated final line is still a

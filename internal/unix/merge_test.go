@@ -2,7 +2,6 @@ package unix
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"kumquat/internal/textio"
@@ -21,7 +19,7 @@ import (
 // sorting is sort.SliceStable over it, and the k-way merge is a per-line
 // linear scan over all streams. They share no ordering code with sort.go,
 // so the tests here hold every production kernel (Run, MergeStreams,
-// MergeReader, IsSorted) to them byte for byte.
+// IsSorted) to them byte for byte.
 
 // referenceNumValue is GNU sort -n's leading number under LC_ALL=C:
 // optional blanks, an optional '-', digits with an optional decimal part;
@@ -328,7 +326,7 @@ func splitStreams(rng *rand.Rand, s string) []string {
 	return parts
 }
 
-// checkSortCase holds Run, Less, MergeStreams, MergeReader and IsSorted to
+// checkSortCase holds Run, Less, MergeStreams and IsSorted to
 // the reference on one spec and input.
 func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 	t.Helper()
@@ -361,10 +359,6 @@ func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 		want := referenceMerge(s, streams...)
 		if got, sorted := s.MergeStreams(1, streams...); got != want || !sorted {
 			t.Fatalf("%s: MergeStreams(%q) = %q, %v; reference %q", spec, streams, got, sorted, want)
-		}
-		read, err := io.ReadAll(iotest.OneByteReader(s.MergeReader(streams...)))
-		if err != nil || string(read) != want {
-			t.Fatalf("%s: MergeReader(%q) read %q, %v; reference %q", spec, streams, read, err, want)
 		}
 		for _, st := range streams {
 			if !s.IsSorted(st) {

@@ -2,7 +2,6 @@ package unix
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -475,28 +474,26 @@ func (c *mergeCursor) advance(o *ordering) bool {
 	return true
 }
 
-// mergeFront is the k-way merge front shared by MergeStreams and
-// MergeReader: a hand-rolled binary min-heap of stream cursors ordered by
-// (line under the ordering, stream index), so the merge is stable by
-// argument position, and -u dedup applied as lines leave the front. The
-// heap holds pointers, so restoring it moves no cursor; at k = 2 it is a
-// two-cursor loop, one comparison per line.
+// mergeFront is the k-way merge front of one MergeStreams key range: a
+// hand-rolled binary min-heap of stream cursors ordered by (line under
+// the ordering, stream index), so the merge is stable by argument
+// position, and -u dedup applied as lines leave the front. The heap holds
+// pointers, so restoring it moves no cursor; at k = 2 it is a two-cursor
+// loop, one comparison per line.
 //
-// A checked front (MergeStreams') also checks that the popped lines
-// never descend, which holds exactly when every stream is sorted: if a
-// stream has x followed by a lesser y, y joins the heap as x leaves it,
-// so the next line popped orders no later than y, and so before x. Only
-// two lines popped in a row from the same cursor can descend — a line
-// from another cursor was already in the heap when its predecessor was
-// popped as the least — so only those pairs are compared. The first
-// descent ends the merge.
+// The front also checks that the popped lines never descend, which holds
+// exactly when every stream is sorted: if a stream has x followed by a
+// lesser y, y joins the heap as x leaves it, so the next line popped
+// orders no later than y, and so before x. Only two lines popped in a
+// row from the same cursor can descend — a line from another cursor was
+// already in the heap when its predecessor was popped as the least — so
+// only those pairs are compared. The first descent ends the merge.
 type mergeFront struct {
 	o       *ordering
 	h       []*mergeCursor // heap order; h[0] holds the next line
-	last    sortLine       // the last line popped, kept under -u or check
+	last    sortLine       // the last line popped
 	prev    *mergeCursor   // the cursor last popped; nil before the first pop
-	check   bool           // stop at the first popped line that orders before its predecessor
-	descent bool           // a checked merge stopped at a descent
+	descent bool           // the merge stopped at a line that orders before its predecessor
 }
 
 func (s *SortCmd) newFront(streams []string) mergeFront {
@@ -543,22 +540,20 @@ func (f *mergeFront) down(i int) {
 }
 
 // next returns the next merged line (without its terminator); ok is false
-// once every stream is exhausted, or at a checked front's first descent.
+// once every stream is exhausted, or at the first descent.
 func (f *mergeFront) next() (line string, ok bool) {
 	for len(f.h) > 0 {
 		c := f.h[0]
 		dup := false
 		if c == f.prev || f.o.unique && f.prev != nil {
 			cmp := f.o.compare(&c.cur, &f.last)
-			if cmp < 0 && f.check {
+			if cmp < 0 {
 				f.descent = true
 				return "", false
 			}
 			dup = cmp == 0 && f.o.unique
 		}
-		if f.check || f.o.unique {
-			f.last, f.prev = c.cur, c
-		}
+		f.last, f.prev = c.cur, c
 		line = c.cur.line
 		if !c.advance(f.o) {
 			n := len(f.h) - 1
@@ -647,7 +642,6 @@ func (s *SortCmd) mergeRanges(p int, streams []string) (string, bool) {
 	descent := make([]bool, p)
 	merge := func(i int) {
 		f := s.newFront(pieces[i*k : (i+1)*k])
-		f.check = true
 		dst := out[offs[i]:offs[i+1]]
 		n := 0
 		for line, ok := f.next(); ok; line, ok = f.next() {
@@ -735,48 +729,4 @@ func lineAt(st string, from, off int) (start, end int) {
 		end = off + j
 	}
 	return start, end
-}
-
-// mergeReader is the lazy form of MergeStreams: an io.Reader that produces
-// the merged stream on demand, so a downstream streaming stage can consume
-// the k-way merge without the combined stream ever being materialized (the
-// dataflow optimizer's push-sort-merge rewrite).
-type mergeReader struct {
-	f       mergeFront
-	pending string // unread bytes of the current line
-	nl      bool   // the current line's terminator is still unread
-}
-
-// MergeReader returns a reader over the k-way merge of pre-sorted streams
-// under this comparator. The bytes read are exactly those MergeStreams
-// returns for sorted streams — same front, same tie stability, same -u
-// dedup, no order check — but produced incrementally: each Read advances
-// the merge front just far enough to fill the caller's buffer.
-func (s *SortCmd) MergeReader(streams ...string) io.Reader {
-	return &mergeReader{f: s.newFront(streams)}
-}
-
-func (mr *mergeReader) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		if mr.pending == "" && !mr.nl {
-			line, ok := mr.f.next()
-			if !ok {
-				if n == 0 {
-					return 0, io.EOF
-				}
-				break
-			}
-			mr.pending, mr.nl = line, true
-		}
-		c := copy(p[n:], mr.pending)
-		mr.pending = mr.pending[c:]
-		n += c
-		if mr.pending == "" && n < len(p) {
-			p[n] = '\n'
-			n++
-			mr.nl = false
-		}
-	}
-	return n, nil
 }

@@ -263,7 +263,7 @@ func (p *Plan) SynthCache() SynthCacheStats { return p.synthStats }
 
 // Rewrites counts, per rule name, the dataflow-optimizer rewrites baked
 // into the compiled plan across all its pipelines (fuse-streamers,
-// elide-combine, push-sort-merge). They apply when the plan executes in
+// elide-combine). They apply when the plan executes in
 // Optimized mode with fusion on; the conformance plane aggregates these
 // counters to prove each rewrite rule is exercised.
 func (p *Plan) Rewrites() map[string]int {
@@ -382,10 +382,10 @@ func WithMode(m Mode) ExecOption {
 
 // WithFuse chooses which dataflow program an Optimized run walks (default:
 // on). On, it is the rewritten program — adjacent line-streaming stages
-// execute as one per-chunk pass, combines are elided into order-insensitive
-// consumers, and sort combines push into downstream k-way merge readers;
-// RunReport.Rewrites names what fired. Off, the same executor walks the
-// program lowered with those three rewrites disabled (Theorem 5 splits
+// execute as one per-chunk pass, and combines are elided into
+// order-insensitive consumers; RunReport.Rewrites names what fired. Off,
+// the same executor walks the program lowered with those two rewrites
+// disabled (Theorem 5 splits
 // only) — the fuse-off ablation the conformance sweep and the benchmark's
 // fusion-gain probe compare against. The other modes ignore it.
 func WithFuse(on bool) ExecOption {
@@ -474,7 +474,7 @@ type RunReport struct {
 	// stdin).
 	Fused bool `json:"fused,omitempty"`
 	// Rewrites counts, per rule name, the dataflow rewrites the run's
-	// program applied (fuse-streamers, elide-combine, push-sort-merge);
+	// program applied (fuse-streamers, elide-combine);
 	// nil when Fused is false.
 	Rewrites map[string]int `json:"rewrites,omitempty"`
 	// Regions holds one entry per region of the rewritten program, in
