@@ -77,30 +77,30 @@ func Enumerate(maxProductions int, delims []Delim) []Candidate {
 	return out
 }
 
-// Shards partitions cands into at most n contiguous non-overlapping
+// Shards partitions s into at most n contiguous non-overlapping
 // sub-slices of near-equal length, preserving order: concatenating the
-// shards reproduces cands exactly. The synthesis engine filters each shard
-// on a separate worker and merges survivors in shard order, which keeps
-// parallel filtering byte-identical to the sequential pass. The shards
-// alias the input slice; no candidates are copied.
-func Shards(cands []Candidate, n int) [][]Candidate {
-	if len(cands) == 0 {
+// shards reproduces s exactly. The synthesis engine filters each shard
+// of its live candidate set on a separate worker and merges survivors
+// in shard order, which keeps parallel filtering byte-identical to the
+// sequential pass. The shards alias the input slice; nothing is copied.
+func Shards[T any](s []T, n int) [][]T {
+	if len(s) == 0 {
 		return nil
 	}
 	if n < 1 {
 		n = 1
 	}
-	if n > len(cands) {
-		n = len(cands)
+	if n > len(s) {
+		n = len(s)
 	}
-	out := make([][]Candidate, 0, n)
-	size := (len(cands) + n - 1) / n
-	for start := 0; start < len(cands); start += size {
+	out := make([][]T, 0, n)
+	size := (len(s) + n - 1) / n
+	for start := 0; start < len(s); start += size {
 		end := start + size
-		if end > len(cands) {
-			end = len(cands)
+		if end > len(s) {
+			end = len(s)
 		}
-		out = append(out, cands[start:end])
+		out = append(out, s[start:end])
 	}
 	return out
 }

@@ -25,7 +25,7 @@ func TestShards(t *testing.T) {
 			t.Errorf("Shards(_, %d) covered %d of %d candidates", n, i, len(cands))
 		}
 	}
-	if Shards(nil, 4) != nil {
+	if Shards[Candidate](nil, 4) != nil {
 		t.Error("Shards(nil, 4) should be nil")
 	}
 }

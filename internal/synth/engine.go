@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,20 +54,23 @@ type Engine struct {
 }
 
 // space is one enumerated candidate space, AllCandidates(n) of Algorithm
-// 1 for one delimiter set. It is built once and never written again:
-// cands is clipped to its length, so a filter that appends to it copies
-// instead of writing into the shared array.
+// 1 for one delimiter set, with its domain index. It is built once and
+// never written again. A synthesis holds its live set as indices into
+// the space (all is the identity, clipped to its length), so filtering
+// copies indices, never candidates; scratch pools the domain index's
+// per-goroutine workspaces.
 type space struct {
-	once  sync.Once
-	cands []dsl.Candidate
-	size  dsl.SpaceSize
+	once sync.Once
+	*dsl.Space
+	all     []int32
+	scratch sync.Pool // *dsl.DomainScratch
 }
 
 // space returns the engine's candidate space for a delimiter set,
 // enumerating it on first use; concurrent first uses wait for one
 // enumeration. Opts.MaxProductions is fixed per engine, so the ordered
 // delimiter bytes are the whole key. The memo lives as long as the
-// engine and holds one space per delimiter set it has seen (≈ 4 MB
+// engine and holds one space per delimiter set it has seen (≈ 4.7 MB
 // retained for a three-delimiter space, DESIGN.md). It reports whether
 // the space was already built or being built.
 func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
@@ -84,11 +86,25 @@ func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
 	}
 	e.spaceMu.Unlock()
 	sp.once.Do(func() {
-		cands := dsl.Enumerate(e.Opts.MaxProductions, delims)
-		sp.cands, sp.size = cands[:len(cands):len(cands)], dsl.Measure(cands)
+		sp.Space = dsl.NewSpace(e.Opts.MaxProductions, delims)
+		sp.all = make([]int32, len(sp.Cands))
+		for i := range sp.all {
+			sp.all[i] = int32(i)
+		}
+		sp.scratch.New = func() any { return sp.NewScratch() }
 	})
 	return sp, ok
 }
+
+// domain computes the domain index for one observation's operands into
+// a pooled scratch; the caller hands it back with release.
+func (sp *space) domain(o Observation) *dsl.DomainScratch {
+	ws := sp.scratch.Get().(*dsl.DomainScratch)
+	sp.Domain(ws, o.Y1, o.Y2)
+	return ws
+}
+
+func (sp *space) release(ws *dsl.DomainScratch) { sp.scratch.Put(ws) }
 
 // specKey is the LRU key of an exact spec text. The NUL keeps it disjoint
 // from canonical signatures (hex digests) whatever the text is.
@@ -313,12 +329,12 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 		if built {
 			memo = "hit"
 		}
-		span.AttrInt("candidates", int64(len(c0.cands)))
+		span.AttrInt("candidates", int64(len(c0.Cands)))
 		span.Attr("memo", memo)
 	}
 	span.End()
-	cands := c0.cands
-	res.Space = c0.size
+	live := c0.all
+	res.Space = c0.Size
 
 	gen := p.generator(rng)
 	seeds := p.seedShapes()
@@ -339,14 +355,12 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 		if inBytes > 0 {
 			res.ReductionRatio = float64(outBytes) / float64(inBytes)
 		}
-		if len(cands) > 0 && &cands[0] == &c0.cands[0] {
-			// No round filtered anything: hand out a copy, never the
-			// engine's shared space.
-			cands = slices.Clone(cands)
+		res.Plausible = make([]dsl.Candidate, len(live))
+		for i, k := range live {
+			res.Plausible[i] = c0.Cands[k]
 		}
-		res.Plausible = cands
 		if sawOutput {
-			res.Combiner = buildComposite(cmd.Spec(), denv, cands)
+			res.Combiner = buildComposite(cmd.Spec(), denv, res.Plausible)
 		}
 		return res
 	}
@@ -362,7 +376,7 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 				s0 = shape.Mutate(s0, rng.Intn(shape.NumMutations))
 			}
 		}
-		inputs, slots := e.effectiveInputs(ctx, cmd, denv, cands, gen, s0, rng)
+		inputs, slots := e.effectiveInputs(ctx, cmd, denv, c0, live, gen, s0, rng)
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
@@ -379,13 +393,14 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 			outBytes += len(s.o.Y12)
 		}
 		res.Observations += len(observed)
-		before := len(cands)
+		before := len(live)
 		_, span := obs.StartSpan(ctx, "filter")
-		next, err := e.filterParallel(ctx, denv, cands, observed)
+		next, indexed, err := e.filterParallel(ctx, denv, c0, live, observed)
 		if span.Enabled() {
 			span.AttrInt("candidates", int64(before))
 			span.AttrInt("observations", int64(len(observed)))
 			span.AttrInt("survivors", int64(len(next)))
+			span.AttrInt("indexed", b2i(indexed))
 		}
 		span.End()
 		if err != nil {
@@ -393,13 +408,13 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 			// best verified verdict.
 			return finish(err)
 		}
-		cands = next
-		if len(cands) == 0 {
+		live = next
+		if len(live) == 0 {
 			res.Err = ErrNoCombiner
 			res.Duration = time.Since(start)
 			return res
 		}
-		if len(cands) == before {
+		if len(live) == before {
 			stagnant++
 			if stagnant >= opts.StagnationRounds {
 				break
@@ -431,7 +446,7 @@ type obsSlot struct {
 // runs on the worker pool, so the chosen mutations — and therefore the
 // generated inputs and observations — are identical at any worker count.
 func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *dsl.Env,
-	cands []dsl.Candidate, gen *shape.Generator, s0 shape.Shape, rng *rand.Rand) ([][2]string, []obsSlot) {
+	sp *space, live []int32, gen *shape.Generator, s0 shape.Shape, rng *rand.Rand) ([][2]string, []obsSlot) {
 
 	opts := e.Opts
 	// Seed-shape inputs first: they do the bulk of the cheap elimination.
@@ -444,11 +459,18 @@ func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *ds
 	// The gradient span covers the mutation steps whole: each observes
 	// its mutations' pairs and scores them against the sample.
 	_, span = obs.StartSpan(ctx, "gradient")
-	defer span.End()
 	cur := s0
 	// Score mutations against a bounded sample of live candidates so the
 	// gradient stays cheap even on the 110k-candidate spaces.
-	sample := sampleCandidates(cands, 4096, rng)
+	sample := sampleCandidates(live, 4096, rng)
+	var indexed atomic.Int64
+	defer func() {
+		if span.Enabled() {
+			span.AttrInt("sample", int64(len(sample)))
+			span.AttrInt("indexed", indexed.Load())
+		}
+		span.End()
+	}()
 	for m := 0; m < opts.MutationIters; m++ {
 		if ctx.Err() != nil {
 			return all, slots
@@ -476,7 +498,11 @@ func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *ds
 				sl[i] = obsSlot{o, ok}
 			}
 			mutSlots[j] = sl
-			scores[j] = countEliminated(denv, sample, compactObs(sl))
+			var used bool
+			scores[j], used = countEliminated(denv, sp, sample, compactObs(sl))
+			if used {
+				indexed.Add(1)
+			}
 		})
 		for j := range pairsByMut {
 			if mutSlots[j] == nil {
@@ -542,53 +568,61 @@ func compactObs(slots []obsSlot) []Observation {
 	return obs
 }
 
-// filterParallel is FilterCandidates over a sharded candidate space: each
+// filterParallel is FilterCandidates over a sharded live set: each
 // shard is filtered against the observations on the worker pool and the
 // survivors are concatenated in shard order, reproducing the sequential
-// filter exactly. Returns ctx.Err() if cancelled before the merge
-// completes, in which case the partial survivors are discarded.
-func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env,
-	cands []dsl.Candidate, obs []Observation) ([]dsl.Candidate, error) {
+// filter exactly. From filterIndexCutoff live candidates up, the domain
+// index for the first observation is computed once before the fan-out
+// and every shard reads it; indexed reports whether it was. Returns
+// ctx.Err() if cancelled before the merge completes, in which case the
+// partial survivors are discarded.
+func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
+	live []int32, obs []Observation) (next []int32, indexed bool, err error) {
 
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if len(obs) == 0 {
-		return cands, nil
+		return live, false, nil
 	}
-	// Small spaces are cheaper to filter inline than to fan out; the
+	var ws *dsl.DomainScratch
+	if len(live) >= filterIndexCutoff {
+		ws = sp.domain(obs[0])
+		defer sp.release(ws)
+	}
+	// Small sets are cheaper to filter inline than to fan out; the
 	// sequential path still honours cancellation by checking ctx every
 	// 2048-candidate chunk.
-	if e.workers <= 1 || len(cands) < 2048 {
-		live := make([]dsl.Candidate, 0, len(cands))
-		for _, shard := range dsl.Shards(cands, (len(cands)+2047)/2048) {
+	if e.workers <= 1 || len(live) < 2048 {
+		next = make([]int32, 0, len(live))
+		for _, shard := range dsl.Shards(live, (len(live)+2047)/2048) {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			live = append(live, filterCandidates(denv, shard, obs)...)
+			next = filterCandidates(denv, sp.Space, ws, shard, obs, next)
 		}
-		return live, nil
+		return next, ws != nil, nil
 	}
 	// Over-shard (4 chunks per worker) so the atomic work queue balances
 	// shards of uneven candidate cost, and a cancelled ctx is noticed at
 	// shard granularity.
-	shards := dsl.Shards(cands, e.workers*4)
-	out := make([][]dsl.Candidate, len(shards))
+	shards := dsl.Shards(live, e.workers*4)
+	out := make([][]int32, len(shards))
 	parallelFor(ctx, e.workers, len(shards), func(i int) {
-		out[i] = filterCandidates(denv, shards[i], obs)
+		out[i] = filterCandidates(denv, sp.Space, ws, shards[i], obs, nil)
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	total := 0
 	for _, s := range out {
 		total += len(s)
 	}
-	live := make([]dsl.Candidate, 0, total)
+	next = make([]int32, 0, total)
 	for _, s := range out {
-		live = append(live, s...)
+		next = append(next, s...)
 	}
-	return live, nil
+	return next, ws != nil, nil
 }
 
 // parallelFor runs fn(i) for every i in [0,n) on up to workers

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"kumquat/internal/dsl"
 	"kumquat/internal/obs"
+	"kumquat/internal/shape"
 	"kumquat/internal/synth/cache"
 	"kumquat/internal/unix"
 )
@@ -370,7 +372,11 @@ func TestPlausibleNeverAliasesSpace(t *testing.T) {
 
 // TestSynthPhaseSpans: a traced cold synthesis records its phases as
 // children of the synth span — enumerate, then observe, gradient and
-// filter per round — and a warm hit records none.
+// filter per round — and a warm hit records none. Each gradient span
+// says how large its sample was and how many mutation scorings used
+// the domain index, each filter span whether the filter did; uniq -c's
+// first round uses the index on its 26 404-candidate space and its
+// later rounds, on a few survivors, do not.
 func TestSynthPhaseSpans(t *testing.T) {
 	tr := obs.NewTracer(1, "test")
 	ctx, root := tr.StartTrace(context.Background(), "root")
@@ -409,5 +415,45 @@ func TestSynthPhaseSpans(t *testing.T) {
 	}
 	if len(warm) != 0 {
 		t.Errorf("warm hit recorded child spans %v, want none", warm)
+	}
+
+	attr := func(s obs.SpanRecord, key string) int {
+		for _, a := range s.Attrs {
+			if a.Key == key {
+				n, err := strconv.Atoi(a.Value)
+				if err != nil {
+					t.Fatalf("%s span attribute %s = %q", s.Name, key, a.Value)
+				}
+				return n
+			}
+		}
+		t.Fatalf("%s span has no %s attribute (attrs %v)", s.Name, key, s.Attrs)
+		return 0
+	}
+	scorings := eng.Opts.MutationIters * shape.NumMutations
+	paths := map[string]int{}
+	for _, s := range td.Spans {
+		if s.ParentID != synths[0].SpanID {
+			continue
+		}
+		switch s.Name {
+		case "gradient":
+			sample, indexed := attr(s, "sample"), attr(s, "indexed")
+			if sample < sampleIndexCutoff && indexed != 0 || sample >= sampleIndexCutoff && (indexed == 0 || indexed > scorings) {
+				t.Errorf("gradient over a %d-candidate sample used the index in %d of %d scorings", sample, indexed, scorings)
+			}
+			paths[fmt.Sprintf("gradient indexed=%v", indexed > 0)]++
+		case "filter":
+			cands, indexed := attr(s, "candidates"), attr(s, "indexed")
+			if want := cands >= filterIndexCutoff && attr(s, "observations") > 0; (indexed == 1) != want || indexed > 1 {
+				t.Errorf("filter over %d candidates: indexed = %d", cands, indexed)
+			}
+			paths[fmt.Sprintf("filter indexed=%v", indexed == 1)]++
+		}
+	}
+	for _, p := range []string{"gradient indexed=true", "gradient indexed=false", "filter indexed=true", "filter indexed=false"} {
+		if paths[p] == 0 {
+			t.Errorf("no %s span (spans by path: %v)", p, paths)
+		}
 	}
 }

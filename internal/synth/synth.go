@@ -126,49 +126,89 @@ var ErrMultiInput = errors.New("synth: command reads multiple input streams")
 // (ls, mkfifo, rm — footnote 5).
 var ErrNonStream = errors.New("synth: command does not process an input stream")
 
-// filterCandidates keeps the candidates plausible for every observation
-// (Definition 3.9): FilterCandidates in Algorithm 1.
-func filterCandidates(env *dsl.Env, cands []dsl.Candidate, obs []Observation) []dsl.Candidate {
-	live := cands[:0:0]
-	for _, c := range cands {
-		ok := true
-		for _, o := range obs {
-			if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			live = append(live, c)
+// Below these sizes the round filter and Algorithm 2's scoring check
+// each candidate directly; from them up they first compute the domain
+// index (dsl.Space.Domain) for the observation set's first observation,
+// and a candidate whose bit is 0 is eliminated without a call. One
+// Domain call costs what the direct check of 35–170 candidates does on
+// word lines, and of ≈ 1 300 in the worst case measured, count tables
+// on the three-delimiter space (BenchmarkDomainIndex). The cutoffs sit
+// at that worst case; lower ones measured within noise on
+// BenchmarkColdSynthesis (DESIGN.md, "Where cold synthesis time goes").
+const (
+	sampleIndexCutoff = 1024
+	filterIndexCutoff = 2048
+)
+
+// filterCandidates appends to live the candidates of shard plausible for
+// every observation (Definition 3.9): FilterCandidates in Algorithm 1.
+// ws, when non-nil, holds the domain index for obs[0]; a candidate
+// outside it is dropped without a call, and every other candidate runs
+// the whole Plausible chain, so the survivors are exact either way.
+func filterCandidates(env *dsl.Env, sp *dsl.Space, ws *dsl.DomainScratch, shard []int32, obs []Observation, live []int32) []int32 {
+	for _, k := range shard {
+		if plausible(env, sp, ws, k, obs) {
+			live = append(live, k)
 		}
 	}
 	return live
 }
 
-// countEliminated scores an observation set by how many of the sampled
-// candidates it kills (IndexBestMutation's effectiveness measure).
-func countEliminated(env *dsl.Env, sample []dsl.Candidate, obs []Observation) int {
-	killed := 0
-	for _, c := range sample {
-		for _, o := range obs {
-			if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
-				killed++
-				break
-			}
+// plausible reports whether candidate k is plausible for every
+// observation, consulting the domain index ws for obs[0] first.
+func plausible(env *dsl.Env, sp *dsl.Space, ws *dsl.DomainScratch, k int32, obs []Observation) bool {
+	if ws != nil && int(k) < sp.Indexed() && !ws.InDomain(int(k)) {
+		return false
+	}
+	c := sp.Cands[k]
+	for _, o := range obs {
+		if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
+			return false
 		}
 	}
-	return killed
+	return true
 }
 
-func sampleCandidates(cands []dsl.Candidate, n int, rng *rand.Rand) []dsl.Candidate {
-	if len(cands) <= n {
-		return cands
+// countEliminated scores an observation set by how many of the sampled
+// candidates it kills (IndexBestMutation's effectiveness measure). From
+// sampleIndexCutoff sampled candidates up it computes the domain index
+// for obs[0] first, and reports that it did.
+func countEliminated(env *dsl.Env, sp *space, sample []int32, obs []Observation) (killed int, indexed bool) {
+	if len(obs) == 0 {
+		return 0, false
 	}
-	out := make([]dsl.Candidate, n)
+	var ws *dsl.DomainScratch
+	if len(sample) >= sampleIndexCutoff {
+		ws = sp.domain(obs[0])
+		defer sp.release(ws)
+	}
+	for _, k := range sample {
+		if !plausible(env, sp.Space, ws, k, obs) {
+			killed++
+		}
+	}
+	return killed, ws != nil
+}
+
+// sampleCandidates draws n live candidates with replacement, or returns
+// the live set whole when it has at most n.
+func sampleCandidates(live []int32, n int, rng *rand.Rand) []int32 {
+	if len(live) <= n {
+		return live
+	}
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = cands[rng.Intn(len(cands))]
+		out[i] = live[rng.Intn(len(live))]
 	}
 	return out
+}
+
+// b2i is 1 for true, 0 for false (span attributes).
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func hashSpec(s string) uint32 {
