@@ -268,6 +268,65 @@ func radixCorpora() []string {
 	return corpora
 }
 
+// collapseCorpora are duplicate-heavy inputs of at least collapseCutoff
+// lines, so a bytewise Run sorts their distinct lines: a vocabulary with
+// empty lines, NUL bytes and lines that are key-equal but different
+// under -n, -f and -k 2 (for keyed -u's dedup), terminated and not; then
+// corpora of exactly the distinct limit and one line more, so the
+// collapse and the bail-out both run at the boundary.
+func collapseCorpora() []string {
+	rng := rand.New(rand.NewSource(23))
+	vocab := []string{"", "\x00", "a\x00b", "a", "A", "b", "1 x", "1 y", "01 x", "2", "2.0", "-2 b",
+		"x 10", "y 9", "z 10", "é", "É 3", "\t1", " "}
+	var b strings.Builder
+	for range 2 * collapseCutoff {
+		b.WriteString(vocab[rng.Intn(len(vocab))])
+		b.WriteByte('\n')
+	}
+	dups := b.String()
+	corpora := []string{dups, strings.TrimSuffix(dups, "\n")}
+	n := collapseCutoff
+	for _, distinct := range []int{n / collapseFraction, n/collapseFraction + 1} {
+		lines := append([]string(nil), vocab...)
+		for i := len(lines); i < distinct; i++ {
+			lines = append(lines, fmt.Sprintf("%d w%d", rng.Intn(20), i))
+		}
+		for len(lines) < n {
+			lines = append(lines, lines[rng.Intn(distinct)])
+		}
+		rng.Shuffle(n, func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+		corpora = append(corpora, referenceJoin(lines))
+	}
+	return corpora
+}
+
+// TestCollapseCorporaTakeBothPaths: the duplicate-heavy corpora and the
+// one at the distinct limit collapse, to exactly their distinct lines;
+// the one a line past it bails out.
+func TestCollapseCorporaTakeBothPaths(t *testing.T) {
+	corpora := collapseCorpora()
+	for i, in := range corpora {
+		lines := textio.Lines(in)
+		distinct := len(slices.Compact(slices.Sorted(slices.Values(lines))))
+		got, ok := collapseLines(in, make([]lineRec, len(lines)), len(lines)/collapseFraction)
+		if wantOK := i < len(corpora)-1; ok != wantOK || ok && len(got) != distinct {
+			t.Errorf("corpus %d (%d lines, %d distinct): collapse gave %d records, ok %v; want ok %v",
+				i, len(lines), distinct, len(got), ok, wantOK)
+		}
+		if i >= 2 && distinct != len(lines)/collapseFraction+i-2 {
+			t.Errorf("corpus %d has %d distinct lines, want the limit %d plus %d",
+				i, distinct, len(lines)/collapseFraction, i-2)
+		}
+		total := 0
+		for _, r := range got {
+			total += r.count
+		}
+		if ok && total != len(lines) {
+			t.Errorf("corpus %d: the counts sum to %d, want %d lines", i, total, len(lines))
+		}
+	}
+}
+
 // sortReferenceCorpora returns the reference corpora: random, heavy
 // duplicates, empty lines, unterminated final lines, numeric edge
 // strings, mixed case, multibyte text and the radix corpora.
@@ -369,11 +428,13 @@ func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 }
 
 // TestSortMatchesReference: every kernel agrees with the reference on
-// every covered flag combination and corpus.
+// every covered flag combination and corpus, the collapse corpora
+// included.
 func TestSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	corpora := append(sortReferenceCorpora(), collapseCorpora()...)
 	for _, spec := range sortReferenceSpecs {
-		for i, in := range sortReferenceCorpora() {
+		for i, in := range corpora {
 			t.Run(fmt.Sprintf("%s/%d", spec, i), func(t *testing.T) {
 				checkSortCase(t, spec, in, rng)
 			})
@@ -387,42 +448,85 @@ func TestSortMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSortRunAllocations: the bytewise kernel sorts the line table in
-// place, so Run allocates the table and the output and nothing that grows
-// with the line count.
+// TestSortRunAllocations: Run allocates the record slab and the output,
+// and nothing that grows with the line count — whether it collapses
+// repeated lines (the duplicate-heavy shape) or bails out and sorts every
+// line (the mostly distinct one). A GC cycle first keeps the first
+// cycle's mark workers, which allocate, out of the measured runs.
 func TestSortRunAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	runtime.GC()
 	for _, spec := range []string{"sort", "sort -r", "sort -u", "sort -ru"} {
 		s := mergeSort(t, spec)
-		var allocs []float64
-		for _, n := range []int{100, 20000} {
-			var b strings.Builder
-			for i := 0; i < n; i++ {
-				b.WriteString(strconv.Itoa(rng.Intn(n) * 7919))
-				b.WriteByte('\n')
+		for _, shape := range []struct {
+			name  string
+			value func(n int) int
+		}{
+			{"mostly distinct", func(n int) int { return rng.Intn(n) * 7919 }},
+			{"duplicate-heavy", func(int) int { return rng.Intn(50) }},
+		} {
+			var allocs []float64
+			for _, n := range []int{100, 20000} {
+				var b strings.Builder
+				for i := 0; i < n; i++ {
+					b.WriteString(strconv.Itoa(shape.value(n)))
+					b.WriteByte('\n')
+				}
+				in := b.String()
+				allocs = append(allocs, testing.AllocsPerRun(5, func() { s.Run(in) }))
 			}
-			in := b.String()
-			allocs = append(allocs, testing.AllocsPerRun(5, func() { s.Run(in) }))
-		}
-		if allocs[0] != allocs[1] || allocs[1] > 2 {
-			t.Errorf("%s: Run allocates %v times over 100 lines and %v over 20000, want the same and at most 2",
-				spec, allocs[0], allocs[1])
+			if allocs[0] != allocs[1] || allocs[1] > 2 {
+				t.Errorf("%s, %s: Run allocates %v times over 100 lines and %v over 20000, want the same and at most 2",
+					spec, shape.name, allocs[0], allocs[1])
+			}
 		}
 	}
 }
 
 // FuzzSortMatchesReference is TestSortMatchesReference over arbitrary
-// input, seeded from the same table.
+// input, seeded from the same table. reps%8 > 0 repeats each input line
+// that many times, and the block until it holds collapseCutoff lines, so
+// the collapse runs on short inputs and, on the 1500-line seeds, the
+// bail-out too.
 func FuzzSortMatchesReference(f *testing.F) {
 	for i := range sortReferenceSpecs {
 		for _, in := range sortReferenceCorpora() {
-			f.Add(uint8(i), in)
+			f.Add(uint8(i), in, uint8(0))
+			if strings.Count(in, "\n") < 100 {
+				f.Add(uint8(i), in, uint8(3))
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, spec uint8, input string) {
+	f.Fuzz(func(t *testing.T, spec uint8, input string, reps uint8) {
 		rng := rand.New(rand.NewSource(int64(len(input))))
-		checkSortCase(t, sortReferenceSpecs[int(spec)%len(sortReferenceSpecs)], input, rng)
+		checkSortCase(t, sortReferenceSpecs[int(spec)%len(sortReferenceSpecs)], repeatLines(input, int(reps%8)), rng)
 	})
+}
+
+// repeatLines repeats each line of input r times, then the whole block
+// until it holds at least collapseCutoff lines, keeping input's final
+// newline or its absence. r = 0 leaves input as it is, and so does a
+// block past 4·collapseCutoff lines, which would only slow the reference.
+func repeatLines(input string, r int) string {
+	lines := textio.Lines(input)
+	if r == 0 || len(lines) == 0 || len(lines)*r > 4*collapseCutoff {
+		return input
+	}
+	var block []string
+	for _, l := range lines {
+		for range r {
+			block = append(block, l)
+		}
+	}
+	out := block
+	for len(out) < collapseCutoff {
+		out = append(out, block...)
+	}
+	joined := referenceJoin(out)
+	if !textio.IsStream(input) {
+		joined = strings.TrimSuffix(joined, "\n")
+	}
+	return joined
 }
 
 // TestMergeHeapMatchesScan: the merge front must be byte-identical to the
@@ -548,38 +652,50 @@ func benchMerge(b *testing.B, merge func(*SortCmd, ...string) string) {
 // Zipf(1.1) vocabulary — the shape `tr -cs` leaves of a text — for each
 // ordering class: bytewise, -u, -f fold, and the numeric classes over
 // the shapes they meet in the word-frequency script (`uniq -c` counts
-// for -rn, a numeric second field for -k2n).
+// for -rn, a numeric second field for -k2n). Three more cases price the
+// bytewise collapse's bail-out: all lines distinct (the bail-out after a
+// quarter of the lines), and exactly the distinct limit and one line past
+// it, drawn at random (the collapse at its limit, and the bail-out on the
+// last lines). The last, -rn on all-distinct lines, is what
+// `sort | uniq -c | sort -rn` hands its final stage.
 func BenchmarkSortRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	zipf := rand.NewZipf(rng, 1.1, 1, 1<<15)
-	ranks := make([]uint64, 100_000)
+	const n = 100_000
+	ranks := make([]uint64, n)
 	for i := range ranks {
 		ranks[i] = zipf.Uint64()
 	}
+	limit := n / collapseFraction
 	cases := []struct {
-		spec string
-		line func(r uint64) string
+		name, spec string
+		ranks      []uint64
+		line       func(r uint64) string
 	}{
-		{"sort", zipfWord},
-		{"sort -rn", func(r uint64) string { return fmt.Sprintf("%7d %s", 100000/(r+1), zipfWord(r)) }},
-		{"sort -k2n", func(r uint64) string { return zipfWord(r) + " " + strconv.FormatUint(r, 10) }},
-		{"sort -f", func(r uint64) string {
+		{"sort", "sort", ranks, zipfWord},
+		{"sort -rn", "sort -rn", ranks, func(r uint64) string { return fmt.Sprintf("%7d %s", 100000/(r+1), zipfWord(r)) }},
+		{"sort -k2n", "sort -k2n", ranks, func(r uint64) string { return zipfWord(r) + " " + strconv.FormatUint(r, 10) }},
+		{"sort -f", "sort -f", ranks, func(r uint64) string {
 			if r%3 == 0 {
 				return strings.ToUpper(zipfWord(r))
 			}
 			return zipfWord(r)
 		}},
-		{"sort -u", zipfWord},
+		{"sort -u", "sort -u", ranks, zipfWord},
+		{"sort distinct", "sort", distinctRanks(rng, n, n), zipfWord},
+		{"sort at limit", "sort", distinctRanks(rng, n, limit), zipfWord},
+		{"sort past limit", "sort", distinctRanks(rng, n, limit+1), zipfWord},
+		{"sort -rn distinct", "sort -rn", distinctRanks(rng, n, n), func(r uint64) string { return fmt.Sprintf("%7d %s", r%1000, zipfWord(r)) }},
 	}
 	for _, c := range cases {
 		var in strings.Builder
-		for _, r := range ranks {
+		for _, r := range c.ranks {
 			in.WriteString(c.line(r))
 			in.WriteByte('\n')
 		}
 		input := in.String()
 		s := mergeSort(b, c.spec)
-		b.Run(c.spec, func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(input)))
 			for b.Loop() {
@@ -588,6 +704,57 @@ func BenchmarkSortRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// distinctRanks draws n ranks from d distinct values, each at least
+// once, in random order.
+func distinctRanks(rng *rand.Rand, n, d int) []uint64 {
+	rs := make([]uint64, n)
+	for i := range rs {
+		rs[i] = uint64(i % d)
+	}
+	rng.Shuffle(n, func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+	return rs
+}
+
+// BenchmarkCollapse is where collapseCutoff and collapseFraction come
+// from: Zipf words (BenchmarkSortRun's shape) at each line count and
+// share of distinct lines, in random order, sorted bytewise with the
+// collapse forced on (the table sized for exactly the distinct lines)
+// and off, the way Run's bytewise path does it. The table is in
+// DESIGN.md.
+func BenchmarkCollapse(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{512, 1024, 2048, 4096, 16384, 100_000} {
+		for _, div := range []int{1, 2, 3, 4, 6, 8, 64} {
+			d := n / div
+			var in strings.Builder
+			for _, r := range distinctRanks(rng, n, d) {
+				in.WriteString(zipfWord(r))
+				in.WriteByte('\n')
+			}
+			input := in.String()
+			for _, collapse := range []bool{false, true} {
+				b.Run(fmt.Sprintf("lines=%d/distinct=1:%d/collapse=%v", n, div, collapse), func(b *testing.B) {
+					size := 1 // collapseLines' table
+					for size < 2*d {
+						size <<= 1
+					}
+					for b.Loop() {
+						recs := make([]lineRec, max(n, size))
+						if collapse {
+							recs, _ = collapseLines(input, recs, d)
+						} else {
+							recs = recs[:n]
+							fillLines(input, recs)
+						}
+						radixSort(input, recs, 0)
+						writeLines(input, recs, false)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package unix
 
 import (
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"slices"
 	"strings"
@@ -287,38 +288,186 @@ func (s *SortCmd) Run(input string) (string, error) {
 		}
 		return out, nil
 	}
-	lines := textio.Lines(input)
+	if input == "" {
+		return "", nil
+	}
+	n := strings.Count(input, "\n")
+	if input[len(input)-1] != '\n' {
+		n++ // an unterminated final line counts
+	}
 	o := &s.ord
-	if o.bytewise {
-		// Ties are byte-identical lines, so an unstable sort is
-		// indistinguishable from a stable one, reversed or not.
-		radixSort(lines, 0)
-		if o.keyRev {
-			slices.Reverse(lines)
-		}
-		if o.unique {
-			lines = slices.Compact(lines)
-		}
-		return textio.JoinLines(lines), nil
+	if !o.bytewise {
+		return sortKeyed(o, input, n), nil
 	}
-	ks := make([]sortLine, len(lines))
-	for i, l := range lines {
-		o.setKey(&ks[i], l)
+	// A bytewise ordering's ties are byte-identical lines, so its output
+	// is the distinct lines sorted, each repeated, and an unstable sort is
+	// indistinguishable from a stable one, reversed or not.
+	recs := make([]lineRec, n)
+	if n < collapseCutoff {
+		fillLines(input, recs)
+	} else if distinct, ok := collapseLines(input, recs, n/collapseFraction); ok {
+		recs = distinct
+	} else {
+		fillLines(input, recs)
 	}
-	cmp := func(a, b sortLine) int { return o.compare(&a, &b) }
+	radixSort(input, recs, 0)
+	if o.keyRev {
+		slices.Reverse(recs)
+	}
+	if o.unique {
+		recs = slices.CompactFunc(recs, func(a, b lineRec) bool { return a.line(input) == b.line(input) })
+	}
+	return writeLines(input, recs, o.unique), nil
+}
+
+// sortKeyed sorts the n lines of input under a keyed ordering, computing
+// each line's key once as it walks the input.
+func sortKeyed(o *ordering, input string, n int) string {
+	ks := make([]sortLine, n)
+	off := 0
+	for i := range ks {
+		end := len(input)
+		if j := strings.IndexByte(input[off:], '\n'); j >= 0 {
+			end = off + j
+		}
+		o.setKey(&ks[i], input[off:end])
+		off = end + 1
+	}
+	c := func(a, b sortLine) int { return o.compare(&a, &b) }
 	if o.unique {
 		// Key-equal lines can differ; dedup keeps the first in input order.
-		slices.SortStableFunc(ks, cmp)
-		ks = slices.CompactFunc(ks, func(a, b sortLine) bool { return cmp(a, b) == 0 })
+		slices.SortStableFunc(ks, c)
+		ks = slices.CompactFunc(ks, func(a, b sortLine) bool { return c(a, b) == 0 })
 	} else {
 		// The last resort breaks every tie between distinct lines.
-		slices.SortFunc(ks, cmp)
+		slices.SortFunc(ks, c)
 	}
-	lines = lines[:len(ks)]
-	for i := range ks {
-		lines[i] = ks[i].line
+	size := 0
+	for _, k := range ks {
+		size += len(k.line) + 1
 	}
-	return textio.JoinLines(lines), nil
+	out := make([]byte, 0, size)
+	for _, k := range ks {
+		out = append(out, k.line...)
+		out = append(out, '\n')
+	}
+	return textio.View(out)
+}
+
+// lineRec is one line of a sort's input, or one distinct line with the
+// number of times it occurs: its bytes are input[off:off+n], and off is
+// its first occurrence. Every field is an int, so one layout holds any
+// input length.
+type lineRec struct {
+	off, n, count int
+}
+
+func (r *lineRec) line(input string) string { return input[r.off : r.off+r.n] }
+
+// collapseCutoff is the line count below which a bytewise Run does not
+// look for repeated lines: under it the collapse saves tens of microseconds a
+// sort at best, and all-distinct input still pays for hashing a quarter
+// of its lines (BenchmarkCollapse; the table is in DESIGN.md).
+const collapseCutoff = 2048
+
+// collapseFraction bounds the collapse: Run sorts distinct lines only
+// while at most one line in collapseFraction is distinct, where
+// BenchmarkCollapse has the collapse winning at every size from the
+// cutoff up. Past that, the hashing done so far is lost and every line
+// is sorted.
+const collapseFraction = 4
+
+// sortSeed seeds the hash of collapseLines.
+var sortSeed = maphash.MakeSeed()
+
+// collapseLines counts the byte-identical lines of input in an
+// open-addressing table carved from the front of recs. The table has a
+// power-of-two size of at least twice the limit, so its load never
+// passes ½, and recs must hold it (4·limit records always do). If at
+// most limit lines are distinct, it packs them, in no order, at the
+// front of recs and returns them with ok set; otherwise recs holds
+// garbage.
+func collapseLines(input string, recs []lineRec, limit int) (distinct []lineRec, ok bool) {
+	size := 1
+	for size < 2*limit {
+		size <<= 1
+	}
+	tab := recs[:size]
+	mask := uint64(size - 1)
+	used := 0
+	for off := 0; off < len(input); {
+		end := len(input)
+		if j := strings.IndexByte(input[off:], '\n'); j >= 0 {
+			end = off + j
+		}
+		line := input[off:end]
+		for i := maphash.String(sortSeed, line) & mask; ; i = (i + 1) & mask {
+			r := &tab[i]
+			if r.count == 0 {
+				if used == limit {
+					return nil, false
+				}
+				*r = lineRec{off: off, n: len(line), count: 1}
+				used++
+				break
+			}
+			if r.n == len(line) && r.line(input) == line {
+				r.count++
+				break
+			}
+		}
+		off = end + 1
+	}
+	n := 0
+	for _, r := range tab {
+		if r.count > 0 {
+			tab[n] = r
+			n++
+		}
+	}
+	return tab[:n], true
+}
+
+// fillLines makes recs, which has one record per line, the line table
+// of input.
+func fillLines(input string, recs []lineRec) {
+	off := 0
+	for i := range recs {
+		end := len(input)
+		if j := strings.IndexByte(input[off:], '\n'); j >= 0 {
+			end = off + j
+		}
+		recs[i] = lineRec{off: off, n: end - off, count: 1}
+		off = end + 1
+	}
+}
+
+// writeLines writes each record's line, terminated, count times — once
+// under once — into one buffer of the output's exact size.
+func writeLines(input string, recs []lineRec, once bool) string {
+	size := 0
+	for _, r := range recs {
+		if once {
+			r.count = 1
+		}
+		size += r.count * (r.n + 1)
+	}
+	out := make([]byte, size)
+	w := 0
+	for _, r := range recs {
+		start := w
+		w += copy(out[w:], r.line(input))
+		out[w] = '\n'
+		w++
+		if once {
+			continue
+		}
+		// Double the copy until the line's run is written.
+		for end := start + r.count*(w-start); w < end; {
+			w += copy(out[w:end], out[start:w])
+		}
+	}
+	return textio.View(out)
 }
 
 // radixCutoff is the bucket size at or below which radixSort hands a
@@ -326,26 +475,27 @@ func (s *SortCmd) Run(input string) (string, error) {
 // byte of depth costs more than partitioning the bucket.
 const radixCutoff = 512
 
-// radixSort sorts lines bytewise in place, given that they all share
-// their first depth bytes. It is an MSD radix sort (American flag sort):
-// one pass counts the lines per byte at depth — lines that end there
-// first, in a bucket of their own — and a second permutes every line into
-// its bucket by following cycles, so it needs no scratch. The lines that
-// ended are byte-identical and already in order. Every other bucket is
-// sorted one byte deeper by recursion, except the largest, which the loop
-// takes itself. Each recursive call therefore gets at most half the
-// lines, so the stack stays O(log n) deep however long the shared
-// prefixes run. Buckets of at most radixCutoff lines go to multikeySort.
+// radixSort sorts records bytewise by their lines in input, in place,
+// given that the lines all share their first depth bytes. It is an MSD
+// radix sort (American flag sort): one pass counts the records per byte
+// at depth — lines that end there first, in a bucket of their own — and a
+// second permutes every record into its bucket by following cycles, so
+// it needs no scratch. The lines that ended are byte-identical and
+// already in order. Every other bucket is sorted one byte deeper by
+// recursion, except the largest, which the loop takes itself. Each
+// recursive call therefore gets at most half the records, so the stack
+// stays O(log n) deep however long the shared prefixes run. Buckets of
+// at most radixCutoff records go to multikeySort.
 //
 // The order is unstable, which only lines that compare equal could
 // observe, and those are byte-identical.
-func radixSort(lines []string, depth int) {
-	for len(lines) > radixCutoff {
+func radixSort(input string, recs []lineRec, depth int) {
+	for len(recs) > radixCutoff {
 		// Bucket 0 holds the lines that end at depth, bucket 1+b those
 		// whose byte at depth is b.
 		var next, end [257]int
-		for _, l := range lines {
-			end[radixKey(l, depth)]++
+		for i := range recs {
+			end[radixKey(input, &recs[i], depth)]++
 		}
 		sum, largest := 0, 0
 		for k := range end {
@@ -359,37 +509,37 @@ func radixSort(lines []string, depth int) {
 		}
 		for k := range next {
 			for next[k] < end[k] {
-				l := lines[next[k]]
-				for b := radixKey(l, depth); b != k; b = radixKey(l, depth) {
-					lines[next[b]], l = l, lines[next[b]]
+				r := recs[next[k]]
+				for b := radixKey(input, &r, depth); b != k; b = radixKey(input, &r, depth) {
+					recs[next[b]], r = r, recs[next[b]]
 					next[b]++
 				}
-				lines[next[k]] = l
+				recs[next[k]] = r
 				next[k]++
 			}
 		}
-		// next[k] is now end[k]: bucket k spans lines[start:end[k]].
+		// next[k] is now end[k]: bucket k spans recs[start:end[k]].
 		start := end[0]
 		for k := 1; k < len(end); k++ {
 			if k != largest {
-				radixSort(lines[start:end[k]], depth+1)
+				radixSort(input, recs[start:end[k]], depth+1)
 			}
 			start = end[k]
 		}
 		if largest == 0 {
 			return
 		}
-		lines = lines[end[largest-1]:end[largest]]
+		recs = recs[end[largest-1]:end[largest]]
 		depth++
 	}
-	multikeySort(lines, depth)
+	multikeySort(input, recs, depth)
 }
 
-// radixKey is the bucket of l at depth: 0 once l has ended, 1+l[depth]
-// before.
-func radixKey(l string, depth int) int {
-	if depth < len(l) {
-		return int(l[depth]) + 1
+// radixKey is the bucket of r's line at depth: 0 once the line has
+// ended, 1+its byte at depth before.
+func radixKey(input string, r *lineRec, depth int) int {
+	if depth < r.n {
+		return int(input[r.off+depth]) + 1
 	}
 	return 0
 }
@@ -398,50 +548,52 @@ func radixKey(l string, depth int) int {
 // with insertion sort.
 const insertionCutoff = 8
 
-// multikeySort is Bentley and Sedgewick's multikey quicksort over lines
-// that share their first depth bytes: a three-way partition around one
-// line's byte at depth, the lesser and greater parts sorted at the same
-// depth, the equal part one byte deeper — unless its lines have ended
-// there, which makes them byte-identical. A run of lines sharing a long
-// prefix costs one pass per byte and no counters.
-func multikeySort(lines []string, depth int) {
-	for len(lines) > insertionCutoff {
-		p := radixKey(lines[len(lines)/2], depth)
-		lt, gt := 0, len(lines)
+// multikeySort is Bentley and Sedgewick's multikey quicksort over
+// records whose lines share their first depth bytes: a three-way
+// partition around one line's byte at depth, the lesser and greater
+// parts sorted at the same depth, the equal part one byte deeper —
+// unless its lines have ended there, which makes them byte-identical. A
+// run of lines sharing a long prefix costs one pass per byte and no
+// counters.
+func multikeySort(input string, recs []lineRec, depth int) {
+	for len(recs) > insertionCutoff {
+		p := radixKey(input, &recs[len(recs)/2], depth)
+		lt, gt := 0, len(recs)
 		for i := 0; i < gt; {
-			switch k := radixKey(lines[i], depth); {
+			switch k := radixKey(input, &recs[i], depth); {
 			case k < p:
-				lines[lt], lines[i] = lines[i], lines[lt]
+				recs[lt], recs[i] = recs[i], recs[lt]
 				lt++
 				i++
 			case k > p:
 				gt--
-				lines[gt], lines[i] = lines[i], lines[gt]
+				recs[gt], recs[i] = recs[i], recs[gt]
 			default:
 				i++
 			}
 		}
-		multikeySort(lines[:lt], depth)
-		multikeySort(lines[gt:], depth)
+		multikeySort(input, recs[:lt], depth)
+		multikeySort(input, recs[gt:], depth)
 		if p == 0 {
 			return
 		}
-		lines = lines[lt:gt]
+		recs = recs[lt:gt]
 		depth++
 	}
-	insertionSort(lines, depth)
+	insertionSort(input, recs, depth)
 }
 
-// insertionSort sorts lines that share their first depth bytes, comparing
-// only what follows them.
-func insertionSort(lines []string, depth int) {
-	for i := 1; i < len(lines); i++ {
-		l := lines[i]
+// insertionSort sorts records whose lines share their first depth bytes,
+// comparing only what follows them.
+func insertionSort(input string, recs []lineRec, depth int) {
+	for i := 1; i < len(recs); i++ {
+		r := recs[i]
+		l := input[r.off+depth : r.off+r.n]
 		j := i
-		for ; j > 0 && l[depth:] < lines[j-1][depth:]; j-- {
-			lines[j] = lines[j-1]
+		for ; j > 0 && l < input[recs[j-1].off+depth:recs[j-1].off+recs[j-1].n]; j-- {
+			recs[j] = recs[j-1]
 		}
-		lines[j] = l
+		recs[j] = r
 	}
 }
 

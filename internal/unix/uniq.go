@@ -2,7 +2,7 @@ package unix
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"kumquat/internal/textio"
 )
@@ -31,23 +31,46 @@ func newUniq(spec string, args []string, _ *Env) (Command, error) {
 
 func (u *uniqCmd) Spec() string { return u.spec }
 
+// Run walks adjacent lines in place, with textio.Lines' boundaries: "\n"
+// is one empty line, and an unterminated last line counts. The output
+// is one buffer, sized to the input, that only a -c table of short runs
+// can outgrow.
 func (u *uniqCmd) Run(input string) (string, error) {
-	lines := textio.Lines(input)
-	var b strings.Builder
-	b.Grow(len(input))
-	i := 0
-	for i < len(lines) {
-		j := i + 1
-		for j < len(lines) && lines[j] == lines[i] {
-			j++
+	if input == "" {
+		return "", nil
+	}
+	b := make([]byte, 0, len(input)+1)
+	line, rest, _ := textio.SplitFirstLine(input)
+	for {
+		n := 1
+		next, more := "", false
+		for rest != "" && !more {
+			next, rest, _ = textio.SplitFirstLine(rest)
+			if next == line {
+				n++
+			} else {
+				more = true
+			}
 		}
 		if u.count {
-			fmt.Fprintf(&b, "%7d %s\n", j-i, lines[i])
-		} else {
-			b.WriteString(lines[i])
-			b.WriteByte('\n')
+			b = appendCount(b, n)
 		}
-		i = j
+		b = append(b, line...)
+		b = append(b, '\n')
+		if !more {
+			return textio.View(b), nil
+		}
+		line = next
 	}
-	return b.String(), nil
+}
+
+// appendCount appends n as uniq -c formats it: "%7d ".
+func appendCount(b []byte, n int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < 7; i++ {
+		b = append(b, ' ')
+	}
+	b = append(b, d...)
+	return append(b, ' ')
 }
