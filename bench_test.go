@@ -173,27 +173,6 @@ func BenchmarkWordFrequency(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
-// BenchmarkAblationGradient compares Algorithm 2's best-mutation gradient
-// against a uniformly random mutation walk.
-func BenchmarkAblationGradient(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"gradient", false}, {"random", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				syn := synth.New(unix.DefaultEnv(),
-					synth.Options{Seed: int64(i + 1), DisableGradient: mode.disable})
-				for _, spec := range []string{"uniq -c", `tr -cs A-Za-z '\n'`, "wc -l"} {
-					if res, _ := syn.Synthesize(context.Background(), spec); res == nil {
-						b.Fatal("no result")
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDelims compares the probe-derived delimiter sets (the
 // paper's regularizer) against always enumerating all four delimiters.
 func BenchmarkAblationDelims(b *testing.B) {

@@ -17,8 +17,6 @@ type Harness struct {
 	Scale int
 	// Ks are the parallelism degrees measured (the paper uses 1,2,4,8,16).
 	Ks []int
-	// Opts tunes synthesis.
-	Opts synth.Options
 
 	env *unix.Env
 	syn *synth.Engine
@@ -35,13 +33,11 @@ func NewHarness(scale int, ks []int) *Harness {
 		ks = []int{1, 2, 4, 8, 16}
 	}
 	env := unix.DefaultEnv()
-	opts := synth.Options{Seed: 1}
 	return &Harness{
 		Scale: scale,
 		Ks:    ks,
-		Opts:  opts,
 		env:   env,
-		syn:   synth.New(env, opts),
+		syn:   synth.New(env, synth.Options{Seed: 1}),
 	}
 }
 

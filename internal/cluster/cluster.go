@@ -73,9 +73,6 @@ type Config struct {
 	// Workers lists the worker daemons' base URLs (e.g.
 	// "http://10.0.0.2:9917"). An empty list disables cluster dispatch.
 	Workers []string
-	// NewRunner builds the transport for one worker address; nil selects
-	// the HTTP runner over the typed client. Tests inject fakes here.
-	NewRunner func(addr string) Runner
 	// Shards is the number of shards a parallel segment's input splits
 	// into (0 = len(Workers)).
 	Shards int
@@ -104,6 +101,10 @@ type Config struct {
 	// defaultRecovery. Only in-package tests set it, to run the policy at
 	// test-scale timings.
 	recovery recovery
+	// newRunner builds the transport for one worker address; nil selects
+	// the HTTP runner over the typed client. Only in-package tests set
+	// it, to inject fakes.
+	newRunner func(addr string) Runner
 }
 
 // recovery is the dispatch recovery policy. Shards are pure, so none of
@@ -141,8 +142,8 @@ var defaultRecovery = recovery{
 
 // withDefaults resolves the zero-value fields.
 func (c Config) withDefaults() Config {
-	if c.NewRunner == nil {
-		c.NewRunner = func(addr string) Runner { return NewHTTPRunner(addr) }
+	if c.newRunner == nil {
+		c.newRunner = func(addr string) Runner { return NewHTTPRunner(addr) }
 	}
 	if c.Shards == 0 {
 		c.Shards = len(c.Workers)

@@ -132,7 +132,7 @@ func testConfig(runners map[string]*fakeRunner, addrs ...string) Config {
 	rec.ejectAfter, rec.ejectCooldown = 2, time.Minute
 	return Config{
 		Workers:        addrs,
-		NewRunner:      func(addr string) Runner { return runners[addr] },
+		newRunner:      func(addr string) Runner { return runners[addr] },
 		Shards:         3,
 		ShardTimeout:   5 * time.Second,
 		SpeculateAfter: -1, // individual tests opt in
@@ -329,7 +329,7 @@ func TestDispatchGuards(t *testing.T) {
 		t.Fatal("cat FILE must not round-trip as a dispatchable stage")
 	}
 	one := New(Config{Workers: []string{"a"}, Shards: 1,
-		NewRunner: func(addr string) Runner { return runners["a"] }})
+		newRunner: func(addr string) Runner { return runners["a"] }})
 	for _, script := range []string{"sort", "uniq -c", "tr A-Z a-z | sort"} {
 		seg := &pipeline.Segment{Stages: strings.Split(script, " | "), Script: script}
 		if !co.dispatchable(seg) {

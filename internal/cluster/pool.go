@@ -32,7 +32,7 @@ type pool struct {
 func newPool(cfg Config) *pool {
 	p := &pool{cfg: cfg}
 	for _, addr := range cfg.Workers {
-		p.workers = append(p.workers, &worker{addr: addr, runner: cfg.NewRunner(addr)})
+		p.workers = append(p.workers, &worker{addr: addr, runner: cfg.newRunner(addr)})
 	}
 	return p
 }

@@ -44,13 +44,12 @@ import (
 
 // Config tunes a Server. The zero value serves with defaults.
 type Config struct {
-	// SynthOptions configures the shared synthesis engine (seed defaults
-	// to 1, matching the CLIs; CacheDir enables the on-disk tier).
+	// SynthOptions configures the shared synthesis engine (seed 0 selects
+	// the default seed 1, matching the CLIs; CacheDir enables the on-disk
+	// tier). Synthesize requests and the engine's observation runs use
+	// the default corpus; parallelize and execute requests get a private
+	// per-request environment.
 	SynthOptions kumquat.Options
-	// Env is the base environment synthesize requests and the engine's
-	// observation runs use (nil = default corpus). Parallelize and
-	// execute requests get a private per-request environment.
-	Env *kumquat.Env
 	// MaxInFlight caps concurrently-served work requests
 	// (default 2×GOMAXPROCS).
 	MaxInFlight int
@@ -87,9 +86,6 @@ type Config struct {
 
 // withDefaults resolves the zero-value fields.
 func (c Config) withDefaults() Config {
-	if c.SynthOptions.Seed == 0 {
-		c.SynthOptions.Seed = 1
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -135,13 +131,9 @@ type Server struct {
 // caches) lives as long as the server does.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	env := cfg.Env
-	if env == nil {
-		env = kumquat.NewEnv()
-	}
 	s := &Server{
 		cfg: cfg,
-		sys: kumquat.NewWithOptions(env, cfg.SynthOptions),
+		sys: kumquat.NewWithOptions(kumquat.NewEnv(), cfg.SynthOptions),
 		adm: newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
 		met: newMetrics(),
 		log: cfg.Logger,

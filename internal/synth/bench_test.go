@@ -38,3 +38,25 @@ func BenchmarkColdSynthesis(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAblationGradient compares Algorithm 2's best-mutation gradient
+// against a uniformly random mutation walk (DESIGN.md's ablation).
+func BenchmarkAblationGradient(b *testing.B) {
+	for _, mode := range []struct {
+		name    string
+		disable bool
+	}{{"gradient", false}, {"random", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			bud := defaultBudget
+			bud.disableGradient = mode.disable
+			for i := 0; i < b.N; i++ {
+				eng := newEngine(unix.DefaultEnv(), Options{Seed: int64(i + 1)}, bud)
+				for _, spec := range []string{"uniq -c", `tr -cs A-Za-z '\n'`, "wc -l"} {
+					if res, _ := eng.Synthesize(context.Background(), spec); res == nil {
+						b.Fatal("no result")
+					}
+				}
+			}
+		})
+	}
+}

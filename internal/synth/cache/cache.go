@@ -1,7 +1,8 @@
 // Package cache provides the combiner cache backing synth.Engine: an
 // in-memory LRU for hot command signatures, an optional on-disk store that
 // persists synthesis results across processes, and the canonical cache-key
-// derivation over normalized argv, delimiter set and synthesis options.
+// derivation over normalized argv, delimiter set and the values that steer
+// synthesis.
 //
 // The package is deliberately free of synthesis types: the engine converts
 // its results to and from the serializable Entry form, so cache stays a
@@ -25,39 +26,23 @@ import (
 // written by an incompatible format as misses.
 const EntryVersion = 1
 
-// DefaultCapacity is the in-memory LRU capacity used when the engine does
-// not specify one. 512 signatures comfortably covers the paper's 121
-// distinct benchmark commands with room for option variants.
+// DefaultCapacity is the in-memory LRU capacity of every synthesis
+// engine (the synth package's default budget) and of NewLRU(0). 512
+// signatures comfortably covers the paper's 121 distinct benchmark
+// commands with room for option variants.
 const DefaultCapacity = 512
-
-// KeyOptions are the synthesis-option fields that can change a synthesis
-// outcome and therefore participate in the cache key. Worker counts and
-// cache configuration are deliberately absent: synthesis is deterministic
-// in the degree of parallelism, so results are shared across them.
-type KeyOptions struct {
-	// MaxProductions bounds candidate AST size.
-	MaxProductions int
-	// PairsPerShape is the input pairs generated per shape.
-	PairsPerShape int
-	// MutationIters is Algorithm 2's gradient step count.
-	MutationIters int
-	// StagnationRounds is Algorithm 1's no-progress cutoff.
-	StagnationRounds int
-	// MaxRounds caps Algorithm 1's outer loop.
-	MaxRounds int
-	// Seed is the deterministic synthesis seed.
-	Seed int64
-	// DisableGradient marks the random-walk ablation baseline.
-	DisableGradient bool
-}
 
 // Key derives the canonical cache key for one synthesis problem: the
 // command's normalized argv (shell tokenization already applied, so
 // quoting and whitespace variants of the same command collide), the
 // preprocessing-selected delimiter set (which fixes the candidate search
-// space), and the option fields that steer the algorithms. The key is a
-// hex SHA-256, safe to use as a file name.
-func Key(argv []string, delims []byte, o KeyOptions) string {
+// space), and every value that steers the algorithms — integers and
+// bools, in a fixed order, each in its default format and separated by
+// "|". Worker counts and cache configuration are deliberately absent:
+// synthesis is deterministic in the degree of parallelism, so results are
+// shared across them. The key is a hex SHA-256, safe to use as a file
+// name.
+func Key(argv []string, delims []byte, steer ...any) string {
 	h := sha256.New()
 	for _, a := range argv {
 		io.WriteString(h, a)
@@ -66,9 +51,12 @@ func Key(argv []string, delims []byte, o KeyOptions) string {
 	h.Write([]byte{1})
 	h.Write(delims)
 	h.Write([]byte{1})
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%t",
-		o.MaxProductions, o.PairsPerShape, o.MutationIters,
-		o.StagnationRounds, o.MaxRounds, o.Seed, o.DisableGradient)
+	for i, v := range steer {
+		if i > 0 {
+			io.WriteString(h, "|")
+		}
+		fmt.Fprint(h, v)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -6,27 +6,40 @@ import (
 	"testing"
 )
 
+// steer is a synthesis engine's steering values in key order: the
+// budget (maxProductions, pairsPerShape, mutationIters, stagnationRounds,
+// maxRounds), the seed, and the random-walk switch.
+var steer = []any{5, 3, 3, 2, 6, int64(1), false}
+
 func TestKeyCanonicalization(t *testing.T) {
-	o := KeyOptions{MaxProductions: 5, Seed: 1}
-	k1 := Key([]string{"wc", "-l"}, []byte{'\n'}, o)
-	k2 := Key([]string{"wc", "-l"}, []byte{'\n'}, o)
+	k1 := Key([]string{"wc", "-l"}, []byte{'\n'}, steer...)
+	k2 := Key([]string{"wc", "-l"}, []byte{'\n'}, steer...)
 	if k1 != k2 {
 		t.Fatalf("same inputs produced different keys: %s vs %s", k1, k2)
 	}
 	// Every component must discriminate.
-	if Key([]string{"wc", "-c"}, []byte{'\n'}, o) == k1 {
+	if Key([]string{"wc", "-c"}, []byte{'\n'}, steer...) == k1 {
 		t.Error("argv change did not change the key")
 	}
-	if Key([]string{"wc", "-l"}, []byte{'\n', ' '}, o) == k1 {
+	if Key([]string{"wc", "-l"}, []byte{'\n', ' '}, steer...) == k1 {
 		t.Error("delimiter change did not change the key")
 	}
-	o2 := o
-	o2.Seed = 2
-	if Key([]string{"wc", "-l"}, []byte{'\n'}, o2) == k1 {
-		t.Error("seed change did not change the key")
+	for i, v := range steer {
+		changed := append([]any(nil), steer...)
+		switch v := v.(type) {
+		case int:
+			changed[i] = v + 1
+		case int64:
+			changed[i] = v + 1
+		case bool:
+			changed[i] = !v
+		}
+		if Key([]string{"wc", "-l"}, []byte{'\n'}, changed...) == k1 {
+			t.Errorf("changing steering value %d (%v) did not change the key", i, v)
+		}
 	}
 	// Token boundaries must not be ambiguous: ["ab","c"] vs ["a","bc"].
-	if Key([]string{"ab", "c"}, nil, o) == Key([]string{"a", "bc"}, nil, o) {
+	if Key([]string{"ab", "c"}, nil, steer...) == Key([]string{"a", "bc"}, nil, steer...) {
 		t.Error("argv token boundaries are ambiguous in the key")
 	}
 }
@@ -67,7 +80,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		Plausible: []string{"(stitch2 ' ' add first a b)"},
 		Rounds:    3,
 	}
-	key := Key(e.Argv, []byte(e.Delims), KeyOptions{Seed: 1})
+	key := Key(e.Argv, []byte(e.Delims), steer...)
 	if err := s.Put(key, e); err != nil {
 		t.Fatal(err)
 	}

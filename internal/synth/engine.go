@@ -24,21 +24,22 @@ import (
 // mutations are scored concurrently. Results are cached in one bounded
 // in-memory LRU — under the exact spec text, so a repeat resolves before
 // it is even parsed, and under a canonical command signature (normalized
-// argv + delimiter set + options), so quoting variants share a result —
-// and, optionally, an on-disk store, so repeated stages and repeated
-// invocations resolve without re-running synthesis. Concurrent requests
-// for the same uncached spec are single-flighted: one synthesis runs, the
-// rest wait and share its verdict. Each candidate space is enumerated
-// once per engine and delimiter set, and shared read-only by every spec
-// that draws from it (see space).
+// argv + delimiter set + budget and seed), so quoting variants share a
+// result — and, optionally, an on-disk store, so repeated stages and
+// repeated invocations resolve without re-running synthesis. Concurrent
+// requests for the same uncached spec are single-flighted: one synthesis
+// runs, the rest wait and share its verdict. Each candidate space is
+// enumerated once per engine and delimiter set, and shared read-only by
+// every spec that draws from it (see space).
 //
 // An Engine is safe for concurrent use.
 type Engine struct {
-	// Opts are the synthesis options, with defaults applied.
+	// Opts are the synthesis options, with the default seed applied.
 	Opts Options
 	// Env is the command environment specs are parsed against.
 	Env *unix.Env
 
+	budget   budget
 	workers  int
 	counters cache.Counters
 
@@ -68,11 +69,12 @@ type space struct {
 
 // space returns the engine's candidate space for a delimiter set,
 // enumerating it on first use; concurrent first uses wait for one
-// enumeration. Opts.MaxProductions is fixed per engine, so the ordered
-// delimiter bytes are the whole key. The memo lives as long as the
-// engine and holds one space per delimiter set it has seen (≈ 4.7 MB
-// retained for a three-delimiter space, DESIGN.md). It reports whether
-// the space was already built or being built.
+// enumeration. The engine's budget (defaultBudget outside tests) fixes
+// maxProductions, so the ordered delimiter bytes are the whole key. The
+// memo lives as long as the engine and holds one space per delimiter set
+// it has seen (≈ 4.7 MB retained for a three-delimiter space,
+// DESIGN.md). It reports whether the space was already built or being
+// built.
 func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
 	key := string(delimBytes(delims))
 	e.spaceMu.Lock()
@@ -86,7 +88,7 @@ func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
 	}
 	e.spaceMu.Unlock()
 	sp.once.Do(func() {
-		sp.Space = dsl.NewSpace(e.Opts.MaxProductions, delims)
+		sp.Space = dsl.NewSpace(e.budget.maxProductions, delims)
 		sp.all = make([]int32, len(sp.Cands))
 		for i := range sp.all {
 			sp.all[i] = int32(i)
@@ -121,13 +123,18 @@ type call struct {
 }
 
 // New returns an Engine over the given command environment (the default
-// environment when env is nil).
-func New(env *unix.Env, opts Options) *Engine {
+// environment when env is nil). Seed 0 selects the default seed, 1.
+func New(env *unix.Env, opts Options) *Engine { return newEngine(env, opts, defaultBudget) }
+
+// newEngine is New with an explicit budget, for in-package tests.
+func newEngine(env *unix.Env, opts Options, b budget) *Engine {
 	if env == nil {
 		env = unix.DefaultEnv()
 	}
-	opts = opts.withDefaults()
-	e := &Engine{Opts: opts, Env: env, lru: cache.NewLRU(opts.CacheSize)}
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	e := &Engine{Opts: opts, Env: env, budget: b, lru: cache.NewLRU(b.lruSize)}
 	e.workers = opts.Workers
 	if e.workers == 0 {
 		e.workers = runtime.GOMAXPROCS(0)
@@ -276,7 +283,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	p := preprocess(cmd, e.Env, rng)
 
 	argv := canonicalArgv(cmd.Spec())
-	key := cache.Key(argv, delimBytes(p.delims), e.keyOptions())
+	key := e.budget.key(argv, delimBytes(p.delims), e.Opts.Seed)
 	if v, ok := e.lru.Get(key); ok {
 		e.counters.Hit()
 		return v.(*Result), cache.TierMemory
@@ -316,7 +323,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 // cancelled. Each phase is a child span of the caller's synth span:
 // enumerate once, then observe, gradient and filter once per round.
 func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Rand, p prep, start time.Time) *Result {
-	opts := e.Opts
+	b := e.budget
 	res := &Result{Spec: cmd.Spec(), Delims: p.delims}
 
 	denv := e.evalEnv(cmd)
@@ -364,7 +371,7 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 		}
 		return res
 	}
-	for round := 1; round <= opts.MaxRounds; round++ {
+	for round := 1; round <= b.maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
@@ -416,7 +423,7 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 		}
 		if len(live) == before {
 			stagnant++
-			if stagnant >= opts.StagnationRounds {
+			if stagnant >= b.stagnationRounds {
 				break
 			}
 		} else {
@@ -448,9 +455,9 @@ type obsSlot struct {
 func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *dsl.Env,
 	sp *space, live []int32, gen *shape.Generator, s0 shape.Shape, rng *rand.Rand) ([][2]string, []obsSlot) {
 
-	opts := e.Opts
+	b := e.budget
 	// Seed-shape inputs first: they do the bulk of the cheap elimination.
-	all := gen.Pairs(s0, opts.PairsPerShape)
+	all := gen.Pairs(s0, b.pairsPerShape)
 	_, span := obs.StartSpan(ctx, "observe")
 	slots := e.observeSlots(ctx, cmd, all)
 	span.AttrInt("pairs", int64(len(all)))
@@ -471,15 +478,15 @@ func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *ds
 		}
 		span.End()
 	}()
-	for m := 0; m < opts.MutationIters; m++ {
+	for m := 0; m < b.mutationIters; m++ {
 		if ctx.Err() != nil {
 			return all, slots
 		}
 		pairsByMut := make([][][2]string, shape.NumMutations)
 		for j := 0; j < shape.NumMutations; j++ {
-			pairsByMut[j] = gen.Pairs(shape.Mutate(cur, j), opts.PairsPerShape)
+			pairsByMut[j] = gen.Pairs(shape.Mutate(cur, j), b.pairsPerShape)
 		}
-		if opts.DisableGradient {
+		if b.disableGradient {
 			// No scoring: observe the mutations' pairs in one parallel
 			// pass and take a random step (the ablation baseline).
 			for j := range pairsByMut {
@@ -676,20 +683,6 @@ func (e *Engine) evalEnv(cmd unix.Command) *dsl.Env {
 		denv.Merge = def.(*unix.SortCmd)
 	}
 	return denv
-}
-
-// keyOptions projects the engine options onto the cache-key fields.
-func (e *Engine) keyOptions() cache.KeyOptions {
-	o := e.Opts
-	return cache.KeyOptions{
-		MaxProductions:   o.MaxProductions,
-		PairsPerShape:    o.PairsPerShape,
-		MutationIters:    o.MutationIters,
-		StagnationRounds: o.StagnationRounds,
-		MaxRounds:        o.MaxRounds,
-		Seed:             o.Seed,
-		DisableGradient:  o.DisableGradient,
-	}
 }
 
 // canonicalArgv normalizes a command spec to its shell tokenization, so

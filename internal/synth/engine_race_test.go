@@ -17,12 +17,12 @@ import (
 // the engine's concurrency contract; the final counter check pins that
 // every call was attributed to exactly one tier.
 func TestEngineConcurrentClients(t *testing.T) {
-	eng := New(unix.DefaultEnv(), Options{
-		Seed: 1, CacheSize: 2,
-		// Small effort bounds: this test is about interleaving, not
-		// synthesis quality.
-		MaxRounds: 2, PairsPerShape: 1, MutationIters: 1,
-	})
+	// Small effort bounds: this test is about interleaving, not
+	// synthesis quality.
+	b := defaultBudget
+	b.lruSize = 2
+	b.maxRounds, b.pairsPerShape, b.mutationIters = 2, 1, 1
+	eng := newEngine(unix.DefaultEnv(), Options{Seed: 1}, b)
 	specs := []string{"wc -l", "head -n 2", "grep x", "ls", "paste - -"}
 	const goroutines = 8
 	const iters = 6

@@ -173,14 +173,14 @@ func TestEngineMemoryCache(t *testing.T) {
 
 // TestEngineMemoryBounded: the LRU is the only in-memory tier, so a
 // daemon sent an endless stream of distinct specs (every distinct grep
-// pattern is one) retains at most CacheSize results — positive verdicts
+// pattern is one) retains at most lruSize results — positive verdicts
 // and the negative ones that have no canonical-signature entry alike.
 func TestEngineMemoryBounded(t *testing.T) {
 	const capacity = 8
-	eng := New(unix.DefaultEnv(), Options{
-		Seed: 1, CacheSize: capacity,
-		MaxRounds: 1, PairsPerShape: 1, MutationIters: 1,
-	})
+	b := defaultBudget
+	b.lruSize = capacity
+	b.maxRounds, b.pairsPerShape, b.mutationIters = 1, 1, 1
+	eng := newEngine(unix.DefaultEnv(), Options{Seed: 1}, b)
 	ctx := context.Background()
 	results := map[string]*Result{}
 	for i := 0; i < 2*capacity; i++ {
@@ -246,6 +246,59 @@ func TestEngineDiskCache(t *testing.T) {
 	}
 	if st := c.Stats(); st.DiskHits != 0 || st.Misses != 1 {
 		t.Errorf("seed-2 engine stats %+v, want a miss", st)
+	}
+}
+
+// TestDefaultSeed: Seed 0 selects the default seed 1, so the zero
+// Options and Options{Seed: 1} give identical verdicts under identical
+// cache keys — an entry one writes to disk, the other reads.
+func TestDefaultSeed(t *testing.T) {
+	dir := t.TempDir()
+	zero := New(unix.DefaultEnv(), Options{CacheDir: dir})
+	one := New(unix.DefaultEnv(), Options{Seed: 1, CacheDir: dir})
+	if zero.Opts.Seed != 1 {
+		t.Fatalf("Options{} resolved to seed %d, want 1", zero.Opts.Seed)
+	}
+	ctx := context.Background()
+	for _, spec := range []string{"uniq -c", "sort -rn", "wc -l"} {
+		rz, err := zero.Synthesize(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, tier, err := one.SynthesizeTier(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier != cache.TierDisk {
+			// The store files entries by cache key.
+			t.Errorf("%s: the Seed 1 engine missed the zero-Options engine's entry (tier %v)", spec, tier)
+		}
+		fresh, err := New(unix.DefaultEnv(), Options{Seed: 1}).Synthesize(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Result{rz, r1} {
+			if got, want := resultFingerprint(t, r), resultFingerprint(t, fresh); got != want {
+				t.Errorf("%s: got %s, a fresh Options{Seed: 1} engine gives %s", spec, got, want)
+			}
+		}
+	}
+}
+
+// TestCacheKeyGolden pins the cache key of `wc -l` over the newline
+// delimiter under the default budget and seed 1 to the digest earlier
+// builds wrote, so on-disk combiner caches they left still hit. The LRU
+// size never changes a verdict, so it stays out of the key.
+func TestCacheKeyGolden(t *testing.T) {
+	argv, delims := []string{"wc", "-l"}, []byte{'\n'}
+	const golden = "afe43b7aeaeb0af75cda56d0e43af006c722efd04ce4e8cad5732918bbd48fa0"
+	if k := defaultBudget.key(argv, delims, 1); k != golden {
+		t.Fatalf("default key = %s, want %s", k, golden)
+	}
+	b := defaultBudget
+	b.lruSize++
+	if k := b.key(argv, delims, 1); k != golden {
+		t.Errorf("the LRU size changed the key to %s", k)
 	}
 }
 
@@ -430,7 +483,7 @@ func TestSynthPhaseSpans(t *testing.T) {
 		t.Fatalf("%s span has no %s attribute (attrs %v)", s.Name, key, s.Attrs)
 		return 0
 	}
-	scorings := eng.Opts.MutationIters * shape.NumMutations
+	scorings := eng.budget.mutationIters * shape.NumMutations
 	paths := map[string]int{}
 	for _, s := range td.Spans {
 		if s.ParentID != synths[0].SpanID {

@@ -19,58 +19,69 @@ import (
 	"time"
 
 	"kumquat/internal/dsl"
+	"kumquat/internal/synth/cache"
 )
 
-// Options tunes the synthesis algorithm. The zero value selects the
-// defaults used throughout the benchmarks.
+// Options is what a deployment sets on an Engine: the seed, the worker
+// pool and the on-disk cache directory. The zero value selects the
+// benchmarks' defaults. The algorithm's effort is not configuration:
+// every Engine runs defaultBudget.
 type Options struct {
-	// MaxProductions bounds candidate AST size (default
-	// dsl.DefaultMaxProductions, reproducing the paper's search spaces).
-	MaxProductions int
-	// PairsPerShape is how many input stream pairs each shape generates.
-	PairsPerShape int
-	// MutationIters is M in Algorithm 2: gradient steps per round.
-	MutationIters int
-	// StagnationRounds is how many no-progress rounds end Algorithm 1.
-	StagnationRounds int
-	// MaxRounds caps Algorithm 1's outer loop.
-	MaxRounds int
 	// Seed makes synthesis deterministic; combined with the command spec.
+	// 0 selects the default seed, 1.
 	Seed int64
-	// DisableGradient replaces Algorithm 2's best-mutation selection with a
-	// uniformly random mutation walk (the ablation baseline).
-	DisableGradient bool
-
 	// Workers bounds the candidate-filtering and gradient-scoring worker
 	// pool (0 = GOMAXPROCS, 1 = fully sequential). Synthesis results are
 	// identical at every worker count; only wall time changes.
 	Workers int
-	// CacheSize caps the in-memory combiner LRU in entries — a spec
-	// holds up to two, its exact text and its canonical signature
-	// (0 = cache.DefaultCapacity).
-	CacheSize int
 	// CacheDir, when non-empty, enables the on-disk combiner store so
 	// synthesis results persist across processes.
 	CacheDir string
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxProductions == 0 {
-		o.MaxProductions = dsl.DefaultMaxProductions
-	}
-	if o.PairsPerShape == 0 {
-		o.PairsPerShape = 3
-	}
-	if o.MutationIters == 0 {
-		o.MutationIters = 3
-	}
-	if o.StagnationRounds == 0 {
-		o.StagnationRounds = 2
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 6
-	}
-	return o
+// budget is the synthesis algorithm's effort: how large candidates grow,
+// how many inputs a round generates and how many rounds run. It steers
+// verdicts, so every value but lruSize is part of the cache key. It is
+// not configuration: New runs defaultBudget, and only in-package tests
+// run another, through newEngine.
+type budget struct {
+	// maxProductions bounds candidate AST size.
+	maxProductions int
+	// pairsPerShape is how many input stream pairs each shape generates.
+	pairsPerShape int
+	// mutationIters is M in Algorithm 2: gradient steps per round.
+	mutationIters int
+	// stagnationRounds is how many no-progress rounds end Algorithm 1.
+	stagnationRounds int
+	// maxRounds caps Algorithm 1's outer loop.
+	maxRounds int
+	// disableGradient replaces Algorithm 2's best-mutation selection
+	// with a uniformly random mutation walk (the ablation baseline).
+	disableGradient bool
+	// lruSize caps the in-memory combiner LRU in entries — a spec holds
+	// up to two, its exact text and its canonical signature. It never
+	// changes a verdict, so it stays out of the cache key.
+	lruSize int
+}
+
+// defaultBudget is the budget every Engine runs; dsl.DefaultMaxProductions
+// reproduces the paper's search spaces.
+var defaultBudget = budget{
+	maxProductions:   dsl.DefaultMaxProductions,
+	pairsPerShape:    3,
+	mutationIters:    3,
+	stagnationRounds: 2,
+	maxRounds:        6,
+	lruSize:          cache.DefaultCapacity,
+}
+
+// key derives the cache key of one synthesis problem under this budget
+// and seed. The steering values keep a fixed order, so keys — and the
+// on-disk entries filed under them — stay stable across builds that run
+// the same budget.
+func (b budget) key(argv []string, delims []byte, seed int64) string {
+	return cache.Key(argv, delims, b.maxProductions, b.pairsPerShape, b.mutationIters,
+		b.stagnationRounds, b.maxRounds, seed, b.disableGradient)
 }
 
 // Observation is Definition 3.4's ⟨y1, y2, y12⟩ triple: the command's
@@ -325,16 +336,6 @@ func (c *Combiner) IsRerunOnly() bool {
 		}
 	}
 	return true
-}
-
-// HasMerge reports whether a merge combiner survived (sort-like commands).
-func (c *Combiner) HasMerge() bool {
-	for _, cand := range c.Candidates {
-		if _, ok := cand.Op.(dsl.Merge); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // Combine merges two parallel outputs, dispatching to the first candidate

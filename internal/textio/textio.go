@@ -18,15 +18,6 @@ func IsStream(s string) bool {
 	return len(s) > 0 && s[len(s)-1] == '\n'
 }
 
-// EnsureStream appends a trailing newline if s is nonempty and lacks one.
-// The empty string stays empty.
-func EnsureStream(s string) string {
-	if s == "" || IsStream(s) {
-		return s
-	}
-	return s + "\n"
-}
-
 // Lines splits a stream into its lines, without terminators. A trailing
 // newline does not produce an empty final line: Lines("a\nb\n") is
 // ["a", "b"], and Lines("\n") is [""]. Lines("") is nil.
@@ -65,17 +56,6 @@ func SplitFirst(d byte, s string) (head, tail string, ok bool) {
 	i := strings.IndexByte(s, d)
 	if i < 0 {
 		return s, "", false
-	}
-	return s[:i], s[i+1:], true
-}
-
-// SplitLast splits s at the last occurrence of delimiter d, returning the
-// prefix before d and the element after d. ok is false when d does not
-// occur, in which case last is s and init is "".
-func SplitLast(d byte, s string) (init, last string, ok bool) {
-	i := strings.LastIndexByte(s, d)
-	if i < 0 {
-		return "", s, false
 	}
 	return s[:i], s[i+1:], true
 }

@@ -31,18 +31,6 @@ func TestIsStream(t *testing.T) {
 	}
 }
 
-func TestEnsureStream(t *testing.T) {
-	if got := EnsureStream(""); got != "" {
-		t.Errorf("EnsureStream(\"\") = %q", got)
-	}
-	if got := EnsureStream("a"); got != "a\n" {
-		t.Errorf("EnsureStream(\"a\") = %q", got)
-	}
-	if got := EnsureStream("a\n"); got != "a\n" {
-		t.Errorf("EnsureStream(\"a\\n\") = %q", got)
-	}
-}
-
 func TestLines(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -103,17 +91,6 @@ func TestSplitFirst(t *testing.T) {
 	h, tl, ok = SplitFirst(',', ",x")
 	if !ok || h != "" || tl != "x" {
 		t.Errorf("SplitFirst leading = %q %q %v", h, tl, ok)
-	}
-}
-
-func TestSplitLast(t *testing.T) {
-	init, last, ok := SplitLast(',', "a,b,c")
-	if !ok || init != "a,b" || last != "c" {
-		t.Errorf("SplitLast = %q %q %v", init, last, ok)
-	}
-	init, last, ok = SplitLast(',', "abc")
-	if ok || last != "abc" || init != "" {
-		t.Errorf("SplitLast no-delim = %q %q %v", init, last, ok)
 	}
 }
 

@@ -148,9 +148,9 @@ func TestTrOctalAndClasses(t *testing.T) {
 func TestTrIdempotentRerun(t *testing.T) {
 	cmd, _ := Parse(`tr -cs A-Za-z '\n'`, nil)
 	f := func(raw string) bool {
-		in := textio.EnsureStream(strings.ToValidUTF8(raw, ""))
-		if in == "" {
-			in = "\n"
+		in := strings.ToValidUTF8(raw, "")
+		if !strings.HasSuffix(in, "\n") {
+			in += "\n"
 		}
 		once, err := cmd.Run(in)
 		if err != nil {

@@ -84,9 +84,11 @@ func (e *Env) Read(name string) (string, error) { return e.u.FS.Read(name) }
 // from a mapped file will be used again.
 func (e *Env) Close() error { return e.u.FS.Close() }
 
-// Options re-exports the synthesis tuning knobs, including the engine's
-// Workers (parallel filtering pool), CacheSize (in-memory combiner LRU)
-// and CacheDir (on-disk combiner store) fields.
+// Options re-exports what a deployment sets on the synthesis engine: Seed
+// (0 selects the default seed 1), Workers (parallel filtering pool) and
+// CacheDir (on-disk combiner store). The algorithm's budget — candidate
+// size, input pairs per shape, gradient steps, rounds and the in-memory
+// combiner LRU's capacity — is fixed (the synth package's defaultBudget).
 type Options = synth.Options
 
 // Result is a command's synthesis outcome (search space, plausible
@@ -118,7 +120,7 @@ type System struct {
 }
 
 // New creates a System with default options.
-func New(env *Env) *System { return NewWithOptions(env, Options{Seed: 1}) }
+func New(env *Env) *System { return NewWithOptions(env, Options{}) }
 
 // NewWithOptions creates a System with explicit synthesis options.
 func NewWithOptions(env *Env, opts Options) *System {
@@ -130,16 +132,6 @@ func NewWithOptions(env *Env, opts Options) *System {
 
 // Env returns the system's environment.
 func (s *System) Env() *Env { return s.env }
-
-// RunCommand executes a single command spec on an input stream — the
-// black-box f the synthesizer observes.
-func (s *System) RunCommand(spec, input string) (string, error) {
-	cmd, err := unix.Parse(spec, s.env.u)
-	if err != nil {
-		return "", err
-	}
-	return cmd.Run(input)
-}
 
 // Combine applies a combiner, written in the DSL's textual form (e.g.
 // "(stitch2 ' ' add first a b)" or "merge('-rn')"), to two parallel outputs

@@ -71,17 +71,6 @@ func TestPublicAPIStages(t *testing.T) {
 	}
 }
 
-func TestPublicAPIRunCommand(t *testing.T) {
-	sys := New(nil)
-	out, err := sys.RunCommand("tr A-Z a-z", "HeLLo\n")
-	if err != nil || out != "hello\n" {
-		t.Errorf("RunCommand = %q, %v", out, err)
-	}
-	if _, err := sys.RunCommand("nope", "x\n"); err == nil {
-		t.Error("unknown command should error")
-	}
-}
-
 func TestPublicAPICombine(t *testing.T) {
 	sys := New(nil)
 	got, err := sys.Combine("(stitch2 ' ' add first a b)", "uniq -c",

@@ -29,8 +29,8 @@ type BuildInfo struct {
 	// DefaultSynthWorkers is the synthesis worker-pool default
 	// (Options.Workers == 0 resolves to this).
 	DefaultSynthWorkers int `json:"default_synth_workers"`
-	// DefaultCacheSize is the in-memory combiner LRU default capacity
-	// (Options.CacheSize == 0 resolves to this).
+	// DefaultCacheSize is the in-memory combiner LRU capacity every
+	// engine runs (the synth defaultBudget's lruSize).
 	DefaultCacheSize int `json:"default_cache_size"`
 }
 
