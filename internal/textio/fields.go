@@ -8,7 +8,7 @@ import (
 
 // This file is the shared field-splitting core of the data plane: one
 // branch-light scalar kernel behind every per-line field walk in the
-// command substrate (cut -d, awk $N, sort -k, xargs, wc -w, fmt). The
+// command substrate (cut -d, awk $N, xargs, wc -w, fmt). The
 // kernel iterates fields through a stack-allocated cursor instead of
 // materializing a []string per line, so the steady-state cost of field
 // access is zero heap allocations; callers that genuinely need a slice
@@ -123,22 +123,6 @@ func CountFields(s string) int {
 		i = fieldEnd(s, i)
 	}
 	return n
-}
-
-// Field returns the n-th (1-based) whitespace-separated field of s, or
-// "" when s has fewer than n fields. Zero allocations — this is the
-// sort-key extraction kernel, called once per comparison.
-func Field(s string, n int) string {
-	fs := Fields(s)
-	for {
-		f, ok := fs.Next()
-		if !ok {
-			return ""
-		}
-		if n--; n == 0 {
-			return f
-		}
-	}
 }
 
 // AppendFields appends the whitespace-separated fields of s to dst and

@@ -54,14 +54,6 @@ func TestFieldsMatchesStringsFields(t *testing.T) {
 		if n := CountFields(s); n != len(want) {
 			t.Fatalf("CountFields(%q) = %d, want %d", s, n, len(want))
 		}
-		for i, w := range want {
-			if f := Field(s, i+1); f != w {
-				t.Fatalf("Field(%q, %d) = %q, want %q", s, i+1, f, w)
-			}
-		}
-		if f := Field(s, len(want)+1); f != "" {
-			t.Fatalf("Field(%q, %d) = %q, want empty", s, len(want)+1, f)
-		}
 	}
 }
 
@@ -112,9 +104,8 @@ func TestAppendFieldsReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestFieldKernelZeroAlloc: the cursor walk, CountFields and Field are
-// the per-line hot path of cut/awk/sort -k/wc -w — they must not touch
-// the heap.
+// TestFieldKernelZeroAlloc: the cursor walk and CountFields are the
+// per-line hot path of cut/awk/wc -w — they must not touch the heap.
 func TestFieldKernelZeroAlloc(t *testing.T) {
 	line := "the quick brown fox jumps over the lazy dog"
 	csv := "alpha,beta,,gamma,delta"
@@ -145,9 +136,6 @@ func TestFieldKernelZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sink += CountFields(line) }); allocs != 0 {
 		t.Errorf("CountFields: %.1f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sink += len(Field(line, 5)) }); allocs != 0 {
-		t.Errorf("Field: %.1f allocs/op, want 0", allocs)
 	}
 	_ = sink
 }

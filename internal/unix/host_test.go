@@ -1,0 +1,114 @@
+package unix
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The tests here hold sort, sort -m and uniq to the host's own tools
+// under LC_ALL=C, where they are installed: the reference kernels in
+// merge_test.go and uniq_test.go encode what GNU does, and this is where
+// that encoding is checked against GNU itself.
+
+// hostTool runs the named host tool with args under LC_ALL=C on stdin and
+// returns its output, or skips the test when the tool is not installed.
+func hostTool(t *testing.T, name, stdin string, args ...string) string {
+	t.Helper()
+	path, err := exec.LookPath(name)
+	if err != nil {
+		t.Skipf("%s is not installed: %v", name, err)
+	}
+	cmd := exec.Command(path, args...)
+	cmd.Env = append(os.Environ(), "LC_ALL=C")
+	cmd.Stdin = strings.NewReader(stdin)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s %q: %v", name, args, err)
+	}
+	return string(out)
+}
+
+// hostCorpora are seeded streams heavy in runs of identical lines, over
+// a vocabulary of blanks, tabs, empty lines, numbers and key-equal but
+// different lines under -f, -n and -k 2; each twice, terminated and not.
+func hostCorpora() []string {
+	rng := rand.New(rand.NewSource(33))
+	vocab := []string{"", " ", "\t", "a", "A", "b", "a b", "a  b", "a\tb", " a", "b 1 y", "a 1 x",
+		"b  z", "a y", "1", "01", "1.0", "-2", "2.5", "10 x", " 3", "\t-1", "x 10", "y 9", "z 10", "-", "ab c"}
+	var corpora []string
+	for _, size := range []int{40, 400, 4000} {
+		var b strings.Builder
+		for n := 0; n < size; {
+			w := vocab[rng.Intn(len(vocab))]
+			for r := 1 + rng.Intn(1+size/20); r > 0 && n < size; r-- {
+				b.WriteString(w)
+				b.WriteByte('\n')
+				n++
+			}
+		}
+		corpora = append(corpora, b.String(), strings.TrimSuffix(b.String(), "\n"))
+	}
+	return corpora
+}
+
+// TestSortMatchesHost: every sortReferenceSpecs ordering sorts each host
+// corpus as the host's sort does, and merges the host-sorted pieces of it
+// (held in files, the last one unterminated) as the host's sort -m does,
+// at every merge width.
+func TestSortMatchesHost(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(34))
+	for _, spec := range sortReferenceSpecs {
+		var flags []string
+		for _, f := range strings.Fields(spec)[1:] {
+			if f != "-m" {
+				flags = append(flags, f)
+			}
+		}
+		s := mergeSort(t, strings.Join(append([]string{"sort"}, flags...), " "))
+		m := mergeSort(t, strings.Join(append([]string{"sort", "-m"}, flags...), " "))
+		for i, in := range hostCorpora() {
+			want := hostTool(t, "sort", in, flags...)
+			if got, err := s.Run(in); err != nil || got != want {
+				t.Errorf("%s corpus %d: Run = %.200q, %v; host %.200q", s.Spec(), i, got, err, want)
+			}
+			runs := splitStreams(rng, in)
+			files := make([]string, len(runs))
+			for j, r := range runs {
+				runs[j] = hostTool(t, "sort", r, flags...)
+				if j == len(runs)-1 {
+					runs[j] = strings.TrimSuffix(runs[j], "\n")
+				}
+				files[j] = filepath.Join(dir, fmt.Sprintf("run%d", j))
+				if err := os.WriteFile(files[j], []byte(runs[j]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = hostTool(t, "sort", "", append(append([]string{"-m"}, flags...), files...)...)
+			for _, p := range mergeWidths() {
+				if got, sorted := m.mergeRanges(p, runs); !sorted || got != want {
+					t.Errorf("%s corpus %d width %d: merge = %.200q, %v; host %.200q", m.Spec(), i, p, got, sorted, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUniqMatchesHost: uniq and uniq -c give the host's bytes on every
+// host corpus and uniq corpus.
+func TestUniqMatchesHost(t *testing.T) {
+	for _, args := range [][]string{nil, {"-c"}} {
+		u := parseCmd(t, strings.Join(append([]string{"uniq"}, args...), " "))
+		for i, in := range append(hostCorpora(), uniqCorpora()...) {
+			want := hostTool(t, "uniq", in, args...)
+			if got, err := u.Run(in); err != nil || got != want {
+				t.Errorf("%s corpus %d: Run = %.200q, %v; host %.200q", u.Spec(), i, got, err, want)
+			}
+		}
+	}
+}

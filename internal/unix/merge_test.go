@@ -65,12 +65,30 @@ func referenceNumValue(sv string) float64 {
 	return v
 }
 
+// referenceKey is GNU sort's -k n key without -b or -t under LC_ALL=C:
+// fields are separated by the empty string between a non-blank and a
+// blank (space or tab), and the key runs from the end of field n−1 to the
+// end of the line, the blanks before field n included.
+func referenceKey(line string, n int) string {
+	blank := func(i int) bool { return line[i] == ' ' || line[i] == '\t' }
+	ended := 0 // fields ended before i
+	for i := range len(line) {
+		if ended == n-1 {
+			return line[i:]
+		}
+		if !blank(i) && (i+1 == len(line) || blank(i+1)) {
+			ended++
+		}
+	}
+	return ""
+}
+
 // referenceCompareKey compares the sort keys of two lines, before reversal
 // and the last resort.
 func referenceCompareKey(s *SortCmd, a, b string) int {
 	ka, kb := a, b
 	if s.Key > 0 {
-		ka, kb = textio.Field(a, s.Key), textio.Field(b, s.Key)
+		ka, kb = referenceKey(a, s.Key), referenceKey(b, s.Key)
 	}
 	if s.Numeric || (s.Key > 0 && s.KeyNum) {
 		va, vb := referenceNumValue(ka), referenceNumValue(kb)
@@ -814,11 +832,62 @@ func dealRuns(rng *rand.Rand, sorted []string, k int, skewed bool) []string {
 	return runs
 }
 
+// runCorpora are shaped for the run copies of the merge front and uniq:
+// a run of every length from 1 to 70, which crosses each doubling and
+// halving step of copies; runs of empty lines; a run that ends in an
+// unterminated copy; a run of thousands of lines that holds the byte
+// quantiles of every merge width, so the splitters fall inside it; and
+// runs of copies interleaved with lines that are key-equal to them
+// but different, under -f (a, A), -n (1, 01) and -k 2 (x 2, y 2).
+func runCorpora() []string {
+	rng := rand.New(rand.NewSource(35))
+	var lengths, empties, long, mixed strings.Builder
+	for n := 1; n <= 70; n++ {
+		lengths.WriteString(strings.Repeat(fmt.Sprintf("w%02d\n", n), n))
+	}
+	for range 40 {
+		empties.WriteString(strings.Repeat("\n", 1+rng.Intn(9)))
+		fmt.Fprintf(&empties, "e%d\n", rng.Intn(5))
+	}
+	for i := range 200 {
+		fmt.Fprintf(&long, "a%03d\n", i)
+	}
+	long.WriteString(strings.Repeat("m run\n", 5000))
+	for i := range 200 {
+		fmt.Fprintf(&long, "z%03d\n", i)
+	}
+	pairs := [][2]string{{"a", "A"}, {"1", "01"}, {"x 2", "y 2"}}
+	for range 300 {
+		p := pairs[rng.Intn(len(pairs))]
+		mixed.WriteString(strings.Repeat(p[rng.Intn(2)]+"\n", 1+rng.Intn(5)))
+	}
+	return []string{lengths.String(), empties.String(), strings.Repeat("x\n", 37) + "x", long.String(), mixed.String()}
+}
+
+// TestCopies: the gallop counts every run length from 1 to 70 exactly,
+// from any offset, whatever follows the run: the end of the stream, an
+// unterminated copy, another line, or the line with more bytes after it.
+// A short count would leave the output unchanged (the front would find
+// the rest of the run as a run of its own), so only this test sees it.
+func TestCopies(t *testing.T) {
+	for _, line := range []string{"x", "", "ab\x00"} {
+		unit := line + "\n"
+		for _, after := range []string{"", line, "y\n", line + "z\n"} {
+			for m := 1; m <= 70; m++ {
+				s := "pre\n" + strings.Repeat(unit, m) + after
+				if got := copies(s, len("pre\n"), len(unit)); got != m {
+					t.Errorf("copies of %q, %d of them, then %q: got %d", unit, m, after, got)
+				}
+			}
+		}
+	}
+}
+
 // TestMergeWidthMatchesReference: the range merge is byte-identical to
 // the reference merge at every width, for every covered ordering, over
 // the reference corpora dealt at random, skewed runs, all-identical
-// lines, a splitter equal to thousands of lines, and empty and
-// unterminated runs.
+// lines, a splitter equal to thousands of lines, empty and unterminated
+// runs, and the run corpora.
 func TestMergeWidthMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var same, plateau strings.Builder
@@ -830,6 +899,7 @@ func TestMergeWidthMatchesReference(t *testing.T) {
 		fmt.Fprintf(&plateau, "%d %c\n", rng.Intn(10), 'a'+rune(rng.Intn(26)))
 	}
 	corpora := append(sortReferenceCorpora(), same.String(), plateau.String())
+	corpora = append(corpora, runCorpora()...)
 	for _, spec := range sortReferenceSpecs {
 		s := mergeSort(t, spec)
 		for i, in := range corpora {
@@ -854,9 +924,10 @@ func TestMergeWidthMatchesReference(t *testing.T) {
 
 // TestMergeWidthDetectsDescent: one out-of-order pair anywhere — inside a
 // range, at either edge of a cut, at a run's last line, in the run the
-// splitters come from or another — gives sorted == false at every width.
-// No cut ever lands between the two lines of the pair (cutRanges says
-// why), so a cut-edge descent is the one next to the cut.
+// splitters come from or another, right after a run of copies — gives
+// sorted == false at every width. No cut ever lands between the two
+// lines of the pair (cutRanges says why), so a cut-edge descent is the
+// one next to the cut.
 func TestMergeWidthDetectsDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, spec := range []string{"sort", "sort -n", "sort -rn", "sort -u", "sort -k2n", "sort -f"} {
@@ -911,20 +982,40 @@ func TestMergeWidthDetectsDescent(t *testing.T) {
 		if edges == 0 {
 			t.Errorf("%s: no descent sat next to a cut", spec)
 		}
+		// A line right after a run of at least three copies of a greater
+		// one: the front counts the copies by galloping, then meets it.
+		rl := textio.Lines(runs[0])
+		for i := 1; i+1 < len(rl); i += 15 {
+			if !referenceLess(s, rl[i-1], rl[i]) {
+				continue
+			}
+			run := slices.Clone(rl[:i])
+			for range 3 + i%5 {
+				run = append(run, rl[i])
+			}
+			run = append(append(run, rl[i-1]), rl[i+1:]...)
+			if referenceIsSorted(s, referenceJoin(run)) {
+				t.Fatalf("%s: %q after copies of %q is no descent", spec, rl[i-1], rl[i])
+			}
+			checkMergeWidth(t, s, []string{referenceJoin(run), runs[1]})
+		}
 	}
 }
 
 // FuzzMergeWidthMatchesReference is TestMergeWidthMatchesReference over
 // arbitrary input: the input cut into runs as it is (sorted or not) and
-// each run sorted, at a fuzzed width.
+// each run sorted, at every width. reps repeats the input's lines as in
+// FuzzSortMatchesReference, so the sorted runs hold runs of copies.
 func FuzzMergeWidthMatchesReference(f *testing.F) {
 	for i := range sortReferenceSpecs {
 		for _, in := range sortReferenceCorpora()[:12] {
-			f.Add(uint8(i), in)
+			f.Add(uint8(i), in, uint8(0))
+			f.Add(uint8(i), in, uint8(3))
 		}
 	}
-	f.Fuzz(func(t *testing.T, spec uint8, input string) {
+	f.Fuzz(func(t *testing.T, spec uint8, input string, reps uint8) {
 		s := mergeSort(t, sortReferenceSpecs[int(spec)%len(sortReferenceSpecs)])
+		input = repeatLines(input, int(reps%8))
 		rng := rand.New(rand.NewSource(int64(len(input))))
 		runs := splitStreams(rng, input)
 		checkMergeWidth(t, s, runs)
@@ -943,9 +1034,32 @@ func zipfWord(r uint64) string { return strconv.FormatUint(r*2654435761%1000003+
 // until they total at least size bytes, and sorts each run.
 func zipfRuns(t testing.TB, s *SortCmd, size, k int) []string {
 	zipf := rand.NewZipf(rand.New(rand.NewSource(8)), 1.1, 1, 1<<15)
+	return dealWords(t, s, size, k, func() string { return zipfWord(zipf.Uint64()) })
+}
+
+// distinctRuns is zipfRuns over words that are all distinct, so the
+// sorted runs hold no copies: the merge front's worst case for runs.
+func distinctRuns(t testing.TB, s *SortCmd, size, k int) []string {
+	i := uint32(0)
+	return dealWords(t, s, size, k, func() string {
+		i++
+		return strconv.FormatUint(uint64(i*2654435761), 36) // a bijection on uint32
+	})
+}
+
+// runShapes are the shapes of sorted words the run benchmarks time: Zipf
+// words, mostly runs of copies, and all-distinct words, no runs at all.
+var runShapes = []struct {
+	name string
+	runs func(t testing.TB, s *SortCmd, size, k int) []string
+}{{"zipf", zipfRuns}, {"distinct", distinctRuns}}
+
+// dealWords deals the words next returns round robin into k runs until
+// they total at least size bytes, and sorts each run.
+func dealWords(t testing.TB, s *SortCmd, size, k int, next func() string) []string {
 	bs := make([]strings.Builder, k)
 	for n, j := 0, 0; n < size; j = (j + 1) % k {
-		w := zipfWord(zipf.Uint64())
+		w := next()
 		bs[j].WriteString(w)
 		bs[j].WriteByte('\n')
 		n += len(w) + 1
@@ -1012,23 +1126,26 @@ func TestMergeWidthAllocations(t *testing.T) {
 
 // BenchmarkMergeWidth times the checked merge — range merge and order
 // check in one walk — over Zipf words (BenchmarkSortRun's shape) dealt
-// into k sorted runs, by total size and width. Width 1 is the single
+// into k sorted runs, by total size and width, and over all-distinct
+// words, where the front finds no run to copy. Width 1 is the single
 // heap; where the wider rows overtake it is mergeRangeCutoff.
 func BenchmarkMergeWidth(b *testing.B) {
 	s := mergeSort(b, "sort")
-	for _, size := range []int{16 << 10, 256 << 10, 1 << 20, 6 << 20} {
-		for _, k := range []int{2, 4} {
-			runs := zipfRuns(b, s, size, k)
-			for _, p := range []int{1, 2, 4} {
-				b.Run(fmt.Sprintf("bytes=%d/k=%d/width=%d", size, k, p), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(size))
-					for b.Loop() {
-						if _, sorted := s.mergeRanges(p, runs); !sorted {
-							b.Fatal("sorted runs reported unsorted")
+	for _, shape := range runShapes {
+		for _, size := range []int{16 << 10, 256 << 10, 1 << 20, 6 << 20} {
+			for _, k := range []int{2, 4} {
+				runs := shape.runs(b, s, size, k)
+				for _, p := range []int{1, 2, 4} {
+					b.Run(fmt.Sprintf("%s/bytes=%d/k=%d/width=%d", shape.name, size, k, p), func(b *testing.B) {
+						b.ReportAllocs()
+						b.SetBytes(int64(size))
+						for b.Loop() {
+							if _, sorted := s.mergeRanges(p, runs); !sorted {
+								b.Fatal("sorted runs reported unsorted")
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -12,9 +12,10 @@ import (
 )
 
 // SortCmd implements GNU sort with C collation for the flag combinations in
-// the benchmarks: plain, -n, -r, -f, -u, -k POS[n], -m, and combinations
+// the benchmarks: plain, -n, -r, -f, -u, -k N[n][r], -m, and combinations
 // (-rn, -nr, -k1n). --parallel=N is accepted and ignored (the paper's
-// experimental setup forces --parallel=1 to keep stages serial).
+// experimental setup forces --parallel=1 to keep stages serial). Flags
+// and key forms outside that set (-s, -b, -k N.M, -k N,M) fail to parse.
 //
 // The comparator is exported (Less) because the DSL's merge combiner is
 // "sort -m <flags>" with the same flags (§3.1 RunOp).
@@ -64,8 +65,6 @@ func newSort(spec string, args []string, _ *Env) (Command, error) {
 					s.Unique = true
 				case 'm':
 					s.Merge = true
-				case 's':
-					// stability: output is always that of a stable sort
 				default:
 					return nil, fmt.Errorf("sort: unsupported flag -%c", f)
 				}
@@ -89,7 +88,8 @@ func newSort(spec string, args []string, _ *Env) (Command, error) {
 }
 
 func (s *SortCmd) parseKey(spec string) error {
-	// Supported: "N", "Nn", "Nr", "Nnr" (field N with modifiers).
+	// Supported: "N", "Nn", "Nr", "Nnr" (field N with modifiers). A start
+	// character (N.M) or an end field (N,M) is refused, not ignored.
 	i := 0
 	n := 0
 	for i < len(spec) && spec[i] >= '0' && spec[i] <= '9' {
@@ -106,9 +106,6 @@ func (s *SortCmd) parseKey(spec string) error {
 			s.KeyNum = true
 		case 'r':
 			s.KeyRev = true
-		case '.', ',':
-			// ignore sub-positions and end keys (not used by benchmarks)
-			return nil
 		default:
 			return fmt.Errorf("sort: bad key modifier %q", spec)
 		}
@@ -125,7 +122,7 @@ func (s *SortCmd) Spec() string { return s.spec }
 // ordering is a sort's flags resolved once, at parse time, into the
 // decisions every comparison would otherwise re-derive.
 type ordering struct {
-	field   int  // 1-based key field; 0 = whole line
+	field   int  // 1-based key field (see fieldKey); 0 = whole line
 	numeric bool // -n, or n on -k
 	fold    bool // -f
 	keyRev  bool // -r or r on -k: reverse the key comparison
@@ -141,7 +138,7 @@ type ordering struct {
 // inside a comparison.
 type sortLine struct {
 	line string
-	key  string  // the field, case-folded under -f; unused under -n
+	key  string  // the key, case-folded under -f; unused under -n
 	num  float64 // the key's numeric value under -n
 }
 
@@ -152,7 +149,7 @@ func (o *ordering) setKey(l *sortLine, line string) {
 	l.line = line
 	k := line
 	if o.field > 0 {
-		k = textio.Field(line, o.field)
+		k = fieldKey(line, o.field)
 	}
 	if o.numeric {
 		l.num = numValue(k)
@@ -162,6 +159,26 @@ func (o *ordering) setKey(l *sortLine, line string) {
 		k = foldASCII(k)
 	}
 	l.key = k
+}
+
+// fieldKey is GNU sort's key for -k n without -b or -t under LC_ALL=C:
+// the line from the end of field n−1 to its end. A field is a run of
+// blanks (space and tab) followed by a run of non-blanks, so the key
+// keeps the blanks before field n: "-k 2" orders "b  z" before "a y".
+// A line of fewer fields has the empty key. Under -n the value is the
+// same as the field's alone, since numValue skips leading blanks and
+// reads a prefix.
+func fieldKey(line string, n int) string {
+	i := 0
+	for ; n > 1; n-- {
+		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+			i++
+		}
+		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			i++
+		}
+	}
+	return line[i:]
 }
 
 // foldASCII upper-cases a–z and leaves every other byte alone, as GNU
@@ -640,6 +657,17 @@ func (c *mergeCursor) advance(o *ordering) bool {
 // row from the same cursor can descend — a line from another cursor was
 // already in the heap when its predecessor was popped as the least — so
 // only those pairs are compared. The first descent ends the merge.
+//
+// That comparison also finds runs. When it ties and the cursor's line is
+// terminated, the line and the copies of it that follow in the stream
+// are counted by galloping (copies) and leave the front in one copy, and
+// the heap is restored once. A tie is a byte-identical line, except
+// under -u, where every tie and so every copy of it is dropped. The
+// copies would have been popped next, one by one, from the same cursor:
+// every other cursor's line orders after the cursor's line, or ties with
+// it at a higher stream index, and a byte-identical copy compares the
+// same. Input with no repeated lines never ties that comparison, so it
+// pays nothing for the runs.
 type mergeFront struct {
 	o       *ordering
 	h       []*mergeCursor // heap order; h[0] holds the next line
@@ -691,33 +719,66 @@ func (f *mergeFront) down(i int) {
 	}
 }
 
-// next returns the next merged line (without its terminator); ok is false
-// once every stream is exhausted, or at the first descent.
-func (f *mergeFront) next() (line string, ok bool) {
+// write merges the front into dst, each line terminated, and returns how
+// many bytes it wrote; dst must hold the merged output. It stops at the
+// first descent.
+func (f *mergeFront) write(dst []byte) int {
+	n := 0
 	for len(f.h) > 0 {
 		c := f.h[0]
-		dup := false
+		emit := true
 		if c == f.prev || f.o.unique && f.prev != nil {
 			cmp := f.o.compare(&c.cur, &f.last)
 			if cmp < 0 {
 				f.descent = true
-				return "", false
+				return n
 			}
-			dup = cmp == 0 && f.o.unique
+			if cmp == 0 {
+				emit = !f.o.unique
+				if c.next <= len(c.s) {
+					// A run: c's line and the copies after it, terminated.
+					u := len(c.cur.line) + 1
+					from := c.next - u
+					c.next = from + copies(c.s, from, u)*u
+					if emit {
+						n += copy(dst[n:], c.s[from:c.next])
+					}
+					emit = false
+				}
+			}
 		}
 		f.last, f.prev = c.cur, c
-		line = c.cur.line
+		if emit {
+			n += copy(dst[n:], c.cur.line)
+			dst[n] = '\n'
+			n++
+		}
 		if !c.advance(f.o) {
-			n := len(f.h) - 1
-			f.h[0] = f.h[n]
-			f.h = f.h[:n]
+			k := len(f.h) - 1
+			f.h[0] = f.h[k]
+			f.h = f.h[:k]
 		}
 		f.down(0)
-		if !dup {
-			return line, true
+	}
+	return n
+}
+
+// copies returns the largest m such that s[from:from+m·u] is m copies of
+// s[from:from+u], given that s holds those u bytes. It gallops: the
+// copies found so far are compared with as many bytes after them,
+// doubling m while they match, and then the step halves down to one
+// copy. A run of m copies costs O(log m) comparisons over O(m·u) bytes.
+func copies(s string, from, u int) int {
+	m := 1
+	for end := from + 2*m*u; end <= len(s) && s[from+m*u:end] == s[from:from+m*u]; end = from + 2*m*u {
+		m *= 2
+	}
+	for step := m / 2; step > 0; step /= 2 {
+		if end := from + (m+step)*u; end <= len(s) && s[from+m*u:end] == s[from:from+step*u] {
+			m += step
 		}
 	}
-	return "", false
+	return m
 }
 
 // mergeRangeCutoff is the total input size below which MergeStreams
@@ -736,9 +797,12 @@ const mergeRangeCutoff = 16 << 10
 // width is how many key ranges may merge concurrently (see mergeRanges),
 // never more than GOMAXPROCS; at width 1, or below mergeRangeCutoff
 // bytes, one heap merges it all.
-// Each output line costs O(log k) comparisons over keys computed once per
-// line, plus at most one that checks its order, and no stream is ever
-// split into a []string.
+// A line costs O(log k) comparisons over keys computed once per line,
+// plus at most one that checks its order — except in a run of m
+// byte-identical lines from one stream, which the front copies whole
+// from its second line on, for O(log m) comparisons over the run's bytes
+// and one heap restore (see mergeFront). No stream is ever split into a
+// []string.
 func (s *SortCmd) MergeStreams(width int, streams ...string) (merged string, sorted bool) {
 	size := 0
 	for _, st := range streams {
@@ -794,14 +858,8 @@ func (s *SortCmd) mergeRanges(p int, streams []string) (string, bool) {
 	descent := make([]bool, p)
 	merge := func(i int) {
 		f := s.newFront(pieces[i*k : (i+1)*k])
-		dst := out[offs[i]:offs[i+1]]
-		n := 0
-		for line, ok := f.next(); ok; line, ok = f.next() {
-			n += copy(dst[n:], line)
-			dst[n] = '\n'
-			n++
-		}
-		wrote[i], descent[i] = n, f.descent
+		wrote[i] = f.write(out[offs[i]:offs[i+1]])
+		descent[i] = f.descent
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < p; i++ {

@@ -32,9 +32,12 @@ func newUniq(spec string, args []string, _ *Env) (Command, error) {
 func (u *uniqCmd) Spec() string { return u.spec }
 
 // Run walks adjacent lines in place, with textio.Lines' boundaries: "\n"
-// is one empty line, and an unterminated last line counts. The output
-// is one buffer, sized to the input, that only a -c table of short runs
-// can outgrow.
+// is one empty line, and an unterminated last line counts. The first
+// terminated repeat of a line starts a run, and the copies after it are
+// counted by galloping over the input (copies, as the merge front does)
+// rather than line by line; a line that is not repeated pays nothing
+// for it. The output is one buffer, sized to the input, that only a -c
+// table of short runs can outgrow.
 func (u *uniqCmd) Run(input string) (string, error) {
 	if input == "" {
 		return "", nil
@@ -44,12 +47,21 @@ func (u *uniqCmd) Run(input string) (string, error) {
 	for {
 		n := 1
 		next, more := "", false
-		for rest != "" && !more {
-			next, rest, _ = textio.SplitFirstLine(rest)
-			if next == line {
-				n++
-			} else {
+		for rest != "" {
+			var terminated bool
+			next, rest, terminated = textio.SplitFirstLine(rest)
+			if next != line {
 				more = true
+				break
+			}
+			n++
+			if terminated {
+				// A run: its copies from this one on, by galloping.
+				w := len(line) + 1
+				from := len(input) - len(rest) - w
+				m := copies(input, from, w)
+				n += m - 1
+				rest = input[from+m*w:]
 			}
 		}
 		if u.count {

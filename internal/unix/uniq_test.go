@@ -33,8 +33,8 @@ func referenceUniq(input string, count bool) string {
 
 // uniqCorpora are the line boundaries textio.Lines draws ("\n" is one
 // empty line, an unterminated last line counts), runs of empty lines,
-// lines that are prefixes of their neighbours, and a random run-heavy
-// stream.
+// lines that are prefixes of their neighbours, a random run-heavy
+// stream, and the run corpora, terminated and not.
 func uniqCorpora() []string {
 	rng := rand.New(rand.NewSource(31))
 	var runs strings.Builder
@@ -45,11 +45,15 @@ func uniqCorpora() []string {
 			runs.WriteByte('\n')
 		}
 	}
-	return []string{
+	corpora := []string{
 		"", "\n", "\n\n", "a", "a\n", "a\na", "a\na\n", "a\nb", "\na\n\n\n",
 		"a\nab\nab\na\n", "ab\na\na", "x\n\nx\n\n",
 		runs.String(), strings.TrimSuffix(runs.String(), "\n"),
 	}
+	for _, in := range runCorpora() {
+		corpora = append(corpora, in, strings.TrimSuffix(in, "\n"))
+	}
+	return corpora
 }
 
 // TestUniqMatchesReference: uniq and uniq -c agree with the reference on
@@ -76,13 +80,16 @@ func TestAppendCount(t *testing.T) {
 }
 
 // FuzzUniqMatchesReference is TestUniqMatchesReference over arbitrary
-// input.
+// input. reps repeats the input's lines as in FuzzSortMatchesReference,
+// so the walk meets runs of copies.
 func FuzzUniqMatchesReference(f *testing.F) {
 	for _, in := range uniqCorpora() {
-		f.Add(in, false)
-		f.Add(in, true)
+		f.Add(in, false, uint8(0))
+		f.Add(in, true, uint8(0))
+		f.Add(in, true, uint8(3))
 	}
-	f.Fuzz(func(t *testing.T, input string, count bool) {
+	f.Fuzz(func(t *testing.T, input string, count bool, reps uint8) {
+		input = repeatLines(input, int(reps%8))
 		spec := "uniq"
 		if count {
 			spec = "uniq -c"
@@ -119,6 +126,29 @@ func TestUniqRunAllocations(t *testing.T) {
 		if allocs[0] != allocs[1] {
 			t.Errorf("%s: Run allocates %v times over 100 lines and %v over 20000, want the same",
 				spec, allocs[0], allocs[1])
+		}
+	}
+}
+
+// BenchmarkUniqRun times uniq and uniq -c on 512 KB of sorted words:
+// Zipf words (BenchmarkSortRun's shape), the runs the word-frequency
+// script's uniq -c sees, and all-distinct words, where the walk meets
+// no run.
+func BenchmarkUniqRun(b *testing.B) {
+	s := mergeSort(b, "sort")
+	for _, shape := range runShapes {
+		input := shape.runs(b, s, 512<<10, 1)[0]
+		for _, spec := range []string{"uniq", "uniq -c"} {
+			u := parseCmd(b, spec)
+			b.Run(shape.name+"/"+spec, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(input)))
+				for b.Loop() {
+					if _, err := u.Run(input); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
