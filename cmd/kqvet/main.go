@@ -1,9 +1,8 @@
 // Command kqvet is the repository's invariant multichecker: custom
 // static analyzers encoding the invariants the paper's guarantees rest
-// on but the compiler cannot see — pooled-buffer pairing (poolpair),
-// context propagation (ctxflow), allocation-lean hot paths (hotalloc),
-// bounded goroutines (goroleak), the combiner capability table
-// (captable), and godoc coverage (docs).
+// on but the compiler cannot see — context propagation (ctxflow),
+// allocation-lean hot paths (hotalloc), bounded goroutines (goroleak),
+// the combiner capability table (captable), and godoc coverage (docs).
 //
 // Usage:
 //

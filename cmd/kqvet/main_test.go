@@ -15,8 +15,8 @@ import (
 
 // wantSmoke is the exact diagnostic set the known-bad fixture module must
 // produce: one finding per analyzer the fixture can trigger without
-// importing kumquat/internal packages (poolpair and captable key on those
-// types, so a separate module cannot violate them).
+// importing kumquat/internal packages (captable keys on those types, so a
+// separate module cannot violate it).
 var wantSmoke = map[string]string{
 	"ctxflow":  "bad.go",
 	"docs":     "bad.go",

@@ -7,8 +7,8 @@
 // exit code and diagnostic set end to end. It lives in its own module
 // (testdata is invisible to the parent module's go list) and must not
 // import kumquat packages — the internal-import restriction blocks a
-// separate module from reaching them, which is also why the poolpair and
-// captable analyzers (keyed to kumquat/internal types) stay silent here.
+// separate module from reaching them, which is also why the captable
+// analyzer (keyed to kumquat/internal types) stays silent here.
 package badmod
 
 import (

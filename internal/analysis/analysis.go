@@ -8,7 +8,7 @@
 // are a mechanical port away from running under the real multichecker if
 // x/tools ever becomes available. Each analyzer encodes one invariant the
 // paper's guarantees rest on but the compiler cannot see — see the package
-// docs of poolpair, ctxflow, hotalloc, goroleak, captable and docs.
+// docs of ctxflow, hotalloc, goroleak, captable and docs.
 //
 // Type information is produced without the network: packages are
 // enumerated with `go list -export -deps -json` (which also compiles

@@ -6,7 +6,7 @@
 //
 // A fixture line expecting a diagnostic carries a trailing comment:
 //
-//	b := textio.GetBuilder() // want `never returned with PutBuilder`
+//	s += l // want `string \+= in hot-path loop`
 //
 // Multiple expectations may follow one `want`, each in its own quoted
 // (double-quoted or backquoted) Go string. Every diagnostic must match an

@@ -3,9 +3,9 @@
 // conversions, and string concatenation with +. The repo benchmark's
 // `dsl.combine.*` timings and `unix.<cmd>.allocs_per_line` figures
 // (BENCHMARK.json) hold only while the data plane stays
-// allocation-lean, and ROADMAP item 3 (zero-copy []byte data plane)
-// will rebuild exactly these call sites — this analyzer keeps new ones
-// from creeping in ahead of that refactor.
+// allocation-lean, and the data plane's allocation budget (ROADMAP
+// item 5) is measured against these call sites — this analyzer keeps
+// new ones from creeping in.
 //
 // A package is hot when its import path is in HotPackages or any of its
 // files carries the `//kqvet:hotpath` comment directive.
@@ -111,7 +111,7 @@ func checkLoop(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(pass, n.Lhs[0]) {
-				report(n.Pos(), "string += in hot-path loop reallocates per iteration; use a pooled builder (textio.GetBuilder)")
+				report(n.Pos(), "string += in hot-path loop reallocates per iteration; use a strings.Builder")
 				if add, ok := ast.Unparen(n.Rhs[0]).(*ast.BinaryExpr); ok {
 					covered[add] = true
 				}
@@ -157,7 +157,7 @@ func checkConcat(pass *analysis.Pass, report func(token.Pos, string, ...any), e 
 		return // constant-folded at compile time
 	}
 	if !inChain {
-		report(e.Pos(), "string + concatenation in hot-path loop allocates per iteration; use a pooled builder (textio.GetBuilder)")
+		report(e.Pos(), "string + concatenation in hot-path loop allocates per iteration; use a strings.Builder")
 		inChain = true
 	}
 	// Descend to catch Sprintf/conversions nested under the chain without

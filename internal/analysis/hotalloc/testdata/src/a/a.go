@@ -54,7 +54,7 @@ func convLoop(chunks [][]byte) int {
 
 // coldShapes allocate outside loops or not at all — no diagnostics.
 func coldShapes(a, b string, raw []byte) string {
-	joined := a + b            // outside a loop: fine
+	joined := a + b // outside a loop: fine
 	header := fmt.Sprintf("%s", joined)
 	body := string(raw)
 	var sb strings.Builder

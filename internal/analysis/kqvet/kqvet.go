@@ -21,7 +21,6 @@ import (
 	"kumquat/internal/analysis/docs"
 	"kumquat/internal/analysis/goroleak"
 	"kumquat/internal/analysis/hotalloc"
-	"kumquat/internal/analysis/poolpair"
 )
 
 // All returns the registered analyzer suite in stable order.
@@ -32,7 +31,6 @@ func All() []*analysis.Analyzer {
 		docs.Analyzer,
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		poolpair.Analyzer,
 	}
 }
 

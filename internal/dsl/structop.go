@@ -1,6 +1,8 @@
 package dsl
 
 import (
+	"strings"
+
 	"kumquat/internal/textio"
 )
 
@@ -227,9 +229,9 @@ func (o Offset) InDomain(env *Env, y string) bool {
 func (o Offset) Associative() bool { return o.B.Associative() }
 
 // Eval applies offset per Figure 6's big-step semantics. The output
-// assembles in a pooled builder (offset is the highest-churn combiner
-// Eval: it rewrites every line of y2), and y2's lines are walked in
-// place; an unterminated final line is still a line.
+// assembles in one builder grown to len(y1)+len(y2), so String() hands
+// it over without a copy, and y2's lines are walked in place; an
+// unterminated final line is still a line.
 func (o Offset) Eval(env *Env, y1, y2 string) (string, error) {
 	l1, ok := textio.SplitLastNonemptyLine(y1)
 	if !ok {
@@ -239,8 +241,7 @@ func (o Offset) Eval(env *Env, y1, y2 string) (string, error) {
 	if !okf {
 		return "", evalErr(o, "anchor line lacks the field delimiter")
 	}
-	b := textio.GetBuilder()
-	defer textio.PutBuilder(b)
+	var b strings.Builder
 	b.Grow(len(y1) + len(y2))
 	b.WriteString(y1)
 	for rest := y2; rest != ""; {

@@ -123,6 +123,12 @@ func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 // trailer once the stream ends. The request body binds to the script's
 // input source: standard input for stdin-reading pipelines, or the
 // first pipeline's `cat FILE` / `< FILE` source otherwise.
+// maxParallelism bounds an execute request's k: splitting a stream k
+// ways allocates k chunks, outputs and chunk runs up front, so an
+// unbounded k lets one small request exhaust the daemon's memory. The
+// bound sits far above the paper's largest k (16).
+const maxParallelism = 1024
+
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	script := q.Get("script")
@@ -141,8 +147,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	k := s.cfg.DefaultParallelism
 	if ks := q.Get("k"); ks != "" {
 		n, err := strconv.Atoi(ks)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "k must be a positive integer")
+		if err != nil || n < 1 || n > maxParallelism {
+			writeError(w, http.StatusBadRequest, "k must be an integer from 1 to %d", maxParallelism)
 			return
 		}
 		k = n

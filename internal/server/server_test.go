@@ -222,6 +222,39 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestExecuteParallelismBound: k outside 1..1024 answers 400 before any
+// work, so a tiny request cannot make the daemon allocate k chunk runs.
+func TestExecuteParallelismBound(t *testing.T) {
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		k    string
+		want int
+	}{
+		{"0", http.StatusBadRequest},
+		{"-3", http.StatusBadRequest},
+		{"1025", http.StatusBadRequest},
+		{"2000000", http.StatusBadRequest},
+		{"1024", http.StatusOK},
+		{"1", http.StatusOK},
+	} {
+		u := ts.URL + "/v1/execute?" + url.Values{"script": {"sort"}, "k": {tc.k}}.Encode()
+		resp, err := http.Post(u, "text/plain", strings.NewReader("b\na\n"))
+		if err != nil {
+			t.Fatalf("k=%s: %v", tc.k, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("k=%s: status %d, want %d (%s)", tc.k, resp.StatusCode, tc.want, body)
+		}
+		if tc.want == http.StatusOK && string(body) != "a\nb\n" {
+			t.Errorf("k=%s: body %q, want %q", tc.k, body, "a\nb\n")
+		}
+	}
+}
+
 // TestAdmissionOverflow saturates a MaxInFlight=1, QueueDepth=0 server
 // with an execute request whose stdin stays open, then checks the next
 // request is shed with 429 / ErrBusy.

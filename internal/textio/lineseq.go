@@ -1,10 +1,6 @@
 package textio
 
-import (
-	"bytes"
-	"strings"
-	"sync"
-)
+import "strings"
 
 // LineSeq is an indexed view of a stream's lines: the backing string plus
 // one offset per line start, for code that walks a stream's lines by
@@ -76,28 +72,3 @@ func (ls LineSeq) Str() string { return ls.str }
 // executor splits with ChunkLines directly, and this shim retires with
 // the probe.
 func (ls LineSeq) Chunk(k int) []string { return ChunkLines(ls.str, k) }
-
-// builders pools scratch buffers for combine-output assembly. A pooled
-// buffer keeps its grown capacity across combines, so a steady-state
-// combine pays exactly one allocation — the final exact-sized String()
-// copy — instead of the log-growth reallocation chain of a fresh builder.
-var builders = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GetBuilder returns an empty scratch buffer from the shared pool. Pair
-// with PutBuilder once the buffer's contents have been copied out (e.g.
-// via String()).
-func GetBuilder() *bytes.Buffer {
-	b := builders.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-// PutBuilder returns buf to the pool. Oversized buffers are dropped so a
-// single huge combine cannot pin its peak allocation forever.
-func PutBuilder(buf *bytes.Buffer) {
-	const maxPooled = 1 << 20
-	if buf.Cap() > maxPooled {
-		return
-	}
-	builders.Put(buf)
-}

@@ -61,20 +61,3 @@ func TestLineSeqChunkMatchesChunkLines(t *testing.T) {
 		}
 	}
 }
-
-// TestBuilderPoolRoundTrip: a pooled builder comes back empty and its
-// contents survive as an independent string.
-func TestBuilderPoolRoundTrip(t *testing.T) {
-	b := GetBuilder()
-	b.WriteString("hello\n")
-	s := b.String()
-	PutBuilder(b)
-	if s != "hello\n" {
-		t.Errorf("pooled builder contents = %q", s)
-	}
-	b2 := GetBuilder()
-	if b2.Len() != 0 {
-		t.Errorf("reused builder not reset: %d bytes", b2.Len())
-	}
-	PutBuilder(b2)
-}

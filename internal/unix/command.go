@@ -12,6 +12,7 @@
 package unix
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -163,16 +164,20 @@ func RunLines(lm LineMapper, input string) string {
 // from r to w, checking ctx every few lines so a cancelled execution
 // aborts promptly without paying a per-line context poll on the hot path.
 // The reader's transient line view feeds the line function, whose output
-// views are copied straight into the pooled chunk buffer — no per-line
-// string, field slice, or result slice.
+// views are copied straight into a 32 KiB write buffer — no per-line
+// string, field slice, or result slice. The buffer batches writes to
+// cut io.Pipe round trips; a write may end mid-line, since every
+// consumer of w reads bytes, not lines.
 func streamLines(ctx context.Context, lm LineMapper, r io.Reader, w io.Writer) error {
 	br := newLineReader(r)
-	bw := newChunkWriter(w)
-	defer bw.release()
+	bw := bufio.NewWriterSize(w, 32*1024)
 	var emitErr error
 	mapLine := lm.LineFunc(func(out string) {
 		if emitErr == nil {
-			emitErr = bw.writeLine(out)
+			// bufio's write error is sticky: WriteByte reports a
+			// failed WriteString too.
+			bw.WriteString(out)
+			emitErr = bw.WriteByte('\n')
 		}
 	})
 	for n := 0; ; n++ {
@@ -193,7 +198,7 @@ func streamLines(ctx context.Context, lm LineMapper, r io.Reader, w io.Writer) e
 			return emitErr
 		}
 	}
-	return bw.flush()
+	return bw.Flush()
 }
 
 // lineReader reads newline-terminated lines without size limits.
@@ -248,46 +253,6 @@ func (lr *lineReader) readLine() (string, error) {
 		} else if err != nil {
 			return "", err
 		}
-	}
-}
-
-// chunkWriter batches line writes to reduce io.Pipe round trips. The
-// batch buffer comes from the shared textio builder pool, so a
-// steady-state streamed stage allocates nothing per flush (the old
-// strings.Builder variant copied every flushed chunk through String()).
-type chunkWriter struct {
-	w io.Writer
-	b *bytes.Buffer
-}
-
-func newChunkWriter(w io.Writer) *chunkWriter {
-	return &chunkWriter{w: w, b: textio.GetBuilder()}
-}
-
-func (cw *chunkWriter) writeLine(line string) error {
-	cw.b.WriteString(line)
-	cw.b.WriteByte('\n')
-	if cw.b.Len() >= 32*1024 {
-		return cw.flush()
-	}
-	return nil
-}
-
-func (cw *chunkWriter) flush() error {
-	if cw.b.Len() == 0 {
-		return nil
-	}
-	_, err := cw.w.Write(cw.b.Bytes())
-	cw.b.Reset()
-	return err
-}
-
-// release returns the batch buffer to the pool; the chunkWriter must not
-// be used afterwards. Paired with newChunkWriter on every path via defer.
-func (cw *chunkWriter) release() {
-	if cw.b != nil {
-		textio.PutBuilder(cw.b)
-		cw.b = nil
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The tests here hold sort, sort -m and uniq to the host's own tools
+// The tests here hold sort, sort -m, uniq and tr to the host's own tools
 // under LC_ALL=C, where they are installed: the reference kernels in
 // merge_test.go and uniq_test.go encode what GNU does, and this is where
 // that encoding is checked against GNU itself.
@@ -111,4 +111,59 @@ func TestUniqMatchesHost(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrRepeatMatchesHost: tr's [c*n] repeats, large and octal counts,
+// fills and -s membership give the host's bytes, and the specs the host
+// rejects fail Parse. It leaves out huge counts under -s and -c with
+// -s: GNU tr walks such a set byte by byte and takes minutes.
+func TestTrRepeatMatchesHost(t *testing.T) {
+	in := "aabbcc\nabc\n\x00zz  a\n"
+	for _, args := range [][]string{
+		{"a", "[b*100000000]"},
+		{"-s", "a", "[b*1000]c"},
+		{"-s", "a", "b[c*]"},
+		{"[a*300]b", "[x*299]yz"},
+		{"[a*0144]b", "[x*100]y"},
+		{"a-c", "[x*0]y"},
+		{"abcd", "p[x*]yz"},
+		{"-s", "ab", "pqr[x*]"},
+		{"-c", "a", "[x*2]y"},
+		{"-c", "a", "[x*1000000000]y"},
+	} {
+		spec := trSpec(args)
+		want := hostTool(t, "tr", in, args...)
+		if got := run(t, spec, in); got != want {
+			t.Errorf("%s: Run = %q; host %q", spec, got, want)
+		}
+	}
+	path, err := exec.LookPath("tr")
+	if err != nil {
+		t.Skipf("tr is not installed: %v", err)
+	}
+	for _, args := range [][]string{
+		{"a", "[b*99999999999999999999]"},
+		{"a", "[b*18446744073709551615]"},
+		{"a", "[b*08]"},
+		{"a", "[b*18446744073709551613]cd"},
+		{"[a*]", "x"},
+		{"abc", "[x*][y*]"},
+	} {
+		cmd := exec.Command(path, args...)
+		cmd.Env = append(os.Environ(), "LC_ALL=C")
+		cmd.Stdin = strings.NewReader(in)
+		hostErr := cmd.Run()
+		if _, err := Parse(trSpec(args), nil); (err == nil) != (hostErr == nil) {
+			t.Errorf("%s: Parse error %v; host error %v", trSpec(args), err, hostErr)
+		}
+	}
+}
+
+// trSpec quotes tr's arguments into a stage spec.
+func trSpec(args []string) string {
+	spec := "tr"
+	for _, a := range args {
+		spec += " '" + a + "'"
+	}
+	return spec
 }

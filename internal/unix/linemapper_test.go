@@ -1,7 +1,9 @@
 package unix_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -119,6 +121,63 @@ func TestLineMapperSurfacesAgree(t *testing.T) {
 					t.Errorf("%s: Exec(%q) = %q, want %q", cmd.Spec(), c.in, out.String(), c.want)
 				}
 			}
+		}
+	}
+}
+
+// recordingWriter keeps a copy of every Write it receives.
+type recordingWriter struct{ writes [][]byte }
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestExecAcrossBatchBoundary streams a line mapper and a fused chain
+// over more than 64 KiB — short lines, one line longer than the 32 KiB
+// write batch, and an unterminated last line — and checks that the
+// driver flushed more than once and that its writes concatenate to Run.
+func TestExecAcrossBatchBoundary(t *testing.T) {
+	var b strings.Builder
+	for i := 0; b.Len() < 40*1024; i++ {
+		fmt.Fprintf(&b, "Light line %d of the first stretch\n", i)
+	}
+	b.WriteString(strings.Repeat("a long LIGHT line ", 40*1024/18))
+	b.WriteByte('\n')
+	for i := 0; b.Len() < 120*1024; i++ {
+		fmt.Fprintf(&b, "dark line %d, light %d\n", i, i%7)
+	}
+	b.WriteString("unterminated light tail")
+	in := b.String()
+
+	sed, err := unix.Parse(`sed 's/ight/IGHT/g'`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"tr A-Z a-z", "grep light", `sed 's/light/L/g'`}
+	var mappers []unix.LineMapper
+	for _, spec := range specs {
+		cmd, err := unix.Parse(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm, _ := unix.AsLineMapper(cmd)
+		mappers = append(mappers, lm)
+	}
+	for _, cmd := range []unix.Command{sed, dataflow.NewFusedMapper(specs, mappers)} {
+		want, err := cmd.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w recordingWriter
+		if err := unix.Exec(context.Background(), cmd, strings.NewReader(in), &w); err != nil {
+			t.Fatalf("%s: Exec: %v", cmd.Spec(), err)
+		}
+		if got := string(bytes.Join(w.writes, nil)); got != want {
+			t.Errorf("%s: Exec wrote %d bytes that differ from Run's %d", cmd.Spec(), len(got), len(want))
+		}
+		if len(w.writes) < 2 {
+			t.Errorf("%s: Exec made %d writes over %d bytes, want more than one", cmd.Spec(), len(w.writes), len(in))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package unix
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -21,8 +23,8 @@ type trCmd struct {
 	complement bool
 	del        bool
 	squeeze    bool
-	set1       []byte
-	set2       []byte // empty when deleting or squeezing only
+	set1       trSet
+	set2       trSet // empty when deleting or squeezing only
 
 	// The tables are indexed by byte. The 0/1 ones are uint8 so that Run
 	// combines them arithmetically instead of branching on them.
@@ -57,12 +59,12 @@ func newTr(spec string, args []string, _ *Env) (Command, error) {
 		return nil, fmt.Errorf("tr: need 1 or 2 sets, got %d", len(sets))
 	}
 	var err error
-	t.set1, err = expandTrSet(sets[0], 0)
+	t.set1, err = expandTrSet(sets[0], false, 0)
 	if err != nil {
 		return nil, err
 	}
 	if len(sets) == 2 {
-		t.set2, err = expandTrSet(sets[1], len(t.set1))
+		t.set2, err = expandTrSet(sets[1], true, t.set1.size())
 		if err != nil {
 			return nil, err
 		}
@@ -73,8 +75,8 @@ func newTr(spec string, args []string, _ *Env) (Command, error) {
 
 func (t *trCmd) compile() {
 	inSet1 := [256]bool{}
-	for _, c := range t.set1 {
-		inSet1[c] = true
+	for _, r := range t.set1 {
+		inSet1[r.c] = true
 	}
 	member1 := func(c int) bool { return inSet1[c] != t.complement }
 	for c := range t.xlate {
@@ -88,9 +90,9 @@ func (t *trCmd) compile() {
 				t.deleted[c] = 1
 			}
 		}
-		if t.squeeze && len(t.set2) > 0 {
-			for _, c := range t.set2 {
-				t.squeezed[c] = 1
+		if t.squeeze {
+			for _, r := range t.set2 {
+				t.squeezed[r.c] = 1
 			}
 		}
 	case len(t.set2) == 0:
@@ -101,37 +103,31 @@ func (t *trCmd) compile() {
 			}
 		}
 	default:
-		set2 := t.set2
-		last := set2[len(set2)-1]
 		if t.complement {
 			// Complemented translation: every byte not in SET1 maps to the
 			// corresponding SET2 byte; GNU pads SET2 with its last byte, and
 			// with -c effectively everything maps to the last byte unless
 			// SET2 is long enough to cover the (ordered) complement.
-			idx := 0
+			var idx uint64
 			for c := 0; c < 256; c++ {
 				if !inSet1[c] {
-					if idx < len(set2) {
-						t.xlate[c] = set2[idx]
-					} else {
-						t.xlate[c] = last
-					}
+					t.xlate[c] = t.set2.at(idx)
 					idx++
 				}
 			}
 		} else {
-			for i, c := range t.set1 {
-				if i < len(set2) {
-					t.xlate[c] = set2[i]
-				} else {
-					t.xlate[c] = last
-				}
+			// Each SET1 byte maps to the SET2 byte at its last position,
+			// so a run of one byte maps as its last copy does.
+			var end uint64
+			for _, r := range t.set1 {
+				end += r.n
+				t.xlate[r.c] = t.set2.at(end - 1)
 			}
 		}
 		if t.squeeze {
 			// Squeeze repeats of SET2 members in the output.
-			for _, c := range set2 {
-				t.squeezed[c] = 1
+			for _, r := range t.set2 {
+				t.squeezed[r.c] = 1
 			}
 		}
 	}
@@ -174,10 +170,76 @@ func (t *trCmd) Run(input string) (string, error) {
 	return textio.View(out[:w]), nil
 }
 
-// expandTrSet expands a tr SET description into bytes. targetLen is used by
-// the [c*] notation in SET2 (repeat to match SET1's length); 0 means SET1.
-func expandTrSet(s string, targetLen int) ([]byte, error) {
-	var out []byte
+// trRun is n copies of byte c, n ≥ 1 once the set is expanded.
+type trRun struct {
+	c byte
+	n uint64
+}
+
+// trSet is an expanded tr SET as runs of one byte, so a [c*n] repeat costs
+// one run however large n is — the set is never materialized byte by byte.
+type trSet []trRun
+
+// maxTrSetLen is the longest set and the largest [c*n] count GNU tr
+// accepts (SIZE_MAX-1 on a 64-bit host).
+const maxTrSetLen = math.MaxUint64 - 1
+
+// size returns the number of bytes the set denotes.
+func (s trSet) size() uint64 {
+	var n uint64
+	for _, r := range s {
+		n += r.n
+	}
+	return n
+}
+
+// at returns the byte at position i, or the last byte when i is past the
+// end: GNU pads SET2 with its last byte. s must not be empty.
+func (s trSet) at(i uint64) byte {
+	for _, r := range s {
+		if i < r.n {
+			return r.c
+		}
+		i -= r.n
+	}
+	return s[len(s)-1].c
+}
+
+// trRepeatCount parses the n of [c*n]: octal when it starts with 0, as in
+// GNU tr; empty means 0, which asks for a fill.
+func trRepeatCount(digits string) (uint64, error) {
+	if digits == "" {
+		return 0, nil
+	}
+	base := 10
+	if digits[0] == '0' {
+		base = 8
+	}
+	n, err := strconv.ParseUint(digits, base, 64)
+	if err != nil || n > maxTrSetLen {
+		return 0, fmt.Errorf("tr: invalid repeat count '%s' in [c*n] construct", digits)
+	}
+	return n, nil
+}
+
+// expandTrSet expands a tr SET description into runs. In SET2 one [c*]
+// or [c*0] repeats c as often as makes the whole set as long as SET1,
+// whose size is set1Len; SET1 rejects them.
+func expandTrSet(s string, isSet2 bool, set1Len uint64) (trSet, error) {
+	var out trSet
+	var size uint64
+	fill := -1 // index in out of the [c*] run, sized once the set is read
+	tooMany := false
+	add := func(c byte, n uint64) {
+		if n > maxTrSetLen-size {
+			tooMany = true
+			return
+		}
+		if n > 0 {
+			out = append(out, trRun{c, n})
+			size += n
+		}
+	}
 	i := 0
 	readChar := func() (byte, error) {
 		c := s[i]
@@ -226,7 +288,7 @@ func expandTrSet(s string, targetLen int) ([]byte, error) {
 				}
 				for c := 0; c < 256; c++ {
 					if fn(byte(c)) {
-						out = append(out, byte(c))
+						add(byte(c), 1)
 					}
 				}
 				i += end + 2
@@ -243,20 +305,24 @@ func expandTrSet(s string, targetLen int) ([]byte, error) {
 			}
 			if i < len(s) && s[i] == '*' {
 				j := i + 1
-				n := 0
 				for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-					n = n*10 + int(s[j]-'0')
 					j++
 				}
 				if j < len(s) && s[j] == ']' {
-					if n == 0 {
-						n = targetLen - len(out)
-						if n < 1 {
-							n = 1
-						}
+					n, err := trRepeatCount(s[i+1 : j])
+					if err != nil {
+						return nil, err
 					}
-					for k := 0; k < n; k++ {
-						out = append(out, c)
+					switch {
+					case n > 0:
+						add(c, n)
+					case !isSet2:
+						return nil, fmt.Errorf("tr: the [c*] repeat construct may not appear in string1")
+					case fill >= 0:
+						return nil, fmt.Errorf("tr: only one [c*] repeat construct may appear in string2")
+					default:
+						fill = len(out)
+						out = append(out, trRun{c: c})
 					}
 					i = j + 1
 					continue
@@ -279,11 +345,21 @@ func expandTrSet(s string, targetLen int) ([]byte, error) {
 				return nil, fmt.Errorf("tr: inverted range %c-%c", c, hi)
 			}
 			for x := int(c); x <= int(hi); x++ {
-				out = append(out, byte(x))
+				add(byte(x), 1)
 			}
 			continue
 		}
-		out = append(out, c)
+		add(c, 1)
+	}
+	if tooMany {
+		return nil, fmt.Errorf("tr: too many characters in set")
+	}
+	if fill >= 0 {
+		if size < set1Len {
+			out[fill].n = set1Len - size
+		} else {
+			out = append(out[:fill], out[fill+1:]...)
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package unix
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,67 @@ func FuzzTrMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec uint8, input string) {
 		checkTrCase(t, trReferenceSpecs[int(spec)%len(trReferenceSpecs)], input)
 	})
+}
+
+// TestTrRepeatCounts: a [c*n] repeat costs one run however large n is,
+// a count or set past GNU tr's limit fails Parse instead of wrapping,
+// and a long SET2 repeat keeps its byte a SET2 member for -s.
+func TestTrRepeatCounts(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cmd, err := Parse(`tr a '[b*100000000]'`, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Parse of a 1e8 repeat allocated %d bytes, want <= 1 MiB", n)
+	}
+	if got, _ := cmd.Run("abc\n"); got != "bbc\n" {
+		t.Errorf("tr a '[b*100000000]' on abc = %q, want %q", got, "bbc\n")
+	}
+	for spec, want := range map[string]string{
+		`tr a '[b*99999999999999999999]'`:   "invalid repeat count",
+		`tr a '[b*18446744073709551615]'`:   "invalid repeat count",
+		`tr a '[b*08]'`:                     "invalid repeat count",
+		`tr a '[b*18446744073709551613]cd'`: "too many characters in set",
+		`tr '[a*]' x`:                       "may not appear in string1",
+	} {
+		if _, err := Parse(spec, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%s) = %v, want an error containing %q", spec, err, want)
+		}
+	}
+	if got := run(t, `tr -s a '[b*1000]c'`, "aabbcc"); got != "bc" {
+		t.Errorf("tr -s a '[b*1000]c' on aabbcc = %q, want %q", got, "bc")
+	}
+	// A byte maps as its last copy does: a sits at 0..299, so a -> y.
+	if got := run(t, `tr '[a*300]b' '[x*299]yz'`, "abc"); got != "yzc" {
+		t.Errorf("tr '[a*300]b' '[x*299]yz' on abc = %q, want %q", got, "yzc")
+	}
+}
+
+// TestTrLargeRepeatMatchesSmall: a spec with huge repeat counts gives the
+// bytes of the small-count spec it is equivalent to, in every mode.
+func TestTrLargeRepeatMatchesSmall(t *testing.T) {
+	for large, small := range map[string]string{
+		`tr a-c '[x*100000000]'`:               `tr a-c '[x*3]'`,
+		`tr '[a*100000000]b' '[x*99999999]yz'`: `tr '[a*3]b' '[x*2]yz'`,
+		`tr '[a*0144]b' '[x*100]y'`:            `tr '[a*2]b' '[x*2]y'`,
+		`tr -s a-c '[x*100000000]y'`:           `tr -s a-c '[x*3]y'`,
+		`tr -c a '[x*1000000000]y'`:            `tr -c a '[x*255]y'`,
+		`tr -cs a '[x*18446744073709551614]'`:  `tr -cs a '[x*]'`,
+		`tr -ds a '[b*9999999999]c'`:           `tr -ds a bc`,
+		`tr -s a 'b[c*]'`:                      `tr -s a b`,
+	} {
+		l, s := parseCmd(t, large), parseCmd(t, small)
+		for i, in := range trReferenceInputs() {
+			got, _ := l.Run(in)
+			want, _ := s.Run(in)
+			if got != want {
+				t.Fatalf("%s input %d: Run = %q; %s gives %q", large, i, got, small, want)
+			}
+		}
+	}
 }
 
 // TestTrRunAllocations: Run allocates its output buffer and nothing else.
