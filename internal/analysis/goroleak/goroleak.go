@@ -1,11 +1,10 @@
 // Package goroleak checks that every goroutine launched in library code
 // is bounded: either the launching function joins it through a
-// sync.WaitGroup (the worker-pool shape used by the combine plane and the
-// chunk executors), or the goroutine body has a ctx-cancel exit path
-// (selects on ctx.Done(), the shape of the streaming reader pump). A
-// fire-and-forget goroutine outlives its request, keeps buffers alive,
-// and — under the service plane's admission control — silently erodes the
-// in-flight accounting.
+// sync.WaitGroup (the shape of par.For, the one bounded fan-out), or the
+// goroutine body has a ctx-cancel exit path (selects on ctx.Done(), the
+// shape of the streaming reader pump). A fire-and-forget goroutine
+// outlives its request, keeps buffers alive, and — under the service
+// plane's admission control — silently erodes the in-flight accounting.
 package goroleak
 
 import (

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kumquat/internal/obs"
+	"kumquat/internal/par"
 	"kumquat/internal/pipeline"
 	"kumquat/internal/server/client"
 )
@@ -61,18 +62,12 @@ func (co *Coordinator) runShards(ctx context.Context, seg *pipeline.Segment, chu
 	bytesOut := make([][]int64, len(chunks))
 	errs := make([]error, len(chunks))
 	lat := &latencies{}
-	var wg sync.WaitGroup
-	for i := range chunks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, ssp := obs.StartSpan(ctx, "shard")
-			ssp.AttrInt("shard", int64(i))
-			outs[i], bytesOut[i], errs[i] = co.runShard(sctx, seg, i, chunks[i], lat, st)
-			ssp.End()
-		}(i)
-	}
-	wg.Wait()
+	par.For(len(chunks), len(chunks), func(i int) {
+		sctx, ssp := obs.StartSpan(ctx, "shard")
+		ssp.AttrInt("shard", int64(i))
+		outs[i], bytesOut[i], errs[i] = co.runShard(sctx, seg, i, chunks[i], lat, st)
+		ssp.End()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -77,34 +77,6 @@ func Enumerate(maxProductions int, delims []Delim) []Candidate {
 	return out
 }
 
-// Shards partitions s into at most n contiguous non-overlapping
-// sub-slices of near-equal length, preserving order: concatenating the
-// shards reproduces s exactly. The synthesis engine filters each shard
-// of its live candidate set on a separate worker and merges survivors
-// in shard order, which keeps parallel filtering byte-identical to the
-// sequential pass. The shards alias the input slice; nothing is copied.
-func Shards[T any](s []T, n int) [][]T {
-	if len(s) == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(s) {
-		n = len(s)
-	}
-	out := make([][]T, 0, n)
-	size := (len(s) + n - 1) / n
-	for start := 0; start < len(s); start += size {
-		end := start + size
-		if end > len(s) {
-			end = len(s)
-		}
-		out = append(out, s[start:end])
-	}
-	return out
-}
-
 // SpaceSize describes a search space's per-class candidate counts, the
 // triple Table 10 reports as "total (= rec + struct + run)".
 type SpaceSize struct {

@@ -2,7 +2,9 @@ package dsl
 
 import (
 	"strings"
-	"sync"
+	"sync/atomic"
+
+	"kumquat/internal/par"
 )
 
 // prepareK filters out empty substreams (identity elements for stream
@@ -140,54 +142,27 @@ func CombineKTree(env *Env, c Candidate, outs []string, workers int) (string, er
 	if !c.Op.Associative() || !treeProfitable(c.Op) || len(nonEmpty) < 3 {
 		return foldPairs(env, c.Op, nonEmpty)
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	level := append([]string(nil), nonEmpty...)
 	next := make([]string, 0, (len(level)+1)/2)
-	sem := make(chan struct{}, workers)
+	var failed atomic.Bool
 	for len(level) > 1 {
 		pairs := len(level) / 2
 		next = next[:(len(level)+1)/2]
-		var failed bool
-		if workers == 1 {
-			// Sequential tree: the bracketing advantage without
-			// goroutine overhead.
-			for i := 0; i < pairs && !failed; i++ {
-				v, err := c.Op.Eval(env, level[2*i], level[2*i+1])
-				if err != nil {
-					failed = true
-					break
-				}
-				next[i] = v
+		par.For(workers, pairs, func(i int) {
+			if failed.Load() {
+				return
 			}
-		} else {
-			var (
-				wg sync.WaitGroup
-				mu sync.Mutex
-			)
-			for i := 0; i < pairs; i++ {
-				sem <- struct{}{}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					v, err := c.Op.Eval(env, level[2*i], level[2*i+1])
-					if err != nil {
-						mu.Lock()
-						failed = true
-						mu.Unlock()
-						return
-					}
-					next[i] = v
-				}(i)
+			v, err := c.Op.Eval(env, level[2*i], level[2*i+1])
+			if err != nil {
+				failed.Store(true)
+				return
 			}
-			wg.Wait()
-		}
+			next[i] = v
+		})
 		if len(level)%2 == 1 {
 			next[pairs] = level[len(level)-1]
 		}
-		if failed {
+		if failed.Load() {
 			// Re-run serially so the caller observes the fold's exact
 			// error (the tree may have failed on a later pair first).
 			return foldPairs(env, c.Op, nonEmpty)

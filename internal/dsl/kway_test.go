@@ -183,6 +183,56 @@ func TestCombineKTreeMatchesFold(t *testing.T) {
 	}
 }
 
+// failingConcat is concatenation that fails on any pair containing a
+// '!' or longer than max bytes, with an error naming the pair, so a test
+// can tell which pair failed first.
+type failingConcat struct{ max int }
+
+func (failingConcat) Class() Class               { return RecOpClass }
+func (failingConcat) Size() int                  { return 3 }
+func (failingConcat) InDomain(*Env, string) bool { return true }
+func (failingConcat) Associative() bool          { return true }
+func (f failingConcat) String() string           { return fmt.Sprintf("failing-concat(%d)", f.max) }
+
+func (f failingConcat) Eval(_ *Env, y1, y2 string) (string, error) {
+	if strings.Contains(y1+y2, "!") || len(y1)+len(y2) > f.max {
+		return "", fmt.Errorf("failing-concat %q %q", y1, y2)
+	}
+	return y1 + y2, nil
+}
+
+// TestCombineKTreeFailureFallsBackToFold: when a pair fails mid-tree —
+// at the first level, or only at the top — CombineKTree at widths 1, 2
+// and 4 returns exactly CombineK's output and error, whose failing pair
+// is the left fold's, not the tree's.
+func TestCombineKTreeFailureFallsBackToFold(t *testing.T) {
+	words := strings.Split("a b c d e f g h i", " ")
+	bang := append([]string(nil), words...)
+	bang[4] = "e!"
+	for _, tc := range []struct {
+		name string
+		op   failingConcat
+		outs []string
+		fail bool
+	}{
+		{"first-level", failingConcat{max: 100}, bang, true},
+		{"top-level", failingConcat{max: 5}, words, true},
+		{"no-failure", failingConcat{max: 100}, words, false},
+	} {
+		c := Candidate{Op: tc.op}
+		want, werr := CombineK(nil, c, tc.outs)
+		if (werr != nil) != tc.fail {
+			t.Fatalf("%s: CombineK err = %v, want failure %v", tc.name, werr, tc.fail)
+		}
+		for _, w := range []int{1, 2, 4} {
+			got, gerr := CombineKTree(nil, c, tc.outs, w)
+			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("%s width %d: CombineKTree = %q, %v; CombineK = %q, %v", tc.name, w, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
 // TestAssociativeCapability pins the capability table: which operator
 // shapes may legally take the tree path.
 func TestAssociativeCapability(t *testing.T) {

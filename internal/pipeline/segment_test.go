@@ -7,7 +7,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"kumquat/internal/unix"
 )
 
 // recordLeaves wraps the local runner and records the script of every
@@ -73,6 +77,57 @@ func TestSegmentFailureNamesMember(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.HasPrefix(msg, `pipeline: stage "xargs cat" chunk `) || strings.Contains(msg, "tr A-Z a-z") {
 		t.Errorf("error = %v, want it to name the failing member and its chunk", err)
+	}
+}
+
+// countingCmd wraps a segment member and records the most of its runs
+// ever in flight at once.
+type countingCmd struct {
+	unix.Command
+	inflight, peak *atomic.Int32
+}
+
+func (c countingCmd) Run(in string) (string, error) {
+	cur := c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	for p := c.peak.Load(); cur > p && !c.peak.CompareAndSwap(p, cur); p = c.peak.Load() {
+	}
+	// Hold the run in flight, so that runs an unbounded fan-out started
+	// together would overlap.
+	time.Sleep(time.Millisecond)
+	return c.Command.Run(in)
+}
+
+// TestChunkRunsBounded: at k = 64 the executor runs all 64 chunks but
+// never more than min(k, GOMAXPROCS) of them at once, and the output is
+// the oracle's.
+func TestChunkRunsBounded(t *testing.T) {
+	const k = 64
+	syn := newSynth()
+	input := strings.Repeat("Pear\napple\nFIG\nbanana\n", 2*k)
+	syn.Env.FS.Register("in.txt", input)
+	plan := compilePlan(t, syn, "cat in.txt | tr A-Z a-z | grep a\n")
+	want := reference(t, plan, input)
+	var inflight, peak atomic.Int32
+	chunks := 0
+	count := WithLeaves(func(local Leaves) Leaves {
+		return func(ctx context.Context, seg *Segment, cs []string) ([]string, [][]int64, error) {
+			chunks += len(cs)
+			counted := *seg
+			counted.Members = append([]unix.Command{countingCmd{seg.Members[0], &inflight, &peak}}, seg.Members[1:]...)
+			return local(ctx, &counted, cs)
+		}
+	})
+	var out strings.Builder
+	if _, err := plan.Execute(context.Background(), syn.Env, nil, &out, ModeOptimized, k, count); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Error("output diverges from the oracle")
+	}
+	bound := min(k, runtime.GOMAXPROCS(0))
+	if got := peak.Load(); chunks != k || got < 1 || int(got) > bound {
+		t.Errorf("%d chunks ran with %d in flight at peak; want %d chunks, at most %d at once", chunks, got, k, bound)
 	}
 }
 

@@ -109,35 +109,6 @@ type stageError struct {
 func (e *stageError) Error() string { return fmt.Sprintf("pipeline: stage %q: %v", e.spec, e.err) }
 func (e *stageError) Unwrap() error { return e.err }
 
-// workerPool bounds the number of in-flight chunk executions to the
-// machine's parallelism. One pool is shared across all stages of an
-// Execute call, so asking for k far beyond the hardware queues the excess
-// chunks instead of oversubscribing the scheduler.
-type workerPool struct {
-	sem chan struct{}
-}
-
-func newWorkerPool(n int) *workerPool {
-	if n < 1 {
-		n = 1
-	}
-	return &workerPool{sem: make(chan struct{}, n)}
-}
-
-func (wp *workerPool) acquire(ctx context.Context) error {
-	select {
-	case wp.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (wp *workerPool) release() { <-wp.sem }
-
-// size is the pool's slot count, which is also the tree combine's width.
-func (wp *workerPool) size() int { return cap(wp.sem) }
-
 // countReader / countWriter thread byte accounting through a piped
 // region without copying. Each is used by one region goroutine, and the
 // counts are read only after the walk's teardown has waited for it.
@@ -300,12 +271,12 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 		opt(&cfg)
 	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
-	// k > GOMAXPROCS the extra chunks wait for a pool slot. The tree
+	// k > GOMAXPROCS the extra chunks wait for a free runner. The tree
 	// combine runs at the same width.
 	ex := &executor{
-		env:  env,
-		k:    k,
-		pool: newWorkerPool(min(k, runtime.GOMAXPROCS(0))),
+		env:   env,
+		k:     k,
+		width: max(min(k, runtime.GOMAXPROCS(0)), 1),
 	}
 	switch mode {
 	case ModeSerial:

@@ -12,6 +12,7 @@ import (
 
 	"kumquat/internal/dataflow"
 	"kumquat/internal/obs"
+	"kumquat/internal/par"
 	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
@@ -20,12 +21,12 @@ import (
 // every member — and returns the last member's per-chunk outputs in
 // chunk order, with bytesOut[i][m] the output volume of member m on
 // chunk i: the single (segment, shard) → bytes site of the repo. The
-// executor's default is the pooled local fan-out (runLocal); the cluster
+// executor's default is the bounded local fan-out (runLocal); the cluster
 // coordinator is the one other implementation.
 type Leaves func(ctx context.Context, seg *Segment, chunks []string) (outs []string, bytesOut [][]int64, err error)
 
 // WithLeaves routes every chunk fan-out of one Execute call through
-// wrap(local), where local is the executor's pooled in-process runner —
+// wrap(local), where local is the executor's bounded in-process runner —
 // so an implementation can dispatch some segments elsewhere and hand the
 // rest back. It is an internal seam for execution planes inside this
 // module (cluster.Coordinator): kumquat.Plan.Execute forwards it as
@@ -50,9 +51,9 @@ type executor struct {
 	// source, whatever its kind (T_orig): unix.Exec's buffered fallback
 	// runs whole-stream commands behind the same pipes.
 	piped bool
-	// pool bounds in-flight chunk executions; its size is also the tree
+	// width bounds in-flight chunk executions, and is also the tree
 	// combine's width.
-	pool *workerPool
+	width int
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
 	// info, when non-nil, receives the region metrics and applied
@@ -404,13 +405,12 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 	}
 	// The stage's synthesized combiner, on the tree-reduction plane.
 	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
-	width := ex.pool.size()
 	_, span := obs.StartSpan(ctx, "combine")
 	span.AttrInt("parts", int64(len(outs)))
-	span.AttrInt("width", int64(width))
+	span.AttrInt("width", int64(ex.width))
 	span.AttrInt("bytes", totalLen(outs))
 	start := time.Now()
-	combined, err := sp.Synth.Combiner.CombineKTree(outs, width)
+	combined, err := sp.Synth.Combiner.CombineKTree(outs, ex.width)
 	rm.CombineWall = time.Since(start)
 	span.End()
 	if err != nil {
@@ -422,8 +422,7 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 }
 
 // runLocal is the default Leaves: the segment runs on every chunk
-// concurrently, bounded by the Execute call's shared worker pool. It is
-// the only place per-chunk goroutines are spawned.
+// concurrently, at most ex.width chunks at a time.
 func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string) ([]string, [][]int64, error) {
 	_, span := obs.StartSpan(ctx, "chunks")
 	span.AttrInt("n", int64(len(chunks)))
@@ -431,20 +430,11 @@ func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string)
 	outs := make([]string, len(chunks))
 	bytesOut := make([][]int64, len(chunks))
 	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		if err := ex.pool.acquire(ctx); err != nil {
-			errs[i] = err
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer ex.pool.release()
+	par.For(ex.width, len(chunks), func(i int) {
+		if ctx.Err() == nil {
 			outs[i], bytesOut[i], errs[i] = seg.Run(i, chunks[i])
-		}(i)
-	}
-	wg.Wait()
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -102,8 +102,9 @@ type ExecuteOptions struct {
 	// K is the data-parallelism degree; 0 = server default.
 	K int
 	// Cluster selects coordinator dispatch on a cluster-configured
-	// server: "" = server default (on when workers are configured),
-	// "off" forces local execution, "on" requires cluster mode.
+	// server: "" = server default (on when workers are configured and
+	// the mode is optimized), "off" forces local execution, "on"
+	// requires cluster mode, which runs only the optimized mode.
 	Cluster string
 	// Trace asks the server to record a trace of the request ("on");
 	// "" = off. The report's Trace summary then carries the trace id to

@@ -145,6 +145,37 @@ func TestClusterParamValidation(t *testing.T) {
 	}
 }
 
+// TestClusterHonorsMode: on a coordinator, a mode other than optimized
+// runs in-process when cluster is unset or auto, reporting that mode and
+// no cluster block; cluster=on with such a mode is a client error.
+func TestClusterHonorsMode(t *testing.T) {
+	c, _ := bootCluster(t, 2)
+	script, input := "sort | uniq -c", "b\na\nb\n"
+	want := localOracle(t, script, input)
+	for _, mode := range []kumquat.Mode{kumquat.Serial, kumquat.Unoptimized, kumquat.Pipelined} {
+		for _, cl := range []string{"", "auto"} {
+			var out strings.Builder
+			rep, err := c.Execute(context.Background(), script,
+				client.ExecuteOptions{Mode: mode.String(), Cluster: cl}, strings.NewReader(input), &out)
+			if err != nil {
+				t.Fatalf("mode=%v cluster=%q: %v", mode, cl, err)
+			}
+			if rep.Mode != mode || rep.Cluster != nil {
+				t.Errorf("mode=%v cluster=%q: report mode %v, cluster block %+v; want %v and none", mode, cl, rep.Mode, rep.Cluster, mode)
+			}
+			if out.String() != want {
+				t.Errorf("mode=%v cluster=%q: output %q, want %q", mode, cl, out.String(), want)
+			}
+		}
+		var out strings.Builder
+		_, err := c.Execute(context.Background(), script,
+			client.ExecuteOptions{Mode: mode.String(), Cluster: "on"}, strings.NewReader(input), &out)
+		if err == nil || !strings.Contains(err.Error(), "optimized program") {
+			t.Errorf("mode=%v cluster=on = %v, want a client error", mode, err)
+		}
+	}
+}
+
 // TestClusterVersionAndMetrics: coordinator surfaces its worker list in
 // /v1/version and the cluster gauges in /metrics.
 func TestClusterVersionAndMetrics(t *testing.T) {

@@ -155,13 +155,19 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// cluster selects the dispatch plane: "on" demands the coordinator
 	// (400 without workers), "off" forces in-process execution, and the
-	// default uses the cluster whenever one is configured.
-	useCluster := s.clu != nil
+	// default uses the cluster whenever one is configured. The cluster
+	// walks only the optimized program, so any other mode runs in-process
+	// by default and is refused with "on".
+	useCluster := s.clu != nil && mode == kumquat.Optimized
 	switch q.Get("cluster") {
 	case "", "auto":
 	case "on":
 		if s.clu == nil {
 			writeError(w, http.StatusBadRequest, "cluster=on but no workers are configured")
+			return
+		}
+		if mode != kumquat.Optimized {
+			writeError(w, http.StatusBadRequest, "cluster=on runs the optimized program, not mode %v", mode)
 			return
 		}
 	case "off":

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"kumquat/internal/dsl"
 	"kumquat/internal/obs"
+	"kumquat/internal/par"
 	"kumquat/internal/shape"
 	"kumquat/internal/synth/cache"
 	"kumquat/internal/unix"
@@ -17,10 +19,10 @@ import (
 
 // Engine is the concurrent, cancellable, cached combiner synthesizer — the
 // primary synthesis entry point. Algorithm 1's per-round candidate
-// filtering fans out over a bounded worker pool (the enumeration is
-// sharded with dsl.Shards, each shard filtered against the observation
-// set, and survivors merged in shard order, so results are byte-identical
-// to a sequential run at any worker count), and Algorithm 2's gradient
+// filtering fans out over the engine's workers (the live set is cut into
+// contiguous shards, each shard filtered against the observation set,
+// and survivors merged in shard order, so results are byte-identical to
+// a sequential run at any worker count), and Algorithm 2's gradient
 // mutations are scored concurrently. Results are cached in one bounded
 // in-memory LRU — under the exact spec text, so a repeat resolves before
 // it is even parsed, and under a canonical command signature (normalized
@@ -250,9 +252,6 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 // Stats returns a snapshot of the engine's cache activity: memory hits
 // (the LRU), disk hits, and misses (full synthesis runs).
 func (e *Engine) Stats() cache.Stats { return e.counters.Snapshot() }
-
-// Workers reports the resolved worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
 
 // synthesizeCommand runs cache lookup and, on a miss, Algorithm 1 for one
 // already-parsed black-box command, and names the serving cache tier:
@@ -498,7 +497,10 @@ func (e *Engine) effectiveInputs(ctx context.Context, cmd unix.Command, denv *ds
 		}
 		mutSlots := make([][]obsSlot, shape.NumMutations)
 		scores := make([]int, shape.NumMutations)
-		parallelFor(ctx, e.workers, shape.NumMutations, func(j int) {
+		par.For(e.workers, shape.NumMutations, func(j int) {
+			if ctx.Err() != nil {
+				return
+			}
 			sl := make([]obsSlot, len(pairsByMut[j]))
 			for i, p := range pairsByMut[j] {
 				o, ok := runPair(cmd, p)
@@ -556,9 +558,11 @@ func runPair(cmd unix.Command, p [2]string) (Observation, bool) {
 // pairs' slots ok=false; callers check ctx before trusting the set.
 func (e *Engine) observeSlots(ctx context.Context, cmd unix.Command, pairs [][2]string) []obsSlot {
 	slots := make([]obsSlot, len(pairs))
-	parallelFor(ctx, e.workers, len(pairs), func(i int) {
-		o, ok := runPair(cmd, pairs[i])
-		slots[i] = obsSlot{o, ok}
+	par.For(e.workers, len(pairs), func(i int) {
+		if ctx.Err() == nil {
+			o, ok := runPair(cmd, pairs[i])
+			slots[i] = obsSlot{o, ok}
+		}
 	})
 	return slots
 }
@@ -576,20 +580,20 @@ func compactObs(slots []obsSlot) []Observation {
 }
 
 // filterParallel is FilterCandidates over a sharded live set: each
-// shard is filtered against the observations on the worker pool and the
-// survivors are concatenated in shard order, reproducing the sequential
-// filter exactly. From filterIndexCutoff live candidates up, the domain
-// index for the first observation is computed once before the fan-out
-// and every shard reads it; indexed reports whether it was. Returns
-// ctx.Err() if cancelled before the merge completes, in which case the
-// partial survivors are discarded.
+// shard is filtered against the observations on the engine's workers and
+// the survivors are concatenated in shard order, reproducing the
+// sequential filter exactly. From filterIndexCutoff live candidates up,
+// the domain index for the first observation is computed once before the
+// fan-out and every shard reads it; indexed reports whether it was.
+// Returns ctx.Err() if cancelled before the merge completes, in which
+// case the partial survivors are discarded.
 func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
 	live []int32, obs []Observation) (next []int32, indexed bool, err error) {
 
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if len(obs) == 0 {
+	if len(obs) == 0 || len(live) == 0 {
 		return live, false, nil
 	}
 	var ws *dsl.DomainScratch
@@ -597,79 +601,30 @@ func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
 		ws = sp.domain(obs[0])
 		defer sp.release(ws)
 	}
-	// Small sets are cheaper to filter inline than to fan out; the
-	// sequential path still honours cancellation by checking ctx every
-	// 2048-candidate chunk.
-	if e.workers <= 1 || len(live) < 2048 {
-		next = make([]int32, 0, len(live))
-		for _, shard := range dsl.Shards(live, (len(live)+2047)/2048) {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
-			next = filterCandidates(denv, sp.Space, ws, shard, obs, next)
-		}
-		return next, ws != nil, nil
+	// Small sets are one shard, filtered inline. Larger ones are cut so
+	// a cancelled ctx is noticed between shards: into 2048-candidate
+	// shards on one worker, and into four shards per worker otherwise, so
+	// the atomic index balances shards of uneven candidate cost.
+	shards := 1
+	switch {
+	case len(live) < 2048:
+	case e.workers <= 1:
+		shards = (len(live) + 2047) / 2048
+	default:
+		shards = e.workers * 4
 	}
-	// Over-shard (4 chunks per worker) so the atomic work queue balances
-	// shards of uneven candidate cost, and a cancelled ctx is noticed at
-	// shard granularity.
-	shards := dsl.Shards(live, e.workers*4)
-	out := make([][]int32, len(shards))
-	parallelFor(ctx, e.workers, len(shards), func(i int) {
-		out[i] = filterCandidates(denv, sp.Space, ws, shards[i], obs, nil)
+	size := (len(live) + shards - 1) / shards
+	out := make([][]int32, (len(live)+size-1)/size)
+	par.For(e.workers, len(out), func(i int) {
+		if ctx.Err() == nil {
+			lo := i * size
+			out[i] = filterCandidates(denv, sp.Space, ws, live[lo:min(lo+size, len(live))], obs, nil)
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	total := 0
-	for _, s := range out {
-		total += len(s)
-	}
-	next = make([]int32, 0, total)
-	for _, s := range out {
-		next = append(next, s...)
-	}
-	return next, ws != nil, nil
-}
-
-// parallelFor runs fn(i) for every i in [0,n) on up to workers
-// goroutines, pulling indices from a shared atomic queue. fn must write
-// only to state owned by index i; completion of all started fn calls is
-// awaited before returning. Once ctx is cancelled no new indices are
-// handed out, so some fn(i) may never run — callers detect this via
-// ctx.Err().
-func parallelFor(ctx context.Context, workers, n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return slices.Concat(out...), ws != nil, nil
 }
 
 // evalEnv builds the DSL evaluation environment for one command: f for

@@ -8,7 +8,7 @@ import (
 // Mapping is a read-only byte view of a file's contents: an OS memory
 // mapping where the platform supports one, or a buffer the file was read
 // into otherwise (pipes, empty files, non-mmap platforms). Either way
-// Bytes and View are stable for the life of the Mapping, so chunking a
+// View is stable for the life of the Mapping, so chunking a
 // mapped input is pure pointer arithmetic — no copy of the corpus is
 // ever made.
 //
@@ -20,7 +20,7 @@ import (
 // immutable snapshots: callers own the choice of mapping only files
 // nothing else writes, and the fallback (read-into-buffer) path is the
 // escape hatch when that cannot be guaranteed. Close unmaps; the caller
-// must ensure no Bytes/View slices (or LineSeqs over them) are used
+// must ensure no View strings (or LineSeqs over them) are used
 // afterwards — the FS layer upholds this by keeping every registered
 // mapping alive until the environment itself is closed.
 type Mapping struct {
@@ -29,12 +29,8 @@ type Mapping struct {
 	closed atomic.Bool
 }
 
-// Bytes returns the mapped contents. The slice must not be mutated and
-// must not be used after Close.
-func (m *Mapping) Bytes() []byte { return m.data }
-
-// View returns the mapped contents as a zero-copy string, under the
-// same lifetime rules as Bytes.
+// View returns the mapped contents as a zero-copy string. It must not be
+// used after Close.
 func (m *Mapping) View() string { return View(m.data) }
 
 // Len returns the mapped length in bytes.

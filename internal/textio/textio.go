@@ -46,20 +46,6 @@ func JoinLines(lines []string) string {
 	return b.String()
 }
 
-// SplitFirst splits s at the first occurrence of delimiter d, returning the
-// head (before d) and tail (after d). ok is false when d does not occur,
-// in which case head is s and tail is "".
-//
-// This is the DSL semantics' splitFirst: for "a,b,c" with d="," it returns
-// ("a", "b,c", true).
-func SplitFirst(d byte, s string) (head, tail string, ok bool) {
-	i := strings.IndexByte(s, d)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+1:], true
-}
-
 // SplitFirstLine splits a stream into its first line (without terminator)
 // and the remaining stream. For "a\nb\n" it returns ("a", "b\n").
 // For a single-line stream "a\n" it returns ("a", "").
@@ -177,10 +163,11 @@ func AddPad(p Pad, field string) string {
 // ok is false when the deformatted line does not contain d.
 func FieldPad(d byte, line string) (p Pad, head, tail string, ok bool) {
 	p, rest := DelPad(line)
-	head, tail, ok = SplitFirst(d, rest)
-	if !ok {
-		return p, head, tail, false
+	i := strings.IndexByte(rest, d)
+	if i < 0 {
+		return p, rest, "", false
 	}
+	head, tail = rest[:i], rest[i+1:]
 	p.Width = p.Count + len(head)
 	return p, head, tail, true
 }

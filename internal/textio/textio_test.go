@@ -79,21 +79,6 @@ func TestJoinLinesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSplitFirst(t *testing.T) {
-	h, tl, ok := SplitFirst(',', "a,b,c")
-	if !ok || h != "a" || tl != "b,c" {
-		t.Errorf("SplitFirst = %q %q %v", h, tl, ok)
-	}
-	h, tl, ok = SplitFirst(',', "abc")
-	if ok || h != "abc" || tl != "" {
-		t.Errorf("SplitFirst no-delim = %q %q %v", h, tl, ok)
-	}
-	h, tl, ok = SplitFirst(',', ",x")
-	if !ok || h != "" || tl != "x" {
-		t.Errorf("SplitFirst leading = %q %q %v", h, tl, ok)
-	}
-}
-
 func TestSplitFirstLine(t *testing.T) {
 	l, rest, ok := SplitFirstLine("a\nb\nc\n")
 	if !ok || l != "a" || rest != "b\nc\n" {

@@ -85,16 +85,6 @@ func (fs *FS) DictionaryNames() []string {
 	return append([]string(nil), fs.corpus...)
 }
 
-// AddToDictionary registers a file and includes it in the legal-file-name
-// dictionary (used by benchmark input registration).
-func (fs *FS) AddToDictionary(name, content string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.put(name, &fsEntry{data: content})
-	fs.corpus = append(fs.corpus, name)
-	sort.Strings(fs.corpus)
-}
-
 // Register adds or replaces a file.
 func (fs *FS) Register(name, content string) {
 	fs.mu.Lock()

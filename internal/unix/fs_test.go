@@ -12,7 +12,7 @@ import (
 )
 
 // TestNewFSIsolated: every FS starts from the same once-built seed corpus
-// and owns its own name space — Register, Remove and AddToDictionary on
+// and owns its own name space — Register and Remove on
 // one are invisible to every other, including FSs built concurrently
 // (run under -race, this also proves the shared seed is only ever read).
 func TestNewFSIsolated(t *testing.T) {
@@ -41,7 +41,6 @@ func TestNewFSIsolated(t *testing.T) {
 			fs.Register("f000.txt", "overwritten\n")
 			fs.Register("private.txt", "mine\n")
 			fs.Remove("f001.txt")
-			fs.AddToDictionary("a-first.txt", "dict\n")
 		}(w)
 	}
 	wg.Wait()

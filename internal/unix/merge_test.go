@@ -403,7 +403,7 @@ func splitStreams(rng *rand.Rand, s string) []string {
 	return parts
 }
 
-// checkSortCase holds Run, Less, MergeStreams and IsSorted to
+// checkSortCase holds Run, MergeStreams and IsSorted to
 // the reference on one spec and input.
 func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 	t.Helper()
@@ -414,12 +414,6 @@ func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 		t.Fatalf("%s: Run(%q) = %q, %v; reference %q, %v", spec, input, got, err, want, wantErr)
 	}
 	lines := textio.Lines(input)
-	for i := 1; i < len(lines); i++ {
-		a, b := lines[i-1], lines[i]
-		if s.Less(a, b) != referenceLess(s, a, b) || s.Less(b, a) != referenceLess(s, b, a) {
-			t.Fatalf("%s: Less(%q, %q) disagrees with the reference", spec, a, b)
-		}
-	}
 	sorted := referenceJoin(referenceSortLines(s, lines))
 	for _, x := range []string{input, sorted} {
 		if got, want := s.IsSorted(x), referenceIsSorted(s, x); got != want {

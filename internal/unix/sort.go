@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
+	"kumquat/internal/par"
 	"kumquat/internal/textio"
 )
 
@@ -17,8 +17,9 @@ import (
 // experimental setup forces --parallel=1 to keep stages serial). Flags
 // and key forms outside that set (-s, -b, -k N.M, -k N,M) fail to parse.
 //
-// The comparator is exported (Less) because the DSL's merge combiner is
-// "sort -m <flags>" with the same flags (§3.1 RunOp).
+// The ordering is exported through IsSorted and MergeStreams because the
+// DSL's merge combiner is "sort -m <flags>" with the same flags (§3.1
+// RunOp).
 type SortCmd struct {
 	spec     string
 	Numeric  bool
@@ -265,14 +266,6 @@ func numValue(sv string) float64 {
 		v = -v
 	}
 	return v
-}
-
-// Less is the full GNU ordering on two lines.
-func (s *SortCmd) Less(a, b string) bool {
-	var ka, kb sortLine
-	s.ord.setKey(&ka, a)
-	s.ord.setKey(&kb, b)
-	return s.ord.compare(&ka, &kb) < 0
 }
 
 // IsSorted reports whether the stream is already ordered under this
@@ -856,21 +849,11 @@ func (s *SortCmd) mergeRanges(p int, streams []string) (string, bool) {
 	out := make([]byte, offs[p])
 	wrote := make([]int, p)
 	descent := make([]bool, p)
-	merge := func(i int) {
+	par.For(p, p, func(i int) {
 		f := s.newFront(pieces[i*k : (i+1)*k])
 		wrote[i] = f.write(out[offs[i]:offs[i+1]])
 		descent[i] = f.descent
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < p; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			merge(i)
-		}()
-	}
-	merge(0)
-	wg.Wait()
+	})
 	n := 0
 	for i := range p {
 		if descent[i] {
