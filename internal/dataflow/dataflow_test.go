@@ -333,3 +333,47 @@ func TestFusedRunAllocations(t *testing.T) {
 		t.Errorf("fused Run allocated %.0f times for %d lines; want O(1), not O(lines)", allocs, lines)
 	}
 }
+
+// TestFusedChainAllocations pins the chain-cold-file mapper
+// (tr A-Z a-z | grep light | sed 's/light/dark/' | cut -d ' ' -f 1-3):
+// its kernels answer by view or into scratch sized once, so a fused Run
+// makes exactly as many allocations over 100 000 lines as over 1 000.
+func TestFusedChainAllocations(t *testing.T) {
+	specs := []string{"tr A-Z a-z", "grep light", `sed 's/light/dark/'`, "cut -d ' ' -f 1-3"}
+	var mappers []unix.LineMapper
+	for _, spec := range specs {
+		cmd, err := unix.Parse(spec, unix.DefaultEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm, ok := unix.AsLineMapper(cmd)
+		if !ok {
+			t.Fatalf("%q is not a line mapper", spec)
+		}
+		mappers = append(mappers, lm)
+	}
+	fm := dataflow.NewFusedMapper(specs, mappers)
+	text := []string{
+		"The Light of the sea, and the wind.",
+		"a dark river at night.",
+		"light light LIGHT",
+		"nolight",
+		"",
+	}
+	allocs := func(lines int) float64 {
+		var b strings.Builder
+		for i := 0; i < lines; i++ {
+			b.WriteString(text[i%len(text)])
+			b.WriteByte('\n')
+		}
+		in := b.String()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := fm.Run(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(100_000); small != large {
+		t.Errorf("fused chain Run allocated %.0f times over 1 000 lines and %.0f over 100 000; want the same", small, large)
+	}
+}

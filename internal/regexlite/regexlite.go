@@ -398,7 +398,7 @@ type matchState struct {
 	input  string
 	caps   [10][2]int // group start/end, -1 when unset
 	icase  bool
-	budget *int // backtracking step budget shared across one find call
+	budget int // backtracking steps left in the current find
 }
 
 func foldByte(b byte) byte {
@@ -418,10 +418,10 @@ func (m *matchState) byteEq(a, b byte) bool {
 // matchSeq attempts to match seq starting at position pos; cont is invoked
 // with the end position on success. Returns true when a full match is found.
 func (m *matchState) matchSeq(seq []node, pos int, cont func(int) bool) bool {
-	if *m.budget <= 0 {
+	if m.budget <= 0 {
 		return false
 	}
-	*m.budget--
+	m.budget--
 	if len(seq) == 0 {
 		return cont(pos)
 	}
@@ -448,7 +448,7 @@ func (m *matchState) matchSeq(seq []node, pos int, cont func(int) bool) bool {
 
 // matchRepeat implements greedy repetition with backtracking.
 func (m *matchState) matchRepeat(n node, pos, count, min int, cont func(int) bool) bool {
-	if *m.budget <= 0 {
+	if m.budget <= 0 {
 		return false
 	}
 	// Greedy: try one more repetition first.
@@ -554,24 +554,21 @@ func (mm Match) Group(input string, i int) string {
 	return input[s:e]
 }
 
-// find locates the leftmost match starting at or after from. The
-// backtracking budget is shared across all start positions of the call so
-// pathological patterns degrade to a non-match instead of hanging.
-func (re *Regexp) find(input string, from int) (Match, bool) {
+// find locates the leftmost match in input starting at or after from
+// and returns its bounds. A literal pattern is strings.Index and needs no
+// state (m may be nil); any other runs the backtracker on m, whose caps
+// then hold the match's groups. The backtracking budget is shared across
+// all start positions of the call so pathological patterns degrade to a
+// non-match instead of hanging.
+func (re *Regexp) find(m *matchState, input string, from int) (start, end int, ok bool) {
 	if re.isLit {
 		i := strings.Index(input[from:], re.lit)
 		if i < 0 {
-			return Match{}, false
+			return 0, 0, false
 		}
-		m := Match{Start: from + i, End: from + i + len(re.lit)}
-		for i := range m.Caps {
-			m.Caps[i] = [2]int{-1, -1}
-		}
-		m.Caps[0] = [2]int{m.Start, m.End}
-		return m, true
+		return from + i, from + i + len(re.lit), true
 	}
-	budget := defaultBudget
-	m := &matchState{input: input, icase: re.icase, budget: &budget}
+	m.budget = defaultBudget
 	for start := from; start <= len(input); start++ {
 		if re.hasFirstLit {
 			// The match must open with this byte; skip ahead to its next
@@ -585,43 +582,61 @@ func (re *Regexp) find(input string, from int) (Match, bool) {
 		for i := range m.caps {
 			m.caps[i] = [2]int{-1, -1}
 		}
-		var end int
-		ok := m.matchSeq(re.seq, start, func(p int) bool { end = p; return true })
-		if ok {
-			m.caps[0] = [2]int{start, end}
-			return Match{Start: start, End: end, Caps: m.caps}, true
+		if m.matchSeq(re.seq, start, func(p int) bool { end = p; return true }) {
+			return start, end, true
 		}
 		// A pattern with a ^ anchor can only match at 0.
 		if len(re.seq) > 0 && re.seq[0].kind == nStartAnchor {
 			break
 		}
 	}
-	return Match{}, false
+	return 0, 0, false
+}
+
+// state returns the match state find needs for input: nil for a literal
+// pattern, which has none.
+func (re *Regexp) state(input string) *matchState {
+	if re.isLit {
+		return nil
+	}
+	return &matchState{input: input, icase: re.icase}
 }
 
 // MatchString reports whether input contains a match of the pattern.
 func (re *Regexp) MatchString(input string) bool {
-	_, ok := re.find(input, 0)
+	_, _, ok := re.find(re.state(input), input, 0)
 	return ok
 }
 
-// FindString returns the leftmost match, if any.
+// FindString returns the leftmost match, if any, with its groups.
 func (re *Regexp) FindString(input string) (Match, bool) {
-	return re.find(input, 0)
+	m := matchState{input: input, icase: re.icase}
+	for i := range m.caps {
+		m.caps[i] = [2]int{-1, -1} // what a literal pattern leaves them
+	}
+	start, end, ok := re.find(&m, input, 0)
+	if !ok {
+		return Match{}, false
+	}
+	m.caps[0] = [2]int{start, end}
+	return Match{Start: start, End: end, Caps: m.caps}, true
 }
 
-// expandRepl appends a sed-style replacement to dst: & is the whole
-// match, \1..\9 are groups, \& and \\ are literals.
-func expandRepl(dst []byte, repl, input string, m Match) []byte {
+// expandRepl appends a sed-style replacement for the match [start, end)
+// to dst: & is the whole match, \1..\9 are groups (read from m; a literal
+// pattern, whose m is nil, has none), \& and \\ are literals.
+func expandRepl(dst []byte, repl, input string, start, end int, m *matchState) []byte {
 	for i := 0; i < len(repl); i++ {
 		c := repl[i]
 		switch {
 		case c == '&':
-			dst = append(dst, input[m.Start:m.End]...)
+			dst = append(dst, input[start:end]...)
 		case c == '\\' && i+1 < len(repl):
 			e := repl[i+1]
 			if e >= '1' && e <= '9' {
-				dst = append(dst, m.Group(input, int(e-'0'))...)
+				if m != nil {
+					dst = append(dst, m.group(int(e-'0'))...)
+				}
 			} else if e == 'n' {
 				dst = append(dst, '\n')
 			} else if e == 't' {
@@ -637,40 +652,60 @@ func expandRepl(dst []byte, repl, input string, m Match) []byte {
 	return dst
 }
 
+// group returns the text of capture group i of the last match, or ""
+// when unset.
+func (m *matchState) group(i int) string {
+	s, e := m.caps[i][0], m.caps[i][1]
+	if s < 0 || e < s {
+		return ""
+	}
+	return m.input[s:e]
+}
+
 // ReplaceFirst appends input to dst with its leftmost match replaced by
 // repl (sed s/// without g). ok is false when nothing matches; dst is then
 // returned as it was, so the caller can keep input itself.
 func (re *Regexp) ReplaceFirst(dst []byte, input, repl string) (_ []byte, ok bool) {
-	m, ok := re.find(input, 0)
-	if !ok {
-		return dst, false
-	}
-	dst = append(dst, input[:m.Start]...)
-	dst = expandRepl(dst, repl, input, m)
-	return append(dst, input[m.End:]...), true
+	return re.replace(dst, input, repl, false)
 }
 
 // ReplaceAll appends input to dst with every non-overlapping match
-// replaced by repl (sed s///g); empty matches advance by one byte. ok is
-// false when nothing matches; dst is then returned as it was.
+// replaced by repl (sed s///g). ok is false when nothing matches; dst is
+// then returned as it was.
 func (re *Regexp) ReplaceAll(dst []byte, input, repl string) (_ []byte, ok bool) {
-	pos := 0
+	return re.replace(dst, input, repl, true)
+}
+
+// replace is ReplaceFirst, or ReplaceAll when all is set. After an empty
+// match the byte at its position is copied and the search resumes one
+// byte later. As in GNU sed, an empty match that starts where the
+// previous match ended is no match at all: s/a*/X/g turns "a" into "X",
+// not "XX".
+func (re *Regexp) replace(dst []byte, input, repl string, all bool) (_ []byte, ok bool) {
+	m := re.state(input)
+	pos, prev := 0, -1 // prev is where the last replaced match ended
 	for pos <= len(input) {
-		m, found := re.find(input, pos)
+		start, end, found := re.find(m, input, pos)
 		if !found {
 			break
 		}
-		ok = true
-		dst = append(dst, input[pos:m.Start]...)
-		dst = expandRepl(dst, repl, input, m)
-		if m.End == m.Start {
-			if m.End < len(input) {
-				dst = append(dst, input[m.End])
+		dst = append(dst, input[pos:start]...)
+		if start < end || start != prev {
+			dst = expandRepl(dst, repl, input, start, end, m)
+			ok, prev = true, end
+			if !all {
+				pos = end
+				break
 			}
-			pos = m.End + 1
-		} else {
-			pos = m.End
 		}
+		if start < end {
+			pos = end
+			continue
+		}
+		if end < len(input) {
+			dst = append(dst, input[end])
+		}
+		pos = end + 1
 	}
 	if !ok {
 		return dst, false

@@ -175,6 +175,26 @@ func TestReplaceAll(t *testing.T) {
 	}
 }
 
+// TestReplaceAllEmptyAfterMatch: as in GNU sed, s///g does not replace
+// an empty match that starts where the previous match ended.
+func TestReplaceAllEmptyAfterMatch(t *testing.T) {
+	for _, c := range []struct{ pattern, input, repl, want string }{
+		{"a*", "a", "X", "X"},
+		{"a*", "a b c d e", "X", "X XbX XcX XdX XeX"},
+		{"a*", "baaac", "x", "xbxcx"},
+		{"x*", "abc", "-", "-a-b-c-"},
+		{"b*", "abb", "<&>", "<>a<bb>"},
+		{`\(a\)*`, "aab", `[\1]`, "[a]b[]"},
+		{"$", "ab", "!", "ab!"},
+		{"^", "ab", "!", "!ab"},
+	} {
+		re := MustCompile(c.pattern)
+		if got := replaced(re.ReplaceAll, c.input, c.repl); got != c.want {
+			t.Errorf("s/%s/%s/g on %q = %q, want %q", c.pattern, c.repl, c.input, got, c.want)
+		}
+	}
+}
+
 // TestReplaceAppends: both Replace methods append to the caller's buffer,
 // and leave it untouched when nothing matches.
 func TestReplaceAppends(t *testing.T) {

@@ -1,14 +1,13 @@
 package textio
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
 // This file is the shared field-splitting core of the data plane: one
-// branch-light scalar kernel behind every per-line field walk in the
-// command substrate (cut -d, awk $N, xargs, wc -w, fmt). The
+// branch-light scalar kernel behind every per-line whitespace field walk
+// in the command substrate (awk $N, sort -k, xargs, wc -w, fmt). The
 // kernel iterates fields through a stack-allocated cursor instead of
 // materializing a []string per line, so the steady-state cost of field
 // access is zero heap allocations; callers that genuinely need a slice
@@ -18,16 +17,11 @@ import (
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // FieldSeq is a zero-allocation cursor over the fields of one line.
-// The zero value is exhausted; construct with Fields or FieldsByte.
-// Field boundaries match strings.Fields (runs of Unicode whitespace,
-// no empty fields) in whitespace mode and strings.Split (every
-// delimiter byte is a boundary, empty fields preserved) in
-// byte-delimiter mode.
+// The zero value is exhausted; construct with Fields. Field boundaries
+// match strings.Fields: runs of Unicode whitespace, no empty fields.
 type FieldSeq struct {
-	s     string
-	pos   int
-	delim byte
-	byDel bool
+	s   string
+	pos int
 }
 
 // Fields returns a cursor over the whitespace-separated fields of s,
@@ -36,28 +30,10 @@ type FieldSeq struct {
 // empty fields.
 func Fields(s string) FieldSeq { return FieldSeq{s: s} }
 
-// FieldsByte returns a cursor over the d-separated fields of s, with
-// strings.Split semantics: n delimiters produce n+1 fields and empty
-// fields are preserved ("a,,b" has fields "a", "", "b").
-func FieldsByte(s string, d byte) FieldSeq { return FieldSeq{s: s, delim: d, byDel: true} }
-
 // Next returns the next field and true, or "" and false when the line
 // is exhausted. The returned string is a zero-copy substring of the
 // line.
 func (f *FieldSeq) Next() (string, bool) {
-	if f.byDel {
-		if f.pos > len(f.s) {
-			return "", false
-		}
-		i := f.pos
-		j := strings.IndexByte(f.s[i:], f.delim)
-		if j < 0 {
-			f.pos = len(f.s) + 1
-			return f.s[i:], true
-		}
-		f.pos = i + j + 1
-		return f.s[i : i+j], true
-	}
 	s := f.s
 	i := skipSpace(s, f.pos)
 	if i >= len(s) {

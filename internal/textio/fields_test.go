@@ -57,27 +57,6 @@ func TestFieldsMatchesStringsFields(t *testing.T) {
 	}
 }
 
-// TestFieldsByteMatchesStringsSplit: the byte-delimiter cursor must agree
-// with strings.Split — n delimiters, n+1 fields, empties preserved.
-func TestFieldsByteMatchesStringsSplit(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	delims := []byte{',', ' ', '\t', ':', 'a'}
-	for trial := 0; trial < 2000; trial++ {
-		s := randLine(r)
-		d := delims[r.Intn(len(delims))]
-		got := collectFields(FieldsByte(s, d))
-		want := strings.Split(s, string(d))
-		if len(got) != len(want) {
-			t.Fatalf("FieldsByte(%q, %q) = %q, want %q", s, d, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("FieldsByte(%q, %q)[%d] = %q, want %q", s, d, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestAppendFieldsReusesCapacity: AppendFields must fill a recycled slice
 // with the same fields strings.Fields produces, without allocating once
 // capacity suffices.
@@ -105,10 +84,9 @@ func TestAppendFieldsReusesCapacity(t *testing.T) {
 }
 
 // TestFieldKernelZeroAlloc: the cursor walk and CountFields are the
-// per-line hot path of cut/awk/wc -w — they must not touch the heap.
+// per-line hot path of awk/wc -w — they must not touch the heap.
 func TestFieldKernelZeroAlloc(t *testing.T) {
 	line := "the quick brown fox jumps over the lazy dog"
-	csv := "alpha,beta,,gamma,delta"
 	var sink int
 	if allocs := testing.AllocsPerRun(100, func() {
 		fs := Fields(line)
@@ -121,18 +99,6 @@ func TestFieldKernelZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Fields iteration: %.1f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		fs := FieldsByte(csv, ',')
-		for {
-			f, ok := fs.Next()
-			if !ok {
-				break
-			}
-			sink += len(f)
-		}
-	}); allocs != 0 {
-		t.Errorf("FieldsByte iteration: %.1f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sink += CountFields(line) }); allocs != 0 {
 		t.Errorf("CountFields: %.1f allocs/op, want 0", allocs)

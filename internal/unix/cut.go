@@ -77,6 +77,10 @@ func newCut(spec string, args []string, _ *Env) (Command, error) {
 	return c, nil
 }
 
+// parseList appends LIST's ranges and normalizes the whole list: sorted
+// by start, with overlapping and adjacent ranges merged. Output follows
+// input order whatever the order of LIST, so normalizing changes no
+// output, and it leaves a list of disjoint ranges with gaps between them.
 func (c *cutCmd) parseList(list string) error {
 	for _, part := range strings.Split(list, ",") {
 		lo, hi, found := strings.Cut(part, "-")
@@ -99,16 +103,17 @@ func (c *cutCmd) parseList(list string) error {
 		c.ranges = append(c.ranges, r)
 	}
 	sort.Slice(c.ranges, func(i, j int) bool { return c.ranges[i].lo < c.ranges[j].lo })
-	return nil
-}
-
-func (c *cutCmd) selected(pos int) bool {
-	for _, r := range c.ranges {
-		if pos >= r.lo && pos <= r.hi {
-			return true
+	merged := c.ranges[:1]
+	for _, r := range c.ranges[1:] {
+		last := &merged[len(merged)-1]
+		if r.lo-1 > last.hi {
+			merged = append(merged, r)
+		} else if r.hi > last.hi {
+			last.hi = r.hi
 		}
 	}
-	return false
+	c.ranges = merged
+	return nil
 }
 
 func (c *cutCmd) Spec() string { return c.spec }
@@ -127,56 +132,75 @@ func (c *cutCmd) Run(input string) (string, error) {
 	return RunLines(c, input), nil
 }
 
-// LineFunc implements LineMapper: cut is line-independent. A single
-// contiguous -c range is a substring view of the input; everything else is
-// assembled in the function's scratch. Field mode passes delimiter-free
-// lines through whole, and splits the rest through the shared field
-// kernel (no per-line field slice). The byte loops append to a local and
-// store the grown scratch back once per line.
+// LineFunc implements LineMapper: cut is line-independent. Each of the
+// normalized ranges selects one contiguous span of the line: bytes lo to
+// hi in -c mode, and in -f mode everything from the start of field lo to
+// the end of field hi (or of the last field), the delimiters between
+// them included. A single range is emitted as a view of its span; only a
+// list of several is assembled in the function's scratch, the spans
+// joined by the delimiter in -f mode. The field walk stops after the last
+// selected field. In -f mode lines without the delimiter pass through
+// whole.
 func (c *cutCmd) LineFunc(emit EmitFunc) EmitFunc {
 	var buf []byte
-	switch {
-	case c.chars && len(c.ranges) == 1:
-		lo, hi := c.ranges[0].lo-1, c.ranges[0].hi
+	if c.chars {
 		return func(line string) {
-			emit(line[min(lo, len(line)):min(hi, len(line))])
-		}
-	case c.chars:
-		return func(line string) {
-			b := buf[:0]
-			for i := 0; i < len(line); i++ {
-				if c.selected(i + 1) {
-					b = append(b, line[i])
+			b := buf[:0] // a local for the appends; stored back once
+			for _, r := range c.ranges {
+				span := line[min(r.lo-1, len(line)):min(r.hi, len(line))]
+				if len(c.ranges) == 1 {
+					emit(span)
+					return
 				}
+				b = append(b, span...)
 			}
 			buf = b
 			emit(textio.View(b))
 		}
 	}
+	d := c.delim
 	return func(line string) {
-		if strings.IndexByte(line, c.delim) < 0 {
+		if strings.IndexByte(line, d) < 0 {
 			emit(line)
 			return
 		}
 		b := buf[:0]
-		fs := textio.FieldsByte(line, c.delim)
-		field, wrote := 0, false
-		for {
-			f, ok := fs.Next()
-			if !ok {
+		// field starts at byte start; start passes len(line) once the
+		// line has no more fields.
+		field, start := 1, 0
+		for i, r := range c.ranges {
+			for ; field < r.lo && start <= len(line); field++ {
+				start += fieldLen(line[start:], d) + 1
+			}
+			if start > len(line) {
 				break
 			}
-			field++
-			if !c.selected(field) {
-				continue
+			end := start + fieldLen(line[start:], d)
+			for field < r.hi && end < len(line) {
+				end++
+				field++
+				end += fieldLen(line[end:], d)
 			}
-			if wrote {
-				b = append(b, c.delim)
+			if len(c.ranges) == 1 {
+				emit(line[start:end])
+				return
 			}
-			b = append(b, f...)
-			wrote = true
+			if i > 0 {
+				b = append(b, d)
+			}
+			b = append(b, line[start:end]...)
+			field, start = field+1, end+1
 		}
 		buf = b
 		emit(textio.View(b))
 	}
+}
+
+// fieldLen returns the length of the field s starts with: the bytes
+// before the first delimiter d, or all of s.
+func fieldLen(s string, d byte) int {
+	if i := strings.IndexByte(s, d); i >= 0 {
+		return i
+	}
+	return len(s)
 }

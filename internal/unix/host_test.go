@@ -1,6 +1,7 @@
 package unix
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,10 +11,19 @@ import (
 	"testing"
 )
 
-// The tests here hold sort, sort -m, uniq and tr to the host's own tools
-// under LC_ALL=C, where they are installed: the reference kernels in
-// merge_test.go and uniq_test.go encode what GNU does, and this is where
-// that encoding is checked against GNU itself.
+// The tests here hold sort, sort -m, uniq, tr and the line kernels (cut,
+// grep, sed, tr's line function) and wc to the host's own tools under
+// LC_ALL=C, where they are installed: the reference kernels in
+// merge_test.go, uniq_test.go and cut_test.go encode what GNU does, and
+// this is where that encoding is checked against GNU itself.
+//
+// Known difference, with its precondition: the line drivers terminate
+// every line they emit, so sed s/// (whose Run is the line driver) and
+// tr's line function end an unterminated last line with a newline,
+// where GNU sed and tr keep it unterminated. The per-line contract
+// (LineMapper) is the precondition: a line mapper emits whole lines,
+// and every pipeline stage reads it so. TestLineKernelsMatchHost holds
+// the two to the host's bytes plus that one newline.
 
 // hostTool runs the named host tool with args under LC_ALL=C on stdin and
 // returns its output, or skips the test when the tool is not installed.
@@ -27,7 +37,9 @@ func hostTool(t *testing.T, name, stdin string, args ...string) string {
 	cmd.Env = append(os.Environ(), "LC_ALL=C")
 	cmd.Stdin = strings.NewReader(stdin)
 	out, err := cmd.Output()
-	if err != nil {
+	var exit *exec.ExitError
+	if err != nil && !(name == "grep" && errors.As(err, &exit) && exit.ExitCode() == 1) {
+		// grep exits 1 when it selects no line; that is an answer.
 		t.Fatalf("%s %q: %v", name, args, err)
 	}
 	return string(out)
@@ -131,7 +143,7 @@ func TestTrRepeatMatchesHost(t *testing.T) {
 		{"-c", "a", "[x*2]y"},
 		{"-c", "a", "[x*1000000000]y"},
 	} {
-		spec := trSpec(args)
+		spec := hostSpec("tr", args)
 		want := hostTool(t, "tr", in, args...)
 		if got := run(t, spec, in); got != want {
 			t.Errorf("%s: Run = %q; host %q", spec, got, want)
@@ -153,17 +165,123 @@ func TestTrRepeatMatchesHost(t *testing.T) {
 		cmd.Env = append(os.Environ(), "LC_ALL=C")
 		cmd.Stdin = strings.NewReader(in)
 		hostErr := cmd.Run()
-		if _, err := Parse(trSpec(args), nil); (err == nil) != (hostErr == nil) {
-			t.Errorf("%s: Parse error %v; host error %v", trSpec(args), err, hostErr)
+		if _, err := Parse(hostSpec("tr", args), nil); (err == nil) != (hostErr == nil) {
+			t.Errorf("%s: Parse error %v; host error %v", hostSpec("tr", args), err, hostErr)
 		}
 	}
 }
 
-// trSpec quotes tr's arguments into a stage spec.
-func trSpec(args []string) string {
-	spec := "tr"
+// hostSpec quotes a command's arguments into a stage spec.
+func hostSpec(name string, args []string) string {
+	spec := name
 	for _, a := range args {
 		spec += " '" + a + "'"
 	}
 	return spec
+}
+
+// hostLineCorpora are hostCorpora plus seeded prose-like lines over
+// words in every case of "light", separated by runs of blanks, tabs and
+// commas, with empty lines, blank-only lines and lines of one to nine
+// fields; twice, terminated and not.
+func hostLineCorpora() []string {
+	rng := rand.New(rand.NewSource(36))
+	words := []string{"light", "Light", "LIGHT", "lighthouse", "dark", "a", "aa", "b", "l1ght", "x9", "", "sea"}
+	seps := []string{" ", " ", " ", "  ", "\t", ",", ", "}
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		for j, n := 0, rng.Intn(10); j < n; j++ {
+			if j > 0 || rng.Intn(8) == 0 {
+				b.WriteString(seps[rng.Intn(len(seps))])
+			}
+			b.WriteString(words[rng.Intn(len(words))])
+		}
+		if rng.Intn(8) == 0 {
+			b.WriteString(seps[rng.Intn(len(seps))])
+		}
+		b.WriteByte('\n')
+	}
+	return append(hostCorpora(), b.String(), strings.TrimSuffix(b.String(), "\n"))
+}
+
+// TestLineKernelsMatchHost: cut, grep, sed s/// and tr's line function
+// give the host's bytes on every host line corpus, and wc its counts:
+// cut over single, open, multiple, overlapping and reordered field lists
+// and byte lists, on lines without the delimiter and with fewer fields
+// than the list names; grep literal, -v, -c, -i and anchored; sed
+// literal, with & and \1 splices, and /g where the pattern matches
+// empty (GNU's empty-match rule); tr translating, deleting and
+// splitting lines. sed and tr's line function differ from the host by
+// the known newline on an unterminated last line (see the file comment).
+func TestLineKernelsMatchHost(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"cut", []string{"-d", " ", "-f", "1"}},
+		{"cut", []string{"-d", " ", "-f", "2-"}},
+		{"cut", []string{"-d", " ", "-f", "1-3"}},
+		{"cut", []string{"-d", " ", "-f", "1,3"}},
+		{"cut", []string{"-d", " ", "-f", "1-2,2-3"}},
+		{"cut", []string{"-d", " ", "-f", "3,1"}},
+		{"cut", []string{"-d", " ", "-f", "2,4-5,7-"}},
+		{"cut", []string{"-d", " ", "-f", "6"}},
+		{"cut", []string{"-d", ",", "-f", "2"}},
+		{"cut", []string{"-f", "2"}},
+		{"cut", []string{"-c", "1-3"}},
+		{"cut", []string{"-c", "2,4-"}},
+		{"cut", []string{"-c", "5,1-2,2"}},
+		{"grep", []string{"light"}},
+		{"grep", []string{"-v", "light"}},
+		{"grep", []string{"-c", "light"}},
+		{"grep", []string{"-vc", "a"}},
+		{"grep", []string{"-i", "light"}},
+		{"grep", []string{"-vi", "LIGHT"}},
+		{"grep", []string{"^a"}},
+		{"grep", []string{"b$"}},
+		{"grep", []string{"^$"}},
+		{"grep", []string{"l.ght"}},
+		{"grep", []string{"[0-9]"}},
+		{"sed", []string{"s/light/dark/"}},
+		{"sed", []string{"s/light/dark/g"}},
+		{"sed", []string{"s/light/<&>/"}},
+		{"sed", []string{`s/\(l[a-z]*\) \(.\)/\2 \1/`}},
+		{"sed", []string{"s/a*/X/g"}},
+		{"sed", []string{"s/x*/-/g"}},
+		{"sed", []string{"s/ */_/g"}},
+		{"sed", []string{"s/[aeiou]*/<&>/g"}},
+		{"sed", []string{"s/^/> /"}},
+		{"sed", []string{"s/$/ </"}},
+		{"sed", []string{"s/light//g"}},
+		{"tr", []string{"A-Z", "a-z"}},
+		{"tr", []string{"a-z", "A-Z"}},
+		{"tr", []string{" ", "\\n"}},
+		{"tr", []string{"-d", "aeiou"}},
+		{"tr", []string{"-c", "a-z\\n", "_"}},
+		{"wc", []string{"-l"}},
+		{"wc", []string{"-w"}},
+		{"wc", []string{"-c"}},
+	}
+	for _, c := range cases {
+		spec := hostSpec(c.name, c.args)
+		cmd := parseCmd(t, spec)
+		for i, in := range hostLineCorpora() {
+			want := hostTool(t, c.name, in, c.args...)
+			var got string
+			if lm, ok := AsLineMapper(cmd); ok && c.name == "tr" {
+				got = RunLines(lm, in)
+			} else {
+				var err error
+				if got, err = cmd.Run(in); err != nil {
+					t.Fatalf("%s corpus %d: %v", spec, i, err)
+				}
+			}
+			if (c.name == "sed" || c.name == "tr") && in != "" && !strings.HasSuffix(in, "\n") {
+				want += "\n" // the known difference
+			}
+			if got != want {
+				t.Errorf("%s corpus %d: got %.200q; host %.200q", spec, i, got, want)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package unix
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -31,7 +32,7 @@ type trCmd struct {
 	xlate    [256]byte  // what each byte is written as; the identity unless translated
 	deleted  [256]uint8 // 1 when the input byte is deleted
 	squeezed [256]uint8 // 1 when repeats of the output byte are squeezed
-	affected [256]bool  // deleted or translated to a different byte
+	newlines bool       // some other byte translates to '\n'
 }
 
 func newTr(spec string, args []string, _ *Env) (Command, error) {
@@ -132,7 +133,7 @@ func (t *trCmd) compile() {
 		}
 	}
 	for c := 0; c < 256; c++ {
-		t.affected[c] = t.deleted[c] == 1 || t.xlate[c] != byte(c)
+		t.newlines = t.newlines || c != '\n' && t.deleted[c] == 0 && t.xlate[c] == '\n'
 	}
 }
 
@@ -386,51 +387,40 @@ func (t *trCmd) pureTranslate() bool {
 	if t.squeeze {
 		return false
 	}
-	return !t.affected['\n']
+	return t.deleted['\n'] == 0 && t.xlate['\n'] == '\n'
 }
 
 // LineFunc implements LineMapper for tr invocations without cross-line
-// effects: lines with no affected byte pass through untouched; others are
-// rewritten into the function's scratch in one pass. Translating a byte
-// *to* '\n' splits the line.
+// effects: every line is translated into the function's scratch, grown
+// to at least the line's length, by Run's table loop without the squeeze
+// (which a line mapper never has). Translating a byte *to* '\n' splits the line; only
+// a tr whose tables do that looks for the splits.
 func (t *trCmd) LineFunc(emit EmitFunc) EmitFunc {
 	var buf []byte
 	return func(line string) {
-		changed := false
-		for i := 0; i < len(line); i++ {
-			if t.affected[line[i]] {
-				changed = true
-				break
-			}
+		if cap(buf) < len(line) {
+			buf = make([]byte, max(len(line), 2*cap(buf)))
 		}
-		if !changed {
-			emit(line)
-			return
-		}
-		b := buf[:0] // a local for the byte loop; stored back once
-		split := false
+		b := buf[:len(line)]
+		w := 0
 		for i := 0; i < len(line); i++ {
 			c := line[i]
-			if t.deleted[c] == 1 {
-				continue
-			}
-			c = t.xlate[c]
-			if c == '\n' {
-				split = true
-			}
-			b = append(b, c)
+			b[w] = t.xlate[c]
+			w += int(1 ^ t.deleted[c])
 		}
-		buf = b
-		if !split {
+		b = b[:w]
+		if !t.newlines {
 			emit(textio.View(b))
 			return
 		}
-		start := 0
-		for i := 0; i <= len(b); i++ {
-			if i == len(b) || b[i] == '\n' {
-				emit(textio.View(b[start:i]))
-				start = i + 1
+		for {
+			i := bytes.IndexByte(b, '\n')
+			if i < 0 {
+				emit(textio.View(b))
+				return
 			}
+			emit(textio.View(b[:i]))
+			b = b[i+1:]
 		}
 	}
 }

@@ -68,21 +68,31 @@ func trReferenceInputs() []string {
 	return ins
 }
 
-// checkTrCase holds Run to referenceTr on one spec and input.
+// checkTrCase holds Run to referenceTr on one spec and input, and so
+// the line function too where the spec has one: the line driver gives
+// the reference's bytes, with a terminated last line.
 func checkTrCase(t *testing.T, spec, input string) {
 	t.Helper()
 	cmd, err := Parse(spec, nil)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
-	got, err := cmd.Run(input)
-	if want := referenceTr(cmd.(*trCmd), input); err != nil || got != want {
+	want := referenceTr(cmd.(*trCmd), input)
+	if got, err := cmd.Run(input); err != nil || got != want {
 		t.Fatalf("%s: Run(%q) = %q, %v; reference %q", spec, input, got, err, want)
+	}
+	if lm, ok := AsLineMapper(cmd); ok {
+		if input != "" && !strings.HasSuffix(input, "\n") {
+			want += "\n"
+		}
+		if got := RunLines(lm, input); got != want {
+			t.Fatalf("%s: RunLines(%q) = %q; reference %q", spec, input, got, want)
+		}
 	}
 }
 
-// TestTrMatchesReference: Run agrees with the per-byte reference on every
-// mode and input.
+// TestTrMatchesReference: Run, and the line function where there is one,
+// agree with the per-byte reference on every mode and input.
 func TestTrMatchesReference(t *testing.T) {
 	for _, spec := range trReferenceSpecs {
 		for i, in := range trReferenceInputs() {
