@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"kumquat/internal/textio"
 )
 
 // The tests here hold sort, sort -m, uniq, tr and the line kernels (cut,
@@ -71,7 +73,9 @@ func hostCorpora() []string {
 // TestSortMatchesHost: every sortReferenceSpecs ordering sorts each host
 // corpus as the host's sort does, and merges the host-sorted pieces of it
 // (held in files, the last one unterminated) as the host's sort -m does,
-// at every merge width.
+// at every merge width. On the collapse corpora, which take the
+// collapse, sort, sort -r, sort -u and tr A-Z a-z | sort give the host's
+// bytes.
 func TestSortMatchesHost(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(34))
@@ -109,6 +113,55 @@ func TestSortMatchesHost(t *testing.T) {
 			}
 		}
 	}
+	lower := parseCmd(t, "tr A-Z a-z")
+	for i, in := range collapseHostCorpora() {
+		n := len(textio.Lines(in))
+		if _, ok := collapseLines(in, make([]lineRec, n), n/collapseFraction); !ok || n < collapseCutoff {
+			t.Fatalf("collapse corpus %d (%d lines) does not collapse", i, n)
+		}
+		for _, spec := range []string{"sort", "sort -r", "sort -u"} {
+			want := hostTool(t, "sort", in, strings.Fields(spec)[1:]...)
+			if got, err := mergeSort(t, spec).Run(in); err != nil || got != want {
+				t.Errorf("%s collapse corpus %d: Run = %.200q, %v; host %.200q", spec, i, got, err, want)
+			}
+		}
+		want := hostTool(t, "sort", hostTool(t, "tr", in, "A-Z", "a-z"))
+		got, err := lower.Run(in)
+		if err == nil {
+			got, err = mergeSort(t, "sort").Run(got)
+		}
+		if err != nil || got != want {
+			t.Errorf("tr A-Z a-z | sort collapse corpus %d: Run = %.200q, %v; host %.200q", i, got, err, want)
+		}
+	}
+}
+
+// collapseHostCorpora are streams past collapseCutoff lines with few
+// distinct lines, so a bytewise sort collapses them: lines of 1–9 bytes
+// over upper and lower case and bytes from 0x80 up, with empty lines;
+// terminated, and ending in an unterminated short line that also occurs
+// earlier.
+func collapseHostCorpora() []string {
+	rng := rand.New(rand.NewSource(35))
+	const alphabet = "aAbBzZ\x80\xc3\xa9\xff-"
+	vocab := []string{""}
+	for len(vocab) < 300 {
+		w := make([]byte, 1+rng.Intn(9))
+		for i := range w {
+			w[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		vocab = append(vocab, string(w))
+	}
+	var b strings.Builder
+	for range 2 * collapseCutoff {
+		b.WriteString(vocab[rng.Intn(len(vocab))])
+		b.WriteByte('\n')
+	}
+	short := vocab[1]
+	for len(short) >= 8 {
+		short = short[1:]
+	}
+	return []string{b.String(), b.String() + short + "\n" + short}
 }
 
 // TestUniqMatchesHost: uniq and uniq -c give the host's bytes on every

@@ -345,6 +345,86 @@ func TestCollapseCorporaTakeBothPaths(t *testing.T) {
 	}
 }
 
+// checkCollapse holds collapseLines on input at limit to a map count of
+// input's lines: ok exactly when at most limit lines are distinct, and
+// then one packed record per distinct line, carrying its count. recs gets
+// room records past the 4·limit it needs.
+func checkCollapse(t *testing.T, input string, limit, room int) {
+	t.Helper()
+	want := map[string]int{}
+	for _, l := range textio.Lines(input) {
+		want[l]++
+	}
+	got, ok := collapseLines(input, make([]lineRec, max(4*limit, 1)+room), limit)
+	if ok != (len(want) <= limit) {
+		t.Fatalf("collapseLines(%.80q, limit %d): ok %v with %d distinct lines", input, limit, ok, len(want))
+	}
+	if !ok {
+		return
+	}
+	seen := map[string]bool{}
+	for _, r := range got {
+		l := r.line(input)
+		if seen[l] || r.count != want[l] {
+			t.Fatalf("collapseLines(%.80q): record %q count %d, seen before %v; want count %d once",
+				input, l, r.count, seen[l], want[l])
+		}
+		seen[l] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("collapseLines(%.80q): %d records, want %d distinct lines", input, len(got), len(want))
+	}
+}
+
+// collapseSeeds are inputs for the collapse: lines of 0–16 bytes, each
+// ending at every offset from the input's end, terminated and not; and
+// streams whose distinct line count sits on either side of each point
+// where the table doubles. The first three are the regression case for
+// a short line within 8 bytes of the end, whose key is loaded byte by
+// byte: keyed by where it sits rather than by its bytes alone, it would
+// get a record apart from its copy in the body.
+func collapseSeeds() []string {
+	seeds := []string{"\x80\x80\n\x80\x80", "\x80\x80\n\x80\x80\n", "12345678\nab\nz\nab"}
+	for n := 0; n <= 16; n++ {
+		l := strings.Repeat("abcdefghijklmnopq"[n:n+1], n)
+		for pad := 0; pad <= 9; pad++ {
+			body := l + "\n" + strings.Repeat("\xff", pad) + "\n" + l
+			seeds = append(seeds, body+"\n", body, l+"\n"+l+"\n\n"+strings.Repeat("x\n", pad))
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	for d := collapseStart / 2; d <= 4*collapseStart; d *= 2 {
+		for _, distinct := range []int{d - 1, d, d + 1} {
+			lines := make([]string, 0, 2*distinct)
+			for i := range distinct {
+				lines = append(lines, streamWord(uint64(i)))
+			}
+			for range distinct {
+				lines = append(lines, lines[rng.Intn(distinct)])
+			}
+			rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+			seeds = append(seeds, referenceJoin(lines))
+		}
+	}
+	return seeds
+}
+
+// FuzzCollapseMatchesCount holds the collapse to a map count
+// (checkCollapse) with the limit slack lines from the distinct count and
+// room spare records. Its seeds run at the distinct count, with no room
+// to spare and with one, and one below it, where the collapse must bail
+// out.
+func FuzzCollapseMatchesCount(f *testing.F) {
+	for _, in := range collapseSeeds() {
+		f.Add(in, int8(0), uint8(0))
+		f.Add(in, int8(-1), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, input string, slack int8, room uint8) {
+		distinct := len(slices.Compact(slices.Sorted(slices.Values(textio.Lines(input)))))
+		checkCollapse(t, input, max(distinct+int(slack), 0), int(room))
+	})
+}
+
 // sortReferenceCorpora returns the reference corpora: random, heavy
 // duplicates, empty lines, unterminated final lines, numeric edge
 // strings, mixed case, multibyte text and the radix corpora.
@@ -462,9 +542,11 @@ func TestSortMatchesReference(t *testing.T) {
 
 // TestSortRunAllocations: Run allocates the record slab and the output,
 // and nothing that grows with the line count — whether it collapses
-// repeated lines (the duplicate-heavy shape) or bails out and sorts every
-// line (the mostly distinct one). A GC cycle first keeps the first
-// cycle's mark workers, which allocate, out of the measured runs.
+// repeated lines (the duplicate-heavy shape), grows the collapse table
+// inside the slab as it goes (a few thousand distinct words over 200 000
+// lines) or bails out and sorts every line (the mostly distinct one). A
+// GC cycle first keeps the first cycle's mark workers, which allocate,
+// out of the measured runs.
 func TestSortRunAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	runtime.GC()
@@ -473,12 +555,14 @@ func TestSortRunAllocations(t *testing.T) {
 		for _, shape := range []struct {
 			name  string
 			value func(n int) int
+			large int
 		}{
-			{"mostly distinct", func(n int) int { return rng.Intn(n) * 7919 }},
-			{"duplicate-heavy", func(int) int { return rng.Intn(50) }},
+			{"mostly distinct", func(n int) int { return rng.Intn(n) * 7919 }, 20000},
+			{"duplicate-heavy", func(int) int { return rng.Intn(50) }, 20000},
+			{"growing table", func(int) int { return rng.Intn(3000) * 7919 }, 200000},
 		} {
 			var allocs []float64
-			for _, n := range []int{100, 20000} {
+			for _, n := range []int{100, shape.large} {
 				var b strings.Builder
 				for i := 0; i < n; i++ {
 					b.WriteString(strconv.Itoa(shape.value(n)))
@@ -488,8 +572,8 @@ func TestSortRunAllocations(t *testing.T) {
 				allocs = append(allocs, testing.AllocsPerRun(5, func() { s.Run(in) }))
 			}
 			if allocs[0] != allocs[1] || allocs[1] > 2 {
-				t.Errorf("%s, %s: Run allocates %v times over 100 lines and %v over 20000, want the same and at most 2",
-					spec, shape.name, allocs[0], allocs[1])
+				t.Errorf("%s, %s: Run allocates %v times over 100 lines and %v over %d, want the same and at most 2",
+					spec, shape.name, allocs[0], allocs[1], shape.large)
 			}
 		}
 	}
@@ -668,8 +752,10 @@ func benchMerge(b *testing.B, merge func(*SortCmd, ...string) string) {
 // bytewise collapse's bail-out: all lines distinct (the bail-out after a
 // quarter of the lines), and exactly the distinct limit and one line past
 // it, drawn at random (the collapse at its limit, and the bail-out on the
-// last lines). The last, -rn on all-distinct lines, is what
-// `sort | uniq -c | sort -rn` hands its final stage.
+// last lines). -rn on all-distinct lines is what
+// `sort | uniq -c | sort -rn` hands its final stage. The word stream is
+// what each chunk's sort sees in the word-frequency script: 550 000
+// lines over a Zipf(1.07) vocabulary of 4 096 words of 3–7 bytes.
 func BenchmarkSortRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	zipf := rand.NewZipf(rng, 1.1, 1, 1<<15)
@@ -677,6 +763,11 @@ func BenchmarkSortRun(b *testing.B) {
 	ranks := make([]uint64, n)
 	for i := range ranks {
 		ranks[i] = zipf.Uint64()
+	}
+	words := rand.NewZipf(rand.New(rand.NewSource(10)), 1.07, 1, 4095)
+	stream := make([]uint64, 550_000)
+	for i := range stream {
+		stream[i] = words.Uint64()
 	}
 	limit := n / collapseFraction
 	cases := []struct {
@@ -698,6 +789,7 @@ func BenchmarkSortRun(b *testing.B) {
 		{"sort at limit", "sort", distinctRanks(rng, n, limit), zipfWord},
 		{"sort past limit", "sort", distinctRanks(rng, n, limit+1), zipfWord},
 		{"sort -rn distinct", "sort -rn", distinctRanks(rng, n, n), func(r uint64) string { return fmt.Sprintf("%7d %s", r%1000, zipfWord(r)) }},
+		{"sort word stream", "sort", stream, streamWord},
 	}
 	for _, c := range cases {
 		var in strings.Builder
@@ -733,9 +825,8 @@ func distinctRanks(rng *rand.Rand, n, d int) []uint64 {
 // BenchmarkCollapse is where collapseCutoff and collapseFraction come
 // from: Zipf words (BenchmarkSortRun's shape) at each line count and
 // share of distinct lines, in random order, sorted bytewise with the
-// collapse forced on (the table sized for exactly the distinct lines)
-// and off, the way Run's bytewise path does it. The table is in
-// DESIGN.md.
+// collapse forced on (its limit exactly the distinct lines) and off, the
+// way Run's bytewise path does it. The table is in DESIGN.md.
 func BenchmarkCollapse(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{512, 1024, 2048, 4096, 16384, 100_000} {
@@ -749,12 +840,12 @@ func BenchmarkCollapse(b *testing.B) {
 			input := in.String()
 			for _, collapse := range []bool{false, true} {
 				b.Run(fmt.Sprintf("lines=%d/distinct=1:%d/collapse=%v", n, div, collapse), func(b *testing.B) {
-					size := 1 // collapseLines' table
-					for size < 2*d {
-						size <<= 1
+					size := n // Run's slab; a limit past a quarter of the lines needs more
+					if collapse {
+						size = max(n, 4*d)
 					}
 					for b.Loop() {
-						recs := make([]lineRec, max(n, size))
+						recs := make([]lineRec, size)
 						if collapse {
 							recs, _ = collapseLines(input, recs, d)
 						} else {
@@ -1022,6 +1113,17 @@ func FuzzMergeWidthMatchesReference(f *testing.F) {
 
 // zipfWord spells a rank as a pseudo-word whose order is unrelated to it.
 func zipfWord(r uint64) string { return strconv.FormatUint(r*2654435761%1000003+36*36, 36) }
+
+// streamWord is word r < 26³ of a vocabulary of 3–7 lowercase letters:
+// r in three base-26 letters, so no two words are alike, then r%5 more
+// letters that repeat them.
+func streamWord(r uint64) string {
+	b := []byte{'a' + byte(r%26), 'a' + byte(r/26%26), 'a' + byte(r/676%26)}
+	for i := range int(r % 5) {
+		b = append(b, b[i])
+	}
+	return string(b)
+}
 
 // zipfRuns deals words of a Zipf(1.1) vocabulary — the shape `tr -cs`
 // leaves of a text, and BenchmarkSortRun's — round robin into k runs

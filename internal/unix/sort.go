@@ -3,6 +3,7 @@ package unix
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -387,55 +388,176 @@ const collapseCutoff = 2048
 // is sorted.
 const collapseFraction = 4
 
-// sortSeed seeds the hash of collapseLines.
-var sortSeed = maphash.MakeSeed()
+// collapseStart is the size, in records, of the collapse table before it
+// first grows: the word-frequency script's chunks hold a few thousand
+// distinct words, so the table starts in L1 and grows to what they need.
+const collapseStart = 1024
+
+// sortSeed seeds collapseLines' hash of lines of 8 bytes or more, and
+// shortSeed its hash of shorter ones. Both are drawn per process, so no
+// input built offline collides in the table.
+var (
+	sortSeed  = maphash.MakeSeed()
+	shortSeed = [2]uint64{maphash.String(sortSeed, "s0"), maphash.String(sortSeed, "s1")}
+)
 
 // collapseLines counts the byte-identical lines of input in an
-// open-addressing table carved from the front of recs. The table has a
-// power-of-two size of at least twice the limit, so its load never
-// passes ½, and recs must hold it (4·limit records always do). If at
-// most limit lines are distinct, it packs them, in no order, at the
-// front of recs and returns them with ok set; otherwise recs holds
-// garbage.
+// open-addressing table at the front of recs, which must be zero and hold
+// at least 4·limit records and at least one. The table starts at
+// collapseStart records and doubles when it passes load ½, as long as the
+// doubled table and the records it holds fit in recs side by side (see
+// growTable). So the table tracks the distinct lines, and its load stays
+// at most about ⅝ at the limit. If at most limit lines are distinct, it packs
+// them, in no order, at the front of recs and returns them with ok set;
+// otherwise recs holds garbage.
+//
+// Where 8 bytes remain, a line's first 8 are one load, and the SWAR
+// zero-byte test on that word XOR 0x0a in every byte finds a newline
+// among them. A line under 8 bytes is then that word masked to its
+// length, and shortKey packs it with its length into the key the table
+// holds in place of the length: a short line is hashed by shortHash and
+// matched by one comparison with the record, with no call and no read of
+// the input. A line of 8 bytes or more is found by IndexByte, hashed by
+// maphash and compared as a string. Within 8 bytes of input's end,
+// tailWord loads the bytes left, so a short line's key depends on its
+// bytes only, never on where it is.
 func collapseLines(input string, recs []lineRec, limit int) (distinct []lineRec, ok bool) {
-	size := 1
-	for size < 2*limit {
-		size <<= 1
+	const ones, highs, newlines = 0x0101010101010101, 0x8080808080808080, 0x0a0a0a0a0a0a0a0a
+	size := collapseStart
+	for size > len(recs) {
+		size >>= 1
 	}
 	tab := recs[:size]
-	mask := uint64(size - 1)
 	used := 0
 	for off := 0; off < len(input); {
-		end := len(input)
-		if j := strings.IndexByte(input[off:], '\n'); j >= 0 {
-			end = off + j
+		var x uint64
+		if off+8 <= len(input) {
+			x = load8(input, off)
+		} else {
+			x = tailWord(input, off)
 		}
-		line := input[off:end]
-		for i := maphash.String(sortSeed, line) & mask; ; i = (i + 1) & mask {
+		t := x ^ newlines
+		n := len(input) - off // the line runs to the end unless a newline is found
+		if z := (t - ones) &^ t & highs; z != 0 {
+			n = bits.TrailingZeros64(z) / 8
+		}
+		var key int
+		var h uint64
+		if n < 8 {
+			key = shortKey(x, n)
+			h = shortHash(key)
+		} else {
+			n, h = longLine(input, off)
+			key = n
+		}
+		mask := uint64(len(tab) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
 			r := &tab[i]
 			if r.count == 0 {
 				if used == limit {
 					return nil, false
 				}
-				*r = lineRec{off: off, n: len(line), count: 1}
+				*r = lineRec{off: off, n: key, count: 1}
 				used++
+				if 2*used > len(tab) && 2*len(tab)+used < len(recs) {
+					tab = growTable(input, recs, tab, used)
+				}
 				break
 			}
-			if r.n == len(line) && r.line(input) == line {
+			if r.n == key && (key < 0 || r.line(input) == input[off:off+n]) {
 				r.count++
 				break
 			}
 		}
-		off = end + 1
+		off += n + 1
 	}
 	n := 0
 	for _, r := range tab {
 		if r.count > 0 {
+			if r.n < 0 {
+				r.n = ^r.n & 7
+			}
 			tab[n] = r
 			n++
 		}
 	}
 	return tab[:n], true
+}
+
+// shortKey is the key of a line of n < 8 bytes whose first bytes are the
+// little-endian word x: its bytes and its length, complemented, so that
+// it is negative and never equals a long line's length.
+func shortKey(x uint64, n int) int { return ^int(x&(1<<(8*n)-1)<<3 | uint64(n)) }
+
+// shortHash is the hash of a short line's key: a seeded multiply, its
+// 128-bit product folded.
+func shortHash(key int) uint64 {
+	hi, lo := bits.Mul64(uint64(key)^shortSeed[0], shortSeed[1])
+	return hi ^ lo
+}
+
+// longLine returns the length and hash of the line of input that starts
+// at off, given that it is at least 8 bytes long.
+func longLine(input string, off int) (n int, h uint64) {
+	n = len(input) - off
+	if j := strings.IndexByte(input[off+8:], '\n'); j >= 0 {
+		n = 8 + j
+	}
+	return n, maphash.String(sortSeed, input[off:off+n])
+}
+
+// load8 returns s[off:off+8] as a little-endian word, in one load.
+func load8(s string, off int) uint64 {
+	b := s[off : off+8]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// tailWord returns the fewer than 8 bytes of s from off as a
+// little-endian word, zero past the end of s — which the newline test
+// never takes for a newline.
+func tailWord(s string, off int) uint64 {
+	var w uint64
+	for i := len(s) - 1; i >= off; i-- {
+		w = w<<8 | uint64(s[i])
+	}
+	return w
+}
+
+// growTable doubles the collapse table tab, which holds used records at
+// the front of recs: it moves them to the tail of recs, emptying tab as
+// it goes, and rehashes them into the doubled table. The caller checks
+// that the doubled table ends before that tail. So no table ever reaches
+// a tail, and the doubled table's new half is still as zero as recs was
+// given.
+func growTable(input string, recs, tab []lineRec, used int) []lineRec {
+	// Every slot is copied and the index advances past a record only, so
+	// a half-full table costs no mispredicted branches. held has one slot
+	// more than the records, for the copies of the empty slots after the
+	// last one.
+	held := recs[len(recs)-used-1:]
+	j := 0
+	for i := range tab {
+		held[j] = tab[i]
+		j += min(tab[i].count, 1)
+		tab[i] = lineRec{}
+	}
+	tab = recs[:2*len(tab)]
+	mask := uint64(len(tab) - 1)
+	for _, r := range held[:used] {
+		var h uint64
+		if r.n < 0 {
+			h = shortHash(r.n)
+		} else {
+			h = maphash.String(sortSeed, r.line(input))
+		}
+		i := h & mask
+		for tab[i].count > 0 {
+			i = (i + 1) & mask
+		}
+		tab[i] = r
+	}
+	return tab
 }
 
 // fillLines makes recs, which has one record per line, the line table

@@ -33,6 +33,7 @@ type trCmd struct {
 	deleted  [256]uint8 // 1 when the input byte is deleted
 	squeezed [256]uint8 // 1 when repeats of the output byte are squeezed
 	newlines bool       // some other byte translates to '\n'
+	plain    bool       // no byte is deleted or squeezed: every byte is one lookup
 }
 
 func newTr(spec string, args []string, _ *Env) (Command, error) {
@@ -132,8 +133,10 @@ func (t *trCmd) compile() {
 			}
 		}
 	}
+	t.plain = true
 	for c := 0; c < 256; c++ {
 		t.newlines = t.newlines || c != '\n' && t.deleted[c] == 0 && t.xlate[c] == '\n'
+		t.plain = t.plain && t.deleted[c] == 0 && t.squeezed[c] == 0
 	}
 }
 
@@ -143,14 +146,19 @@ func (t *trCmd) Spec() string { return t.spec }
 // crosses line boundaries, which is exactly why concat is an incorrect
 // combiner for tr -s and KumQuat synthesizes rerun for it).
 //
-// It is one table-driven loop for every flag combination: each byte is
-// translated and stored at the write index, and the index advances unless
-// the byte is deleted or squeezed into the byte written before it — a
-// conditional increment, not a branch. The output is never longer than
-// the input, so it goes into one buffer of the input's size, returned as a
-// view.
+// A plain translation, which deletes and squeezes nothing, is one table
+// lookup a byte. Every other flag combination is one table-driven loop:
+// each byte is translated and stored at the write index, and the index
+// advances unless the byte is deleted or squeezed into the byte written
+// before it — a conditional increment, not a branch. The output is never
+// longer than the input, so it goes into one buffer of the input's size,
+// returned as a view.
 func (t *trCmd) Run(input string) (string, error) {
 	out := make([]byte, len(input))
+	if t.plain {
+		translate(out, input, &t.xlate)
+		return textio.View(out), nil
+	}
 	w := 0
 	last := uint(256) // the byte last written; 256 equals no byte
 	for i := 0; i < len(input); i++ {
@@ -169,6 +177,22 @@ func (t *trCmd) Run(input string) (string, error) {
 		}
 	}
 	return textio.View(out[:w]), nil
+}
+
+// translate writes xlate of each byte of in to out, which is as long.
+// No byte waits on another, as none moves the write index, so eight
+// lookups a step, checked against the bounds once, overlap.
+func translate(out []byte, in string, xlate *[256]byte) {
+	out = out[:len(in)]
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		o, s := out[i:i+8:i+8], in[i:i+8]
+		o[0], o[1], o[2], o[3] = xlate[s[0]], xlate[s[1]], xlate[s[2]], xlate[s[3]]
+		o[4], o[5], o[6], o[7] = xlate[s[4]], xlate[s[5]], xlate[s[6]], xlate[s[7]]
+	}
+	for ; i < len(out); i++ {
+		out[i] = xlate[in[i]]
+	}
 }
 
 // trRun is n copies of byte c, n ≥ 1 once the set is expanded.
@@ -392,9 +416,10 @@ func (t *trCmd) pureTranslate() bool {
 
 // LineFunc implements LineMapper for tr invocations without cross-line
 // effects: every line is translated into the function's scratch, grown
-// to at least the line's length, by Run's table loop without the squeeze
-// (which a line mapper never has). Translating a byte *to* '\n' splits the line; only
-// a tr whose tables do that looks for the splits.
+// to at least the line's length, by Run's loops without the squeeze
+// (which a line mapper never has): the plain lookup when nothing is
+// deleted, the write index otherwise. Translating a byte *to* '\n'
+// splits the line; only a tr whose tables do that looks for the splits.
 func (t *trCmd) LineFunc(emit EmitFunc) EmitFunc {
 	var buf []byte
 	return func(line string) {
@@ -402,13 +427,17 @@ func (t *trCmd) LineFunc(emit EmitFunc) EmitFunc {
 			buf = make([]byte, max(len(line), 2*cap(buf)))
 		}
 		b := buf[:len(line)]
-		w := 0
-		for i := 0; i < len(line); i++ {
-			c := line[i]
-			b[w] = t.xlate[c]
-			w += int(1 ^ t.deleted[c])
+		if t.plain {
+			translate(b, line, &t.xlate)
+		} else {
+			w := 0
+			for i := 0; i < len(line); i++ {
+				c := line[i]
+				b[w] = t.xlate[c]
+				w += int(1 ^ t.deleted[c])
+			}
+			b = b[:w]
 		}
-		b = b[:w]
 		if !t.newlines {
 			emit(textio.View(b))
 			return
