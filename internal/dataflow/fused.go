@@ -12,8 +12,8 @@ import (
 // len(mappers) passes — without materializing any intermediate stream.
 //
 // It is itself a unix.LineMapper whose line function is the composed
-// chain, so it runs on the same two drivers as any single command:
-// unix.RunLines over a chunk, unix.Exec over a live stream.
+// chain, and its Run equals the members' Run stage by stage, so a chunk
+// and a live stream's block run it like any single command.
 type FusedMapper struct {
 	spec    string
 	mappers []unix.LineMapper
@@ -34,11 +34,26 @@ func (f *FusedMapper) Spec() string { return f.spec }
 // Len reports how many stages the mapper fuses.
 func (f *FusedMapper) Len() int { return len(f.mappers) }
 
-// Run executes the fused pass over a whole chunk. The chain is composed
-// once per call, so the executor can share one FusedMapper across
-// parallel chunk goroutines.
+// Run executes the fused pass over a whole chunk: the composed chain over
+// its terminated lines, then an unterminated tail through each member's
+// own Run in turn, since a member need not terminate it (tr does not).
+// The result is the members' Run stage by stage: a line mapper's Run of
+// whole lines is itself whole lines. The chain is composed once per call,
+// so the executor can share one FusedMapper across parallel chunk
+// goroutines.
 func (f *FusedMapper) Run(input string) (string, error) {
-	return unix.RunLines(f, input), nil
+	cut := strings.LastIndexByte(input, '\n') + 1
+	out, tail := unix.RunLines(f, input[:cut]), input[cut:]
+	if tail == "" {
+		return out, nil
+	}
+	for _, m := range f.mappers {
+		var err error
+		if tail, err = m.Run(tail); err != nil {
+			return "", err
+		}
+	}
+	return out + tail, nil
 }
 
 // LineFunc composes the stage chain backwards from emit into one

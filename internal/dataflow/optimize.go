@@ -194,7 +194,7 @@ func Optimize(g *Graph, opts Options) *Program {
 // every exit a combine, so each stage boundary is a barrier. With
 // parallel set, regions keep the planner's data-parallel verdict (the
 // u_k configuration); without it every region is serial (u_1, and
-// T_orig's pipe-connected stages).
+// T_orig's stages, connected by live streams).
 func Stagewise(g *Graph, parallel bool) *Program {
 	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
 	for i, n := range g.Nodes {
@@ -241,7 +241,7 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 // mappers with a concat combiner (streamed output equals
 // chunk-and-concat), and single serial stages need only be line mappers.
 // The executor is its only caller: it decides whether a region consumes
-// a live stream behind a pipe or drains it first.
+// a live stream block by block or drains it first.
 func (p *Program) Streamable(r *Region) bool {
 	if r.Fused {
 		return true

@@ -33,8 +33,8 @@ type RegionMetrics struct {
 	// Chunks is the number of parallel instances the region ran as.
 	Chunks int `json:"chunks"`
 	// Streamed marks regions that consumed a live stream (an external
-	// stdin or an upstream streamed region) incrementally behind a pipe
-	// instead of running chunk-parallel.
+	// stdin or an upstream streamed region) block by block instead of
+	// running chunk-parallel.
 	Streamed bool `json:"streamed,omitempty"`
 }
 

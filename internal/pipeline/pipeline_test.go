@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -288,6 +289,40 @@ func TestPlanWithUnsupportedStage(t *testing.T) {
 	}
 }
 
+// TestSortNumericUniqueParallel: sort -un keeps one line per numeric
+// key, so its chunk outputs merge under the same flags. Synthesized over
+// words alone, where every key reads 0, it chose (first a b) and printed
+// the first chunk's keys only; at k = 4 it must print serial's output.
+func TestSortNumericUniqueParallel(t *testing.T) {
+	syn := newSynth()
+	words := []string{"apple", "-5", "12", "007", "3.5", "-0", "x1", "42 abc", "  17", "light"}
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		switch i % 3 {
+		case 0:
+			fmt.Fprintf(&b, "%d\n", (i*37)%601-300)
+		case 1:
+			fmt.Fprintf(&b, "%s\n", words[i%len(words)])
+		default:
+			fmt.Fprintf(&b, "%d %s\n", (i*53)%1000, words[(i/3)%len(words)])
+		}
+	}
+	syn.Env.FS.Register("n.txt", b.String())
+	plan := compilePlan(t, syn, "cat n.txt | sort -un\n")
+	want, err := runPlan(plan, syn.Env, "", ModeSerial, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runPlan(plan, syn.Env, "", ModeOptimized, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("k=4 printed %d lines, serial %d; combiner %v", strings.Count(got, "\n"),
+			strings.Count(want, "\n"), plan.Stages[0].Synth.Combiner)
+	}
+}
+
 func TestStdinPipeline(t *testing.T) {
 	syn := newSynth()
 	plan := compilePlan(t, syn, "sort -n\n")
@@ -295,11 +330,4 @@ func TestStdinPipeline(t *testing.T) {
 	if err != nil || out != "1\n2\n3\n" {
 		t.Errorf("stdin pipeline = %q, %v", out, err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

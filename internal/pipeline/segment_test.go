@@ -138,27 +138,28 @@ type declaredReader struct{ *bytes.Reader }
 
 // TestDrainAllocatesOnce: draining an N-byte body whose length is known
 // allocates one buffer of about N bytes — not io.ReadAll's doubling
-// series, nor the async helper's 32 KiB copies plus a growing buffer —
-// and an in-memory buffer is taken without a copy.
+// series, nor the pump's blocks plus their join — and an in-memory buffer
+// is taken without a copy.
 func TestDrainAllocatesOnce(t *testing.T) {
 	const n = 1 << 20
 	data := bytes.Repeat([]byte("light word here\n"), n/16)
 	ctx := context.Background()
 	for _, tc := range []struct {
-		name string
-		src  func() io.Reader
-		max  uint64
+		name  string
+		drain func() (string, error)
+		max   uint64
 	}{
-		{"in-memory reader", func() io.Reader { return bytes.NewReader(data) }, n + n/16},
-		{"external body", func() io.Reader { return newAsyncReader(ctx, declaredReader{bytes.NewReader(data)}) }, n + n/16},
-		{"in-memory buffer", func() io.Reader { return bytes.NewBuffer(data) }, n / 16},
+		{"in-memory reader", func() (string, error) { return materialize(ctx, bytes.NewReader(data)) }, n + n/16},
+		{"external body", func() (string, error) {
+			return unix.JoinBlocks(pump(ctx, declaredReader{bytes.NewReader(data)}, false).next)
+		}, n + n/16},
+		{"in-memory buffer", func() (string, error) { return materialize(ctx, bytes.NewBuffer(data)) }, n / 16},
 	} {
 		best := ^uint64(0)
 		for round := 0; round < 3; round++ {
-			src := tc.src()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err := drain(ctx, src)
+			got, err := tc.drain()
 			runtime.ReadMemStats(&after)
 			if err != nil || len(got) != n {
 				t.Fatalf("%s: drained %d bytes, %v", tc.name, len(got), err)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
@@ -19,16 +18,17 @@ type Mode int
 
 const (
 	// ModeOptimized is T_k: eliminated combiners keep the stream split
-	// across consecutive parallel stages, and line-streaming stages overlap
-	// through pipes instead of materializing intermediates.
+	// across consecutive parallel stages, and line-mapper regions over an
+	// external stdin overlap block by block instead of materializing it.
 	ModeOptimized Mode = iota
 	// ModeUnoptimized is u_k: every parallelizable stage splits its input k
 	// ways and applies its combiner; stage boundaries are barriers.
 	ModeUnoptimized
 	// ModeSerial is u_1: every stage runs to completion in order.
 	ModeSerial
-	// ModePipelined is T_orig: stages run concurrently connected by pipes,
-	// with Unix-style overlap and no data parallelism.
+	// ModePipelined is T_orig: line-mapper stages run concurrently, each
+	// over the blocks of the one before, with Unix-style overlap and no
+	// data parallelism; a whole-stream stage runs once its input ends.
 	ModePipelined
 )
 
@@ -93,14 +93,12 @@ type StageMetrics struct {
 	// Chunks is the number of parallel instances the stage ran as
 	// (0 when the stage was not chunked).
 	Chunks int `json:"chunks"`
-	// Streamed marks stages that processed their input incrementally
-	// through a pipe instead of materializing it.
+	// Streamed marks stages that processed their input block by block as
+	// it arrived instead of materializing it.
 	Streamed bool `json:"streamed"`
 }
 
-// stageError tags a failure with the stage it originated from, so that
-// downstream stages reading a poisoned pipe can recognize an upstream
-// failure passing through and not re-report it.
+// stageError tags a failure with the stage it originated from.
 type stageError struct {
 	spec string
 	err  error
@@ -108,131 +106,6 @@ type stageError struct {
 
 func (e *stageError) Error() string { return fmt.Sprintf("pipeline: stage %q: %v", e.spec, e.err) }
 func (e *stageError) Unwrap() error { return e.err }
-
-// countReader / countWriter thread byte accounting through a piped
-// region without copying. Each is used by one region goroutine, and the
-// counts are read only after the walk's teardown has waited for it.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// asyncReader decouples an external source from the executor: the
-// source's Read runs in a helper goroutine, so cancellation unblocks the
-// executor even while the source is quiescent (a silent terminal, an idle
-// socket). If the source is mid-Read at cancellation, the helper parks
-// until that Read returns and then exits, discarding the data — the
-// unavoidable residue of interrupting a blocking io.Reader.
-type asyncReader struct {
-	ctx context.Context
-	r   io.Reader
-	// size is the source's declared length when it was wrapped (0 when
-	// unknown): the buffer readAll materializes it into.
-	size    int
-	res     chan asyncChunk
-	pending []byte
-	err     error
-	started bool
-}
-
-type asyncChunk struct {
-	data []byte
-	err  error
-}
-
-func newAsyncReader(ctx context.Context, r io.Reader) *asyncReader {
-	return &asyncReader{ctx: ctx, r: r, size: declaredLen(r), res: make(chan asyncChunk)}
-}
-
-// readAll materializes the whole source for a drain. Unstarted, the
-// helper reads it straight into one buffer of its declared size and hands
-// that over, instead of streaming 32 KiB copies through Read;
-// cancellation returns at once, with the same residue as Read's.
-func (ar *asyncReader) readAll() ([]byte, error) {
-	if ar.started {
-		return textio.ReadAll(ar, 0)
-	}
-	ar.started = true
-	go func() {
-		buf, err := textio.ReadAll(unix.ContextReader(ar.ctx, ar.r), ar.size)
-		select {
-		case ar.res <- asyncChunk{buf, err}:
-		case <-ar.ctx.Done():
-		}
-	}()
-	select {
-	case ch := <-ar.res:
-		// Sticky, so a later Read finds the source consumed.
-		if ar.err = ch.err; ar.err == nil {
-			ar.err = io.EOF
-		}
-		return ch.data, ch.err
-	case <-ar.ctx.Done():
-		ar.err = ar.ctx.Err()
-		return nil, ar.err
-	}
-}
-
-func (ar *asyncReader) Read(p []byte) (int, error) {
-	for {
-		if len(ar.pending) > 0 {
-			n := copy(p, ar.pending)
-			ar.pending = ar.pending[n:]
-			return n, nil
-		}
-		if ar.err != nil {
-			return 0, ar.err
-		}
-		if !ar.started {
-			ar.started = true
-			go func() {
-				// One reusable read buffer; each chunk handed off is a
-				// right-sized copy, so ownership transfers to the consumer
-				// and short reads (line-buffered stdin) don't cost 32 KiB
-				// of garbage apiece.
-				buf := make([]byte, 32*1024)
-				for {
-					n, err := ar.r.Read(buf)
-					chunk := make([]byte, n)
-					copy(chunk, buf[:n])
-					select {
-					case ar.res <- asyncChunk{chunk, err}:
-						if err != nil {
-							return
-						}
-					case <-ar.ctx.Done():
-						return
-					}
-				}
-			}()
-		}
-		select {
-		case ch := <-ar.res:
-			ar.pending = ch.data
-			ar.err = ch.err // sticky; surfaced once pending drains
-		case <-ar.ctx.Done():
-			ar.err = ar.ctx.Err()
-			return 0, ar.err
-		}
-	}
-}
 
 // execConfig collects one Execute call's options. It only chooses what
 // the walker is handed — which Program, which leaf runner — and is gone
@@ -256,15 +129,15 @@ type ExecOpt func(*execConfig)
 // file) and writing the final output stream to out. It returns per-stage
 // execution metrics alongside any error; cancellation of ctx aborts every
 // mode promptly and returns ctx.Err(). Stage goroutines are always
-// reaped before returning; the one residue of cancellation is a single
-// parked helper when the external stdin reader is blocked mid-Read — it
-// exits as soon as that Read returns, as any io.Reader demands.
+// reaped before returning; the one residue of cancellation is the stdin
+// pump parked while the external reader is blocked mid-Read — it exits
+// as soon as that Read returns, as any io.Reader demands.
 //
 // A mode is data, not a code path: it selects which dataflow Program the
 // one region walker (walk.go) is handed and what happens to an external
 // stdin — drained up front (Serial, Unoptimized), kept live so streamable
-// regions overlap through pipes in bounded memory (Optimized), or always
-// live with every region pipe-connected (Pipelined).
+// regions overlap block by block in bounded memory (Optimized), or with
+// every line-mapper region live whatever the source (Pipelined).
 func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out io.Writer, mode Mode, k int, opts ...ExecOpt) ([]StageMetrics, error) {
 	cfg := execConfig{fuse: true}
 	for _, opt := range opts {
@@ -300,7 +173,7 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 	}
 	ms, err := ex.walk(ctx, p, stdin, out)
 	// Cancellation dominates: whatever secondary failure the teardown
-	// produced (poisoned pipes, aborted chunk runs), the caller asked to
+	// produced (aborted live regions or chunk runs), the caller asked to
 	// stop and gets ctx.Err().
 	if err != nil && ctx.Err() != nil {
 		return ms, ctx.Err()
@@ -310,7 +183,7 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 
 // inMemoryReader reports whether r reads from memory already held by the
 // caller (the compat wrappers' strings.Reader stdin): such input is
-// materialized, never blocks, and needs no async decoupling.
+// materialized, never blocks, and needs no pump.
 func inMemoryReader(r io.Reader) bool {
 	switch r.(type) {
 	case *strings.Reader, *bytes.Reader, *bytes.Buffer:

@@ -182,6 +182,73 @@ func TestOptimizedStreamsLineMapperPipeline(t *testing.T) {
 	}
 }
 
+// heapSampler is an external stdin that serves r a few KiB per Read and,
+// before each, collects garbage and samples the live heap: the peak of
+// what a run holds while its source is read.
+type heapSampler struct {
+	r    io.Reader
+	peak uint64
+}
+
+func (h *heapSampler) Read(p []byte) (int, error) {
+	h.peak = max(h.peak, liveHeap())
+	return h.r.Read(p[:min(len(p), 8<<10)])
+}
+
+// liveHeap is the heap in use right after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// byteCounter is a sink that keeps nothing.
+type byteCounter struct{ n int64 }
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestLiveStreamBoundedMemory pins the bounded-memory promise of a live
+// stream: a line-mapper chain over an external stdin of ten blocks holds
+// a few blocks at a time, never the stream — the one the pump is
+// reading, at most an input and an output block per live region, and
+// the one being written — in Optimized mode (one fused region) and in
+// Pipelined mode (a region per stage).
+func TestLiveStreamBoundedMemory(t *testing.T) {
+	const size = 10 * unix.BlockSize
+	syn := newSynth()
+	plan := compilePlan(t, syn, "tr A-Z a-z | grep light | cut -c 1-12\n")
+	var b strings.Builder
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "Light line %d of the stream, some words\n", i)
+	}
+	in := b.String()
+	for _, row := range []struct {
+		mode    Mode
+		regions uint64
+	}{{ModeOptimized, 1}, {ModePipelined, 3}} {
+		src := &heapSampler{r: strings.NewReader(in)}
+		var sink byteCounter
+		base := liveHeap()
+		ms, err := plan.Execute(context.Background(), syn.Env, src, &sink, row.mode, 4)
+		if err != nil {
+			t.Fatalf("%v: %v", row.mode, err)
+		}
+		if !ms[0].Streamed || sink.n == 0 {
+			t.Fatalf("%v: the chain did not stream (%+v, %d bytes out)", row.mode, ms[0], sink.n)
+		}
+		// One block more than the count above, for the run's own state.
+		bound := (2*row.regions + 3) * unix.BlockSize
+		if grew := src.peak - min(src.peak, base); grew > bound {
+			t.Errorf("%v: live heap grew %d bytes over a %d-byte stream, want ≤ %d (%d blocks)",
+				row.mode, grew, size, bound, bound/unix.BlockSize)
+		}
+	}
+}
+
 // cancellingGen produces lines forever, cancelling the context after a
 // fixed number of reads; execution must then abort promptly.
 type cancellingGen struct {

@@ -44,12 +44,11 @@ type executor struct {
 	// prog is the dataflow program this configuration walks.
 	prog *dataflow.Program
 	// keepLive keeps an external (possibly blocking) stdin as a live
-	// stream so streamable regions consume it incrementally; otherwise it
-	// is drained up front.
+	// stream so streamable regions consume it block by block; otherwise
+	// it is drained up front.
 	keepLive bool
-	// piped treats every region as pipe-connected over an always-live
-	// source, whatever its kind (T_orig): unix.Exec's buffered fallback
-	// runs whole-stream commands behind the same pipes.
+	// piped runs every line-mapper region live, whatever the source
+	// (T_orig): a materialized stream is made live again in front of one.
 	piped bool
 	// width bounds in-flight chunk executions, and is also the tree
 	// combine's width.
@@ -68,33 +67,100 @@ type executor struct {
 //   - materialized: the whole stream is in data (file and in-memory
 //     sources start here; combining, concatenating and draining return
 //     here); a parallel segment splits it with textio.ChunkLines.
-//   - live: the stream is still being produced behind live — an external
-//     stdin or an upstream piped region. Regions that can stream overlap
-//     through pipes without materializing it; the first region that
-//     cannot drains it back to materialized.
+//   - live: the stream is still arriving as the line-aligned blocks of
+//     live — an external stdin's pump or an upstream live region.
+//     Line-mapper regions run on each block as it arrives; the first
+//     region that cannot drains it back to materialized.
 type stream struct {
 	data string
-	live io.Reader
+	live *blocks
 }
 
-// drain materializes a live stream, observing ctx between reads, into
-// one buffer of the stream's declared length when it has one. An
-// in-memory buffer is taken as it is; an unstarted external source is
-// read whole by its async helper.
-func drain(ctx context.Context, r io.Reader) (string, error) {
+// blocks is a live stream: its line-aligned blocks, in order, on c, which
+// is closed after the last. err, set before c is closed, is the source's
+// read failure (nil at a clean end); a live region's own failure goes to
+// the walk's teardown instead, which cancels ctx.
+type blocks struct {
+	ctx context.Context
+	c   chan string
+	err error
+}
+
+// next returns the stream's next block, io.EOF after the last, and the
+// walk's error once the walk is cancelled: the form unix.EachBlock reads.
+func (b *blocks) next() (string, error) {
+	select {
+	case blk, ok := <-b.c:
+		if ok {
+			return blk, nil
+		}
+		if b.err != nil {
+			return "", b.err
+		}
+		return "", io.EOF
+	case <-b.ctx.Done():
+		return "", b.ctx.Err()
+	}
+}
+
+// blocksOf makes a materialized stream live, for Pipelined mode: its
+// line-aligned views of about unix.BlockSize bytes, queued and closed up
+// front, so no goroutine feeds them.
+func blocksOf(ctx context.Context, data string) *blocks {
+	views := textio.ChunkLines(data, len(data)/unix.BlockSize+1)
+	b := &blocks{ctx: ctx, c: make(chan string, len(views))}
+	for _, v := range views {
+		b.c <- v
+	}
+	close(b.c)
+	return b
+}
+
+// pump feeds an external stdin to the walk from a goroutine of its own,
+// so cancellation unblocks the walk even while the source is quiescent
+// (a silent terminal, an idle socket): as line-aligned blocks when a
+// region consumes it live, otherwise as one block read whole. A source
+// that is mid-Read at cancellation parks the goroutine until that Read
+// returns — the unavoidable residue of interrupting a blocking io.Reader.
+func pump(ctx context.Context, r io.Reader, live bool) *blocks {
+	out := &blocks{ctx: ctx, c: make(chan string)}
+	next := unix.ReadBlocks(unix.ContextReader(ctx, r))
+	if !live {
+		read := false
+		next = func() (string, error) {
+			if read {
+				return "", io.EOF
+			}
+			read = true
+			return materialize(ctx, r)
+		}
+	}
+	go func() {
+		defer close(out.c)
+		out.err = unix.EachBlock(next, func(blk string) error {
+			select {
+			case out.c <- blk:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
+	}()
+	return out
+}
+
+// materialize reads r whole, observing ctx between reads, into one buffer
+// of the length r declares when it declares one — a bytes.Reader's Len, a
+// request body's Content-Length; an in-memory bytes.Buffer is taken as it
+// is, without a copy.
+func materialize(ctx context.Context, r io.Reader) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	var buf []byte
-	var err error
-	switch src := r.(type) {
-	case *bytes.Buffer:
-		buf = src.Next(src.Len())
-	case *asyncReader:
-		buf, err = src.readAll()
-	default:
-		buf, err = textio.ReadAll(unix.ContextReader(ctx, r), declaredLen(r))
+	if b, ok := r.(*bytes.Buffer); ok {
+		return textio.View(b.Next(b.Len())), nil
 	}
+	buf, err := textio.ReadAll(unix.ContextReader(ctx, r), declaredLen(r))
 	return textio.View(buf), err
 }
 
@@ -107,111 +173,101 @@ func declaredLen(r io.Reader) int {
 	return 0
 }
 
+// streams reports whether region r runs live, on a goroutine over its
+// input's blocks: in Pipelined mode every line-mapper region does,
+// otherwise a streamable region whose input is live.
+func (ex *executor) streams(p *Plan, r *dataflow.Region, live bool) bool {
+	if ex.piped {
+		return unix.CanStream(regionRun(p, r))
+	}
+	return live && ex.prog.Streamable(r)
+}
+
 // source resolves the pipeline's input into the walk's initial stream:
-// the registered input file (materialized), or stdin — live when the
-// configuration keeps it so, drained otherwise.
+// the registered input file or an in-memory stdin (materialized), or an
+// external stdin — pumped, and live exactly when the first region
+// consumes it live.
 func (ex *executor) source(ctx context.Context, p *Plan, stdin io.Reader) (stream, error) {
-	var st stream
 	switch {
 	case p.InputFile != "":
 		data, err := ex.env.FS.Read(p.InputFile)
-		if err != nil {
-			return st, err
-		}
-		st = stream{data: data}
-	case stdin != nil:
-		external := !inMemoryReader(stdin)
-		if external {
-			// A caller-supplied reader may block indefinitely; the async
-			// wrapper keeps cancellation prompt even then.
-			stdin = newAsyncReader(ctx, stdin)
-		}
-		if ex.piped || (external && ex.keepLive) {
-			return stream{live: stdin}, nil
-		}
-		// Already-materialized input is drained even in Optimized mode:
-		// chunk-parallelism beats streaming when nothing is incremental.
-		data, err := drain(ctx, stdin)
-		if err != nil {
-			return st, err
-		}
-		st = stream{data: data}
+		return stream{data: data}, err
+	case stdin == nil:
+		return stream{}, nil
+	case inMemoryReader(stdin):
+		data, err := materialize(ctx, stdin)
+		return stream{data: data}, err
 	}
-	if ex.piped {
-		st = stream{live: strings.NewReader(st.data)}
+	regions := ex.prog.Regions
+	live := len(regions) > 0 && ex.streams(p, regions[0], ex.keepLive)
+	src := pump(ctx, stdin, live)
+	if live {
+		return stream{live: src}, nil
 	}
-	return st, nil
+	data, err := unix.JoinBlocks(src.next)
+	return stream{data: data}, err
 }
 
-// liveRegions owns the goroutines of one walk's piped regions and their
+// liveRegions owns the goroutines of one walk's live regions and their
 // single teardown.
 type liveRegions struct {
-	// ctx is the walk's context, cancelled by finish; parent is the
-	// caller's, so a region can tell teardown from a real cancellation.
-	ctx, parent context.Context
-	cancel      context.CancelFunc
-	wg          sync.WaitGroup
-	readers     []*io.PipeReader
+	// ctx is the walk's context: every live send and receive selects on
+	// it, and cancel ends it on a region's failure and at teardown.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 	// fails holds each region's own failure, indexed in stage order.
 	fails []error
 }
 
-// spawn runs one region over the live stream in on its own goroutine,
-// writing into a pipe whose read end — returned — is the next live
-// stream, so consecutive live regions overlap. The span is handed to the
-// goroutine and ends when the region's stream drains, so its duration
-// covers the overlap.
-func (lr *liveRegions) spawn(ri int, cmd unix.Command, in io.Reader, rm *RegionMetrics, span *obs.Span) io.Reader {
-	pr, pw := io.Pipe()
-	lr.readers = append(lr.readers, pr)
-	rm.Streamed = unix.CanStream(cmd)
+// spawn runs a line-mapper region over the live stream in on its own
+// goroutine — the command's Run on each block as it arrives — and returns
+// its output, the next live stream, so consecutive live regions overlap.
+// A failure of the region's own (its Run, or the source's read) is
+// recorded and cancels the walk; the walk's cancellation is not one. The
+// span ends when the region's stream does, so its duration covers the
+// overlap.
+func (lr *liveRegions) spawn(ri int, cmd unix.Command, in *blocks, rm *RegionMetrics, span *obs.Span) *blocks {
+	out := &blocks{ctx: lr.ctx, c: make(chan string)}
+	rm.Streamed = true
 	span.Attr("streamed", "true")
 	start := time.Now()
 	lr.wg.Add(1)
 	go func() {
 		defer lr.wg.Done()
 		defer span.End()
-		cr, cw := &countReader{r: in}, &countWriter{w: pw}
-		err := unix.Exec(lr.ctx, cmd, cr, cw)
-		rm.Wall, rm.BytesIn, rm.BytesOut = time.Since(start), cr.n, cw.n
-		if err == nil {
-			pw.Close()
-			return
-		}
-		// An upstream failure read off the pipe passes through without
-		// being re-reported for this region; so does the echo of the
-		// walk's own teardown (its context cancelled, the caller's not).
-		var up *stageError
-		if !errors.As(err, &up) {
-			up = &stageError{spec: cmd.Spec(), err: err}
-			if lr.ctx.Err() == nil || lr.parent.Err() != nil {
-				lr.fails[ri] = up
+		err := unix.EachBlock(in.next, func(blk string) error {
+			rm.BytesIn += int64(len(blk))
+			res, err := cmd.Run(blk)
+			if err != nil || res == "" {
+				return err
 			}
+			rm.BytesOut += int64(len(res))
+			select {
+			case out.c <- res:
+				return nil
+			case <-lr.ctx.Done():
+				return lr.ctx.Err()
+			}
+		})
+		rm.Wall = time.Since(start)
+		if err == nil {
+			close(out.c)
+		} else if !errors.Is(err, lr.ctx.Err()) {
+			lr.fails[ri] = &stageError{spec: cmd.Spec(), err: err}
+			lr.cancel()
 		}
-		pw.CloseWithError(up)
 	}()
-	return pr
+	return out
 }
 
-// finish is the one teardown, run on every exit path so no goroutine
-// outlives Execute: cancel the live regions, poison their pipes so
-// blocked reads and writes return, wait, and join the failures in stage
-// order. failure is the walking goroutine's own error (nil on success);
-// the poison wraps it as a pass-through stage error so live regions do
-// not record a sink or downstream failure as their own.
+// finish is the one teardown, run on every exit path so no live region
+// outlives Execute: cancel the walk's context, wait, and join the
+// regions' own failures in stage order. failure is the walking
+// goroutine's own error (nil on success); the cancellation a failed
+// region sent down the walk is not one.
 func (lr *liveRegions) finish(failure error) error {
-	poison := failure
-	if poison == nil {
-		poison = io.ErrClosedPipe
-	}
-	var up *stageError
-	if !errors.As(poison, &up) {
-		poison = &stageError{spec: "<downstream>", err: poison}
-	}
 	lr.cancel()
-	for _, pr := range lr.readers {
-		pr.CloseWithError(poison)
-	}
 	lr.wg.Wait()
 	var errs []error
 	for _, f := range lr.fails {
@@ -219,9 +275,7 @@ func (lr *liveRegions) finish(failure error) error {
 			errs = append(errs, f)
 		}
 	}
-	// A stage failure that travelled down the pipes to the walker is
-	// already recorded at its origin.
-	if failure != nil && !(errors.As(failure, &up) && len(errs) > 0) {
+	if failure != nil && !(len(errs) > 0 && errors.Is(failure, context.Canceled)) {
 		errs = append(errs, failure)
 	}
 	return errors.Join(errs...)
@@ -233,7 +287,7 @@ func (lr *liveRegions) finish(failure error) error {
 func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out io.Writer) ([]StageMetrics, error) {
 	regions := ex.prog.Regions
 	ctx, cancel := context.WithCancel(parent)
-	lr := &liveRegions{ctx: ctx, parent: parent, cancel: cancel, fails: make([]error, len(regions))}
+	lr := &liveRegions{ctx: ctx, cancel: cancel, fails: make([]error, len(regions))}
 	rms := make([]RegionMetrics, len(regions))
 	err := lr.finish(ex.walkRegions(ctx, lr, p, stdin, out, rms))
 
@@ -259,10 +313,9 @@ func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out i
 
 // walkRegions runs every region in order and writes the final stream to
 // out, returning the walking goroutine's own failure (live regions
-// report theirs through lr). A region over a live stream that it can
-// consume incrementally is spawned behind a pipe; every other region
-// runs here, synchronously, as the first member of a segment, and leaves
-// the stream materialized.
+// report theirs through lr). A region that streams is spawned over the
+// live stream's blocks; every other region runs here, synchronously, as
+// the first member of a segment, and leaves the stream materialized.
 func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, stdin io.Reader, out io.Writer, rms []RegionMetrics) error {
 	st, err := ex.source(ctx, p, stdin)
 	if err != nil {
@@ -274,10 +327,13 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 			return err
 		}
 		r := regions[ri]
-		if st.live != nil && (ex.piped || ex.prog.Streamable(r)) {
+		if ex.streams(p, r, st.live != nil) {
+			if st.live == nil {
+				st.live = blocksOf(ctx, st.data)
+			}
 			cmd := regionRun(p, r)
 			_, span := stepSpan(ctx, regions[ri:ri+1], cmd.Spec())
-			st.live = lr.spawn(ri, cmd, st.live, &rms[ri], span)
+			st = stream{live: lr.spawn(ri, cmd, st.live, &rms[ri], span)}
 			ri++
 			continue
 		}
@@ -298,10 +354,12 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 		ri = end
 	}
 	if st.live != nil {
-		_, err = io.Copy(out, unix.ContextReader(ctx, st.live))
-	} else {
-		_, err = io.WriteString(out, st.data)
+		return unix.EachBlock(st.live.next, func(blk string) error {
+			_, err := io.WriteString(out, blk)
+			return err
+		})
 	}
+	_, err = io.WriteString(out, st.data)
 	return err
 }
 
@@ -347,8 +405,8 @@ func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (con
 }
 
 // runSegment executes one segment synchronously. A live stream is
-// drained first (the drain counts toward the first member's wall, as it
-// does when a whole-stream command buffers behind a pipe). A parallel
+// drained first — its blocks joined once, at their total size — and the
+// drain counts toward the first member's wall. A parallel
 // segment chunks the materialized stream and sends every chunk through
 // every member in one leaf call, then applies the last member's exit; a
 // serial one is a single region run on the whole stream. Every member
@@ -357,7 +415,7 @@ func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (con
 // stage's.
 func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow.Region, last bool, seg *Segment, st *stream, rms []RegionMetrics) error {
 	if st.live != nil {
-		data, err := drain(ctx, st.live)
+		data, err := unix.JoinBlocks(st.live.next)
 		if err != nil {
 			return err
 		}
@@ -368,7 +426,7 @@ func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow
 		cmd := seg.Members[0]
 		next, err := cmd.Run(st.data)
 		if err != nil {
-			return fmt.Errorf("pipeline: stage %q: %w", cmd.Spec(), err)
+			return &stageError{spec: cmd.Spec(), err: err}
 		}
 		*st = stream{data: next}
 		rms[0].BytesOut = int64(len(next))

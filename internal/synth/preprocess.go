@@ -18,6 +18,7 @@ type (
 	patternProvider interface{ Pattern() string }
 	literalProvider interface{ Literals() []int }
 	compareLiterals interface{ CompareLiterals() []int }
+	numericKeys     interface{ NumericKeys() bool }
 	fieldDelim      interface{ FieldDelim() byte }
 	sortedRequired  interface{ NeedsSortedInput() bool }
 	fileNameInput   interface{ NeedsFileNames() bool }
@@ -43,6 +44,10 @@ var probeWords = []string{
 	"river", "stone", "light", "apple", "night", "wind", "gold", "sea",
 	"dream", "cat", "ship", "king",
 }
+
+// signedInts are the dictionary words of a command that orders by
+// numeric keys: distinct values of both signs, with a leading zero.
+var signedInts = []string{"-17", "-3", "0", "2", "09", "42", "108"}
 
 func sortedProbe() string {
 	sorted := append([]string(nil), probeWords...)
@@ -104,6 +109,9 @@ func preprocess(cmd unix.Command, uenv *unix.Env, rng *rand.Rand) prep {
 				}
 			}
 		}
+	}
+	if nk, ok := cmd.(numericKeys); ok && nk.NumericKeys() {
+		p.wordDict = append(p.wordDict, signedInts...)
 	}
 	if lp, ok := cmd.(literalProvider); ok {
 		p.lineCounts = append(p.lineCounts, lp.Literals()...)

@@ -12,11 +12,11 @@
 package unix
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -34,19 +34,19 @@ type Command interface {
 }
 
 // EmitFunc receives one line (without terminator). The string may be a
-// transient view — into the stream driver's read buffer, or into scratch
-// owned by the line function that emitted it — valid only until that
-// function is handed its next line, so receivers must finish with it (copy
-// it out or complete all processing) before returning.
+// transient view into scratch owned by the line function that emitted it,
+// valid only until that function is handed its next line, so receivers
+// must finish with it (copy it out or complete all processing) before
+// returning.
 type EmitFunc func(line string)
 
 // LineMapper is implemented by commands that map each input line to zero or
 // more output lines independently — the "Mapping Input Lines to Disjoint
 // Output Lines" class of §3.4 (tr without -s, grep without -c, cut, sed s///,
-// awk filters, rev, ...). It is the one per-line contract: the chunk driver
-// (RunLines), the stream driver behind Exec, and fused regions all run a
-// command through the function LineFunc returns; everything else is a
-// whole-stream Run.
+// awk filters, rev, ...). It is the one per-line contract: the line driver
+// (RunLines) and fused regions run a command through the function
+// LineFunc returns; everything else, a live stream's blocks included, goes
+// through Run.
 type LineMapper interface {
 	Command
 	// LineFunc binds the command's per-line map to a downstream sink: the
@@ -76,44 +76,135 @@ func AsLineMapper(c Command) (LineMapper, bool) {
 	return nil, false
 }
 
-// CanStream reports whether Exec would run the command incrementally:
+// CanStream reports whether Exec would run the command block by block:
 // exactly when it is a line mapper.
 func CanStream(c Command) bool {
 	_, ok := AsLineMapper(c)
 	return ok
 }
 
-// Exec is the execution entry point over readers and writers: line
-// mappers process r incrementally; whole-stream commands buffer r, run,
-// and write their full output to w. ctx cancels either path — between
-// lines for streamed commands, between the read/run/write phases for
-// buffered ones (a Read that keeps returning data observes cancellation
-// on its next call via the context-checking wrapper).
+// BlockSize is the size a live stream moves in: ReadBlocks reads it into
+// blocks of this many bytes, each cut after its last whole line, so every
+// block but the last ends in a newline.
+const BlockSize = 64 << 10
+
+// ReadBlocks cuts the byte stream r into owned, line-aligned blocks: each
+// call of the returned function yields the next block, then io.EOF.
+func ReadBlocks(r io.Reader) func() (string, error) {
+	return (&blockReader{r: r}).next
+}
+
+// blockReader is the state of one ReadBlocks stream.
+type blockReader struct {
+	r io.Reader
+	// tail holds the bytes read past the last block's final newline.
+	tail []byte
+	// err is the reader's sticky error, io.EOF once it is exhausted.
+	err error
+}
+
+// next returns the next block: the whole lines among the next BlockSize
+// bytes (more when one line is longer), or the unterminated rest of the
+// stream at its end; then io.EOF. It reads straight into the block, and
+// cuts it once less than bytes.MinRead of room is left, so no Read is
+// handed a smaller buffer. Each block is a fresh buffer that nothing
+// writes again, so a block, and any view into it, may be kept.
+func (br *blockReader) next() (string, error) {
+	buf := make([]byte, len(br.tail), max(BlockSize, 2*len(br.tail)))
+	copy(buf, br.tail)
+	br.tail = nil
+	for br.err == nil {
+		if cap(buf)-len(buf) < bytes.MinRead {
+			if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+				// A copy, so the tail does not keep a consumed block alive.
+				br.tail = bytes.Clone(buf[i+1:])
+				return textio.View(buf[:i+1]), nil
+			}
+			buf = slices.Grow(buf, len(buf))
+		}
+		n, err := br.r.Read(buf[len(buf):cap(buf)])
+		buf, br.err = buf[:len(buf)+n], err
+	}
+	if br.err != io.EOF {
+		return "", br.err
+	}
+	if len(buf) == 0 {
+		return "", io.EOF
+	}
+	return textio.View(buf), nil
+}
+
+// EachBlock is the block loop: it hands every block next returns to fn,
+// in order, until next reports io.EOF (a clean end) or either fails.
+func EachBlock(next func() (string, error), fn func(block string) error) error {
+	for {
+		b, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+}
+
+// JoinBlocks materializes a block stream: every block next returns,
+// joined once at their total size (a single block is taken as it is).
+func JoinBlocks(next func() (string, error)) (string, error) {
+	var blocks []string
+	err := EachBlock(next, func(b string) error {
+		blocks = append(blocks, b)
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+	return strings.Join(blocks, ""), nil
+}
+
+// Exec is the execution entry point over readers and writers: the block
+// loop over r's line-aligned blocks. A line mapper runs Run on each block
+// as it arrives, which is Run on the whole stream by line independence:
+// every block but the last is whole lines, and a line mapper's Run of
+// whole lines followed by more input is the concatenation of its Run of
+// each. Any other command joins the blocks once and runs Run on the whole
+// stream. ctx is observed before every read and every write.
 func Exec(ctx context.Context, cmd Command, r io.Reader, w io.Writer) error {
-	if err := ctx.Err(); err != nil {
+	next := ReadBlocks(ContextReader(ctx, r))
+	write := func(out string) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, out)
 		return err
 	}
-	if lm, ok := AsLineMapper(cmd); ok {
-		return streamLines(ctx, lm, ContextReader(ctx, r), w)
+	if CanStream(cmd) {
+		return EachBlock(next, func(b string) error {
+			out, err := cmd.Run(b)
+			if err != nil {
+				return err
+			}
+			return write(out)
+		})
 	}
-	buf, err := io.ReadAll(ContextReader(ctx, r))
+	in, err := JoinBlocks(next)
 	if err != nil {
 		return err
 	}
-	out, err := cmd.Run(textio.View(buf))
+	out, err := cmd.Run(in)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, out)
-	return err
+	return write(out)
 }
 
 // ContextReader wraps r so that every Read first observes ctx: once ctx is
 // done, Read returns ctx.Err(). A Read already blocked inside r is not
-// interrupted — callers unblock those by closing the underlying pipe.
+// interrupted — the executor reads an external source on a goroutine of
+// its own for that reason.
 func ContextReader(ctx context.Context, r io.Reader) io.Reader {
 	if r == nil {
 		r = strings.NewReader("")
@@ -133,10 +224,12 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 	return cr.r.Read(p)
 }
 
-// RunLines is the chunk driver: it evaluates a line mapper over a whole
+// RunLines is the line driver: it evaluates a line mapper over a whole
 // materialized stream — one scan of the input, one output builder, one
 // line function for the call (so concurrent chunk runs share nothing).
-// Every line-mapper command's Run is this, and so is a fused region's.
+// Every line is emitted terminated. Every line-mapper command's Run is
+// this except tr's and cat's, which work on bytes; so is a fused
+// region's Run over its terminated lines.
 func RunLines(lm LineMapper, input string) string {
 	if input == "" {
 		return ""
@@ -158,102 +251,6 @@ func RunLines(lm LineMapper, input string) string {
 		mapLine(line)
 	}
 	return b.String()
-}
-
-// streamLines is the stream driver: it runs a line mapper incrementally
-// from r to w, checking ctx every few lines so a cancelled execution
-// aborts promptly without paying a per-line context poll on the hot path.
-// The reader's transient line view feeds the line function, whose output
-// views are copied straight into a 32 KiB write buffer — no per-line
-// string, field slice, or result slice. The buffer batches writes to
-// cut io.Pipe round trips; a write may end mid-line, since every
-// consumer of w reads bytes, not lines.
-func streamLines(ctx context.Context, lm LineMapper, r io.Reader, w io.Writer) error {
-	br := newLineReader(r)
-	bw := bufio.NewWriterSize(w, 32*1024)
-	var emitErr error
-	mapLine := lm.LineFunc(func(out string) {
-		if emitErr == nil {
-			// bufio's write error is sticky: WriteByte reports a
-			// failed WriteString too.
-			bw.WriteString(out)
-			emitErr = bw.WriteByte('\n')
-		}
-	})
-	for n := 0; ; n++ {
-		if n&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		line, err := br.readLine()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		mapLine(line)
-		if emitErr != nil {
-			return emitErr
-		}
-	}
-	return bw.Flush()
-}
-
-// lineReader reads newline-terminated lines without size limits.
-type lineReader struct {
-	r   io.Reader
-	buf []byte
-	// pending holds read-but-unconsumed bytes; pending[:scanned] is known
-	// to contain no newline, so each refill only scans the new tail.
-	pending []byte
-	scanned int
-	eof     bool
-}
-
-func newLineReader(r io.Reader) *lineReader {
-	return &lineReader{r: r, buf: make([]byte, 64*1024)}
-}
-
-// readLine returns the next line without its terminator; io.EOF when the
-// input is exhausted. A final unterminated line is returned before EOF.
-//
-// The returned string is a transient zero-copy view into the reader's
-// buffer: it is valid until the next readLine call, by when the caller
-// must have finished with it (the stream drivers copy each mapped line
-// into the output buffer before reading the next). The view stays valid
-// across refills because the reader only ever appends at offsets past
-// the consumed region — it never rewrites bytes a returned line spans.
-func (lr *lineReader) readLine() (string, error) {
-	for {
-		if i := bytes.IndexByte(lr.pending[lr.scanned:], '\n'); i >= 0 {
-			end := lr.scanned + i
-			line := textio.View(lr.pending[:end])
-			lr.pending = lr.pending[end+1:]
-			lr.scanned = 0
-			return line, nil
-		}
-		lr.scanned = len(lr.pending)
-		if lr.eof {
-			if len(lr.pending) > 0 {
-				line := textio.View(lr.pending)
-				lr.pending = lr.pending[len(lr.pending):]
-				lr.scanned = 0
-				return line, nil
-			}
-			return "", io.EOF
-		}
-		n, err := lr.r.Read(lr.buf)
-		if n > 0 {
-			lr.pending = append(lr.pending, lr.buf[:n]...)
-		}
-		if err == io.EOF {
-			lr.eof = true
-		} else if err != nil {
-			return "", err
-		}
-	}
 }
 
 // Env supplies the execution environment shared by commands: the simulated

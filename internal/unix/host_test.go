@@ -19,13 +19,15 @@ import (
 // merge_test.go, uniq_test.go and cut_test.go encode what GNU does, and
 // this is where that encoding is checked against GNU itself.
 //
-// Known difference, with its precondition: the line drivers terminate
-// every line they emit, so sed s/// (whose Run is the line driver) and
-// tr's line function end an unterminated last line with a newline,
-// where GNU sed and tr keep it unterminated. The per-line contract
-// (LineMapper) is the precondition: a line mapper emits whole lines,
-// and every pipeline stage reads it so. TestLineKernelsMatchHost holds
-// the two to the host's bytes plus that one newline.
+// Known difference, with its precondition: the line driver terminates
+// every line it emits, so sed s/// (whose Run is the line driver) ends
+// an unterminated last line with a newline, where GNU sed keeps it
+// unterminated. The per-line contract (LineMapper) is the precondition:
+// a line mapper emits whole lines, and every pipeline stage reads it so.
+// tr's Run keeps the line as GNU does; its line function, which fused
+// regions run on terminated lines only, is checked here through the line
+// driver too. TestLineKernelsMatchHost holds the two to the host's bytes
+// plus that one newline.
 
 // hostTool runs the named host tool with args under LC_ALL=C on stdin and
 // returns its output, or skips the test when the tool is not installed.

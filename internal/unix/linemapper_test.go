@@ -11,24 +11,24 @@ import (
 	"testing/iotest"
 
 	"kumquat/internal/dataflow"
+	"kumquat/internal/pipeline"
+	"kumquat/internal/synth"
 	"kumquat/internal/unix"
 )
 
 // lineMapperCases is the one-contract table: every line-mapper command,
-// plus fused chains, with literal expected output. runWant is set only
-// where the command's own whole-stream Run legitimately differs from the
-// line drivers: tr and cat are byte-stream commands whose Run does not
-// terminate an unterminated final line, while the line drivers always do.
+// plus fused chains, with literal expected output — the command's own
+// Run, stage by stage for a chain. tr and cat work on bytes, so their Run
+// leaves an unterminated last line unterminated; the others terminate it.
 var lineMapperCases = []struct {
-	specs   []string // one spec: a single command; several: a fused chain
-	in      string
-	want    string
-	runWant string
+	specs []string // one spec: a single command; several: a fused chain
+	in    string
+	want  string
 }{
 	// tr: unterminated input, splitting on a translated-to newline, and
 	// scratch reuse across a long-then-short rewritten line.
 	{specs: []string{"tr a-z A-Z"}, in: "light a\nDARK\n\nmixed Case",
-		want: "LIGHT A\nDARK\n\nMIXED CASE\n", runWant: "LIGHT A\nDARK\n\nMIXED CASE"},
+		want: "LIGHT A\nDARK\n\nMIXED CASE"},
 	{specs: []string{`tr ' ' '\n'`}, in: "a b  c\n\nd\n", want: "a\nb\n\nc\n\nd\n"},
 	{specs: []string{"tr -d aeiou"}, in: "the quick brown fox jumps over\nai\nsky\n",
 		want: "th qck brwn fx jmps vr\n\nsky\n"},
@@ -44,7 +44,7 @@ var lineMapperCases = []struct {
 	{specs: []string{"cut -d ' ' -f 2"}, in: "the quick brown fox\nnodelim\na b\n",
 		want: "quick\nnodelim\nb\n"},
 	{specs: []string{"cut -d , -f 1,3"}, in: "a,b,c\nx,y\n", want: "a,c\nx\n"},
-	{specs: []string{"cat"}, in: "a\n\nb", want: "a\n\nb\n", runWant: "a\n\nb"},
+	{specs: []string{"cat"}, in: "a\n\nb", want: "a\n\nb"},
 	{specs: []string{"rev"}, in: "abc\n\nlonger line here\nxy\n",
 		want: "cba\n\nereh enil regnol\nyx\n"},
 	{specs: []string{`awk '{print NF}'`}, in: "a b c\n\nx\n", want: "3\n0\n1\n"},
@@ -68,8 +68,8 @@ var lineMapperCases = []struct {
 
 // TestLineMapperSurfacesAgree: the three surfaces a line-mapper command is
 // reached through — its own Run (chained stage by stage for a chain), the
-// stream driver behind unix.Exec fed one byte at a time, and a FusedMapper
-// over the same command(s) on both drivers — produce the same literal
+// block loop behind unix.Exec fed one byte at a time, and a FusedMapper
+// over the same command(s) through Run and Exec — produce the same literal
 // bytes, on the table's inputs and on the empty stream.
 func TestLineMapperSurfacesAgree(t *testing.T) {
 	for _, tc := range lineMapperCases {
@@ -88,13 +88,7 @@ func TestLineMapperSurfacesAgree(t *testing.T) {
 			cmds, mappers = append(cmds, cmd), append(mappers, lm)
 		}
 		fm := dataflow.NewFusedMapper(tc.specs, mappers)
-		for _, c := range []struct{ in, want, runWant string }{
-			{tc.in, tc.want, tc.runWant}, {"", "", ""},
-		} {
-			runWant := c.runWant
-			if runWant == "" {
-				runWant = c.want
-			}
+		for _, c := range []struct{ in, want string }{{tc.in, tc.want}, {"", ""}} {
 			staged := c.in
 			for _, cmd := range cmds {
 				var err error
@@ -102,8 +96,8 @@ func TestLineMapperSurfacesAgree(t *testing.T) {
 					t.Fatalf("%s: Run: %v", name, err)
 				}
 			}
-			if staged != runWant {
-				t.Errorf("%s: Run(%q) = %q, want %q", name, c.in, staged, runWant)
+			if staged != c.want {
+				t.Errorf("%s: Run(%q) = %q, want %q", name, c.in, staged, c.want)
 			}
 			if got, _ := fm.Run(c.in); got != c.want {
 				t.Errorf("%s: fused Run(%q) = %q, want %q", name, c.in, got, c.want)
@@ -126,6 +120,80 @@ func TestLineMapperSurfacesAgree(t *testing.T) {
 	}
 }
 
+// awkFields maps the script grammar's $0..$9 to themselves, so an awk
+// program's fields survive variable expansion.
+var awkFields = map[string]string{"0": "$0", "1": "$1", "2": "$2", "3": "$3"}
+
+// TestLineMapperModesAgree: every execution configuration of a
+// line-mapper pipeline prints its stage-by-stage Run — the serial run —
+// byte for byte, unterminated last lines included: each single-command
+// row of lineMapperCases, and a fusable two-stage chain, over a file, an
+// in-memory stdin and an external stdin, in every mode, with fusion on
+// and off.
+func TestLineMapperModesAgree(t *testing.T) {
+	syn := synth.New(unix.DefaultEnv(), synth.Options{Seed: 1})
+	chains := [][]string{{"tr a-z A-Z", "tr A-Z a-z"}}
+	inputs := []string{"light a\nDARK\n\nmixed Case"}
+	for _, tc := range lineMapperCases {
+		if len(tc.specs) == 1 {
+			chains, inputs = append(chains, tc.specs), append(inputs, tc.in)
+		}
+	}
+	type config struct {
+		mode pipeline.Mode
+		k    int
+		fuse bool
+	}
+	configs := []config{
+		{pipeline.ModeSerial, 1, true}, {pipeline.ModeUnoptimized, 4, true},
+		{pipeline.ModeOptimized, 4, true}, {pipeline.ModeOptimized, 4, false},
+		{pipeline.ModePipelined, 4, true},
+	}
+	for i, specs := range chains {
+		in, want := inputs[i], inputs[i]
+		for _, spec := range specs {
+			cmd, err := unix.Parse(spec, nil)
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", spec, err)
+			}
+			if want, err = cmd.Run(want); err != nil {
+				t.Fatalf("%s: Run: %v", spec, err)
+			}
+		}
+		stages := strings.Join(specs, " | ") + "\n"
+		syn.Env.FS.Register("in.txt", in)
+		for _, src := range []struct {
+			name   string
+			script string
+			stdin  func() io.Reader
+		}{
+			{"file", "cat in.txt | " + stages, func() io.Reader { return nil }},
+			{"in-memory stdin", stages, func() io.Reader { return strings.NewReader(in) }},
+			{"external stdin", stages, func() io.Reader { return struct{ io.Reader }{strings.NewReader(in)} }},
+		} {
+			parsed, err := pipeline.ParseScript(src.script, awkFields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := pipeline.CompileContext(context.Background(), parsed.Pipelines[0], syn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range configs {
+				var out strings.Builder
+				_, err := plan.Execute(context.Background(), syn.Env, src.stdin(), &out, c.mode, c.k, pipeline.WithFuse(c.fuse))
+				if err != nil {
+					t.Fatalf("%s over %s, %v k=%d fuse=%v: %v", stages, src.name, c.mode, c.k, c.fuse, err)
+				}
+				if out.String() != want || plan.Stages[len(plan.Stages)-1].Spec != specs[len(specs)-1] {
+					t.Errorf("%q over %s, %v k=%d fuse=%v: printed %q, serial Run %q",
+						plan.Stages[len(plan.Stages)-1].Spec, src.name, c.mode, c.k, c.fuse, out.String(), want)
+				}
+			}
+		}
+	}
+}
+
 // recordingWriter keeps a copy of every Write it receives.
 type recordingWriter struct{ writes [][]byte }
 
@@ -135,9 +203,9 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 }
 
 // TestExecAcrossBatchBoundary streams a line mapper and a fused chain
-// over more than 64 KiB — short lines, one line longer than the 32 KiB
-// write batch, and an unterminated last line — and checks that the
-// driver flushed more than once and that its writes concatenate to Run.
+// over more than unix.BlockSize — short lines, a 40 KiB line across the
+// first block's end, and an unterminated last line — and checks that
+// Exec wrote block by block and that its writes concatenate to Run.
 func TestExecAcrossBatchBoundary(t *testing.T) {
 	var b strings.Builder
 	for i := 0; b.Len() < 40*1024; i++ {
@@ -199,7 +267,7 @@ func TestLineMapperGating(t *testing.T) {
 	}
 }
 
-// TestRunAllocations pins the chunk driver's allocation profile: Run over
+// TestRunAllocations pins the line driver's allocation profile: Run over
 // a 2000-line chunk costs the output builder, the line function and its
 // scratch growth — O(1), not a result slice and string per line (sed
 // rewrites its ten matching lines in scratch, too).
@@ -262,7 +330,7 @@ func TestExecStreamingAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkLineKernels times the chunk driver over each line kernel of
+// BenchmarkLineKernels times the line driver over each line kernel of
 // the line-mapper chain `tr A-Z a-z | grep light | sed 's/light/dark/' |
 // cut -d ' ' -f 1-3`, each on the input its stage sees in that chain,
 // and the chain fused into one pass. The text is 1 MB of prose-like

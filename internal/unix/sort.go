@@ -119,6 +119,11 @@ func (s *SortCmd) parseKey(spec string) error {
 // combiner as merge('-rn') in synthesis results.
 func (s *SortCmd) Flags() string { return s.flagsStr }
 
+// NumericKeys reports whether the ordering compares keys as numbers (-n,
+// -k Nn). Synthesis then draws signed integers into its inputs: over
+// words alone every numeric key reads 0, and sort -un keeps one line.
+func (s *SortCmd) NumericKeys() bool { return s.ord.numeric }
+
 func (s *SortCmd) Spec() string { return s.spec }
 
 // ordering is a sort's flags resolved once, at parse time, into the
