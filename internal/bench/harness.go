@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -105,6 +106,26 @@ func (h *Harness) scriptPlans(ctx context.Context, spec ScriptSpec) ([]*pipeline
 	return plans, script, nil
 }
 
+// planCounts tallies Table 3's planning counts over a script's compiled
+// pipelines into a fresh result.
+func planCounts(spec ScriptSpec, plans []*pipeline.Plan) *ScriptResult {
+	res := &ScriptResult{Spec: spec}
+	for _, plan := range plans {
+		par, total, elim := plan.Counts()
+		res.Parallelized += par
+		res.Total += total
+		res.Eliminated += elim
+		res.PerPipeline = append(res.PerPipeline,
+			PipelineCounts{Parallelized: par, Total: total, Eliminated: elim})
+	}
+	return res
+}
+
+// timedRuns is how many times RunScript runs a script in each mode; a
+// table cell is the median of those runs, so one scheduling hiccup does
+// not decide it.
+const timedRuns = 5
+
 // runMode executes a whole script in one execution mode through the
 // streaming executor and returns the concatenated output of its
 // non-redirected pipelines.
@@ -126,8 +147,10 @@ func (h *Harness) runMode(ctx context.Context, script *pipeline.Script,
 	return final.String(), nil
 }
 
-// RunScript measures one script across all execution modes. The context
-// bounds every timed execution; a cancellation aborts the run mid-mode.
+// RunScript measures one script across all execution modes, each cell the
+// median of timedRuns runs whose outputs must all match the serial one.
+// The context bounds every timed execution; a cancellation aborts the run
+// mid-mode.
 func (h *Harness) RunScript(ctx context.Context, spec ScriptSpec) (*ScriptResult, error) {
 	if err := RegisterInputs(h.env, spec.Input, h.Scale); err != nil {
 		return nil, err
@@ -136,57 +159,42 @@ func (h *Harness) RunScript(ctx context.Context, spec ScriptSpec) (*ScriptResult
 	if err != nil {
 		return nil, err
 	}
-	res := &ScriptResult{
-		Spec: spec,
-		U:    map[int]time.Duration{},
-		T:    map[int]time.Duration{},
-	}
-	for _, plan := range plans {
-		par, total, elim := plan.Counts()
-		res.Parallelized += par
-		res.Total += total
-		res.Eliminated += elim
-		res.PerPipeline = append(res.PerPipeline,
-			PipelineCounts{Parallelized: par, Total: total, Eliminated: elim})
-	}
-
-	res.Agree = true
-	check := func(mode, out string, err error) string {
-		if err != nil {
-			res.Agree = false
-			res.Errors = append(res.Errors, fmt.Sprintf("%s: %v", mode, err))
-			return ""
-		}
-		if res.Output != "" && out != res.Output {
-			res.Agree = false
-			res.Errors = append(res.Errors, mode+": output differs from serial")
-		}
-		return out
-	}
+	res := planCounts(spec, plans)
+	res.U = map[int]time.Duration{}
+	res.T = map[int]time.Duration{}
 
 	// Serial baseline (u1 measured below with k=1; this fixes ground truth).
-	out, err := h.runMode(ctx, script, plans, pipeline.ModeSerial, 1)
+	res.Output, err = h.runMode(ctx, script, plans, pipeline.ModeSerial, 1)
 	if err != nil {
 		return nil, err
 	}
-	res.Output = out
+	res.Agree = true
+	timed := func(label string, mode pipeline.Mode, k int) time.Duration {
+		walls := make([]time.Duration, timedRuns)
+		for i := range walls {
+			start := time.Now()
+			out, err := h.runMode(ctx, script, plans, mode, k)
+			walls[i] = time.Since(start)
+			switch {
+			case err != nil:
+				res.Agree = false
+				res.Errors = append(res.Errors, fmt.Sprintf("%s: %v", label, err))
+				return walls[i]
+			case out != res.Output:
+				res.Agree = false
+				res.Errors = append(res.Errors, label+": output differs from serial")
+				return walls[i]
+			}
+		}
+		slices.Sort(walls)
+		return walls[timedRuns/2]
+	}
 
 	// T_orig: pipelined execution of the original script.
-	start := time.Now()
-	out, err = h.runMode(ctx, script, plans, pipeline.ModePipelined, 1)
-	res.TOrig = time.Since(start)
-	check("pipelined", out, err)
-
+	res.TOrig = timed("pipelined", pipeline.ModePipelined, 1)
 	for _, k := range h.Ks {
-		start = time.Now()
-		out, err = h.runMode(ctx, script, plans, pipeline.ModeUnoptimized, k)
-		res.U[k] = time.Since(start)
-		check(fmt.Sprintf("u%d", k), out, err)
-
-		start = time.Now()
-		out, err = h.runMode(ctx, script, plans, pipeline.ModeOptimized, k)
-		res.T[k] = time.Since(start)
-		check(fmt.Sprintf("T%d", k), out, err)
+		res.U[k] = timed(fmt.Sprintf("u%d", k), pipeline.ModeUnoptimized, k)
+		res.T[k] = timed(fmt.Sprintf("T%d", k), pipeline.ModeOptimized, k)
 	}
 	return res, nil
 }
@@ -216,16 +224,7 @@ func (h *Harness) PlanOnly(ctx context.Context) ([]*ScriptResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := &ScriptResult{Spec: spec}
-		for _, plan := range plans {
-			par, total, elim := plan.Counts()
-			res.Parallelized += par
-			res.Total += total
-			res.Eliminated += elim
-			res.PerPipeline = append(res.PerPipeline,
-				PipelineCounts{Parallelized: par, Total: total, Eliminated: elim})
-		}
-		out = append(out, res)
+		out = append(out, planCounts(spec, plans))
 	}
 	return out, nil
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // TestBrokenElideRuleCaughtAndShrunk proves the differential net catches
-// an illegal optimizer rewrite: the elide-combine rule is deliberately
-// broken (its order-insensitivity legality check forced to true), which
-// elides the k-way merge of a sort feeding an order-SENSITIVE consumer.
+// an illegal optimizer rewrite: the program is edited by hand to elide
+// the k-way merge of a sort feeding an order-SENSITIVE consumer — the
+// split exit an elide-combine rule that took every consumer for
+// order-insensitive would produce.
 // The fused execution must then diverge from the serial oracle, and the
 // ddmin shrinker must reduce the reproducing corpus to the minimal
 // witness — two out-of-order lines split across chunks.
@@ -36,11 +37,13 @@ func TestBrokenElideRuleCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("legal program rewrites = %v, want elide-combine=0", plan.Program.Fired)
 	}
 
-	// Break the rule: every consumer now counts as order-insensitive.
-	plan.Relower(dataflow.Options{UnsafeAssumeOrderInsensitive: true})
-	if plan.Program.Fired[dataflow.RuleElideCombine] == 0 {
-		t.Fatal("unsafe lowering did not fire elide-combine; nothing to catch")
+	// Break the rule: the sort's region keeps its chunk outputs split
+	// into the order-sensitive sed instead of merging them.
+	sortRegion := plan.Program.Regions[0]
+	if len(plan.Program.Regions) != 2 || sortRegion.Exit != dataflow.ExitCombine || !plan.Program.Regions[1].Parallel {
+		t.Fatalf("legal program = %s, want the sort's region combining into a parallel sed", plan.Program.Dump())
 	}
+	sortRegion.Exit = dataflow.ExitSplit
 
 	exec := func(c string, mode pipeline.Mode, k int) (string, error) {
 		eng.Env.FS.Register("in.txt", c)
@@ -69,9 +72,9 @@ func TestBrokenElideRuleCaughtAndShrunk(t *testing.T) {
 		t.Error("shrunk corpus no longer reproduces the divergence")
 	}
 
-	// Restoring the legal program must close the divergence on both the
+	// Restoring the legal exit must close the divergence on both the
 	// original and the shrunk corpus.
-	plan.Relower(dataflow.Options{})
+	sortRegion.Exit = dataflow.ExitCombine
 	if fails(corpus) || fails(shrunk) {
 		t.Error("legal program diverges — the broken behaviour leaked into the default lowering")
 	}

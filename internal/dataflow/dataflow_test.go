@@ -21,7 +21,8 @@ func newSynth() *synth.Engine {
 }
 
 // compile parses and compiles a one-pipeline script through a shared
-// engine, returning the plan with its lowered graph and program.
+// engine, returning the plan with its optimized program (and, through
+// it, the lowered graph).
 func compile(t *testing.T, eng *synth.Engine, script string) *pipeline.Plan {
 	t.Helper()
 	s, err := pipeline.ParseScript(script, nil)
@@ -66,7 +67,7 @@ func TestCombinerClassTaxonomy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		plan := compile(t, eng, tc.spec+"\n")
-		n := plan.Graph.Nodes[0]
+		n := plan.Program.Graph.Nodes[0]
 		if n.Class != tc.class {
 			t.Errorf("%q: class = %s, want %s", tc.spec, n.Class, tc.class)
 		}
@@ -80,7 +81,7 @@ func TestCombinerClassTaxonomy(t *testing.T) {
 	// rerun: stages whose only combiner re-runs the command (kept serial
 	// by the planner). tr -cs's word-splitting is §2's example.
 	plan := compile(t, eng, `tr -cs A-Za-z '\n'`+"\n")
-	n := plan.Graph.Nodes[0]
+	n := plan.Program.Graph.Nodes[0]
 	if n.Class != dataflow.ClassRerun {
 		t.Errorf("tr -cs: class = %s, want rerun", n.Class)
 	}
@@ -89,26 +90,26 @@ func TestCombinerClassTaxonomy(t *testing.T) {
 	}
 }
 
-// TestEdgeClosures pins the closure metadata the lowering attaches to
-// edges: exact for concat-class producers, perm for sort-class producers
-// that drop no lines, none for sort -u (the merge dedups across chunk
-// boundaries, so skipping it leaves duplicates).
+// TestEdgeClosures pins the closure metadata the lowering attaches to a
+// producer's output (Node.Closure), which its consumer reads: exact for
+// concat-class producers, perm for sort-class producers that drop no
+// lines, none for sort -u (the merge dedups across chunk boundaries, so
+// skipping it leaves duplicates).
 func TestEdgeClosures(t *testing.T) {
 	eng := newSynth()
 	cases := []struct {
 		script  string
-		edge    int // edge index = consumer node index
-		closure dataflow.Closure
+		closure dataflow.Closure // of node 0, feeding node 1
 	}{
-		{"tr A-Z a-z | wc -l\n", 1, dataflow.ClosureExact},
-		{"sort | wc -l\n", 1, dataflow.ClosurePerm},
-		{"sort -u | wc -l\n", 1, dataflow.ClosureNone},
-		{"uniq -c | wc -l\n", 1, dataflow.ClosureNone},
+		{"tr A-Z a-z | wc -l\n", dataflow.ClosureExact},
+		{"sort | wc -l\n", dataflow.ClosurePerm},
+		{"sort -u | wc -l\n", dataflow.ClosureNone},
+		{"uniq -c | wc -l\n", dataflow.ClosureNone},
 	}
 	for _, tc := range cases {
 		plan := compile(t, eng, tc.script)
-		if got := plan.Graph.Edges[tc.edge].Closure; got != tc.closure {
-			t.Errorf("%q edge %d: closure = %s, want %s", tc.script, tc.edge, got, tc.closure)
+		if got := plan.Program.Graph.Nodes[0].Closure; got != tc.closure {
+			t.Errorf("%q n0: closure = %s, want %s", tc.script, got, tc.closure)
 		}
 	}
 }
@@ -185,7 +186,7 @@ func TestFusedByteIdenticalToStaged(t *testing.T) {
 						t.Errorf("%q %s k=%d fuse=%v diverged:\n got %q\nwant %q",
 							script, pc.name, k, fuse, out.String(), oracle.String())
 					}
-					if !fuse && info.Fused {
+					if !fuse && info.Regions != nil {
 						t.Errorf("%q %s k=%d: fuse=off run reported fused execution", script, pc.name, k)
 					}
 				}
@@ -209,14 +210,14 @@ func TestRunInfoReportsRules(t *testing.T) {
 		pipeline.ModeOptimized, 4, pipeline.WithRunInfo(&info)); err != nil {
 		t.Fatal(err)
 	}
-	if !info.Fused {
+	if info.Regions == nil {
 		t.Fatal("fused executor did not run")
 	}
-	if info.Rewrites["fuse-streamers"] != 2 {
-		t.Errorf("run info rewrites = %v, want fuse-streamers=2", info.Rewrites)
-	}
 	if len(info.Regions) != 1 || !info.Regions[0].Fused || len(info.Regions[0].Stages) != 3 {
-		t.Errorf("regions = %+v, want one fused region of 3 stages", info.Regions)
+		t.Fatalf("regions = %+v, want one fused region of 3 stages", info.Regions)
+	}
+	if rules := info.Regions[0].Rules; len(rules) != 1 || rules[0] != "fuse-streamers" {
+		t.Errorf("region rules = %v, want [fuse-streamers]", rules)
 	}
 }
 
@@ -230,7 +231,7 @@ func TestOptimizeAblation(t *testing.T) {
 	if base[dataflow.RuleFuseStreamers] == 0 || base[dataflow.RuleElideCombine] == 0 {
 		t.Fatalf("baseline program missing expected rewrites: %v", base)
 	}
-	plan.Relower(dataflow.Options{Disable: map[dataflow.Rule]bool{
+	plan.Program = dataflow.Optimize(plan.Program.Graph, dataflow.Options{Disable: map[dataflow.Rule]bool{
 		dataflow.RuleFuseStreamers: true,
 	}})
 	if got := plan.Program.Fired[dataflow.RuleFuseStreamers]; got != 0 {
@@ -249,7 +250,7 @@ func TestOptimizeAblation(t *testing.T) {
 	if out.String() != oracle.String() {
 		t.Errorf("ablated program diverged: got %q want %q", out.String(), oracle.String())
 	}
-	plan.Relower(dataflow.Options{})
+	plan.Program = dataflow.Optimize(plan.Program.Graph, dataflow.Options{})
 	if plan.Program.Fired[dataflow.RuleFuseStreamers] != base[dataflow.RuleFuseStreamers] {
 		t.Error("re-lowering with defaults did not restore the baseline program")
 	}

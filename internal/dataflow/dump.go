@@ -7,11 +7,11 @@ import (
 )
 
 // Dump renders the optimized program deterministically for golden-file
-// regression tests: nodes with their derived capabilities, edges with
-// their closure metadata, regions with exits and fired rules, and the
-// per-rule fire counters. Any accidental legality change — a capability
-// probe drifting, a rule firing where it should not — shows up as a
-// readable diff against the checked-in golden.
+// regression tests: nodes with their derived capabilities and output
+// closures, regions with exits and fired rules, and the per-rule fire
+// counters. Any accidental legality change — a capability probe
+// drifting, a rule firing where it should not — shows up as a readable
+// diff against the checked-in golden.
 func (p *Program) Dump() string {
 	var b strings.Builder
 	g := p.Graph
@@ -37,17 +37,7 @@ func (p *Program) Dump() string {
 		if n.Stage.StreamOutput {
 			caps = append(caps, "stream-output")
 		}
-		fmt.Fprintf(&b, "n%d %q class=%s [%s]\n", n.ID, n.Stage.Spec, n.Class, strings.Join(caps, " "))
-	}
-	for _, e := range g.Edges {
-		from, to := fmt.Sprintf("n%d", e.From), fmt.Sprintf("n%d", e.To)
-		if e.From < 0 {
-			from = "source"
-		}
-		if e.To < 0 {
-			to = "sink"
-		}
-		fmt.Fprintf(&b, "edge %s->%s closure=%s\n", from, to, e.Closure)
+		fmt.Fprintf(&b, "n%d %q class=%s closure=%s [%s]\n", n.ID, n.Stage.Spec, n.Class, n.Closure, strings.Join(caps, " "))
 	}
 	for i, r := range p.Regions {
 		ids := make([]string, len(r.Nodes))

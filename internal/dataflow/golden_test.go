@@ -27,8 +27,8 @@ var goldenPipelines = []struct {
 }
 
 // TestGoldenProgramDumps compiles each example pipeline and compares the
-// optimizer's program dump — nodes, edge closures, regions, exits and
-// fired rules — against the checked-in golden. Run with -update to
+// optimizer's program dump — nodes with their output closures, regions,
+// exits and fired rules — against the checked-in golden. Run with -update to
 // regenerate after an intentional optimizer change.
 func TestGoldenProgramDumps(t *testing.T) {
 	eng := newSynth()

@@ -1,10 +1,10 @@
 // Package dataflow is the order-aware graph IR between the pipeline
-// planner and the executor: nodes are command stages, edges are ordered
-// line streams, and each edge carries the closure metadata — derived from
-// the stage's synthesized combiner class and its command capabilities —
-// that licenses the optimizer's split/merge-fusion rewrites ("An
-// Order-Aware Dataflow Model for Parallel Unix Pipelines" applied to the
-// KumQuat combiner taxonomy).
+// planner and the executor: nodes are command stages in stream order, and
+// each node carries the closure metadata of its output stream — derived
+// from the stage's synthesized combiner class and its command
+// capabilities — that licenses the optimizer's split/merge-fusion
+// rewrites ("An Order-Aware Dataflow Model for Parallel Unix Pipelines"
+// applied to the KumQuat combiner taxonomy).
 //
 // pipeline.CompileContext lowers every linear script into a Graph and runs
 // Optimize over it; the optimized Program drives the fused executor in
@@ -19,8 +19,8 @@ import (
 )
 
 // Stage is the lowering input: one compiled pipeline stage together with
-// its planning verdict. It mirrors pipeline.StagePlan field-for-field so
-// the pipeline package can lower without a dependency cycle.
+// its planning verdict. pipeline.StagePlan embeds it, so the planner's
+// verdict and the graph's input are one record.
 type Stage struct {
 	// Spec is the stage's command text.
 	Spec string
@@ -34,7 +34,8 @@ type Stage struct {
 	// Sequential marks rerun-only stages the planner keeps serial.
 	Sequential bool
 	// StreamOutput records whether the command's outputs are
-	// newline-terminated streams (Theorem 5's precondition).
+	// newline-terminated streams — Theorem 5's precondition (tr -d '\n'
+	// violates it).
 	StreamOutput bool
 }
 
@@ -76,7 +77,7 @@ func (c CombinerClass) String() string {
 	return "invalid"
 }
 
-// Closure is an edge's ordering guarantee when the upstream stage's
+// Closure is a stage output's ordering guarantee when the stage's
 // combine is skipped and its k chunk outputs are concatenated in chunk
 // order instead of combined.
 type Closure int
@@ -86,12 +87,12 @@ const (
 	// the combined stream; the combiner must run.
 	ClosureNone Closure = iota
 	// ClosureExact: concatenation of the chunk outputs IS the combined
-	// stream (concat combiner over newline-terminated outputs) — the edge
-	// may stay split for any consumer (Theorem 5).
+	// stream (concat combiner over newline-terminated outputs) — the
+	// output may stay split for any consumer (Theorem 5).
 	ClosureExact
 	// ClosurePerm: concatenation is a line-permutation of the combined
 	// stream (merge combiner that drops no lines, over newline-terminated
-	// outputs) — the edge may stay split for an order-insensitive
+	// outputs) — the output may stay split for an order-insensitive
 	// consumer.
 	ClosurePerm
 )
@@ -125,47 +126,32 @@ type Node struct {
 	OrderInsensitive bool
 	// Class is the synthesized combiner's class.
 	Class CombinerClass
-}
-
-// Edge is the ordered line stream between two adjacent stages. From is -1
-// for the pipeline source; To is -1 for the final sink.
-type Edge struct {
-	From, To int
-	// Closure is the ordering guarantee the producing stage offers when
-	// its combine is elided (ClosureNone for the source edge).
+	// Closure is the guarantee on the node's output stream — what its
+	// consumer (the next node, or the sink) may rely on when the node's
+	// combine is elided.
 	Closure Closure
 }
 
-// Graph is the lowered pipeline: a linear chain today, with the node/edge
-// representation DAG-shaped pipelines will extend.
+// Graph is the lowered pipeline: a linear chain of nodes, each feeding
+// the next, from the source to the sink.
 type Graph struct {
 	// InputFile names the data source ("" = standard input).
 	InputFile string
 	// Nodes holds one node per stage, in pipeline order.
 	Nodes []*Node
-	// Edges holds len(Nodes)+1 edges: Edges[i] feeds Nodes[i] (Edges[0]
-	// from the source), and the last edge leads to the sink.
-	Edges []*Edge
 }
 
 // Build lowers a compiled linear pipeline into the graph IR, deriving each
-// node's capabilities and each edge's closure metadata.
+// node's capabilities and its output's closure.
 func Build(inputFile string, stages []Stage) *Graph {
-	g := &Graph{InputFile: inputFile}
+	g := &Graph{InputFile: inputFile, Nodes: make([]*Node, len(stages))}
 	for i, st := range stages {
 		n := &Node{ID: i, Stage: st}
 		_, n.LineMapper = unix.AsLineMapper(st.Cmd)
 		n.OrderInsensitive = unix.IsOrderInsensitive(st.Cmd)
 		n.Class = combinerClass(st.Synth)
-		g.Nodes = append(g.Nodes, n)
-		g.Edges = append(g.Edges, &Edge{From: i - 1, To: i})
-		if i > 0 {
-			g.Edges[i].Closure = closure(g.Nodes[i-1])
-		}
-	}
-	g.Edges = append(g.Edges, &Edge{From: len(stages) - 1, To: -1})
-	if n := len(stages); n > 0 {
-		g.Edges[n].Closure = closure(g.Nodes[n-1])
+		n.Closure = closure(n)
+		g.Nodes[i] = n
 	}
 	return g
 }
@@ -189,7 +175,7 @@ func combinerClass(res *synth.Result) CombinerClass {
 	}
 }
 
-// closure derives the outgoing edge's guarantee from the producing node.
+// closure derives the guarantee on a node's output stream.
 // Exact closure is Theorem 5's precondition: a concat combiner (in
 // argument order) over newline-terminated chunk outputs, so concatenation
 // reproduces the combined stream byte for byte. Permutation closure

@@ -11,7 +11,7 @@ type Rule string
 const (
 	// RuleFuseStreamers fuses adjacent line-streaming stages into one
 	// per-chunk pass, eliding the combine→re-split round trip between
-	// them. It fires once per fused internal edge, so a run of m stages
+	// them. It fires once per fused stage boundary, so a run of m stages
 	// fires it m-1 times. Legality: every fused stage is a line mapper
 	// (line-independent, order-preserving), parallel, concat-combined and
 	// stream-output, so composing the mappers per input line is
@@ -48,8 +48,8 @@ const (
 	// consumes the chunk outputs directly.
 	ExitSplit
 	// ExitConcat concatenates the chunk outputs in chunk order without
-	// running the combiner — legal only into an order-insensitive serial
-	// consumer over a permutation-closed edge.
+	// running the combiner — legal only from a permutation-closed region
+	// into an order-insensitive serial consumer.
 	ExitConcat
 )
 
@@ -82,8 +82,8 @@ type Region struct {
 	Parallel bool
 	// Exit is the region's output disposition after a chunk-parallel run.
 	Exit ExitKind
-	// Rules tags the rewrites that fired on this region or its outgoing
-	// edge (RuleTheorem5 included, for the dump).
+	// Rules tags the rewrites that fired on this region or its exit
+	// (RuleTheorem5 included, for the dump).
 	Rules []Rule
 }
 
@@ -108,12 +108,6 @@ type Options struct {
 	// disabled (Theorem 5 splits only); tests and benchmarks ablate
 	// rules one at a time.
 	Disable map[Rule]bool
-	// UnsafeAssumeOrderInsensitive makes RuleElideCombine treat every
-	// consumer as order-insensitive — a deliberately broken legality
-	// check. It exists only so the conformance plane's regression tests
-	// can prove the differential net catches an illegal elision; never
-	// set it in production paths.
-	UnsafeAssumeOrderInsensitive bool
 }
 
 func (o Options) disabled(r Rule) bool { return o.Disable[r] }
@@ -159,9 +153,8 @@ func Optimize(g *Graph, opts Options) *Program {
 		if !r.Parallel {
 			continue
 		}
-		last := g.Nodes[r.Nodes[len(r.Nodes)-1]]
-		cl := regionClosure(r, last)
-		nextOI := consumerOrderInsensitive(g, next, opts)
+		cl := regionClosure(g, r)
+		nextOI := consumerOrderInsensitive(g, next)
 		switch {
 		case cl != ClosureNone && nextOI:
 			// Rule 2: the consumer cannot observe the permutation.
@@ -211,24 +204,21 @@ func fusable(n *Node) bool {
 	return n.Stage.Parallel && n.LineMapper && n.Class == ClassConcat && n.Stage.StreamOutput
 }
 
-// regionClosure is the closure of a region's outgoing edge: fused regions
-// are concat-composed line mappers, so they inherit exact closure; single
-// regions use their node's edge metadata.
-func regionClosure(r *Region, last *Node) Closure {
+// regionClosure is the closure of a region's output: fused regions are
+// concat-composed line mappers, so they inherit exact closure; single
+// regions take their node's.
+func regionClosure(g *Graph, r *Region) Closure {
 	if r.Fused {
 		return ClosureExact
 	}
-	return closure(last)
+	return g.Nodes[r.Nodes[0]].Closure
 }
 
 // consumerOrderInsensitive reports whether the next region's output is
 // invariant under permuting its input lines. Only single-stage regions
 // qualify: a fused region is a composition of order-preserving mappers,
 // which transports the permutation rather than absorbing it.
-func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
-	if opts.UnsafeAssumeOrderInsensitive {
-		return true
-	}
+func consumerOrderInsensitive(g *Graph, next *Region) bool {
 	if len(next.Nodes) != 1 {
 		return false
 	}
@@ -237,15 +227,15 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 
 // Streamable reports whether the region can consume a live stream with
 // output identical to its chunked execution: fused regions are line
-// mappers (always streamable), single parallel stages must be line
-// mappers with a concat combiner (streamed output equals
-// chunk-and-concat), and single serial stages need only be line mappers.
-// The executor is its only caller: it decides whether a region consumes
-// a live stream block by block or drains it first.
+// mappers (always streamable); a single stage must be a line mapper
+// and, in a parallel region, concat-combined (streamed output equals
+// chunk-and-concat). The executor is its only caller: it decides
+// whether a region consumes a live stream block by block or drains it
+// first.
 func (p *Program) Streamable(r *Region) bool {
 	if r.Fused {
 		return true
 	}
 	n := p.Graph.Nodes[r.Nodes[0]]
-	return n.LineMapper && (!n.Stage.Parallel || n.Class == ClassConcat)
+	return n.LineMapper && (!r.Parallel || n.Class == ClassConcat)
 }

@@ -39,17 +39,13 @@ type RegionMetrics struct {
 }
 
 // RunInfo is the rewritten program's run report, filled in when an
-// Execute call carries a WithRunInfo option: whether the rewritten
-// program ran, which rewrites it applied, and the per-region metrics.
+// Execute call carries a WithRunInfo option. The rewrites it applied are
+// the plan's (Program.Fired), not a fact of the run.
 type RunInfo struct {
-	// Fused reports that the rewritten program executed the plan — true
-	// exactly for Optimized mode with fusion on, whatever the source
-	// (file, in-memory or live external stdin).
-	Fused bool
-	// Rewrites counts the optimizer rewrites applied by the program that
-	// ran, per rule name.
-	Rewrites map[string]int
-	// Regions holds one entry per optimizer region, in order.
+	// Regions holds one entry per optimizer region, in order. It is
+	// non-nil exactly when the rewritten program executed the plan —
+	// Optimized mode with fusion on, whatever the source (file,
+	// in-memory or live external stdin).
 	Regions []RegionMetrics
 }
 
@@ -64,7 +60,7 @@ func WithFuse(on bool) ExecOpt {
 }
 
 // WithRunInfo directs the executor to fill info with the rewritten
-// program's region metrics and applied rewrites.
+// program's region metrics.
 func WithRunInfo(info *RunInfo) ExecOpt {
 	return func(c *execConfig) { c.runInfo = info }
 }

@@ -11,26 +11,15 @@ import (
 	"kumquat/internal/unix"
 )
 
-// StagePlan is the planner's verdict for one command stage.
+// StagePlan is the planner's verdict for one command stage: the
+// dataflow.Stage it lowers as, and what the lowering read back.
 type StagePlan struct {
-	Spec string
-	Cmd  unix.Command
-	// Synth is the synthesis result; Synth.Err != nil means no combiner.
-	Synth *synth.Result
-	// Parallel marks stages executed data-parallel with a combiner.
-	Parallel bool
-	// Sequential marks stages with only a rerun combiner and no
-	// significant stream reduction: parallelizing them costs more than it
-	// saves, so they run serially (§2's tr -cs decision).
-	Sequential bool
+	dataflow.Stage
 	// Eliminated marks parallel stages whose combiner Theorem 5 removes:
 	// their output substreams feed the next parallel stage directly. It is
 	// read off the Theorem-5-only program (Table 3's count), not decided
 	// here.
 	Eliminated bool
-	// StreamOutput records whether the command's outputs terminate with
-	// newlines — Theorem 5's precondition (tr -d '\n' violates it).
-	StreamOutput bool
 }
 
 // Plan is the compiled data-parallel pipeline.
@@ -41,10 +30,9 @@ type Plan struct {
 	// attributed per stage-synthesis call (exact under concurrent use of
 	// the shared engine, unlike a windowed Stats delta).
 	SynthStats cache.Stats
-	// Graph is the pipeline lowered into the order-aware dataflow IR, and
-	// Program is the optimizer's rewritten region sequence over it — what
-	// Optimized mode walks with fusion on.
-	Graph   *dataflow.Graph
+	// Program is the optimizer's rewritten region sequence over the
+	// pipeline's dataflow graph (Program.Graph) — what Optimized mode
+	// walks with fusion on.
 	Program *dataflow.Program
 	// The other configurations' programs (see Execute): theorem5 is the
 	// graph optimized with the dataflow rewrites disabled, serial and
@@ -74,7 +62,7 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %q: %w", spec, err)
 		}
-		sp := &StagePlan{Spec: spec, Cmd: cmd}
+		sp := &StagePlan{Stage: dataflow.Stage{Spec: spec, Cmd: cmd}}
 		res, tier, _ := eng.SynthesizeTier(ctx, spec)
 		plan.SynthStats = plan.SynthStats.Add(tier.Count())
 		if err := ctx.Err(); err != nil {
@@ -96,42 +84,28 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 		sp.StreamOutput = probeStreamOutput(cmd)
 		plan.Stages = append(plan.Stages, sp)
 	}
-	plan.lower(dataflow.Options{})
+	plan.lower()
 	return plan, nil
 }
 
-// lower builds the plan's dataflow IR and every configuration's program;
-// opts shape only the rewritten Program. CompileContext runs it with default
-// options; tests re-lower with ablation or deliberately-unsound options
-// to pin the optimizer's behaviour.
-func (p *Plan) lower(opts dataflow.Options) {
+// lower builds the plan's dataflow graph and every configuration's
+// program over it.
+func (p *Plan) lower() {
 	stages := make([]dataflow.Stage, len(p.Stages))
 	for i, sp := range p.Stages {
-		stages[i] = dataflow.Stage{
-			Spec:         sp.Spec,
-			Cmd:          sp.Cmd,
-			Synth:        sp.Synth,
-			Parallel:     sp.Parallel,
-			Sequential:   sp.Sequential,
-			StreamOutput: sp.StreamOutput,
-		}
+		stages[i] = sp.Stage
 	}
-	p.Graph = dataflow.Build(p.InputFile, stages)
-	p.Program = dataflow.Optimize(p.Graph, opts)
-	p.theorem5 = dataflow.Optimize(p.Graph, theorem5Only)
-	p.serial = dataflow.Stagewise(p.Graph, false)
-	p.stagewise = dataflow.Stagewise(p.Graph, true)
+	g := dataflow.Build(p.InputFile, stages)
+	p.Program = dataflow.Optimize(g, dataflow.Options{})
+	p.theorem5 = dataflow.Optimize(g, theorem5Only)
+	p.serial = dataflow.Stagewise(g, false)
+	p.stagewise = dataflow.Stagewise(g, true)
 	for _, r := range p.theorem5.Regions {
 		if r.Exit == dataflow.ExitSplit {
 			p.Stages[r.Nodes[len(r.Nodes)-1]].Eliminated = true
 		}
 	}
 }
-
-// Relower rebuilds the plan's optimized program under explicit optimizer
-// options (ablating rules, or the deliberately-unsound legality knobs the
-// conformance regression tests use).
-func (p *Plan) Relower(opts dataflow.Options) { p.lower(opts) }
 
 // probeStreamOutput checks Theorem 5's precondition on sample inputs: the
 // command must produce newline-terminated (or empty) output.

@@ -115,7 +115,7 @@ type execConfig struct {
 	// or the Theorem-5-only lowering (see WithFuse).
 	fuse bool
 	// runInfo, when non-nil, receives the rewritten program's region
-	// metrics and applied rewrites (see WithRunInfo).
+	// metrics (see WithRunInfo).
 	runInfo *RunInfo
 	// leaves wraps the local chunk fan-out (see WithLeaves).
 	leaves func(local Leaves) Leaves
@@ -159,7 +159,7 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 	case ModeOptimized:
 		ex.keepLive = true
 		if ex.prog = p.theorem5; cfg.fuse {
-			// Only the rewritten program reports regions and rewrites.
+			// Only the rewritten program reports regions.
 			ex.prog, ex.info = p.Program, cfg.runInfo
 		}
 	case ModePipelined:

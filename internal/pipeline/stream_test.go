@@ -165,8 +165,8 @@ func TestOptimizedStreamsLineMapperPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if fused := mode == ModeOptimized; info.Fused != fused || (info.Rewrites["fuse-streamers"] > 0) != fused {
-			t.Errorf("%v: run info fused=%v rewrites=%v, want the rewritten program exactly in optimized mode", mode, info.Fused, info.Rewrites)
+		if fused := mode == ModeOptimized; (info.Regions != nil) != fused || (fused && !info.Regions[0].Fused) {
+			t.Errorf("%v: run info regions=%+v, want the rewritten program's fused region exactly in optimized mode", mode, info.Regions)
 		}
 		if !w.sawPartial.Load() {
 			t.Errorf("%v: no output arrived before input was exhausted; pipeline materialized the stream", mode)
@@ -490,8 +490,7 @@ func TestSortCombinesIntoChunkedConsumer(t *testing.T) {
 		{"external stdin", stdinPlan, pipeSource(corpus)},
 	} {
 		var out strings.Builder
-		var info RunInfo
-		ms, err := src.plan.Execute(context.Background(), syn.Env, src.stdin, &out, ModeOptimized, 4, WithRunInfo(&info))
+		ms, err := src.plan.Execute(context.Background(), syn.Env, src.stdin, &out, ModeOptimized, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)
 		}
@@ -507,8 +506,8 @@ func TestSortCombinesIntoChunkedConsumer(t *testing.T) {
 		if ms[1].Chunks != 4 || ms[1].Streamed {
 			t.Errorf("%s: sed stage ran %d chunks, streamed=%v; want 4 chunks, not streamed", src.name, ms[1].Chunks, ms[1].Streamed)
 		}
-		if _, ok := info.Rewrites["push-sort-merge"]; ok {
-			t.Errorf("%s: run reports the retired push-sort-merge rewrite: %v", src.name, info.Rewrites)
+		if _, ok := src.plan.Program.Fired[dataflow.RulePushSortMerge]; ok {
+			t.Errorf("%s: plan reports the retired push-sort-merge rewrite: %v", src.name, src.plan.Program.Fired)
 		}
 	}
 }

@@ -55,8 +55,8 @@ type executor struct {
 	width int
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
-	// info, when non-nil, receives the region metrics and applied
-	// rewrites; Execute sets it only when prog is the rewritten program.
+	// info, when non-nil, receives the region metrics; Execute sets it
+	// only when prog is the rewritten program.
 	info *RunInfo
 }
 
@@ -174,13 +174,11 @@ func declaredLen(r io.Reader) int {
 }
 
 // streams reports whether region r runs live, on a goroutine over its
-// input's blocks: in Pipelined mode every line-mapper region does,
-// otherwise a streamable region whose input is live.
-func (ex *executor) streams(p *Plan, r *dataflow.Region, live bool) bool {
-	if ex.piped {
-		return unix.CanStream(regionRun(p, r))
-	}
-	return live && ex.prog.Streamable(r)
+// input's blocks: a streamable region (Program.Streamable) whose input is
+// live — or, in Pipelined mode, whatever its input, which there makes
+// every line-mapper region live.
+func (ex *executor) streams(r *dataflow.Region, live bool) bool {
+	return (live || ex.piped) && ex.prog.Streamable(r)
 }
 
 // source resolves the pipeline's input into the walk's initial stream:
@@ -199,7 +197,7 @@ func (ex *executor) source(ctx context.Context, p *Plan, stdin io.Reader) (strea
 		return stream{data: data}, err
 	}
 	regions := ex.prog.Regions
-	live := len(regions) > 0 && ex.streams(p, regions[0], ex.keepLive)
+	live := len(regions) > 0 && ex.streams(regions[0], ex.keepLive)
 	src := pump(ctx, stdin, live)
 	if live {
 		return stream{live: src}, nil
@@ -296,11 +294,6 @@ func (ex *executor) walk(parent context.Context, p *Plan, stdin io.Reader, out i
 		attribute(metrics, r, &rms[ri])
 	}
 	if info := ex.info; info != nil {
-		info.Fused = true
-		info.Rewrites = make(map[string]int, len(ex.prog.Fired))
-		for rule, n := range ex.prog.Fired {
-			info.Rewrites[string(rule)] = n
-		}
 		for ri, r := range regions {
 			rm := &rms[ri]
 			rm.Stages, rm.Fused, rm.Exit = append([]int(nil), r.Nodes...), r.Fused, r.Exit.String()
@@ -327,7 +320,7 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 			return err
 		}
 		r := regions[ri]
-		if ex.streams(p, r, st.live != nil) {
+		if ex.streams(r, st.live != nil) {
 			if st.live == nil {
 				st.live = blocksOf(ctx, st.data)
 			}

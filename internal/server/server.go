@@ -355,13 +355,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(data) //nolint:errcheck // client disconnects surface elsewhere
 }
 
-// writeJSON writes a JSON response body with the given status.
+// writeJSON writes a compact JSON response body with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client disconnects surface elsewhere
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client disconnects surface elsewhere
 }
 
 // writeError writes the standard JSON error body.

@@ -35,6 +35,18 @@ func TestTable2Predicates(t *testing.T) {
 	if EFirst([]Observation{{Y1: "x", Y2: "0"}}) {
 		t.Error("EFirst needs a non-delimiter non-zero character in y2")
 	}
+	if !ESecond([]Observation{{Y1: "y", Y2: "0"}}) {
+		t.Error("ESecond satisfied by differing outputs with a non-trivial y1")
+	}
+	if ESecond([]Observation{{Y1: "0", Y2: "x"}}) {
+		t.Error("ESecond needs a non-delimiter non-zero character in y1")
+	}
+	if !ERec([]Observation{{Y1: "x", Y2: "x"}, {Y1: "0", Y2: "y"}}) {
+		t.Error("ERec satisfied across observations by differing outputs and non-trivial y1 and y2")
+	}
+	if ERec([]Observation{{Y1: "x", Y2: "x"}}) {
+		t.Error("ERec needs y1 != y2 somewhere")
+	}
 	if !EBackAdd('\n', []Observation{{Y1: "2\n", Y2: "3\n", Y12: "5\n"}}) {
 		t.Error("EBackAdd satisfied by wc-style outputs")
 	}

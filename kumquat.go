@@ -256,8 +256,9 @@ func (p *Plan) SynthCache() SynthCacheStats { return p.synthStats }
 // Rewrites counts, per rule name, the dataflow-optimizer rewrites baked
 // into the compiled plan across all its pipelines (fuse-streamers,
 // elide-combine). They apply when the plan executes in
-// Optimized mode with fusion on; the conformance plane aggregates these
-// counters to prove each rewrite rule is exercised.
+// Optimized mode with fusion on, and such a run reports them as
+// RunReport.Rewrites; the conformance plane aggregates these counters to
+// prove each rewrite rule is exercised.
 func (p *Plan) Rewrites() map[string]int {
 	fired := map[string]int{}
 	for _, plan := range p.plans {
@@ -535,14 +536,8 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 		if err != nil {
 			return nil, err
 		}
-		if info.Fused {
+		if info.Regions != nil {
 			rep.Fused = true
-			if rep.Rewrites == nil {
-				rep.Rewrites = make(map[string]int, len(info.Rewrites))
-			}
-			for rule, n := range info.Rewrites {
-				rep.Rewrites[rule] += n
-			}
 			for _, rm := range info.Regions {
 				rep.Regions = append(rep.Regions, RegionReport{RegionMetrics: rm, Pipeline: i})
 			}
@@ -562,6 +557,9 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 	}
 	rep.Wall = time.Since(start)
 	rep.BytesOut = counted.n
+	if rep.Fused {
+		rep.Rewrites = p.Rewrites()
+	}
 	if captured != nil {
 		rep.Output = captured.String()
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -170,6 +171,19 @@ func TestExecuteReportVerdicts(t *testing.T) {
 	}
 	if rep.Wall <= 0 || rep.BytesIn == 0 || rep.BytesOut == 0 {
 		t.Errorf("report volume/wall not recorded: %+v", rep)
+	}
+	// The rewritten program ran: the report names its regions and the
+	// plan's rewrites; a serial run reports neither.
+	if !rep.Fused || len(rep.Regions) == 0 || !maps.Equal(rep.Rewrites, plan.Rewrites()) {
+		t.Errorf("optimized report fused=%v regions=%d rewrites=%v, want fused with the plan's rewrites %v",
+			rep.Fused, len(rep.Regions), rep.Rewrites, plan.Rewrites())
+	}
+	serial, err := plan.Execute(context.Background(), WithMode(Serial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Fused || serial.Rewrites != nil || serial.Regions != nil {
+		t.Errorf("serial report fused=%v rewrites=%v regions=%d, want none", serial.Fused, serial.Rewrites, len(serial.Regions))
 	}
 	// An out-of-range mode must error, not silently run optimized.
 	if _, err := plan.Execute(context.Background(), WithMode(Mode(9))); err == nil {
