@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"time"
 
 	"kumquat/internal/bench"
@@ -39,7 +40,6 @@ func main() {
 
 	needRuns := map[string]bool{"1": true, "4": true, "5": true, "6": true, "7": true, "all": true}
 	needPlans := map[string]bool{"3": true}
-	needSynth := map[string]bool{"8": true, "9": true, "10": true, "summary": true}
 
 	var results []*bench.ScriptResult
 	var err error
@@ -90,7 +90,6 @@ func main() {
 		}
 		return
 	}
-	_ = needSynth
 	printTable(*table)
 }
 
@@ -102,11 +101,7 @@ func medianU1(results []*bench.ScriptResult) time.Duration {
 	for _, r := range results {
 		ds = append(ds, r.U[1])
 	}
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
+	slices.Sort(ds)
 	return ds[len(ds)/2]
 }
 
@@ -135,11 +130,7 @@ func writeSummary(ctx context.Context, h *bench.Harness) {
 			maxD = d
 		}
 	}
-	for i := 1; i < len(durations); i++ {
-		for j := i; j > 0 && durations[j] < durations[j-1]; j-- {
-			durations[j], durations[j-1] = durations[j-1], durations[j]
-		}
-	}
+	slices.Sort(durations)
 	var med time.Duration
 	if len(durations) > 0 {
 		med = durations[len(durations)/2]

@@ -2,7 +2,8 @@
 // static analyzers encoding the invariants the paper's guarantees rest
 // on but the compiler cannot see — context propagation (ctxflow),
 // allocation-lean hot paths (hotalloc), bounded goroutines (goroleak),
-// the combiner capability table (captable), and godoc coverage (docs).
+// k-way combines routed through dsl.CombineK (captable), and godoc
+// coverage (docs).
 //
 // Usage:
 //

@@ -1,12 +1,10 @@
-// Package captable guards the combine plane's capability table: every
-// implementation of dsl.Op must declare Associative itself — explicitly,
-// with a doc comment justifying the declared associativity — because a
-// truthful Associative is what licenses CombineKTree's balanced-tree
-// reduction (a wrong inherited default silently changes parallel output).
-// It also flags ad-hoc accumulator folds over Op.Eval outside the dsl
-// package: re-bracketing a k-way combine by hand bypasses the
-// associativity gate and the tree/fold conformance suite, so k-way
-// combines must route through CombineKTree.
+// Package captable flags ad-hoc accumulator folds over dsl.Op.Eval
+// outside the dsl package. A hand-written fold bypasses dsl.CombineK's
+// handling of empty substreams (identity elements, skipped before
+// folding), of Swap (a swapped candidate folds the substreams in
+// reverse), and of the concat, merge and rerun combiners that §3.5 runs
+// once over all k substreams, so k-way combines must route through
+// dsl.CombineK.
 package captable
 
 import (
@@ -22,35 +20,29 @@ const dslPath = "kumquat/internal/dsl"
 // Analyzer is the captable checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "captable",
-	Doc: "require every dsl.Op implementation to declare a documented " +
-		"Associative and forbid ad-hoc combiner folds that bypass CombineKTree",
-	Run: run,
+	Doc:  "forbid ad-hoc combiner folds over Op.Eval that bypass dsl.CombineK",
+	Run:  run,
 }
 
-// run applies both capability rules when the package can see dsl.Op.
+// run applies the fold rule outside dsl when the package can see dsl.Op.
 func run(pass *analysis.Pass) error {
-	op := opInterface(pass)
-	if op == nil {
+	if pass.Pkg.Path() == dslPath {
 		return nil
 	}
-	checkDeclarations(pass, op)
-	if pass.Pkg.Path() != dslPath {
+	if op := opInterface(pass); op != nil {
 		checkFolds(pass, op)
 	}
 	return nil
 }
 
-// opInterface resolves the dsl.Op interface from the pass's package or
-// its direct imports; nil when dsl is out of view.
+// opInterface resolves the dsl.Op interface from the pass's direct
+// imports; nil when dsl is out of view.
 func opInterface(pass *analysis.Pass) *types.Interface {
-	dsl := pass.Pkg
-	if dsl.Path() != dslPath {
-		dsl = nil
-		for _, imp := range pass.Pkg.Imports() {
-			if imp.Path() == dslPath {
-				dsl = imp
-				break
-			}
+	var dsl *types.Package
+	for _, imp := range pass.Pkg.Imports() {
+		if imp.Path() == dslPath {
+			dsl = imp
+			break
 		}
 	}
 	if dsl == nil {
@@ -62,67 +54,6 @@ func opInterface(pass *analysis.Pass) *types.Interface {
 	}
 	iface, _ := obj.Type().Underlying().(*types.Interface)
 	return iface
-}
-
-// checkDeclarations verifies every Op-implementing named type in the
-// package declares a documented Associative of its own.
-func checkDeclarations(pass *analysis.Pass, op *types.Interface) {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			continue // interfaces state the contract, they don't implement it
-		}
-		if !types.Implements(named, op) && !types.Implements(types.NewPointer(named), op) {
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(named, true, pass.Pkg, "Associative")
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue // cannot implement Op without Associative; unreachable
-		}
-		if recv := receiverNamed(fn); recv != named {
-			pass.Reportf(tn.Pos(), "%s implements dsl.Op but inherits Associative from an embedded type; declare Associative explicitly on %s", name, name)
-			continue
-		}
-		if decl := findFuncDecl(pass, fn); decl != nil && decl.Doc == nil {
-			pass.Reportf(decl.Pos(), "Associative on %s must carry a doc comment justifying the declared associativity", name)
-		}
-	}
-}
-
-// receiverNamed returns the named type a method is declared on (pointer
-// receivers dereferenced), or nil.
-func receiverNamed(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// findFuncDecl locates the syntax of a function declared in this package.
-func findFuncDecl(pass *analysis.Pass, fn *types.Func) *ast.FuncDecl {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Pos() == fn.Pos() {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 // checkFolds flags accumulator loops over Op.Eval outside dsl.
@@ -149,7 +80,7 @@ func checkFolds(pass *analysis.Pass, op *types.Interface) {
 						continue
 					}
 					if accumulates(assign, call) {
-						pass.Reportf(assign.Pos(), "ad-hoc combiner fold over Op.Eval re-brackets the reduction and bypasses the Associative gate; route k-way combines through CombineKTree")
+						pass.Reportf(assign.Pos(), "ad-hoc combiner fold over Op.Eval bypasses dsl.CombineK's handling of empty substreams, Swap and the all-at-once combiners; route k-way combines through dsl.CombineK")
 					}
 				}
 				return true

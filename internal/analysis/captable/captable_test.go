@@ -7,10 +7,9 @@ import (
 	"kumquat/internal/analysis/captable"
 )
 
-// TestCaptable proves the analyzer fires on inherited and undocumented
-// Associative declarations and on ad-hoc Op.Eval folds, and stays silent
-// on declared operators, binary combines and CombineKTree-routed k-way
-// combines.
+// TestCaptable proves the analyzer fires on ad-hoc Op.Eval folds and
+// stays silent on binary combines and k-way combines routed through
+// dsl.CombineK.
 func TestCaptable(t *testing.T) {
 	analysistest.Run(t, captable.Analyzer, "testdata/src/a")
 }

@@ -1,48 +1,10 @@
-// Package a is the captable fixture: dsl.Op implementations with
-// inherited or undocumented Associative declarations, and an ad-hoc
-// combiner fold, next to the declared-and-routed shapes that must not
-// fire.
+// Package a is the captable fixture: an ad-hoc combiner fold next to
+// the binary and routed shapes that must not fire.
 package a
 
 import "kumquat/internal/dsl"
 
-// Base is a well-formed operator: every capability declared on the type
-// itself, Associative documented.
-type Base struct{}
-
-// Class returns the recursive-operator class.
-func (Base) Class() dsl.Class { return dsl.RecOpClass }
-
-// Size is a fixed combinator size.
-func (Base) Size() int { return 2 }
-
-// InDomain accepts every stream.
-func (Base) InDomain(env *dsl.Env, y string) bool { return true }
-
-// Eval concatenates its operands.
-func (Base) Eval(env *dsl.Env, y1, y2 string) (string, error) { return y1 + y2, nil }
-
-// Associative holds: concatenation brackets freely.
-func (Base) Associative() bool { return true }
-
-// String names the operator.
-func (Base) String() string { return "base" }
-
-// Inherited implements dsl.Op purely by promotion, Associative included —
-// the capability table must be declared, not inherited.
-type Inherited struct { // want `inherits Associative from an embedded type`
-	Base
-}
-
-// NoDoc declares its own Associative but without the justifying doc
-// comment.
-type NoDoc struct {
-	Base
-}
-
-func (NoDoc) Associative() bool { return false } // want `must carry a doc comment`
-
-// foldByHand re-brackets a k-way combine manually: the accumulator flows
+// foldByHand folds a k-way combine manually: the accumulator flows
 // straight back into Eval every iteration.
 func foldByHand(env *dsl.Env, op dsl.Op, outs []string) (string, error) {
 	acc := outs[0]
@@ -60,5 +22,5 @@ func combineOnce(env *dsl.Env, op dsl.Op, y1, y2 string) (string, error) {
 
 // routed goes through the sanctioned k-way entry point.
 func routed(env *dsl.Env, c dsl.Candidate, outs []string) (string, error) {
-	return dsl.CombineKTree(env, c, outs, 4)
+	return dsl.CombineK(env, c, outs, 4)
 }

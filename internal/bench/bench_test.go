@@ -215,7 +215,7 @@ func TestTableWriters(t *testing.T) {
 	WriteTable7(&b, results, []int{1, 2}, 0)
 	WriteTable1(&b, results, 2)
 	out := b.String()
-	for _, want := range []string{"Table 3", "Table 4", "Table 5", "Table 6", "Table 7", "Table 1", "analytics-mts"} {
+	for _, want := range []string{"Table 3", "Table 4", "T_orig vs u1: median u1/T_orig", "Table 5", "Table 6", "Table 7", "Table 1", "analytics-mts"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q", want)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -72,6 +73,37 @@ func WriteTable4(w io.Writer, results []*ScriptResult, kMax int) {
 			seconds(r.U[kMax]), Speedup(u1, r.U[kMax]),
 			seconds(r.T[kMax]), Speedup(u1, r.T[kMax]))
 	}
+	writeOrigSummary(w, results)
+}
+
+// origMarginPct is the band around u1, in percent, inside which Table 4's
+// summary counts T_orig as level: a cell's timing moves by about this much
+// between runs of the same commit, so the sign of a nearer difference is
+// noise.
+const origMarginPct = 10
+
+// writeOrigSummary prints one line under Table 4's rows: the median
+// u1/T_orig, and how many scripts run T_orig more than origMarginPct
+// slower than u1, more than origMarginPct faster, or within it.
+func writeOrigSummary(w io.Writer, results []*ScriptResult) {
+	if len(results) == 0 {
+		return
+	}
+	ratios := make([]float64, len(results))
+	slower, faster := 0, 0
+	for i, r := range results {
+		ratios[i] = Speedup(r.U[1], r.TOrig)
+		switch d := 100 * float64(r.TOrig-r.U[1]) / float64(r.U[1]); {
+		case d > origMarginPct:
+			slower++
+		case d < -origMarginPct:
+			faster++
+		}
+	}
+	slices.Sort(ratios)
+	const m = origMarginPct
+	fmt.Fprintf(w, "T_orig vs u1: median u1/T_orig %.2fx; T_orig >%d%% slower on %d, >%d%% faster on %d, within ±%d%% on %d of %d scripts\n",
+		ratios[len(ratios)/2], m, slower, m, faster, m, len(results)-slower-faster, len(results))
 }
 
 // WriteSweep renders the u_k (optimized=false; paper Table 5) or T_k

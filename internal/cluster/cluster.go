@@ -2,7 +2,7 @@
 // a leaf runner for the one executor. Coordinator.Execute is
 // kumquat.Plan.Execute over the Optimized program at k = Shards — the
 // same script-run loop, walker, line-aligned splitter (textio.ChunkLines)
-// and CombineKTree combine plane as a local Optimized run — with remote
+// and §3.5 k-way combine as a local Optimized run — with remote
 // leaves: a parallel segment's shards go to worker daemons over the typed
 // client. A segment is a chunk-parallel region plus every region its
 // split exits feed (pipeline.Segment), so a shard crosses the wire once

@@ -51,8 +51,8 @@ func (l *latencies) quantile(q float64) (time.Duration, bool) {
 
 // runShards executes one segment's chunks across the cluster,
 // concurrently, returning the per-shard outputs in shard order (the
-// order CombineKTree needs for byte-identity with the local combine) and
-// each shard's member output volumes.
+// order the k-way combine's left fold needs for byte-identity with the
+// local combine) and each shard's member output volumes.
 func (co *Coordinator) runShards(ctx context.Context, seg *pipeline.Segment, chunks []string, st *Stats) ([]string, [][]int64, error) {
 	ctx, csp := obs.StartSpan(ctx, "cluster-segment")
 	csp.Attr("script", seg.Script)

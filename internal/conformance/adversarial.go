@@ -57,10 +57,9 @@ type PathKind string
 
 // The recombination paths a candidate combiner can take.
 const (
-	// PathFold is the serial left fold (dsl.CombineK's pairwise path).
+	// PathFold is dsl.CombineK: the §3.5 k-way combine, folding left
+	// for every combiner but concat, merge and rerun.
 	PathFold PathKind = "fold"
-	// PathTree is the balanced-tree reduction (dsl.CombineKTree).
-	PathTree PathKind = "tree"
 	// PathPairwise always folds pairwise, even for the simultaneous
 	// concat/merge/rerun combiners (dsl.CombineKPairwise).
 	PathPairwise PathKind = "pairwise"
@@ -79,8 +78,8 @@ type CandidateCheck struct {
 	Run func(string) (string, error)
 	// K is the chunk count.
 	K int
-	// Workers bounds the tree path's concurrency.
-	Workers int
+	// Width is the merge's key-range count on the fold path.
+	Width int
 	// Path selects the recombination strategy.
 	Path PathKind
 }
@@ -101,13 +100,10 @@ func (cc CandidateCheck) Check(corpus string) error {
 		return nil
 	}
 	var got string
-	switch cc.Path {
-	case PathTree:
-		got, err = dsl.CombineKTree(cc.Env, cc.Cand, outs, cc.Workers)
-	case PathPairwise:
+	if cc.Path == PathPairwise {
 		got, err = dsl.CombineKPairwise(cc.Env, cc.Cand, outs)
-	default:
-		got, err = dsl.CombineK(cc.Env, cc.Cand, outs)
+	} else {
+		got, err = dsl.CombineK(cc.Env, cc.Cand, outs, cc.Width)
 	}
 	if err != nil {
 		return fmt.Errorf("conformance: %s %s combine failed: %w", cc.Cand, cc.Path, err)
@@ -156,11 +152,9 @@ type StressFailure struct {
 	Spec string `json:"spec"`
 	// Corpus names the adversarial corpus.
 	Corpus string `json:"corpus"`
-	// K is the chunk count; Path the recombination strategy; Workers the
-	// tree bound.
-	K       int    `json:"k"`
-	Path    string `json:"path"`
-	Workers int    `json:"workers,omitempty"`
+	// K is the chunk count; Width the merge's key-range count.
+	K     int `json:"k"`
+	Width int `json:"width"`
 	// Detail describes the divergence.
 	Detail string `json:"detail"`
 	// MinimalCorpus is the shrunken reproducing input (set when
@@ -175,21 +169,21 @@ type StressReport struct {
 	// never chunks those, so there is no combine path to validate).
 	Specs   int `json:"specs"`
 	Skipped int `json:"skipped"`
-	// Checks counts individual corpus × k × path validations.
+	// Checks counts individual corpus × k × width validations.
 	Checks int `json:"checks"`
-	// Failures lists every caught divergence (empty on a healthy tree).
+	// Failures lists every caught divergence (empty when all hold).
 	Failures []StressFailure `json:"failures"`
 }
 
 // stressKs is the chunk-count sweep of the stress plane: a boundary pair
-// plus tree-shaped counts (odd, power of two, larger than most corpora's
-// line counts).
+// plus an odd count, a power of two, and one larger than most corpora's
+// line counts.
 var stressKs = []int{2, 3, 4, 8}
 
 // StressCombiners validates each command's synthesized composite
-// combiner on every adversarial corpus, chunk count, and combine path:
-// the serial fold (CombineK), and the balanced tree (CombineKTree) at 1
-// and 4 workers. The composite is exactly the object the executor
+// combiner on every adversarial corpus and chunk count, combined at
+// width 1 and width 4 (the merge's key ranges; every other combiner folds
+// the same way at both). The composite is exactly the object the executor
 // dispatches through, so a pass here certifies the combine plane's
 // inputs, not a simplified model. shrink minimizes the corpus of every
 // failure before reporting it.
@@ -234,17 +228,10 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 				if !ok {
 					continue
 				}
-				for _, path := range []struct {
-					name    string
-					workers int
-					combine func([]string) (string, error)
-				}{
-					{"fold", 0, res.Combiner.CombineK},
-					{"tree", 1, func(o []string) (string, error) { return res.Combiner.CombineKTree(o, 1) }},
-					{"tree", 4, func(o []string) (string, error) { return res.Combiner.CombineKTree(o, 4) }},
-				} {
+				for _, width := range []int{1, 4} {
+					combine := func(o []string) (string, error) { return res.Combiner.CombineKTree(o, width) }
 					rep.Checks++
-					got, err := path.combine(outs)
+					got, err := combine(outs)
 					detail := ""
 					if err != nil {
 						detail = fmt.Sprintf("combine failed: %v", err)
@@ -255,11 +242,10 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 						continue
 					}
 					f := StressFailure{
-						Spec: spec, Corpus: nc.Name, K: k,
-						Path: path.name, Workers: path.workers, Detail: detail,
+						Spec: spec, Corpus: nc.Name, K: k, Width: width, Detail: detail,
 					}
 					if shrink {
-						f.MinimalCorpus = shrinkStress(cmd, nc.Corpus, k, path.combine)
+						f.MinimalCorpus = shrinkStress(cmd, nc.Corpus, k, combine)
 					}
 					rep.Failures = append(rep.Failures, f)
 				}

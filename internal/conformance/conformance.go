@@ -17,7 +17,7 @@
 //     reduces a diverging case to a minimal reproducing corpus and stage
 //     list;
 //   - adversarial.go + serve.go: combiner stress validation on
-//     adversarial corpora through the fold, tree and k-way combine paths,
+//     adversarial corpora through the k-way combine at two merge widths,
 //     and a replay of the generated suite through a live kumquatd over
 //     the typed client, holding the HTTP plane to the same oracle.
 //

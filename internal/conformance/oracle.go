@@ -32,9 +32,10 @@ type Config struct {
 }
 
 // Configs enumerates the sweep every case runs under: optimized and
-// unoptimized at every worker count in {1, 4, GOMAXPROCS} (the tree
-// combine runs at the chunk pool's width, min(k, GOMAXPROCS); the dsl
-// package's CombineKTree tests hold every width to the same bytes),
+// unoptimized at every worker count in {1, 4, GOMAXPROCS} (a merge
+// combine splits into the chunk pool's width, min(k, GOMAXPROCS), of key
+// ranges, every other combiner folds left, and the synth package's
+// combine tests hold every width to the same bytes),
 // optimized fuse-off ablation rows at every worker count (the plain
 // optimized rows run the rewritten dataflow program, so both programs are
 // held to the oracle), the serial (u_1) and pipelined (T_orig)

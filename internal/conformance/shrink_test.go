@@ -103,13 +103,14 @@ func TestBrokenCombinerCaughtAndShrunk(t *testing.T) {
 		}
 	}
 
-	// The tree and pairwise paths catch the same inversion.
-	for _, path := range []PathKind{PathTree, PathPairwise} {
+	// The pairwise path, and the fold at a merge width of 2, catch the
+	// same inversion.
+	for _, path := range []PathKind{PathFold, PathPairwise} {
 		cc := broken
 		cc.Path = path
-		cc.Workers = 2
+		cc.Width = 2
 		if err := cc.Check(corpus); err == nil {
-			t.Errorf("inverted merge not caught via %s path", path)
+			t.Errorf("inverted merge not caught via %s path at width 2", path)
 		}
 	}
 }

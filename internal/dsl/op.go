@@ -96,38 +96,7 @@ type Op interface {
 	InDomain(env *Env, y string) bool
 	// Eval evaluates g y1 y2 per Figure 6.
 	Eval(env *Env, y1, y2 string) (string, error)
-	// Associative reports whether g is associative on its legality
-	// domain: g (g y1 y2) y3 == g y1 (g y2 y3). Associativity is what
-	// licenses CombineKTree's balanced-tree reduction of k substreams —
-	// the tree's bracketing differs from the serial left fold, so only
-	// associative operators may take the parallel path. The synthesized
-	// combiner classes are associative by the paper's f(x1 ++ x2) =
-	// g(f(x1), f(x2)) construction except rerun (f need not be
-	// idempotent) and the boundary-merging stitch operators when their
-	// child rewrites the compared boundary value (see selection).
-	Associative() bool
 	fmt.Stringer
-}
-
-// selection reports whether op is a pure selection operator — first or
-// second, possibly wrapped in front/back/fuse — i.e. g y y == y on its
-// domain. The boundary-merging operators (stitch, stitch2) compare a
-// boundary line/tail and replace it with the child's merge result;
-// they are associative only when that result equals the compared value,
-// which selection operators guarantee and value-rewriting operators
-// (add, concat) do not.
-func selection(op Op) bool {
-	switch o := op.(type) {
-	case First, Second:
-		return true
-	case Front:
-		return selection(o.B)
-	case Back:
-		return selection(o.B)
-	case Fuse:
-		return selection(o.B)
-	}
-	return false
 }
 
 // evalErr builds the error for a failed evaluation.
@@ -194,13 +163,6 @@ func (c Candidate) String() string {
 
 // Size is the size of the underlying operator.
 func (c Candidate) Size() int { return c.Op.Size() }
-
-// Associative reports whether the underlying operator is associative.
-// Swap does not affect it: the k-way combine realizes a swapped
-// candidate by reversing the substream order once up front and then
-// folding the bare operator, so tree-vs-fold equivalence reduces to the
-// operator's own associativity.
-func (c Candidate) Associative() bool { return c.Op.Associative() }
 
 // Class is the class of the underlying operator.
 func (c Candidate) Class() Class { return c.Op.Class() }

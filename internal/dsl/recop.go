@@ -23,9 +23,6 @@ func (Add) String() string { return "add" }
 // InDomain reports y ∈ L(add) per Definition B.1.
 func (Add) InDomain(_ *Env, y string) bool { return textio.AllDigits(y) }
 
-// Associative reports true: big-integer addition is associative.
-func (Add) Associative() bool { return true }
-
 // Eval applies add per Figure 6's big-step semantics.
 func (a Add) Eval(_ *Env, y1, y2 string) (string, error) {
 	if !textio.AllDigits(y1) || !textio.AllDigits(y2) {
@@ -51,9 +48,6 @@ func (Concat) String() string { return "concat" }
 // InDomain reports y ∈ L(concat) per Definition B.1.
 func (Concat) InDomain(_ *Env, _ string) bool { return true }
 
-// Associative reports true: string concatenation is associative.
-func (Concat) Associative() bool { return true }
-
 // Eval applies concat per Figure 6's big-step semantics.
 func (Concat) Eval(_ *Env, y1, y2 string) (string, error) { return y1 + y2, nil }
 
@@ -72,10 +66,6 @@ func (First) String() string { return "first" }
 // InDomain reports y ∈ L(first) per Definition B.1.
 func (First) InDomain(_ *Env, _ string) bool { return true }
 
-// Associative reports true: nested left selections collapse to the
-// leftmost operand under either bracketing.
-func (First) Associative() bool { return true }
-
 // Eval applies first per Figure 6's big-step semantics.
 func (First) Eval(_ *Env, y1, _ string) (string, error) { return y1, nil }
 
@@ -93,10 +83,6 @@ func (Second) String() string { return "second" }
 
 // InDomain reports y ∈ L(second) per Definition B.1.
 func (Second) InDomain(_ *Env, _ string) bool { return true }
-
-// Associative reports true: nested right selections collapse to the
-// rightmost operand under either bracketing.
-func (Second) Associative() bool { return true }
 
 // Eval applies second per Figure 6's big-step semantics.
 func (Second) Eval(_ *Env, _, y2 string) (string, error) { return y2, nil }
@@ -121,10 +107,6 @@ func (f Front) String() string { return "front " + f.D.String() + " " + f.B.Stri
 func (f Front) InDomain(env *Env, y string) bool {
 	return len(y) > 0 && y[0] == byte(f.D) && f.B.InDomain(env, y[1:])
 }
-
-// Associative reports whether the wrapped operator is associative:
-// front only strips and re-attaches the delimiter around B.
-func (f Front) Associative() bool { return f.B.Associative() }
 
 // Eval applies front per Figure 6's big-step semantics.
 func (f Front) Eval(env *Env, y1, y2 string) (string, error) {
@@ -159,10 +141,6 @@ func (b Back) String() string { return "back " + b.D.String() + " " + b.B.String
 func (b Back) InDomain(env *Env, y string) bool {
 	return len(y) > 0 && y[len(y)-1] == byte(b.D) && b.B.InDomain(env, y[:len(y)-1])
 }
-
-// Associative reports whether the wrapped operator is associative:
-// back only strips and re-attaches the delimiter around B.
-func (b Back) Associative() bool { return b.B.Associative() }
 
 // Eval applies back per Figure 6's big-step semantics.
 func (b Back) Eval(env *Env, y1, y2 string) (string, error) {
@@ -218,10 +196,6 @@ func (f Fuse) InDomain(env *Env, y string) bool {
 		}
 	}
 }
-
-// Associative reports whether the element operator is associative:
-// fuse applies B elementwise, so bracketing commutes with the split.
-func (f Fuse) Associative() bool { return f.B.Associative() }
 
 // Eval applies fuse per Figure 6's big-step semantics.
 func (f Fuse) Eval(env *Env, y1, y2 string) (string, error) {

@@ -19,12 +19,6 @@ func (Rerun) String() string { return "rerun" }
 // InDomain reports y ∈ L(rerun) per Definition B.1.
 func (Rerun) InDomain(_ *Env, _ string) bool { return true }
 
-// Associative reports false: f(f(y1 ++ y2) ++ y3) need not equal
-// f(y1 ++ f(y2 ++ y3)) for an arbitrary black-box f, so rerun always
-// combines as the §3.5 simultaneous concatenate-and-rerun (or, in
-// ablation folds, strictly left-to-right).
-func (Rerun) Associative() bool { return false }
-
 // Eval applies rerun per Figure 6's big-step semantics.
 func (r Rerun) Eval(env *Env, y1, y2 string) (string, error) {
 	if env == nil || env.RunF == nil {
@@ -64,11 +58,6 @@ func (m Merge) InDomain(env *Env, y string) bool {
 	}
 	return env.Merge.IsSorted(y)
 }
-
-// Associative reports true: merging pre-sorted streams is associative,
-// including tie order — a tie between streams i < j resolves to i's
-// line under any merge bracketing that preserves stream order.
-func (Merge) Associative() bool { return true }
 
 // Eval applies merge per Figure 6's big-step semantics.
 func (m Merge) Eval(env *Env, y1, y2 string) (string, error) {

@@ -48,15 +48,6 @@ func (s Stitch) InDomain(env *Env, y string) bool {
 	return true
 }
 
-// Associative reports whether stitch may be tree-reduced: the boundary
-// merge compares equal lines and replaces them with B's result, so the
-// reduction order is immaterial exactly when B leaves the compared line
-// unchanged — B must be a selection operator (B(l, l) == l). A
-// value-rewriting B (e.g. add doubles an equal boundary line) makes the
-// merged line feed differently into the next boundary comparison
-// depending on bracketing.
-func (s Stitch) Associative() bool { return selection(s.B) }
-
 // Eval treats a bare "\n" as a stream with one empty line rather than
 // special-casing it to concatenation as Figure 6 does: the uniform rule is
 // what makes (stitch first) correct for uniq when an operand consists of
@@ -117,41 +108,6 @@ func (s Stitch2) InDomain(env *Env, y string) bool {
 		}
 	}
 	return true
-}
-
-// headMonotone reports whether a stitch2 head operator's merged result
-// is never shorter than its left operand's head (add and concat grow,
-// first reproduces the left head verbatim; front/back/fuse inherit from
-// their child). This is the padding-safety half of stitch2's
-// associativity: FieldPad re-derives Pad.Width from merged intermediate
-// lines, and the re-derived width agrees across bracketings exactly when
-// the merged head cannot shrink below the left head — a shrinking head
-// (second) lets the fold collapse the pad to PadNone on an intermediate
-// line while the tree re-pads from the original operand, producing
-// different bytes.
-func headMonotone(op Op) bool {
-	switch o := op.(type) {
-	case Add, Concat, First:
-		return true
-	case Front:
-		return headMonotone(o.B)
-	case Back:
-		return headMonotone(o.B)
-	case Fuse:
-		return headMonotone(o.B)
-	}
-	return false
-}
-
-// Associative reports whether stitch2 may be tree-reduced: boundary
-// matching compares tails, so B2 must leave the matched tail unchanged
-// (a selection operator), while the heads — never compared — need an
-// associative, head-monotone B1. Width-monotone merging keeps the
-// re-extracted Pad.Width of an intermediate line equal across
-// bracketings (see headMonotone), so the tree cannot change the final
-// column alignment.
-func (s Stitch2) Associative() bool {
-	return s.B1.Associative() && headMonotone(s.B1) && selection(s.B2)
 }
 
 // Eval applies stitch2 per Figure 6's big-step semantics.
@@ -221,12 +177,6 @@ func (o Offset) InDomain(env *Env, y string) bool {
 	}
 	return any
 }
-
-// Associative reports whether the adjustment operator is associative:
-// offset rewrites every head of y2 as B(anchor, head) with the anchor
-// always the left argument, so nested offsets compose heads as
-// B(B(a, b), c) on one bracketing and B(a, B(b, c)) on the other.
-func (o Offset) Associative() bool { return o.B.Associative() }
 
 // Eval applies offset per Figure 6's big-step semantics. The output
 // assembles in one builder grown to len(y1)+len(y2), so String() hands

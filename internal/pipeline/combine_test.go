@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// TestCombineWorkersIdenticalOutput: the tree combine runs at the chunk
+// TestCombineWorkersIdenticalOutput: the combine runs at the chunk
 // pool's width, min(k, GOMAXPROCS), and the width is a wall-clock matter
 // only — every k must produce byte-identical output, and chunked stages
 // must record their combine share in CombineWall.

@@ -144,8 +144,8 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 		opt(&cfg)
 	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
-	// k > GOMAXPROCS the extra chunks wait for a free runner. The tree
-	// combine runs at the same width.
+	// k > GOMAXPROCS the extra chunks wait for a free runner. A merge
+	// combine splits into the same number of key ranges.
 	ex := &executor{
 		env:   env,
 		k:     k,

@@ -50,8 +50,8 @@ type executor struct {
 	// piped runs every line-mapper region live, whatever the source
 	// (T_orig): a materialized stream is made live again in front of one.
 	piped bool
-	// width bounds in-flight chunk executions, and is also the tree
-	// combine's width.
+	// width bounds in-flight chunk executions, and is also the combine's
+	// width (a merge's key-range count).
 	width int
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
@@ -454,7 +454,7 @@ func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last 
 		rm.BytesOut = int64(len(st.data))
 		return nil
 	}
-	// The stage's synthesized combiner, on the tree-reduction plane.
+	// The stage's synthesized combiner: the §3.5 k-way combine.
 	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
 	_, span := obs.StartSpan(ctx, "combine")
 	span.AttrInt("parts", int64(len(outs)))

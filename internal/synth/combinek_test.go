@@ -33,15 +33,15 @@ var exampleSuiteSpecs = []string{
 	"grep light",
 }
 
-// TestCombineKTreeMatchesCombineK is the acceptance gate for the parallel
-// combine plane: for every combiner synthesized over the example suite,
-// CombineKTree must be byte-identical to the serial CombineK — and both
-// to the serial command run — at 1, 4 and GOMAXPROCS workers.
-func TestCombineKTreeMatchesCombineK(t *testing.T) {
+// TestCombineKTreeMatchesSerial is the acceptance gate for the combine
+// plane: for every combiner synthesized over the example suite, the k-way
+// combine of the chunk outputs must reproduce the serial command run
+// byte for byte, at every k and every merge width.
+func TestCombineKTreeMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes the full example suite")
 	}
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	widths := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	gen := shape.New(7)
 	for _, spec := range exampleSuiteSpecs {
 		res := synthesize(t, spec)
@@ -70,20 +70,13 @@ func TestCombineKTreeMatchesCombineK(t *testing.T) {
 						t.Fatalf("%s: chunk run: %v", spec, err)
 					}
 				}
-				fold, ferr := res.Combiner.CombineK(outs)
-				if ferr != nil {
-					t.Fatalf("%s k=%d: CombineK: %v", spec, k, ferr)
-				}
-				if fold != want {
-					t.Fatalf("%s k=%d: CombineK=%q, serial=%q", spec, k, fold, want)
-				}
-				for _, w := range workerCounts {
-					tree, terr := res.Combiner.CombineKTree(outs, w)
-					if terr != nil {
-						t.Fatalf("%s k=%d workers=%d: CombineKTree: %v", spec, k, w, terr)
+				for _, w := range widths {
+					got, err := res.Combiner.CombineKTree(outs, w)
+					if err != nil {
+						t.Fatalf("%s k=%d width=%d: %v", spec, k, w, err)
 					}
-					if tree != fold {
-						t.Fatalf("%s k=%d workers=%d: tree=%q, fold=%q", spec, k, w, tree, fold)
+					if got != want {
+						t.Fatalf("%s k=%d width=%d: combined=%q, serial=%q", spec, k, w, got, want)
 					}
 				}
 			}
@@ -116,27 +109,22 @@ func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 		{"w000100\n" + big.String(), big.String()},
 	} {
 		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			combine := map[string]func(*Combiner) (string, error){
-				"CombineK":     func(c *Combiner) (string, error) { return c.CombineK(outs) },
-				"CombineKTree": func(c *Combiner) (string, error) { return c.CombineKTree(outs, w) },
+			combine := func(c *Combiner) (string, error) { return c.CombineKTree(outs, w) }
+			got, err := combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
+			if want := strings.Join(outs, ""); err != nil || got != want {
+				t.Errorf("width %d: merge, concat = %q, %v; want the concat %q", w, got, err, want)
 			}
-			for name, f := range combine {
-				got, err := f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
-				if want := strings.Join(outs, ""); err != nil || got != want {
-					t.Errorf("%s width %d: merge, concat = %q, %v; want the concat %q", name, w, got, err, want)
-				}
-				_, err = f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge}, env: env})
-				if err == nil || err.Error() != "synth: no composite member accepts the substreams" {
-					t.Errorf("%s width %d: merge alone: error %v", name, w, err)
-				}
-				_, err = f(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, rerun}, env: env})
-				if err == nil || err.Error() != "sort: -m: input is not sorted" {
-					t.Errorf("%s width %d: merge, rerun: error %v, want the rerun's", name, w, err)
-				}
+			_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge}, env: env})
+			if err == nil || err.Error() != "synth: no composite member accepts the substreams" {
+				t.Errorf("width %d: merge alone: error %v", w, err)
 			}
-			_, err := dsl.CombineKTree(env, merge, outs, w)
+			_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, rerun}, env: env})
+			if err == nil || err.Error() != "sort: -m: input is not sorted" {
+				t.Errorf("width %d: merge, rerun: error %v, want the rerun's", w, err)
+			}
+			_, err = dsl.CombineK(env, merge, outs, w)
 			if !errors.Is(err, dsl.ErrNotSorted) || err.Error() != "dsl: merge: operand is not sorted" {
-				t.Errorf("width %d: dsl.CombineKTree error %v", w, err)
+				t.Errorf("width %d: dsl.CombineK error %v", w, err)
 			}
 		}
 	}
@@ -144,7 +132,7 @@ func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 	// skipped as before, not failed.
 	bare := &dsl.Env{RunF: sortm.Run}
 	outs := []string{"a\n", "b\n"}
-	if got, err := (&Combiner{Candidates: []dsl.Candidate{merge, concat}, env: bare}).CombineK(outs); err != nil || got != "a\nb\n" {
+	if got, err := (&Combiner{Candidates: []dsl.Candidate{merge, concat}, env: bare}).CombineKTree(outs, 1); err != nil || got != "a\nb\n" {
 		t.Errorf("merge, concat without a comparator = %q, %v; want the concat", got, err)
 	}
 	if _, err := (&Combiner{Candidates: []dsl.Candidate{merge}, env: bare}).CombineKTree(outs, 2); err == nil ||

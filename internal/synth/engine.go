@@ -325,7 +325,7 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 	b := e.budget
 	res := &Result{Spec: cmd.Spec(), Delims: p.delims}
 
-	denv := e.evalEnv(cmd)
+	denv := EvalEnv(cmd, e.Env)
 
 	// C0 ← AllCandidates(n), shared with every spec of this delimiter set.
 	_, span := obs.StartSpan(ctx, "enumerate")
@@ -627,14 +627,14 @@ func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
 	return slices.Concat(out...), ws != nil, nil
 }
 
-// evalEnv builds the DSL evaluation environment for one command: f for
-// rerun, and the merge comparator (the command itself when it is a sort,
-// plain sort otherwise).
-func (e *Engine) evalEnv(cmd unix.Command) *dsl.Env {
+// EvalEnv builds the DSL evaluation environment for one command parsed
+// against env: f for rerun, and the merge comparator (the command itself
+// when it is a sort, plain sort otherwise).
+func EvalEnv(cmd unix.Command, env *unix.Env) *dsl.Env {
 	denv := &dsl.Env{RunF: cmd.Run}
 	if sc, ok := cmd.(*unix.SortCmd); ok {
 		denv.Merge = sc
-	} else if def, err := unix.Parse("sort", e.Env); err == nil {
+	} else if def, err := unix.Parse("sort", env); err == nil {
 		denv.Merge = def.(*unix.SortCmd)
 	}
 	return denv
@@ -731,7 +731,7 @@ func (e *Engine) resultFromEntry(ent *cache.Entry, cmd unix.Command) (*Result, b
 		}
 		res.Plausible = append(res.Plausible, c)
 	}
-	res.Combiner = buildComposite(ent.Spec, e.evalEnv(cmd), res.Plausible)
+	res.Combiner = buildComposite(ent.Spec, EvalEnv(cmd, e.Env), res.Plausible)
 	if res.Combiner == nil {
 		return nil, false
 	}

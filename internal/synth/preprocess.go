@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,13 +51,7 @@ var probeWords = []string{
 var signedInts = []string{"-17", "-3", "0", "2", "09", "42", "108"}
 
 func sortedProbe() string {
-	sorted := append([]string(nil), probeWords...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return strings.Join(sorted, "\n") + "\n"
+	return strings.Join(slices.Sorted(slices.Values(probeWords)), "\n") + "\n"
 }
 
 // preprocess runs the probe inputs, mines literals from the command, and

@@ -358,32 +358,18 @@ func (c *Combiner) Combine(y1, y2 string) (string, error) {
 	return "", lastErr
 }
 
-// CombineK merges k parallel outputs using the k-way generalization of
-// §3.5 for the first domain-accepting candidate.
-func (c *Combiner) CombineK(outs []string) (string, error) {
-	return c.combineK(outs, func(cand dsl.Candidate) (string, error) {
-		return dsl.CombineK(c.env, cand, outs)
-	})
-}
-
-// CombineKTree merges k parallel outputs like CombineK but reduces
-// associative pairwise combiners as a balanced binary tree over at most
-// workers concurrent evaluations (dsl.CombineKTree) — the parallel
-// combine plane. Candidate dispatch, domain checks and the simultaneous
-// concat/merge/rerun paths are identical to CombineK's, and the output is
-// byte-identical at every worker count.
-func (c *Combiner) CombineKTree(outs []string, workers int) (string, error) {
-	return c.combineK(outs, func(cand dsl.Candidate) (string, error) {
-		return dsl.CombineKTree(c.env, cand, outs, workers)
-	})
-}
-
-// combineK is the shared k-way dispatch: find the first candidate whose
-// domain contains every nonempty substream and combine through it. A
-// merge checks its domain in the walk that merges: an unsorted substream
-// fails it with dsl.ErrNotSorted, which skips the candidate exactly as a
-// failed InDomain does.
-func (c *Combiner) combineK(outs []string, combine func(dsl.Candidate) (string, error)) (string, error) {
+// CombineKTree merges k parallel outputs through the first candidate
+// whose domain contains every nonempty substream, using the k-way
+// generalization of §3.5 (dsl.CombineK): concat, merge and rerun combine
+// all substreams at once, every other combiner folds left. width bounds
+// only the key ranges a merge splits into; the output is byte-identical
+// at every width. A merge checks its domain in the walk that merges: an
+// unsorted substream fails it with dsl.ErrNotSorted, which skips the
+// candidate exactly as a failed InDomain does.
+//
+// The name predates the single fold; it is kept because the repository
+// benchmark calls it.
+func (c *Combiner) CombineKTree(outs []string, width int) (string, error) {
 	nonEmpty := 0
 	for _, o := range outs {
 		if o != "" {
@@ -412,7 +398,7 @@ func (c *Combiner) combineK(outs []string, combine func(dsl.Candidate) (string, 
 		if !ok {
 			continue
 		}
-		v, err := combine(cand)
+		v, err := dsl.CombineK(c.env, cand, outs, width)
 		if err == nil {
 			return v, nil
 		}

@@ -356,9 +356,9 @@ func TestCombineKMatchesSerial(t *testing.T) {
 				outs[i], _ = cmd.Run(ch)
 			}
 			want, _ := cmd.Run(x)
-			got, err := res.Combiner.CombineK(outs)
+			got, err := res.Combiner.CombineKTree(outs, 1)
 			if err != nil || got != want {
-				t.Errorf("%s k=%d: CombineK = %q (err %v), want %q", spec, k, got, err, want)
+				t.Errorf("%s k=%d: CombineKTree = %q (err %v), want %q", spec, k, got, err, want)
 				break
 			}
 		}
@@ -418,5 +418,14 @@ func TestGradientAblationStillCorrect(t *testing.T) {
 	}
 	if !hasPlausible(res, `(back '\n' add a b)`) {
 		t.Errorf("no-gradient wc -l plausible = %s", plausibleStrings(res))
+	}
+}
+
+// TestSortedProbe pins §3.2's sorted test stream byte for byte: it is a
+// synthesis input, so any change to it moves every verdict's observations.
+func TestSortedProbe(t *testing.T) {
+	const want = "apple\ncat\ndream\ngold\nking\nlight\nnight\nriver\nsea\nship\nstone\nwind\n"
+	if got := sortedProbe(); got != want {
+		t.Errorf("sortedProbe() = %q, want %q", got, want)
 	}
 }

@@ -145,13 +145,7 @@ func (s *System) Combine(combiner, cmdSpec, y1, y2 string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	denv := &dsl.Env{RunF: cmd.Run}
-	if sc, ok := cmd.(*unix.SortCmd); ok {
-		denv.Merge = sc
-	} else if def, err := unix.Parse("sort", s.env.u); err == nil {
-		denv.Merge = def.(*unix.SortCmd)
-	}
-	return cand.Eval(denv, y1, y2)
+	return cand.Eval(synth.EvalEnv(cmd, s.env.u), y1, y2)
 }
 
 // Synthesize infers a combiner for one command (Algorithm 1 + Algorithm 2).
@@ -362,8 +356,8 @@ type execConfig struct {
 
 // WithParallelism sets the data-parallelism degree k (default:
 // runtime.GOMAXPROCS(0)). Chunks run on a pool of min(k, GOMAXPROCS)
-// workers, and the tree combine that merges each parallel stage's k
-// substreams runs at the same width.
+// workers, and a merge combine of a parallel stage's k substreams splits
+// into the same number of key ranges.
 func WithParallelism(k int) ExecOption {
 	return func(c *execConfig) { c.k = k }
 }
