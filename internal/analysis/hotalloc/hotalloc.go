@@ -3,9 +3,9 @@
 // conversions, and string concatenation with +. The repo benchmark's
 // `dsl.combine.*` timings and `unix.<cmd>.allocs_per_line` figures
 // (BENCHMARK.json) hold only while the data plane stays
-// allocation-lean, and the data plane's allocation budget (ROADMAP
-// item 5) is measured against these call sites — this analyzer keeps
-// new ones from creeping in.
+// allocation-lean, and the data plane's allocation budget is measured
+// against these call sites — this analyzer keeps new ones from creeping
+// in.
 //
 // A package is hot when its import path is in HotPackages or any of its
 // files carries the `//kqvet:hotpath` comment directive.

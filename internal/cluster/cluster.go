@@ -239,25 +239,18 @@ func (co *Coordinator) dispatchable(seg *pipeline.Segment) bool {
 	if co.cfg.Shards < 2 || len(co.cfg.Workers) == 0 {
 		return false
 	}
-	return scriptRoundTrips(seg.Script, seg.Stages)
+	return scriptRoundTrips(seg.Chain.Spec())
 }
 
 // scriptRoundTrips checks that script, parsed as a standalone script,
-// yields exactly the given stages reading standard input (a leading "cat
-// FILE" would be re-interpreted as an input source there, not a stage).
-func scriptRoundTrips(script string, stages []string) bool {
+// is one pipeline reading standard input whose stages join back to
+// script itself (a leading "cat FILE" would be re-interpreted as an
+// input source there, not a stage).
+func scriptRoundTrips(script string) bool {
 	parsed, err := pipeline.ParseScript(script+"\n", nil)
 	if err != nil || len(parsed.Pipelines) != 1 {
 		return false
 	}
 	p := parsed.Pipelines[0]
-	if p.InputFile != "" || p.OutputFile != "" || len(p.Stages) != len(stages) {
-		return false
-	}
-	for i, spec := range stages {
-		if strings.TrimSpace(p.Stages[i]) != strings.TrimSpace(spec) {
-			return false
-		}
-	}
-	return true
+	return p.InputFile == "" && p.OutputFile == "" && strings.Join(p.Stages, " | ") == script
 }

@@ -314,24 +314,28 @@ func TestEjectionReadmission(t *testing.T) {
 func TestDispatchGuards(t *testing.T) {
 	runners := map[string]*fakeRunner{"a": {addr: "a"}, "b": {addr: "b"}}
 	co := New(testConfig(runners, "a", "b"))
-	if !scriptRoundTrips("sort", []string{"sort"}) || !scriptRoundTrips("uniq -c", []string{"uniq -c"}) {
+	if !scriptRoundTrips("sort") || !scriptRoundTrips("uniq -c") {
 		t.Fatal("plain stage specs must round-trip")
 	}
-	if !scriptRoundTrips("tr A-Z a-z | sort", []string{"tr A-Z a-z", "sort"}) {
+	if !scriptRoundTrips("tr A-Z a-z | sort") {
 		t.Fatal("a multi-stage segment script must round-trip")
 	}
-	if scriptRoundTrips("tr A-Z a-z | sort", []string{"tr A-Z a-z | sort"}) {
+	if scriptRoundTrips("tr A-Z a-z|sort") || scriptRoundTrips("sort $X") {
 		t.Fatal("a script must parse back to exactly the segment's stages")
 	}
 	// A leading `cat FILE` re-parses as an input source, not a stage, on
 	// the worker; dispatching it would execute nothing.
-	if scriptRoundTrips("cat data.txt", []string{"cat data.txt"}) {
+	if scriptRoundTrips("cat data.txt") {
 		t.Fatal("cat FILE must not round-trip as a dispatchable stage")
 	}
 	one := New(Config{Workers: []string{"a"}, Shards: 1,
 		newRunner: func(addr string) Runner { return runners["a"] }})
 	for _, script := range []string{"sort", "uniq -c", "tr A-Z a-z | sort"} {
-		seg := &pipeline.Segment{Stages: strings.Split(script, " | "), Script: script}
+		cmd, err := unix.Parse(script, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := &pipeline.Segment{Chain: unix.NewChain(cmd)}
 		if !co.dispatchable(seg) {
 			t.Fatalf("parallel segment %q unexpectedly not dispatchable", script)
 		}

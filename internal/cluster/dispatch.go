@@ -55,7 +55,7 @@ func (l *latencies) quantile(q float64) (time.Duration, bool) {
 // local combine) and each shard's member output volumes.
 func (co *Coordinator) runShards(ctx context.Context, seg *pipeline.Segment, chunks []string, st *Stats) ([]string, [][]int64, error) {
 	ctx, csp := obs.StartSpan(ctx, "cluster-segment")
-	csp.Attr("script", seg.Script)
+	csp.Attr("script", seg.Chain.Spec())
 	csp.AttrInt("shards", int64(len(chunks)))
 	defer csp.End()
 	outs := make([]string, len(chunks))
@@ -97,7 +97,7 @@ func (co *Coordinator) runShard(ctx context.Context, seg *pipeline.Segment, i in
 	if err == nil {
 		lat.record(time.Since(start))
 		st.RemoteRuns.Add(1)
-		return res.out, seg.MemberBytes(res.stageBytes), nil
+		return res.out, res.bytesOut, nil
 	}
 	if ctx.Err() != nil {
 		return "", nil, ctx.Err()
@@ -116,10 +116,11 @@ func (co *Coordinator) runShard(ctx context.Context, seg *pipeline.Segment, i in
 }
 
 // shardResult is one successful remote run of a segment over a shard:
-// the output and the worker-reported output volume of every stage.
+// the output and every member's output volume, from the worker's
+// per-stage report.
 type shardResult struct {
-	out        string
-	stageBytes []int64
+	out      string
+	bytesOut []int64
 }
 
 // dispatch races the shard's primary attempt chain against an optional
@@ -246,14 +247,15 @@ func (co *Coordinator) attempts(ctx context.Context, seg *pipeline.Segment, chun
 		}
 		span.EventAttr("dispatch", "worker", w.addr)
 		actx, cancel := context.WithTimeout(ctx, co.cfg.ShardTimeout)
-		out, stageBytes, err := w.runner.Run(actx, seg.Script, chunk)
+		out, stageBytes, err := w.runner.Run(actx, seg.Chain.Spec(), chunk)
 		cancel()
-		if err == nil && len(stageBytes) != len(seg.Stages) {
-			err = fmt.Errorf("cluster: worker %s reported %d stages for a %d-stage script", w.addr, len(stageBytes), len(seg.Stages))
-		}
 		if err == nil {
-			co.pool.success(w)
-			return shardResult{out, stageBytes}, nil
+			var bytesOut []int64
+			if bytesOut, err = seg.MemberBytes(stageBytes); err == nil {
+				co.pool.success(w)
+				return shardResult{out, bytesOut}, nil
+			}
+			err = fmt.Errorf("cluster: worker %s %w", w.addr, err)
 		}
 		co.pool.failure(ctx, w, st)
 		last = err

@@ -26,8 +26,9 @@ type NamedCorpus struct {
 // runs on: the boundary shapes the paper's runtime validation exercises
 // plus the ones field experience says break stream code — empty input,
 // a missing trailing newline, very long lines, multi-byte content,
-// duplicate keys spanning chunk boundaries, and pre-/reverse-sorted
-// streams (merge's legality boundary). The corpora are immutable fixtures
+// duplicate keys spanning chunk boundaries, pre-/reverse-sorted streams
+// (merge's legality boundary), and a stream of tied keys large enough
+// that a merge splits into key ranges. The corpora are immutable fixtures
 // built once per process; repeated stress passes over a shared warm
 // engine share them instead of rebuilding the multi-KB long-line corpus
 // every call.
@@ -38,6 +39,11 @@ func AdversarialCorpora() []NamedCorpus {
 // adversarialCorpora constructs the fixture set exactly once.
 var adversarialCorpora = sync.OnceValue(func() []NamedCorpus {
 	long := strings.Repeat("loquat kumquat medlar ", 400)
+	// Every key is shared by hundreds of lines: ties straddle range cuts.
+	var tied strings.Builder
+	for i := 0; tied.Len() <= unix.MergeRangeCutoff; i++ {
+		fmt.Fprintf(&tied, "%d %s\n", i%7, vocab[i%11])
+	}
 	return []NamedCorpus{
 		{"empty", ""},
 		{"single-line", "pear\n"},
@@ -49,6 +55,7 @@ var adversarialCorpora = sync.OnceValue(func() []NamedCorpus {
 		{"pre-sorted", "a\nb\nc\nd\ne\nf\ng\nh\n"},
 		{"reverse-sorted", "h\ng\nf\ne\nd\nc\nb\na\n"},
 		{"numbers", "10\n2\n-3\n2\n700\n0\n10\n33\n"},
+		{"tied-keys-large", tied.String()},
 	}
 })
 
@@ -182,11 +189,11 @@ var stressKs = []int{2, 3, 4, 8}
 
 // StressCombiners validates each command's synthesized composite
 // combiner on every adversarial corpus and chunk count, combined at
-// width 1 and width 4 (the merge's key ranges; every other combiner folds
-// the same way at both). The composite is exactly the object the executor
-// dispatches through, so a pass here certifies the combine plane's
-// inputs, not a simplified model. shrink minimizes the corpus of every
-// failure before reporting it.
+// width 1, and at width 4 too where the width changes the path. The
+// composite is exactly the object the executor dispatches through, so a
+// pass here certifies the combine plane's inputs, not a simplified
+// model. shrink minimizes the corpus of every failure before reporting
+// it.
 func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, shrink bool) (*StressReport, error) {
 	rep := &StressReport{Failures: []StressFailure{}}
 	corpora := AdversarialCorpora()
@@ -214,6 +221,9 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 			continue
 		}
 		rep.Specs++
+		// Only a merge over unix.MergeRangeCutoff bytes or more reads the
+		// width (below it MergeStreams merges in one heap at any width).
+		merges := slices.ContainsFunc(res.Combiner.Candidates, func(c dsl.Candidate) bool { _, ok := c.Op.(dsl.Merge); return ok })
 		cmd, err := unix.Parse(spec, unix.DefaultEnv())
 		if err != nil {
 			return nil, fmt.Errorf("conformance: stress %q: %w", spec, err)
@@ -228,7 +238,11 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 				if !ok {
 					continue
 				}
-				for _, width := range []int{1, 4} {
+				widths := []int{1}
+				if merges && len(strings.Join(outs, "")) >= unix.MergeRangeCutoff {
+					widths = append(widths, 4)
+				}
+				for _, width := range widths {
 					combine := func(o []string) (string, error) { return res.Combiner.CombineKTree(o, width) }
 					rep.Checks++
 					got, err := combine(outs)

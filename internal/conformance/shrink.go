@@ -2,9 +2,11 @@ package conformance
 
 import (
 	"context"
+	"slices"
 	"strings"
 
 	"kumquat"
+	"kumquat/internal/unix"
 )
 
 // ShrinkCase minimizes a diverging case: it greedily drops pipeline
@@ -21,7 +23,7 @@ func ShrinkCase(ctx context.Context, sys *kumquat.System, c *Case, cfg Config) *
 
 	// Pass 1: drop stages, keeping the `cat FILE` source (dropping it
 	// would silently change the input plumbing, not the computation).
-	stages := splitStages(cur.Script)
+	stages, _ := unix.SplitMembers(strings.TrimSuffix(cur.Script, "\n"))
 	for i := 0; i < len(stages); {
 		if cur.Source != "" && i == 0 {
 			i++
@@ -30,11 +32,10 @@ func ShrinkCase(ctx context.Context, sys *kumquat.System, c *Case, cfg Config) *
 		if len(nonSourceStages(stages, cur.Source)) <= 1 {
 			break
 		}
-		candidate := cur
-		candidate.Script = joinStages(append(append([]string{}, stages[:i]...), stages[i+1:]...))
+		candidate, rest := cur, slices.Delete(slices.Clone(stages), i, i+1)
+		candidate.Script = joinStages(rest)
 		if fails(&candidate) {
-			cur = candidate
-			stages = splitStages(cur.Script)
+			cur, stages = candidate, rest
 			continue
 		}
 		i++
@@ -117,16 +118,6 @@ func caseDiverges(ctx context.Context, sys *kumquat.System, c *Case, cfg Config)
 	got, gotErr := execCase(ctx, plan, c, cfg)
 	_, ok := diverges(want, wantErr, got, gotErr)
 	return !ok
-}
-
-// splitStages splits a one-pipeline script back into its stage specs.
-func splitStages(script string) []string {
-	parts := strings.Split(strings.TrimSuffix(script, "\n"), " | ")
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = strings.TrimSpace(p)
-	}
-	return out
 }
 
 // joinStages rebuilds the script text from stage specs.

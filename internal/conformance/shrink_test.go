@@ -131,13 +131,13 @@ func TestShrinkCaseNotReproducible(t *testing.T) {
 // config whose mode string the harness cannot parse — instead we verify
 // the stage-splitting helpers round-trip, which ShrinkCase relies on.
 func TestStageSplitRoundTrip(t *testing.T) {
-	script := "cat in.txt | tr A-Z a-z | sort | uniq -c\n"
-	stages := splitStages(script)
-	if len(stages) != 4 || stages[0] != "cat in.txt" || stages[3] != "uniq -c" {
-		t.Fatalf("splitStages = %v", stages)
+	script := "cat in.txt | grep 'a|b' | sort | uniq -c\n"
+	stages, err := unix.SplitMembers(strings.TrimSuffix(script, "\n"))
+	if err != nil || len(stages) != 4 || stages[0] != "cat in.txt" || stages[1] != "grep 'a|b'" || stages[3] != "uniq -c" {
+		t.Fatalf("SplitMembers = %v, %v", stages, err)
 	}
 	if joinStages(stages) != script {
-		t.Fatalf("joinStages(splitStages(s)) = %q, want %q", joinStages(stages), script)
+		t.Fatalf("joinStages(SplitMembers(s)) = %q, want %q", joinStages(stages), script)
 	}
 }
 

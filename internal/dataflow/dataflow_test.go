@@ -71,11 +71,11 @@ func TestCombinerClassTaxonomy(t *testing.T) {
 		if n.Class != tc.class {
 			t.Errorf("%q: class = %s, want %s", tc.spec, n.Class, tc.class)
 		}
-		if n.LineMapper != tc.lineMapper {
-			t.Errorf("%q: LineMapper = %v, want %v", tc.spec, n.LineMapper, tc.lineMapper)
+		if lm := unix.CanStream(n.Stage.Cmd); lm != tc.lineMapper {
+			t.Errorf("%q: line mapper = %v, want %v", tc.spec, lm, tc.lineMapper)
 		}
-		if n.OrderInsensitive != tc.orderIns {
-			t.Errorf("%q: OrderInsensitive = %v, want %v", tc.spec, n.OrderInsensitive, tc.orderIns)
+		if oi := unix.IsOrderInsensitive(n.Stage.Cmd); oi != tc.orderIns {
+			t.Errorf("%q: order-insensitive = %v, want %v", tc.spec, oi, tc.orderIns)
 		}
 	}
 	// rerun: stages whose only combiner re-runs the command (kept serial
@@ -256,34 +256,36 @@ func TestOptimizeAblation(t *testing.T) {
 	}
 }
 
-// TestFusedMapperComposes: the composed per-line pass must equal running
+// fusedChain parses specs as one chain, as a fused region runs them,
+// and requires it to be a line mapper.
+func fusedChain(t *testing.T, specs ...string) unix.Command {
+	t.Helper()
+	cmd, err := unix.Parse(strings.Join(specs, " | "), unix.DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unix.CanStream(cmd) {
+		t.Fatalf("%q is not a line mapper", cmd.Spec())
+	}
+	return cmd
+}
+
+// TestFusedChainComposes: the composed per-line pass must equal running
 // the member mappers stage by stage, including on dropped lines (grep)
 // and non-terminated tails.
-func TestFusedMapperComposes(t *testing.T) {
-	env := unix.DefaultEnv()
+func TestFusedChainComposes(t *testing.T) {
 	specs := []string{"tr A-Z a-z", "grep a", "cut -c 1-4"}
-	var mappers []unix.LineMapper
-	cmds := make([]unix.Command, len(specs))
-	for i, spec := range specs {
-		cmd, err := unix.Parse(spec, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmds[i] = cmd
-		lm, ok := unix.AsLineMapper(cmd)
-		if !ok {
-			t.Fatalf("%q is not a line mapper", spec)
-		}
-		mappers = append(mappers, lm)
-	}
-	fm := dataflow.NewFusedMapper(specs, mappers)
+	fm := fusedChain(t, specs...)
 	for _, in := range []string{
 		"", "Pear Apple\nFIG\nquince\n", "no trailing newline",
 		"LOQUAT\nApricot\n\nkumquat", "ALL CAPS DROPPED\nBANANA\n",
 	} {
 		want := in
-		for _, cmd := range cmds {
-			var err error
+		for _, spec := range specs {
+			cmd, err := unix.Parse(spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if want, err = cmd.Run(want); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +295,7 @@ func TestFusedMapperComposes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("fused(%q) = %q, want %q", in, got, want)
+			t.Errorf("%s over %q = %q, want %q", fm.Spec(), in, got, want)
 		}
 	}
 }
@@ -304,21 +306,7 @@ func TestFusedMapperComposes(t *testing.T) {
 // per-line regression (a result slice or string sneaking back into the
 // hot loop) blows the bound by orders of magnitude.
 func TestFusedRunAllocations(t *testing.T) {
-	env := unix.DefaultEnv()
-	specs := []string{"tr a-z A-Z", "grep A", "cut -c 1-8"}
-	var mappers []unix.LineMapper
-	for _, spec := range specs {
-		cmd, err := unix.Parse(spec, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm, ok := unix.AsLineMapper(cmd)
-		if !ok {
-			t.Fatalf("%q is not a line mapper", spec)
-		}
-		mappers = append(mappers, lm)
-	}
-	fm := dataflow.NewFusedMapper(specs, mappers)
+	fm := fusedChain(t, "tr a-z A-Z", "grep A", "cut -c 1-8")
 	const lines = 2000
 	var b strings.Builder
 	for i := 0; i < lines; i++ {
@@ -340,20 +328,7 @@ func TestFusedRunAllocations(t *testing.T) {
 // its kernels answer by view or into scratch sized once, so a fused Run
 // makes exactly as many allocations over 100 000 lines as over 1 000.
 func TestFusedChainAllocations(t *testing.T) {
-	specs := []string{"tr A-Z a-z", "grep light", `sed 's/light/dark/'`, "cut -d ' ' -f 1-3"}
-	var mappers []unix.LineMapper
-	for _, spec := range specs {
-		cmd, err := unix.Parse(spec, unix.DefaultEnv())
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm, ok := unix.AsLineMapper(cmd)
-		if !ok {
-			t.Fatalf("%q is not a line mapper", spec)
-		}
-		mappers = append(mappers, lm)
-	}
-	fm := dataflow.NewFusedMapper(specs, mappers)
+	fm := fusedChain(t, "tr A-Z a-z", "grep light", `sed 's/light/dark/'`, "cut -d ' ' -f 1-3")
 	text := []string{
 		"The Light of the sea, and the wind.",
 		"a dark river at night.",

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"kumquat/internal/unix"
 )
 
 // Dump renders the optimized program deterministically for golden-file
@@ -20,7 +22,7 @@ func (p *Program) Dump() string {
 		src = "<stdin>"
 	}
 	fmt.Fprintf(&b, "source %s\n", src)
-	for _, n := range g.Nodes {
+	for id, n := range g.Nodes {
 		var caps []string
 		if n.Stage.Parallel {
 			caps = append(caps, "parallel")
@@ -28,16 +30,16 @@ func (p *Program) Dump() string {
 		if n.Stage.Sequential {
 			caps = append(caps, "sequential")
 		}
-		if n.LineMapper {
+		if unix.CanStream(n.Stage.Cmd) {
 			caps = append(caps, "linemapper")
 		}
-		if n.OrderInsensitive {
+		if unix.IsOrderInsensitive(n.Stage.Cmd) {
 			caps = append(caps, "order-insensitive")
 		}
 		if n.Stage.StreamOutput {
 			caps = append(caps, "stream-output")
 		}
-		fmt.Fprintf(&b, "n%d %q class=%s closure=%s [%s]\n", n.ID, n.Stage.Spec, n.Class, n.Closure, strings.Join(caps, " "))
+		fmt.Fprintf(&b, "n%d %q class=%s closure=%s [%s]\n", id, n.Stage.Spec, n.Class, n.Closure, strings.Join(caps, " "))
 	}
 	for i, r := range p.Regions {
 		ids := make([]string, len(r.Nodes))

@@ -112,18 +112,8 @@ func (c Closure) String() string {
 
 // Node is one stage with its derived capabilities.
 type Node struct {
-	// ID is the node's index in Graph.Nodes (stage order).
-	ID int
 	// Stage is the lowering input.
 	Stage Stage
-	// LineMapper reports that the command maps input lines to output
-	// lines independently (unix.AsLineMapper) — the fusion substrate,
-	// and the one capability that lets a stage consume a live stream
-	// incrementally.
-	LineMapper bool
-	// OrderInsensitive reports that the command's output depends only on
-	// the multiset of input lines (unix.IsOrderInsensitive).
-	OrderInsensitive bool
 	// Class is the synthesized combiner's class.
 	Class CombinerClass
 	// Closure is the guarantee on the node's output stream — what its
@@ -146,9 +136,7 @@ type Graph struct {
 func Build(inputFile string, stages []Stage) *Graph {
 	g := &Graph{InputFile: inputFile, Nodes: make([]*Node, len(stages))}
 	for i, st := range stages {
-		n := &Node{ID: i, Stage: st}
-		_, n.LineMapper = unix.AsLineMapper(st.Cmd)
-		n.OrderInsensitive = unix.IsOrderInsensitive(st.Cmd)
+		n := &Node{Stage: st}
 		n.Class = combinerClass(st.Synth)
 		n.Closure = closure(n)
 		g.Nodes[i] = n

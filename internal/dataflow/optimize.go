@@ -26,7 +26,7 @@ const (
 	// a sort's chunk outputs in its streaming consumer's read path. No
 	// lowering fires it and no report carries it. Its only reader is the
 	// frozen benchmark/ (batch.go, which reports its zero count); it goes
-	// with ROADMAP item 1's re-baseline.
+	// with the measurement plane's re-baseline (ROADMAP).
 	RulePushSortMerge Rule = "push-sort-merge"
 	// RuleTheorem5 is the legacy intermediate-combiner elimination
 	// (exact-closed stage feeding a parallel consumer). It predates the
@@ -73,10 +73,11 @@ type Region struct {
 	// Nodes are the member node IDs, consecutive and in stage order.
 	Nodes []int
 	// Fused marks multi-stage regions executed as one composed per-chunk
-	// pass; their Mapper is non-nil.
+	// pass.
 	Fused bool
-	// Mapper is the composed line mapper of a fused region.
-	Mapper *FusedMapper
+	// Cmd is the region's executable: the chain of its member stages'
+	// commands when it is fused, the single stage's command otherwise.
+	Cmd unix.Command
 	// Parallel marks regions executed chunk-parallel (every member stage
 	// is planner-parallel).
 	Parallel bool
@@ -128,22 +129,19 @@ func Optimize(g *Graph, opts Options) *Program {
 		}
 		if j-i >= 2 {
 			r := &Region{Fused: true, Parallel: true, Rules: []Rule{RuleFuseStreamers}}
-			var mappers []unix.LineMapper
-			var specs []string
+			var cmds []unix.Command
 			for id := i; id < j; id++ {
 				r.Nodes = append(r.Nodes, id)
-				lm, _ := unix.AsLineMapper(g.Nodes[id].Stage.Cmd)
-				mappers = append(mappers, lm)
-				specs = append(specs, g.Nodes[id].Stage.Spec)
+				cmds = append(cmds, g.Nodes[id].Stage.Cmd)
 			}
-			r.Mapper = NewFusedMapper(specs, mappers)
+			r.Cmd = unix.NewChain(cmds...)
 			p.Fired[RuleFuseStreamers] += j - i - 1
 			p.Regions = append(p.Regions, r)
 			i = j
 			continue
 		}
 		n := g.Nodes[i]
-		p.Regions = append(p.Regions, &Region{Nodes: []int{i}, Parallel: n.Stage.Parallel})
+		p.Regions = append(p.Regions, &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: n.Stage.Parallel})
 		i++
 	}
 	// Pass 2: decide exits at region boundaries. The final region always
@@ -153,8 +151,10 @@ func Optimize(g *Graph, opts Options) *Program {
 		if !r.Parallel {
 			continue
 		}
-		cl := regionClosure(g, r)
-		nextOI := consumerOrderInsensitive(g, next)
+		// Fused members are all exact-closed; a chain of order-preserving
+		// mappers transports a permutation, never absorbs it.
+		cl := g.Nodes[r.Nodes[len(r.Nodes)-1]].Closure
+		nextOI := unix.IsOrderInsensitive(next.Cmd)
 		switch {
 		case cl != ClosureNone && nextOI:
 			// Rule 2: the consumer cannot observe the permutation.
@@ -191,51 +191,16 @@ func Optimize(g *Graph, opts Options) *Program {
 func Stagewise(g *Graph, parallel bool) *Program {
 	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
 	for i, n := range g.Nodes {
-		p.Regions[i] = &Region{Nodes: []int{i}, Parallel: parallel && n.Stage.Parallel}
+		p.Regions[i] = &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: parallel && n.Stage.Parallel}
 	}
 	return p
 }
 
 // fusable reports whether a stage may join a fused region: a parallel,
-// concat-combined, stream-output line mapper. Concat closure guarantees
-// chunk-and-concatenate equals the staged execution; line independence
-// guarantees the composed per-line pass equals the staged passes.
+// concat-combined, stream-output line mapper (unix.CanStream). Concat
+// closure guarantees chunk-and-concatenate equals the staged execution;
+// line independence guarantees the composed per-line pass equals the
+// staged passes.
 func fusable(n *Node) bool {
-	return n.Stage.Parallel && n.LineMapper && n.Class == ClassConcat && n.Stage.StreamOutput
-}
-
-// regionClosure is the closure of a region's output: fused regions are
-// concat-composed line mappers, so they inherit exact closure; single
-// regions take their node's.
-func regionClosure(g *Graph, r *Region) Closure {
-	if r.Fused {
-		return ClosureExact
-	}
-	return g.Nodes[r.Nodes[0]].Closure
-}
-
-// consumerOrderInsensitive reports whether the next region's output is
-// invariant under permuting its input lines. Only single-stage regions
-// qualify: a fused region is a composition of order-preserving mappers,
-// which transports the permutation rather than absorbing it.
-func consumerOrderInsensitive(g *Graph, next *Region) bool {
-	if len(next.Nodes) != 1 {
-		return false
-	}
-	return g.Nodes[next.Nodes[0]].OrderInsensitive
-}
-
-// Streamable reports whether the region can consume a live stream with
-// output identical to its chunked execution: fused regions are line
-// mappers (always streamable); a single stage must be a line mapper
-// and, in a parallel region, concat-combined (streamed output equals
-// chunk-and-concat). The executor is its only caller: it decides
-// whether a region consumes a live stream block by block or drains it
-// first.
-func (p *Program) Streamable(r *Region) bool {
-	if r.Fused {
-		return true
-	}
-	n := p.Graph.Nodes[r.Nodes[0]]
-	return n.LineMapper && (!r.Parallel || n.Class == ClassConcat)
+	return n.Stage.Parallel && unix.CanStream(n.Stage.Cmd) && n.Class == ClassConcat && n.Stage.StreamOutput
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"kumquat/internal/dataflow"
-	"kumquat/internal/unix"
 )
 
 // RegionMetrics records one program region's execution: which stages it
@@ -63,15 +62,6 @@ func WithFuse(on bool) ExecOpt {
 // program's region metrics.
 func WithRunInfo(info *RunInfo) ExecOpt {
 	return func(c *execConfig) { c.runInfo = info }
-}
-
-// regionRun returns the region's executable: the composed fused mapper,
-// or the single member stage's command.
-func regionRun(p *Plan, r *dataflow.Region) unix.Command {
-	if r.Fused {
-		return r.Mapper
-	}
-	return p.Stages[r.Nodes[0]].Cmd
 }
 
 // ruleNames lists the rewrites that shaped a region, as reports and

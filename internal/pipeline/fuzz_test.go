@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,12 +9,14 @@ import (
 )
 
 // FuzzParser drives the hardened script parser (and the command
-// tokenizer behind it) with arbitrary input: it must never panic, and
-// every script it accepts must decompose into stages the command parser
-// can at least tokenize without crashing. CI runs this with a short
-// -fuzztime budget; the seed corpus covers the grammar's edges the
-// parser hardening targets (unterminated quotes, dangling redirects,
-// empty stages).
+// tokenizer behind it) with arbitrary input: it must never panic, every
+// script it accepts must decompose into stages the command parser can at
+// least tokenize without crashing, and each pipeline's stages, joined by
+// " | " and split again by the one pipe splitter, must come back as the
+// same stages — cluster dispatch ships a segment as that joined script.
+// CI runs this with a short -fuzztime budget; the seed corpus covers the
+// grammar's edges the parser hardening targets (unterminated quotes,
+// dangling redirects, empty stages) and pipes quoted inside a stage.
 func FuzzParser(f *testing.F) {
 	seeds := []string{
 		"cat in.txt | sort | uniq -c\n",
@@ -31,6 +34,10 @@ func FuzzParser(f *testing.F) {
 		"cat in.txt | \x00 | sort\n",
 		"VAR=\ncat ${VAR}$\n",
 		strings.Repeat("a|", 300) + "\n",
+		"cat in.txt | grep 'a|b' | wc -l\n",
+		"sed 's/|/x/' < in.txt | sort\n",
+		"awk -F'|' '{print $1}' | sort -u\n",
+		"tr '|' x | tr -d \"|\"\\| > out.txt\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -42,6 +49,10 @@ func FuzzParser(f *testing.F) {
 			return // rejection is fine; panicking is not
 		}
 		for _, pl := range script.Pipelines {
+			again, err := unix.SplitMembers(strings.Join(pl.Stages, " | "))
+			if err != nil || !slices.Equal(again, pl.Stages) {
+				t.Fatalf("stages %q split back as %q (%v)", pl.Stages, again, err)
+			}
 			for _, spec := range pl.Stages {
 				// Accepted stages must never crash the command parser;
 				// unknown commands and bad flags are ordinary errors.

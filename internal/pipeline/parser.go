@@ -127,22 +127,19 @@ func expandVars(s string, vars map[string]string) string {
 	return b.String()
 }
 
-// parsePipelineLine splits a line on unquoted '|' and extracts the input
+// parsePipelineLine expands the line's variables, splits it into stages
+// with the one pipe splitter (unix.SplitMembers), and extracts the input
 // source from a leading "cat FILE" or a "< FILE" redirect. The script
 // grammar is served to untrusted clients by kumquatd, so malformed lines
 // — empty segments, unterminated quotes, redirects without a target —
 // are hard errors rather than silently dropped syntax.
 func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
-	segments, err := splitPipes(line)
+	segments, err := unix.SplitMembers(expandVars(line, vars))
 	if err != nil {
 		return nil, err
 	}
 	p := &Pipeline{}
 	for i, seg := range segments {
-		seg = strings.TrimSpace(expandVars(seg, vars))
-		if seg == "" {
-			return nil, fmt.Errorf("empty pipeline segment")
-		}
 		// Input redirect on the first segment: "cmd < FILE".
 		if i == 0 {
 			if j := strings.LastIndexByte(seg, '<'); j >= 0 && !strings.ContainsAny(seg[j:], "'\"") {
@@ -180,32 +177,4 @@ func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline has no stages")
 	}
 	return p, nil
-}
-
-// splitPipes splits on '|' outside quotes; a quote left open at end of
-// line is an error (the segment boundary would be ambiguous).
-func splitPipes(line string) ([]string, error) {
-	var segs []string
-	depth := byte(0)
-	start := 0
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case depth != 0:
-			if c == depth {
-				depth = 0
-			}
-		case c == '\'' || c == '"':
-			depth = c
-		case c == '\\':
-			i++
-		case c == '|':
-			segs = append(segs, line[start:i])
-			start = i + 1
-		}
-	}
-	if depth != 0 {
-		return nil, fmt.Errorf("unterminated %c quote", depth)
-	}
-	return append(segs, line[start:]), nil
 }

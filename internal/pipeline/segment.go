@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strings"
 
 	"kumquat/internal/dataflow"
 	"kumquat/internal/unix"
@@ -16,56 +15,48 @@ import (
 // worker request — and only the last member's exit meets the other
 // chunks.
 type Segment struct {
-	// Members are the member regions' commands, in order: a fused
-	// region's composed mapper, or a single stage's command.
-	Members []unix.Command
-	// Stages holds every member's stage specs, in order; a fused region
-	// contributes its member specs, not fused(…).
-	Stages []string
-	// Script is Stages joined by " | ": the script a worker runs, as an
-	// ordinary serial execute, over one shard.
-	Script string
-	// last[m] is the index in Stages of member m's last stage.
-	last []int
+	// Chain's members are the member regions' commands, in order, a
+	// fused region's being the chain of its stages; its spec, every stage
+	// joined by " | ", is the script a worker runs, as an ordinary serial
+	// execute, over one shard.
+	Chain *unix.Chain
 }
 
 // newSegment builds the segment of consecutive program regions.
-func newSegment(p *Plan, regions []*dataflow.Region) *Segment {
-	seg := &Segment{Members: make([]unix.Command, len(regions)), last: make([]int, len(regions))}
+func newSegment(regions []*dataflow.Region) *Segment {
+	cmds := make([]unix.Command, len(regions))
 	for m, r := range regions {
-		seg.Members[m] = regionRun(p, r)
-		for _, id := range r.Nodes {
-			seg.Stages = append(seg.Stages, p.Stages[id].Spec)
-		}
-		seg.last[m] = len(seg.Stages) - 1
+		cmds[m] = r.Cmd
 	}
-	seg.Script = strings.Join(seg.Stages, " | ")
-	return seg
+	return &Segment{Chain: unix.NewChain(cmds...)}
 }
 
 // Run sends chunk i through every member in turn and returns the last
 // member's output and each member's output volume. A failure names the
 // member stage that failed, not the segment.
 func (s *Segment) Run(i int, chunk string) (string, []int64, error) {
-	bytesOut := make([]int64, len(s.Members))
-	for m, cmd := range s.Members {
-		out, err := cmd.Run(chunk)
-		if err != nil {
-			return "", nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", cmd.Spec(), i, err)
-		}
-		bytesOut[m] = int64(len(out))
-		chunk = out
+	bytesOut := make([]int64, len(unix.Members(s.Chain)))
+	out, err := s.Chain.Stepwise(chunk, bytesOut)
+	if err != nil {
+		se := unix.Failure(s.Chain, err)
+		return "", nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", se.Spec, i, se.Err)
 	}
-	return chunk, bytesOut, nil
+	return out, bytesOut, nil
 }
 
-// MemberBytes maps the per-stage output volumes of one run of Script — a
-// worker's report, one entry per entry of Stages — onto the members: a
-// member's output is its last stage's.
-func (s *Segment) MemberBytes(stageBytes []int64) []int64 {
-	bytesOut := make([]int64, len(s.last))
-	for m, i := range s.last {
-		bytesOut[m] = stageBytes[i]
+// MemberBytes maps the per-stage output volumes of one run of the
+// segment's script — a worker's report, one entry per stage — onto the
+// members: a member's output is its last stage's.
+func (s *Segment) MemberBytes(stageBytes []int64) ([]int64, error) {
+	var bytesOut []int64
+	last := -1
+	for _, m := range unix.Members(s.Chain) {
+		if last += len(unix.Members(m)); last < len(stageBytes) {
+			bytesOut = append(bytesOut, stageBytes[last])
+		}
 	}
-	return bytesOut
+	if len(stageBytes) != last+1 {
+		return nil, fmt.Errorf("reported %d stages for a %d-stage script", len(stageBytes), last+1)
+	}
+	return bytesOut, nil
 }

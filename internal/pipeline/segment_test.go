@@ -21,7 +21,7 @@ func recordLeaves(scripts *[]string) ExecOpt {
 	return WithLeaves(func(local Leaves) Leaves {
 		return func(ctx context.Context, seg *Segment, chunks []string) ([]string, [][]int64, error) {
 			mu.Lock()
-			*scripts = append(*scripts, seg.Script)
+			*scripts = append(*scripts, seg.Chain.Spec())
 			mu.Unlock()
 			return local(ctx, seg, chunks)
 		}
@@ -114,7 +114,8 @@ func TestChunkRunsBounded(t *testing.T) {
 		return func(ctx context.Context, seg *Segment, cs []string) ([]string, [][]int64, error) {
 			chunks += len(cs)
 			counted := *seg
-			counted.Members = append([]unix.Command{countingCmd{seg.Members[0], &inflight, &peak}}, seg.Members[1:]...)
+			members := unix.Members(seg.Chain)
+			counted.Chain = unix.NewChain(append([]unix.Command{countingCmd{members[0], &inflight, &peak}}, members[1:]...)...)
 			return local(ctx, &counted, cs)
 		}
 	})

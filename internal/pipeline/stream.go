@@ -98,15 +98,6 @@ type StageMetrics struct {
 	Streamed bool `json:"streamed"`
 }
 
-// stageError tags a failure with the stage it originated from.
-type stageError struct {
-	spec string
-	err  error
-}
-
-func (e *stageError) Error() string { return fmt.Sprintf("pipeline: stage %q: %v", e.spec, e.err) }
-func (e *stageError) Unwrap() error { return e.err }
-
 // execConfig collects one Execute call's options. It only chooses what
 // the walker is handed — which Program, which leaf runner — and is gone
 // once the walk starts.

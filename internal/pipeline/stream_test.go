@@ -314,6 +314,7 @@ func TestExecuteCancellation(t *testing.T) {
 			stdin = &cancellingGen{after: 500, cancel: cancel}
 		} else {
 			sortStage.Cmd = cancellingCmd{Command: sortStage.Cmd, cancel: cancel}
+			row.plan.lower() // the regions run the commands they were lowered with
 		}
 		done := make(chan error, 1)
 		go func() {
@@ -393,7 +394,7 @@ func TestPipelinedFailurePropagation(t *testing.T) {
 	if !strings.Contains(err.Error(), "xargs cat") {
 		t.Errorf("error lost its stage context: %v", err)
 	}
-	var se *stageError
+	var se *unix.StageError
 	if !errors.As(err, &se) {
 		t.Errorf("error is not a stage failure: %v", err)
 	}

@@ -174,11 +174,12 @@ func declaredLen(r io.Reader) int {
 }
 
 // streams reports whether region r runs live, on a goroutine over its
-// input's blocks: a streamable region (Program.Streamable) whose input is
-// live — or, in Pipelined mode, whatever its input, which there makes
-// every line-mapper region live.
+// input's blocks: its input is live (in Pipelined mode, whatever it is),
+// its command is a line mapper (a fused chain always is) and, in a
+// parallel region, concat-combined, so streaming equals chunk-and-concat.
 func (ex *executor) streams(r *dataflow.Region, live bool) bool {
-	return (live || ex.piped) && ex.prog.Streamable(r)
+	concat := ex.prog.Graph.Nodes[r.Nodes[0]].Class == dataflow.ClassConcat
+	return (live || ex.piped) && unix.CanStream(r.Cmd) && (!r.Parallel || concat)
 }
 
 // source resolves the pipeline's input into the walk's initial stream:
@@ -252,7 +253,7 @@ func (lr *liveRegions) spawn(ri int, cmd unix.Command, in *blocks, rm *RegionMet
 		if err == nil {
 			close(out.c)
 		} else if !errors.Is(err, lr.ctx.Err()) {
-			lr.fails[ri] = &stageError{spec: cmd.Spec(), err: err}
+			lr.fails[ri] = fmt.Errorf("pipeline: %w", unix.Failure(cmd, err))
 			lr.cancel()
 		}
 	}()
@@ -324,19 +325,14 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 			if st.live == nil {
 				st.live = blocksOf(ctx, st.data)
 			}
-			cmd := regionRun(p, r)
-			_, span := stepSpan(ctx, regions[ri:ri+1], cmd.Spec())
-			st = stream{live: lr.spawn(ri, cmd, st.live, &rms[ri], span)}
+			_, span := stepSpan(ctx, regions[ri:ri+1], r.Cmd.Spec())
+			st = stream{live: lr.spawn(ri, r.Cmd, st.live, &rms[ri], span)}
 			ri++
 			continue
 		}
 		end := ex.segmentEnd(ri)
-		seg := newSegment(p, regions[ri:end])
-		spec := seg.Script
-		if end == ri+1 {
-			spec = seg.Members[0].Spec()
-		}
-		sctx, span := stepSpan(ctx, regions[ri:end], spec)
+		seg := newSegment(regions[ri:end])
+		sctx, span := stepSpan(ctx, regions[ri:end], seg.Chain.Spec())
 		start := time.Now()
 		err := ex.runSegment(sctx, p, regions[ri:end], end == len(regions), seg, &st, rms[ri:end])
 		rms[ri].Wall = time.Since(start)
@@ -416,10 +412,9 @@ func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow
 	}
 	rms[0].BytesIn = int64(len(st.data))
 	if !regions[0].Parallel || ex.k <= 1 {
-		cmd := seg.Members[0]
-		next, err := cmd.Run(st.data)
+		next, err := regions[0].Cmd.Run(st.data)
 		if err != nil {
-			return &stageError{spec: cmd.Spec(), err: err}
+			return fmt.Errorf("pipeline: %w", unix.Failure(regions[0].Cmd, err))
 		}
 		*st = stream{data: next}
 		rms[0].BytesOut = int64(len(next))

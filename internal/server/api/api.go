@@ -9,7 +9,7 @@ import "kumquat"
 
 // SynthesizeRequest is the POST /v1/synthesize body.
 type SynthesizeRequest struct {
-	// Spec is the command to synthesize a combiner for, e.g. "uniq -c".
+	// Spec is the command (or fragment, "sort | uniq") to synthesize for.
 	Spec string `json:"spec"`
 }
 

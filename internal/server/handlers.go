@@ -16,8 +16,9 @@ import (
 	"kumquat/internal/textio"
 )
 
-// handleSynthesize serves POST /v1/synthesize: one command spec in, the
-// synthesis verdict out, with an exact cache-tier attribution.
+// handleSynthesize serves POST /v1/synthesize: one command or pipeline
+// fragment spec in, the synthesis verdict out, with an exact cache-tier
+// attribution.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req api.SynthesizeRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {

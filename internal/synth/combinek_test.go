@@ -33,17 +33,35 @@ var exampleSuiteSpecs = []string{
 	"grep light",
 }
 
+// fragmentSpecs are pipeline fragments synthesized as one black box:
+// a merge, a rerun and an add combiner.
+var fragmentSpecs = []string{"tr A-Z a-z | sort", "sort | head -n 5", "grep light | wc -l"}
+
+// combineRows are the stream families the combine gate splits: long
+// streams of few distinct lines, cut into 2, 5 and 16 chunks; short
+// streams of mostly distinct lines, cut into 2 to 7; and streams half of
+// whose words are grep's literal, so its matches fall in several chunks.
+var combineRows = []struct {
+	lines shape.Config
+	dict  []string
+	ks    []int
+}{
+	{shape.Config{Min: 40, Max: 80, Distinct: 9}, nil, []int{2, 5, 16}},
+	{shape.Config{Min: 6, Max: 20, Distinct: 50}, nil, []int{2, 3, 4, 5, 6, 7}},
+	{shape.Config{Min: 40, Max: 80, Distinct: 50}, []string{"light", "Light"}, []int{2, 5, 16}},
+}
+
 // TestCombineKTreeMatchesSerial is the acceptance gate for the combine
-// plane: for every combiner synthesized over the example suite, the k-way
-// combine of the chunk outputs must reproduce the serial command run
-// byte for byte, at every k and every merge width.
+// plane: for every combiner synthesized over the example suite and the
+// fragments, the k-way combine of the chunk outputs must reproduce the
+// serial run byte for byte, on every stream family, at every k and every
+// merge width.
 func TestCombineKTreeMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes the full example suite")
 	}
 	widths := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	gen := shape.New(7)
-	for _, spec := range exampleSuiteSpecs {
+	for _, spec := range append(exampleSuiteSpecs, fragmentSpecs...) {
 		res := synthesize(t, spec)
 		if res.Err != nil {
 			t.Errorf("%s: no combiner: %v", spec, res.Err)
@@ -53,30 +71,34 @@ func TestCombineKTreeMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		for trial := 0; trial < 6; trial++ {
-			s := shape.Seed()
-			s.Lines = shape.Config{Min: 40, Max: 80, Distinct: 9}
-			x := gen.Stream(s)
-			want, err := cmd.Run(x)
-			if err != nil {
-				t.Fatalf("%s: serial run: %v", spec, err)
-			}
-			for _, k := range []int{2, 5, 16} {
-				chunks := textio.ChunkLines(x, k)
-				outs := make([]string, len(chunks))
-				for i, ch := range chunks {
-					outs[i], err = cmd.Run(ch)
-					if err != nil {
-						t.Fatalf("%s: chunk run: %v", spec, err)
-					}
+		for ri, row := range combineRows {
+			gen := shape.New(7 + int64(ri))
+			gen.WordDict = row.dict
+			for trial := 0; trial < 6; trial++ {
+				s := shape.Seed()
+				s.Lines = row.lines
+				x := gen.Stream(s)
+				want, err := cmd.Run(x)
+				if err != nil {
+					t.Fatalf("%s: serial run: %v", spec, err)
 				}
-				for _, w := range widths {
-					got, err := res.Combiner.CombineKTree(outs, w)
-					if err != nil {
-						t.Fatalf("%s k=%d width=%d: %v", spec, k, w, err)
+				for _, k := range row.ks {
+					chunks := textio.ChunkLines(x, k)
+					outs := make([]string, len(chunks))
+					for i, ch := range chunks {
+						outs[i], err = cmd.Run(ch)
+						if err != nil {
+							t.Fatalf("%s: chunk run: %v", spec, err)
+						}
 					}
-					if got != want {
-						t.Fatalf("%s k=%d width=%d: combined=%q, serial=%q", spec, k, w, got, want)
+					for _, w := range widths {
+						got, err := res.Combiner.CombineKTree(outs, w)
+						if err != nil {
+							t.Fatalf("%s k=%d width=%d: %v", spec, k, w, err)
+						}
+						if got != want {
+							t.Fatalf("%s (%s) k=%d width=%d: combined=%q, serial=%q", spec, res.Combiner, k, w, got, want)
+						}
 					}
 				}
 			}

@@ -260,16 +260,14 @@ func (e *Engine) Stats() cache.Stats { return e.counters.Snapshot() }
 func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Result, cache.Tier) {
 	start := time.Now()
 	res := &Result{Spec: cmd.Spec()}
-	if ns, ok := cmd.(interface{ NonStream() bool }); ok && ns.NonStream() {
+	if anyMember(cmd, nonStream.NonStream) {
 		res.Err = ErrNonStream
+	} else if anyMember(cmd, multiInput.MultiInput) {
+		res.Err = ErrMultiInput
+	}
+	if res.Err != nil {
 		res.Duration = time.Since(start)
 		e.counters.Miss() // cached repeats count as hits; keep stats consistent
-		return res, cache.TierMiss
-	}
-	if mi, ok := cmd.(interface{ MultiInput() bool }); ok && mi.MultiInput() {
-		res.Err = ErrMultiInput
-		res.Duration = time.Since(start)
-		e.counters.Miss()
 		return res, cache.TierMiss
 	}
 
@@ -281,7 +279,7 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	// streams) and yields the delimiter set the cache key needs.
 	p := preprocess(cmd, e.Env, rng)
 
-	argv := canonicalArgv(cmd.Spec())
+	argv := canonicalArgv(cmd)
 	key := e.budget.key(argv, delimBytes(p.delims), e.Opts.Seed)
 	if v, ok := e.lru.Get(key); ok {
 		e.counters.Hit()
@@ -292,9 +290,8 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	// that read registered files during Run (cat FILE, comm - FILE) —
 	// stay out of the disk tier: their results are not portable across
 	// processes with different registered files.
-	re, readsEnv := cmd.(interface{ ReadsEnv() bool })
 	diskable := e.disk != nil && len(p.fileNames) == 0 &&
-		!(readsEnv && re.ReadsEnv())
+		!anyMember(cmd, readsEnv.ReadsEnv)
 	if diskable {
 		if ent, ok := e.disk.Get(key); ok {
 			if r, ok := e.resultFromEntry(ent, cmd); ok {
@@ -628,11 +625,13 @@ func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
 }
 
 // EvalEnv builds the DSL evaluation environment for one command parsed
-// against env: f for rerun, and the merge comparator (the command itself
-// when it is a sort, plain sort otherwise).
+// against env: f for rerun, and the merge comparator (the command's last
+// member, which orders its output, when that is a sort; plain sort
+// otherwise).
 func EvalEnv(cmd unix.Command, env *unix.Env) *dsl.Env {
 	denv := &dsl.Env{RunF: cmd.Run}
-	if sc, ok := cmd.(*unix.SortCmd); ok {
+	ms := unix.Members(cmd)
+	if sc, ok := ms[len(ms)-1].(*unix.SortCmd); ok {
 		denv.Merge = sc
 	} else if def, err := unix.Parse("sort", env); err == nil {
 		denv.Merge = def.(*unix.SortCmd)
@@ -640,13 +639,17 @@ func EvalEnv(cmd unix.Command, env *unix.Env) *dsl.Env {
 	return denv
 }
 
-// canonicalArgv normalizes a command spec to its shell tokenization, so
-// quoting and whitespace variants of the same command share a cache key.
-func canonicalArgv(spec string) []string {
-	if argv, err := unix.Tokenize(spec); err == nil && len(argv) > 0 {
-		return argv
+// canonicalArgv normalizes a command's spec to its shell tokenization,
+// so quoting and whitespace variants of the same command share a cache
+// key. A chain keys by its whole spec as one word, which no command's
+// argv equals (argv[0] names a builtin), even one taking a quoted '|'.
+func canonicalArgv(cmd unix.Command) []string {
+	if _, chain := cmd.(*unix.Chain); !chain {
+		if argv, err := unix.Tokenize(cmd.Spec()); err == nil && len(argv) > 0 {
+			return argv
+		}
 	}
-	return []string{spec}
+	return []string{cmd.Spec()}
 }
 
 // delimBytes converts a delimiter set to raw bytes for key derivation.

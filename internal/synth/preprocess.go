@@ -24,7 +24,19 @@ type (
 	sortedRequired  interface{ NeedsSortedInput() bool }
 	fileNameInput   interface{ NeedsFileNames() bool }
 	equalityGated   interface{ GatedEquality() bool }
+	nonStream       interface{ NonStream() bool }
+	multiInput      interface{ MultiInput() bool }
+	readsEnv        interface{ ReadsEnv() bool }
 )
+
+// anyMember reports whether some member of cmd (unix.Members) has
+// capability T and answers has with true.
+func anyMember[T any](cmd unix.Command, has func(T) bool) bool {
+	return slices.ContainsFunc(unix.Members(cmd), func(m unix.Command) bool {
+		c, ok := m.(T)
+		return ok && has(c)
+	})
+}
 
 // prep holds everything preprocessing (§3.2) learns about a command before
 // synthesis: input dictionaries, input-mode decisions from the three probe
@@ -77,53 +89,57 @@ func preprocess(cmd unix.Command, uenv *unix.Env, rng *rand.Rand) prep {
 	case errFiles == nil:
 		p.fileNames = names
 	}
-	if fn, ok := cmd.(fileNameInput); ok && fn.NeedsFileNames() {
+	// The input-side hints are the first member's: it reads the input.
+	first := unix.Members(cmd)[0]
+	if fn, ok := first.(fileNameInput); ok && fn.NeedsFileNames() {
 		p.fileNames = names
 	}
-	if sr, ok := cmd.(sortedRequired); ok && sr.NeedsSortedInput() {
+	if sr, ok := first.(sortedRequired); ok && sr.NeedsSortedInput() {
 		p.sorted = true
 	}
 
-	// Literal mining: regex patterns become dictionary words that match;
-	// numeric comparison constants become nearby number words; address
-	// literals become line-count targets for the seed shapes.
-	if pp, ok := cmd.(patternProvider); ok && pp.Pattern() != "" {
-		if re, err := regexlite.Compile(pp.Pattern()); err == nil {
-			for i := 0; i < 8; i++ {
-				if ex := re.Example(rng); ex != "" && !strings.Contains(ex, "\n") {
-					p.wordDict = append(p.wordDict, ex)
+	// Literal mining, from every member: regex patterns become matching
+	// dictionary words; numeric comparison constants nearby number words;
+	// address literals line-count targets for the seed shapes.
+	for _, m := range unix.Members(cmd) {
+		if pp, ok := m.(patternProvider); ok && pp.Pattern() != "" {
+			if re, err := regexlite.Compile(pp.Pattern()); err == nil {
+				for i := 0; i < 8; i++ {
+					if ex := re.Example(rng); ex != "" && !strings.Contains(ex, "\n") {
+						p.wordDict = append(p.wordDict, ex)
+					}
 				}
 			}
 		}
-	}
-	if cl, ok := cmd.(compareLiterals); ok {
-		for _, n := range cl.CompareLiterals() {
-			for _, v := range []int{n - 1, n, n + 1, 0, 1, 2 * n} {
-				if v >= 0 {
-					p.wordDict = append(p.wordDict, strconv.Itoa(v))
+		if cl, ok := m.(compareLiterals); ok {
+			for _, n := range cl.CompareLiterals() {
+				for _, v := range []int{n - 1, n, n + 1, 0, 1, 2 * n} {
+					if v >= 0 {
+						p.wordDict = append(p.wordDict, strconv.Itoa(v))
+					}
 				}
 			}
 		}
-	}
-	if nk, ok := cmd.(numericKeys); ok && nk.NumericKeys() {
-		p.wordDict = append(p.wordDict, signedInts...)
-	}
-	if lp, ok := cmd.(literalProvider); ok {
-		p.lineCounts = append(p.lineCounts, lp.Literals()...)
-	}
-	if fd, ok := cmd.(fieldDelim); ok && fd.FieldDelim() != 0 {
-		// Inject the field delimiter into words so field structure exists.
-		d := string(fd.FieldDelim())
-		for i := 0; i < 6; i++ {
-			parts := make([]string, 2+rng.Intn(2))
-			for j := range parts {
-				parts[j] = randWord(rng)
-			}
-			p.wordDict = append(p.wordDict, strings.Join(parts, d))
+		if nk, ok := m.(numericKeys); ok && nk.NumericKeys() {
+			p.wordDict = append(p.wordDict, signedInts...)
 		}
-	}
-	if eg, ok := cmd.(equalityGated); ok {
-		p.gated = eg.GatedEquality()
+		if lp, ok := m.(literalProvider); ok {
+			p.lineCounts = append(p.lineCounts, lp.Literals()...)
+		}
+		if fd, ok := m.(fieldDelim); ok && fd.FieldDelim() != 0 {
+			// Inject the field delimiter into words so field structure exists.
+			d := string(fd.FieldDelim())
+			for i := 0; i < 6; i++ {
+				parts := make([]string, 2+rng.Intn(2))
+				for j := range parts {
+					parts[j] = randWord(rng)
+				}
+				p.wordDict = append(p.wordDict, strings.Join(parts, d))
+			}
+		}
+		if eg, ok := m.(equalityGated); ok && eg.GatedEquality() {
+			p.gated = true
+		}
 	}
 
 	// Delimiter selection: '\n' always; add ' ', '\t', ',' when a probe

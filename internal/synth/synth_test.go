@@ -9,7 +9,6 @@ import (
 
 	"kumquat/internal/dsl"
 	"kumquat/internal/shape"
-	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
@@ -335,32 +334,32 @@ func TestSynthesizedCombinersAreCorrect(t *testing.T) {
 	}
 }
 
-// TestCombineKMatchesSerial verifies the k-way generalization end to end.
-func TestCombineKMatchesSerial(t *testing.T) {
-	specs := []string{"wc -l", "sort", "uniq -c", "tr A-Z a-z", "uniq"}
-	gen := shape.New(123)
-	for _, spec := range specs {
+// TestFragmentCombiners: a pipeline fragment is one black box to the
+// synthesizer. Its literals are mined from every member — without grep's
+// literal in the inputs, `grep light | wc -l` never sees a match and
+// keeps (first a b) — its merge comparator is its last member, and it is
+// non-stream or multi-input when any member is.
+func TestFragmentCombiners(t *testing.T) {
+	for spec, want := range map[string]string{
+		"sort | uniq":             "(rerun a b), (rerun b a)",
+		"grep light | wc -l":      "(back '\\n' add a b), (back '\\n' add b a)",
+		"tr A-Z a-z | grep light": "(concat a b)",
+		// The last member orders the output, so its flags drive merge.
+		"tr A-Z a-z | sort -r": "(merge('-r') a b), (merge('-r') b a), (rerun a b), (rerun b a)",
+	} {
 		res := synthesize(t, spec)
-		if res.Err != nil {
-			t.Fatalf("%s: %v", spec, res.Err)
+		if res.Err != nil || res.Combiner.String() != want {
+			t.Errorf("%s: combiner %v (%v), want %s", spec, res.Combiner, res.Err, want)
 		}
-		cmd, _ := unix.Parse(spec, unix.DefaultEnv())
-		for trial := 0; trial < 20; trial++ {
-			s := shape.Seed()
-			s.Lines = shape.Config{Min: 6, Max: 20, Distinct: 50}
-			x := gen.Stream(s)
-			k := 2 + trial%6
-			chunks := textio.ChunkLines(x, k)
-			outs := make([]string, len(chunks))
-			for i, ch := range chunks {
-				outs[i], _ = cmd.Run(ch)
-			}
-			want, _ := cmd.Run(x)
-			got, err := res.Combiner.CombineKTree(outs, 1)
-			if err != nil || got != want {
-				t.Errorf("%s k=%d: CombineKTree = %q (err %v), want %q", spec, k, got, err, want)
-				break
-			}
+	}
+	for spec, want := range map[string]error{
+		"mkfifo s1 | sort":     ErrNonStream,
+		"sort | diff -B s1 s2": ErrMultiInput,
+		// The DSL has no keyed merge that adds tied counts (ROADMAP).
+		"tr A-Z a-z | sort | uniq -c": ErrNoCombiner,
+	} {
+		if res := synthesize(t, spec); !errors.Is(res.Err, want) {
+			t.Errorf("%s: verdict %v, want %v", spec, res.Err, want)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type EmitFunc func(line string)
 // more output lines independently — the "Mapping Input Lines to Disjoint
 // Output Lines" class of §3.4 (tr without -s, grep without -c, cut, sed s///,
 // awk filters, rev, ...). It is the one per-line contract: the line driver
-// (RunLines) and fused regions run a command through the function
+// (RunLines) and line-mapper chains run a command through the function
 // LineFunc returns; everything else, a live stream's blocks included, goes
 // through Run.
 type LineMapper interface {
@@ -228,8 +228,8 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 // materialized stream — one scan of the input, one output builder, one
 // line function for the call (so concurrent chunk runs share nothing).
 // Every line is emitted terminated. Every line-mapper command's Run is
-// this except tr's and cat's, which work on bytes; so is a fused
-// region's Run over its terminated lines.
+// this except tr's and cat's, which work on bytes; so is a line-mapper
+// Chain's Run over its terminated lines.
 func RunLines(lm LineMapper, input string) string {
 	if input == "" {
 		return ""
@@ -263,12 +263,26 @@ type Env struct {
 func DefaultEnv() *Env { return &Env{FS: NewFS()} }
 
 // Parse compiles a command spec (shell-style text such as
-// "grep -c 'light.*light'" or "sort -rn") into a Command. Leading VAR=VALUE
-// environment assignments are skipped; $VAR references must already be
-// resolved by the caller (the pipeline parser does this).
+// "grep -c 'light.*light'" or "sort -rn") into a Command, and a fragment
+// with unquoted pipes ("tr A-Z a-z | sort") into a Chain of its members.
+// Leading VAR=VALUE environment assignments are skipped; $VAR references
+// must already be resolved by the caller (the pipeline parser does this).
 func Parse(spec string, env *Env) (Command, error) {
 	if env == nil {
 		env = DefaultEnv()
+	}
+	members, err := SplitMembers(spec)
+	if err != nil {
+		return nil, fmt.Errorf("unix: parse %q: %w", spec, err)
+	}
+	if len(members) > 1 {
+		cmds := make([]Command, len(members))
+		for i, m := range members {
+			if cmds[i], err = Parse(m, env); err != nil {
+				return nil, err
+			}
+		}
+		return NewChain(cmds...), nil
 	}
 	argv, err := Tokenize(spec)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/iotest"
 
-	"kumquat/internal/dataflow"
 	"kumquat/internal/pipeline"
 	"kumquat/internal/synth"
 	"kumquat/internal/unix"
@@ -68,26 +67,24 @@ var lineMapperCases = []struct {
 
 // TestLineMapperSurfacesAgree: the three surfaces a line-mapper command is
 // reached through — its own Run (chained stage by stage for a chain), the
-// block loop behind unix.Exec fed one byte at a time, and a FusedMapper
+// block loop behind unix.Exec fed one byte at a time, and a unix.Chain
 // over the same command(s) through Run and Exec — produce the same literal
 // bytes, on the table's inputs and on the empty stream.
 func TestLineMapperSurfacesAgree(t *testing.T) {
 	for _, tc := range lineMapperCases {
 		name := strings.Join(tc.specs, " | ")
 		var cmds []unix.Command
-		var mappers []unix.LineMapper
 		for _, spec := range tc.specs {
 			cmd, err := unix.Parse(spec, nil)
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", spec, err)
 			}
-			lm, ok := unix.AsLineMapper(cmd)
-			if !ok {
+			if !unix.CanStream(cmd) {
 				t.Fatalf("%q should be a line mapper", spec)
 			}
-			cmds, mappers = append(cmds, cmd), append(mappers, lm)
+			cmds = append(cmds, cmd)
 		}
-		fm := dataflow.NewFusedMapper(tc.specs, mappers)
+		fm := unix.NewChain(cmds...)
 		for _, c := range []struct{ in, want string }{{tc.in, tc.want}, {"", ""}} {
 			staged := c.in
 			for _, cmd := range cmds {
@@ -223,17 +220,11 @@ func TestExecAcrossBatchBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []string{"tr A-Z a-z", "grep light", `sed 's/light/L/g'`}
-	var mappers []unix.LineMapper
-	for _, spec := range specs {
-		cmd, err := unix.Parse(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm, _ := unix.AsLineMapper(cmd)
-		mappers = append(mappers, lm)
+	chain, err := unix.Parse(`tr A-Z a-z | grep light | sed 's/light/L/g'`, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cmd := range []unix.Command{sed, dataflow.NewFusedMapper(specs, mappers)} {
+	for _, cmd := range []unix.Command{sed, chain} {
 		want, err := cmd.Run(in)
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +359,7 @@ func BenchmarkLineKernels(b *testing.B) {
 	specs := []string{"tr A-Z a-z", "grep light", `sed 's/light/dark/'`, "cut -d ' ' -f 1-3"}
 	names := []string{"tr-lower", "grep-literal", "sed-literal", "cut-f1-3"}
 	in := string(text)
-	var mappers []unix.LineMapper
+	var cmds []unix.Command
 	for i, spec := range specs {
 		cmd, err := unix.Parse(spec, nil)
 		if err != nil {
@@ -378,12 +369,12 @@ func BenchmarkLineKernels(b *testing.B) {
 		if !ok {
 			b.Fatalf("%s is not a line mapper", spec)
 		}
-		mappers = append(mappers, lm)
+		cmds = append(cmds, cmd)
 		stageIn := in
 		b.Run(names[i], func(b *testing.B) { benchLines(b, lm, stageIn) })
 		in = unix.RunLines(lm, in)
 	}
-	fused := dataflow.NewFusedMapper(specs, mappers)
+	fused := unix.NewChain(cmds...)
 	b.Run("fused-chain", func(b *testing.B) { benchLines(b, fused, string(text)) })
 }
 

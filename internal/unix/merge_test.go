@@ -867,7 +867,7 @@ func mergeWidths() []int { return []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} }
 // checkMergeWidth holds mergeRanges at every width to the reference: the
 // sortedness verdict of referenceIsSorted over every stream and, when
 // sorted, referenceMerge's bytes. mergeRanges is called directly, so
-// inputs far below mergeRangeCutoff still take the cuts.
+// inputs far below MergeRangeCutoff still take the cuts.
 func checkMergeWidth(t *testing.T, s *SortCmd, streams []string) {
 	t.Helper()
 	wantSorted := true
@@ -1224,7 +1224,7 @@ func TestMergeWidthAllocations(t *testing.T) {
 // check in one walk — over Zipf words (BenchmarkSortRun's shape) dealt
 // into k sorted runs, by total size and width, and over all-distinct
 // words, where the front finds no run to copy. Width 1 is the single
-// heap; where the wider rows overtake it is mergeRangeCutoff.
+// heap; where the wider rows overtake it is MergeRangeCutoff.
 func BenchmarkMergeWidth(b *testing.B) {
 	s := mergeSort(b, "sort")
 	for _, shape := range runShapes {

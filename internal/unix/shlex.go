@@ -1,6 +1,9 @@
 package unix
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Tokenize splits a command spec using shell-like word splitting:
 // whitespace separates words; single quotes preserve everything literally;
@@ -69,4 +72,33 @@ func Tokenize(spec string) ([]string, error) {
 		argv = append(argv, string(cur))
 	}
 	return argv, nil
+}
+
+// SplitMembers is the one pipe splitter (Parse, the script parser, the
+// conformance shrinker): it splits on '|' outside quotes, which follow
+// Tokenize, so grep 'a|b' is one trimmed member. An empty member or an
+// unterminated quote is an error.
+func SplitMembers(spec string) ([]string, error) {
+	var members []string
+	quote, start := byte(0), 0
+	for i := 0; i <= len(spec); i++ {
+		switch {
+		case i == len(spec) || quote == 0 && spec[i] == '|':
+			m := strings.TrimSpace(spec[start:i])
+			if m == "" {
+				return nil, fmt.Errorf("empty pipeline segment")
+			}
+			members, start = append(members, m), i+1
+		case spec[i] == '\\' && quote != '\'' && i+1 < len(spec):
+			i++
+		case quote == 0 && (spec[i] == '\'' || spec[i] == '"'):
+			quote = spec[i]
+		case spec[i] == quote:
+			quote = 0
+		}
+	}
+	if quote != 0 {
+		return nil, fmt.Errorf("unterminated %c quote", quote)
+	}
+	return members, nil
 }

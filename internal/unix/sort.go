@@ -901,11 +901,11 @@ func copies(s string, from, u int) int {
 	return m
 }
 
-// mergeRangeCutoff is the total input size below which MergeStreams
+// MergeRangeCutoff is the total input size below which MergeStreams
 // merges in one heap whatever its width: under it, cutting the streams
 // and starting a goroutine per range cost about what the ranges save
 // (BenchmarkMergeWidth; the table is in DESIGN.md).
-const mergeRangeCutoff = 16 << 10
+const MergeRangeCutoff = 16 << 10
 
 // MergeStreams merges k pre-sorted streams under this comparator, as the
 // Unix script "sort -m <flags> $*" does in the paper's k-way combiner
@@ -915,7 +915,7 @@ const mergeRangeCutoff = 16 << 10
 // streams.
 //
 // width is how many key ranges may merge concurrently (see mergeRanges),
-// never more than GOMAXPROCS; at width 1, or below mergeRangeCutoff
+// never more than GOMAXPROCS; at width 1, or below MergeRangeCutoff
 // bytes, one heap merges it all.
 // A line costs O(log k) comparisons over keys computed once per line,
 // plus at most one that checks its order — except in a run of m
@@ -928,7 +928,7 @@ func (s *SortCmd) MergeStreams(width int, streams ...string) (merged string, sor
 	for _, st := range streams {
 		size += len(st)
 	}
-	if size < mergeRangeCutoff {
+	if size < MergeRangeCutoff {
 		width = 1
 	}
 	return s.mergeRanges(min(width, runtime.GOMAXPROCS(0)), streams)
