@@ -9,6 +9,7 @@ import (
 
 	"kumquat/internal/dsl"
 	"kumquat/internal/shape"
+	"kumquat/internal/textio"
 	"kumquat/internal/unix"
 )
 
@@ -331,6 +332,36 @@ func TestSynthesizedCombinersAreCorrect(t *testing.T) {
 			}
 		}
 		_ = rng
+	}
+}
+
+// TestCombineKMatchesSerial verifies the k-way generalization end to end.
+func TestCombineKMatchesSerial(t *testing.T) {
+	specs := []string{"wc -l", "sort", "uniq -c", "tr A-Z a-z", "uniq"}
+	gen := shape.New(123)
+	for _, spec := range specs {
+		res := synthesize(t, spec)
+		if res.Err != nil {
+			t.Fatalf("%s: %v", spec, res.Err)
+		}
+		cmd, _ := unix.Parse(spec, unix.DefaultEnv())
+		for trial := 0; trial < 20; trial++ {
+			s := shape.Seed()
+			s.Lines = shape.Config{Min: 6, Max: 20, Distinct: 50}
+			x := gen.Stream(s)
+			k := 2 + trial%6
+			chunks := textio.ChunkLines(x, k)
+			outs := make([]string, len(chunks))
+			for i, ch := range chunks {
+				outs[i], _ = cmd.Run(ch)
+			}
+			want, _ := cmd.Run(x)
+			got, err := res.Combiner.CombineKTree(outs, 1)
+			if err != nil || got != want {
+				t.Errorf("%s k=%d: CombineKTree = %q (err %v), want %q", spec, k, got, err, want)
+				break
+			}
+		}
 	}
 }
 
