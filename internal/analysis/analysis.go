@@ -7,8 +7,10 @@
 // API shape closely enough that the analyzers under internal/analysis/...
 // are a mechanical port away from running under the real multichecker if
 // x/tools ever becomes available. Each analyzer encodes one invariant the
-// paper's guarantees rest on but the compiler cannot see — see the package
-// docs of ctxflow, hotalloc, goroleak, captable and docs.
+// paper's guarantees rest on but the compiler cannot see and no run-time
+// test checks more directly — see the package docs of ctxflow, goroleak
+// and docs. Output and allocation properties are pinned by tests, not
+// here.
 //
 // Type information is produced without the network: packages are
 // enumerated with `go list -export -deps -json` (which also compiles
@@ -30,11 +32,11 @@ import (
 // x/tools' analysis.Analyzer (minus Requires/Facts, which no kqvet
 // analyzer needs).
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, baselines and JSON
-	// reports. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics. Lower-case, no
+	// spaces.
 	Name string
-	// Doc is the one-paragraph description printed by `kqvet -help`:
-	// the invariant the analyzer encodes and why the repo cares.
+	// Doc is the one-paragraph description of the invariant the
+	// analyzer encodes and why the repo cares.
 	Doc string
 	// Run analyzes one package, reporting findings through pass.Report.
 	// A non-nil error aborts the whole kqvet run (reserved for internal
@@ -71,9 +73,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Pos
-	// Message states the violation. Messages are part of the baseline
-	// key, so they should be stable across runs (no counters, hashes or
-	// absolute paths).
+	// Message states the violation.
 	Message string
 }
 

@@ -6,7 +6,7 @@
 //
 // A fixture line expecting a diagnostic carries a trailing comment:
 //
-//	s += l // want `string \+= in hot-path loop`
+//	ctx := context.Background() // want `context.Background in library code`
 //
 // Multiple expectations may follow one `want`, each in its own quoted
 // (double-quoted or backquoted) Go string. Every diagnostic must match an

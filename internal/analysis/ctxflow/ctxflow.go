@@ -3,9 +3,7 @@
 // (every worker path must inherit the caller's cancellation so parallel
 // output stays byte-identical under cancellation), and any function that
 // takes a context.Context must take it as its first parameter so the
-// propagation chain is visible at every call site. Legacy context-free
-// wrappers that intentionally root a fresh context are pinned in the
-// kqvet baseline with a justification instead of being rewritten.
+// propagation chain is visible at every call site.
 package ctxflow
 
 import (

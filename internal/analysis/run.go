@@ -7,33 +7,19 @@ import (
 )
 
 // Finding is one resolved diagnostic: the analyzer that produced it, a
-// root-relative file position, and the message. It is the unit the
-// baseline pins and the JSON report serializes.
+// root-relative file position, and the message.
 type Finding struct {
 	// Analyzer names the checker that fired.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the slash-separated path of the offending file, relative
 	// to the root passed to RunAnalyzers (the module root under kqvet).
-	File string `json:"file"`
-	// Line and Col locate the finding within File (1-based).
-	Line int `json:"line"`
+	File string
+	// Line is the 1-based line of the finding within File.
+	Line int
 	// Col is the 1-based column of the finding.
-	Col int `json:"col"`
+	Col int
 	// Message states the violated invariant.
-	Message string `json:"message"`
-	// Baselined marks a finding matched by a justified baseline entry;
-	// kqvet reports it but does not fail on it.
-	Baselined bool `json:"baselined,omitempty"`
-	// Justification carries the matching baseline entry's justification
-	// for a baselined finding.
-	Justification string `json:"justification,omitempty"`
-}
-
-// Key is the position-independent identity used for baseline matching:
-// line and column are deliberately excluded so unrelated edits above a
-// pinned finding do not un-pin it.
-func (f Finding) Key() string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
+	Message string
 }
 
 // String renders the finding in the familiar vet style.

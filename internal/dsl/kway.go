@@ -8,8 +8,10 @@ import "strings"
 // k arguments. Merge is the exception — its output is determined by the
 // comparator alone, with ties resolved by stream order, so reversing the
 // substreams would only scramble tie stability; Swap is a no-op for it.
+// The result is allocated once, at k's size, so its cost does not grow
+// with k.
 func prepareK(c Candidate, outs []string) []string {
-	nonEmpty := outs[:0:0]
+	nonEmpty := make([]string, 0, len(outs))
 	for _, o := range outs {
 		if o != "" {
 			nonEmpty = append(nonEmpty, o)

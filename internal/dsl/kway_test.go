@@ -203,3 +203,25 @@ func BenchmarkCombineKFold(b *testing.B) {
 		}
 	}
 }
+
+// TestCombineKAllocations pins the k-way combine's allocations at run
+// time: a concat combine of k non-empty substreams makes two — the
+// substream slice prepareK sizes once and strings.Join's output — at
+// k = 4 and at k = 32 alike.
+func TestCombineKAllocations(t *testing.T) {
+	c := Candidate{Op: Concat{}}
+	for _, k := range []int{4, 32} {
+		outs := make([]string, k)
+		for i := range outs {
+			outs[i] = fmt.Sprintf("line %d\n", i)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := CombineK(nil, c, outs, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("concat combine of k=%d substreams: %v allocations, want 2", k, allocs)
+		}
+	}
+}

@@ -9,7 +9,6 @@
 // again after For returns.
 //
 //kqvet:docs
-//kqvet:hotpath
 package par
 
 import (

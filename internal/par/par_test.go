@@ -65,3 +65,20 @@ func TestFor(t *testing.T) {
 		}
 	}
 }
+
+// TestForAllocations pins For's allocations at run time: none at a width
+// of 1, and at a wider width a count set by the width alone (the shared
+// counter, the run closure and one launch per extra goroutine), the same
+// for 64 pieces as for 4096.
+func TestForAllocations(t *testing.T) {
+	var sink [4096]int
+	fn := func(i int) { sink[i]++ }
+	for _, workers := range []int{1, 4} {
+		small := testing.AllocsPerRun(100, func() { For(workers, 64, fn) })
+		large := testing.AllocsPerRun(100, func() { For(workers, 4096, fn) })
+		if small != large || small > float64(workers+2) || workers == 1 && small != 0 {
+			t.Errorf("workers=%d: %v allocations for 64 pieces, %v for 4096; want equal, ≤ %d, 0 at width 1",
+				workers, small, large, workers+2)
+		}
+	}
+}

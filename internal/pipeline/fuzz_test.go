@@ -38,6 +38,7 @@ func FuzzParser(f *testing.F) {
 		"sed 's/|/x/' < in.txt | sort\n",
 		"awk -F'|' '{print $1}' | sort -u\n",
 		"tr '|' x | tr -d \"|\"\\| > out.txt\n",
+		"grep \\<the | wc -l\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

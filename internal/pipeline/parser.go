@@ -129,10 +129,11 @@ func expandVars(s string, vars map[string]string) string {
 
 // parsePipelineLine expands the line's variables, splits it into stages
 // with the one pipe splitter (unix.SplitMembers), and extracts the input
-// source from a leading "cat FILE" or a "< FILE" redirect. The script
-// grammar is served to untrusted clients by kumquatd, so malformed lines
-// — empty segments, unterminated quotes, redirects without a target —
-// are hard errors rather than silently dropped syntax.
+// source from a leading "cat FILE" or a "< FILE" redirect and the output
+// from a "> FILE" redirect (cutRedirect). The script grammar is served to
+// untrusted clients by kumquatd, so malformed lines — empty segments,
+// unterminated quotes, redirects without a target — are hard errors
+// rather than silently dropped syntax.
 func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
 	segments, err := unix.SplitMembers(expandVars(line, vars))
 	if err != nil {
@@ -142,12 +143,8 @@ func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
 	for i, seg := range segments {
 		// Input redirect on the first segment: "cmd < FILE".
 		if i == 0 {
-			if j := strings.LastIndexByte(seg, '<'); j >= 0 && !strings.ContainsAny(seg[j:], "'\"") {
-				p.InputFile = strings.TrimSpace(seg[j+1:])
-				if p.InputFile == "" {
-					return nil, fmt.Errorf("input redirect without target")
-				}
-				seg = strings.TrimSpace(seg[:j])
+			if seg, p.InputFile, err = cutRedirect(seg, '<', "input"); err != nil {
+				return nil, err
 			}
 		}
 		// Leading "cat FILE" is the data source, not a stage (footnote 3).
@@ -160,12 +157,8 @@ func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
 		// Record trailing "> FILE" output redirects (later pipelines in the
 		// same script read the file, as the poets scripts do).
 		if i == len(segments)-1 {
-			if j := strings.LastIndexByte(seg, '>'); j >= 0 && !strings.ContainsAny(seg[j:], "'\"") {
-				p.OutputFile = strings.TrimSpace(seg[j+1:])
-				if p.OutputFile == "" {
-					return nil, fmt.Errorf("output redirect without target")
-				}
-				seg = strings.TrimSpace(seg[:j])
+			if seg, p.OutputFile, err = cutRedirect(seg, '>', "output"); err != nil {
+				return nil, err
 			}
 		}
 		if seg == "" {
@@ -177,4 +170,41 @@ func parsePipelineLine(line string, vars map[string]string) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline has no stages")
 	}
 	return p, nil
+}
+
+// cutRedirect cuts the last "op FILE" redirect out of seg. A '<' or '>'
+// counts only outside quotes and not after a backslash, the quoting
+// unix.SplitMembers follows, so grep \<the and grep '<' keep theirs as
+// command text. FILE is the one word between op and the next redirect
+// byte or the end of seg; with no redirect, seg comes back unchanged and
+// file is empty.
+func cutRedirect(seg string, op byte, kind string) (rest, file string, err error) {
+	at, end, quote := -1, len(seg), byte(0)
+	for i := 0; i < len(seg); i++ {
+		switch c := seg[i]; {
+		case c == '\\' && quote != '\'' && i+1 < len(seg):
+			i++
+		case quote == 0 && (c == '\'' || c == '"'):
+			quote = c
+		case c == quote:
+			quote = 0
+		case quote == 0 && c == op:
+			at, end = i, len(seg)
+		case quote == 0 && (c == '<' || c == '>') && at >= 0 && end == len(seg):
+			end = i
+		}
+	}
+	if at < 0 {
+		return seg, "", nil
+	}
+	words, err := unix.Tokenize(seg[at+1 : end])
+	switch {
+	case err != nil:
+		return "", "", err
+	case len(words) == 0:
+		return "", "", fmt.Errorf("%s redirect without target", kind)
+	case len(words) > 1:
+		return "", "", fmt.Errorf("%s redirect to more than one file: %q", kind, strings.TrimSpace(seg[at+1:end]))
+	}
+	return strings.TrimSpace(seg[:at] + seg[end:]), words[0], nil
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,7 @@ func TestParseScriptUntrustedInput(t *testing.T) {
 		{"input redirect without target", "sort -n <\n", "input redirect without target"},
 		{"no pipelines", "# only a comment\nVAR=1\n", "no pipelines"},
 		{"stages all empty", "cat x >\n", "redirect without target"},
+		{"redirect to two files", "sort < a b\n", "input redirect to more than one file"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,18 +38,29 @@ func TestParseScriptUntrustedInput(t *testing.T) {
 }
 
 // TestParseScriptQuotedMetaNotRedirect guards the other side of the
-// hardening: quoted '>' / '<' and '|' stay command text, not syntax.
+// hardening: quoted or escaped '>' / '<' and quoted '|' stay command
+// text, not syntax, while an unquoted redirect beside them still counts.
 func TestParseScriptQuotedMetaNotRedirect(t *testing.T) {
-	s, err := ParseScript(`cat x | awk '\$1 > 2 {print}' | grep 'a|b'`+"\n", nil)
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
+	cases := []struct {
+		src, in, out string
+		stages       []string
+	}{
+		{`cat x | awk '\$1 > 2 {print}' | grep 'a|b'`, "x", "", []string{`awk '\$1 > 2 {print}'`, `grep 'a|b'`}},
+		{`grep \<the | wc -l`, "", "", []string{`grep \<the`, "wc -l"}},
+		{`cat f | grep \>x`, "f", "", []string{`grep \>x`}},
+		{`grep '<' < in.txt | wc -l`, "in.txt", "", []string{`grep '<'`, "wc -l"}},
+		{`sort -n < in.txt > out.txt`, "in.txt", "out.txt", []string{"sort -n"}},
 	}
-	p := s.Pipelines[0]
-	if p.OutputFile != "" {
-		t.Errorf("quoted > treated as redirect: OutputFile = %q", p.OutputFile)
-	}
-	want := []string{`awk '\$1 > 2 {print}'`, `grep 'a|b'`}
-	if len(p.Stages) != len(want) || p.Stages[0] != want[0] || p.Stages[1] != want[1] {
-		t.Errorf("stages = %q, want %q", p.Stages, want)
+	for _, tc := range cases {
+		s, err := ParseScript(tc.src+"\n", nil)
+		if err != nil {
+			t.Errorf("ParseScript(%q): %v", tc.src, err)
+			continue
+		}
+		p := s.Pipelines[0]
+		if p.InputFile != tc.in || p.OutputFile != tc.out || !slices.Equal(p.Stages, tc.stages) {
+			t.Errorf("ParseScript(%q) = in %q out %q stages %q, want in %q out %q stages %q",
+				tc.src, p.InputFile, p.OutputFile, p.Stages, tc.in, tc.out, tc.stages)
+		}
 	}
 }
