@@ -27,17 +27,15 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one invariant checker: a name, what it enforces, and
-// a Run function applied to each loaded package. The shape mirrors
-// x/tools' analysis.Analyzer (minus Requires/Facts, which no kqvet
-// analyzer needs).
+// Analyzer describes one invariant checker: a name and a Run function
+// applied to each loaded package. The invariant it enforces is stated
+// once, in its package doc. The shape mirrors x/tools'
+// analysis.Analyzer minus Doc, Requires and Facts, which no kqvet
+// analyzer needs.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics. Lower-case, no
 	// spaces.
 	Name string
-	// Doc is the one-paragraph description of the invariant the
-	// analyzer encodes and why the repo cares.
-	Doc string
 	// Run analyzes one package, reporting findings through pass.Report.
 	// A non-nil error aborts the whole kqvet run (reserved for internal
 	// failures, not findings).

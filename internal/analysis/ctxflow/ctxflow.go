@@ -16,9 +16,7 @@ import (
 // Analyzer is the ctxflow checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "forbid context.Background/TODO in non-main library code and " +
-		"require context.Context parameters to come first",
-	Run: run,
+	Run:  run,
 }
 
 // run applies both context rules to a library package; main packages are

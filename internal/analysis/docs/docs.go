@@ -42,9 +42,7 @@ const directive = "//kqvet:docs"
 // Analyzer is the docs checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "docs",
-	Doc: "require doc comments on every exported identifier of the " +
-		"enforced packages (migrated internal/doclint)",
-	Run: run,
+	Run:  run,
 }
 
 // run lints the package when it is enforced.

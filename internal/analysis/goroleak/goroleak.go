@@ -17,9 +17,7 @@ import (
 // Analyzer is the goroleak checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc: "require every library goroutine to be WaitGroup-joined or " +
-		"bounded by a ctx-cancel exit path",
-	Run: run,
+	Run:  run,
 }
 
 // run checks every `go` statement in a library package; main packages

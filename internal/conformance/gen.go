@@ -86,6 +86,10 @@ var fusionMotifs = [][]string{
 	{"sort", "grep a"},
 	{"sort -r", "sed 's/a/X/'"},
 	{"sort -n", "cut -c 1-4"},
+	// fragment: a sort-class stage feeding a collapsing consumer runs
+	// with it per chunk, combined once by the fragment's keyed merge.
+	{"sort", "uniq -c"},
+	{"sort -n", "uniq -c"},
 }
 
 // vocab is the word pool corpus lines draw from; small enough that

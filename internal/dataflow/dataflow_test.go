@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kumquat/internal/dataflow"
+	"kumquat/internal/dsl"
 	"kumquat/internal/pipeline"
 	"kumquat/internal/synth"
 	"kumquat/internal/unix"
@@ -144,8 +145,12 @@ var propertyPipelines = []string{
 	// then the streamer runs chunk-parallel.
 	"cat in.txt | sort | sed 's/^a/X/'\n",
 	"cat in.txt | sort -r | grep a\n",
-	// mixed classes: merge, stitch (uniq -c), merge again.
+	// mixed classes: merge, then the fragment sort | uniq -c (a keyed
+	// merge), merge again.
 	"cat in.txt | tr A-Z a-z | sort | uniq -c | sort -rn\n",
+	// fragment: a sort and its collapsing consumer combine once.
+	"cat in.txt | sort -n | uniq -c\n",
+	"cat in.txt | sort -r | uniq\n",
 	// sort -u (no perm closure) into a streamer; add-class tail.
 	"cat in.txt | sort -u | cut -c 1-3 | wc -l\n",
 	// rerun-only stage in the middle.
@@ -218,6 +223,62 @@ func TestRunInfoReportsRules(t *testing.T) {
 	}
 	if rules := info.Regions[0].Rules; len(rules) != 1 || rules[0] != "fuse-streamers" {
 		t.Errorf("region rules = %v, want [fuse-streamers]", rules)
+	}
+}
+
+// TestFragmentRule: a merge-class stage and the reducing consumer it
+// feeds run as one region — the chain of the two, closure none — whose
+// exit runs the fragment's own combiner, a keyed merge for sort | uniq
+// -c; behind a line mapper, an order-insensitive consumer or a serial
+// one no fragment is synthesized; disabling the rule leaves one region
+// per stage.
+func TestFragmentRule(t *testing.T) {
+	eng := newSynth()
+	for _, tc := range []struct {
+		script string
+		fired  int
+		region []int // the fragment region's nodes
+	}{
+		{"sort | uniq -c\n", 1, []int{0, 1}},
+		{"sort -n | uniq\n", 1, []int{0, 1}},
+		{"tr A-Z a-z | sort | uniq -c | sort -rn\n", 1, []int{1, 2}},
+		{"sort | grep a\n", 0, nil},
+		{"sort | wc -l\n", 0, nil},
+		{"sort | head -n 5\n", 0, nil},
+	} {
+		plan := compile(t, eng, tc.script)
+		p := plan.Program
+		if got := p.Fired[dataflow.RuleFragment]; got != tc.fired {
+			t.Errorf("%q: fragment fired %d times, want %d", tc.script, got, tc.fired)
+			continue
+		}
+		if tc.region == nil {
+			for i, n := range p.Graph.Nodes {
+				if n.Stage.Fragment != nil {
+					t.Errorf("%q: node %d synthesized fragment %q", tc.script, i, n.Stage.Fragment.Spec)
+				}
+			}
+			continue
+		}
+		var r *dataflow.Region
+		for _, rg := range p.Regions {
+			if rg.Nodes[0] == tc.region[0] {
+				r = rg
+			}
+		}
+		prod, cons := p.Graph.Nodes[tc.region[0]], p.Graph.Nodes[tc.region[1]]
+		if r == nil || len(r.Nodes) != 2 || r.Nodes[1] != tc.region[1] || !r.Parallel || r.Closure != dataflow.ClosureNone ||
+			r.Cmd.Spec() != prod.Stage.Spec+" | "+cons.Stage.Spec || r.Combiner != prod.Stage.Fragment.Combiner {
+			t.Errorf("%q: fragment region %+v", tc.script, r)
+			continue
+		}
+		if _, ok := r.Combiner.Primary().Op.(dsl.KeyMerge); !ok {
+			t.Errorf("%q: fragment combiner %s, want a keyed merge", tc.script, r.Combiner)
+		}
+		off := dataflow.Optimize(p.Graph, dataflow.Options{Disable: map[dataflow.Rule]bool{dataflow.RuleFragment: true}})
+		if off.Fired[dataflow.RuleFragment] != 0 || len(off.Regions) != len(p.Regions)+1 {
+			t.Errorf("%q: fragment disabled: %d regions, fired %v", tc.script, len(off.Regions), off.Fired)
+		}
 	}
 }
 

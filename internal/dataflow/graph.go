@@ -37,6 +37,25 @@ type Stage struct {
 	// newline-terminated streams — Theorem 5's precondition (tr -d '\n'
 	// violates it).
 	StreamOutput bool
+	// Fragment is the synthesis result of this stage piped into the
+	// next one, as one command (`prod | cons`); nil unless FragmentPair
+	// holds for the two and the planner synthesized it.
+	Fragment *synth.Result
+}
+
+// FragmentPair reports whether the fragment rule may join stage prod
+// with the stage cons it feeds, which is where the planner synthesizes
+// the fragment `prod | cons`: a merge-class producer the planner runs
+// parallel, feeding a parallel consumer that is neither a line mapper
+// nor order-insensitive. Behind a line mapper the merge already sits in
+// front of a chunk-parallel consumer, and a mapper may reorder lines
+// under the sort's comparator where a sample does not show it; an
+// order-insensitive consumer loses the merge to elide-combine with no
+// synthesis at all. What is left is the reducing consumer — uniq -c,
+// uniq — whose fragment combines once, after the reduction.
+func FragmentPair(prod, cons Stage) bool {
+	return prod.Parallel && cons.Parallel && combinerClass(prod.Synth) == ClassMerge &&
+		!unix.CanStream(cons.Cmd) && !unix.IsOrderInsensitive(cons.Cmd)
 }
 
 // CombinerClass buckets a stage's synthesized combiner by its primary

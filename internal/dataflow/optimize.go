@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"kumquat/internal/synth"
 	"kumquat/internal/unix"
 )
 
@@ -22,6 +23,16 @@ const (
 	// permutation of the true stream (ClosurePerm or better), which by
 	// declaration cannot change its output.
 	RuleElideCombine Rule = "elide-combine"
+	// RuleFragment runs a merge-class producer and the consumer it feeds
+	// (FragmentPair) as one region — the chain `prod | cons` per chunk —
+	// combined once, by the fragment's own synthesized combiner, after
+	// the consumer has reduced each chunk's output: for sort | uniq -c a
+	// keyed merge of per-chunk counts replaces the merge of k sorted
+	// streams and the uniq -c round after it. Legality: the fragment's
+	// combiner is plausible for the fragment as one black box (§3), and
+	// not rerun-only, which would redo the whole fragment. It fires once
+	// per fragment region.
+	RuleFragment Rule = "fragment"
 	// RulePushSortMerge named a retired rewrite: the lazy k-way merge of
 	// a sort's chunk outputs in its streaming consumer's read path. No
 	// lowering fires it and no report carries it. Its only reader is the
@@ -34,6 +45,10 @@ const (
 	// counted among the new rewrites.
 	RuleTheorem5 Rule = "theorem5"
 )
+
+// Rules lists the rewrites Optimize applies and counts in
+// Program.Fired, in the order it applies them.
+var Rules = []Rule{RuleFragment, RuleFuseStreamers, RuleElideCombine}
 
 // ExitKind says how a region's k chunk outputs leave the region when it
 // ran chunk-parallel. On the serial path (k = 1, or a live input stream)
@@ -73,7 +88,7 @@ type Region struct {
 	// Nodes are the member node IDs, consecutive and in stage order.
 	Nodes []int
 	// Fused marks multi-stage regions executed as one composed per-chunk
-	// pass.
+	// pass: a run of line mappers, or a fragment.
 	Fused bool
 	// Cmd is the region's executable: the chain of its member stages'
 	// commands when it is fused, the single stage's command otherwise.
@@ -81,6 +96,14 @@ type Region struct {
 	// Parallel marks regions executed chunk-parallel (every member stage
 	// is planner-parallel).
 	Parallel bool
+	// Combiner combines the region's chunk outputs at a combine exit:
+	// the fragment's own combiner for a fragment region, the last
+	// member's otherwise (nil when that stage has none).
+	Combiner *synth.Combiner
+	// Closure is the guarantee on the region's concatenated chunk
+	// outputs: the last member's, except a fragment region's, which is
+	// ClosureNone.
+	Closure Closure
 	// Exit is the region's output disposition after a chunk-parallel run.
 	Exit ExitKind
 	// Rules tags the rewrites that fired on this region or its exit
@@ -105,22 +128,37 @@ type Program struct {
 // Options tunes Optimize.
 type Options struct {
 	// Disable turns individual rewrites off. The fuse-off configuration
-	// (pipeline.WithFuse(false)) is the program lowered with both
-	// disabled (Theorem 5 splits only); tests and benchmarks ablate
-	// rules one at a time.
+	// (pipeline.WithFuse(false)) is the program lowered with every rule
+	// of Rules disabled (Theorem 5 splits only); tests and benchmarks
+	// ablate rules one at a time.
 	Disable map[Rule]bool
 }
 
 func (o Options) disabled(r Rule) bool { return o.Disable[r] }
 
-// Optimize runs the rewrite pipeline over the graph: first the fusion
-// pass groups maximal runs of fusable stages into regions, then the
-// boundary pass decides each region's exit (combine elision, Theorem 5
-// splitting, or the default combine).
+// Optimize runs the rewrite pipeline over the graph: first the region
+// pass joins each fragment pair into one region and fuses maximal runs
+// of fusable stages, then the boundary pass decides each region's exit
+// (combine elision, Theorem 5 splitting, or the default combine).
 func Optimize(g *Graph, opts Options) *Program {
-	p := &Program{Graph: g, Fired: map[Rule]int{RuleFuseStreamers: 0, RuleElideCombine: 0}}
-	// Pass 1: fuse maximal runs of adjacent fusable stages.
+	p := &Program{Graph: g, Fired: map[Rule]int{}}
+	for _, r := range Rules {
+		p.Fired[r] = 0
+	}
+	// Pass 1: fragment regions, then maximal runs of adjacent fusable
+	// stages.
 	for i := 0; i < len(g.Nodes); {
+		if c := fragmentCombiner(g, i); c != nil && !opts.disabled(RuleFragment) {
+			prod, cons := g.Nodes[i], g.Nodes[i+1]
+			p.Regions = append(p.Regions, &Region{
+				Nodes: []int{i, i + 1}, Fused: true, Parallel: true, Closure: ClosureNone,
+				Cmd:      unix.NewChain(prod.Stage.Cmd, cons.Stage.Cmd),
+				Combiner: c, Rules: []Rule{RuleFragment},
+			})
+			p.Fired[RuleFragment]++
+			i += 2
+			continue
+		}
 		j := i
 		if !opts.disabled(RuleFuseStreamers) {
 			for j < len(g.Nodes) && fusable(g.Nodes[j]) {
@@ -135,13 +173,16 @@ func Optimize(g *Graph, opts Options) *Program {
 				cmds = append(cmds, g.Nodes[id].Stage.Cmd)
 			}
 			r.Cmd = unix.NewChain(cmds...)
+			// Fused members are all exact-closed; a chain of
+			// order-preserving mappers transports a permutation, never
+			// absorbs it.
+			r.Combiner, r.Closure = stageCombiner(g.Nodes[j-1]), g.Nodes[j-1].Closure
 			p.Fired[RuleFuseStreamers] += j - i - 1
 			p.Regions = append(p.Regions, r)
 			i = j
 			continue
 		}
-		n := g.Nodes[i]
-		p.Regions = append(p.Regions, &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: n.Stage.Parallel})
+		p.Regions = append(p.Regions, single(g, i, g.Nodes[i].Stage.Parallel))
 		i++
 	}
 	// Pass 2: decide exits at region boundaries. The final region always
@@ -151,9 +192,7 @@ func Optimize(g *Graph, opts Options) *Program {
 		if !r.Parallel {
 			continue
 		}
-		// Fused members are all exact-closed; a chain of order-preserving
-		// mappers transports a permutation, never absorbs it.
-		cl := g.Nodes[r.Nodes[len(r.Nodes)-1]].Closure
+		cl := r.Closure
 		nextOI := unix.IsOrderInsensitive(next.Cmd)
 		switch {
 		case cl != ClosureNone && nextOI:
@@ -191,9 +230,39 @@ func Optimize(g *Graph, opts Options) *Program {
 func Stagewise(g *Graph, parallel bool) *Program {
 	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
 	for i, n := range g.Nodes {
-		p.Regions[i] = &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: parallel && n.Stage.Parallel}
+		p.Regions[i] = single(g, i, parallel && n.Stage.Parallel)
 	}
 	return p
+}
+
+// single is the one-stage region of node i: the stage's command,
+// combiner and closure.
+func single(g *Graph, i int, parallel bool) *Region {
+	n := g.Nodes[i]
+	return &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: parallel, Combiner: stageCombiner(n), Closure: n.Closure}
+}
+
+// stageCombiner is a node's synthesized combiner, nil when it has none.
+func stageCombiner(n *Node) *synth.Combiner {
+	if n.Class == ClassNone {
+		return nil
+	}
+	return n.Stage.Synth.Combiner
+}
+
+// fragmentCombiner is the combiner the fragment rule runs node i and
+// the next as one region with: the synthesized fragment's, when
+// FragmentPair holds for the two and that combiner is not rerun-only;
+// nil otherwise.
+func fragmentCombiner(g *Graph, i int) *synth.Combiner {
+	if i+1 >= len(g.Nodes) || !FragmentPair(g.Nodes[i].Stage, g.Nodes[i+1].Stage) {
+		return nil
+	}
+	f := g.Nodes[i].Stage.Fragment
+	if combinerClass(f) == ClassNone || f.Combiner.IsRerunOnly() {
+		return nil
+	}
+	return f.Combiner
 }
 
 // fusable reports whether a stage may join a fused region: a parallel,

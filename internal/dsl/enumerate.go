@@ -64,8 +64,14 @@ func EnumerateOps(maxProductions int, delims []Delim) (recOps, structOps []Op) {
 // (rerun and merge, each in both orders). This is AllCandidates(n) from
 // Algorithm 1.
 func Enumerate(maxProductions int, delims []Delim) []Candidate {
+	return enumerate(maxProductions, delims, 0)
+}
+
+// enumerate is Enumerate into a slice with room for spare more
+// candidates after them.
+func enumerate(maxProductions int, delims []Delim, spare int) []Candidate {
 	recOps, structOps := EnumerateOps(maxProductions, delims)
-	out := make([]Candidate, 0, 2*(len(recOps)+len(structOps))+4)
+	out := make([]Candidate, 0, 2*(len(recOps)+len(structOps))+4+spare)
 	appendBoth := func(ops []Op) {
 		for _, op := range ops {
 			out = append(out, Candidate{Op: op}, Candidate{Op: op, Swap: true})
@@ -74,6 +80,27 @@ func Enumerate(maxProductions int, delims []Delim) []Candidate {
 	appendBoth(recOps)
 	appendBoth(structOps)
 	appendBoth([]Op{Rerun{}, Merge{}})
+	return out
+}
+
+// KeyMerges enumerates the keyed merges a fragment's space adds: one
+// per seam operator over leaf productions — (stitch b), and
+// (stitch2 d b1 b2) for each delimiter — in one argument order only, as
+// Swap is a no-op for them. That is 4 + 16·|delims| candidates, all
+// RunOps.
+func KeyMerges(delims []Delim) []Candidate {
+	leaves := []Op{Add{}, Concat{}, First{}, Second{}}
+	var out []Candidate
+	for _, b := range leaves {
+		out = append(out, Candidate{Op: KeyMerge{J: Stitch{B: b}}})
+	}
+	for _, d := range delims {
+		for _, b1 := range leaves {
+			for _, b2 := range leaves {
+				out = append(out, Candidate{Op: KeyMerge{J: Stitch2{D: d, B1: b1, B2: b2}}})
+			}
+		}
+	}
 	return out
 }
 

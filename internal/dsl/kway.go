@@ -5,9 +5,10 @@ import "strings"
 // prepareK filters out empty substreams (identity elements for stream
 // combination) and applies the candidate's argument order: a swapped
 // candidate combines the substreams in reverse, generalizing (g b a) to
-// k arguments. Merge is the exception — its output is determined by the
-// comparator alone, with ties resolved by stream order, so reversing the
-// substreams would only scramble tie stability; Swap is a no-op for it.
+// k arguments. Merge and the keyed merge are the exception (orderFree) —
+// their output is determined by the comparator alone, with ties resolved
+// by stream order, so reversing the substreams would only scramble tie
+// stability; Swap is a no-op for them.
 // The result is allocated once, at k's size, so its cost does not grow
 // with k.
 func prepareK(c Candidate, outs []string) []string {
@@ -17,7 +18,7 @@ func prepareK(c Candidate, outs []string) []string {
 			nonEmpty = append(nonEmpty, o)
 		}
 	}
-	if _, isMerge := c.Op.(Merge); c.Swap && !isMerge {
+	if c.Swap && !orderFree(c.Op) {
 		for i, j := 0, len(nonEmpty)-1; i < j; i, j = i+1, j-1 {
 			nonEmpty[i], nonEmpty[j] = nonEmpty[j], nonEmpty[i]
 		}
@@ -25,10 +26,12 @@ func prepareK(c Candidate, outs []string) []string {
 	return nonEmpty
 }
 
-// combineSimultaneous handles the three §3.5 combiners that merge all k
-// substreams at once rather than pairwise; merge splits its work into up
-// to width key ranges and fails with ErrNotSorted when an operand is
-// unsorted. handled is false for every other operator.
+// combineSimultaneous handles the §3.5 combiners that merge all k
+// substreams at once rather than pairwise — concat, merge and rerun —
+// and the keyed merge, which joins all k at once too; merge splits its
+// work into up to width key ranges, and both merges fail with
+// ErrNotSorted when an operand is unsorted. handled is false for every
+// other operator.
 func combineSimultaneous(env *Env, c Candidate, nonEmpty []string, width int) (v string, handled bool, err error) {
 	switch c.Op.(type) {
 	case Concat:
@@ -42,6 +45,9 @@ func combineSimultaneous(env *Env, c Candidate, nonEmpty []string, width int) (v
 			return "", true, unsortedErr(c.Op)
 		}
 		return v, true, nil
+	case KeyMerge:
+		v, err := c.Op.(KeyMerge).mergeK(env, nonEmpty)
+		return v, true, err
 	case Rerun:
 		if env == nil || env.RunF == nil {
 			return "", true, evalErr(c.Op, "no command bound in Env")
@@ -78,6 +84,8 @@ func foldPairs(env *Env, op Op, nonEmpty []string) (string, error) {
 //     ("sort -m <flags> $*"), split into up to width concurrent key
 //     ranges (same bytes at every width),
 //   - rerun concatenates all substreams and re-executes the command once,
+//   - the keyed merge merges all substreams by key in one walk, joining
+//     the lines whose keys tie,
 //   - every other combiner is applied pairwise, folding left until one
 //     substream remains.
 //

@@ -61,8 +61,8 @@ func (d Delim) String() string {
 	}
 }
 
-// Merger abstracts the Unix merge invoked by the merge combiner
-// ("sort -m <flags>"). unix.SortCmd implements it.
+// Merger abstracts the Unix merge invoked by the merge and keyed merge
+// combiners ("sort -m <flags>"). unix.SortCmd implements it.
 type Merger interface {
 	// IsSorted reports whether a stream is ordered under the comparator —
 	// the legality domain of merge.
@@ -71,6 +71,9 @@ type Merger interface {
 	// ranges and reports whether every stream was sorted, checked in the
 	// same walk; merged is "" when one was not.
 	MergeStreams(width int, streams ...string) (merged string, sorted bool)
+	// Compare orders two lines under the comparator: negative when a
+	// sorts first, 0 when they tie — the keyed merge's key order.
+	Compare(a, b string) int
 	// Flags returns the comparator flags for display, e.g. "-rn".
 	Flags() string
 }
@@ -124,16 +127,27 @@ type Candidate struct {
 }
 
 // Eval applies the candidate to the two parallel outputs in its argument
-// order. Swap is a no-op for merge — its output is determined by the
-// comparator alone, with ties stable by operand position, so honoring
+// order. Swap is a no-op for merge and the keyed merge (orderFree) — the
+// output is determined by the comparator alone, with ties stable by operand position, so honoring
 // the reversal would only scramble tie order; keeping the binary path
 // consistent with the k-way combine (see prepareK) means a synthesized
 // "(merge b a)" behaves identically at every entry point.
 func (c Candidate) Eval(env *Env, y1, y2 string) (string, error) {
-	if _, isMerge := c.Op.(Merge); c.Swap && !isMerge {
+	if c.Swap && !orderFree(c.Op) {
 		y1, y2 = y2, y1
 	}
 	return c.Op.Eval(env, y1, y2)
+}
+
+// orderFree reports whether an operator's output is fixed by its
+// comparator, ties taken in operand order, so that Swap is a no-op for
+// it: merge and the keyed merge.
+func orderFree(op Op) bool {
+	switch op.(type) {
+	case Merge, KeyMerge:
+		return true
+	}
+	return false
 }
 
 // InDomain reports whether both operands lie in L(g).

@@ -13,6 +13,7 @@ import (
 //	(back '\n' add b a)
 //	stitch2 ' ' add first
 //	merge('-rn') a b
+//	keymerge('-r') stitch2 ' ' add first
 //	rerun
 //
 // Outer parentheses and the trailing argument order ("a b" or "b a",
@@ -58,8 +59,9 @@ func tokenizeCombiner(src string) []string {
 			}
 			word := src[i:j]
 			i = j
-			// merge('-rn') glues flags; re-attach a following quoted part.
-			if strings.HasPrefix(word, "merge") && i < len(src) && src[i] == '(' {
+			// merge('-rn') and keymerge('-r') glue flags; re-attach a
+			// following quoted part.
+			if (word == "merge" || word == "keymerge") && i < len(src) && src[i] == '(' {
 				k := strings.IndexByte(src[i:], ')')
 				if k >= 0 {
 					word += src[i : i+k+1]
@@ -158,6 +160,16 @@ func (p *combParser) parseOp() (Op, error) {
 		return Rerun{}, nil
 	case t == "merge" || strings.HasPrefix(t, "merge("):
 		return Merge{}, nil
+	case t == "keymerge" || strings.HasPrefix(t, "keymerge("):
+		j, err := p.parseOp()
+		if err != nil {
+			return nil, err
+		}
+		switch j.(type) {
+		case Stitch, Stitch2:
+			return KeyMerge{J: j}, nil
+		}
+		return nil, fmt.Errorf("keymerge over %s, want a stitch or stitch2", j)
 	case t == "front", t == "back", t == "fuse", t == "offset":
 		d, err := p.parseDelim()
 		if err != nil {

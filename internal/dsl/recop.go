@@ -1,14 +1,15 @@
 package dsl
 
 import (
-	"math/big"
 	"strings"
 
 	"kumquat/internal/textio"
 )
 
 // Add is numeric addition: L(add) = [0-9]+, add y1 y2 ⇒ intToStr(i1+i2).
-// Arbitrary-precision so that long generated digit strings cannot overflow.
+// Arbitrary-precision so that long generated digit strings cannot
+// overflow; a sum that fits in 64 bits is computed in a uint64
+// (appendSum).
 type Add struct{}
 
 // Class returns RecOpClass.
@@ -25,12 +26,12 @@ func (Add) InDomain(_ *Env, y string) bool { return textio.AllDigits(y) }
 
 // Eval applies add per Figure 6's big-step semantics.
 func (a Add) Eval(_ *Env, y1, y2 string) (string, error) {
-	if !textio.AllDigits(y1) || !textio.AllDigits(y2) {
-		return "", evalErr(a, "operand not a digit string")
+	var buf [24]byte
+	v, err := appendSum(a, buf[:0], []string{y1, y2})
+	if err != nil {
+		return "", err
 	}
-	i1, _ := new(big.Int).SetString(y1, 10)
-	i2, _ := new(big.Int).SetString(y2, 10)
-	return new(big.Int).Add(i1, i2).String(), nil
+	return string(v), nil
 }
 
 // Concat is string concatenation: concat y1 y2 ⇒ y1 ++ y2. L = String.

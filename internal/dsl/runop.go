@@ -44,11 +44,15 @@ func (Merge) String() string { return "merge" }
 
 // DisplayString renders the merge with its flags, e.g. "merge('-rn')",
 // matching Table 10's notation.
-func (m Merge) DisplayString(env *Env) string {
+func (m Merge) DisplayString(env *Env) string { return withFlags(env, "merge") }
+
+// withFlags appends the merge comparator's flags to an operator name,
+// e.g. "merge('-rn')", when it has any.
+func withFlags(env *Env, name string) string {
 	if env != nil && env.Merge != nil && env.Merge.Flags() != "" {
-		return "merge('" + env.Merge.Flags() + "')"
+		return name + "('" + env.Merge.Flags() + "')"
 	}
-	return "merge"
+	return name
 }
 
 // InDomain reports y ∈ L(merge) per Definition B.1.

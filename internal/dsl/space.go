@@ -19,6 +19,9 @@ type Space struct {
 	// Cands is Enumerate's output, clipped to its length so an append
 	// copies instead of writing into the shared array.
 	Cands []Candidate
+	// keyed is Cands followed by the keyed merges, in the same array
+	// (WithKeyMerges).
+	keyed []Candidate
 	// Size is the space's per-class breakdown.
 	Size SpaceSize
 
@@ -95,17 +98,34 @@ type pairOp struct {
 }
 
 // NewSpace enumerates a candidate space and builds its domain index.
+// The keyed merges of the same delimiters follow the candidates in
+// their array, out of the space's reach, for WithKeyMerges.
 func NewSpace(maxProductions int, delims []Delim) *Space {
-	cands := Enumerate(maxProductions, delims)
-	sp := &Space{Cands: cands[:len(cands):len(cands)], Size: Measure(cands)}
+	keyed := KeyMerges(delims)
+	cands := enumerate(maxProductions, delims, len(keyed))
+	n := len(cands)
+	cands = append(cands, keyed...)
+	sp := &Space{Cands: cands[:n:n], keyed: cands[:len(cands):len(cands)], Size: Measure(cands[:n])}
 	sp.buildIndex()
 	return sp
 }
 
+// WithKeyMerges returns the space of a pipeline fragment's spec over
+// the same delimiters: sp's candidates, then the keyed merges
+// (KeyMerges) after its RunOps. It shares sp's candidate array and
+// domain index, which covers only the candidates before the RunOps, so
+// it enumerates, copies and indexes nothing.
+func (sp *Space) WithKeyMerges() *Space {
+	f := *sp
+	f.Cands = sp.keyed
+	f.Size.Run += len(sp.keyed) - len(sp.Cands)
+	return &f
+}
+
 // Indexed is the number of leading candidates the domain index covers:
 // every RecOp and StructOp candidate, in both argument orders. The
-// RunOp candidates after them (rerun, merge) keep their per-candidate
-// InDomain, because merge's domain needs the Env.
+// RunOp candidates after them (rerun, merge, the keyed merges) keep
+// their per-candidate InDomain, because a merge's domain needs the Env.
 func (sp *Space) Indexed() int { return 2 * sp.ops }
 
 // buildIndex derives the trie from the enumerated operators: each

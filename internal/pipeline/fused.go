@@ -49,8 +49,8 @@ type RunInfo struct {
 }
 
 // WithFuse chooses which program an Optimized-mode run walks (default
-// on): the rewritten one (fuse-streamers and elide-combine applied), or
-// — off — the same graph lowered with those two rewrites disabled,
+// on): the rewritten one (every rule of dataflow.Rules applied), or
+// — off — the same graph lowered with those rewrites disabled,
 // leaving only Theorem 5's split exits. It is the fuse-off
 // ablation the benchmarks and the conformance plane compare against; the
 // executor is the same either way.

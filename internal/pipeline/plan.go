@@ -40,21 +40,24 @@ type Plan struct {
 	theorem5, serial, stagewise *dataflow.Program
 }
 
-// theorem5Only disables the dataflow rewrites, leaving Optimize's
+// theorem5Only disables every dataflow rewrite, leaving Optimize's
 // Theorem 5 splits — the WithFuse(false) program.
 var theorem5Only = dataflow.Options{Disable: map[dataflow.Rule]bool{
+	dataflow.RuleFragment:      true,
 	dataflow.RuleFuseStreamers: true,
 	dataflow.RuleElideCombine:  true,
 }}
 
 // CompileContext synthesizes a combiner for every stage, applies the
 // paper's planning decision to run non-reducing rerun stages sequentially,
-// and lowers the result to the dataflow programs the executor walks
-// (intermediate combiner elimination, §3.5, happens there). Repeated stages —
+// synthesizes the fragment `prod | cons` for every stage pair the
+// fragment rule may join (dataflow.FragmentPair), and lowers the result
+// to the dataflow programs the executor walks (intermediate combiner
+// elimination, §3.5, happens there). Repeated stages and fragments —
 // within one pipeline or across pipelines compiled through the same
 // engine — resolve from the engine's combiner cache instead of re-running
-// synthesis. A cancelled ctx aborts the in-flight stage synthesis
-// mid-round and returns ctx.Err().
+// synthesis. A cancelled ctx aborts the in-flight synthesis mid-round
+// and returns ctx.Err().
 func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan, error) {
 	plan := &Plan{InputFile: p.InputFile}
 	for _, spec := range p.Stages {
@@ -83,6 +86,18 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 		}
 		sp.StreamOutput = probeStreamOutput(cmd)
 		plan.Stages = append(plan.Stages, sp)
+	}
+	for i := 0; i+1 < len(plan.Stages); i++ {
+		prod, cons := plan.Stages[i], plan.Stages[i+1]
+		if !dataflow.FragmentPair(prod.Stage, cons.Stage) {
+			continue
+		}
+		res, tier, _ := eng.SynthesizeTier(ctx, prod.Spec+" | "+cons.Spec)
+		plan.SynthStats = plan.SynthStats.Add(tier.Count())
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		prod.Fragment = res
 	}
 	plan.lower()
 	return plan, nil

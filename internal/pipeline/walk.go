@@ -334,7 +334,7 @@ func (ex *executor) walkRegions(ctx context.Context, lr *liveRegions, p *Plan, s
 		seg := newSegment(regions[ri:end])
 		sctx, span := stepSpan(ctx, regions[ri:end], seg.Chain.Spec())
 		start := time.Now()
-		err := ex.runSegment(sctx, p, regions[ri:end], end == len(regions), seg, &st, rms[ri:end])
+		err := ex.runSegment(sctx, regions[ri:end], end == len(regions), seg, &st, rms[ri:end])
 		rms[ri].Wall = time.Since(start)
 		span.End()
 		if err != nil {
@@ -402,7 +402,7 @@ func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (con
 // reports the leaf call's chunk count and its own byte volumes; the
 // segment's wall is the first member's, as a fused region's is its first
 // stage's.
-func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow.Region, last bool, seg *Segment, st *stream, rms []RegionMetrics) error {
+func (ex *executor) runSegment(ctx context.Context, regions []*dataflow.Region, last bool, seg *Segment, st *stream, rms []RegionMetrics) error {
 	if st.live != nil {
 		data, err := unix.JoinBlocks(st.live.next)
 		if err != nil {
@@ -436,31 +436,31 @@ func (ex *executor) runSegment(ctx context.Context, p *Plan, regions []*dataflow
 		}
 		rms[m+1].BytesIn = rms[m].BytesOut
 	}
-	return ex.exit(ctx, p, regions[n-1], last, outs, st, &rms[n-1])
+	return ex.exit(ctx, regions[n-1], last, outs, st, &rms[n-1])
 }
 
 // exit applies a segment's last exit to its chunk outputs, leaving the
 // stream materialized (a split exit never ends a segment): a concat
-// exit joins them in chunk order, any other runs the stage's combiner.
-// The final region always combines: a single output stream must emerge.
-func (ex *executor) exit(ctx context.Context, p *Plan, r *dataflow.Region, last bool, outs []string, st *stream, rm *RegionMetrics) error {
+// exit joins them in chunk order, any other runs the region's combiner
+// (a single stage's own, a fragment's). The final region always
+// combines: a single output stream must emerge.
+func (ex *executor) exit(ctx context.Context, r *dataflow.Region, last bool, outs []string, st *stream, rm *RegionMetrics) error {
 	if r.Exit == dataflow.ExitConcat && !last {
 		*st = stream{data: strings.Join(outs, "")}
 		rm.BytesOut = int64(len(st.data))
 		return nil
 	}
-	// The stage's synthesized combiner: the §3.5 k-way combine.
-	sp := p.Stages[r.Nodes[len(r.Nodes)-1]]
+	// The region's synthesized combiner: the §3.5 k-way combine.
 	_, span := obs.StartSpan(ctx, "combine")
 	span.AttrInt("parts", int64(len(outs)))
 	span.AttrInt("width", int64(ex.width))
 	span.AttrInt("bytes", totalLen(outs))
 	start := time.Now()
-	combined, err := sp.Synth.Combiner.CombineKTree(outs, ex.width)
+	combined, err := r.Combiner.CombineKTree(outs, ex.width)
 	rm.CombineWall = time.Since(start)
 	span.End()
 	if err != nil {
-		return fmt.Errorf("pipeline: stage %q combine: %w", sp.Spec, err)
+		return fmt.Errorf("pipeline: stage %q combine: %w", r.Cmd.Spec(), err)
 	}
 	*st = stream{data: combined}
 	rm.BytesOut = int64(len(combined))

@@ -63,10 +63,22 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
+// defaultHTTPClient is the client New uses: http.DefaultTransport's
+// settings with a 64 KiB read buffer. Go reads a response's trailers
+// through that buffer and refuses trailers it cannot hold ("http:
+// suspiciously long trailer after chunked body"), 4 KiB by default; an
+// execute's run report travels as a trailer, and a traced worker's span
+// records beside it pass 4 KiB when the worker synthesizes cold.
+var defaultHTTPClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ReadBufferSize = 64 << 10
+	return &http.Client{Transport: t}
+}()
+
 // New returns a client for the server at base (e.g.
 // "http://127.0.0.1:9917").
 func New(base string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(base, "/"), hc: http.DefaultClient}
+	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient}
 	for _, opt := range opts {
 		opt(c)
 	}

@@ -165,6 +165,27 @@ func TestExecuteTrailerReportParsing(t *testing.T) {
 	}
 }
 
+// TestExecuteLongTrailer: a run report longer than Go's default 4 KiB
+// trailer buffer — a traced cold worker's span records ride beside it —
+// still decodes.
+func TestExecuteLongTrailer(t *testing.T) {
+	stage := `{"spec":"sort","parallel":true,"chunks":8,"wall_ns":900000,"combine_wall_ns":250000}`
+	report := `{"mode":"optimized","parallelism":8,"stages":[` + strings.Repeat(stage+",", 99) + stage + `],"synth_cache":{}}`
+	if len(report) < 8<<10 {
+		t.Fatalf("report of %d bytes does not pass the default trailer buffer", len(report))
+	}
+	hs := httptest.NewServer(trailerHandler("body\n", map[string]string{api.ReportTrailer: report}))
+	defer hs.Close()
+	var out strings.Builder
+	rep, err := client.New(hs.URL).Execute(context.Background(), "sort", client.ExecuteOptions{}, nil, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stages) != 100 || out.String() != "body\n" {
+		t.Fatalf("decoded %d stages, body %q", len(rep.Stages), out.String())
+	}
+}
+
 // TestExecuteErrorTrailer: a mid-stream failure travels as the error
 // trailer and surfaces as an error even though the status was 200.
 func TestExecuteErrorTrailer(t *testing.T) {

@@ -354,10 +354,11 @@ func TestConcurrentClients(t *testing.T) {
 	}
 
 	// All requests shared one engine, and single-flight coalescing means
-	// each distinct spec (wc -l, sort, uniq -c) cold-synthesized at most
+	// each distinct spec (wc -l, sort, uniq -c, and the fragment
+	// sort | uniq -c the planner synthesizes) cold-synthesized at most
 	// once — even when concurrent requests raced on a cold cache.
 	st := srv.System().SynthCacheStats()
-	if st.Misses > 3 || st.Hits == 0 {
+	if st.Misses > 4 || st.Hits == 0 {
 		t.Errorf("cache did not stay warm across concurrent requests: %+v", st)
 	}
 }

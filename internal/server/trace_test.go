@@ -184,7 +184,8 @@ func TestTraceLocalExecute(t *testing.T) {
 			t.Errorf("combine span attributes %v lack width or bytes", sp.Attrs)
 		}
 	}
-	for _, want := range []string{"execute", "plan", "run", "pipeline", "stage", "synth", "combine"} {
+	// sort | uniq -c runs as one fragment region.
+	for _, want := range []string{"execute", "plan", "run", "pipeline", "region", "synth", "combine"} {
 		if !names[want] {
 			t.Errorf("local trace missing %q span", want)
 		}

@@ -25,8 +25,10 @@ import (
 // EntryVersion is the on-disk format version; Store.Get rejects entries
 // written by an incompatible format as misses. It also moves when the
 // synthesizer's verdict for a key changes, so stale verdicts miss: 2 is
-// numeric sort orderings drawing signed integers (sort -un's merge).
-const EntryVersion = 2
+// numeric sort orderings drawing signed integers (sort -un's merge), 3
+// is fragment specs searching the keyed merges (sort | uniq -c) and
+// merging under their last sort member's flags.
+const EntryVersion = 3
 
 // DefaultCapacity is the in-memory LRU capacity of every synthesis
 // engine (the synth package's default budget) and of NewLRU(0). 512

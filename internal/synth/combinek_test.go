@@ -34,8 +34,9 @@ var exampleSuiteSpecs = []string{
 }
 
 // fragmentSpecs are pipeline fragments synthesized as one black box:
-// a merge, a rerun and an add combiner.
-var fragmentSpecs = []string{"tr A-Z a-z | sort", "sort | head -n 5", "grep light | wc -l"}
+// a merge, a rerun, an add combiner and two keyed merges.
+var fragmentSpecs = []string{"tr A-Z a-z | sort", "sort | head -n 5", "grep light | wc -l",
+	"sort | uniq", "tr A-Z a-z | sort | uniq -c"}
 
 // combineRows are the stream families the combine gate splits: long
 // streams of few distinct lines, cut into 2, 5 and 16 chunks; short
@@ -102,6 +103,74 @@ func TestCombineKTreeMatchesSerial(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestKeyedMergeExhaustive is a bounded-exhaustive check of the keyed
+// merge: for sort | uniq -c, sort -r | uniq -c and
+// tr A-Z a-z | sort | uniq -c, on every input of up to 6 bytes over
+// {a, b, A, ' ', '\n'} and every line-aligned 2- and 3-split of it, the
+// synthesized keyed merge over the chunk outputs gives the serial bytes.
+func TestKeyedMergeExhaustive(t *testing.T) {
+	const alphabet, maxLen = "abA \n", 6
+	inputs := []string{""}
+	for n, from := 1, 0; n <= maxLen; n++ {
+		to := len(inputs)
+		for _, x := range inputs[from:to] {
+			for i := range len(alphabet) {
+				inputs = append(inputs, x+alphabet[i:i+1])
+			}
+		}
+		from = to
+	}
+	for _, spec := range []string{"sort | uniq -c", "sort -r | uniq -c", "tr A-Z a-z | sort | uniq -c"} {
+		res := synthesize(t, spec)
+		if res.Err != nil {
+			t.Fatalf("%s: no combiner: %v", spec, res.Err)
+		}
+		if _, ok := res.Combiner.Primary().Op.(dsl.KeyMerge); !ok {
+			t.Fatalf("%s: combiner %s, want a keyed merge", spec, res.Combiner)
+		}
+		cmd, err := unix.Parse(spec, unix.DefaultEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(x string) string {
+			out, err := cmd.Run(x)
+			if err != nil {
+				t.Fatalf("%s %q: %v", spec, x, err)
+			}
+			return out
+		}
+		splits := 0
+		for _, x := range inputs {
+			want := run(x)
+			var cuts []int // line starts after the first
+			for i := 0; i+1 < len(x); i++ {
+				if x[i] == '\n' {
+					cuts = append(cuts, i+1)
+				}
+			}
+			check := func(chunks ...string) {
+				outs := make([]string, len(chunks))
+				for i, ch := range chunks {
+					outs[i] = run(ch)
+				}
+				if got, err := res.Combiner.CombineKTree(outs, 1); err != nil || got != want {
+					t.Fatalf("%s over %q: combined %q (%v), serial %q", spec, chunks, got, err, want)
+				}
+				splits++
+			}
+			for i, c := range cuts {
+				check(x[:c], x[c:])
+				for _, d := range cuts[i+1:] {
+					check(x[:c], x[c:d], x[d:])
+				}
+			}
+		}
+		if splits == 0 {
+			t.Fatalf("%s: no splits checked", spec)
 		}
 	}
 }

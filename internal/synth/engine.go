@@ -69,16 +69,21 @@ type space struct {
 	scratch sync.Pool // *dsl.DomainScratch
 }
 
-// space returns the engine's candidate space for a delimiter set,
-// enumerating it on first use; concurrent first uses wait for one
-// enumeration. The engine's budget (defaultBudget outside tests) fixes
-// maxProductions, so the ordered delimiter bytes are the whole key. The
-// memo lives as long as the engine and holds one space per delimiter set
-// it has seen (≈ 4.7 MB retained for a three-delimiter space,
-// DESIGN.md). It reports whether the space was already built or being
-// built.
-func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
+// space returns the engine's candidate space for a delimiter set — for
+// a fragment, the plain one with the keyed merges appended
+// (dsl.Space.WithKeyMerges) — enumerating it on first use; concurrent
+// first uses wait for one enumeration. The engine's budget
+// (defaultBudget outside tests) fixes maxProductions, so the ordered
+// delimiter bytes and the fragment flag are the whole key. The memo
+// lives as long as the engine and holds one space per key it has seen
+// (≈ 4.7 MB retained for a three-delimiter space, DESIGN.md; a fragment
+// space adds only its candidate list). It reports whether the space was
+// already built or being built.
+func (e *Engine) space(delims []dsl.Delim, fragment bool) (*space, bool) {
 	key := string(delimBytes(delims))
+	if fragment {
+		key += "\x00fragment"
+	}
 	e.spaceMu.Lock()
 	sp, ok := e.spaces[key]
 	if !ok {
@@ -90,7 +95,12 @@ func (e *Engine) space(delims []dsl.Delim) (*space, bool) {
 	}
 	e.spaceMu.Unlock()
 	sp.once.Do(func() {
-		sp.Space = dsl.NewSpace(e.budget.maxProductions, delims)
+		if fragment {
+			base, _ := e.space(delims, false)
+			sp.Space = base.WithKeyMerges()
+		} else {
+			sp.Space = dsl.NewSpace(e.budget.maxProductions, delims)
+		}
 		sp.all = make([]int32, len(sp.Cands))
 		for i := range sp.all {
 			sp.all[i] = int32(i)
@@ -326,7 +336,7 @@ func (e *Engine) synthesize(ctx context.Context, cmd unix.Command, rng *rand.Ran
 
 	// C0 ← AllCandidates(n), shared with every spec of this delimiter set.
 	_, span := obs.StartSpan(ctx, "enumerate")
-	c0, built := e.space(p.delims)
+	c0, built := e.space(p.delims, len(unix.Members(cmd)) > 1)
 	if span.Enabled() {
 		memo := "miss"
 		if built {
@@ -625,16 +635,22 @@ func (e *Engine) filterParallel(ctx context.Context, denv *dsl.Env, sp *space,
 }
 
 // EvalEnv builds the DSL evaluation environment for one command parsed
-// against env: f for rerun, and the merge comparator (the command's last
-// member, which orders its output, when that is a sort; plain sort
-// otherwise).
+// against env: f for rerun, and the merge comparator — the last sort
+// member of the command, the one that last ordered its output (so
+// sort -rn | grep x merges under -rn, and sort -n | uniq -c keys its
+// keyed merge by -n), or plain sort when no member sorts.
 func EvalEnv(cmd unix.Command, env *unix.Env) *dsl.Env {
 	denv := &dsl.Env{RunF: cmd.Run}
 	ms := unix.Members(cmd)
-	if sc, ok := ms[len(ms)-1].(*unix.SortCmd); ok {
-		denv.Merge = sc
-	} else if def, err := unix.Parse("sort", env); err == nil {
-		denv.Merge = def.(*unix.SortCmd)
+	for i := len(ms) - 1; i >= 0 && denv.Merge == nil; i-- {
+		if sc, ok := ms[i].(*unix.SortCmd); ok {
+			denv.Merge = sc
+		}
+	}
+	if denv.Merge == nil {
+		if def, err := unix.Parse("sort", env); err == nil {
+			denv.Merge = def.(*unix.SortCmd)
+		}
 	}
 	return denv
 }

@@ -297,12 +297,12 @@ func buildComposite(spec string, env *dsl.Env, plausible []dsl.Candidate) *Combi
 
 // combinerRank orders composite members: concat first (universal domain and
 // cheapest — and the paper prefers the largest-domain combiner), then other
-// RecOps, StructOps, merge, rerun.
+// RecOps, StructOps, the merges, rerun.
 func combinerRank(c dsl.Candidate) int {
 	switch c.Op.(type) {
 	case dsl.Concat:
 		return 0
-	case dsl.Merge:
+	case dsl.Merge, dsl.KeyMerge:
 		return 3
 	case dsl.Rerun:
 		return 4
@@ -360,8 +360,9 @@ func (c *Combiner) Combine(y1, y2 string) (string, error) {
 
 // CombineKTree merges k parallel outputs through the first candidate
 // whose domain contains every nonempty substream, using the k-way
-// generalization of §3.5 (dsl.CombineK): concat, merge and rerun combine
-// all substreams at once, every other combiner folds left. width bounds
+// generalization of §3.5 (dsl.CombineK): concat, merge, the keyed merge
+// and rerun combine all substreams at once, every other combiner folds
+// left. width bounds
 // only the key ranges a merge splits into; the output is byte-identical
 // at every width. A merge checks its domain in the walk that merges: an
 // unsorted substream fails it with dsl.ErrNotSorted, which skips the
@@ -385,7 +386,7 @@ func (c *Combiner) CombineKTree(outs []string, width int) (string, error) {
 		switch cand.Op.(type) {
 		case dsl.Rerun, dsl.Concat:
 			// universal domains
-		case dsl.Merge:
+		case dsl.Merge, dsl.KeyMerge:
 			ok = c.env != nil && c.env.Merge != nil
 		default:
 			for _, o := range outs {
@@ -422,16 +423,17 @@ func (c *Combiner) String() string {
 }
 
 // candidateDisplay renders one candidate, expanding merge flags as in the
-// paper ("merge('-rn') a b").
+// paper ("merge('-rn') a b"), and a keyed merge's the same way.
 func candidateDisplay(env *dsl.Env, c dsl.Candidate) string {
-	if m, ok := c.Op.(dsl.Merge); ok {
-		args := "a b"
-		if c.Swap {
-			args = "b a"
-		}
-		return "(" + m.DisplayString(env) + " " + args + ")"
+	m, ok := c.Op.(interface{ DisplayString(*dsl.Env) string })
+	if !ok {
+		return c.String()
 	}
-	return c.String()
+	args := "a b"
+	if c.Swap {
+		args = "b a"
+	}
+	return "(" + m.DisplayString(env) + " " + args + ")"
 }
 
 // DisplayPlausible renders a result's plausible set for Table 10, with

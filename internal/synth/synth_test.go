@@ -368,15 +368,24 @@ func TestCombineKMatchesSerial(t *testing.T) {
 // TestFragmentCombiners: a pipeline fragment is one black box to the
 // synthesizer. Its literals are mined from every member — without grep's
 // literal in the inputs, `grep light | wc -l` never sees a match and
-// keeps (first a b) — its merge comparator is its last member, and it is
-// non-stream or multi-input when any member is.
+// keeps (first a b) — its merge comparator is its last sort member, its
+// space holds the keyed merges, and it is non-stream or multi-input when
+// any member is.
 func TestFragmentCombiners(t *testing.T) {
 	for spec, want := range map[string]string{
-		"sort | uniq":             "(rerun a b), (rerun b a)",
 		"grep light | wc -l":      "(back '\\n' add a b), (back '\\n' add b a)",
 		"tr A-Z a-z | grep light": "(concat a b)",
-		// The last member orders the output, so its flags drive merge.
+		// The last sort member orders the output, so its flags drive
+		// merge and the keyed merge.
 		"tr A-Z a-z | sort -r": "(merge('-r') a b), (merge('-r') b a), (rerun a b), (rerun b a)",
+		"sort -rn | grep x":    "(merge('-rn') a b), (merge('-rn') b a), (rerun a b), (rerun b a)",
+		// A keyed merge joins tied keys with the consumer's seam operator:
+		// uniq's (stitch first), uniq -c's (stitch2 ' ' add first).
+		"sort | uniq":                 "(keymerge stitch first a b), (keymerge stitch second a b), (rerun a b), (rerun b a)",
+		"sort | uniq -c":              "(keymerge stitch2 ' ' add first a b), (keymerge stitch2 ' ' add second a b)",
+		"sort -r | uniq -c":           "(keymerge('-r') stitch2 ' ' add first a b), (keymerge('-r') stitch2 ' ' add second a b)",
+		"sort -n | uniq -c":           "(keymerge('-n') stitch2 ' ' add first a b), (keymerge('-n') stitch2 ' ' add second a b)",
+		"tr A-Z a-z | sort | uniq -c": "(keymerge stitch2 ' ' add first a b), (keymerge stitch2 ' ' add second a b)",
 	} {
 		res := synthesize(t, spec)
 		if res.Err != nil || res.Combiner.String() != want {
@@ -386,8 +395,6 @@ func TestFragmentCombiners(t *testing.T) {
 	for spec, want := range map[string]error{
 		"mkfifo s1 | sort":     ErrNonStream,
 		"sort | diff -B s1 s2": ErrMultiInput,
-		// The DSL has no keyed merge that adds tied counts (ROADMAP).
-		"tr A-Z a-z | sort | uniq -c": ErrNoCombiner,
 	} {
 		if res := synthesize(t, spec); !errors.Is(res.Err, want) {
 			t.Errorf("%s: verdict %v, want %v", spec, res.Err, want)

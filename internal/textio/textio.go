@@ -140,21 +140,43 @@ func DelPad(s string) (Pad, string) {
 // matching GNU uniq -c's "%7d" behaviour where wide counts outgrow the
 // column. This is the DSL semantics' addPad/calcPad pair.
 func AddPad(p Pad, field string) string {
-	switch p.Kind {
-	case PadTab:
-		return "\t" + field
-	case PadSpaces:
-		pad := p.Width - len(field)
-		if p.Width == 0 { // unknown target width: restore original count
-			pad = p.Count
-		}
-		if pad < 0 {
-			pad = 0
-		}
-		return strings.Repeat(" ", pad) + field
-	default:
+	c, n := padding(p, len(field))
+	if n == 0 {
 		return field
 	}
+	var b strings.Builder
+	b.Grow(n + len(field))
+	for range n {
+		b.WriteByte(c)
+	}
+	b.WriteString(field)
+	return b.String()
+}
+
+// AppendPad appends to dst the padding AddPad puts before a field of
+// width bytes.
+func AppendPad(dst []byte, p Pad, width int) []byte {
+	c, n := padding(p, width)
+	for range n {
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// padding is the pad byte and count AddPad puts before a field of width
+// bytes.
+func padding(p Pad, width int) (c byte, n int) {
+	switch p.Kind {
+	case PadTab:
+		return '\t', 1
+	case PadSpaces:
+		n = p.Width - width
+		if p.Width == 0 { // unknown target width: restore original count
+			n = p.Count
+		}
+		return ' ', max(n, 0)
+	}
+	return 0, 0
 }
 
 // FieldPad computes the Pad for a table line whose first field is delimited

@@ -66,10 +66,19 @@ func (c *Chain) Run(input string) (string, error) {
 }
 
 // Stepwise runs each member over the previous one's output, recording
-// member m's output volume in bytesOut[m] when bytesOut is non-nil. A
-// failure is the failing member's StageError.
+// member m's output volume in bytesOut[m] when bytesOut is non-nil.
+// Without bytesOut, a bytewise sort followed by uniq -c runs as one
+// kernel: the sort's records are counted into uniq -c's table, and the
+// sorted stream, whose volume is not asked for, is never written
+// (SortCmd.countRuns). A failure is the failing member's StageError.
 func (c *Chain) Stepwise(input string, bytesOut []int64) (string, error) {
-	for m, cmd := range c.members {
+	for m := 0; m < len(c.members); m++ {
+		cmd := c.members[m]
+		if sc, ok := cmd.(*SortCmd); ok && bytesOut == nil && m+1 < len(c.members) && sc.countsRuns(c.members[m+1]) {
+			input = sc.countRuns(input)
+			m++
+			continue
+		}
 		out, err := cmd.Run(input)
 		if err != nil {
 			return "", Failure(cmd, err)

@@ -166,6 +166,33 @@ func collapseHostCorpora() []string {
 	return []string{b.String(), b.String() + short + "\n" + short}
 }
 
+// TestSortCountMatchesHost: the chain kernel (SortCmd.countRuns) gives
+// the host's `sort | uniq -c` and `sort -r | uniq -c` bytes on the empty
+// input, empty lines, an unterminated last line, every host and collapse
+// corpus, and input of mostly distinct lines, where the collapse bails
+// out and the kernel counts runs of sorted records.
+func TestSortCountMatchesHost(t *testing.T) {
+	var distinct strings.Builder
+	for i := range 3 * collapseCutoff {
+		fmt.Fprintf(&distinct, "w%d\n", i%(2*collapseCutoff))
+	}
+	corpora := append([]string{"", "\n", "\n\n\na\n\n", "b\na\nb", "b\na\nb\n", distinct.String()},
+		append(hostCorpora(), collapseHostCorpora()...)...)
+	for _, flags := range [][]string{nil, {"-r"}} {
+		spec := strings.Join(append([]string{"sort"}, flags...), " ") + " | uniq -c"
+		chain := parseCmd(t, spec)
+		if ms := Members(chain); !ms[0].(*SortCmd).countsRuns(ms[1]) {
+			t.Fatalf("%s does not run as the chain kernel", spec)
+		}
+		for i, in := range corpora {
+			want := hostTool(t, "uniq", hostTool(t, "sort", in, flags...), "-c")
+			if got, err := chain.Run(in); err != nil || got != want {
+				t.Errorf("%s corpus %d: Run = %.200q, %v; host %.200q", spec, i, got, err, want)
+			}
+		}
+	}
+}
+
 // TestUniqMatchesHost: uniq and uniq -c give the host's bytes on every
 // host corpus and uniq corpus.
 func TestUniqMatchesHost(t *testing.T) {

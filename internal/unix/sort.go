@@ -307,17 +307,35 @@ func (s *SortCmd) Run(input string) (string, error) {
 	if input == "" {
 		return "", nil
 	}
-	n := strings.Count(input, "\n")
-	if input[len(input)-1] != '\n' {
-		n++ // an unterminated final line counts
-	}
+	n := lineCount(input)
 	o := &s.ord
 	if !o.bytewise {
 		return sortKeyed(o, input, n), nil
 	}
-	// A bytewise ordering's ties are byte-identical lines, so its output
-	// is the distinct lines sorted, each repeated, and an unstable sort is
-	// indistinguishable from a stable one, reversed or not.
+	recs := s.sortedRecs(input, n)
+	if o.unique {
+		recs = slices.CompactFunc(recs, func(a, b lineRec) bool { return a.line(input) == b.line(input) })
+	}
+	return writeLines(input, recs, o.unique), nil
+}
+
+// lineCount is the number of lines of input: its newlines, plus an
+// unterminated last line.
+func lineCount(input string) int {
+	n := strings.Count(input, "\n")
+	if input != "" && input[len(input)-1] != '\n' {
+		n++
+	}
+	return n
+}
+
+// sortedRecs sorts the n lines of input under a bytewise ordering and
+// returns their records in output order: one per distinct line with its
+// count when the collapse takes, one per line otherwise. A bytewise
+// ordering's ties are byte-identical lines, so its output is the
+// distinct lines sorted, each repeated, and an unstable sort is
+// indistinguishable from a stable one, reversed or not.
+func (s *SortCmd) sortedRecs(input string, n int) []lineRec {
 	recs := make([]lineRec, n)
 	if n < collapseCutoff {
 		fillLines(input, recs)
@@ -327,13 +345,61 @@ func (s *SortCmd) Run(input string) (string, error) {
 		fillLines(input, recs)
 	}
 	radixSort(input, recs, 0)
-	if o.keyRev {
+	if s.ord.keyRev {
 		slices.Reverse(recs)
 	}
-	if o.unique {
-		recs = slices.CompactFunc(recs, func(a, b lineRec) bool { return a.line(input) == b.line(input) })
+	return recs
+}
+
+// countsRuns reports whether the chain `s | next` may run as s.countRuns:
+// s is a bytewise sort without -u or -m, and next is a plain uniq -c.
+func (s *SortCmd) countsRuns(next Command) bool {
+	u, ok := next.(*uniqCmd)
+	return ok && u.count && s.ord.bytewise && !s.Unique && !s.Merge
+}
+
+// countRuns is `sort | uniq -c` in one pass (see countsRuns): uniq -c's
+// table of the sorted stream, written from the sort's records without
+// writing the sorted stream and reading it back. A collapsed record
+// already holds its line's count; uncollapsed records of one line lie
+// next to each other once sorted, and their run is counted here.
+func (s *SortCmd) countRuns(input string) string {
+	if input == "" {
+		return ""
 	}
-	return writeLines(input, recs, o.unique), nil
+	recs := s.sortedRecs(input, lineCount(input))
+	size := 0
+	for _, r := range recs {
+		size += r.n + 9 // "%7d " and the terminator
+	}
+	b := make([]byte, 0, size)
+	for i := 0; i < len(recs); {
+		r := recs[i]
+		line, n := r.line(input), r.count
+		for i++; i < len(recs) && recs[i].line(input) == line; i++ {
+			n += recs[i].count
+		}
+		b = appendCount(b, n)
+		b = append(b, line...)
+		b = append(b, '\n')
+	}
+	return textio.View(b)
+}
+
+// Compare orders two lines under this command's comparator, as a merge
+// of its outputs orders them: negative when a sorts first, 0 when they
+// tie. The keyed merge combiner (dsl.KeyMerge) orders its keys with it.
+func (s *SortCmd) Compare(a, b string) int {
+	if s.ord.bytewise {
+		if s.ord.keyRev {
+			return strings.Compare(b, a)
+		}
+		return strings.Compare(a, b)
+	}
+	var x, y sortLine
+	s.ord.setKey(&x, a)
+	s.ord.setKey(&y, b)
+	return s.ord.compare(&x, &y)
 }
 
 // sortKeyed sorts the n lines of input under a keyed ordering, computing
