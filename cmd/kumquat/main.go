@@ -303,6 +303,10 @@ func writeReport(rep *kumquat.RunReport) {
 		}
 	}
 	for _, st := range rep.Stages {
+		if st.Dead {
+			fmt.Fprintf(w, "  %-36s not run: only a line count reads its output\n", st.Spec)
+			continue
+		}
 		how := "buffered"
 		switch {
 		case st.Streamed:

@@ -79,3 +79,49 @@ func TestBrokenElideRuleCaughtAndShrunk(t *testing.T) {
 		t.Error("legal program diverges — the broken behaviour leaked into the default lowering")
 	}
 }
+
+// TestBrokenDeadMappersCaught: the net catches a dead-mappers rule that
+// ignored the member in front of the dropped suffix. The program for
+// `tr A-Z a-z | cut -c 1-4 | wc -l` is edited by hand to skip the cut,
+// as such a rule would: tr passes an unterminated last line through, so
+// the count loses the line cut would have terminated. The shrinker
+// reduces the witness to that one unterminated line.
+func TestBrokenDeadMappersCaught(t *testing.T) {
+	eng := synth.New(unix.DefaultEnv(), synth.Options{Seed: 1})
+	corpus := "Pear\napple\n\nFIG quince\nloquat"
+	s, err := pipeline.ParseScript("cat in.txt | tr A-Z a-z | cut -c 1-4 | wc -l\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pipeline.CompileContext(context.Background(), s.Pipelines[0], eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := plan.Program.Regions[0]
+	if plan.Program.Fired[dataflow.RuleDeadMappers] != 0 || len(r.Nodes) != 2 {
+		t.Fatalf("legal program = %s, want a fused tr | cut that runs both", plan.Program.Dump())
+	}
+	legal := r.Cmd
+	r.Cmd, r.Dead = plan.Program.Graph.Nodes[0].Stage.Cmd, r.Nodes[1:]
+
+	fails := func(c string) bool {
+		eng.Env.FS.Register("in.txt", c)
+		var want, got strings.Builder
+		_, werr := plan.Execute(context.Background(), eng.Env, nil, &want, pipeline.ModeSerial, 1)
+		_, gerr := plan.Execute(context.Background(), eng.Env, nil, &got, pipeline.ModeOptimized, 2)
+		return werr == nil && gerr == nil && got.String() != want.String()
+	}
+	if !fails(corpus) {
+		t.Fatal("skipping the cut did not diverge from the serial oracle — the net has a hole")
+	}
+	if fails(corpus + "\n") {
+		t.Error("a terminated corpus diverged: the edit should only lose an unterminated line")
+	}
+	if shrunk := shrinkCorpus(corpus, fails); strings.Contains(shrunk, "\n") || !fails(shrunk) {
+		t.Errorf("shrunk corpus = %q, want one unterminated line that still diverges", shrunk)
+	}
+	r.Cmd, r.Dead = legal, nil
+	if fails(corpus) {
+		t.Error("legal program diverges")
+	}
+}

@@ -90,6 +90,16 @@ var fusionMotifs = [][]string{
 	// with it per chunk, combined once by the fragment's keyed merge.
 	{"sort", "uniq -c"},
 	{"sort -n", "uniq -c"},
+	{"sort -r", "uniq -c"},
+	// dead-mappers: a fused mapper run feeding a line count stops after
+	// its last line filter, dropping the line-preserving mappers behind
+	// it (the third is chain-cold-file's shape). The last must not fire
+	// on its own: tr passes an unterminated last line through, which cut
+	// would terminate.
+	{"grep a", "sed 's/a/X/'", "wc -l"},
+	{"tr A-Z a-z", "grep a", "cut -c 1-4", "wc -l"},
+	{"tr A-Z a-z", "grep a", "sed 's/a/X/'", "cut -d ' ' -f 1", "wc -l"},
+	{"tr A-Z a-z", "cut -c 1-4", "wc -l"},
 }
 
 // vocab is the word pool corpus lines draw from; small enough that

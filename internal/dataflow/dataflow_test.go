@@ -7,6 +7,7 @@ package dataflow_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -278,6 +279,73 @@ func TestFragmentRule(t *testing.T) {
 		off := dataflow.Optimize(p.Graph, dataflow.Options{Disable: map[dataflow.Rule]bool{dataflow.RuleFragment: true}})
 		if off.Fired[dataflow.RuleFragment] != 0 || len(off.Regions) != len(p.Regions)+1 {
 			t.Errorf("%q: fragment disabled: %d regions, fired %v", tc.script, len(off.Regions), off.Fired)
+		}
+	}
+}
+
+// TestDeadMappersRule: a fused mapper run feeding wc -l stops after its
+// last member the count can observe. It fires on the chain-cold-file
+// script and on the catalog's three unix50 chess scripts and its mail
+// script that end in wc -l, each dropping a cut (and the sed before it),
+// leaving the region's nodes, combiner and closure as they were. It does
+// not fire where the member before the suffix passes an unterminated
+// line through (tr), where a mapper writes newlines (sed 's/a/\n/'), in
+// front of anything but wc -l, or with the rule disabled.
+func TestDeadMappersRule(t *testing.T) {
+	eng := newSynth()
+	for _, tc := range []struct {
+		script string
+		dead   []int  // the region's dead nodes; nil: the rule does not fire
+		runs   string // the region's command when it fires
+	}{
+		{"tr A-Z a-z | grep light | sed 's/light/dark/' | cut -d ' ' -f 1-3 | wc -l\n", []int{2, 3}, "tr A-Z a-z | grep light"},
+		{"cat in/chess.txt | grep '\\.' | cut -d '.' -f 1 | wc -l\n", []int{1}, `grep '\.'`},
+		{"cat in/chess.txt | tr ' ' '\\n' | grep 'x' | cut -d 'x' -f 1 | wc -l\n", []int{2}, `tr ' ' '\n' | grep 'x'`},
+		{"cat in/chess.txt | tr ' ' '\\n' | grep 'x' | cut -d '.' -f 2 | grep -v '[KQRBN]' | cut -c 1-1 | wc -l\n",
+			[]int{4}, `tr ' ' '\n' | grep 'x' | cut -d '.' -f 2 | grep -v '[KQRBN]'`},
+		{"cat in/mail.txt | tr -s ' ' '\\n' | grep '@' | cut -d '@' -f 1 | wc -l\n", []int{2}, "grep '@'"},
+		{"grep a | sed 's/a/X/' | wc -l\n", []int{1}, "grep a"},
+		{"tr A-Z a-z | cut -c 1-4 | wc -l\n", nil, ""},
+		{"grep a | sed 's/a/\\n/' | wc -l\n", nil, ""},
+		{"grep a | cut -c 1-4 | wc\n", nil, ""},
+		{"grep a | cut -c 1-4 | wc -w\n", nil, ""},
+		{"grep a | cut -c 1-4 | grep -c a\n", nil, ""},
+		{"grep a | cut -c 1-4 | sort | wc -l\n", nil, ""},
+	} {
+		p := compile(t, eng, tc.script).Program
+		r := p.Regions[0]
+		if len(p.Regions) > 1 && len(r.Nodes) == 1 {
+			r = p.Regions[1] // behind a serial tr -s
+		}
+		if got := p.Fired[dataflow.RuleDeadMappers]; got != len(tc.dead) {
+			t.Errorf("%q: dead-mappers fired %d times, want %d", tc.script, got, len(tc.dead))
+			continue
+		}
+		if tc.dead == nil {
+			for _, rg := range p.Regions {
+				if rg.Dead != nil || slices.Contains(rg.Rules, dataflow.RuleDeadMappers) {
+					t.Errorf("%q: region %v has dead %v, rules %v", tc.script, rg.Nodes, rg.Dead, rg.Rules)
+				}
+			}
+			continue
+		}
+		last := p.Graph.Nodes[r.Nodes[len(r.Nodes)-1]]
+		if !slices.Equal(r.Dead, tc.dead) || r.Cmd.Spec() != tc.runs || !r.Fused ||
+			r.Combiner != last.Stage.Synth.Combiner || r.Closure != last.Closure ||
+			!slices.Contains(r.Rules, dataflow.RuleDeadMappers) {
+			t.Errorf("%q: region nodes %v dead %v runs %q rules %v", tc.script, r.Nodes, r.Dead, r.Cmd.Spec(), r.Rules)
+		}
+		if want := len(r.Nodes) - 1; p.Fired[dataflow.RuleFuseStreamers] != want {
+			t.Errorf("%q: fuse-streamers fired %d times, want %d", tc.script, p.Fired[dataflow.RuleFuseStreamers], want)
+		}
+		off := dataflow.Optimize(p.Graph, dataflow.Options{Disable: map[dataflow.Rule]bool{dataflow.RuleDeadMappers: true}})
+		if off.Fired[dataflow.RuleDeadMappers] != 0 || off.Dump() == p.Dump() {
+			t.Errorf("%q: dead-mappers disabled still fired: %v", tc.script, off.Fired)
+		}
+		for _, rg := range off.Regions {
+			if rg.Dead != nil {
+				t.Errorf("%q: dead-mappers disabled, region %v has dead %v", tc.script, rg.Nodes, rg.Dead)
+			}
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 
 // Dump renders the optimized program deterministically for golden-file
 // regression tests: nodes with their derived capabilities and output
-// closures, regions with exits and fired rules, and the per-rule fire
-// counters. Any accidental legality change — a capability probe
-// drifting, a rule firing where it should not — shows up as a readable
-// diff against the checked-in golden.
+// closures, regions with exits, fired rules and the stages they do not
+// run, and the per-rule fire counters. Any accidental legality change —
+// a capability probe drifting, a rule firing where it should not — shows
+// up as a readable diff against the checked-in golden.
 func (p *Program) Dump() string {
 	var b strings.Builder
 	g := p.Graph
@@ -42,10 +42,6 @@ func (p *Program) Dump() string {
 		fmt.Fprintf(&b, "n%d %q class=%s closure=%s [%s]\n", id, n.Stage.Spec, n.Class, n.Closure, strings.Join(caps, " "))
 	}
 	for i, r := range p.Regions {
-		ids := make([]string, len(r.Nodes))
-		for j, id := range r.Nodes {
-			ids[j] = fmt.Sprintf("n%d", id)
-		}
 		kind := "single"
 		if r.Fused {
 			kind = "fused"
@@ -58,8 +54,12 @@ func (p *Program) Dump() string {
 		if i == len(p.Regions)-1 {
 			exit = "final-" + exit
 		}
-		fmt.Fprintf(&b, "region R%d %s{%s} parallel=%v exit=%s rules=[%s]\n",
-			i, kind, strings.Join(ids, ","), r.Parallel, exit, strings.Join(rules, " "))
+		fmt.Fprintf(&b, "region R%d %s{%s} parallel=%v exit=%s rules=[%s]",
+			i, kind, nodeList(r.Nodes), r.Parallel, exit, strings.Join(rules, " "))
+		if len(r.Dead) > 0 {
+			fmt.Fprintf(&b, " dead={%s}", nodeList(r.Dead))
+		}
+		b.WriteByte('\n')
 	}
 	rules := make([]string, 0, len(p.Fired))
 	for r := range p.Fired {
@@ -70,4 +70,13 @@ func (p *Program) Dump() string {
 		fmt.Fprintf(&b, "fired %s=%d\n", r, p.Fired[Rule(r)])
 	}
 	return b.String()
+}
+
+// nodeList names node IDs as the dump prints them: "n0,n1".
+func nodeList(ids []int) string {
+	names := make([]string, len(ids))
+	for j, id := range ids {
+		names[j] = fmt.Sprintf("n%d", id)
+	}
+	return strings.Join(names, ",")
 }

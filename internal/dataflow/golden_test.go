@@ -10,9 +10,10 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden program dumps")
 
 // goldenPipelines are the example-suite scripts whose optimized programs
-// the goldens pin: the quickstart and wordfreq pipelines, two unix50
-// scripts (a long streamer chain and an order-insensitive reduction), and
-// an analytics query. A capability probe drifting or a rule firing where
+// the goldens pin: the quickstart and wordfreq pipelines, three unix50
+// scripts (a long streamer chain, an order-insensitive reduction, and a
+// chain whose last mapper only a line count reads), and an analytics
+// query. A capability probe drifting or a rule firing where
 // it should not shows up as a readable diff in the dump.
 var goldenPipelines = []struct {
 	name   string
@@ -22,6 +23,7 @@ var goldenPipelines = []struct {
 	{"wordfreq", `cat in/book.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn` + "\n"},
 	{"unix50_chess", `cat in/chess.txt | tr ' ' '\n' | grep 'x' | grep '\.' | cut -d '.' -f 2 | grep '[KQRBN]' | cut -c 1-1 | sort | uniq -c | sort -rn` + "\n"},
 	{"unix50_count", "cat in/history.tsv | cut -f 1 | grep 'AT&T' | wc -l\n"},
+	{"unix50_chess_count", `cat in/chess.txt | tr ' ' '\n' | grep 'x' | cut -d '.' -f 2 | grep -v '[KQRBN]' | cut -c 1-1 | wc -l` + "\n"},
 	{"analytics_days", `cat in/mts.csv | sed 's/T..:..:..//' | cut -d ',' -f 1,3 | sort -u | cut -d ',' -f 1 | sort | uniq -c` + "\n"},
 	{"push_sort_merge", "cat in.txt | sort | sed 's/^/> /'\n"},
 }

@@ -33,6 +33,16 @@ const (
 	// not rerun-only, which would redo the whole fragment. It fires once
 	// per fragment region.
 	RuleFragment Rule = "fragment"
+	// RuleDeadMappers drops, from a fused run of line mappers that feeds
+	// a line count (wc -l), the longest suffix of members the count
+	// cannot observe: each declares one line out per line in, never
+	// failing (unix.PreservesLines), and the member just before the
+	// suffix terminates every line it emits (unix.TerminatesLines), so
+	// the suffix reads whole lines and writes as many. The region keeps
+	// its nodes, combiner and closure and runs the chain of the kept
+	// members; the dropped ones are its Dead. It fires once per dropped
+	// stage.
+	RuleDeadMappers Rule = "dead-mappers"
 	// RulePushSortMerge named a retired rewrite: the lazy k-way merge of
 	// a sort's chunk outputs in its streaming consumer's read path. No
 	// lowering fires it and no report carries it. Its only reader is the
@@ -48,7 +58,7 @@ const (
 
 // Rules lists the rewrites Optimize applies and counts in
 // Program.Fired, in the order it applies them.
-var Rules = []Rule{RuleFragment, RuleFuseStreamers, RuleElideCombine}
+var Rules = []Rule{RuleFragment, RuleFuseStreamers, RuleDeadMappers, RuleElideCombine}
 
 // ExitKind says how a region's k chunk outputs leave the region when it
 // ran chunk-parallel. On the serial path (k = 1, or a live input stream)
@@ -91,8 +101,12 @@ type Region struct {
 	// pass: a run of line mappers, or a fragment.
 	Fused bool
 	// Cmd is the region's executable: the chain of its member stages'
-	// commands when it is fused, the single stage's command otherwise.
+	// commands when it is fused (less its Dead), the single stage's
+	// command otherwise.
 	Cmd unix.Command
+	// Dead are the member node IDs the region does not run, a suffix of
+	// Nodes whose output only a line count reads (RuleDeadMappers).
+	Dead []int
 	// Parallel marks regions executed chunk-parallel (every member stage
 	// is planner-parallel).
 	Parallel bool
@@ -178,6 +192,13 @@ func Optimize(g *Graph, opts Options) *Program {
 			// absorbs it.
 			r.Combiner, r.Closure = stageCombiner(g.Nodes[j-1]), g.Nodes[j-1].Closure
 			p.Fired[RuleFuseStreamers] += j - i - 1
+			if j < len(g.Nodes) && unix.CountsLines(g.Nodes[j].Stage.Cmd) && !opts.disabled(RuleDeadMappers) {
+				if kept := countedPrefix(cmds); kept < len(cmds) {
+					r.Cmd, r.Dead = unix.NewChain(cmds[:kept]...), r.Nodes[kept:]
+					r.Rules = append(r.Rules, RuleDeadMappers)
+					p.Fired[RuleDeadMappers] += len(cmds) - kept
+				}
+			}
 			p.Regions = append(p.Regions, r)
 			i = j
 			continue
@@ -272,4 +293,20 @@ func fragmentCombiner(g *Graph, i int) *synth.Combiner {
 // staged passes.
 func fusable(n *Node) bool {
 	return n.Stage.Parallel && unix.CanStream(n.Stage.Cmd) && n.Class == ClassConcat && n.Stage.StreamOutput
+}
+
+// countedPrefix is how many of a fused run's members a line count
+// downstream needs run: all but the longest suffix of line-preserving
+// members, shrunk from its front until the member before it terminates
+// its lines. With no member before it the run's own input, which may end
+// unterminated, would reach the suffix, so that member is kept too.
+func countedPrefix(cmds []unix.Command) int {
+	kept := len(cmds)
+	for kept > 0 && unix.PreservesLines(cmds[kept-1]) {
+		kept--
+	}
+	for kept < len(cmds) && (kept == 0 || !unix.TerminatesLines(cmds[kept-1])) {
+		kept++
+	}
+	return kept
 }

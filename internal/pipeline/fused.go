@@ -75,16 +75,20 @@ func ruleNames(r *dataflow.Region) []string {
 }
 
 // attribute maps region metrics onto the per-stage metrics slice: shared
-// figures (chunks, streamed) go to every member, stream volumes to the
-// boundary stages, and the region wall to the first member — per-stage
-// walls inside a fused region do not exist, which is the point of the
-// fusion.
+// figures (chunks, streamed) go to every member the region ran, stream
+// volumes to the boundary stages, and the region wall to the first
+// member — per-stage walls inside a fused region do not exist, which is
+// the point of the fusion. The members it did not run are marked Dead.
 func attribute(metrics []StageMetrics, r *dataflow.Region, rm *RegionMetrics) {
-	for _, id := range r.Nodes {
+	ran := r.Nodes[:len(r.Nodes)-len(r.Dead)]
+	for _, id := range ran {
 		metrics[id].Chunks = rm.Chunks
 		metrics[id].Streamed = rm.Streamed
 	}
-	first, last := r.Nodes[0], r.Nodes[len(r.Nodes)-1]
+	for _, id := range r.Dead {
+		metrics[id].Dead = true
+	}
+	first, last := ran[0], ran[len(ran)-1]
 	metrics[first].Wall = rm.Wall
 	metrics[first].BytesIn = rm.BytesIn
 	metrics[last].BytesOut = rm.BytesOut

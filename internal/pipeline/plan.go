@@ -40,13 +40,15 @@ type Plan struct {
 	theorem5, serial, stagewise *dataflow.Program
 }
 
-// theorem5Only disables every dataflow rewrite, leaving Optimize's
-// Theorem 5 splits — the WithFuse(false) program.
-var theorem5Only = dataflow.Options{Disable: map[dataflow.Rule]bool{
-	dataflow.RuleFragment:      true,
-	dataflow.RuleFuseStreamers: true,
-	dataflow.RuleElideCombine:  true,
-}}
+// theorem5Only disables every dataflow rewrite (dataflow.Rules), leaving
+// Optimize's Theorem 5 splits — the WithFuse(false) program.
+var theorem5Only = func() dataflow.Options {
+	o := dataflow.Options{Disable: map[dataflow.Rule]bool{}}
+	for _, r := range dataflow.Rules {
+		o.Disable[r] = true
+	}
+	return o
+}()
 
 // CompileContext synthesizes a combiner for every stage, applies the
 // paper's planning decision to run non-reducing rerun stages sequentially,

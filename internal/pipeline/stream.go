@@ -96,6 +96,10 @@ type StageMetrics struct {
 	// Streamed marks stages that processed their input block by block as
 	// it arrived instead of materializing it.
 	Streamed bool `json:"streamed"`
+	// Dead marks stages the run did not run, because only a line count
+	// downstream reads their output (dataflow.RuleDeadMappers); their
+	// other figures are zero.
+	Dead bool `json:"dead,omitempty"`
 }
 
 // execConfig collects one Execute call's options. It only chooses what

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"kumquat/internal/dataflow"
+	"kumquat/internal/synth"
 	"kumquat/internal/unix"
 )
 
@@ -72,13 +73,62 @@ func pipeSource(s string) io.Reader {
 func TestExecuteModesAgree(t *testing.T) {
 	syn := newSynth()
 	const corpus = "Some Light text\nmore WORDS here\nlight Again\nno match\n"
-	syn.Env.FS.Register("in.txt", corpus)
-	const stages = "tr A-Z a-z | grep i | sort | uniq -c\n"
-	filePlan := compilePlan(t, syn, "cat in.txt | "+stages)
-	stdinPlan := compilePlan(t, syn, stages)
+	filePlan := modesAgree(t, syn, "tr A-Z a-z | grep i | sort | uniq -c\n", corpus)
 	if filePlan.Program.Fired[dataflow.RuleFuseStreamers] == 0 {
 		t.Fatal("pipeline does not exercise fusion")
 	}
+}
+
+// TestDeadMappersModesAgree: the mapper chains in front of wc -l that
+// the dead-mappers rule prunes — chain-cold-file's, the catalog's unix50
+// chess and mail scripts, the conformance motifs — and those it must
+// not prune give the reference count in every configuration, on a corpus
+// that ends in an unterminated line.
+func TestDeadMappersModesAgree(t *testing.T) {
+	syn := newSynth()
+	words := []string{"1.", "e4", "Nf3", "Bxc6", "dxc6", "Qxd8+", "a@b.c", "x@y", "light", "Light", "a", "", "sea."}
+	var b strings.Builder
+	for i := 0; i < 400; i++ {
+		for j := 0; j < i%7; j++ {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(words[(i*5+j*3)%len(words)])
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("light a@b Bxc6")
+	for _, tc := range []struct {
+		stages string
+		dead   int
+	}{
+		{"tr A-Z a-z | grep light | sed 's/light/dark/' | cut -d ' ' -f 1-3 | wc -l\n", 2},
+		{"grep '\\.' | cut -d '.' -f 1 | wc -l\n", 1},
+		{"tr ' ' '\\n' | grep 'x' | cut -d 'x' -f 1 | wc -l\n", 1},
+		{"tr ' ' '\\n' | grep 'x' | cut -d '.' -f 2 | grep -v '[KQRBN]' | cut -c 1-1 | wc -l\n", 1},
+		{"tr -s ' ' '\\n' | grep '@' | cut -d '@' -f 1 | wc -l\n", 1},
+		{"grep a | sed 's/a/X/' | wc -l\n", 1},
+		{"tr A-Z a-z | grep a | cut -c 1-4 | wc -l\n", 1},
+		{"tr A-Z a-z | cut -c 1-4 | wc -l\n", 0},
+		{"grep a | sed 's/a/\\n/' | wc -l\n", 0},
+	} {
+		p := modesAgree(t, syn, tc.stages, b.String())
+		if got := p.Program.Fired[dataflow.RuleDeadMappers]; got != tc.dead {
+			t.Errorf("%q: dead-mappers fired %d times, want %d", tc.stages, got, tc.dead)
+		}
+	}
+}
+
+// modesAgree runs a pipeline's stages through every source kind — its
+// input as a file, as an in-memory stdin and as an external stdin read
+// incrementally — × fuse setting × mode × k ∈ {1, 2, 4}, checks every
+// output against the independent reference, and returns the file
+// source's plan.
+func modesAgree(t *testing.T, syn *synth.Engine, stages, corpus string) *Plan {
+	t.Helper()
+	syn.Env.FS.Register("in.txt", corpus)
+	filePlan := compilePlan(t, syn, "cat in.txt | "+stages)
+	stdinPlan := compilePlan(t, syn, stages)
 	want := reference(t, stdinPlan, corpus)
 	sources := []struct {
 		name  string
@@ -93,7 +143,7 @@ func TestExecuteModesAgree(t *testing.T) {
 		for _, fuse := range []bool{true, false} {
 			for _, mode := range allModes {
 				for _, k := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%s fuse=%v %v k=%d", src.name, fuse, mode, k)
+					name := fmt.Sprintf("%q %s fuse=%v %v k=%d", stages, src.name, fuse, mode, k)
 					var out strings.Builder
 					ms, err := src.plan.Execute(context.Background(), syn.Env, src.stdin(), &out, mode, k, WithFuse(fuse))
 					if err != nil {
@@ -106,10 +156,23 @@ func TestExecuteModesAgree(t *testing.T) {
 					if len(ms) != len(src.plan.Stages) {
 						t.Errorf("%s: %d metrics for %d stages", name, len(ms), len(src.plan.Stages))
 					}
+					dead, wantDead := 0, 0
+					for _, m := range ms {
+						if m.Dead {
+							dead++
+						}
+					}
+					if mode == ModeOptimized && fuse {
+						wantDead = src.plan.Program.Fired[dataflow.RuleDeadMappers]
+					}
+					if dead != wantDead {
+						t.Errorf("%s: %d stages reported not run, want %d", name, dead, wantDead)
+					}
 				}
 			}
 		}
 	}
+	return filePlan
 }
 
 // lineGen emits a fixed number of lines, one per Read call, tracking how

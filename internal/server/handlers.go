@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -274,6 +275,22 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if useCluster {
 		rep, failure = s.executeCluster(w, r, plan, stdin, presize, sink)
 		return
+	}
+	if stdin != nil {
+		// A streamed stage writes output while the body is still
+		// arriving, and Go's HTTP/1 server discards the unread body once
+		// the response starts unless the exchange is full duplex. A
+		// writer that cannot say so (one that does not unwrap to the
+		// connection's) gets the body read whole before the first write.
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+			data, rerr := textio.ReadAll(stdin, presize)
+			if rerr != nil {
+				failure = rerr
+				writeError(w, bodyErrStatus(rerr), "reading request body: %v", rerr)
+				return
+			}
+			stdin = bytes.NewBuffer(data)
+		}
 	}
 	run, err := plan.Execute(r.Context(), sink,
 		kumquat.WithParallelism(k),

@@ -241,6 +241,10 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, whose
+// EnableFullDuplex an execute needs to read its body while it writes.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 // admit claims an admission slot for one work request, translating
 // saturation to 429 (with Retry-After) and a client that gave up while
 // queued to a no-op. The returned release is nil when admission failed.

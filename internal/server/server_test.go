@@ -146,6 +146,30 @@ func TestExecuteStdinStreaming(t *testing.T) {
 	}
 }
 
+// TestExecuteStreamsWhileBodyArrives: an Optimized execute whose line
+// mapper writes output while the body is still arriving reads the whole
+// body. Without full duplex, Go's HTTP/1 server discards the unread body
+// once the response starts, and a 200 000-byte body failed mid-stream.
+func TestExecuteStreamsWhileBodyArrives(t *testing.T) {
+	_, c := newTestServer(t, server.Config{})
+	line := "the quick brown fox jumps over the lazy dog\n"
+	for _, size := range []int{50_000, 200_000, 1_000_000} {
+		body := strings.Repeat(line, size/len(line)+1)[:size]
+		var out strings.Builder
+		rep, err := c.Execute(context.Background(), "tr a-z A-Z",
+			client.ExecuteOptions{Mode: "optimized"}, strings.NewReader(body), &out)
+		if err != nil {
+			t.Fatalf("%d-byte body: %v", size, err)
+		}
+		if out.String() != strings.ToUpper(body) {
+			t.Errorf("%d-byte body: %d output bytes differ from the upper-cased body", size, out.Len())
+		}
+		if rep.BytesIn != int64(size) {
+			t.Errorf("%d-byte body: report bytes_in = %d", size, rep.BytesIn)
+		}
+	}
+}
+
 // TestExecuteFileBinding checks the other input binding: a `cat FILE`
 // source receives the request body.
 func TestExecuteFileBinding(t *testing.T) {

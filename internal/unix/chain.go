@@ -67,14 +67,33 @@ func (c *Chain) Run(input string) (string, error) {
 
 // Stepwise runs each member over the previous one's output, recording
 // member m's output volume in bytesOut[m] when bytesOut is non-nil.
-// Without bytesOut, a bytewise sort followed by uniq -c runs as one
-// kernel: the sort's records are counted into uniq -c's table, and the
-// sorted stream, whose volume is not asked for, is never written
-// (SortCmd.countRuns). A failure is the failing member's StageError.
+// Two pairs of members run as one pass that writes no intermediate
+// stream. A line mapper followed by wc -l counts the lines the mapper
+// emits (countLines), whose volume it still reports. Without bytesOut, a
+// bytewise sort followed by uniq -c counts the sort's records into uniq
+// -c's table, and the sorted stream, whose volume is not asked for, is
+// never written (SortCmd.countRuns). A failure is the failing member's
+// StageError.
 func (c *Chain) Stepwise(input string, bytesOut []int64) (string, error) {
 	for m := 0; m < len(c.members); m++ {
 		cmd := c.members[m]
-		if sc, ok := cmd.(*SortCmd); ok && bytesOut == nil && m+1 < len(c.members) && sc.countsRuns(c.members[m+1]) {
+		var next Command
+		if m+1 < len(c.members) {
+			next = c.members[m+1]
+		}
+		if lm, ok := AsLineMapper(cmd); ok && CountsLines(next) {
+			count, volume, err := countLines(lm, input)
+			if err != nil {
+				return "", Failure(cmd, err)
+			}
+			if bytesOut != nil {
+				bytesOut[m], bytesOut[m+1] = volume, int64(len(count))
+			}
+			input = count
+			m++
+			continue
+		}
+		if sc, ok := cmd.(*SortCmd); ok && bytesOut == nil && sc.countsRuns(next) {
 			input = sc.countRuns(input)
 			m++
 			continue

@@ -367,3 +367,58 @@ func TestLineKernelsMatchHost(t *testing.T) {
 		}
 	}
 }
+
+// TestLineCountChainsMatchHost: the mapper chains in front of wc -l that
+// the optimizer prunes, and one it must not prune, give the host's count
+// run whole (through the counting pass) and, where the optimizer drops a
+// suffix, run without it: on the host line corpora plus chess moves and
+// mail addresses, terminated and not.
+func TestLineCountChainsMatchHost(t *testing.T) {
+	cases := []struct {
+		stages []string
+		kept   int // the members the optimizer runs before wc -l
+	}{
+		{[]string{"tr A-Z a-z", "grep light", "sed 's/light/dark/'", "cut -d ' ' -f 1-3", "wc -l"}, 2},
+		{[]string{"grep a", "sed 's/a/X/'", "wc -l"}, 1},
+		{[]string{"tr A-Z a-z", "grep a", "cut -c 1-4", "wc -l"}, 2},
+		{[]string{`grep '\.'`, "cut -d '.' -f 1", "wc -l"}, 1},
+		{[]string{`tr ' ' '\n'`, "grep 'x'", "cut -d 'x' -f 1", "wc -l"}, 2},
+		{[]string{`tr ' ' '\n'`, "grep 'x'", "cut -d '.' -f 2", "grep -v '[KQRBN]'", "cut -c 1-1", "wc -l"}, 4},
+		{[]string{`tr -s ' ' '\n'`, "grep '@'", "cut -d '@' -f 1", "wc -l"}, 2},
+		{[]string{"tr A-Z a-z", "cut -c 1-4", "wc -l"}, 2},
+		{[]string{"grep a", `sed 's/a/\n/'`, "wc -l"}, 2},
+	}
+	var games strings.Builder
+	moves := []string{"1.", "e4", "e5", "2.", "Nf3", "Nc6", "3.", "Bxc6", "dxc6", "4.", "Qxd8+", "Kxd8", "5.", "exd5", "O-O", "a@b.c", "x@y", "light", "Light"}
+	rng := rand.New(rand.NewSource(46))
+	for i := 0; i < 300; i++ {
+		for j, n := 0, rng.Intn(8); j < n; j++ {
+			if j > 0 {
+				games.WriteByte(' ')
+			}
+			games.WriteString(moves[rng.Intn(len(moves))])
+		}
+		games.WriteByte('\n')
+	}
+	corpora := append(hostLineCorpora(), games.String(), strings.TrimSuffix(games.String(), "\n"), "x.y", "1. exd5")
+	for _, c := range cases {
+		whole := parseCmd(t, strings.Join(c.stages, " | "))
+		pruned := NewChain(parseCmd(t, strings.Join(c.stages[:c.kept], " | ")), parseCmd(t, "wc -l"))
+		for i, in := range corpora {
+			want := in
+			for _, spec := range c.stages {
+				argv, err := Tokenize(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = hostTool(t, argv[0], want, argv[1:]...)
+			}
+			if got, err := whole.Run(in); err != nil || got != want {
+				t.Errorf("%s corpus %d: Run = %q, %v; host %q", whole.Spec(), i, got, err, want)
+			}
+			if got, err := pruned.Stepwise(in, make([]int64, 2)); err != nil || got != want {
+				t.Errorf("%s corpus %d: pruned to %s = %q, %v; host %q", whole.Spec(), i, pruned.Spec(), got, err, want)
+			}
+		}
+	}
+}

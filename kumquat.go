@@ -248,8 +248,8 @@ func (p *Plan) Counts() (parallelized, total, eliminated int) {
 func (p *Plan) SynthCache() SynthCacheStats { return p.synthStats }
 
 // Rewrites counts, per rule name, the dataflow-optimizer rewrites baked
-// into the compiled plan across all its pipelines (fuse-streamers,
-// elide-combine). They apply when the plan executes in
+// into the compiled plan across all its pipelines (fragment,
+// fuse-streamers, dead-mappers, elide-combine). They apply when the plan executes in
 // Optimized mode with fusion on, and such a run reports them as
 // RunReport.Rewrites; the conformance plane aggregates these counters to
 // prove each rewrite rule is exercised.
@@ -462,8 +462,8 @@ type RunReport struct {
 	// stdin).
 	Fused bool `json:"fused,omitempty"`
 	// Rewrites counts, per rule name, the dataflow rewrites the run's
-	// program applied (fuse-streamers, elide-combine);
-	// nil when Fused is false.
+	// program applied (fragment, fuse-streamers, dead-mappers,
+	// elide-combine); nil when Fused is false.
 	Rewrites map[string]int `json:"rewrites,omitempty"`
 	// Regions holds one entry per region of the rewritten program, in
 	// order across pipelines; nil when Fused is false.
