@@ -141,13 +141,6 @@ func (cc CandidateCheck) chunkOutputs(corpus string) (outs []string, applicable 
 	return outs, true
 }
 
-// ShrinkCorpus ddmin-minimizes a corpus on which Check fails, returning
-// the smallest reproducing corpus found (the input itself when it does
-// not fail).
-func (cc CandidateCheck) ShrinkCorpus(corpus string) string {
-	return shrinkCorpus(corpus, func(s string) bool { return cc.Check(s) != nil })
-}
-
 // StressSpecs is the command pool combiner stress validation covers —
 // the generator's stage templates, so the stress plane and the
 // differential plane exercise the same catalog slice.

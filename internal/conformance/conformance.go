@@ -11,7 +11,7 @@
 //   - gen.go: a seeded, deterministic generator of pipeline scripts and
 //     input corpora (GenCase), so every failure is replayable from
 //     (seed, index) alone;
-//   - oracle.go: the differential harness (RunCase) that executes one
+//   - oracle.go: the differential harness (runCase) that executes one
 //     case under every Config and reports Divergences;
 //   - shrink.go: ddmin-style minimization (ShrinkCase, ShrinkLines) that
 //     reduces a diverging case to a minimal reproducing corpus and stage
@@ -150,7 +150,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 	if opts.Serve {
 		sr, err := replayServe(ctx, sys, cases,
-			ReplayOptions{K: replayParallelism(), SynthWorkers: opts.SynthWorkers}, oracles)
+			replayOptions{K: replayParallelism(), SynthWorkers: opts.SynthWorkers}, oracles)
 		if err != nil {
 			return nil, err
 		}

@@ -142,13 +142,13 @@ func TestStressCombinersHealthy(t *testing.T) {
 	}
 }
 
-// TestRunCaseCountsExecutions: RunCase must execute oracle + one run per
+// TestRunCaseCountsExecutions: runCase must execute oracle + one run per
 // config.
 func TestRunCaseCountsExecutions(t *testing.T) {
 	sys := kumquat.New(kumquat.NewEnv())
 	c := &Case{Script: "sort | uniq -c\n", Corpus: "b\na\nb\n", Profile: "hand"}
 	configs := Configs()
-	divs, execs, err := RunCase(context.Background(), sys, c, configs)
+	divs, execs, _, _, err := runCase(context.Background(), sys, c, configs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,13 +93,14 @@ var fusionMotifs = [][]string{
 	{"sort -r", "uniq -c"},
 	// dead-mappers: a fused mapper run feeding a line count stops after
 	// its last line filter, dropping the line-preserving mappers behind
-	// it (the third is chain-cold-file's shape). The last must not fire
-	// on its own: tr passes an unterminated last line through, which cut
-	// would terminate.
+	// it (the third is chain-cold-file's shape). The last must not fire:
+	// tr -d '\n' leaves one unterminated line at the head of the run, and
+	// tr passes it through, where cut terminates it into the one line
+	// wc -l counts.
 	{"grep a", "sed 's/a/X/'", "wc -l"},
 	{"tr A-Z a-z", "grep a", "cut -c 1-4", "wc -l"},
 	{"tr A-Z a-z", "grep a", "sed 's/a/X/'", "cut -d ' ' -f 1", "wc -l"},
-	{"tr A-Z a-z", "cut -c 1-4", "wc -l"},
+	{`tr -d '\n'`, "tr A-Z a-z", "cut -c 1-4", "wc -l"},
 }
 
 // vocab is the word pool corpus lines draw from; small enough that
@@ -172,8 +173,12 @@ func GenCase(seed int64, i int) *Case {
 		m := fusionMotifs[r.Intn(len(fusionMotifs))]
 		// Splice after the source (if any), at a random offset among the
 		// random stages, so motifs see arbitrary upstream and downstream
-		// neighbours.
-		at := len(stages) - n + r.Intn(n+1)
+		// neighbours. A motif that ends in a line count goes last: a
+		// stage behind it (grep -c e, wc -w) could hide a wrong count.
+		at := len(stages)
+		if m[len(m)-1] != "wc -l" {
+			at -= r.Intn(n + 1)
+		}
 		spliced := make([]string, 0, len(stages)+len(m))
 		spliced = append(spliced, stages[:at]...)
 		spliced = append(spliced, m...)

@@ -116,19 +116,14 @@ type oracleResult struct {
 	err error
 }
 
-// RunCase compiles one case and executes it under every config,
+// runCase compiles one case and executes it under every config,
 // byte-diffing each result against the reference oracle. It returns the
-// divergences and the number of executions performed (oracle included).
-// A compile error is a generator bug and is returned as err.
-func RunCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, error) {
-	divs, execs, _, _, err := runCase(ctx, sys, c, configs)
-	return divs, execs, err
-}
-
-// runCase is RunCase plus the oracle outcome and the compiled plan, so
-// callers that diff further planes against the same case (the serve
-// replay) reuse the oracle instead of re-running the reference,
-// and Run aggregates the plan's optimizer fire counters into the report.
+// divergences, the number of executions performed (oracle included),
+// the oracle outcome and the compiled plan, so callers that diff further
+// planes against the same case (the serve replay) reuse the oracle
+// instead of re-running the reference, and Run aggregates the plan's
+// optimizer fire counters into the report. A compile error is a
+// generator bug and is returned as err.
 func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, oracleResult, *kumquat.Plan, error) {
 	plan, err := compileCase(ctx, sys, c)
 	if err != nil {

@@ -27,8 +27,8 @@ type ServeReport struct {
 	Divergences []Divergence `json:"divergences"`
 }
 
-// ReplayOptions configures ReplayServe.
-type ReplayOptions struct {
+// replayOptions configures replayServe.
+type replayOptions struct {
 	// K is the data-parallelism degree each replayed execute requests.
 	K int
 	// SynthWorkers bounds the replay daemon's synthesis worker pool
@@ -36,21 +36,17 @@ type ReplayOptions struct {
 	SynthWorkers int
 }
 
-// ReplayServe boots an in-process kumquatd on a loopback listener and
+// replayServe boots an in-process kumquatd on a loopback listener and
 // replays every generated case through POST /v1/execute with the corpus
 // streamed as the request body, comparing the streamed output
 // byte-for-byte against the local serial oracle computed through sys.
 // Each distinct script is also planned through POST /v1/parallelize and
 // its stage verdict counts cross-checked against the local planner —
 // the HTTP plane must tell the same planning story the library tells.
-func ReplayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts ReplayOptions) (*ServeReport, error) {
-	return replayServe(ctx, sys, cases, opts, nil)
-}
-
-// replayServe is ReplayServe with optional precomputed oracle outcomes
+// oracles, when not nil, holds precomputed oracle outcomes
 // (index-aligned with cases); Run supplies them so the serve replay does
 // not re-execute serial runs the differential sweep already performed.
-func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts ReplayOptions, oracles []oracleResult) (*ServeReport, error) {
+func replayServe(ctx context.Context, sys *kumquat.System, cases []*Case, opts replayOptions, oracles []oracleResult) (*ServeReport, error) {
 	srv := server.New(server.Config{
 		SynthOptions: kumquat.Options{Seed: 1, Workers: opts.SynthWorkers},
 	})

@@ -20,7 +20,7 @@ func TestReplayServeHandcrafted(t *testing.T) {
 		{Script: "grep -c a\n", Corpus: "apple\nfig\npear\n", Profile: "hand"},
 		{Script: "wc -l\n", Corpus: "", Profile: "hand-empty"},
 	}
-	rep, err := ReplayServe(context.Background(), sys, cases, ReplayOptions{K: 4})
+	rep, err := replayServe(context.Background(), sys, cases, replayOptions{K: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,8 @@ func ShrinkCase(ctx context.Context, sys *kumquat.System, c *Case, cfg Config) *
 // shrinkCorpus ddmin-minimizes a corpus under a string-level failure
 // predicate, preserving the trailing-newline state (the boundary the
 // stitch combiners care about). It is the shared corpus pass behind
-// ShrinkCase, CandidateCheck.ShrinkCorpus and the stress shrinker;
-// fails must be true for the input, which is returned unchanged when it
-// is not.
+// ShrinkCase and the stress shrinker; fails must be true for the input,
+// which is returned unchanged when it is not.
 func shrinkCorpus(corpus string, fails func(string) bool) string {
 	if corpus == "" || !fails(corpus) {
 		return corpus

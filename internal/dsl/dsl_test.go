@@ -240,7 +240,7 @@ func randStream(rng *rand.Rand, lines int) string {
 // absent from both operands.
 func TestLemmaB1DelimPreservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	recOps, _ := EnumerateOps(3, []Delim{','})
+	recOps, _ := enumerateOps(3, []Delim{','})
 	for trial := 0; trial < 300; trial++ {
 		op := recOps[rng.Intn(len(recOps))]
 		y1 := strings.ReplaceAll(randStream(rng, 1+rng.Intn(2)), "\n", ",")
@@ -260,7 +260,7 @@ func TestLemmaB1DelimPreservation(t *testing.T) {
 // TestLemmaB4Subadditivity: C(d, g(y1,y2)) <= C(d,y1) + C(d,y2) for RecOp.
 func TestLemmaB4Subadditivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	recOps, _ := EnumerateOps(3, []Delim{',', ' '})
+	recOps, _ := enumerateOps(3, []Delim{',', ' '})
 	for trial := 0; trial < 500; trial++ {
 		op := recOps[rng.Intn(len(recOps))]
 		mk := func() string {

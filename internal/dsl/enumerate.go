@@ -11,10 +11,10 @@ package dsl
 //	3 delims → 59048 RecOp + 51392 StructOp + 4 RunOp = 110444
 const DefaultMaxProductions = 5
 
-// EnumerateOps generates the RecOp and StructOp operator trees with at most
+// enumerateOps generates the RecOp and StructOp operator trees with at most
 // maxProductions productions over the given delimiter set. RecOps precede
 // StructOps in the result, each sorted by increasing production count.
-func EnumerateOps(maxProductions int, delims []Delim) (recOps, structOps []Op) {
+func enumerateOps(maxProductions int, delims []Delim) (recOps, structOps []Op) {
 	if maxProductions < 1 {
 		return nil, nil
 	}
@@ -70,7 +70,7 @@ func Enumerate(maxProductions int, delims []Delim) []Candidate {
 // enumerate is Enumerate into a slice with room for spare more
 // candidates after them.
 func enumerate(maxProductions int, delims []Delim, spare int) []Candidate {
-	recOps, structOps := EnumerateOps(maxProductions, delims)
+	recOps, structOps := enumerateOps(maxProductions, delims)
 	out := make([]Candidate, 0, 2*(len(recOps)+len(structOps))+4+spare)
 	appendBoth := func(ops []Op) {
 		for _, op := range ops {

@@ -197,7 +197,7 @@ func intToStr(i int) string {
 // TestDomainEvalConsistency: whenever both operands are in L(g) for the
 // size-≤-4 operators over a small delimiter set, Eval must not fail.
 func TestDomainEvalConsistency(t *testing.T) {
-	recOps, structOps := EnumerateOps(3, []Delim{','})
+	recOps, structOps := enumerateOps(3, []Delim{','})
 	ops := append(append([]Op{}, recOps...), structOps...)
 	f := func(a, b string, opIdx uint16) bool {
 		op := ops[int(opIdx)%len(ops)]

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 )
 
@@ -35,17 +34,6 @@ type ChromeFile struct {
 	TraceEvents []ChromeEvent `json:"traceEvents"`
 	// DisplayTimeUnit selects the viewer's time unit.
 	DisplayTimeUnit string `json:"displayTimeUnit"`
-}
-
-// ParseChromeTrace decodes an exported Chrome trace-event document —
-// the inverse of TraceData.ChromeTrace, for round-trip tests and
-// tooling.
-func ParseChromeTrace(data []byte) (*ChromeFile, error) {
-	var f ChromeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("obs: parsing chrome trace: %w", err)
-	}
-	return &f, nil
 }
 
 // ChromeTrace exports the trace in the Chrome trace-event JSON format.

@@ -2,8 +2,19 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 )
+
+// parseChromeTrace decodes an exported Chrome trace-event document.
+func parseChromeTrace(t *testing.T, data []byte) *ChromeFile {
+	t.Helper()
+	var f ChromeFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("parsing chrome trace: %v", err)
+	}
+	return &f
+}
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(4, "coordinator")
@@ -24,10 +35,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChromeTrace: %v", err)
 	}
-	f, err := ParseChromeTrace(data)
-	if err != nil {
-		t.Fatalf("ParseChromeTrace: %v", err)
-	}
+	f := parseChromeTrace(t, data)
 	if f.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", f.DisplayTimeUnit)
 	}
@@ -87,10 +95,7 @@ func TestChromeTraceLanesForOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChromeTrace: %v", err)
 	}
-	f, err := ParseChromeTrace(data)
-	if err != nil {
-		t.Fatalf("ParseChromeTrace: %v", err)
-	}
+	f := parseChromeTrace(t, data)
 	tids := map[string]int{}
 	for _, ev := range f.TraceEvents {
 		if ev.Ph == "X" {
@@ -111,10 +116,7 @@ func TestChromeTraceEmptyProcDefaultsName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChromeTrace: %v", err)
 	}
-	f, err := ParseChromeTrace(data)
-	if err != nil {
-		t.Fatalf("ParseChromeTrace: %v", err)
-	}
+	f := parseChromeTrace(t, data)
 	var found bool
 	for _, ev := range f.TraceEvents {
 		if ev.Ph == "M" && ev.Args["name"] == "kumquat" {

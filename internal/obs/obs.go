@@ -268,7 +268,7 @@ func (t *Tracer) StartTrace(ctx context.Context, name string) (context.Context, 
 	t.insert(tr)
 	t.mu.Unlock()
 	sp := &Span{tracer: t, tr: tr, name: name, sc: SpanContext{TraceID: tr.id, SpanID: sid}, start: time.Now()}
-	return ContextWithSpan(ctx, sp), sp
+	return contextWithSpan(ctx, sp), sp
 }
 
 // StartRemote joins a trace propagated from another process: the new
@@ -291,7 +291,7 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, sc SpanContext) (
 		parent: sc.SpanID,
 		start:  time.Now(),
 	}
-	return ContextWithSpan(ctx, sp), sp
+	return contextWithSpan(ctx, sp), sp
 }
 
 // Merge stitches remotely recorded span records into the newest local
@@ -420,9 +420,9 @@ func (s *Span) event(e EventRecord) {
 	s.mu.Unlock()
 }
 
-// StartChild begins a child span of s. Most call sites use the
+// startChild begins a child span of s. Most call sites use the
 // package-level StartSpan, which threads the parent through the context.
-func (s *Span) StartChild(name string) *Span {
+func (s *Span) startChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
@@ -487,9 +487,9 @@ func (s *Span) Records() []SpanRecord {
 // allocation-free.
 type spanKey struct{}
 
-// ContextWithSpan returns a context carrying sp as the current span. A
+// contextWithSpan returns a context carrying sp as the current span. A
 // nil span returns ctx unchanged.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+func contextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
@@ -512,6 +512,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := parent.StartChild(name)
-	return ContextWithSpan(ctx, sp), sp
+	sp := parent.startChild(name)
+	return contextWithSpan(ctx, sp), sp
 }

@@ -177,8 +177,9 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 }
 
 // inMemoryReader reports whether r reads from memory already held by the
-// caller (the compat wrappers' strings.Reader stdin): such input is
-// materialized, never blocks, and needs no pump.
+// caller (a strings.Reader, or the bytes.Buffer an execute request's body
+// was read into): such input is materialized, never blocks, and needs no
+// pump.
 func inMemoryReader(r io.Reader) bool {
 	switch r.(type) {
 	case *strings.Reader, *bytes.Reader, *bytes.Buffer:

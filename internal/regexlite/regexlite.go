@@ -118,16 +118,6 @@ func CompileFold(pattern string) (*Regexp, error) {
 	return re, nil
 }
 
-// MustCompile is Compile that panics on error; for use with known-good
-// patterns in tests and tables.
-func MustCompile(pattern string) *Regexp {
-	re, err := Compile(pattern)
-	if err != nil {
-		panic(err)
-	}
-	return re
-}
-
 // String returns the source pattern.
 func (re *Regexp) String() string { return re.pattern }
 
@@ -538,22 +528,6 @@ func (m *matchState) matchNode(n node, pos int, cont func(int) bool) bool {
 
 const defaultBudget = 2_000_000
 
-// Match describes a successful match: the [Start, End) byte range within the
-// input and the captured group ranges (index 0 is the whole match).
-type Match struct {
-	Start, End int
-	Caps       [10][2]int
-}
-
-// Group returns the text of capture group i within input, or "" when unset.
-func (mm Match) Group(input string, i int) string {
-	s, e := mm.Caps[i][0], mm.Caps[i][1]
-	if s < 0 || e < s {
-		return ""
-	}
-	return input[s:e]
-}
-
 // find locates the leftmost match in input starting at or after from
 // and returns its bounds. A literal pattern is strings.Index and needs no
 // state (m may be nil); any other runs the backtracker on m, whose caps
@@ -606,20 +580,6 @@ func (re *Regexp) state(input string) *matchState {
 func (re *Regexp) MatchString(input string) bool {
 	_, _, ok := re.find(re.state(input), input, 0)
 	return ok
-}
-
-// FindString returns the leftmost match, if any, with its groups.
-func (re *Regexp) FindString(input string) (Match, bool) {
-	m := matchState{input: input, icase: re.icase}
-	for i := range m.caps {
-		m.caps[i] = [2]int{-1, -1} // what a literal pattern leaves them
-	}
-	start, end, ok := re.find(&m, input, 0)
-	if !ok {
-		return Match{}, false
-	}
-	m.caps[0] = [2]int{start, end}
-	return Match{Start: start, End: end, Caps: m.caps}, true
 }
 
 // expandRepl appends a sed-style replacement for the match [start, end)

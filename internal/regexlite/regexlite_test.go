@@ -6,8 +6,17 @@ import (
 	"testing"
 )
 
+// mustCompile is Compile that panics on error, for known-good patterns.
+func mustCompile(pattern string) *Regexp {
+	re, err := Compile(pattern)
+	if err != nil {
+		panic(err)
+	}
+	return re
+}
+
 func TestLiteralMatch(t *testing.T) {
-	re := MustCompile("light")
+	re := mustCompile("light")
 	if !re.MatchString("a lighthouse") {
 		t.Error("should match substring")
 	}
@@ -17,7 +26,7 @@ func TestLiteralMatch(t *testing.T) {
 }
 
 func TestDotStar(t *testing.T) {
-	re := MustCompile("light.*light")
+	re := mustCompile("light.*light")
 	if !re.MatchString("light of the lighthouse") {
 		t.Error("light.*light should match")
 	}
@@ -31,7 +40,7 @@ func TestDotStar(t *testing.T) {
 }
 
 func TestAnchors(t *testing.T) {
-	re := MustCompile("^0$")
+	re := mustCompile("^0$")
 	if !re.MatchString("0") {
 		t.Error("^0$ should match '0'")
 	}
@@ -41,36 +50,36 @@ func TestAnchors(t *testing.T) {
 		}
 	}
 	// grep '^....$' — exactly 4 characters.
-	re4 := MustCompile("^....$")
+	re4 := mustCompile("^....$")
 	if !re4.MatchString("word") || re4.MatchString("words") || re4.MatchString("cat") {
 		t.Error("^....$ misbehaved")
 	}
 }
 
 func TestClasses(t *testing.T) {
-	re := MustCompile("[KQRBN]")
+	re := mustCompile("[KQRBN]")
 	if !re.MatchString("Qxe5") || re.MatchString("exd5") {
 		t.Error("[KQRBN] misbehaved")
 	}
-	re2 := MustCompile("^[^aeiou]*[aeiou][^aeiou]*$")
+	re2 := mustCompile("^[^aeiou]*[aeiou][^aeiou]*$")
 	if !re2.MatchString("cat") || !re2.MatchString("a") {
 		t.Error("1-syllable pattern should match cat/a")
 	}
 	if re2.MatchString("beat") || re2.MatchString("audio") {
 		t.Error("1-syllable pattern should reject multi-vowel words")
 	}
-	re3 := MustCompile("[[:digit:]]")
+	re3 := mustCompile("[[:digit:]]")
 	if !re3.MatchString("a1b") || re3.MatchString("abc") {
 		t.Error("[[:digit:]] misbehaved")
 	}
-	re4 := MustCompile("[a-z0-9]")
+	re4 := mustCompile("[a-z0-9]")
 	if !re4.MatchString("Z9") || re4.MatchString("ZA") {
 		t.Error("[a-z0-9] misbehaved")
 	}
 }
 
 func TestRangeEdges(t *testing.T) {
-	re := MustCompile("[a-c]")
+	re := mustCompile("[a-c]")
 	for _, s := range []string{"a", "b", "c"} {
 		if !re.MatchString(s) {
 			t.Errorf("[a-c] should match %q", s)
@@ -80,12 +89,12 @@ func TestRangeEdges(t *testing.T) {
 		t.Error("[a-c] should not match d")
 	}
 	// ']' first in class is literal.
-	re2 := MustCompile("[]a]")
+	re2 := mustCompile("[]a]")
 	if !re2.MatchString("]") || !re2.MatchString("a") {
 		t.Error("[]a] should match ] and a")
 	}
 	// '-' last in class is literal.
-	re3 := MustCompile("[a-]")
+	re3 := mustCompile("[a-]")
 	if !re3.MatchString("-") || !re3.MatchString("a") || re3.MatchString("b") {
 		t.Error("[a-] misbehaved")
 	}
@@ -93,7 +102,7 @@ func TestRangeEdges(t *testing.T) {
 
 func TestBackreferences(t *testing.T) {
 	// The nfa-regex benchmark pattern: four repeated characters.
-	re := MustCompile(`\(.\).*\1\(.\).*\2\(.\).*\3\(.\).*\4`)
+	re := mustCompile(`\(.\).*\1\(.\).*\2\(.\).*\3\(.\).*\4`)
 	if !re.MatchString("aabbccdd") {
 		t.Error("aabbccdd has 4 pairwise-repeated chars in order")
 	}
@@ -103,20 +112,16 @@ func TestBackreferences(t *testing.T) {
 	if re.MatchString("abcdefgh") {
 		t.Error("all-distinct string should not match")
 	}
-	re2 := MustCompile(`\(ab\)\1`)
+	re2 := mustCompile(`\(ab\)\1`)
 	if !re2.MatchString("abab") || re2.MatchString("abba") {
 		t.Error(`\(ab\)\1 misbehaved`)
 	}
 }
 
 func TestGroupsCapture(t *testing.T) {
-	re := MustCompile(`T\(..\):..:..`)
-	m, ok := re.FindString("2020-01-02T13:45:59,v1")
-	if !ok {
-		t.Fatal("should match timestamp")
-	}
-	if got := m.Group("2020-01-02T13:45:59,v1", 1); got != "13" {
-		t.Errorf("group 1 = %q, want 13", got)
+	re := mustCompile(`T\(..\):..:..`)
+	if got := replaced(re.ReplaceFirst, "2020-01-02T13:45:59,v1", `<\1>`); got != "2020-01-02<13>,v1" {
+		t.Errorf("group 1 spliced as %q, want 2020-01-02<13>,v1", got)
 	}
 }
 
@@ -132,25 +137,25 @@ func replaced(replace func([]byte, string, string) ([]byte, bool), input, repl s
 
 func TestReplace(t *testing.T) {
 	// sed 's/T..:..:..//'
-	re := MustCompile("T..:..:..")
+	re := mustCompile("T..:..:..")
 	got := replaced(re.ReplaceFirst, "2020-01-02T13:45:59,v1", "")
 	if got != "2020-01-02,v1" {
 		t.Errorf("strip timestamp = %q", got)
 	}
 	// sed 's/T\(..\):..:../,\1/'
-	re2 := MustCompile(`T\(..\):..:..`)
+	re2 := mustCompile(`T\(..\):..:..`)
 	got = replaced(re2.ReplaceFirst, "2020-01-02T13:45:59,v1", `,\1`)
 	if got != "2020-01-02,13,v1" {
 		t.Errorf("hour extract = %q", got)
 	}
 	// sed 's/$/0s/' — empty match at end of line.
-	re3 := MustCompile("$")
+	re3 := mustCompile("$")
 	got = replaced(re3.ReplaceFirst, "197", "0s")
 	if got != "1970s" {
 		t.Errorf("append = %q", got)
 	}
 	// sed 's/^/prefix/'
-	re4 := MustCompile("^")
+	re4 := mustCompile("^")
 	got = replaced(re4.ReplaceFirst, "name.txt", "dir/")
 	if got != "dir/name.txt" {
 		t.Errorf("prefix = %q", got)
@@ -158,18 +163,18 @@ func TestReplace(t *testing.T) {
 }
 
 func TestReplaceAll(t *testing.T) {
-	re := MustCompile("a")
+	re := mustCompile("a")
 	if got := replaced(re.ReplaceAll, "banana", "o"); got != "bonono" {
 		t.Errorf("ReplaceAll = %q", got)
 	}
 	// Empty matches must not loop.
-	re2 := MustCompile("x*")
+	re2 := mustCompile("x*")
 	got := replaced(re2.ReplaceAll, "ab", "-")
 	if !strings.Contains(got, "a") || !strings.Contains(got, "b") {
 		t.Errorf("empty-match ReplaceAll lost text: %q", got)
 	}
 	// & in replacement.
-	re3 := MustCompile("na")
+	re3 := mustCompile("na")
 	if got := replaced(re3.ReplaceAll, "banana", "<&>"); got != "ba<na><na>" {
 		t.Errorf("& replacement = %q", got)
 	}
@@ -188,7 +193,7 @@ func TestReplaceAllEmptyAfterMatch(t *testing.T) {
 		{"$", "ab", "!", "ab!"},
 		{"^", "ab", "!", "!ab"},
 	} {
-		re := MustCompile(c.pattern)
+		re := mustCompile(c.pattern)
 		if got := replaced(re.ReplaceAll, c.input, c.repl); got != c.want {
 			t.Errorf("s/%s/%s/g on %q = %q, want %q", c.pattern, c.repl, c.input, got, c.want)
 		}
@@ -198,7 +203,7 @@ func TestReplaceAllEmptyAfterMatch(t *testing.T) {
 // TestReplaceAppends: both Replace methods append to the caller's buffer,
 // and leave it untouched when nothing matches.
 func TestReplaceAppends(t *testing.T) {
-	re := MustCompile("a")
+	re := mustCompile("a")
 	for _, replace := range []func([]byte, string, string) ([]byte, bool){re.ReplaceFirst, re.ReplaceAll} {
 		dst := []byte("kept:")
 		if b, ok := replace(dst, "sky", "o"); ok || string(b) != "kept:" {
@@ -228,42 +233,40 @@ func TestCaseFold(t *testing.T) {
 }
 
 func TestLeftmostMatch(t *testing.T) {
-	re := MustCompile("l.ght")
-	m, ok := re.FindString("alight or light")
-	if !ok || m.Start != 1 {
-		t.Errorf("leftmost match at %d, want 1", m.Start)
+	re := mustCompile("l.ght")
+	if got := replaced(re.ReplaceFirst, "alight or light", "<&>"); got != "a<light> or light" {
+		t.Errorf("leftmost match marked as %q, want a<light> or light", got)
 	}
 }
 
 func TestStarGreedy(t *testing.T) {
-	re := MustCompile("a.*b")
-	m, ok := re.FindString("aXbYb")
-	if !ok || m.End != 5 {
-		t.Errorf("greedy .* should reach last b; end=%d", m.End)
+	re := mustCompile("a.*b")
+	if got := replaced(re.ReplaceFirst, "aXbYb", "<&>"); got != "<aXbYb>" {
+		t.Errorf("greedy .* should reach last b; marked as %q", got)
 	}
 }
 
 func TestPlusQuest(t *testing.T) {
-	re := MustCompile(`ab\+c`)
+	re := mustCompile(`ab\+c`)
 	if !re.MatchString("abbbc") || re.MatchString("ac") {
 		t.Error(`\+ misbehaved`)
 	}
-	re2 := MustCompile(`ab\?c`)
+	re2 := mustCompile(`ab\?c`)
 	if !re2.MatchString("ac") || !re2.MatchString("abc") || re2.MatchString("abbc") {
 		t.Error(`\? misbehaved`)
 	}
 }
 
 func TestEscapedLiterals(t *testing.T) {
-	re := MustCompile(`\.`)
+	re := mustCompile(`\.`)
 	if !re.MatchString("a.b") || re.MatchString("ab") {
 		t.Error(`\. misbehaved`)
 	}
-	re2 := MustCompile(`light\.\*light`)
+	re2 := mustCompile(`light\.\*light`)
 	if !re2.MatchString("light.*light") || re2.MatchString("lightXlight") {
 		t.Error(`escaped star misbehaved`)
 	}
-	re3 := MustCompile(`(`)
+	re3 := mustCompile(`(`)
 	if !re3.MatchString("f(x)") {
 		t.Error("bare ( is literal in BRE")
 	}
@@ -271,11 +274,11 @@ func TestEscapedLiterals(t *testing.T) {
 
 func TestMidPatternDollarCaret(t *testing.T) {
 	// In BRE, $ not at end and ^ not at start are literals.
-	re := MustCompile("a$b")
+	re := mustCompile("a$b")
 	if !re.MatchString("a$b") {
 		t.Error("mid $ should be literal")
 	}
-	re2 := MustCompile("a^b")
+	re2 := mustCompile("a^b")
 	if !re2.MatchString("a^b") {
 		t.Error("mid ^ should be literal")
 	}
@@ -305,7 +308,7 @@ var examplePatterns = []string{
 func TestExampleGeneratesMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range examplePatterns {
-		re := MustCompile(p)
+		re := mustCompile(p)
 		for i := 0; i < 50; i++ {
 			ex := re.Example(rng)
 			if !re.MatchString(ex) {
@@ -318,7 +321,7 @@ func TestExampleGeneratesMatches(t *testing.T) {
 
 func TestBudgetTermination(t *testing.T) {
 	// A pathological pattern must terminate (budget-bounded), not hang.
-	re := MustCompile("a*a*a*a*a*a*a*b")
+	re := mustCompile("a*a*a*a*a*a*a*b")
 	long := strings.Repeat("a", 300)
 	_ = re.MatchString(long) // must return; result may be false due to budget
 }

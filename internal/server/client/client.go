@@ -214,22 +214,11 @@ func (c *Client) Version(ctx context.Context) (*api.VersionResponse, error) {
 	return &resp, nil
 }
 
-// Healthz probes liveness: a draining server is still alive, so this
-// stays 200 until the process exits.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.probe(ctx, "/healthz")
-}
-
 // Readyz probes readiness: a draining (or otherwise not-admitting)
-// server answers 503 here while Healthz still reports 200, so load
+// server answers 503 here while /healthz still reports 200, so load
 // balancers rotate replicas without killing in-flight streams.
 func (c *Client) Readyz(ctx context.Context) error {
-	return c.probe(ctx, "/readyz")
-}
-
-// probe issues one GET health probe and maps non-200 to an error.
-func (c *Client) probe(ctx context.Context, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
 	if err != nil {
 		return err
 	}
@@ -240,7 +229,7 @@ func (c *Client) probe(ctx context.Context, path string) error {
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: %s: %s", path, resp.Status)
+		return fmt.Errorf("client: /readyz: %s", resp.Status)
 	}
 	return nil
 }

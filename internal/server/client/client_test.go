@@ -250,10 +250,14 @@ func TestMalformedJSON(t *testing.T) {
 	})
 }
 
-// TestVersionHealthzMetrics: the three observability endpoints round-trip
-// through the typed client against the real handler.
+// TestVersionHealthzMetrics: the observability endpoints answer the
+// typed client (version, metrics) and a plain probe (healthz) from the
+// real handler.
 func TestVersionHealthzMetrics(t *testing.T) {
-	c := realServer(t)
+	srv := server.New(server.Config{SynthOptions: kumquat.Options{Seed: 1}})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c := client.New(hs.URL, client.WithHTTPClient(hs.Client()))
 	ctx := context.Background()
 	ver, err := c.Version(ctx)
 	if err != nil {
@@ -262,8 +266,13 @@ func TestVersionHealthzMetrics(t *testing.T) {
 	if ver.MaxInFlight <= 0 || ver.QueueDepth < 0 {
 		t.Fatalf("version limits missing: %+v", ver)
 	}
-	if err := c.Healthz(ctx); err != nil {
+	resp, err := hs.Client().Get(hs.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %s", resp.Status)
 	}
 	metrics, err := c.Metrics(ctx)
 	if err != nil {

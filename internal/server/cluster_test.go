@@ -10,7 +10,6 @@ import (
 	"kumquat"
 	"kumquat/internal/cluster"
 	"kumquat/internal/server"
-	"kumquat/internal/server/api"
 	"kumquat/internal/server/client"
 )
 
@@ -216,16 +215,6 @@ func TestClusterVersionAndMetrics(t *testing.T) {
 func TestClusterReportMatchesLocal(t *testing.T) {
 	c, _ := bootCluster(t, 3)
 	input := strings.Repeat("pear\nApple\nPEAR\nfig\nkiwi\napple\n", 40)
-	normalize := func(rep *api.ExecuteReport) {
-		rep.Cluster, rep.Wall = nil, 0
-		rep.SynthCache = kumquat.SynthCacheStats{}
-		for i := range rep.Stages {
-			rep.Stages[i].Wall, rep.Stages[i].CombineWall = 0, 0
-		}
-		for i := range rep.Regions {
-			rep.Regions[i].Wall, rep.Regions[i].CombineWall = 0, 0
-		}
-	}
 	for _, script := range []string{
 		"cat in.txt | sort | uniq -c",
 		"cat in.txt | sort > tmp.txt\ncat tmp.txt | uniq -c",
@@ -255,8 +244,8 @@ func TestClusterReportMatchesLocal(t *testing.T) {
 		if crep.BytesIn == 0 || crep.BytesOut != int64(cout.Len()) {
 			t.Fatalf("%q: byte totals %d in / %d out for %d output bytes", script, crep.BytesIn, crep.BytesOut, cout.Len())
 		}
-		normalize(crep)
-		normalize(lrep)
+		normalizeReport(crep)
+		normalizeReport(lrep)
 		if !reflect.DeepEqual(crep, lrep) {
 			t.Errorf("%q: reports differ\ncluster %+v\nlocal   %+v", script, crep, lrep)
 		}

@@ -22,7 +22,7 @@ import (
 // attribution.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req api.SynthesizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
 	}
@@ -78,7 +78,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // environment; combiners come from the shared warm engine.
 func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 	var req api.ParallelizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
 	}
@@ -118,19 +118,21 @@ func (s *Server) handleParallelize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleExecute serves POST /v1/execute: the script comes in query
-// parameters (script, k, mode, cluster, trace), the request body
-// streams in as the pipeline's input, stdout streams back as the
-// response body, and the RunReport arrives as the X-Kumquat-Report
-// trailer once the stream ends. The request body binds to the script's
-// input source: standard input for stdin-reading pipelines, or the
-// first pipeline's `cat FILE` / `< FILE` source otherwise.
 // maxParallelism bounds an execute request's k: splitting a stream k
 // ways allocates k chunks, outputs and chunk runs up front, so an
 // unbounded k lets one small request exhaust the daemon's memory. The
 // bound sits far above the paper's largest k (16).
 const maxParallelism = 1024
 
+// handleExecute serves POST /v1/execute: the script comes in query
+// parameters (script, k, mode, cluster, trace), the request body is the
+// pipeline's input, stdout streams back as the response body, and the
+// RunReport arrives as the X-Kumquat-Report trailer once the stream
+// ends. The request body binds to the script's input source: standard
+// input for stdin-reading pipelines, or the first pipeline's `cat FILE`
+// / `< FILE` source otherwise. With the cluster on, the same run goes
+// through the coordinator, its leaves sharded across the workers, and
+// the report carries the run's ClusterReport.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	script := q.Get("script")
@@ -222,15 +224,12 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	defer func() { finishExecute(w, span, remoteTrace, rep, failure) }()
 
 	// A body that declares more than the limit is refused before any
-	// buffer exists; one that runs past it mid-read fails at the limit.
-	body := io.Reader(r.Body)
-	if limit := s.cfg.MaxBodyBytes; limit > 0 {
-		if r.ContentLength > limit {
-			failure = &http.MaxBytesError{Limit: limit}
-			writeError(w, http.StatusRequestEntityTooLarge, "request body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit)
-			return
-		}
-		body = http.MaxBytesReader(w, r.Body, limit)
+	// buffer exists; one that runs past it mid-read fails at the limit
+	// (instrument bounds every request body).
+	if limit := s.cfg.MaxBodyBytes; limit > 0 && r.ContentLength > limit {
+		failure = &http.MaxBytesError{Limit: limit}
+		writeError(w, http.StatusRequestEntityTooLarge, "request body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit)
+		return
 	}
 	presize := s.presize(r)
 
@@ -246,56 +245,60 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Bind the request body to the script's input: a stdin-reading first
-	// pipeline consumes it as a stream; a `cat FILE` / `< FILE` source
-	// gets the body materialized under that name. The binding is
-	// unconditional — the environment's synthetic corpus must never
-	// shadow a client's streamed data behind a colliding file name.
-	var stdin io.Reader = &sizedBody{r: body, n: presize}
-	if inputs := plan.Inputs(); len(inputs) > 0 && inputs[0] != "" {
-		data, rerr := textio.ReadAll(body, presize)
-		if rerr != nil {
-			failure = rerr
-			writeError(w, bodyErrStatus(rerr), "reading request body for input %q: %v", inputs[0], rerr)
+	// Bind the request body to the script's input, before any response
+	// header is set. It streams into a stdin-reading first pipeline only
+	// on a local run whose writer goes full duplex: Go's HTTP/1 server
+	// otherwise discards the unread body once the response starts, and
+	// the cluster shards a materialized corpus. Every other run reads the
+	// body whole, so a failed read still answers 400/413, and binds it to
+	// the first pipeline's `cat FILE` / `< FILE` source or to stdin. The
+	// file binding is unconditional: the environment's synthetic corpus
+	// must never shadow a client's data behind a colliding file name.
+	var input string
+	if inputs := plan.Inputs(); len(inputs) > 0 {
+		input = inputs[0]
+	}
+	var stdin io.Reader
+	if input == "" && !useCluster && http.NewResponseController(w).EnableFullDuplex() == nil {
+		stdin = &sizedBody{r: r.Body, n: presize}
+	} else {
+		data, err := textio.ReadAll(r.Body, presize)
+		if err != nil {
+			failure = err
+			writeError(w, bodyErrStatus(err), "reading request body: %v", err)
 			return
 		}
-		// data is owned here and never mutated: bind a view, not a copy.
-		env.Register(inputs[0], textio.View(data))
-		stdin = nil
+		// data is owned here and never mutated: bind it, not a copy.
+		if input != "" {
+			env.Register(input, textio.View(data))
+		} else {
+			stdin = bytes.NewBuffer(data)
+		}
 	}
 
-	// Declare trailers before the body commits, then stream.
+	// Declare trailers before the body commits, then stream. The
+	// coordinator pins mode, k and leaves after these options.
 	trailers := api.ReportTrailer + ", " + api.ErrorTrailer
 	if remoteTrace {
 		trailers += ", " + api.TraceTrailer
 	}
 	w.Header().Set("Trailer", trailers)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sink := kumquat.WithOutput(&flushWriter{w: w})
-	if useCluster {
-		rep, failure = s.executeCluster(w, r, plan, stdin, presize, sink)
-		return
-	}
-	if stdin != nil {
-		// A streamed stage writes output while the body is still
-		// arriving, and Go's HTTP/1 server discards the unread body once
-		// the response starts unless the exchange is full duplex. A
-		// writer that cannot say so (one that does not unwrap to the
-		// connection's) gets the body read whole before the first write.
-		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
-			data, rerr := textio.ReadAll(stdin, presize)
-			if rerr != nil {
-				failure = rerr
-				writeError(w, bodyErrStatus(rerr), "reading request body: %v", rerr)
-				return
-			}
-			stdin = bytes.NewBuffer(data)
-		}
-	}
-	run, err := plan.Execute(r.Context(), sink,
+	opts := []kumquat.ExecOption{
+		kumquat.WithOutput(&flushWriter{w: w}),
 		kumquat.WithParallelism(k),
 		kumquat.WithMode(mode),
-		kumquat.WithStdin(stdin))
+		kumquat.WithStdin(stdin),
+	}
+	var run *kumquat.RunReport
+	var cr *api.ClusterReport
+	if useCluster {
+		var c api.ClusterReport
+		run, c, err = s.clu.Execute(r.Context(), plan, opts...)
+		cr = &c
+	} else {
+		run, err = plan.Execute(r.Context(), opts...)
+	}
 	if err != nil {
 		// The stream may already be half-written; the error must travel
 		// as a trailer. (Before the first byte this still downgrades the
@@ -305,7 +308,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(api.ErrorTrailer, err.Error())
 		return
 	}
-	rep = &api.ExecuteReport{RunReport: *run}
+	rep = &api.ExecuteReport{RunReport: *run, Cluster: cr}
 }
 
 // finishExecute is handleExecute's deferred exit. It ends the request's
@@ -357,14 +360,9 @@ func (f *flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeJSON decodes a JSON request body into v, bounded by the
-// server's body limit.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body := io.Reader(r.Body)
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	dec := json.NewDecoder(body)
+// decodeJSON decodes a JSON request body into v.
+func decodeJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

@@ -60,8 +60,9 @@ type Config struct {
 	// does not set one (default GOMAXPROCS).
 	DefaultParallelism int
 	// MaxBodyBytes bounds request bodies (default 256 MiB; negative =
-	// unlimited). Execute inputs stream, but scripts that bind the body
-	// to a `cat FILE` source materialize it.
+	// unlimited). An execute body streams into a local stdin-reading
+	// run; every other execute (a `cat FILE` source, a cluster run)
+	// reads it whole.
 	MaxBodyBytes int64
 	// Cluster configures coordinator mode: with a non-empty Workers list
 	// the execute endpoint shards parallel stages across those worker
@@ -193,15 +194,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// instrument wraps a handler with request metrics (count by status code,
-// latency histogram) and structured request logs. Probe endpoints log at
-// debug so a tight health-check loop doesn't drown the work log; traced
-// requests carry their trace_id for correlation.
+// instrument wraps a handler with the request body limit, request
+// metrics (count by status code, latency histogram) and structured
+// request logs. Probe endpoints log at debug so a tight health-check loop
+// doesn't drown the work log; traced requests carry their trace_id for
+// correlation.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	probe := endpoint == "healthz" || endpoint == "readyz" || endpoint == "version"
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.log.Debug("request start", "endpoint", endpoint, "remote", r.RemoteAddr)
+		// Bound the body here, over the server's own writer: a limit that
+		// trips tells net/http the body's rest is unread, so it closes the
+		// connection instead of reusing it.
+		if s.cfg.MaxBodyBytes > 0 {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
 		d := time.Since(start)

@@ -12,9 +12,9 @@ import (
 // Y under which Theorems 1–4 guarantee that every surviving candidate of
 // g's class is equivalent-by-intersection to the correct combiner g.
 // The synthesizer does not need these predicates to operate (it filters by
-// plausibility alone); they exist to let tests and users *certify* that a
-// run collected sufficient observations, reproducing the paper's theory
-// section executably.
+// plausibility alone); they let the Theorem 2 and Theorem 4 tests
+// *certify* that a run collected sufficient observations, reproducing the
+// paper's theory section executably.
 
 // nonTrivialByte reports whether c is outside Delim ∪ {'0'} — Table 2's
 // "non-delimiter and non-zero characters" requirement for selection
@@ -48,9 +48,9 @@ func allZeros(s string) bool {
 	return true
 }
 
-// EAdd is E(g_a, Y): some observation has y1 not all zeros, and some has
+// eAdd is E(g_a, Y): some observation has y1 not all zeros, and some has
 // y2 not all zeros (Table 2, row add).
-func EAdd(obs []Observation) bool {
+func eAdd(obs []Observation) bool {
 	var y1ok, y2ok bool
 	for _, o := range obs {
 		if !allZeros(o.Y1) {
@@ -63,9 +63,9 @@ func EAdd(obs []Observation) bool {
 	return y1ok && y2ok
 }
 
-// EConcat is E(g_c, Y): some observation has nonempty y1, and some has
+// eConcat is E(g_c, Y): some observation has nonempty y1, and some has
 // nonempty y2 (Table 2, row concat).
-func EConcat(obs []Observation) bool {
+func eConcat(obs []Observation) bool {
 	var y1ok, y2ok bool
 	for _, o := range obs {
 		if o.Y1 != "" {
@@ -78,9 +78,9 @@ func EConcat(obs []Observation) bool {
 	return y1ok && y2ok
 }
 
-// EFirst is E(g_f, Y): some observation has y1 ≠ y2, and some observation's
+// eFirst is E(g_f, Y): some observation has y1 ≠ y2, and some observation's
 // y2 contains a non-delimiter, non-zero character (Table 2, row first).
-func EFirst(obs []Observation) bool {
+func eFirst(obs []Observation) bool {
 	var differ, nontrivial bool
 	for _, o := range obs {
 		if o.Y1 != o.Y2 {
@@ -93,8 +93,8 @@ func EFirst(obs []Observation) bool {
 	return differ && nontrivial
 }
 
-// ESecond is E(g_s, Y), symmetric to EFirst.
-func ESecond(obs []Observation) bool {
+// eSecond is E(g_s, Y), symmetric to eFirst.
+func eSecond(obs []Observation) bool {
 	var differ, nontrivial bool
 	for _, o := range obs {
 		if o.Y1 != o.Y2 {
@@ -107,9 +107,9 @@ func ESecond(obs []Observation) bool {
 	return differ && nontrivial
 }
 
-// EBackAdd is E(g_ba, Y) for (back d add): EAdd over the observations with
+// eBackAdd is E(g_ba, Y) for (back d add): eAdd over the observations with
 // the trailing delimiter stripped (Table 2, row back-add).
-func EBackAdd(d dsl.Delim, obs []Observation) bool {
+func eBackAdd(d dsl.Delim, obs []Observation) bool {
 	var stripped []Observation
 	for _, o := range obs {
 		ds := string(byte(d))
@@ -121,14 +121,14 @@ func EBackAdd(d dsl.Delim, obs []Observation) bool {
 			})
 		}
 	}
-	return EAdd(stripped)
+	return eAdd(stripped)
 }
 
-// ERec is E_rec(Y) (Definition B.13): sufficient for eliminating incorrect
+// eRec is E_rec(Y) (Definition B.13): sufficient for eliminating incorrect
 // candidates whenever the correct combiner lies in G_rec. Requires an
 // observation with y1 ≠ y2, and non-trivial characters in some y1 and some
 // y2.
-func ERec(obs []Observation) bool {
+func eRec(obs []Observation) bool {
 	var differ, c1, c2 bool
 	for _, o := range obs {
 		if o.Y1 != o.Y2 {
@@ -144,10 +144,10 @@ func ERec(obs []Observation) bool {
 	return differ && c1 && c2
 }
 
-// EStitchFirst is E(g_sf, Y) condition (1) (Table 2, row stitch-first):
+// eStitchFirst is E(g_sf, Y) condition (1) (Table 2, row stitch-first):
 // some observation where y1's last line equals y2's first line and that
 // line starts (after padding) and ends with non-trivial characters.
-func EStitchFirst(obs []Observation) bool {
+func eStitchFirst(obs []Observation) bool {
 	for _, o := range obs {
 		_, l1, ok1 := textio.SplitLastLine(o.Y1)
 		l2, _, ok2 := textio.SplitFirstLine(o.Y2)
@@ -165,10 +165,10 @@ func EStitchFirst(obs []Observation) bool {
 	return false
 }
 
-// EStitch2AddFirst is E(g_saf, Y) (Table 2, row stitch2-add-first): an
+// eStitch2AddFirst is E(g_saf, Y) (Table 2, row stitch2-add-first): an
 // observation whose boundary lines share their tail with non-trivial
 // leading and trailing characters.
-func EStitch2AddFirst(d dsl.Delim, obs []Observation) bool {
+func eStitch2AddFirst(d dsl.Delim, obs []Observation) bool {
 	for _, o := range obs {
 		_, l1, ok1 := textio.SplitLastLine(o.Y1)
 		l2, _, ok2 := textio.SplitFirstLine(o.Y2)
@@ -187,33 +187,33 @@ func EStitch2AddFirst(d dsl.Delim, obs []Observation) bool {
 	return false
 }
 
-// SufficientForClass reports whether the observations satisfy the
+// sufficientForClass reports whether the observations satisfy the
 // class-level sufficiency predicate for the given representative combiner,
 // dispatching on the candidate's operator shape. It returns false (i.e.
 // "cannot certify") for operators outside G_rec ∪ G_struct.
-func SufficientForClass(c dsl.Candidate, obs []Observation) bool {
+func sufficientForClass(c dsl.Candidate, obs []Observation) bool {
 	switch op := c.Op.(type) {
 	case dsl.Add:
-		return EAdd(obs)
+		return eAdd(obs)
 	case dsl.Concat:
-		return EConcat(obs)
+		return eConcat(obs)
 	case dsl.First:
-		return EFirst(obs)
+		return eFirst(obs)
 	case dsl.Second:
-		return ESecond(obs)
+		return eSecond(obs)
 	case dsl.Back:
 		if _, ok := op.B.(dsl.Add); ok {
-			return EBackAdd(op.D, obs)
+			return eBackAdd(op.D, obs)
 		}
 	case dsl.Stitch:
 		if _, ok := op.B.(dsl.First); ok {
-			return EStitchFirst(obs)
+			return eStitchFirst(obs)
 		}
 	case dsl.Stitch2:
 		_, okAdd := op.B1.(dsl.Add)
 		_, okFirst := op.B2.(dsl.First)
 		if okAdd && okFirst {
-			return EStitch2AddFirst(op.D, obs)
+			return eStitch2AddFirst(op.D, obs)
 		}
 	}
 	return false

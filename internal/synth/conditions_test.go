@@ -14,56 +14,56 @@ import (
 // TestTable2Predicates checks the E(g, Y) definitions on hand-built
 // observation sets.
 func TestTable2Predicates(t *testing.T) {
-	if EAdd([]Observation{{Y1: "0", Y2: "0"}}) {
-		t.Error("EAdd should require nonzero operands somewhere")
+	if eAdd([]Observation{{Y1: "0", Y2: "0"}}) {
+		t.Error("eAdd should require nonzero operands somewhere")
 	}
-	if !EAdd([]Observation{{Y1: "0", Y2: "3"}, {Y1: "5", Y2: "0"}}) {
-		t.Error("EAdd satisfied by nonzero y1 and y2 across observations")
+	if !eAdd([]Observation{{Y1: "0", Y2: "3"}, {Y1: "5", Y2: "0"}}) {
+		t.Error("eAdd satisfied by nonzero y1 and y2 across observations")
 	}
-	if EConcat([]Observation{{Y1: "a", Y2: ""}}) {
-		t.Error("EConcat should require nonempty y2 somewhere")
+	if eConcat([]Observation{{Y1: "a", Y2: ""}}) {
+		t.Error("eConcat should require nonempty y2 somewhere")
 	}
-	if !EConcat([]Observation{{Y1: "a", Y2: ""}, {Y1: "", Y2: "b"}}) {
-		t.Error("EConcat satisfied across observations")
+	if !eConcat([]Observation{{Y1: "a", Y2: ""}, {Y1: "", Y2: "b"}}) {
+		t.Error("eConcat satisfied across observations")
 	}
-	if EFirst([]Observation{{Y1: "x", Y2: "x"}}) {
-		t.Error("EFirst needs y1 != y2 somewhere")
+	if eFirst([]Observation{{Y1: "x", Y2: "x"}}) {
+		t.Error("eFirst needs y1 != y2 somewhere")
 	}
-	if !EFirst([]Observation{{Y1: "x", Y2: "y"}}) {
-		t.Error("EFirst satisfied by differing non-trivial outputs")
+	if !eFirst([]Observation{{Y1: "x", Y2: "y"}}) {
+		t.Error("eFirst satisfied by differing non-trivial outputs")
 	}
-	if EFirst([]Observation{{Y1: "x", Y2: "0"}}) {
-		t.Error("EFirst needs a non-delimiter non-zero character in y2")
+	if eFirst([]Observation{{Y1: "x", Y2: "0"}}) {
+		t.Error("eFirst needs a non-delimiter non-zero character in y2")
 	}
-	if !ESecond([]Observation{{Y1: "y", Y2: "0"}}) {
-		t.Error("ESecond satisfied by differing outputs with a non-trivial y1")
+	if !eSecond([]Observation{{Y1: "y", Y2: "0"}}) {
+		t.Error("eSecond satisfied by differing outputs with a non-trivial y1")
 	}
-	if ESecond([]Observation{{Y1: "0", Y2: "x"}}) {
-		t.Error("ESecond needs a non-delimiter non-zero character in y1")
+	if eSecond([]Observation{{Y1: "0", Y2: "x"}}) {
+		t.Error("eSecond needs a non-delimiter non-zero character in y1")
 	}
-	if !ERec([]Observation{{Y1: "x", Y2: "x"}, {Y1: "0", Y2: "y"}}) {
-		t.Error("ERec satisfied across observations by differing outputs and non-trivial y1 and y2")
+	if !eRec([]Observation{{Y1: "x", Y2: "x"}, {Y1: "0", Y2: "y"}}) {
+		t.Error("eRec satisfied across observations by differing outputs and non-trivial y1 and y2")
 	}
-	if ERec([]Observation{{Y1: "x", Y2: "x"}}) {
-		t.Error("ERec needs y1 != y2 somewhere")
+	if eRec([]Observation{{Y1: "x", Y2: "x"}}) {
+		t.Error("eRec needs y1 != y2 somewhere")
 	}
-	if !EBackAdd('\n', []Observation{{Y1: "2\n", Y2: "3\n", Y12: "5\n"}}) {
-		t.Error("EBackAdd satisfied by wc-style outputs")
+	if !eBackAdd('\n', []Observation{{Y1: "2\n", Y2: "3\n", Y12: "5\n"}}) {
+		t.Error("eBackAdd satisfied by wc-style outputs")
 	}
-	if EBackAdd('\n', []Observation{{Y1: "0\n", Y2: "0\n", Y12: "0\n"}}) {
-		t.Error("EBackAdd should reject all-zero counts")
+	if eBackAdd('\n', []Observation{{Y1: "0\n", Y2: "0\n", Y12: "0\n"}}) {
+		t.Error("eBackAdd should reject all-zero counts")
 	}
-	if !EStitchFirst([]Observation{{Y1: "a\nword\n", Y2: "word\nb\n"}}) {
-		t.Error("EStitchFirst satisfied by equal non-trivial boundary lines")
+	if !eStitchFirst([]Observation{{Y1: "a\nword\n", Y2: "word\nb\n"}}) {
+		t.Error("eStitchFirst satisfied by equal non-trivial boundary lines")
 	}
-	if EStitchFirst([]Observation{{Y1: "a\nx\n", Y2: "y\nb\n"}}) {
-		t.Error("EStitchFirst needs equal boundary lines")
+	if eStitchFirst([]Observation{{Y1: "a\nx\n", Y2: "y\nb\n"}}) {
+		t.Error("eStitchFirst needs equal boundary lines")
 	}
-	if !EStitch2AddFirst(' ', []Observation{{Y1: "      2 pear\n", Y2: "      3 pear\n"}}) {
-		t.Error("EStitch2AddFirst satisfied by uniq -c style boundary merge")
+	if !eStitch2AddFirst(' ', []Observation{{Y1: "      2 pear\n", Y2: "      3 pear\n"}}) {
+		t.Error("eStitch2AddFirst satisfied by uniq -c style boundary merge")
 	}
-	if EStitch2AddFirst(' ', []Observation{{Y1: "      2 pear\n", Y2: "      3 plum\n"}}) {
-		t.Error("EStitch2AddFirst needs matching tails")
+	if eStitch2AddFirst(' ', []Observation{{Y1: "      2 pear\n", Y2: "      3 plum\n"}}) {
+		t.Error("eStitch2AddFirst needs matching tails")
 	}
 }
 
@@ -99,26 +99,25 @@ func TestTheorem2Property(t *testing.T) {
 			}
 			obs = append(obs, Observation{Y1: y1, Y2: y2, Y12: y12})
 		}
-		if !SufficientForClass(tc.correct, obs) {
+		if !sufficientForClass(tc.correct, obs) {
 			t.Fatalf("%s: observations do not satisfy E(g, Y); cannot apply Theorem 2", tc.spec)
 		}
 		// Filter RecOp candidates and check pairwise agreement with g on
 		// the observations (the ≡∩ consequence of Theorem 2).
-		recOps, _ := dsl.EnumerateOps(dsl.DefaultMaxProductions, []dsl.Delim{'\n', ' '})
 		var survivors []dsl.Candidate
-		for _, op := range recOps {
-			for _, swap := range []bool{false, true} {
-				c := dsl.Candidate{Op: op, Swap: swap}
-				ok := true
-				for _, o := range obs {
-					if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
-						ok = false
-						break
-					}
+		for _, c := range dsl.Enumerate(dsl.DefaultMaxProductions, []dsl.Delim{'\n', ' '}) {
+			if c.Class() != dsl.RecOpClass {
+				continue
+			}
+			ok := true
+			for _, o := range obs {
+				if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
+					ok = false
+					break
 				}
-				if ok {
-					survivors = append(survivors, c)
-				}
+			}
+			if ok {
+				survivors = append(survivors, c)
 			}
 		}
 		if len(survivors) == 0 {
@@ -176,7 +175,7 @@ func TestSufficiencyOfRealRuns(t *testing.T) {
 			}
 			obs = append(obs, Observation{Y1: y1, Y2: y2, Y12: y12})
 		}
-		if !SufficientForClass(tc.g, obs) {
+		if !sufficientForClass(tc.g, obs) {
 			t.Errorf("%s: mutation-driven observations insufficient per Table 2", tc.spec)
 		}
 	}

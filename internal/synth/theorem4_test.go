@@ -22,13 +22,13 @@ func TestTheorem4Property(t *testing.T) {
 		{
 			spec:       "uniq",
 			correct:    dsl.Candidate{Op: dsl.Stitch{B: dsl.First{}}},
-			sufficient: EStitchFirst,
+			sufficient: eStitchFirst,
 		},
 		{
 			spec:    "uniq -c",
 			correct: dsl.Candidate{Op: dsl.Stitch2{D: ' ', B1: dsl.Add{}, B2: dsl.First{}}},
 			sufficient: func(obs []Observation) bool {
-				return EStitch2AddFirst(' ', obs)
+				return eStitch2AddFirst(' ', obs)
 			},
 		},
 	}
@@ -59,21 +59,20 @@ func TestTheorem4Property(t *testing.T) {
 			t.Fatalf("%s: observations insufficient per Table 2; cannot apply Theorem 4", tc.spec)
 		}
 		// Survivor set over StructOp.
-		_, structOps := dsl.EnumerateOps(dsl.DefaultMaxProductions, []dsl.Delim{'\n', ' '})
 		var survivors []dsl.Candidate
-		for _, op := range structOps {
-			for _, swap := range []bool{false, true} {
-				c := dsl.Candidate{Op: op, Swap: swap}
-				ok := true
-				for _, o := range obs {
-					if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
-						ok = false
-						break
-					}
+		for _, c := range dsl.Enumerate(dsl.DefaultMaxProductions, []dsl.Delim{'\n', ' '}) {
+			if c.Class() != dsl.StructOpClass {
+				continue
+			}
+			ok := true
+			for _, o := range obs {
+				if !c.Plausible(env, o.Y1, o.Y2, o.Y12) {
+					ok = false
+					break
 				}
-				if ok {
-					survivors = append(survivors, c)
-				}
+			}
+			if ok {
+				survivors = append(survivors, c)
 			}
 		}
 		if len(survivors) == 0 {

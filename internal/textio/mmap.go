@@ -36,10 +36,6 @@ func (m *Mapping) View() string { return View(m.data) }
 // Len returns the mapped length in bytes.
 func (m *Mapping) Len() int { return len(m.data) }
 
-// Mapped reports whether the contents are an OS memory mapping (true)
-// or a read-into-buffer fallback (false).
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // Close releases the mapping. Closing a fallback buffer is a no-op
 // beyond dropping the reference; Close is idempotent.
 func (m *Mapping) Close() error {

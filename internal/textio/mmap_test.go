@@ -61,7 +61,7 @@ func TestMapFileMatchesReadFile(t *testing.T) {
 				}
 			}
 		}
-		if content == "" && m.Mapped() {
+		if content == "" && m.mapped {
 			t.Errorf("%s: empty file must use the fallback buffer", name)
 		}
 		if err := m.Close(); err != nil {

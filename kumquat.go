@@ -370,12 +370,13 @@ func WithMode(m Mode) ExecOption {
 // WithFuse chooses which dataflow program an Optimized run walks (default:
 // on). On, it is the rewritten program — a sort and the collapsing
 // consumer it feeds run as one fragment combined once, adjacent
-// line-streaming stages execute as one per-chunk pass, and combines are
-// elided into order-insensitive consumers; RunReport.Rewrites names what
-// fired. Off, the same executor walks the program lowered with those
-// three rewrites disabled (Theorem 5 splits only) — the fuse-off
-// ablation the conformance sweep and the benchmark's fusion-gain probe
-// compare against. The other modes ignore it.
+// line-streaming stages execute as one per-chunk pass, the line-preserving
+// mappers in front of a wc -l are dropped, and combines are elided into
+// order-insensitive consumers; RunReport.Rewrites names what fired. Off,
+// the same executor walks the program lowered with those four rewrites
+// disabled (Theorem 5 splits only) — the fuse-off ablation the
+// conformance sweep and the benchmark's fusion-gain probe compare
+// against. The other modes ignore it.
 func WithFuse(on bool) ExecOption {
 	return func(c *execConfig) { c.fuse = on }
 }
