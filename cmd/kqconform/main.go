@@ -1,6 +1,8 @@
 // Command kqconform runs the conformance plane: it generates
 // random-but-valid pipelines and corpora from a seed, executes each under
-// every execution mode × worker count × fuse setting × stdin kind,
+// every execution mode × worker count × fuse setting × stdin kind — each
+// chunking Optimized configuration twice in a row on the case's Env, the
+// second run answered by the Env's segment memo —
 // diffs every result byte-for-byte against the serial oracle,
 // stress-validates the synthesized combiners on adversarial corpora, and
 // replays the generated suite through a live loopback kumquatd.
@@ -165,7 +167,7 @@ func summary(rep *conformance.Report) {
 		fired[i] = fmt.Sprintf("%s=%d", r, rep.Rewrites[r])
 	}
 	fmt.Fprintf(os.Stderr,
-		"kqconform: seed=%d cases=%d configs=%d executions=%d divergences=%d rewrites=[%s] adversarial=[%s] serve=[%s] cluster=[%s] wall=%.0fms ok=%v\n",
-		rep.Seed, rep.Cases, rep.Configs, rep.Executions, len(rep.Divergences),
+		"kqconform: seed=%d cases=%d configs=%d executions=%d divergences=%d memo_hits=%d rewrites=[%s] adversarial=[%s] serve=[%s] cluster=[%s] wall=%.0fms ok=%v\n",
+		rep.Seed, rep.Cases, rep.Configs, rep.Executions, len(rep.Divergences), rep.MemoHits,
 		strings.Join(fired, " "), adv, srv, clu, rep.WallMS, rep.OK)
 }

@@ -318,6 +318,9 @@ func writeReport(rep *kumquat.RunReport) {
 		if st.CombineWall > 0 {
 			combine = fmt.Sprintf(" combine=%v", st.CombineWall.Round(time.Microsecond))
 		}
+		if n := st.MemoHits + st.MemoMisses; n > 0 {
+			combine += fmt.Sprintf(" memo=%d/%d reused=%dB", st.MemoHits, n, st.ReusedBytes)
+		}
 		fmt.Fprintf(w, "  %-36s %-10s wall=%-10v in=%-10d out=%d%s\n",
 			st.Spec, how, st.Wall.Round(time.Microsecond), st.BytesIn, st.BytesOut, combine)
 	}

@@ -74,6 +74,11 @@ type Report struct {
 	Configs int `json:"configs"`
 	// Executions counts every plan execution, oracle runs included.
 	Executions int `json:"executions"`
+	// MemoHits counts the chunks the second Optimized runs in a row took
+	// from their Env's segment memo (see runCase): the proof that the
+	// forced-memo runs, held to the oracle like every other, reused
+	// chunks rather than re-running them.
+	MemoHits int `json:"memo_hits"`
 	// Rewrites counts, per rule, how often the dataflow optimizer's
 	// rewrites fired across the suite's compiled plans — the proof that a
 	// green run actually exercised each fusion rule rather than never
@@ -118,16 +123,17 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		}
 		c := GenCase(opts.Seed, i)
 		cases = append(cases, c)
-		divs, execs, oracle, plan, err := runCase(ctx, sys, c, configs)
+		run, err := runCase(ctx, sys, c, configs)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: case %d: %w", i, err)
 		}
-		oracles = append(oracles, oracle)
-		rep.Executions += execs
-		for rule, n := range plan.Rewrites() {
+		oracles = append(oracles, run.oracle)
+		rep.Executions += run.execs
+		rep.MemoHits += run.memoHits
+		for rule, n := range run.plan.Rewrites() {
 			rep.Rewrites[rule] += n
 		}
-		for _, d := range divs {
+		for _, d := range run.divs {
 			if opts.Shrink || opts.FailFast {
 				d.Shrunk = ShrinkCase(ctx, sys, c, d.Config)
 			}

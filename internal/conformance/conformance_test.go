@@ -115,9 +115,18 @@ func TestSuiteHealthy(t *testing.T) {
 	if len(rep.Divergences) != 0 {
 		t.Fatalf("unexpected divergences: %+v", rep.Divergences)
 	}
-	wantExecs := rep.Cases * (rep.Configs + 1)
+	twice := 0
+	for _, cfg := range Configs() {
+		if memoized(cfg) {
+			twice++
+		}
+	}
+	wantExecs := rep.Cases * (rep.Configs + 1 + twice)
 	if rep.Executions != wantExecs {
-		t.Fatalf("executions = %d, want %d (cases × (configs + oracle))", rep.Executions, wantExecs)
+		t.Fatalf("executions = %d, want %d (cases × (configs + oracle + second memo runs))", rep.Executions, wantExecs)
+	}
+	if rep.MemoHits == 0 {
+		t.Fatal("no second run took a chunk from the Env's segment memo")
 	}
 	if rep.Serve == nil || rep.Serve.Cases != 12 || len(rep.Serve.Divergences) != 0 {
 		t.Fatalf("serve replay unhealthy: %+v", rep.Serve)
@@ -143,19 +152,29 @@ func TestStressCombinersHealthy(t *testing.T) {
 }
 
 // TestRunCaseCountsExecutions: runCase must execute oracle + one run per
-// config.
+// config + a second run of every config it holds to the memo, and those
+// second runs must take their chunks from the memo.
 func TestRunCaseCountsExecutions(t *testing.T) {
 	sys := kumquat.New(kumquat.NewEnv())
 	c := &Case{Script: "sort | uniq -c\n", Corpus: "b\na\nb\n", Profile: "hand"}
 	configs := Configs()
-	divs, execs, _, _, err := runCase(context.Background(), sys, c, configs)
+	run, err := runCase(context.Background(), sys, c, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(divs) != 0 {
-		t.Fatalf("hand case diverged: %+v", divs)
+	if len(run.divs) != 0 {
+		t.Fatalf("hand case diverged: %+v", run.divs)
 	}
-	if execs != len(configs)+1 {
-		t.Fatalf("execs = %d, want %d", execs, len(configs)+1)
+	want := len(configs) + 1
+	for _, cfg := range configs {
+		if memoized(cfg) {
+			want++
+		}
+	}
+	if want == len(configs)+1 || run.execs != want {
+		t.Fatalf("execs = %d, want %d (%d configs, some run twice)", run.execs, want, len(configs))
+	}
+	if run.memoHits == 0 {
+		t.Fatal("the second runs took no chunk from the memo")
 	}
 }

@@ -88,7 +88,9 @@ var fusionMotifs = [][]string{
 	{"sort -n", "cut -c 1-4"},
 	// fragment: a sort-class stage feeding a collapsing consumer runs
 	// with it per chunk, combined once by the fragment's keyed merge.
-	{"sort", "uniq -c"},
+	// The first motif forms two fragments: word counts, then the
+	// distinct counts in numeric order.
+	{"sort", "uniq -c", "sort -n", "uniq"},
 	{"sort -n", "uniq -c"},
 	{"sort -r", "uniq -c"},
 	// dead-mappers: a fused mapper run feeding a line count stops after

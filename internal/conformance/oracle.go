@@ -116,34 +116,87 @@ type oracleResult struct {
 	err error
 }
 
+// caseRun is what runCase did with one case.
+type caseRun struct {
+	divs  []Divergence
+	execs int
+	// memoHits counts the chunks the second Optimized runs took from the
+	// Env's segment memo.
+	memoHits int
+	oracle   oracleResult
+	plan     *kumquat.Plan
+}
+
 // runCase compiles one case and executes it under every config,
-// byte-diffing each result against the reference oracle. It returns the
+// byte-diffing each result against the reference oracle. Every
+// Optimized config that chunks (fuse on, an in-memory source, k > 1)
+// runs twice in a row on the case's Env: the first run is a re-run of
+// the Env's script (the k = 1 row ran it before), so it fills the Env's
+// segment memo, and the second must take every chunk from it —
+// the forced-memo run, held to the same oracle. It returns the
 // divergences, the number of executions performed (oracle included),
-// the oracle outcome and the compiled plan, so callers that diff further
-// planes against the same case (the serve replay) reuse the oracle
-// instead of re-running the reference, and Run aggregates the plan's
-// optimizer fire counters into the report. A compile error is a
-// generator bug and is returned as err.
-func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, oracleResult, *kumquat.Plan, error) {
+// the memo hits, the oracle outcome and the compiled plan, so callers
+// that diff further planes against the same case (the serve replay)
+// reuse the oracle instead of re-running the reference, and Run
+// aggregates the plan's optimizer fire counters into the report. A
+// compile error is a generator bug and is returned as err.
+func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) (caseRun, error) {
 	plan, err := compileCase(ctx, sys, c)
 	if err != nil {
-		return nil, 0, oracleResult{}, nil, err
+		return caseRun{}, err
 	}
 	want, wantErr := reference(c)
-	oracle := oracleResult{out: want, err: wantErr}
-	execs := 1
-	var divs []Divergence
+	run := caseRun{execs: 1, oracle: oracleResult{out: want, err: wantErr}, plan: plan}
+	diverged := func(cfg Config, detail string) {
+		run.divs = append(run.divs, Divergence{Case: c.forReport(), Config: cfg, Detail: detail})
+	}
 	for _, cfg := range configs {
-		got, gotErr := execCase(ctx, plan, c, cfg)
-		execs++
+		got, first, gotErr := execCase(ctx, plan, c, cfg)
+		run.execs++
 		if err := ctx.Err(); err != nil {
-			return nil, execs, oracle, plan, err
+			return run, err
 		}
 		if detail, ok := diverges(want, wantErr, got, gotErr); !ok {
-			divs = append(divs, Divergence{Case: c.forReport(), Config: cfg, Detail: detail})
+			diverged(cfg, detail)
+			continue
 		}
+		if !memoized(cfg) || gotErr != nil {
+			continue
+		}
+		got, second, gotErr := execCase(ctx, plan, c, cfg)
+		run.execs++
+		if err := ctx.Err(); err != nil {
+			return run, err
+		}
+		if detail, ok := diverges(want, wantErr, got, gotErr); !ok {
+			diverged(cfg, "second run on the same Env: "+detail)
+			continue
+		}
+		h1, m1 := memoCounts(first)
+		h2, m2 := memoCounts(second)
+		if m2 > 0 || h2 != h1+m1 {
+			diverged(cfg, fmt.Sprintf("second run on the same Env: the memo answered %d of %d chunks, want all %d",
+				h2, h2+m2, h1+m1))
+		}
+		run.memoHits += h2
 	}
-	return divs, execs, oracle, plan, nil
+	return run, nil
+}
+
+// memoCounts sums a run's segment-memo hits and misses over its stages.
+func memoCounts(rep *kumquat.RunReport) (hits, misses int) {
+	for _, st := range rep.Stages {
+		hits += st.MemoHits
+		misses += st.MemoMisses
+	}
+	return hits, misses
+}
+
+// memoized reports whether cfg's second run in a row must be answered by
+// the Env's segment memo: an Optimized run of the rewritten program over
+// an in-memory source at k > 1.
+func memoized(cfg Config) bool {
+	return cfg.Mode == kumquat.Optimized.String() && !cfg.NoFuse && !cfg.ExternalStdin && cfg.K > 1
 }
 
 // compileCase parallelizes the case's script in a private environment
@@ -158,12 +211,12 @@ func compileCase(ctx context.Context, sys *kumquat.System, c *Case) (*kumquat.Pl
 }
 
 // execCase runs the compiled plan under one configuration and returns
-// the output stream (the corpus streams in as stdin for stdin-sourced
-// cases).
-func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (string, error) {
+// the output stream and the run's report (the corpus streams in as stdin
+// for stdin-sourced cases).
+func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (string, *kumquat.RunReport, error) {
 	mode, err := kumquat.ParseMode(cfg.Mode)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	opts := []kumquat.ExecOption{
 		kumquat.WithMode(mode),
@@ -181,9 +234,9 @@ func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (str
 	}
 	rep, err := plan.Execute(ctx, opts...)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return rep.Output, nil
+	return rep.Output, rep, nil
 }
 
 // diverges compares a configuration's result to the oracle's. Errors

@@ -107,16 +107,26 @@ func ShrinkLines(lines []string, fails func([]string) bool) []string {
 }
 
 // caseDiverges recompiles and re-runs a candidate case, reporting whether
-// it still diverges from the serial oracle under cfg.
+// it still diverges from the serial oracle under cfg — on either of two
+// runs in a row when runCase runs cfg twice, so a divergence of the
+// memo's second run shrinks too.
 func caseDiverges(ctx context.Context, sys *kumquat.System, c *Case, cfg Config) bool {
 	plan, err := compileCase(ctx, sys, c)
 	if err != nil {
 		return false
 	}
-	want, wantErr := execCase(ctx, plan, c, Config{Mode: kumquat.Serial.String(), K: 1})
-	got, gotErr := execCase(ctx, plan, c, cfg)
-	_, ok := diverges(want, wantErr, got, gotErr)
-	return !ok
+	want, _, wantErr := execCase(ctx, plan, c, Config{Mode: kumquat.Serial.String(), K: 1})
+	runs := 1
+	if memoized(cfg) {
+		runs = 2
+	}
+	for range runs {
+		got, _, gotErr := execCase(ctx, plan, c, cfg)
+		if _, ok := diverges(want, wantErr, got, gotErr); !ok {
+			return true
+		}
+	}
+	return false
 }
 
 // joinStages rebuilds the script text from stage specs.

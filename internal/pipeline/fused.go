@@ -35,6 +35,21 @@ type RegionMetrics struct {
 	// stdin or an upstream streamed region) block by block instead of
 	// running chunk-parallel.
 	Streamed bool `json:"streamed,omitempty"`
+	// MemoMetrics is the Env's segment memo on the segment this region
+	// heads.
+	MemoMetrics
+}
+
+// MemoMetrics counts the chunks of one segment that the Env's segment
+// memo answered (MemoHits) or ran (MemoMisses), and the input bytes the
+// hits did not run. All are zero when the memo was not consulted: on an
+// Env's first run of a script, under a Leaves wrapper (the cluster
+// coordinator), for a segment that reads the Env's files, and for a
+// region that ran unchunked.
+type MemoMetrics struct {
+	MemoHits    int   `json:"memo_hits,omitempty"`
+	MemoMisses  int   `json:"memo_misses,omitempty"`
+	ReusedBytes int64 `json:"reused_bytes,omitempty"`
 }
 
 // RunInfo is the rewritten program's run report, filled in when an
@@ -89,6 +104,7 @@ func attribute(metrics []StageMetrics, r *dataflow.Region, rm *RegionMetrics) {
 		metrics[id].Dead = true
 	}
 	first, last := ran[0], ran[len(ran)-1]
+	metrics[first].MemoMetrics = rm.MemoMetrics
 	metrics[first].Wall = rm.Wall
 	metrics[first].BytesIn = rm.BytesIn
 	metrics[last].BytesOut = rm.BytesOut

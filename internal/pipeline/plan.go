@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"kumquat/internal/dataflow"
 	"kumquat/internal/synth"
@@ -38,6 +39,16 @@ type Plan struct {
 	// graph optimized with the dataflow rewrites disabled, serial and
 	// stagewise are the unrewritten one-region-per-stage lowerings.
 	theorem5, serial, stagewise *dataflow.Program
+}
+
+// script is the pipeline's text as the Env records its runs: the input
+// file and the stage specs.
+func (p *Plan) script() string {
+	specs := make([]string, len(p.Stages))
+	for i, sp := range p.Stages {
+		specs[i] = sp.Spec
+	}
+	return p.InputFile + "\x00" + strings.Join(specs, " | ")
 }
 
 // theorem5Only disables every dataflow rewrite (dataflow.Rules), leaving

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 
 	"kumquat/internal/dataflow"
 	"kumquat/internal/unix"
@@ -42,6 +43,20 @@ func (s *Segment) Run(i int, chunk string) (string, []int64, error) {
 		return "", nil, fmt.Errorf("pipeline: stage %q chunk %d: %w", se.Spec, i, se.Err)
 	}
 	return out, bytesOut, nil
+}
+
+// memoKey keys the segment's runs in the Env's memo: the pipeline stage
+// it starts at, so two segments of one pipeline that run the same script
+// keep a generation each, and its script with its member boundaries, as
+// a fused `a | b` and the two-member segment a, b print one script but
+// report one and two member volumes.
+func (s *Segment) memoKey(stage int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d@", stage)
+	for _, m := range unix.Members(s.Chain) {
+		fmt.Fprintf(&b, "%d:%s;", len(m.Spec()), m.Spec())
+	}
+	return b.String()
 }
 
 // MemberBytes maps the per-stage output volumes of one run of the

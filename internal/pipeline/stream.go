@@ -100,6 +100,9 @@ type StageMetrics struct {
 	// downstream reads their output (dataflow.RuleDeadMappers); their
 	// other figures are zero.
 	Dead bool `json:"dead,omitempty"`
+	// MemoMetrics is the Env's segment memo on the segment this stage
+	// heads.
+	MemoMetrics
 }
 
 // execConfig collects one Execute call's options. It only chooses what
@@ -162,9 +165,14 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 	default:
 		return nil, fmt.Errorf("pipeline: unknown execution mode %v", mode)
 	}
+	// A Leaves wrapper keeps its k chunks and runs them where it
+	// chooses; only a local run counts as a run of the Env's and may
+	// consult its memo.
 	ex.leaves = ex.runLocal
 	if cfg.leaves != nil {
 		ex.leaves = cfg.leaves(ex.runLocal)
+	} else {
+		ex.memo = env.Rerun(p.script())
 	}
 	ms, err := ex.walk(ctx, p, stdin, out)
 	// Cancellation dominates: whatever secondary failure the teardown

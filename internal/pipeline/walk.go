@@ -55,6 +55,9 @@ type executor struct {
 	width int
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
+	// memo is the Env's segment memo on a local re-run of the Env (nil
+	// on its first run and whenever a Leaves wrapper dispatches chunks).
+	memo *unix.Memo
 	// info, when non-nil, receives the region metrics; Execute sets it
 	// only when prog is the rewritten program.
 	info *RunInfo
@@ -393,6 +396,14 @@ func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (con
 	return ctx, span
 }
 
+// Stride is the byte stride a re-run cuts a stream at when the Env's
+// memo is consulted: a materialized stream of at least two strides is cut
+// at every Stride bytes, each cut snapped forward to the next line start
+// (textio.StrideLines), so a chunk keeps its bounds when the stream
+// grows at its end and the memo can answer it on the next run. A shorter
+// stream is cut into k chunks as on a first run.
+const Stride = 1 << 20
+
 // runSegment executes one segment synchronously. A live stream is
 // drained first — its blocks joined once, at their total size — and the
 // drain counts toward the first member's wall. A parallel
@@ -401,7 +412,9 @@ func stepSpan(ctx context.Context, regions []*dataflow.Region, spec string) (con
 // serial one is a single region run on the whole stream. Every member
 // reports the leaf call's chunk count and its own byte volumes; the
 // segment's wall is the first member's, as a fused region's is its first
-// stage's.
+// stage's. On a re-run of the Env, a segment that reads and writes none
+// of its files is cut at strides and run against the Env's memo, and
+// its first member reports the memo's hits, misses and reused bytes.
 func (ex *executor) runSegment(ctx context.Context, regions []*dataflow.Region, last bool, seg *Segment, st *stream, rms []RegionMetrics) error {
 	if st.live != nil {
 		data, err := unix.JoinBlocks(st.live.next)
@@ -420,10 +433,28 @@ func (ex *executor) runSegment(ctx context.Context, regions []*dataflow.Region, 
 		rms[0].BytesOut = int64(len(next))
 		return nil
 	}
+	var memo *unix.MemoRun
 	chunks := textio.ChunkLines(st.data, ex.k)
-	outs, bytesOut, err := ex.leaves(ctx, seg, chunks)
+	if ex.memo != nil && !unix.ReadsEnv(seg.Chain) {
+		if len(st.data) >= 2*Stride {
+			chunks = textio.StrideLines(st.data, Stride)
+		}
+		memo = ex.memo.Begin(seg.memoKey(regions[0].Nodes[0]), len(chunks))
+	}
+	var outs []string
+	var bytesOut [][]int64
+	var err error
+	if memo == nil {
+		outs, bytesOut, err = ex.leaves(ctx, seg, chunks)
+	} else {
+		outs, bytesOut, err = ex.runChunks(ctx, seg, chunks, memo)
+	}
 	if err != nil {
 		return err
+	}
+	if memo != nil {
+		hits, reused := memo.Reused()
+		rms[0].MemoMetrics = MemoMetrics{MemoHits: hits, MemoMisses: len(chunks) - hits, ReusedBytes: reused}
 	}
 	n := len(rms)
 	for m := range rms {
@@ -467,9 +498,17 @@ func (ex *executor) exit(ctx context.Context, r *dataflow.Region, last bool, out
 	return nil
 }
 
-// runLocal is the default Leaves: the segment runs on every chunk
-// concurrently, at most ex.width chunks at a time.
+// runLocal is the default Leaves: runChunks without a memo.
 func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string) ([]string, [][]int64, error) {
+	return ex.runChunks(ctx, seg, chunks, nil)
+}
+
+// runChunks runs the segment on every chunk concurrently, at most
+// ex.width chunks at a time. With a memo run, a chunk the memo holds is
+// answered from it instead, and a run whose every chunk succeeded is
+// committed; the span counts the hits, the misses and the input bytes
+// the hits did not run.
+func (ex *executor) runChunks(ctx context.Context, seg *Segment, chunks []string, memo *unix.MemoRun) ([]string, [][]int64, error) {
 	_, span := obs.StartSpan(ctx, "chunks")
 	span.AttrInt("n", int64(len(chunks)))
 	defer span.End()
@@ -477,9 +516,16 @@ func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string)
 	bytesOut := make([][]int64, len(chunks))
 	errs := make([]error, len(chunks))
 	par.For(ex.width, len(chunks), func(i int) {
-		if ctx.Err() == nil {
-			outs[i], bytesOut[i], errs[i] = seg.Run(i, chunks[i])
+		if ctx.Err() != nil {
+			return
 		}
+		if memo != nil {
+			var hit bool
+			if outs[i], bytesOut[i], hit = memo.Lookup(i, chunks[i]); hit {
+				return
+			}
+		}
+		outs[i], bytesOut[i], errs[i] = seg.Run(i, chunks[i])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -488,6 +534,13 @@ func (ex *executor) runLocal(ctx context.Context, seg *Segment, chunks []string)
 		if err != nil {
 			return nil, nil, err
 		}
+	}
+	if memo != nil {
+		memo.Commit(chunks, outs, bytesOut)
+		hits, reused := memo.Reused()
+		span.AttrInt("memo_hits", int64(hits))
+		span.AttrInt("memo_misses", int64(len(chunks)-hits))
+		span.AttrInt("reused_bytes", reused)
 	}
 	return outs, bytesOut, nil
 }

@@ -297,11 +297,10 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 	}
 	// Commands whose behaviour depends on the simulated file system —
 	// file-name input mode (xargs-style probes read the FS) or commands
-	// that read registered files during Run (cat FILE, comm - FILE) —
+	// that read or write registered files during Run (unix.ReadsEnv) —
 	// stay out of the disk tier: their results are not portable across
 	// processes with different registered files.
-	diskable := e.disk != nil && len(p.fileNames) == 0 &&
-		!anyMember(cmd, readsEnv.ReadsEnv)
+	diskable := e.disk != nil && len(p.fileNames) == 0 && !unix.ReadsEnv(cmd)
 	if diskable {
 		if ent, ok := e.disk.Get(key); ok {
 			if r, ok := e.resultFromEntry(ent, cmd); ok {

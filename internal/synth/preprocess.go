@@ -26,7 +26,6 @@ type (
 	equalityGated   interface{ GatedEquality() bool }
 	nonStream       interface{ NonStream() bool }
 	multiInput      interface{ MultiInput() bool }
-	readsEnv        interface{ ReadsEnv() bool }
 )
 
 // anyMember reports whether some member of cmd (unix.Members) has

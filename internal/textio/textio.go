@@ -274,6 +274,35 @@ func ChunkLines(s string, k int) []string {
 	return chunks
 }
 
+// StrideLines splits s at fixed byte strides instead of into a fixed
+// number of parts: the j-th cut is the first line start at or after
+// j·stride, and a cut that would repeat the one before (a line longer
+// than a stride) or fall at the end of s is skipped. A cut depends only
+// on the bytes up to its newline, so when s grows at its end every
+// chunk but the last keeps its bounds: the cuts of x are a prefix of
+// the cuts of x ++ y. The chunks are views of s, and their
+// concatenation equals s. stride ≤ 0 returns s whole.
+func StrideLines(s string, stride int) []string {
+	if stride <= 0 || len(s) <= stride {
+		return []string{s}
+	}
+	chunks := make([]string, 0, len(s)/stride+1)
+	start := 0
+	for at := stride; at < len(s); at += stride {
+		if at < start {
+			continue
+		}
+		j := strings.IndexByte(s[at-1:], '\n')
+		if j < 0 {
+			break
+		}
+		if cut := at + j; cut > start && cut < len(s) {
+			chunks, start = append(chunks, s[start:cut]), cut
+		}
+	}
+	return append(chunks, s[start:])
+}
+
 // AllDigits reports whether s is a nonempty string of ASCII digits
 // (the domain L(add) = [0-9]+).
 func AllDigits(s string) bool {

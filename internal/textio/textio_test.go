@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -369,5 +370,91 @@ func TestReadAllSizeHint(t *testing.T) {
 	got, err := ReadAll(io.MultiReader(strings.NewReader("ab\n"), iotest.ErrReader(boom)), 10)
 	if !errors.Is(err, boom) || string(got) != "ab\n" {
 		t.Errorf("failing reader: %q, %v", got, err)
+	}
+}
+
+// strideCuts returns the byte offsets at which StrideLines cut s.
+func strideCuts(s string, stride int) []int {
+	var cuts []int
+	at := 0
+	chunks := StrideLines(s, stride)
+	for _, c := range chunks[:len(chunks)-1] {
+		at += len(c)
+		cuts = append(cuts, at)
+	}
+	return cuts
+}
+
+// TestStrideLinesEdges: the cut after a stride is the first line start
+// at or after it; a line longer than a stride swallows the cuts inside
+// it; no chunk is empty and the last keeps an unterminated tail.
+func TestStrideLinesEdges(t *testing.T) {
+	for _, tc := range []struct {
+		s      string
+		stride int
+		want   []string
+	}{
+		{"", 4, []string{""}},
+		{"abc\n", 4, []string{"abc\n"}},
+		{"abc\ndef\n", 4, []string{"abc\n", "def\n"}},
+		{"ab\ncd\nef\n", 4, []string{"ab\ncd\n", "ef\n"}},
+		{"abcdefghij\nk\nl\n", 4, []string{"abcdefghij\n", "k\n", "l\n"}},
+		{"ab\ncd\nefghijkl", 4, []string{"ab\ncd\n", "efghijkl"}},
+		{"ab\ncdefghijkl", 4, []string{"ab\ncdefghijkl"}},
+		{"abcdefghijkl", 4, []string{"abcdefghijkl"}},
+		{"a\nb\nc\n", 0, []string{"a\nb\nc\n"}},
+	} {
+		if got := StrideLines(tc.s, tc.stride); !slices.Equal(got, tc.want) {
+			t.Errorf("StrideLines(%q, %d) = %q, want %q", tc.s, tc.stride, got, tc.want)
+		}
+	}
+}
+
+// TestStrideLinesPrefixStable is the property a re-run's reuse rests
+// on: the stride cuts of x are a prefix of the cuts of x ++ y — every
+// chunk of x but its last is a chunk of x ++ y, at the same offset —
+// and the chunks always concatenate back to the stream.
+func TestStrideLinesPrefixStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	text := func(n int) string {
+		var b strings.Builder
+		for b.Len() < n {
+			for j := rng.Intn(40); j > 0; j-- {
+				b.WriteByte(byte('a' + rng.Intn(26)))
+			}
+			if rng.Intn(20) > 0 {
+				b.WriteByte('\n')
+			}
+		}
+		return b.String()
+	}
+	for trial := 0; trial < 500; trial++ {
+		stride := 1 + rng.Intn(64)
+		x, y := text(rng.Intn(600)), text(rng.Intn(200))
+		for _, s := range []string{x, x + y} {
+			chunks := StrideLines(s, stride)
+			if strings.Join(chunks, "") != s {
+				t.Fatalf("stride %d: chunks of %q do not concatenate back", stride, s)
+			}
+			for i, c := range chunks {
+				if c == "" && len(chunks) > 1 {
+					t.Fatalf("stride %d: chunk %d of %q is empty", stride, i, s)
+				}
+				if i < len(chunks)-1 && !IsStream(c) {
+					t.Fatalf("stride %d: chunk %d of %q ends mid-line", stride, i, s)
+				}
+			}
+		}
+		cx, cxy := strideCuts(x, stride), strideCuts(x+y, stride)
+		if len(cx) > len(cxy) || !slices.Equal(cx, cxy[:len(cx)]) {
+			t.Fatalf("stride %d: cuts of x %v are not a prefix of the cuts of x ++ y %v", stride, cx, cxy)
+		}
+		// Every cut x ++ y makes inside x, x makes too: y moves no
+		// chunk bound of x but the end of its last chunk.
+		for _, c := range cxy {
+			if c < len(x) && !slices.Contains(cx, c) {
+				t.Fatalf("stride %d: x ++ y cuts at %d inside x, x does not", stride, c)
+			}
+		}
 	}
 }

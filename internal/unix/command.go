@@ -18,6 +18,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
 
 	"kumquat/internal/textio"
 )
@@ -254,9 +255,14 @@ func RunLines(lm LineMapper, input string) string {
 }
 
 // Env supplies the execution environment shared by commands: the simulated
-// file system used by xargs, comm and sed-generated path prefixes.
+// file system used by xargs, comm and sed-generated path prefixes, and
+// the memo of the chain runs it has already seen (see Rerun).
 type Env struct {
 	FS *FS
+
+	mu   sync.Mutex
+	ran  map[string]bool
+	memo *Memo
 }
 
 // DefaultEnv returns an Env with a fresh synthetic file system.

@@ -2,6 +2,7 @@ package unix
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -40,6 +41,9 @@ func newLs(spec string, args []string, env *Env) (Command, error) {
 }
 
 func (l *lsCmd) Spec() string { return l.spec }
+
+// ReadsEnv: ls lists the Env's files.
+func (l *lsCmd) ReadsEnv() bool { return true }
 
 func (l *lsCmd) Run(string) (string, error) {
 	prefix := l.dir
@@ -82,6 +86,9 @@ func newRm(spec string, args []string, env *Env) (Command, error) {
 
 func (r *rmCmd) Spec() string { return r.spec }
 
+// ReadsEnv: rm writes the Env's files.
+func (r *rmCmd) ReadsEnv() bool { return true }
+
 func (r *rmCmd) Run(string) (string, error) {
 	for _, n := range r.names {
 		r.env.FS.Remove(n)
@@ -119,6 +126,11 @@ func newDiff(spec string, args []string, env *Env) (Command, error) {
 }
 
 func (d *diffCmd) Spec() string { return d.spec }
+
+// ReadsEnv: diff reads every operand but "-" from the Env's files.
+func (d *diffCmd) ReadsEnv() bool {
+	return slices.ContainsFunc(d.files, func(f string) bool { return f != "-" })
+}
 
 // MultiInput: diff reads two input streams.
 func (d *diffCmd) MultiInput() bool { return true }

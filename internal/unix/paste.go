@@ -2,6 +2,7 @@ package unix
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -26,6 +27,11 @@ func newPaste(spec string, args []string, env *Env) (Command, error) {
 }
 
 func (p *pasteCmd) Spec() string { return p.spec }
+
+// ReadsEnv: paste reads every operand but "-" from the Env's files.
+func (p *pasteCmd) ReadsEnv() bool {
+	return slices.ContainsFunc(p.files, func(f string) bool { return f != "-" })
+}
 
 // MultiInput marks commands that read several input streams; the
 // synthesizer skips them (no single-stream combiner model applies).

@@ -72,6 +72,9 @@ subcmd:
 
 func (x *xargsCmd) Spec() string { return x.spec }
 
+// ReadsEnv: xargs reads the file each input item names.
+func (x *xargsCmd) ReadsEnv() bool { return true }
+
 // NeedsFileNames marks this command for the file-name input dictionary.
 func (x *xargsCmd) NeedsFileNames() bool { return true }
 
@@ -147,6 +150,9 @@ func newFile(spec string, args []string, env *Env) (Command, error) {
 }
 
 func (f *fileCmd) Spec() string { return f.spec }
+
+// ReadsEnv: file reads the file each input line names.
+func (f *fileCmd) ReadsEnv() bool { return true }
 
 func (f *fileCmd) Run(input string) (string, error) {
 	var b strings.Builder

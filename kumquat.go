@@ -49,7 +49,10 @@ import (
 
 // Env is the execution environment: the simulated file system commands
 // read (xargs, comm, cat with file operands) and pipelines use for input
-// files and intermediate redirects.
+// files and intermediate redirects. An Env that runs a pipeline script
+// again answers the chunks that run has already run from its segment
+// memo: owned copies of at most unix.MemoBytes (64 MiB), kept as long as
+// the Env, Close included.
 type Env struct {
 	u *unix.Env
 }

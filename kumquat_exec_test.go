@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -267,5 +269,56 @@ func TestExecuteOutputRedirect(t *testing.T) {
 	counts, err := env.Read("counts.txt")
 	if err != nil || !strings.Contains(counts, "2 b") {
 		t.Errorf("redirect target = %q, %v", counts, err)
+	}
+}
+
+// TestMemoOwnsMappedChunks: a re-run over a RegisterFile'd input stores
+// owned copies in the Env's segment memo, never views of the mapping:
+// once Close has unmapped the file and the same bytes are registered as
+// a string, a run answered from the memo is correct and faults on
+// nothing.
+func TestMemoOwnsMappedChunks(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&b, "Light word%d dark\n", i%97)
+	}
+	data := b.String()
+	path := filepath.Join(t.TempDir(), "in.txt")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	if err := env.RegisterFile("in.txt", path); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	plan, err := New(env).Parallelize(ctx, "cat in.txt | grep -v zzz | sort | uniq -c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := plan.Execute(ctx, WithMode(Serial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := func(rep *RunReport) (n int) {
+		for _, st := range rep.Stages {
+			n += st.MemoHits
+		}
+		return n
+	}
+	rep, err := plan.Execute(ctx, WithParallelism(4))
+	if err != nil || rep.Output != serial.Output || hits(rep) != 0 {
+		t.Fatalf("re-run over the mapping: %v, output equal %v, %d hits", err, rep != nil && rep.Output == serial.Output, hits(rep))
+	}
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env.Register("in.txt", data)
+	rep, err = plan.Execute(ctx, WithParallelism(4))
+	if err != nil || rep.Output != serial.Output {
+		t.Fatalf("run after Close: %v, output equal %v", err, rep != nil && rep.Output == serial.Output)
+	}
+	if hits(rep) == 0 {
+		t.Fatal("the run after Close took no chunk from the memo; the test shows nothing")
 	}
 }
