@@ -482,3 +482,48 @@ func TestFusedChainAllocations(t *testing.T) {
 		t.Errorf("fused chain Run allocated %.0f times over 1 000 lines and %.0f over 100 000; want the same", small, large)
 	}
 }
+
+// TestNoRewriteLowering: with every rule disabled, Theorem 5 included,
+// Optimize lowers one region per stage carrying the planner's Parallel
+// verdict, every exit a combine and no rule fired; with Theorem 5 left
+// on, the same graphs keep their split exits.
+func TestNoRewriteLowering(t *testing.T) {
+	eng := newSynth()
+	all := map[dataflow.Rule]bool{dataflow.RuleTheorem5: true}
+	t5 := map[dataflow.Rule]bool{}
+	for _, r := range dataflow.Rules {
+		all[r], t5[r] = true, true
+	}
+	splits := 0
+	for _, script := range []string{
+		"cat in.txt | tr A-Z a-z | grep light | sort | uniq -c\n",
+		"cat in.txt | tr -cs A-Za-z '\\n' | sort | uniq -c | sort -rn | sed 100q\n",
+		"cat in.txt | grep light | cut -c 1-4 | wc -l\n",
+	} {
+		g := compile(t, eng, script).Program.Graph
+		p := dataflow.Optimize(g, dataflow.Options{Disable: all})
+		if len(p.Regions) != len(g.Nodes) {
+			t.Fatalf("%q: %d regions for %d stages", script, len(p.Regions), len(g.Nodes))
+		}
+		for i, r := range p.Regions {
+			n := g.Nodes[i]
+			if len(r.Nodes) != 1 || r.Nodes[0] != i || r.Fused || r.Parallel != n.Stage.Parallel ||
+				r.Exit != dataflow.ExitCombine || len(r.Rules) != 0 || r.Cmd != n.Stage.Cmd {
+				t.Errorf("%q: region %d = %+v, want stage %q alone, combined", script, i, r, n.Stage.Spec)
+			}
+		}
+		for rule, n := range p.Fired {
+			if n != 0 {
+				t.Errorf("%q: %s fired %d times with every rule disabled", script, rule, n)
+			}
+		}
+		for _, r := range dataflow.Optimize(g, dataflow.Options{Disable: t5}).Regions {
+			if r.Exit == dataflow.ExitSplit {
+				splits++
+			}
+		}
+	}
+	if splits == 0 {
+		t.Error("the Theorem-5-only lowerings split no exit")
+	}
+}

@@ -52,7 +52,8 @@ const (
 	// RuleTheorem5 is the legacy intermediate-combiner elimination
 	// (exact-closed stage feeding a parallel consumer). It predates the
 	// dataflow plane and is tagged on regions for the dump, but not
-	// counted among the new rewrites.
+	// counted among the new rewrites. Disabling it too leaves the
+	// no-rewrite lowering: one region per stage, every exit a combine.
 	RuleTheorem5 Rule = "theorem5"
 )
 
@@ -127,8 +128,7 @@ type Region struct {
 
 // Program is a lowering's output: the region sequence the executor
 // walks, plus the per-rule fire counters. Every execution configuration
-// is one Program — Optimize builds the rewritten ones, Stagewise the
-// stage-at-a-time baselines.
+// is one Program, built by Optimize with the rules it allows.
 type Program struct {
 	// Graph is the IR the program was optimized from.
 	Graph *Graph
@@ -143,8 +143,9 @@ type Program struct {
 type Options struct {
 	// Disable turns individual rewrites off. The fuse-off configuration
 	// (pipeline.WithFuse(false)) is the program lowered with every rule
-	// of Rules disabled (Theorem 5 splits only); tests and benchmarks
-	// ablate rules one at a time.
+	// of Rules disabled (Theorem 5 splits only); with RuleTheorem5
+	// disabled as well it is the stage-at-a-time baseline. Tests and
+	// benchmarks ablate rules one at a time.
 	Disable map[Rule]bool
 }
 
@@ -203,7 +204,11 @@ func Optimize(g *Graph, opts Options) *Program {
 			i = j
 			continue
 		}
-		p.Regions = append(p.Regions, single(g, i, g.Nodes[i].Stage.Parallel))
+		n := g.Nodes[i]
+		p.Regions = append(p.Regions, &Region{
+			Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: n.Stage.Parallel,
+			Combiner: stageCombiner(n), Closure: n.Closure,
+		})
 		i++
 	}
 	// Pass 2: decide exits at region boundaries. The final region always
@@ -214,53 +219,28 @@ func Optimize(g *Graph, opts Options) *Program {
 			continue
 		}
 		cl := r.Closure
-		nextOI := unix.IsOrderInsensitive(next.Cmd)
 		switch {
-		case cl != ClosureNone && nextOI:
+		case cl == ClosureExact && next.Parallel:
+			// Theorem 5: exact closure feeds any parallel consumer. It
+			// also covers an order-insensitive one, so the elision counts
+			// for the legacy rule and the new-rule counters measure
+			// genuinely new elisions.
+			if !opts.disabled(RuleTheorem5) {
+				r.Exit = ExitSplit
+				r.Rules = append(r.Rules, RuleTheorem5)
+			}
+		case cl != ClosureNone && unix.IsOrderInsensitive(next.Cmd) && !opts.disabled(RuleElideCombine):
 			// Rule 2: the consumer cannot observe the permutation.
 			if next.Parallel {
 				r.Exit = ExitSplit
 			} else {
 				r.Exit = ExitConcat
 			}
-			if cl == ClosureExact && next.Parallel {
-				// Theorem 5 alone already licenses this split; count the
-				// elision for the legacy rule so the new-rule counters
-				// measure genuinely new elisions.
-				r.Rules = append(r.Rules, RuleTheorem5)
-			} else if !opts.disabled(RuleElideCombine) {
-				r.Rules = append(r.Rules, RuleElideCombine)
-				p.Fired[RuleElideCombine]++
-			} else {
-				r.Exit = ExitCombine
-			}
-		case cl == ClosureExact && next.Parallel:
-			// Theorem 5: exact closure feeds any parallel consumer.
-			r.Exit = ExitSplit
-			r.Rules = append(r.Rules, RuleTheorem5)
+			r.Rules = append(r.Rules, RuleElideCombine)
+			p.Fired[RuleElideCombine]++
 		}
 	}
 	return p
-}
-
-// Stagewise lowers the graph without any rewrite: one region per stage,
-// every exit a combine, so each stage boundary is a barrier. With
-// parallel set, regions keep the planner's data-parallel verdict (the
-// u_k configuration); without it every region is serial (u_1, and
-// T_orig's stages, connected by live streams).
-func Stagewise(g *Graph, parallel bool) *Program {
-	p := &Program{Graph: g, Regions: make([]*Region, len(g.Nodes))}
-	for i, n := range g.Nodes {
-		p.Regions[i] = single(g, i, parallel && n.Stage.Parallel)
-	}
-	return p
-}
-
-// single is the one-stage region of node i: the stage's command,
-// combiner and closure.
-func single(g *Graph, i int, parallel bool) *Region {
-	n := g.Nodes[i]
-	return &Region{Nodes: []int{i}, Cmd: n.Stage.Cmd, Parallel: parallel, Combiner: stageCombiner(n), Closure: n.Closure}
 }
 
 // stageCombiner is a node's synthesized combiner, nil when it has none.

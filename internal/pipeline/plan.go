@@ -35,10 +35,10 @@ type Plan struct {
 	// pipeline's dataflow graph (Program.Graph) — what Optimized mode
 	// walks with fusion on.
 	Program *dataflow.Program
-	// The other configurations' programs (see Execute): theorem5 is the
-	// graph optimized with the dataflow rewrites disabled, serial and
-	// stagewise are the unrewritten one-region-per-stage lowerings.
-	theorem5, serial, stagewise *dataflow.Program
+	// The other configurations' programs over the same graph (see
+	// Execute): theorem5 keeps only Theorem 5's split exits, and
+	// unrewritten is one region per stage, every exit a combine.
+	theorem5, unrewritten *dataflow.Program
 }
 
 // script is the pipeline's text as the Env records its runs: the input
@@ -51,15 +51,22 @@ func (p *Plan) script() string {
 	return p.InputFile + "\x00" + strings.Join(specs, " | ")
 }
 
-// theorem5Only disables every dataflow rewrite (dataflow.Rules), leaving
-// Optimize's Theorem 5 splits — the WithFuse(false) program.
-var theorem5Only = func() dataflow.Options {
+// disable is the Optimize options with the given rules turned off.
+func disable(rules ...dataflow.Rule) dataflow.Options {
 	o := dataflow.Options{Disable: map[dataflow.Rule]bool{}}
-	for _, r := range dataflow.Rules {
+	for _, r := range rules {
 		o.Disable[r] = true
 	}
 	return o
-}()
+}
+
+var (
+	// theorem5Only disables every dataflow rewrite (dataflow.Rules),
+	// leaving Theorem 5's splits — the WithFuse(false) program.
+	theorem5Only = disable(dataflow.Rules...)
+	// noRewrite disables Theorem 5 as well: the stage-at-a-time program.
+	noRewrite = disable(append([]dataflow.Rule{dataflow.RuleTheorem5}, dataflow.Rules...)...)
+)
 
 // CompileContext synthesizes a combiner for every stage, applies the
 // paper's planning decision to run non-reducing rerun stages sequentially,
@@ -116,8 +123,9 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 	return plan, nil
 }
 
-// lower builds the plan's dataflow graph and every configuration's
-// program over it.
+// lower builds the plan's dataflow graph and the three programs the
+// configurations walk over it, each optimized with the rules its
+// configuration allows.
 func (p *Plan) lower() {
 	stages := make([]dataflow.Stage, len(p.Stages))
 	for i, sp := range p.Stages {
@@ -126,8 +134,7 @@ func (p *Plan) lower() {
 	g := dataflow.Build(p.InputFile, stages)
 	p.Program = dataflow.Optimize(g, dataflow.Options{})
 	p.theorem5 = dataflow.Optimize(g, theorem5Only)
-	p.serial = dataflow.Stagewise(g, false)
-	p.stagewise = dataflow.Stagewise(g, true)
+	p.unrewritten = dataflow.Optimize(g, noRewrite)
 	for _, r := range p.theorem5.Regions {
 		if r.Exit == dataflow.ExitSplit {
 			p.Stages[r.Nodes[len(r.Nodes)-1]].Eliminated = true

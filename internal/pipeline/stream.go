@@ -46,6 +46,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// Unchunked reports whether the mode runs one instance per stage
+// whatever k is asked for: Serial (u_1) and Pipelined (T_orig) walk
+// Unoptimized's program at k = 1.
+func (m Mode) Unchunked() bool { return m == ModeSerial || m == ModePipelined }
+
 // modes lists every Mode, in declaration order.
 var modes = [...]Mode{ModeOptimized, ModeUnoptimized, ModeSerial, ModePipelined}
 
@@ -132,14 +137,18 @@ type ExecOpt func(*execConfig)
 // as soon as that Read returns, as any io.Reader demands.
 //
 // A mode is data, not a code path: it selects which dataflow Program the
-// one region walker (walk.go) is handed and what happens to an external
-// stdin — drained up front (Serial, Unoptimized), kept live so streamable
-// regions overlap block by block in bounded memory (Optimized), or with
-// every line-mapper region live whatever the source (Pipelined).
+// one region walker (walk.go) is handed, at which k (an Unchunked mode
+// runs at k = 1), and what happens to an external stdin — drained up
+// front (Serial, Unoptimized), kept live so streamable regions overlap
+// block by block in bounded memory (Optimized), or with every
+// line-mapper region live whatever the source (Pipelined).
 func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out io.Writer, mode Mode, k int, opts ...ExecOpt) ([]StageMetrics, error) {
 	cfg := execConfig{fuse: true}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if mode.Unchunked() {
+		k = 1
 	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
 	// k > GOMAXPROCS the extra chunks wait for a free runner. A merge
@@ -150,10 +159,8 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 		width: max(min(k, runtime.GOMAXPROCS(0)), 1),
 	}
 	switch mode {
-	case ModeSerial:
-		ex.prog = p.serial
-	case ModeUnoptimized:
-		ex.prog = p.stagewise
+	case ModeSerial, ModeUnoptimized:
+		ex.prog = p.unrewritten
 	case ModeOptimized:
 		ex.keepLive = true
 		if ex.prog = p.theorem5; cfg.fuse {
@@ -161,7 +168,7 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 			ex.prog, ex.info = p.Program, cfg.runInfo
 		}
 	case ModePipelined:
-		ex.prog, ex.piped = p.serial, true
+		ex.prog, ex.piped = p.unrewritten, true
 	default:
 		return nil, fmt.Errorf("pipeline: unknown execution mode %v", mode)
 	}

@@ -532,6 +532,81 @@ func TestExecuteMetrics(t *testing.T) {
 	}
 }
 
+// TestUnchunkedModesPinK: Serial and Pipelined walk Unoptimized's
+// program pinned to k = 1. Asked for k = 4 on an Env whose earlier
+// Unoptimized runs chunked the same plan and consulted the memo, no
+// stage of theirs is chunked or consults the memo, and the output is
+// the serial output, over a file and over an external stdin.
+func TestUnchunkedModesPinK(t *testing.T) {
+	syn := newSynth()
+	input := strings.Repeat("Light words HERE\nand the Sea\n", 300)
+	syn.Env.FS.Register("m.txt", input)
+	filePlan := compilePlan(t, syn, "cat m.txt | tr A-Z a-z | grep -v sea | sort | uniq -c\n")
+	stdinPlan := compilePlan(t, syn, "tr A-Z a-z | grep -v sea | sort | uniq -c\n")
+	want := reference(t, filePlan, input)
+	ctx := context.Background()
+	for run := 0; run < 2; run++ {
+		ms, err := filePlan.Execute(ctx, syn.Env, nil, io.Discard, ModeUnoptimized, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms[0].Chunks != 4 || (run == 1 && ms[0].MemoMisses == 0) {
+			t.Fatalf("unoptimized run %d at k = 4: first stage %+v, want 4 chunks and, re-run, the memo consulted", run, ms[0])
+		}
+	}
+	for _, mode := range []Mode{ModeSerial, ModePipelined} {
+		for _, src := range []struct {
+			name  string
+			plan  *Plan
+			stdin func() io.Reader
+		}{
+			{"file", filePlan, func() io.Reader { return nil }},
+			{"external stdin", stdinPlan, func() io.Reader { return pipeSource(input) }},
+		} {
+			var out strings.Builder
+			ms, err := src.plan.Execute(ctx, syn.Env, src.stdin(), &out, mode, 4)
+			if err != nil {
+				t.Fatalf("%v, %s: %v", mode, src.name, err)
+			}
+			if out.String() != want {
+				t.Errorf("%v, %s: output diverges from the serial output", mode, src.name)
+			}
+			for i, m := range ms {
+				if m.Chunks != 0 || m.MemoMetrics != (MemoMetrics{}) {
+					t.Errorf("%v, %s: stage %q ran %d chunks, memo %+v; want unchunked", mode, src.name, src.plan.Stages[i].Spec, m.Chunks, m.MemoMetrics)
+				}
+			}
+		}
+	}
+}
+
+// TestPipelinedStreamsEveryLineMapper: Pipelined runs every line-mapper
+// region live, whatever combiner the planner gave it. At k = 1 nothing
+// is chunked, so streaming a parallel line mapper equals running it
+// whole even when its combiner is not concat.
+func TestPipelinedStreamsEveryLineMapper(t *testing.T) {
+	syn := newSynth()
+	plan := compilePlan(t, syn, "tr A-Z a-z | sort\n")
+	// Every line mapper synthesizes concat today; hand tr sort's merge.
+	plan.Stages[0].Synth = plan.Stages[1].Synth
+	plan.lower()
+	if c := plan.unrewritten.Graph.Nodes[0].Class; c == dataflow.ClassConcat || !plan.Stages[0].Parallel {
+		t.Fatalf("tr lowered as class %v, parallel %v; want a parallel, non-concat line mapper", c, plan.Stages[0].Parallel)
+	}
+	input := strings.Repeat("Light words HERE\nand the Sea\n", 300)
+	var out strings.Builder
+	ms, err := plan.Execute(context.Background(), syn.Env, pipeSource(input), &out, ModePipelined, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ms[0].Streamed {
+		t.Errorf("pipelined mode did not stream the line mapper: %+v", ms[0])
+	}
+	if out.String() != reference(t, plan, input) {
+		t.Error("output diverges from the reference")
+	}
+}
+
 // TestSortCombinesIntoChunkedConsumer: a parallel sort feeding a
 // streamable but order-sensitive consumer exits through its combine (the
 // range-parallel, order-checked k-way merge), and the consumer then runs

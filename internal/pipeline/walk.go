@@ -179,10 +179,11 @@ func declaredLen(r io.Reader) int {
 // streams reports whether region r runs live, on a goroutine over its
 // input's blocks: its input is live (in Pipelined mode, whatever it is),
 // its command is a line mapper (a fused chain always is) and, in a
-// parallel region, concat-combined, so streaming equals chunk-and-concat.
+// region that runs chunked (parallel, at k > 1), concat-combined, so
+// streaming equals chunk-and-concat.
 func (ex *executor) streams(r *dataflow.Region, live bool) bool {
 	concat := ex.prog.Graph.Nodes[r.Nodes[0]].Class == dataflow.ClassConcat
-	return (live || ex.piped) && unix.CanStream(r.Cmd) && (!r.Parallel || concat)
+	return (live || ex.piped) && unix.CanStream(r.Cmd) && (!r.Parallel || ex.k <= 1 || concat)
 }
 
 // source resolves the pipeline's input into the walk's initial stream:

@@ -1,5 +1,5 @@
 // Package cache provides the combiner cache backing synth.Engine: an
-// in-memory LRU for hot command signatures, an optional on-disk store that
+// in-memory LRU for hot spec texts, an optional on-disk store that
 // persists synthesis results across processes, and the canonical cache-key
 // derivation over normalized argv, delimiter set and the values that steer
 // synthesis.
@@ -32,8 +32,8 @@ const EntryVersion = 3
 
 // DefaultCapacity is the in-memory LRU capacity of every synthesis
 // engine (the synth package's default budget) and of NewLRU(0). 512
-// signatures comfortably covers the paper's 121 distinct benchmark
-// commands with room for option variants.
+// specs comfortably covers the paper's 121 distinct benchmark commands
+// with room for option variants.
 const DefaultCapacity = 512
 
 // Key derives the canonical cache key for one synthesis problem: the

@@ -24,10 +24,10 @@ import (
 // and survivors merged in shard order, so results are byte-identical to
 // a sequential run at any worker count), and Algorithm 2's gradient
 // mutations are scored concurrently. Results are cached in one bounded
-// in-memory LRU — under the exact spec text, so a repeat resolves before
-// it is even parsed, and under a canonical command signature (normalized
-// argv + delimiter set + budget and seed), so quoting variants share a
-// result — and, optionally, an on-disk store, so repeated stages and
+// in-memory LRU under the exact spec text, so a repeat resolves before
+// it is even parsed and returns the Result of the text that was asked
+// for, and, optionally, in an on-disk store under a canonical command
+// signature (normalized argv + delimiter set + budget and seed), so
 // repeated invocations resolve without re-running synthesis. Concurrent
 // requests for the same uncached spec are single-flighted: one synthesis
 // runs, the rest wait and share its verdict. Each candidate space is
@@ -47,10 +47,8 @@ type Engine struct {
 
 	mu       sync.Mutex       // orders spec-text lookups against inflight
 	inflight map[string]*call // spec → in-progress synthesis (single-flight)
-	// lru maps both specKey(spec text) and the canonical signature to the
-	// one *Result.
-	lru  *cache.LRU
-	disk *cache.Store // nil unless Opts.CacheDir is set
+	lru      *cache.LRU       // spec text → *Result
+	disk     *cache.Store     // nil unless Opts.CacheDir is set
 
 	spaceMu sync.Mutex
 	spaces  map[string]*space // delimiter bytes → candidate space
@@ -120,10 +118,6 @@ func (sp *space) domain(o Observation) *dsl.DomainScratch {
 
 func (sp *space) release(ws *dsl.DomainScratch) { sp.scratch.Put(ws) }
 
-// specKey is the LRU key of an exact spec text. The NUL keeps it disjoint
-// from canonical signatures (hex digests) whatever the text is.
-func specKey(spec string) string { return "spec\x00" + spec }
-
 // call is one in-progress synthesis that concurrent callers of the same
 // spec coalesce onto: followers wait on done instead of re-running the
 // cold synthesis. ok is true when the leader cached a verdict; false
@@ -165,8 +159,8 @@ func newEngine(env *unix.Env, opts Options, b budget) *Engine {
 }
 
 // Synthesize parses a command spec and synthesizes its combiner,
-// consulting the in-memory LRU (by spec text, then by canonical
-// signature) and the on-disk store before running Algorithms 1–2.
+// consulting the in-memory LRU (by spec text) and the on-disk store (by
+// canonical signature) before running Algorithms 1–2.
 // Cancelling ctx aborts synthesis mid-round; the returned Result then
 // carries the best-so-far survivor set with Err set to ctx.Err(), and is
 // not cached.
@@ -205,10 +199,9 @@ func (e *Engine) SynthesizeTier(ctx context.Context, spec string) (*Result, cach
 
 // synthesizeTier is SynthesizeTier without the tracing wrapper.
 func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cache.Tier, error) {
-	key := specKey(spec)
 	for {
 		e.mu.Lock()
-		if v, ok := e.lru.Get(key); ok {
+		if v, ok := e.lru.Get(spec); ok {
 			e.mu.Unlock()
 			e.counters.Hit()
 			r := v.(*Result)
@@ -247,9 +240,7 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 		r, tier := e.synthesizeCommand(ctx, cmd)
 		e.mu.Lock()
 		if ctx.Err() == nil {
-			// Negative verdicts (non-stream, multi-input) are cached here
-			// too: they have no canonical-signature entry.
-			e.lru.Put(key, r)
+			e.lru.Put(spec, r)
 			c.r, c.ok = r, true
 		}
 		delete(e.inflight, spec)
@@ -263,10 +254,10 @@ func (e *Engine) synthesizeTier(ctx context.Context, spec string) (*Result, cach
 // (the LRU), disk hits, and misses (full synthesis runs).
 func (e *Engine) Stats() cache.Stats { return e.counters.Snapshot() }
 
-// synthesizeCommand runs cache lookup and, on a miss, Algorithm 1 for one
-// already-parsed black-box command, and names the serving cache tier:
-// TierMemory for an LRU hit, TierDisk for an on-disk hit, TierMiss when
-// synthesis (or an unsupported-command verdict) ran from scratch.
+// synthesizeCommand runs the disk lookup and, on a miss, Algorithm 1 for
+// one already-parsed black-box command, and names the serving cache
+// tier: TierDisk for an on-disk hit, TierMiss when synthesis (or an
+// unsupported-command verdict) ran from scratch.
 func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Result, cache.Tier) {
 	start := time.Now()
 	res := &Result{Spec: cmd.Spec()}
@@ -291,10 +282,6 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 
 	argv := canonicalArgv(cmd)
 	key := e.budget.key(argv, delimBytes(p.delims), e.Opts.Seed)
-	if v, ok := e.lru.Get(key); ok {
-		e.counters.Hit()
-		return v.(*Result), cache.TierMemory
-	}
 	// Commands whose behaviour depends on the simulated file system —
 	// file-name input mode (xargs-style probes read the FS) or commands
 	// that read or write registered files during Run (unix.ReadsEnv) —
@@ -305,7 +292,6 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 		if ent, ok := e.disk.Get(key); ok {
 			if r, ok := e.resultFromEntry(ent, cmd); ok {
 				e.counters.DiskHit()
-				e.lru.Put(key, r)
 				return r, cache.TierDisk
 			}
 		}
@@ -313,11 +299,8 @@ func (e *Engine) synthesizeCommand(ctx context.Context, cmd unix.Command) (*Resu
 
 	e.counters.Miss()
 	res = e.synthesize(ctx, cmd, rng, p, start)
-	if ctx.Err() == nil {
-		e.lru.Put(key, res)
-		if diskable && cacheableErr(res.Err) {
-			e.disk.Put(key, e.entryFromResult(res, argv)) //nolint:errcheck // accelerator only
-		}
+	if ctx.Err() == nil && diskable && cacheableErr(res.Err) {
+		e.disk.Put(key, e.entryFromResult(res, argv)) //nolint:errcheck // accelerator only
 	}
 	return res, cache.TierMiss
 }
@@ -715,13 +698,15 @@ func (e *Engine) entryFromResult(r *Result, argv []string) *cache.Entry {
 	return ent
 }
 
-// resultFromEntry rebuilds a live result from a persisted entry: the
-// plausible set is re-parsed from DSL text and the composite combiner
-// rebuilt against the command's evaluation environment. Any decode
-// failure reports false and the entry is treated as a miss.
+// resultFromEntry rebuilds a live result for cmd from a persisted entry:
+// the plausible set is re-parsed from DSL text and the composite combiner
+// rebuilt against the command's evaluation environment. The result
+// carries cmd's spec text, which may spell the command differently from
+// the entry's. Any decode failure reports false and the entry is treated
+// as a miss.
 func (e *Engine) resultFromEntry(ent *cache.Entry, cmd unix.Command) (*Result, bool) {
 	res := &Result{
-		Spec:           ent.Spec,
+		Spec:           cmd.Spec(),
 		Space:          dsl.SpaceSize{Rec: ent.SpaceRec, Struct: ent.SpaceStruct, Run: ent.SpaceRun},
 		Rounds:         ent.Rounds,
 		Observations:   ent.Observations,
@@ -749,7 +734,7 @@ func (e *Engine) resultFromEntry(ent *cache.Entry, cmd unix.Command) (*Result, b
 		}
 		res.Plausible = append(res.Plausible, c)
 	}
-	res.Combiner = buildComposite(ent.Spec, EvalEnv(cmd, e.Env), res.Plausible)
+	res.Combiner = buildComposite(res.Spec, EvalEnv(cmd, e.Env), res.Plausible)
 	if res.Combiner == nil {
 		return nil, false
 	}

@@ -136,9 +136,9 @@ func testCancellationMidRound(t *testing.T, workers int) {
 	}
 }
 
-// TestEngineMemoryCache checks both keys of the memory tier: the exact
-// spec text and the canonical signature (which also serves whitespace
-// variants of the same command).
+// TestEngineMemoryCache checks the memory tier's one key, the exact spec
+// text: a repeat is served from it, and a whitespace variant of the same
+// command is a spec of its own, synthesized and filed under its own text.
 func TestEngineMemoryCache(t *testing.T) {
 	eng := New(unix.DefaultEnv(), Options{Seed: 1})
 	r1, err := eng.Synthesize(context.Background(), "wc -l")
@@ -154,20 +154,61 @@ func TestEngineMemoryCache(t *testing.T) {
 	if r1 != r2 {
 		t.Error("repeated spec did not return the cached result")
 	}
-	// Whitespace variant → same canonical argv → signature hit, no new miss.
+	// Whitespace variant → its own miss and its own entry.
 	r3, err := eng.Synthesize(context.Background(), "wc  -l")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = eng.Stats()
-	if st.Misses != 1 {
-		t.Errorf("whitespace variant re-ran synthesis: %+v", st)
+	if st := eng.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 2 misses (one per spelling) and 1 hit", st)
 	}
-	if st.Hits != 2 {
-		t.Errorf("stats %+v, want 2 hits (spec text + signature)", st)
+	if r3 == r1 || r3.Spec != "wc  -l" {
+		t.Errorf("whitespace variant returned spec %q (shared: %v), want its own result", r3.Spec, r3 == r1)
 	}
-	if resultFingerprint(t, r1) != resultFingerprint(t, r3) {
-		t.Error("canonical-cache result differs from original")
+	if r3.Combiner.String() != r1.Combiner.String() {
+		t.Errorf("whitespace variant combiner %s, want %s", r3.Combiner, r1.Combiner)
+	}
+	if n := eng.lru.Len(); n != 2 {
+		t.Errorf("LRU holds %d entries for 2 distinct specs", n)
+	}
+	if r4, _ := eng.Synthesize(context.Background(), "wc  -l"); r4 != r3 {
+		t.Error("repeated variant did not return its cached result")
+	}
+}
+
+// TestRespelledSpecKeepsItsText: a command asked for in a second
+// quoting is answered with a Result for the text asked, never with the
+// first spelling's, from memory and from the disk tier alike (which
+// still files both under one canonical signature).
+func TestRespelledSpecKeepsItsText(t *testing.T) {
+	const first, second = `tr -c "[a-z][A-Z]" '\n'`, `tr -c '[a-z][A-Z]' '\n'`
+	ctx := context.Background()
+	dir := t.TempDir()
+	for _, opts := range []Options{{Seed: 1}, {Seed: 1, CacheDir: dir}} {
+		eng := New(unix.DefaultEnv(), opts)
+		if _, err := eng.Synthesize(ctx, first); err != nil {
+			t.Fatal(err)
+		}
+		r, tier, err := eng.SynthesizeTier(ctx, second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Spec != second {
+			t.Errorf("cache dir %q: SynthesizeTier(%s) = Result for %s (tier %v)", opts.CacheDir, second, r.Spec, tier)
+		}
+		if tier == cache.TierMemory {
+			t.Errorf("cache dir %q: the second spelling was served from memory", opts.CacheDir)
+		}
+		if n := eng.lru.Len(); n != 2 {
+			t.Errorf("cache dir %q: LRU holds %d entries for 2 distinct specs", opts.CacheDir, n)
+		}
+	}
+	// A fresh engine over the same store reads the second spelling's
+	// verdict from disk, under the text it was asked for.
+	eng := New(unix.DefaultEnv(), Options{Seed: 1, CacheDir: dir})
+	r, tier, err := eng.SynthesizeTier(ctx, second)
+	if err != nil || tier != cache.TierDisk || r.Spec != second {
+		t.Errorf("fresh engine: SynthesizeTier(%s) = spec %s, tier %v, err %v; want the text asked, from disk", second, r.Spec, tier, err)
 	}
 }
 
@@ -235,9 +276,9 @@ func TestEngineDiskCache(t *testing.T) {
 		t.Errorf("disk round-trip lost metadata: %+v vs %+v", rb, ra)
 	}
 	// The rebuilt combiner must be live, not just displayable.
-	out, err := rb.Combiner.Combine("      2 apple\n", "      1 apple\n")
+	out, err := rb.Combiner.CombineKTree([]string{"      2 apple\n", "      1 apple\n"}, 1)
 	if err != nil || out != "      3 apple\n" {
-		t.Errorf("rebuilt combiner Combine = %q, %v", out, err)
+		t.Errorf("rebuilt combiner CombineKTree = %q, %v", out, err)
 	}
 	// A different seed must not hit the same entries.
 	c := New(unix.DefaultEnv(), Options{Seed: 2, CacheDir: dir})

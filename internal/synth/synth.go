@@ -6,8 +6,9 @@
 //
 // The Engine is the synthesis entry point: candidate filtering and
 // gradient scoring fan out over a bounded worker pool, synthesis is
-// cancellable mid-round via context, and results are cached by canonical
-// command signature (see internal/synth/cache and DESIGN.md).
+// cancellable mid-round via context, and results are cached by spec text
+// in memory and by canonical command signature on disk (see
+// internal/synth/cache and DESIGN.md).
 package synth
 
 import (
@@ -58,9 +59,8 @@ type budget struct {
 	// disableGradient replaces Algorithm 2's best-mutation selection
 	// with a uniformly random mutation walk (the ablation baseline).
 	disableGradient bool
-	// lruSize caps the in-memory combiner LRU in entries — a spec holds
-	// up to two, its exact text and its canonical signature. It never
-	// changes a verdict, so it stays out of the cache key.
+	// lruSize caps the in-memory combiner LRU in entries, one per spec
+	// text. It never changes a verdict, so it stays out of the cache key.
 	lruSize int
 }
 
@@ -336,26 +336,6 @@ func (c *Combiner) IsRerunOnly() bool {
 		}
 	}
 	return true
-}
-
-// Combine merges two parallel outputs, dispatching to the first candidate
-// whose domain contains both operands (§3.2's composite semantics).
-func (c *Combiner) Combine(y1, y2 string) (string, error) {
-	var lastErr error
-	for _, cand := range c.Candidates {
-		if !cand.InDomain(c.env, y1, y2) {
-			continue
-		}
-		v, err := cand.Eval(c.env, y1, y2)
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("synth: no composite member accepts the operands")
-	}
-	return "", lastErr
 }
 
 // CombineKTree merges k parallel outputs through the first candidate

@@ -324,7 +324,7 @@ func TestSynthesizedCombinersAreCorrect(t *testing.T) {
 			if e1 != nil || e2 != nil || e12 != nil {
 				continue
 			}
-			got, err := res.Combiner.Combine(y1, y2)
+			got, err := res.Combiner.CombineKTree([]string{y1, y2}, 1)
 			if err != nil || got != y12 {
 				t.Errorf("%s: combiner %s wrong on x1=%q x2=%q: got %q (err %v), want %q",
 					spec, res.Combiner, x1, x2, got, err, y12)

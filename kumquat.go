@@ -17,14 +17,22 @@
 //	rep, err := plan.Execute(ctx, kumquat.WithParallelism(16))
 //	fmt.Print(rep.Output)
 //
-// Plan.Execute is the one script-run loop: every way a compiled script
-// runs — the four modes, kumquatd, and the cluster coordinator (which
-// passes itself in as the leaf runner through WithLeaves) — goes through
-// it. Its RunReport is the executor's own
-// record: StageReport and RegionReport embed the walker's metrics structs
-// beside the planning verdict rather than re-declaring their fields, and
-// Mode is the executor's enum. kumquatd's execute trailer is this record
-// encoded as is.
+// Plan.Execute is the script-run loop of the public API: the four modes,
+// kumquatd, and the cluster coordinator (which passes itself in as the
+// leaf runner through WithLeaves) all go through it. kqbench's
+// bench.Harness keeps a loop of its own: it compiles each pipeline of a
+// script only after running the ones before it, so synthesis sees the
+// files they wrote, and it runs the script itself. The two can plan a
+// script differently: on the poets catalog's 8.3_3.sh, `kumquat plan`
+// parallelizes 5 of 10 stages and eliminates 1 combiner, because it
+// synthesizes `comm -23 - tmp.ex.types` before tmp.ex.types exists,
+// while Table 3 gives 6 of 10 and 2.
+//
+// Plan.Execute's RunReport is the executor's own record: StageReport and
+// RegionReport embed the walker's metrics structs beside the planning
+// verdict rather than re-declaring their fields, and Mode is the
+// executor's enum. kumquatd's execute trailer is this record encoded as
+// is.
 //
 // Commands are the pure-Go substrate in internal/unix; they behave like
 // their GNU counterparts for the flag combinations the paper's benchmarks
@@ -496,7 +504,7 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 	}
 	// Serial and pipelined modes run one instance per stage; reporting
 	// the requested k would overstate what ran.
-	if cfg.mode == Serial || cfg.mode == Pipelined {
+	if cfg.mode.Unchunked() {
 		cfg.k = 1
 	}
 	var captured *strings.Builder
