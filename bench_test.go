@@ -3,7 +3,7 @@
 // design choices DESIGN.md calls out. Absolute times depend on the host;
 // the shapes to compare against the paper are the per-k scaling (Tables
 // 5/6), the optimized-vs-unoptimized ordering, and the synthesis outcomes.
-package kumquat
+package kumquat_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"io"
 	"testing"
 
+	"kumquat"
 	"kumquat/internal/bench"
 	"kumquat/internal/dsl"
 	"kumquat/internal/pipeline"
@@ -141,29 +142,33 @@ func BenchmarkSynthesis(b *testing.B) {
 // BenchmarkWordFrequency reproduces the §2 running example's measurement:
 // the wf pipeline serially, unoptimized-parallel and optimized-parallel.
 func BenchmarkWordFrequency(b *testing.B) {
-	env := NewEnv()
-	if err := bench.RegisterInputs(env.u, "text", benchScale*8); err != nil {
+	files, err := bench.Inputs("text", benchScale*8)
+	if err != nil {
 		b.Fatal(err)
 	}
-	sys := New(env)
+	env := kumquat.NewEnv()
+	for name, data := range files {
+		env.Register(name, data)
+	}
+	sys := kumquat.New(env)
 	plan, err := sys.Parallelize(context.Background(), `cat in/text.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
 	if err != nil {
 		b.Fatal(err)
 	}
 	modes := []struct {
 		name string
-		mode Mode
+		mode kumquat.Mode
 		k    int
 	}{
-		{"u1", Serial, 1},
-		{"u16", Unoptimized, 16},
-		{"T16", Optimized, 16},
-		{"Torig", Pipelined, 1},
+		{"u1", kumquat.Serial, 1},
+		{"u16", kumquat.Unoptimized, 16},
+		{"T16", kumquat.Optimized, 16},
+		{"Torig", kumquat.Pipelined, 1},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.Execute(context.Background(), WithMode(m.mode), WithParallelism(m.k)); err != nil {
+				if _, err := plan.Execute(context.Background(), kumquat.WithMode(m.mode), kumquat.WithParallelism(m.k)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -197,9 +202,13 @@ func BenchmarkAblationDelims(b *testing.B) {
 // BenchmarkAblationElimination isolates Theorem 5's effect on one pipeline
 // with a long concat chain (unix50 4.4).
 func BenchmarkAblationElimination(b *testing.B) {
-	env := unix.DefaultEnv()
-	if err := bench.RegisterInputs(env, "chess", benchScale*8); err != nil {
+	files, err := bench.Inputs("chess", benchScale*8)
+	if err != nil {
 		b.Fatal(err)
+	}
+	env := unix.DefaultEnv()
+	for name, data := range files {
+		env.FS.Register(name, data)
 	}
 	syn := synth.New(env, synth.Options{Seed: 1})
 	script := `cat in/chess.txt | tr ' ' '\n' | grep 'x' | grep '\.' | cut -d '.' -f 2 | grep '[KQRBN]' | cut -c 1-1 | sort | uniq -c | sort -rn` + "\n"

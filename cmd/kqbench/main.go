@@ -17,15 +17,24 @@ import (
 	"os/signal"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"kumquat/internal/bench"
 )
 
+// tables are the values -table accepts: "all" prints every other one, in
+// this order.
+var tables = []string{"3", "1", "4", "5", "6", "7", "8", "9", "10", "summary", "all"}
+
 func main() {
-	table := flag.String("table", "all", "table to print: 1,3,4,5,6,7,8,9,10,summary,all")
+	table := flag.String("table", "all", "table to print: "+strings.Join(tables, ","))
 	scale := flag.Int("scale", 4000, "approximate input lines per script")
 	flag.Parse()
+	if !slices.Contains(tables, *table) {
+		fmt.Fprintf(os.Stderr, "kqbench: unknown -table %q (valid: %s)\n", *table, strings.Join(tables, ", "))
+		os.Exit(2)
+	}
 
 	// One interrupt-bound root context feeds every benchmark run, so ^C
 	// aborts mid-measurement instead of hanging until the sweep finishes.
@@ -38,20 +47,17 @@ func main() {
 
 	fmt.Fprintf(w, "kqbench: %d CPUs, scale=%d lines, k=%v\n\n", runtime.NumCPU(), *scale, ks)
 
-	needRuns := map[string]bool{"1": true, "4": true, "5": true, "6": true, "7": true, "all": true}
-	needPlans := map[string]bool{"3": true}
-
 	var results []*bench.ScriptResult
 	var err error
-	switch {
-	case needRuns[*table]:
+	switch *table {
+	case "1", "4", "5", "6", "7", "all":
 		start := time.Now()
 		results, err = h.RunAll(ctx)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(w, "ran %d scripts in %v\n\n", len(results), time.Since(start).Round(time.Millisecond))
-	case needPlans[*table]:
+	case "3":
 		results, err = h.PlanOnly(ctx)
 		if err != nil {
 			fatal(err)
@@ -73,11 +79,11 @@ func main() {
 		case "7":
 			bench.WriteTable7(w, results, ks, medianU1(results))
 		case "8":
-			bench.WriteTable8(ctx, w, h.Synthesizer())
+			bench.WriteTable8(ctx, w, h.System)
 		case "9":
-			bench.WriteTable9(ctx, w, h.Synthesizer())
+			bench.WriteTable9(ctx, w, h.System)
 		case "10":
-			bench.WriteTable10(ctx, w, h.Synthesizer())
+			bench.WriteTable10(ctx, w, h.System)
 		case "summary":
 			writeSummary(ctx, h)
 		}
@@ -85,7 +91,7 @@ func main() {
 	}
 
 	if *table == "all" {
-		for _, name := range []string{"3", "1", "4", "5", "6", "7", "8", "9", "10", "summary"} {
+		for _, name := range tables[:len(tables)-1] {
 			printTable(name)
 		}
 		return
@@ -106,12 +112,11 @@ func medianU1(results []*bench.ScriptResult) time.Duration {
 }
 
 func writeSummary(ctx context.Context, h *bench.Harness) {
-	syn := h.Synthesizer()
 	supported, unsupported := 0, 0
 	var minD, maxD, sum time.Duration
 	var durations []time.Duration
 	for _, spec := range bench.UniqueCommands() {
-		res, _ := syn.Synthesize(ctx, spec)
+		res, _ := h.System.Synthesize(ctx, spec)
 		if res == nil {
 			continue
 		}

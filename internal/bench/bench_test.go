@@ -2,9 +2,11 @@ package bench
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
+	"kumquat"
 	"kumquat/internal/pipeline"
 )
 
@@ -65,19 +67,43 @@ func TestCatalogPaperTotals(t *testing.T) {
 	}
 }
 
-func TestRegisterInputsAllKinds(t *testing.T) {
-	h := NewHarness(200, []int{1})
+func TestInputsAllKinds(t *testing.T) {
 	kinds := map[string]bool{}
 	for _, s := range Catalog() {
 		kinds[s.Input] = true
 	}
 	for kind := range kinds {
-		if err := RegisterInputs(h.Env(), kind, 200); err != nil {
-			t.Errorf("RegisterInputs(%s): %v", kind, err)
+		if files, err := Inputs(kind, 200); err != nil || len(files) == 0 {
+			t.Errorf("Inputs(%s): %d files, %v", kind, len(files), err)
 		}
 	}
-	if err := RegisterInputs(h.Env(), "nope", 10); err == nil {
+	if _, err := Inputs("nope", 10); err == nil {
 		t.Error("unknown input kind should error")
+	}
+}
+
+// TestTimedRunIsFirstRun checks that a table cell is never a memo hit:
+// two runs of one script through the harness's per-run helper each
+// report no memo hits and no memo misses, as an Env's first run of a
+// script does (a re-run in the same Env would consult the memo).
+func TestTimedRunIsFirstRun(t *testing.T) {
+	h := NewHarness(400, nil)
+	spec := Catalog()[0]
+	_, files, err := h.planScript(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rep, err := h.run(context.Background(), spec, files, kumquat.Optimized, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, st := range rep.Stages {
+			if st.MemoHits != 0 || st.MemoMisses != 0 {
+				t.Errorf("run %d stage %d (%s): memo hits %d misses %d, want none",
+					i, j, st.Spec, st.MemoHits, st.MemoMisses)
+			}
+		}
 	}
 }
 
@@ -112,10 +138,11 @@ func TestScriptsExecuteCorrectly(t *testing.T) {
 
 // table3Divergences are the three scripts whose planning counts differ
 // from the paper's published Table 3, pinned at the counts this planner
-// gives them (parallelized/total, eliminated) so a move is caught. Each
-// difference comes from how the script was reconstructed (catalog.go:
-// Table 10 pins some stages verbatim; the rest follow the cited public
-// sources under Table 3's stage counts), not from a planner bug:
+// gives them (parallelized/total, eliminated) so a move is caught. The
+// first two differences come from how the script was reconstructed
+// (catalog.go: Table 10 pins some stages verbatim; the rest follow the
+// cited public sources under Table 3's stage counts), the third from
+// planning a script before running it; none is a planner bug:
 //
 //   - spell.sh plans 7/8 parallel, 3 eliminated; the paper has 6/8, 3.
 //     Only `tr -cs A-Za-z '\n'` is rerun-only (kept sequential) here;
@@ -128,19 +155,16 @@ func TestScriptsExecuteCorrectly(t *testing.T) {
 //     | uniq -c` tail both revs have concat combiners and feed a parallel
 //     stage, so Theorem 5 removes both: one concat adjacency more than
 //     the paper's script has.
-//   - 8.3_3.sh plans 6/10 parallel like the paper, but eliminates 2 to
-//     the paper's 1. Its last pipeline, `comm -23 - tmp.ex.types | sort |
-//     head`, carries a `sort` inserted to reach Table 3's stage count of
-//     10; that sort gives comm's concat combiner a parallel successor, so
-//     Theorem 5 eliminates one more combiner. These are the harness's
-//     counts: scriptPlans runs each pipeline before compiling the next,
-//     so comm is synthesized once tmp.ex.types exists. `kumquat plan`
-//     compiles the whole script before running any of it, synthesizes
-//     comm against a missing file, and prints 5/10 with 1 eliminated.
+//   - 8.3_3.sh plans 5/10 parallel to the paper's 6/10, and eliminates 1
+//     like the paper. Planning precedes running: the whole script is
+//     compiled before any of it runs, so its last pipeline's `comm -23 -
+//     tmp.ex.types` is synthesized before the pipeline that writes
+//     tmp.ex.types has run. Its generated inputs then never produce
+//     output and comm stays serial, as `kumquat plan` shows.
 var table3Divergences = map[string]struct{ parallelized, total, eliminated int }{
 	"spell.sh": {7, 8, 3},
 	"3_3.sh":   {7, 9, 3},
-	"8.3_3.sh": {6, 10, 2},
+	"8.3_3.sh": {5, 10, 1},
 }
 
 // TestTable3PerScriptExact pins every script's planning counts: a
@@ -250,7 +274,7 @@ func TestTable8Histogram(t *testing.T) {
 		t.Skip("synthesis over all unique commands skipped in -short mode")
 	}
 	h := NewHarness(100, []int{1})
-	rows := Table8(context.Background(), h.Synthesizer())
+	rows := Table8(context.Background(), h.System)
 	if len(rows) == 0 {
 		t.Fatal("empty Table 8")
 	}
@@ -295,9 +319,8 @@ func TestTable9Unsupported(t *testing.T) {
 		t.Skip("synthesis over all unique commands skipped in -short mode")
 	}
 	h := NewHarness(100, []int{1})
-	syn := h.Synthesizer()
 	var b strings.Builder
-	WriteTable9(context.Background(), &b, syn)
+	WriteTable9(context.Background(), &b, h.System)
 	out := b.String()
 	// Table 9's rows that appear in our catalog: tail +2, tail +3, the
 	// equality-gated awk. (sed 1d / 2d appear inside unix50 scripts.)
@@ -305,5 +328,47 @@ func TestTable9Unsupported(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 9 missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// table10Time matches Table 10's time column: a right-aligned rounded
+// duration and the two spaces that end the column.
+var table10Time = regexp.MustCompile(` +\d[\d.hmµn]*s  `)
+
+// TestSynthesisTablesIgnorePlanning checks that Tables 8, 9 and 10 (less
+// Table 10's time column) read the same whether or not a planning pass
+// ran first: planning a script writes none of its temp files into the
+// synthesizer's environment, so `comm -23 - tmp.ex.types` is synthesized
+// against the same files either way.
+func TestSynthesisTablesIgnorePlanning(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesis over all unique commands skipped in -short mode")
+	}
+	ctx := context.Background()
+	tables := func(planFirst bool) string {
+		h := NewHarness(100, []int{1})
+		if planFirst {
+			if _, err := h.PlanOnly(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		WriteTable8(ctx, &b, h.System)
+		WriteTable9(ctx, &b, h.System)
+		WriteTable10(ctx, &b, h.System)
+		return table10Time.ReplaceAllString(b.String(), " -  ")
+	}
+	fresh, planned := tables(false), tables(true)
+	if fresh == planned {
+		return
+	}
+	fl, pl := strings.Split(fresh, "\n"), strings.Split(planned, "\n")
+	for i := range min(len(fl), len(pl)) {
+		if fl[i] != pl[i] {
+			t.Errorf("line %d differs after planning:\n fresh:   %s\n planned: %s", i, fl[i], pl[i])
+		}
+	}
+	if len(fl) != len(pl) {
+		t.Errorf("fresh tables have %d lines, after planning %d", len(fl), len(pl))
 	}
 }

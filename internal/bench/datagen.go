@@ -8,52 +8,53 @@ import (
 	"kumquat/internal/unix"
 )
 
-// RegisterInputs registers the synthetic input files an input kind needs,
-// scaled to roughly `lines` lines of primary input. Generation is
-// deterministic for a given (kind, lines) pair.
+// Inputs generates the synthetic input files an input kind needs, scaled
+// to roughly `lines` lines of primary input, as a map from file name to
+// contents. Generation is deterministic for a given (kind, lines) pair.
 //
 // These generators substitute for the paper's datasets (3.4 GB bus
 // telemetry, 927 MB of Project Gutenberg books, ~1 GB script-specific
 // inputs): they reproduce the line/field structure and key skew that drive
 // combiner behaviour and reduction ratios, at configurable scale.
-func RegisterInputs(env *unix.Env, kind string, lines int) error {
+func Inputs(kind string, lines int) (map[string]string, error) {
 	rng := rand.New(rand.NewSource(int64(len(kind))*1315423911 + int64(lines)))
+	files := map[string]string{}
 	switch kind {
 	case "mts":
-		env.FS.Register("in/mts.csv", genMTS(rng, lines))
+		files["in/mts.csv"] = genMTS(rng, lines)
 	case "text":
-		env.FS.Register("in/text.txt", genText(rng, lines))
+		files["in/text.txt"] = genText(rng, lines)
 	case "twotexts":
-		env.FS.Register("in/text.txt", genText(rng, lines))
-		env.FS.Register("in/text2.txt", genText(rng, lines))
+		files["in/text.txt"] = genText(rng, lines)
+		files["in/text2.txt"] = genText(rng, lines)
 	case "files":
-		env.FS.Register("in/files.txt", genFileList(env, rng, lines))
+		files["in/files.txt"] = genFileList(rng, lines)
 	case "books":
-		registerBooks(env, rng, lines)
+		genBooks(files, rng, lines)
 	case "names":
-		env.FS.Register("in/names.txt", genNames(rng, lines))
+		files["in/names.txt"] = genNames(rng, lines)
 	case "history":
-		env.FS.Register("in/history.tsv", genHistory(rng, lines))
+		files["in/history.tsv"] = genHistory(rng, lines)
 	case "chess":
-		env.FS.Register("in/chess.txt", genChess(rng, lines))
+		files["in/chess.txt"] = genChess(rng, lines)
 	case "source":
-		env.FS.Register("in/source.txt", genSource(rng, lines))
+		files["in/source.txt"] = genSource(rng, lines)
 	case "bodies":
-		env.FS.Register("in/bodies.txt", genBodies(rng, lines))
+		files["in/bodies.txt"] = genBodies(rng, lines)
 	case "offices":
-		env.FS.Register("in/offices.txt", genOffices(rng, lines))
+		files["in/offices.txt"] = genOffices(rng, lines)
 	case "credits":
-		env.FS.Register("in/credits.txt", genCredits(rng, lines))
+		files["in/credits.txt"] = genCredits(rng, lines)
 	case "poem":
-		env.FS.Register("in/poem.txt", genPoem(rng, lines))
+		files["in/poem.txt"] = genPoem(rng, lines)
 	case "mail":
-		env.FS.Register("in/mail.txt", genMail(rng, lines))
+		files["in/mail.txt"] = genMail(rng, lines)
 	case "awards":
-		env.FS.Register("in/awards.txt", genAwards(rng, lines))
+		files["in/awards.txt"] = genAwards(rng, lines)
 	default:
-		return fmt.Errorf("bench: unknown input kind %q", kind)
+		return nil, fmt.Errorf("bench: unknown input kind %q", kind)
 	}
-	return nil
+	return files, nil
 }
 
 var vocab = []string{
@@ -97,10 +98,10 @@ func genMTS(rng *rand.Rand, lines int) string {
 	return b.String()
 }
 
-// genFileList lists the FS corpus (for shortest-scripts.sh), repeating to
-// reach the requested scale.
-func genFileList(env *unix.Env, rng *rand.Rand, lines int) string {
-	names := env.FS.DictionaryNames()
+// genFileList lists the default FS corpus (for shortest-scripts.sh),
+// repeating to reach the requested scale.
+func genFileList(rng *rand.Rand, lines int) string {
+	names := unix.NewFS().DictionaryNames()
 	var b strings.Builder
 	for i := 0; i < lines; i++ {
 		b.WriteString(names[rng.Intn(len(names))])
@@ -109,10 +110,10 @@ func genFileList(env *unix.Env, rng *rand.Rand, lines int) string {
 	return b.String()
 }
 
-// registerBooks registers the poets corpus: pg/bookNN.txt files plus the
+// genBooks adds the poets corpus to files: pg/bookNN.txt files plus the
 // genesis/exodus-style standalone book. The phrases "the land of" and
 // "And he said" appear so the trigram_rec greps have matches.
-func registerBooks(env *unix.Env, rng *rand.Rand, lines int) {
+func genBooks(files map[string]string, rng *rand.Rand, lines int) {
 	books := lines/60 + 1
 	if books > 40 {
 		books = 40
@@ -140,9 +141,9 @@ func registerBooks(env *unix.Env, rng *rand.Rand, lines int) {
 				b.WriteByte('\n')
 			}
 		}
-		env.FS.Register(fmt.Sprintf("pg/book%02d.txt", i), b.String())
+		files[fmt.Sprintf("pg/book%02d.txt", i)] = b.String()
 	}
-	env.FS.Register("in/genesis.txt", genText(rng, perBook))
+	files["in/genesis.txt"] = genText(rng, perBook)
 }
 
 var firstNames = []string{"Ken", "Dennis", "Brian", "Rob", "Doug", "Bjarne", "Grace", "Ada", "Alan", "Barbara"}

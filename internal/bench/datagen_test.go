@@ -14,9 +14,13 @@ import (
 
 func register(t *testing.T, kind string, lines int) *unix.Env {
 	t.Helper()
-	env := unix.DefaultEnv()
-	if err := RegisterInputs(env, kind, lines); err != nil {
+	files, err := Inputs(kind, lines)
+	if err != nil {
 		t.Fatal(err)
+	}
+	env := unix.DefaultEnv()
+	for name, data := range files {
+		env.FS.Register(name, data)
 	}
 	return env
 }

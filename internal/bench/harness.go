@@ -4,28 +4,29 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
+	"kumquat"
 	"kumquat/internal/pipeline"
-	"kumquat/internal/synth"
-	"kumquat/internal/unix"
 )
 
-// Harness runs the benchmark suite and regenerates the paper's tables.
+// Harness runs the benchmark suite and regenerates the paper's tables
+// through the public API: every script is planned whole by
+// System.ParallelizeInEnv and run by Plan.Execute, so its Table 3 counts
+// are the plan `kumquat plan` prints.
 type Harness struct {
 	// Scale is the approximate primary-input line count per script.
 	Scale int
 	// Ks are the parallelism degrees measured (the paper uses 1,2,4,8,16).
 	Ks []int
-
-	env *unix.Env
-	syn *synth.Engine
+	// System plans every script and synthesizes Tables 8–10: combiners
+	// for repeated commands (sort, uniq -c, ...) are synthesized once and
+	// reused across scripts, like KumQuat's per-command cache. Its Env is
+	// the synthesizer's environment and holds every script's inputs.
+	System *kumquat.System
 }
 
-// NewHarness builds a harness with a shared environment and synthesizer:
-// combiners for repeated commands (sort, uniq -c, ...) are synthesized once
-// and reused across scripts, like KumQuat's per-command cache.
+// NewHarness builds a harness around a fresh System.
 func NewHarness(scale int, ks []int) *Harness {
 	if scale <= 0 {
 		scale = 4000
@@ -33,20 +34,8 @@ func NewHarness(scale int, ks []int) *Harness {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 4, 8, 16}
 	}
-	env := unix.DefaultEnv()
-	return &Harness{
-		Scale: scale,
-		Ks:    ks,
-		env:   env,
-		syn:   synth.New(env, synth.Options{Seed: 1}),
-	}
+	return &Harness{Scale: scale, Ks: ks, System: kumquat.New(kumquat.NewEnv())}
 }
-
-// Env exposes the shared command environment.
-func (h *Harness) Env() *unix.Env { return h.env }
-
-// Synthesizer exposes the shared synthesizer (for Table 8/9/10 reporting).
-func (h *Harness) Synthesizer() *synth.Engine { return h.syn }
 
 // PipelineCounts records Table 3's per-pipeline "k/n" pairs.
 type PipelineCounts struct {
@@ -77,48 +66,48 @@ func Speedup(base, d time.Duration) float64 {
 	return float64(base) / float64(d)
 }
 
-// scriptPlans compiles every pipeline of a script, executing pipelines in
-// serial order as it goes so that later pipelines' synthesis can observe
-// the temp files earlier pipelines write (8.3_3's comm needs tmp.ex.types
-// to exist when its combiner is synthesized).
-func (h *Harness) scriptPlans(ctx context.Context, spec ScriptSpec) ([]*pipeline.Plan, *pipeline.Script, error) {
-	script, err := pipeline.ParseScript(spec.Source, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%s: %w", spec.Suite, spec.Name, err)
+func registerFiles(env *kumquat.Env, files map[string]string) {
+	for name, data := range files {
+		env.Register(name, data)
 	}
-	plans := make([]*pipeline.Plan, len(script.Pipelines))
-	for i, p := range script.Pipelines {
-		// Execute pipeline serially first so its outputs exist for the
-		// compilation of subsequent pipelines.
-		plan, err := pipeline.CompileContext(ctx, p, h.syn)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%s pipeline %d: %w", spec.Suite, spec.Name, i, err)
-		}
-		plans[i] = plan
-		var out strings.Builder
-		if _, err := plan.Execute(ctx, h.env, nil, &out, pipeline.ModeSerial, 1); err != nil {
-			return nil, nil, fmt.Errorf("%s/%s pipeline %d run: %w", spec.Suite, spec.Name, i, err)
-		}
-		if p.OutputFile != "" {
-			h.env.FS.Register(p.OutputFile, out.String())
-		}
-	}
-	return plans, script, nil
 }
 
-// planCounts tallies Table 3's planning counts over a script's compiled
-// pipelines into a fresh result.
-func planCounts(spec ScriptSpec, plans []*pipeline.Plan) *ScriptResult {
-	res := &ScriptResult{Spec: spec}
-	for _, plan := range plans {
-		par, total, elim := plan.Counts()
-		res.Parallelized += par
-		res.Total += total
-		res.Eliminated += elim
-		res.PerPipeline = append(res.PerPipeline,
-			PipelineCounts{Parallelized: par, Total: total, Eliminated: elim})
+// plan compiles spec's whole script, before any of it runs, into a Plan
+// that executes in env.
+func (h *Harness) plan(ctx context.Context, spec ScriptSpec, env *kumquat.Env) (*kumquat.Plan, error) {
+	plan, err := h.System.ParallelizeInEnv(ctx, env, spec.Source)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", spec.Suite, spec.Name, err)
 	}
-	return res
+	return plan, nil
+}
+
+// planScript generates spec's input files, registers them into the
+// System's Env, where synthesis observes them, and tallies Table 3's
+// counts from the script's plan.
+func (h *Harness) planScript(ctx context.Context, spec ScriptSpec) (*ScriptResult, map[string]string, error) {
+	files, err := Inputs(spec.Input, h.Scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	registerFiles(h.System.Env(), files)
+	plan, err := h.plan(ctx, spec, h.System.Env())
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &ScriptResult{Spec: spec, PerPipeline: make([]PipelineCounts, len(plan.Inputs()))}
+	res.Parallelized, res.Total, res.Eliminated = plan.Counts()
+	for _, st := range plan.Stages() {
+		c := &res.PerPipeline[st.Pipeline]
+		c.Total++
+		if st.Parallel {
+			c.Parallelized++
+		}
+		if st.Eliminated {
+			c.Eliminated++
+		}
+	}
+	return res, files, nil
 }
 
 // timedRuns is how many times RunScript runs a script in each mode; a
@@ -126,28 +115,19 @@ func planCounts(spec ScriptSpec, plans []*pipeline.Plan) *ScriptResult {
 // not decide it.
 const timedRuns = 5
 
-// runMode executes a whole script in one execution mode through the
-// streaming executor and returns the concatenated output of its
-// non-redirected pipelines. Each call runs in an Env of its own over the
-// harness's files, so a timed run is a first run: the Env's segment memo
-// never answers a chunk the run before it computed.
-func (h *Harness) runMode(ctx context.Context, script *pipeline.Script,
-	plans []*pipeline.Plan, mode pipeline.Mode, k int) (string, error) {
-
-	env := &unix.Env{FS: h.env.FS}
-	var final strings.Builder
-	for i, plan := range plans {
-		var sink strings.Builder
-		if _, err := plan.Execute(ctx, env, nil, &sink, mode, k); err != nil {
-			return "", err
-		}
-		if of := script.Pipelines[i].OutputFile; of != "" {
-			h.env.FS.Register(of, sink.String())
-		} else {
-			final.WriteString(sink.String())
-		}
+// run is one timed run of spec: a plan in a fresh Env holding files (a
+// warm-cache lookup, outside the timed window), then one Plan.Execute,
+// whose report's Wall is the run's time. The fresh Env makes every timed
+// run a first run: its segment memo never answers a chunk an earlier run
+// computed.
+func (h *Harness) run(ctx context.Context, spec ScriptSpec, files map[string]string, mode kumquat.Mode, k int) (*kumquat.RunReport, error) {
+	env := kumquat.NewEnv()
+	registerFiles(env, files)
+	plan, err := h.plan(ctx, spec, env)
+	if err != nil {
+		return nil, err
 	}
-	return final.String(), nil
+	return plan.Execute(ctx, kumquat.WithMode(mode), kumquat.WithParallelism(k))
 }
 
 // RunScript measures one script across all execution modes, each cell the
@@ -155,49 +135,45 @@ func (h *Harness) runMode(ctx context.Context, script *pipeline.Script,
 // The context bounds every timed execution; a cancellation aborts the run
 // mid-mode.
 func (h *Harness) RunScript(ctx context.Context, spec ScriptSpec) (*ScriptResult, error) {
-	if err := RegisterInputs(h.env, spec.Input, h.Scale); err != nil {
-		return nil, err
-	}
-	plans, script, err := h.scriptPlans(ctx, spec)
+	res, files, err := h.planScript(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	res := planCounts(spec, plans)
 	res.U = map[int]time.Duration{}
 	res.T = map[int]time.Duration{}
 
 	// Serial baseline (u1 measured below with k=1; this fixes ground truth).
-	res.Output, err = h.runMode(ctx, script, plans, pipeline.ModeSerial, 1)
+	serial, err := h.run(ctx, spec, files, kumquat.Serial, 1)
 	if err != nil {
 		return nil, err
 	}
+	res.Output = serial.Output
 	res.Agree = true
-	timed := func(label string, mode pipeline.Mode, k int) time.Duration {
+	timed := func(label string, mode kumquat.Mode, k int) time.Duration {
 		walls := make([]time.Duration, timedRuns)
 		for i := range walls {
-			start := time.Now()
-			out, err := h.runMode(ctx, script, plans, mode, k)
-			walls[i] = time.Since(start)
+			rep, err := h.run(ctx, spec, files, mode, k)
 			switch {
 			case err != nil:
 				res.Agree = false
 				res.Errors = append(res.Errors, fmt.Sprintf("%s: %v", label, err))
-				return walls[i]
-			case out != res.Output:
+				return 0
+			case rep.Output != res.Output:
 				res.Agree = false
 				res.Errors = append(res.Errors, label+": output differs from serial")
-				return walls[i]
+				return rep.Wall
 			}
+			walls[i] = rep.Wall
 		}
 		slices.Sort(walls)
 		return walls[timedRuns/2]
 	}
 
 	// T_orig: pipelined execution of the original script.
-	res.TOrig = timed("pipelined", pipeline.ModePipelined, 1)
+	res.TOrig = timed("pipelined", kumquat.Pipelined, 1)
 	for _, k := range h.Ks {
-		res.U[k] = timed(fmt.Sprintf("u%d", k), pipeline.ModeUnoptimized, k)
-		res.T[k] = timed(fmt.Sprintf("T%d", k), pipeline.ModeOptimized, k)
+		res.U[k] = timed(fmt.Sprintf("u%d", k), kumquat.Unoptimized, k)
+		res.T[k] = timed(fmt.Sprintf("T%d", k), kumquat.Optimized, k)
 	}
 	return res, nil
 }
@@ -215,19 +191,16 @@ func (h *Harness) RunAll(ctx context.Context) ([]*ScriptResult, error) {
 	return out, nil
 }
 
-// PlanOnly compiles every catalog script without timing runs (fast path for
-// Table 3).
+// PlanOnly plans every catalog script without running any of it (the fast
+// path for Table 3).
 func (h *Harness) PlanOnly(ctx context.Context) ([]*ScriptResult, error) {
 	var out []*ScriptResult
 	for _, spec := range Catalog() {
-		if err := RegisterInputs(h.env, spec.Input, h.Scale); err != nil {
-			return nil, err
-		}
-		plans, _, err := h.scriptPlans(ctx, spec)
+		res, _, err := h.planScript(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, planCounts(spec, plans))
+		out = append(out, res)
 	}
 	return out, nil
 }

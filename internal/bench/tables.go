@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"kumquat"
 	"kumquat/internal/dsl"
 	"kumquat/internal/synth"
 )
@@ -203,10 +204,10 @@ type Table8Row struct {
 
 // Table8 builds the synthesized-combiner histogram over the unique
 // benchmark commands (paper Table 8).
-func Table8(ctx context.Context, syn *synth.Engine) []Table8Row {
+func Table8(ctx context.Context, sys *kumquat.System) []Table8Row {
 	counts := map[string]int{}
 	for _, spec := range UniqueCommands() {
-		res, err := syn.Synthesize(ctx, spec)
+		res, err := sys.Synthesize(ctx, spec)
 		if err != nil || res == nil {
 			continue
 		}
@@ -228,21 +229,21 @@ func Table8(ctx context.Context, syn *synth.Engine) []Table8Row {
 }
 
 // WriteTable8 renders the combiner histogram.
-func WriteTable8(ctx context.Context, w io.Writer, syn *synth.Engine) {
+func WriteTable8(ctx context.Context, w io.Writer, sys *kumquat.System) {
 	fmt.Fprintln(w, "Table 8: combiners synthesized across all benchmark commands")
 	fmt.Fprintf(w, "%6s  %s\n", "Count", "Synthesized plausible combiner")
-	for _, row := range Table8(ctx, syn) {
+	for _, row := range Table8(ctx, sys) {
 		fmt.Fprintf(w, "%6d  %s\n", row.Count, row.Label)
 	}
 }
 
 // WriteTable9 renders the unsupported commands and the reason synthesis
 // rejected each (paper Table 9).
-func WriteTable9(ctx context.Context, w io.Writer, syn *synth.Engine) {
+func WriteTable9(ctx context.Context, w io.Writer, sys *kumquat.System) {
 	fmt.Fprintln(w, "Table 9: unsupported commands")
 	fmt.Fprintf(w, "%-40s %s\n", "Command", "Reason unsupported")
 	for _, spec := range UniqueCommands() {
-		res, _ := syn.Synthesize(ctx, spec)
+		res, _ := sys.Synthesize(ctx, spec)
 		if res == nil || res.Err == nil {
 			continue
 		}
@@ -263,11 +264,11 @@ func WriteTable9(ctx context.Context, w io.Writer, syn *synth.Engine) {
 
 // WriteTable10 renders per-command synthesis results: search-space
 // breakdown, wall-clock time, and the plausible combiners (paper Table 10).
-func WriteTable10(ctx context.Context, w io.Writer, syn *synth.Engine) {
+func WriteTable10(ctx context.Context, w io.Writer, sys *kumquat.System) {
 	fmt.Fprintln(w, "Table 10: synthesis results for unique command/flag combinations")
 	fmt.Fprintf(w, "%-44s %-26s %10s  %s\n", "Command", "Search space", "Time", "Plausible combiners")
 	for _, spec := range UniqueCommands() {
-		res, _ := syn.Synthesize(ctx, spec)
+		res, _ := sys.Synthesize(ctx, spec)
 		if res == nil {
 			continue
 		}

@@ -6,7 +6,7 @@
 // rewrites ("An Order-Aware Dataflow Model for Parallel Unix Pipelines"
 // applied to the KumQuat combiner taxonomy).
 //
-// pipeline.CompileContext lowers every linear script into a Graph and runs
+// pipeline.CompileIn lowers every linear script into a Graph and runs
 // Optimize over it; the optimized Program drives the fused executor in
 // internal/pipeline, which runs fused regions chunk-parallel end to end
 // instead of combining and re-splitting at every stage boundary.

@@ -77,11 +77,21 @@ var (
 // within one pipeline or across pipelines compiled through the same
 // engine — resolve from the engine's combiner cache instead of re-running
 // synthesis. A cancelled ctx aborts the in-flight synthesis mid-round
-// and returns ctx.Err().
+// and returns ctx.Err(). The stage commands are bound to the engine's own
+// Env; CompileIn binds them to the Env the plan executes in.
 func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan, error) {
+	return CompileIn(ctx, p, eng, eng.Env)
+}
+
+// CompileIn is CompileContext for a plan that executes in env: its stage
+// commands are bound to env, so the files they read when they run (comm's
+// and diff's operands, xargs's names, the redirects of the script's
+// earlier pipelines) are env's, while synthesis observes the commands in
+// the engine's own Env. Execute the plan in env.
+func CompileIn(ctx context.Context, p *Pipeline, eng *synth.Engine, env *unix.Env) (*Plan, error) {
 	plan := &Plan{InputFile: p.InputFile}
 	for _, spec := range p.Stages {
-		cmd, err := unix.Parse(spec, eng.Env)
+		cmd, err := unix.Parse(spec, env)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %q: %w", spec, err)
 		}

@@ -17,16 +17,11 @@
 //	rep, err := plan.Execute(ctx, kumquat.WithParallelism(16))
 //	fmt.Print(rep.Output)
 //
-// Plan.Execute is the script-run loop of the public API: the four modes,
-// kumquatd, and the cluster coordinator (which passes itself in as the
-// leaf runner through WithLeaves) all go through it. kqbench's
-// bench.Harness keeps a loop of its own: it compiles each pipeline of a
-// script only after running the ones before it, so synthesis sees the
-// files they wrote, and it runs the script itself. The two can plan a
-// script differently: on the poets catalog's 8.3_3.sh, `kumquat plan`
-// parallelizes 5 of 10 stages and eliminates 1 combiner, because it
-// synthesizes `comm -23 - tmp.ex.types` before tmp.ex.types exists,
-// while Table 3 gives 6 of 10 and 2.
+// Plan.Execute is the one script-run loop: the CLI's four modes,
+// kumquatd, the cluster coordinator (which passes itself in as the leaf
+// runner through WithLeaves), the conformance plane and kqbench's timed
+// runs all go through it, and all of them plan a script whole with
+// Parallelize or ParallelizeInEnv before any of it runs.
 //
 // Plan.Execute's RunReport is the executor's own record: StageReport and
 // RegionReport embed the walker's metrics structs beside the planning
@@ -216,7 +211,9 @@ func (s *System) Parallelize(ctx context.Context, script string) (*Plan, error) 
 // Stage synthesis itself observes commands in the engine's own
 // environment, so commands that read registered files *during synthesis*
 // (xargs-style file-name probes) see the system env, not env. Execution
-// — input files, mid-pipeline reads, redirect writes — uses env alone.
+// — input files, the files a command reads as it runs (comm's and
+// diff's operands, earlier pipelines' redirects), redirect writes — uses
+// env alone.
 // A nil env compiles against a fresh default environment.
 func (s *System) ParallelizeInEnv(ctx context.Context, env *Env, script string) (*Plan, error) {
 	if env == nil {
@@ -231,7 +228,7 @@ func (s *System) ParallelizeInEnv(ctx context.Context, env *Env, script string) 
 	span.AttrInt("pipelines", int64(len(parsed.Pipelines)))
 	p := &Plan{env: env}
 	for _, pl := range parsed.Pipelines {
-		plan, err := pipeline.CompileContext(ctx, pl, s.syn)
+		plan, err := pipeline.CompileIn(ctx, pl, s.syn, env.u)
 		if err != nil {
 			return nil, err
 		}
@@ -292,18 +289,20 @@ func (p *Plan) Inputs() []string {
 // Stages describes each stage's planning verdict, in order.
 func (p *Plan) Stages() []StageInfo {
 	var out []StageInfo
-	for _, plan := range p.plans {
+	for i, plan := range p.plans {
 		for _, sp := range plan.Stages {
-			out = append(out, stageInfo(sp))
+			out = append(out, stageInfo(sp, i))
 		}
 	}
 	return out
 }
 
-// stageInfo converts a compiled stage's planning verdict to its public form.
-func stageInfo(sp *pipeline.StagePlan) StageInfo {
+// stageInfo converts a compiled stage's planning verdict, in the script's
+// pipeline i, to its public form.
+func stageInfo(sp *pipeline.StagePlan, i int) StageInfo {
 	info := StageInfo{
 		Spec:       sp.Spec,
+		Pipeline:   i,
 		Parallel:   sp.Parallel,
 		Sequential: sp.Sequential,
 		Eliminated: sp.Eliminated,
@@ -327,6 +326,8 @@ type StageInfo struct {
 	Parallel   bool `json:"parallel"`
 	Sequential bool `json:"sequential"`
 	Eliminated bool `json:"eliminated"`
+	// Pipeline is the index of the script pipeline the stage belongs to.
+	Pipeline int `json:"pipeline"`
 }
 
 // Mode selects an execution configuration for Plan.Execute; the four
@@ -428,8 +429,6 @@ type StageReport struct {
 	// (streamed stages overlap, so stage walls can sum to more than the
 	// report's), CombineWall, BytesIn/BytesOut, Chunks, Streamed.
 	pipeline.StageMetrics
-	// Pipeline is the index of the script pipeline the stage belongs to.
-	Pipeline int `json:"pipeline"`
 }
 
 // RegionReport describes one optimizer region of a fused run: the stages
@@ -551,7 +550,7 @@ func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, err
 		}
 		for j, m := range ms {
 			rep.Stages = append(rep.Stages, StageReport{
-				StageInfo: stageInfo(plan.Stages[j]), StageMetrics: m, Pipeline: i,
+				StageInfo: stageInfo(plan.Stages[j], i), StageMetrics: m,
 			})
 		}
 		// Redirected pipelines count toward neither total (their output

@@ -270,6 +270,25 @@ func TestExecuteOutputRedirect(t *testing.T) {
 	if err != nil || !strings.Contains(counts, "2 b") {
 		t.Errorf("redirect target = %q, %v", counts, err)
 	}
+
+	// A plan compiled for a private Env runs in it: a later pipeline's
+	// comm reads the file an earlier one wrote there, and the System's
+	// Env never holds it.
+	own := NewEnv()
+	own.Register("in.txt", "a\nb\n")
+	plan, err = sys.ParallelizeInEnv(context.Background(), own, "cat in.txt | sort > s.txt\ncat in.txt | comm -12 - s.txt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = plan.Execute(context.Background(), WithParallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Output != "a\nb\n" {
+		t.Errorf("private-Env run = %q, want %q", rep.Output, "a\nb\n")
+	}
+	if _, err := env.Read("s.txt"); err == nil {
+		t.Error("the System's Env holds the private run's redirect")
+	}
 }
 
 // TestMemoOwnsMappedChunks: a re-run over a RegisterFile'd input stores
