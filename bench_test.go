@@ -141,19 +141,24 @@ func BenchmarkSynthesis(b *testing.B) {
 
 // BenchmarkWordFrequency reproduces the §2 running example's measurement:
 // the wf pipeline serially, unoptimized-parallel and optimized-parallel.
+// Each iteration plans into a fresh Env, with the timer stopped: an Env's
+// segment memo would answer a repeated run from the chunks it has seen.
 func BenchmarkWordFrequency(b *testing.B) {
 	files, err := bench.Inputs("text", benchScale*8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := kumquat.NewEnv()
-	for name, data := range files {
-		env.Register(name, data)
-	}
-	sys := kumquat.New(env)
-	plan, err := sys.Parallelize(context.Background(), `cat in/text.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
-	if err != nil {
-		b.Fatal(err)
+	sys := kumquat.New(kumquat.NewEnv())
+	plan := func(b *testing.B) *kumquat.Plan {
+		env := kumquat.NewEnv()
+		for name, data := range files {
+			env.Register(name, data)
+		}
+		p, err := sys.ParallelizeInEnv(context.Background(), env, `cat in/text.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`+"\n")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
 	}
 	modes := []struct {
 		name string
@@ -168,7 +173,10 @@ func BenchmarkWordFrequency(b *testing.B) {
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.Execute(context.Background(), kumquat.WithMode(m.mode), kumquat.WithParallelism(m.k)); err != nil {
+				b.StopTimer()
+				p := plan(b)
+				b.StartTimer()
+				if _, err := p.Execute(context.Background(), kumquat.WithMode(m.mode), kumquat.WithParallelism(m.k)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -200,34 +208,33 @@ func BenchmarkAblationDelims(b *testing.B) {
 }
 
 // BenchmarkAblationElimination isolates Theorem 5's effect on one pipeline
-// with a long concat chain (unix50 4.4).
+// with a long concat chain (unix50 4.4). Each iteration compiles into a
+// fresh Env, with the timer stopped, so no run is a memo hit.
 func BenchmarkAblationElimination(b *testing.B) {
 	files, err := bench.Inputs("chess", benchScale*8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := unix.DefaultEnv()
-	for name, data := range files {
-		env.FS.Register(name, data)
-	}
-	syn := synth.New(env, synth.Options{Seed: 1})
+	syn := synth.New(unix.DefaultEnv(), synth.Options{Seed: 1})
 	script := `cat in/chess.txt | tr ' ' '\n' | grep 'x' | grep '\.' | cut -d '.' -f 2 | grep '[KQRBN]' | cut -c 1-1 | sort | uniq -c | sort -rn` + "\n"
 	parsed, err := pipeline.ParseScript(script, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := pipeline.CompileContext(context.Background(), parsed.Pipelines[0], syn)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"unoptimized", "optimized"} {
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range []pipeline.Mode{pipeline.ModeUnoptimized, pipeline.ModeOptimized} {
+		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := pipeline.ModeUnoptimized
-				if mode == "optimized" {
-					m = pipeline.ModeOptimized
+				b.StopTimer()
+				env := unix.DefaultEnv()
+				for name, data := range files {
+					env.FS.Register(name, data)
 				}
-				if _, err := plan.Execute(context.Background(), env, nil, io.Discard, m, 8); err != nil {
+				plan, err := pipeline.CompileIn(context.Background(), parsed.Pipelines[0], syn, env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := plan.Execute(context.Background(), env, nil, io.Discard, mode, 8); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -268,13 +269,16 @@ func runRun(args []string) error {
 			len(td.Spans), *traceOut)
 	}
 	if *report {
-		writeReport(rep)
+		writeReport(os.Stderr, rep)
 	}
 	return nil
 }
 
-func writeReport(rep *kumquat.RunReport) {
-	w := os.Stderr
+// writeReport prints rep as -report shows it. A fused region runs its
+// members as one pass, so its figures print on its region line; its
+// first member also shows the wall and bytes in, its last the bytes out
+// and combine, and each member between names the region.
+func writeReport(w io.Writer, rep *kumquat.RunReport) {
 	fmt.Fprintf(w, "mode=%s k=%d fused=%v wall=%v in=%dB out=%dB\n",
 		rep.Mode, rep.Parallelism, rep.Fused, rep.Wall.Round(time.Microsecond), rep.BytesIn, rep.BytesOut)
 	fmt.Fprintf(w, "synth cache: %d hits, %d disk hits, %d misses\n",
@@ -299,31 +303,71 @@ func writeReport(rep *kumquat.RunReport) {
 			if len(rg.Rules) > 0 {
 				detail = " rules=" + strings.Join(rg.Rules, ",")
 			}
-			fmt.Fprintf(w, "  region %d: %s stages=%v exit=%s%s\n", i, kind, rg.Stages, rg.Exit, detail)
+			fmt.Fprintf(w, "  region %d: %s stages=%v exit=%s %s wall=%v in=%d out=%d%s%s\n",
+				i, kind, rg.Stages, rg.Exit, howRan(rg.Streamed, rg.Chunks),
+				rg.Wall.Round(time.Microsecond), rg.BytesIn, rg.BytesOut, combine(rg.CombineWall), detail)
 		}
 	}
-	for _, st := range rep.Stages {
+	inside := innerStages(rep)
+	for i, st := range rep.Stages {
 		if st.Dead {
 			fmt.Fprintf(w, "  %-36s not run: only a line count reads its output\n", st.Spec)
 			continue
 		}
-		how := "buffered"
-		switch {
-		case st.Streamed:
-			how = "streamed"
-		case st.Chunks > 1:
-			how = fmt.Sprintf("%d chunks", st.Chunks)
+		how := howRan(st.Streamed, st.Chunks)
+		if ri, ok := inside[i]; ok {
+			fmt.Fprintf(w, "  %-36s %-10s fused: figures on region %d\n", st.Spec, how, ri)
+			continue
 		}
-		combine := ""
-		if st.CombineWall > 0 {
-			combine = fmt.Sprintf(" combine=%v", st.CombineWall.Round(time.Microsecond))
-		}
+		detail := combine(st.CombineWall)
 		if n := st.MemoHits + st.MemoMisses; n > 0 {
-			combine += fmt.Sprintf(" memo=%d/%d reused=%dB", st.MemoHits, n, st.ReusedBytes)
+			detail += fmt.Sprintf(" memo=%d/%d reused=%dB", st.MemoHits, n, st.ReusedBytes)
 		}
 		fmt.Fprintf(w, "  %-36s %-10s wall=%-10v in=%-10d out=%d%s\n",
-			st.Spec, how, st.Wall.Round(time.Microsecond), st.BytesIn, st.BytesOut, combine)
+			st.Spec, how, st.Wall.Round(time.Microsecond), st.BytesIn, st.BytesOut, detail)
 	}
+}
+
+// howRan describes how a stage or region ran: streamed, chunked or whole.
+func howRan(streamed bool, chunks int) string {
+	switch {
+	case streamed:
+		return "streamed"
+	case chunks > 1:
+		return fmt.Sprintf("%d chunks", chunks)
+	}
+	return "buffered"
+}
+
+// combine prints a nonzero combine wall as a report field.
+func combine(d time.Duration) string {
+	if d <= 0 {
+		return ""
+	}
+	return fmt.Sprintf(" combine=%v", d.Round(time.Microsecond))
+}
+
+// innerStages maps each index into rep.Stages of a stage that ran
+// between a fused region's first and last run members to the region's
+// index: it has no figures of its own.
+func innerStages(rep *kumquat.RunReport) map[int]int {
+	first := map[int]int{} // pipeline → index of its first stage
+	for i := len(rep.Stages) - 1; i >= 0; i-- {
+		first[rep.Stages[i].Pipeline] = i
+	}
+	inside := map[int]int{}
+	for ri, rg := range rep.Regions {
+		var members []int
+		for _, s := range rg.Stages {
+			if i := first[rg.Pipeline] + s; !rep.Stages[i].Dead {
+				members = append(members, i)
+			}
+		}
+		for j := 1; j < len(members)-1; j++ {
+			inside[members[j]] = ri
+		}
+	}
+	return inside
 }
 
 type multiFlag []string

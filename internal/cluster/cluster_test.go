@@ -271,6 +271,40 @@ func TestSpeculationWins(t *testing.T) {
 	}
 }
 
+// TestLostRaceIsNotAFailure: a slow worker whose shards a speculative
+// duplicate keeps winning has failed nothing — its abandoned attempts
+// must not count toward ejection, however many races it loses.
+func TestLostRaceIsNotAFailure(t *testing.T) {
+	runners := map[string]*fakeRunner{
+		"slow": {addr: "slow", delay: 2 * time.Second},
+		"fast": {addr: "fast"},
+	}
+	cfg := testConfig(runners, "slow", "fast")
+	cfg.Shards = 2 // one of the two shards claims "slow" every run
+	cfg.SpeculateAfter = 20 * time.Millisecond
+	co := New(cfg)
+	plan := compilePlan(t, "sort")
+
+	for race := 0; race < 3; race++ {
+		_, _, snap, err := executePlan(context.Background(), co, plan, testCorpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.SpeculationWins != 1 {
+			t.Fatalf("race %d: %d speculation wins, want the duplicate to win", race, snap.SpeculationWins)
+		}
+	}
+	if got := runners["slow"].callCount(); got != 3 {
+		t.Fatalf("slow worker saw %d attempts, want 3", got)
+	}
+	if n := co.pool.healthy(); n != 2 {
+		t.Fatalf("%d workers in the rotation after three lost races, want 2", n)
+	}
+	if snap := co.TotalStats(); snap.Ejections != 0 {
+		t.Fatalf("lost races ejected %d workers", snap.Ejections)
+	}
+}
+
 // TestEjectionReadmission: an ejected worker whose cooldown expired is
 // probed and readmitted once the rotation is otherwise empty.
 func TestEjectionReadmission(t *testing.T) {

@@ -257,12 +257,15 @@ func (co *Coordinator) attempts(ctx context.Context, seg *pipeline.Segment, chun
 			}
 			err = fmt.Errorf("cluster: worker %s %w", w.addr, err)
 		}
+		if ctx.Err() != nil {
+			// The dispatch abandoned this attempt (the other attempt won
+			// the shard, or the run was cancelled): not the worker's fault.
+			co.pool.release(w)
+			return shardResult{}, ctx.Err()
+		}
 		co.pool.failure(ctx, w, st)
 		last = err
 		avoid = w
-		if ctx.Err() != nil {
-			return shardResult{}, ctx.Err()
-		}
 	}
 	return shardResult{}, last
 }

@@ -56,7 +56,7 @@ func (p *pool) healthy() int {
 // ejected workers whose cooldown has expired are probed (bounded by
 // probeTimeout) and readmitted on success. Returns nil when no worker
 // can be claimed — the caller degrades to local execution. Every
-// non-nil claim must be released via success or failure.
+// non-nil claim must be released via success, failure or release.
 func (p *pool) pick(ctx context.Context, avoid *worker, st *Stats) *worker {
 	if w := p.claim(avoid); w != nil {
 		return w
@@ -134,6 +134,14 @@ func (p *pool) success(w *worker) {
 	defer p.mu.Unlock()
 	w.inflight--
 	w.fails = 0
+}
+
+// release returns a claim whose attempt the dispatch abandoned; the
+// attempt says nothing about the worker, so its failure streak stands.
+func (p *pool) release(w *worker) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w.inflight--
 }
 
 // failure releases a claim after a failed attempt, ejecting the worker

@@ -1,18 +1,19 @@
 // Package faultinject is a chaos HTTP proxy for the cluster conformance
-// plane. A Proxy sits between the coordinator and one worker daemon and
-// injects transport-level faults — connection resets, response stalls,
-// truncated bodies, dropped trailers, 503s and 429 bursts — according to
-// a seeded, deterministic schedule, while counting every fault it deals.
+// plane. A Proxy is an httputil.ReverseProxy in front of one worker
+// daemon that deals every request the next entry of one fixed fault
+// cycle — connection resets, response stalls, truncated bodies, dropped
+// trailers, 503s and a pair of 429s among pass-throughs — while counting
+// every fault it deals. The cycle is constant; a seed only chooses where
+// in it a proxy starts, so the same requests always meet the same faults
+// and no random draw can cluster them into a worker ejection.
+// Pass-throughs keep their streaming body and HTTP trailers intact: the
+// proxy reads upstream through a 64 KiB buffer, as the typed client
+// does, so a traced worker's long report trailer crosses it whole.
 // The conformance harness routes a loopback cluster through these
 // proxies and requires that generated pipelines still produce output
 // byte-identical to the serial oracle, with a nonzero fault count as
 // proof the run was actually adversarial.
 package faultinject
-
-import (
-	"math/rand"
-	"sync"
-)
 
 // Fault names one injectable failure mode.
 type Fault string
@@ -23,9 +24,8 @@ const (
 	FaultNone Fault = "none"
 	// FaultReset closes the client connection before any response bytes.
 	FaultReset Fault = "reset"
-	// FaultStall delays the response body mid-stream by the proxy's
-	// configured stall duration, then completes normally — a straggler,
-	// not a failure.
+	// FaultStall holds the response body mid-stream for 400 ms, then
+	// completes it normally — a straggler, not a failure.
 	FaultStall Fault = "stall"
 	// FaultTruncate streams a prefix of the response body, then severs
 	// the connection mid-chunk.
@@ -35,61 +35,23 @@ const (
 	FaultDropTrailer Fault = "drop-trailer"
 	// FaultError503 answers 503 without contacting the worker.
 	FaultError503 Fault = "error-503"
-	// FaultBusy429 answers 429 with a Retry-After hint, in short bursts.
+	// FaultBusy429 answers 429 with a Retry-After hint without contacting
+	// the worker.
 	FaultBusy429 Fault = "busy-429"
 )
 
-// faultOrder fixes the draw order so a seed always deals the same
-// schedule regardless of map iteration.
-var faultOrder = []Fault{
-	FaultReset, FaultStall, FaultTruncate, FaultDropTrailer, FaultError503, FaultBusy429,
-}
-
-// Schedule deals fault decisions from a seeded stream: each request
-// draws one fault (or none) with the configured per-fault probability.
-// A drawn 429 opens a burst — the next BurstLen requests draw 429
-// unconditionally, modeling sustained load shedding. Safe for
-// concurrent use.
-type Schedule struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	rates map[Fault]float64
-	// burstLen is the number of extra 429s a drawn 429 drags behind it;
-	// burst is the countdown of the currently open burst.
-	burstLen int
-	burst    int
-}
-
-// NewSchedule builds a schedule from a seed and per-fault rates (each in
-// [0,1]; their sum should stay well below 1 so most requests pass).
-// Faults absent from rates are never dealt. burstLen configures how many
-// follow-on 429s a dealt 429 drags behind it (0 = single 429s).
-func NewSchedule(seed int64, rates map[Fault]float64, burstLen int) *Schedule {
-	r := make(map[Fault]float64, len(rates))
-	for f, p := range rates {
-		r[f] = p
-	}
-	return &Schedule{rng: rand.New(rand.NewSource(seed)), rates: r, burstLen: burstLen}
-}
-
-// Next deals the fault decision for one request.
-func (s *Schedule) Next() Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.burst > 0 {
-		s.burst--
-		return FaultBusy429
-	}
-	draw := s.rng.Float64()
-	acc := 0.0
-	for _, f := range faultOrder {
-		acc += s.rates[f]
-		if draw < acc {
-			if f == FaultBusy429 {
-				s.burst = s.burstLen
-			}
-			return f
-		}
-	}
-	return FaultNone
+// cycle is the fault sequence every proxy deals, one entry per request,
+// wrapping around. Its 24 entries hold seven faults — every kind once
+// and the 429 twice in a row, load shedding that outlasts one request —
+// so 29% of requests fail or stall. Apart from the 429 pair, faults are
+// at least three entries apart, so no four consecutive requests meet
+// more than two faults: the coordinator ejects a worker after three
+// failures in a row, and the cycle alone never gets it there. The
+// faults sit at distinct positions modulo 8, so proxies started a third
+// of the cycle apart never deal a fault on the same step.
+var cycle = []Fault{
+	FaultNone, FaultNone, FaultReset, FaultNone, FaultNone, FaultStall,
+	FaultNone, FaultNone, FaultBusy429, FaultBusy429, FaultNone, FaultNone,
+	FaultNone, FaultNone, FaultTruncate, FaultNone, FaultNone, FaultNone,
+	FaultNone, FaultError503, FaultNone, FaultNone, FaultNone, FaultDropTrailer,
 }

@@ -1,39 +1,52 @@
 package faultinject
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"sync"
 	"time"
 )
 
-// hopByHop lists headers that must not be forwarded across the proxy.
-var hopByHop = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
+// stallFor is how long a FaultStall holds the response mid-body before
+// completing it normally: well past the chaos suite's speculation floor,
+// so a stall reliably draws a speculative duplicate.
+const stallFor = 400 * time.Millisecond
 
-// Proxy is a single-target chaos reverse proxy: every request draws a
-// fault from the schedule and is either sabotaged accordingly or
-// forwarded to the target with streaming and HTTP trailers preserved.
-// It implements http.Handler and is safe for concurrent use.
+// errTruncated is the body read error a FaultTruncate deals; the
+// reverse proxy answers it by aborting the response mid-chunk.
+var errTruncated = errors.New("faultinject: injected truncation")
+
+// faultKey carries a request's dealt fault from ServeHTTP to the
+// reverse proxy's ModifyResponse.
+type faultKey struct{}
+
+// Proxy is a single-target chaos reverse proxy: every request is dealt
+// the next fault of the cycle and is either answered without contacting
+// the target (reset, 503, 429) or forwarded to it, its response sabotaged
+// as dealt (stall, truncate, drop-trailer). It implements http.Handler
+// and is safe for concurrent use.
 type Proxy struct {
-	target    *url.URL
-	sched     *Schedule
-	transport http.RoundTripper
-	// stallFor is how long a FaultStall holds the response mid-body
-	// before completing it normally.
-	stallFor time.Duration
+	rp *httputil.ReverseProxy
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// next is the cycle entry the next request is dealt.
+	next   int
 	counts map[Fault]int64
+	// only, when set, is dealt on every request instead of the cycle.
+	// Only in-package tests set it, to exercise one fault at a time.
+	only Fault
 }
 
 // New builds a proxy in front of the target base URL (e.g.
-// "http://127.0.0.1:9917"). stallFor sets the mid-body delay dealt by
-// FaultStall.
-func New(target string, sched *Schedule, stallFor time.Duration) (*Proxy, error) {
+// "http://127.0.0.1:9917") that starts the fault cycle at entry seed
+// modulo its length.
+func New(target string, seed int64) (*Proxy, error) {
 	u, err := url.Parse(target)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: bad target %q: %w", target, err)
@@ -41,13 +54,20 @@ func New(target string, sched *Schedule, stallFor time.Duration) (*Proxy, error)
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("faultinject: target %q needs scheme and host", target)
 	}
-	return &Proxy{
-		target:    u,
-		sched:     sched,
-		transport: http.DefaultTransport,
-		stallFor:  stallFor,
-		counts:    make(map[Fault]int64),
-	}, nil
+	// Go reads a response's trailers through the transport's read buffer
+	// and refuses any longer than it; the default 4 KiB cannot hold a
+	// traced cold worker's report trailer.
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ReadBufferSize = 64 << 10
+	n := int64(len(cycle))
+	p := &Proxy{next: int((seed%n + n) % n), counts: make(map[Fault]int64)}
+	p.rp = &httputil.ReverseProxy{
+		Rewrite:        func(r *httputil.ProxyRequest) { r.SetURL(u) },
+		Transport:      t,
+		ModifyResponse: sabotage,
+		ErrorLog:       log.New(io.Discard, "", 0),
+	}
+	return p, nil
 }
 
 // Counts returns how many times each fault has been dealt so far
@@ -62,31 +82,23 @@ func (p *Proxy) Counts() map[Fault]int64 {
 	return out
 }
 
-// Total returns the number of actual faults dealt (everything except
-// FaultNone pass-throughs).
-func (p *Proxy) Total() int64 {
+// deal counts and returns the fault for one request: the cycle's next
+// entry, or the forced fault.
+func (p *Proxy) deal() Fault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var n int64
-	for f, c := range p.counts {
-		if f != FaultNone {
-			n += c
-		}
+	f := p.only
+	if f == "" {
+		f = cycle[p.next]
+		p.next = (p.next + 1) % len(cycle)
 	}
-	return n
-}
-
-// note records one dealt fault.
-func (p *Proxy) note(f Fault) {
-	p.mu.Lock()
 	p.counts[f]++
-	p.mu.Unlock()
+	return f
 }
 
-// ServeHTTP deals one fault decision and serves the request under it.
+// ServeHTTP deals one fault and serves the request under it.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	fault := p.sched.Next()
-	p.note(fault)
+	fault := p.deal()
 	switch fault {
 	case FaultReset:
 		// Sever the connection before any response bytes reach the
@@ -101,101 +113,78 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "faultinject: injected 429", http.StatusTooManyRequests)
 		return
 	}
-	p.forward(w, r, fault)
+	p.rp.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), faultKey{}, fault)))
 }
 
-// forward relays the request to the target, applying stall, truncate or
-// drop-trailer sabotage to the response stream as dealt.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, fault Fault) {
-	out := r.Clone(r.Context())
-	out.URL = &url.URL{
-		Scheme:   p.target.Scheme,
-		Host:     p.target.Host,
-		Path:     r.URL.Path,
-		RawQuery: r.URL.RawQuery,
+// sabotage applies the request's dealt fault to the forwarded response:
+// a stall, truncate or drop-trailer fault wraps its body, and a dropped
+// trailer is never announced.
+func sabotage(resp *http.Response) error {
+	fault, _ := resp.Request.Context().Value(faultKey{}).(Fault)
+	switch fault {
+	case FaultNone:
+		return nil
+	case FaultDropTrailer:
+		resp.Trailer = nil
 	}
-	out.Host = p.target.Host
-	out.RequestURI = ""
-	for _, h := range hopByHop {
-		out.Header.Del(h)
-	}
-	resp, err := p.transport.RoundTrip(out)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("faultinject: upstream: %v", err), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-
-	if fault != FaultDropTrailer {
-		for k := range resp.Trailer {
-			w.Header().Add("Trailer", k)
-		}
-	}
-	for k, vv := range resp.Header {
-		if k == "Trailer" {
-			continue
-		}
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	stalled := false
-	var written int64
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			written += int64(n)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			switch fault {
-			case FaultTruncate:
-				// Some bytes are out; sever the connection mid-chunk so
-				// the client sees an unexpected EOF, not a clean close.
-				panic(http.ErrAbortHandler)
-			case FaultStall:
-				if !stalled {
-					stalled = true
-					p.stall(r)
-				}
-			}
-		}
-		if rerr != nil {
-			break
-		}
-	}
-	if fault == FaultTruncate && written == 0 {
-		// Empty upstream body: nothing to truncate mid-stream, so sever
-		// before the terminating chunk instead.
-		panic(http.ErrAbortHandler)
-	}
-	if fault == FaultDropTrailer {
-		return // body complete, trailers withheld
-	}
-	for k, vv := range resp.Trailer {
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
-	}
+	resp.Body = &body{ReadCloser: resp.Body, resp: resp, fault: fault}
+	return nil
 }
 
-// stall sleeps the configured stall duration, bounded by the request's
-// context so an abandoned client does not pin the handler.
-func (p *Proxy) stall(r *http.Request) {
-	if p.stallFor <= 0 {
-		return
+// body is a forwarded response body under a stall, truncate or
+// drop-trailer fault. The reverse proxy writes and flushes each read
+// before the next, so a fault dealt on the second read lands mid-stream.
+type body struct {
+	io.ReadCloser
+	resp  *http.Response
+	fault Fault
+	reads int
+	// eof holds back an end of body the first read met, so the second
+	// read still comes.
+	eof bool
+}
+
+// Read passes the first read through; on the second, a stall waits out
+// stallFor (bounded by the request's context) and a truncation fails it
+// and every later read.
+func (b *body) Read(buf []byte) (int, error) {
+	b.reads++
+	switch {
+	case b.reads == 1:
+		n, err := b.ReadCloser.Read(buf)
+		if err == io.EOF {
+			b.eof, err = true, nil
+		}
+		return n, err
+	case b.fault == FaultTruncate:
+		return 0, errTruncated
+	case b.fault == FaultStall && b.reads == 2:
+		stall(b.resp.Request.Context())
 	}
-	t := time.NewTimer(p.stallFor)
+	if b.eof {
+		return 0, io.EOF
+	}
+	return b.ReadCloser.Read(buf)
+}
+
+// Close closes the upstream body. Reading it to its end filled in the
+// trailers the transport received; a drop-trailer fault discards them
+// there, before the reverse proxy copies them out.
+func (b *body) Close() error {
+	err := b.ReadCloser.Close()
+	if b.fault == FaultDropTrailer {
+		b.resp.Trailer = nil
+	}
+	return err
+}
+
+// stall sleeps stallFor, or until ctx is done so an abandoned client
+// does not pin the handler.
+func stall(ctx context.Context) {
+	t := time.NewTimer(stallFor)
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-r.Context().Done():
+	case <-ctx.Done():
 	}
 }
