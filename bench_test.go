@@ -260,7 +260,7 @@ func BenchmarkAblationKWay(b *testing.B) {
 	cand := dsl.Candidate{Op: dsl.Merge{}}
 	b.Run("kway-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dsl.CombineK(env, cand, outs, 1); err != nil {
+			if _, err := dsl.CombineK(env, cand, outs); err != nil {
 				b.Fatal(err)
 			}
 		}

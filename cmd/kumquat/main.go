@@ -277,8 +277,12 @@ func runRun(args []string) error {
 // writeReport prints rep as -report shows it. A fused region runs its
 // members as one pass, so its figures print on its region line; its
 // first member also shows the wall and bytes in, its last the bytes out
-// and combine, and each member between names the region.
+// and combine, and each member between names the region. A segment of
+// regions runs as one pass too, so its wall prints on its head region
+// and that region's first member; every other region of the segment,
+// and its first member, name the head instead.
 func writeReport(w io.Writer, rep *kumquat.RunReport) {
+	inside, heads, headOf := reportRefs(rep)
 	fmt.Fprintf(w, "mode=%s k=%d fused=%v wall=%v in=%dB out=%dB\n",
 		rep.Mode, rep.Parallelism, rep.Fused, rep.Wall.Round(time.Microsecond), rep.BytesIn, rep.BytesOut)
 	fmt.Fprintf(w, "synth cache: %d hits, %d disk hits, %d misses\n",
@@ -303,12 +307,11 @@ func writeReport(w io.Writer, rep *kumquat.RunReport) {
 			if len(rg.Rules) > 0 {
 				detail = " rules=" + strings.Join(rg.Rules, ",")
 			}
-			fmt.Fprintf(w, "  region %d: %s stages=%v exit=%s %s wall=%v in=%d out=%d%s%s\n",
+			fmt.Fprintf(w, "  region %d: %s stages=%v exit=%s %s %s in=%d out=%d%s%s\n",
 				i, kind, rg.Stages, rg.Exit, howRan(rg.Streamed, rg.Chunks),
-				rg.Wall.Round(time.Microsecond), rg.BytesIn, rg.BytesOut, combine(rg.CombineWall), detail)
+				wall(rg.Wall, heads, i), rg.BytesIn, rg.BytesOut, combine(rg.CombineWall), detail)
 		}
 	}
-	inside := innerStages(rep)
 	for i, st := range rep.Stages {
 		if st.Dead {
 			fmt.Fprintf(w, "  %-36s not run: only a line count reads its output\n", st.Spec)
@@ -323,9 +326,18 @@ func writeReport(w io.Writer, rep *kumquat.RunReport) {
 		if n := st.MemoHits + st.MemoMisses; n > 0 {
 			detail += fmt.Sprintf(" memo=%d/%d reused=%dB", st.MemoHits, n, st.ReusedBytes)
 		}
-		fmt.Fprintf(w, "  %-36s %-10s wall=%-10v in=%-10d out=%d%s\n",
-			st.Spec, how, st.Wall.Round(time.Microsecond), st.BytesIn, st.BytesOut, detail)
+		fmt.Fprintf(w, "  %-36s %-10s %-15s in=%-10d out=%d%s\n",
+			st.Spec, how, wall(st.Wall, headOf, i), st.BytesIn, st.BytesOut, detail)
 	}
+}
+
+// wall prints a wall as a report field, or names the head region that
+// holds it when heads maps i to one.
+func wall(d time.Duration, heads map[int]int, i int) string {
+	if head, ok := heads[i]; ok {
+		return fmt.Sprintf("segment: wall on region %d", head)
+	}
+	return fmt.Sprintf("wall=%v", d.Round(time.Microsecond))
 }
 
 // howRan describes how a stage or region ran: streamed, chunked or whole.
@@ -347,15 +359,20 @@ func combine(d time.Duration) string {
 	return fmt.Sprintf(" combine=%v", d.Round(time.Microsecond))
 }
 
-// innerStages maps each index into rep.Stages of a stage that ran
+// reportRefs says which lines of a report print their figures
+// elsewhere. inside maps each index into rep.Stages of a stage that ran
 // between a fused region's first and last run members to the region's
-// index: it has no figures of its own.
-func innerStages(rep *kumquat.RunReport) map[int]int {
+// index: it has no figures of its own. heads maps each region that ran
+// inside its predecessor's segment (the predecessor split its chunk
+// outputs onward, and the region ran on them chunked) to the segment's
+// head region, which holds the whole segment's wall; headOf maps such a
+// region's first run member the same way.
+func reportRefs(rep *kumquat.RunReport) (inside, heads, headOf map[int]int) {
 	first := map[int]int{} // pipeline → index of its first stage
 	for i := len(rep.Stages) - 1; i >= 0; i-- {
 		first[rep.Stages[i].Pipeline] = i
 	}
-	inside := map[int]int{}
+	inside, heads, headOf = map[int]int{}, map[int]int{}, map[int]int{}
 	for ri, rg := range rep.Regions {
 		var members []int
 		for _, s := range rg.Stages {
@@ -366,8 +383,18 @@ func innerStages(rep *kumquat.RunReport) map[int]int {
 		for j := 1; j < len(members)-1; j++ {
 			inside[members[j]] = ri
 		}
+		if ri > 0 && rep.Regions[ri-1].Exit == "split" && rg.Chunks > 1 {
+			head, ok := heads[ri-1]
+			if !ok {
+				head = ri - 1
+			}
+			heads[ri] = head
+			if len(members) > 0 {
+				headOf[members[0]] = head
+			}
+		}
 	}
-	return inside
+	return inside, heads, headOf
 }
 
 type multiFlag []string

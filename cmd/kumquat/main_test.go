@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func TestWriteReportFusedRegion(t *testing.T) {
 			stage("sort", pipeline.StageMetrics{Chunks: 2, Wall: 2 * time.Millisecond, BytesIn: 18, BytesOut: 18, CombineWall: 300 * time.Microsecond}),
 		},
 		Regions: []kumquat.RegionReport{
-			{RegionMetrics: pipeline.RegionMetrics{Stages: []int{0, 1, 2}, Fused: true, Exit: "split",
+			{RegionMetrics: pipeline.RegionMetrics{Stages: []int{0, 1, 2}, Fused: true, Exit: "concat",
 				Wall: 1500 * time.Microsecond, BytesIn: 31, BytesOut: 18, Chunks: 2, Rules: []string{"fuse-streamers"}}},
 			{RegionMetrics: pipeline.RegionMetrics{Stages: []int{3}, Exit: "combine",
 				Wall: 2 * time.Millisecond, BytesIn: 18, BytesOut: 18, Chunks: 2, CombineWall: 300 * time.Microsecond}},
@@ -58,5 +59,54 @@ func TestWriteReportFusedRegion(t *testing.T) {
 	}
 	if strings.Contains(lines["tr a-z A-Z"], "wall=") {
 		t.Errorf("inner fused member prints figures it does not have: %q", lines["tr a-z A-Z"])
+	}
+}
+
+// TestWriteReportSegment: a region that ran inside its predecessor's
+// segment names the head region that holds the segment's wall, on its
+// region line and on its first member's line, instead of printing a wall
+// of zero. grep | tr | cut fuse into a region whose split exit feeds the
+// sort | uniq -c fragment, and the walk runs both as one segment.
+func TestWriteReportSegment(t *testing.T) {
+	env := kumquat.NewEnv()
+	env.Register("in.txt", "light a\ndark b\nLight c\nlight a\n")
+	sys := kumquat.NewWithOptions(env, kumquat.Options{Seed: 1})
+	ctx := context.Background()
+	plan, err := sys.Parallelize(ctx, "cat in.txt | grep -i light | tr a-z A-Z | cut -c 1-5 | sort | uniq -c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	rep, err := plan.Execute(ctx, kumquat.WithParallelism(2), kumquat.WithOutput(&out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "      3 LIGHT\n"; out.String() != want {
+		t.Fatalf("output %q, want %q", out.String(), want)
+	}
+	var b strings.Builder
+	writeReport(&b, rep)
+	lines := map[string]string{}
+	for _, l := range strings.Split(b.String(), "\n") {
+		for _, key := range []string{"region 0:", "region 1:", "grep -i light", "sort "} {
+			if strings.Contains(l, key) {
+				lines[key] = l
+			}
+		}
+	}
+	for key, want := range map[string]string{
+		"region 0:":     "exit=split 2 chunks wall=",
+		"region 1:":     "2 chunks segment: wall on region 0 in=18 out=14",
+		"grep -i light": "2 chunks   wall=",
+		"sort ":         "2 chunks   segment: wall on region 0 in=18",
+	} {
+		if !strings.Contains(lines[key], want) {
+			t.Errorf("%q line %q lacks %q\n%s", key, lines[key], want, b.String())
+		}
+	}
+	for _, key := range []string{"region 1:", "sort "} {
+		if strings.Contains(lines[key], "wall=") {
+			t.Errorf("%q line prints a wall of its own: %q", key, lines[key])
+		}
 	}
 }

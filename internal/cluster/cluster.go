@@ -208,9 +208,8 @@ func (co *Coordinator) report(st *Stats) api.ClusterReport {
 // segment's shards go to the workers and every other fan-out is handed
 // back to the in-process runner. The caller hands stdin over in memory
 // (the server materializes the body first), so the walk chunks it rather
-// than streaming it. Remote partials combine at the executor's pool
-// width, min(Shards, GOMAXPROCS), like any local run at k = Shards. The
-// ClusterReport is this run's dispatch accounting, returned on error too.
+// than streaming it. Remote partials combine in one k-way pass, as any
+// local run's k = Shards chunk outputs do. The ClusterReport is this run's dispatch accounting, returned on error too.
 func (co *Coordinator) Execute(ctx context.Context, plan *kumquat.Plan, opts ...kumquat.ExecOption) (*kumquat.RunReport, api.ClusterReport, error) {
 	st := &Stats{}
 	leaves := func(local pipeline.Leaves) pipeline.Leaves {

@@ -27,11 +27,11 @@ type NamedCorpus struct {
 // plus the ones field experience says break stream code — empty input,
 // a missing trailing newline, very long lines, multi-byte content,
 // duplicate keys spanning chunk boundaries, pre-/reverse-sorted streams
-// (merge's legality boundary), and a stream of tied keys large enough
-// that a merge splits into key ranges. The corpora are immutable fixtures
-// built once per process; repeated stress passes over a shared warm
-// engine share them instead of rebuilding the multi-KB long-line corpus
-// every call.
+// (merge's legality boundary), and a 16 KB stream whose every key is
+// shared by hundreds of lines, so ties meet across chunks. The corpora
+// are immutable fixtures built once per process; repeated stress passes
+// over a shared warm engine share them instead of rebuilding the
+// multi-KB long-line corpus every call.
 func AdversarialCorpora() []NamedCorpus {
 	return slices.Clone(adversarialCorpora())
 }
@@ -39,9 +39,8 @@ func AdversarialCorpora() []NamedCorpus {
 // adversarialCorpora constructs the fixture set exactly once.
 var adversarialCorpora = sync.OnceValue(func() []NamedCorpus {
 	long := strings.Repeat("loquat kumquat medlar ", 400)
-	// Every key is shared by hundreds of lines: ties straddle range cuts.
 	var tied strings.Builder
-	for i := 0; tied.Len() <= unix.MergeRangeCutoff; i++ {
+	for i := 0; tied.Len() <= 16<<10; i++ {
 		fmt.Fprintf(&tied, "%d %s\n", i%7, vocab[i%11])
 	}
 	return []NamedCorpus{
@@ -85,8 +84,6 @@ type CandidateCheck struct {
 	Run func(string) (string, error)
 	// K is the chunk count.
 	K int
-	// Width is the merge's key-range count on the fold path.
-	Width int
 	// Path selects the recombination strategy.
 	Path PathKind
 }
@@ -110,7 +107,7 @@ func (cc CandidateCheck) Check(corpus string) error {
 	if cc.Path == PathPairwise {
 		got, err = dsl.CombineKPairwise(cc.Env, cc.Cand, outs)
 	} else {
-		got, err = dsl.CombineK(cc.Env, cc.Cand, outs, cc.Width)
+		got, err = dsl.CombineK(cc.Env, cc.Cand, outs)
 	}
 	if err != nil {
 		return fmt.Errorf("conformance: %s %s combine failed: %w", cc.Cand, cc.Path, err)
@@ -152,9 +149,8 @@ type StressFailure struct {
 	Spec string `json:"spec"`
 	// Corpus names the adversarial corpus.
 	Corpus string `json:"corpus"`
-	// K is the chunk count; Width the merge's key-range count.
-	K     int `json:"k"`
-	Width int `json:"width"`
+	// K is the chunk count.
+	K int `json:"k"`
 	// Detail describes the divergence.
 	Detail string `json:"detail"`
 	// MinimalCorpus is the shrunken reproducing input (set when
@@ -169,7 +165,7 @@ type StressReport struct {
 	// never chunks those, so there is no combine path to validate).
 	Specs   int `json:"specs"`
 	Skipped int `json:"skipped"`
-	// Checks counts individual corpus × k × width validations.
+	// Checks counts individual corpus × k validations.
 	Checks int `json:"checks"`
 	// Failures lists every caught divergence (empty when all hold).
 	Failures []StressFailure `json:"failures"`
@@ -181,12 +177,10 @@ type StressReport struct {
 var stressKs = []int{2, 3, 4, 8}
 
 // StressCombiners validates each command's synthesized composite
-// combiner on every adversarial corpus and chunk count, combined at
-// width 1, and at width 4 too where the width changes the path. The
-// composite is exactly the object the executor dispatches through, so a
-// pass here certifies the combine plane's inputs, not a simplified
-// model. shrink minimizes the corpus of every failure before reporting
-// it.
+// combiner on every adversarial corpus and chunk count. The composite
+// is exactly the object the executor dispatches through, so a pass here
+// certifies the combine plane's inputs, not a simplified model. shrink
+// minimizes the corpus of every failure before reporting it.
 func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, shrink bool) (*StressReport, error) {
 	rep := &StressReport{Failures: []StressFailure{}}
 	corpora := AdversarialCorpora()
@@ -214,13 +208,11 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 			continue
 		}
 		rep.Specs++
-		// Only a merge over unix.MergeRangeCutoff bytes or more reads the
-		// width (below it MergeStreams merges in one heap at any width).
-		merges := slices.ContainsFunc(res.Combiner.Candidates, func(c dsl.Candidate) bool { _, ok := c.Op.(dsl.Merge); return ok })
 		cmd, err := unix.Parse(spec, unix.DefaultEnv())
 		if err != nil {
 			return nil, fmt.Errorf("conformance: stress %q: %w", spec, err)
 		}
+		combine := func(o []string) (string, error) { return res.Combiner.CombineKTree(o, 1) }
 		for _, nc := range corpora {
 			want, err := cmd.Run(nc.Corpus)
 			if err != nil {
@@ -231,31 +223,22 @@ func StressCombiners(ctx context.Context, sys *kumquat.System, specs []string, s
 				if !ok {
 					continue
 				}
-				widths := []int{1}
-				if merges && len(strings.Join(outs, "")) >= unix.MergeRangeCutoff {
-					widths = append(widths, 4)
+				rep.Checks++
+				got, err := combine(outs)
+				detail := ""
+				if err != nil {
+					detail = fmt.Sprintf("combine failed: %v", err)
+				} else if got != want {
+					detail = diffSummary(want, got)
 				}
-				for _, width := range widths {
-					combine := func(o []string) (string, error) { return res.Combiner.CombineKTree(o, width) }
-					rep.Checks++
-					got, err := combine(outs)
-					detail := ""
-					if err != nil {
-						detail = fmt.Sprintf("combine failed: %v", err)
-					} else if got != want {
-						detail = diffSummary(want, got)
-					}
-					if detail == "" {
-						continue
-					}
-					f := StressFailure{
-						Spec: spec, Corpus: nc.Name, K: k, Width: width, Detail: detail,
-					}
-					if shrink {
-						f.MinimalCorpus = shrinkStress(cmd, nc.Corpus, k, combine)
-					}
-					rep.Failures = append(rep.Failures, f)
+				if detail == "" {
+					continue
 				}
+				f := StressFailure{Spec: spec, Corpus: nc.Name, K: k, Detail: detail}
+				if shrink {
+					f.MinimalCorpus = shrinkStress(cmd, nc.Corpus, k, combine)
+				}
+				rep.Failures = append(rep.Failures, f)
 			}
 		}
 	}

@@ -17,9 +17,9 @@
 //     reduces a diverging case to a minimal reproducing corpus and stage
 //     list;
 //   - adversarial.go + serve.go: combiner stress validation on
-//     adversarial corpora through the k-way combine at two merge widths,
-//     and a replay of the generated suite through a live kumquatd over
-//     the typed client, holding the HTTP plane to the same oracle.
+//     adversarial corpora through the k-way combine, and a replay of
+//     the generated suite through a live kumquatd over the typed client,
+//     holding the HTTP plane to the same oracle.
 //
 // The kqconform command (cmd/kqconform) drives Run with CLI flags and
 // emits the Report as JSON; CI runs it as a smoke alongside the fuzz

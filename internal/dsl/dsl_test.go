@@ -359,28 +359,28 @@ func TestCombinerCorrectness(t *testing.T) {
 func TestCombineKStrategies(t *testing.T) {
 	e := env(t, "sort")
 	// Simultaneous merge of k streams.
-	got, err := CombineK(e, Candidate{Op: Merge{}}, []string{"b\n", "a\nc\n", "", "b\n"}, 1)
+	got, err := CombineK(e, Candidate{Op: Merge{}}, []string{"b\n", "a\nc\n", "", "b\n"})
 	if err != nil || got != "a\nb\nb\nc\n" {
 		t.Errorf("CombineK merge = %q, %v", got, err)
 	}
 	// Concat joins in order; swapped concat reverses.
-	got, _ = CombineK(nil, Candidate{Op: Concat{}}, []string{"1\n", "2\n", "3\n"}, 1)
+	got, _ = CombineK(nil, Candidate{Op: Concat{}}, []string{"1\n", "2\n", "3\n"})
 	if got != "1\n2\n3\n" {
 		t.Errorf("CombineK concat = %q", got)
 	}
-	got, _ = CombineK(nil, Candidate{Op: Concat{}, Swap: true}, []string{"1\n", "2\n", "3\n"}, 1)
+	got, _ = CombineK(nil, Candidate{Op: Concat{}, Swap: true}, []string{"1\n", "2\n", "3\n"})
 	if got != "3\n2\n1\n" {
 		t.Errorf("CombineK swapped concat = %q", got)
 	}
 	// Rerun concatenates all and reruns once.
 	e2 := env(t, "sort -n")
-	got, err = CombineK(e2, Candidate{Op: Rerun{}}, []string{"3\n1\n", "2\n"}, 1)
+	got, err = CombineK(e2, Candidate{Op: Rerun{}}, []string{"3\n1\n", "2\n"})
 	if err != nil || got != "1\n2\n3\n" {
 		t.Errorf("CombineK rerun = %q, %v", got, err)
 	}
 	// Pairwise fold for structured combiners.
 	got, err = CombineK(nil, Candidate{Op: Stitch2{D: ' ', B1: Add{}, B2: First{}}},
-		[]string{"      2 a\n", "      3 a\n", "      1 b\n"}, 1)
+		[]string{"      2 a\n", "      3 a\n", "      1 b\n"})
 	if err != nil || got != "      5 a\n      1 b\n" {
 		t.Errorf("CombineK stitch2 fold = %q, %v", got, err)
 	}
@@ -416,7 +416,7 @@ func TestCombineKAgreesWithSerial(t *testing.T) {
 				outs[i], _ = cmd.Run(ch)
 			}
 			want, _ := cmd.Run(x)
-			got, err := CombineK(e, tc.c, outs, 1)
+			got, err := CombineK(e, tc.c, outs)
 			if err != nil || got != want {
 				t.Fatalf("%s k=%d: CombineK=%q (err=%v), serial=%q", tc.spec, k, got, err, want)
 			}

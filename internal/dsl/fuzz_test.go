@@ -8,8 +8,8 @@ import (
 // ParseCandidate must never panic, every accepted candidate must render
 // back to a form the parser accepts (a stable parse/print round trip),
 // and evaluation over arbitrary operand streams — binary and k-way — must
-// return values or errors, never crash, and the k-way combine must not
-// depend on its width. CI runs this with a short -fuzztime budget.
+// return values or errors, never crash. CI runs this with a short
+// -fuzztime budget.
 func FuzzCombiner(f *testing.F) {
 	combiners := []string{
 		"(concat a b)",
@@ -56,11 +56,6 @@ func FuzzCombiner(f *testing.F) {
 		env := &Env{RunF: func(s string) (string, error) { return s, nil }}
 		_ = c.InDomain(env, y1, y2)
 		_, _ = c.Eval(env, y1, y2)
-		outs := []string{y1, y2, y1, "", y2}
-		v1, err1 := CombineK(env, c, outs, 1)
-		v3, err3 := CombineK(env, c, outs, 3)
-		if (err1 == nil) != (err3 == nil) || v1 != v3 {
-			t.Fatalf("widths 1 and 3 disagree for %q: %q (err %v) vs %q (err %v)", rendered, v1, err1, v3, err3)
-		}
+		_, _ = CombineK(env, c, []string{y1, y2, y1, "", y2})
 	})
 }

@@ -30,7 +30,7 @@ func TestKeyMergeJoinsTies(t *testing.T) {
 		t.Errorf("keymerge stitch first = %q", got)
 	}
 	// Three operands tie at once; their counts fold left.
-	got, err := CombineK(e, Candidate{Op: uniqCount}, []string{"      1 x\n", "", "      2 x\n", "      3 x\n      1 y\n"}, 1)
+	got, err := CombineK(e, Candidate{Op: uniqCount}, []string{"      1 x\n", "", "      2 x\n", "      3 x\n      1 y\n"})
 	if want := "      6 x\n      1 y\n"; err != nil || got != want {
 		t.Errorf("CombineK keymerge = %q, %v; want %q", got, err, want)
 	}
@@ -97,7 +97,7 @@ func TestKeyMergeTieAllocations(t *testing.T) {
 		}
 		outs := []string{b.String(), b.String()}
 		allocs = append(allocs, testing.AllocsPerRun(20, func() {
-			if _, err := CombineK(e, c, outs, 1); err != nil {
+			if _, err := CombineK(e, c, outs); err != nil {
 				t.Fatal(err)
 			}
 		}))

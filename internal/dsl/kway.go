@@ -28,11 +28,10 @@ func prepareK(c Candidate, outs []string) []string {
 
 // combineSimultaneous handles the §3.5 combiners that merge all k
 // substreams at once rather than pairwise — concat, merge and rerun —
-// and the keyed merge, which joins all k at once too; merge splits its
-// work into up to width key ranges, and both merges fail with
-// ErrNotSorted when an operand is unsorted. handled is false for every
-// other operator.
-func combineSimultaneous(env *Env, c Candidate, nonEmpty []string, width int) (v string, handled bool, err error) {
+// and the keyed merge, which joins all k at once too; both merges fail
+// with ErrNotSorted when an operand is unsorted. handled is false for
+// every other operator.
+func combineSimultaneous(env *Env, c Candidate, nonEmpty []string) (v string, handled bool, err error) {
 	switch c.Op.(type) {
 	case Concat:
 		return strings.Join(nonEmpty, ""), true, nil
@@ -40,7 +39,7 @@ func combineSimultaneous(env *Env, c Candidate, nonEmpty []string, width int) (v
 		if env == nil || env.Merge == nil {
 			return "", true, evalErr(c.Op, "no merge comparator bound in Env")
 		}
-		v, sorted := env.Merge.MergeStreams(width, nonEmpty...)
+		v, sorted := env.Merge.MergeStreams(nonEmpty...)
 		if !sorted {
 			return "", true, unsortedErr(c.Op)
 		}
@@ -81,8 +80,7 @@ func foldPairs(env *Env, op Op, nonEmpty []string) (string, error) {
 //
 //   - concat combines all substreams at once ("cat $*"),
 //   - merge combines all substreams with one k-way merge
-//     ("sort -m <flags> $*"), split into up to width concurrent key
-//     ranges (same bytes at every width),
+//     ("sort -m <flags> $*"),
 //   - rerun concatenates all substreams and re-executes the command once,
 //   - the keyed merge merges all substreams by key in one walk, joining
 //     the lines whose keys tie,
@@ -93,9 +91,9 @@ func foldPairs(env *Env, op Op, nonEmpty []string) (string, error) {
 // output for its chunk) are identity elements for stream combination and
 // are skipped before folding. A swapped candidate folds the substreams in
 // reverse order, except for merge, where Swap is a no-op (see prepareK).
-func CombineK(env *Env, c Candidate, outs []string, width int) (string, error) {
+func CombineK(env *Env, c Candidate, outs []string) (string, error) {
 	nonEmpty := prepareK(c, outs)
-	if v, handled, err := combineSimultaneous(env, c, nonEmpty, width); handled {
+	if v, handled, err := combineSimultaneous(env, c, nonEmpty); handled {
 		return v, err
 	}
 	return foldPairs(env, c.Op, nonEmpty)

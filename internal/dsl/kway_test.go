@@ -34,7 +34,7 @@ func TestStitchAddNotAssociative(t *testing.T) {
 		t.Fatalf("stitch add unexpectedly associative: both = %q", left)
 	}
 	const want = "20\n"
-	if got, err := CombineK(nil, Candidate{Op: op}, []string{a, b, c}, 1); err != nil || got != want {
+	if got, err := CombineK(nil, Candidate{Op: op}, []string{a, b, c}); err != nil || got != want {
 		t.Fatalf("CombineK(stitch add) = %q, %v; want the left fold %q", got, err, want)
 	}
 }
@@ -72,7 +72,7 @@ func TestStitch2SecondPaddingNotAssociative(t *testing.T) {
 		t.Fatalf("bracketings agree on %q; the fixture no longer exercises the hazard", left)
 	}
 	const want = "9 x\n"
-	if got, err := CombineK(nil, Candidate{Op: op}, outs, 1); err != nil || got != want {
+	if got, err := CombineK(nil, Candidate{Op: op}, outs); err != nil || got != want {
 		t.Fatalf("CombineK = %q, %v; want the left fold %q", got, err, want)
 	}
 }
@@ -85,17 +85,17 @@ func TestSwapConcatIsReversedJoin(t *testing.T) {
 	outs := []string{"a\n", "", "b\n", "c\n", ""}
 	nonEmpty := []string{"a\n", "b\n", "c\n"}
 	rev := []string{"c\n", "b\n", "a\n"}
-	plain, err := CombineK(nil, Candidate{Op: Concat{}}, outs, 1)
+	plain, err := CombineK(nil, Candidate{Op: Concat{}}, outs)
 	if err != nil || plain != strings.Join(nonEmpty, "") {
 		t.Errorf("concat = %q, %v; want %q", plain, err, strings.Join(nonEmpty, ""))
 	}
-	swapped, err := CombineK(nil, Candidate{Op: Concat{}, Swap: true}, outs, 1)
+	swapped, err := CombineK(nil, Candidate{Op: Concat{}, Swap: true}, outs)
 	if err != nil || swapped != strings.Join(rev, "") {
 		t.Errorf("swapped concat = %q, %v; want %q", swapped, err, strings.Join(rev, ""))
 	}
 	// Rerun sees the same reversed concatenation as its input.
 	e := &Env{RunF: func(s string) (string, error) { return s, nil }}
-	gotRerun, err := CombineK(e, Candidate{Op: Rerun{}, Swap: true}, outs, 1)
+	gotRerun, err := CombineK(e, Candidate{Op: Rerun{}, Swap: true}, outs)
 	if err != nil || gotRerun != strings.Join(rev, "") {
 		t.Errorf("swapped rerun input = %q, %v; want %q", gotRerun, err, strings.Join(rev, ""))
 	}
@@ -104,22 +104,20 @@ func TestSwapConcatIsReversedJoin(t *testing.T) {
 // TestSwapMergeIsNoOp is the regression test for the order-insensitive
 // merge: the k-way merge output is determined by the comparator with ties
 // stable by stream index, so a swapped merge candidate must combine
-// byte-identically to the unswapped one, at every merge width.
+// byte-identically to the unswapped one.
 func TestSwapMergeIsNoOp(t *testing.T) {
 	e := env(t, "sort")
 	outs := []string{"a\nc\n", "a\nb\n", "", "b\n"}
-	plain, err := CombineK(e, Candidate{Op: Merge{}}, outs, 1)
+	plain, err := CombineK(e, Candidate{Op: Merge{}}, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		swapped, err := CombineK(e, Candidate{Op: Merge{}, Swap: true}, outs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain != swapped {
-			t.Errorf("width %d: swapped merge = %q, unswapped = %q", w, swapped, plain)
-		}
+	swapped, err := CombineK(e, Candidate{Op: Merge{}, Swap: true}, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain != swapped {
+		t.Errorf("swapped merge = %q, unswapped = %q", swapped, plain)
 	}
 	// The binary path agrees: a swapped merge candidate evaluates
 	// identically to the unswapped one, so every entry point — synthesis
@@ -195,7 +193,7 @@ func BenchmarkCombineKFold(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := CombineK(nil, tc.c, outs, 1); err != nil {
+					if _, err := CombineK(nil, tc.c, outs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -216,7 +214,7 @@ func TestCombineKAllocations(t *testing.T) {
 			outs[i] = fmt.Sprintf("line %d\n", i)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := CombineK(nil, c, outs, 1); err != nil {
+			if _, err := CombineK(nil, c, outs); err != nil {
 				t.Fatal(err)
 			}
 		})

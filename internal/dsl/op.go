@@ -67,10 +67,9 @@ type Merger interface {
 	// IsSorted reports whether a stream is ordered under the comparator —
 	// the legality domain of merge.
 	IsSorted(stream string) bool
-	// MergeStreams merges the streams in up to width concurrent key
-	// ranges and reports whether every stream was sorted, checked in the
-	// same walk; merged is "" when one was not.
-	MergeStreams(width int, streams ...string) (merged string, sorted bool)
+	// MergeStreams merges the streams and reports whether every stream
+	// was sorted, checked in the same walk; merged is "" when one was not.
+	MergeStreams(streams ...string) (merged string, sorted bool)
 	// Compare orders two lines under the comparator: negative when a
 	// sorts first, 0 when they tie — the keyed merge's key order.
 	Compare(a, b string) int

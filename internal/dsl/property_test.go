@@ -151,7 +151,7 @@ func TestCombineKConcatIsJoin(t *testing.T) {
 			outs[i] = s
 			want.WriteString(s)
 		}
-		got, err := CombineK(nil, Candidate{Op: Concat{}}, outs, 1)
+		got, err := CombineK(nil, Candidate{Op: Concat{}}, outs)
 		return err == nil && got == want.String()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -172,7 +172,7 @@ func TestOffsetShiftComposes(t *testing.T) {
 		return b.String()
 	}
 	c := Candidate{Op: Offset{D: ' ', B: Add{}}}
-	got, err := CombineK(nil, c, []string{mk(2), mk(3), mk(1)}, 1)
+	got, err := CombineK(nil, c, []string{mk(2), mk(3), mk(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

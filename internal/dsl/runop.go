@@ -68,7 +68,7 @@ func (m Merge) Eval(env *Env, y1, y2 string) (string, error) {
 	if env == nil || env.Merge == nil {
 		return "", evalErr(m, "no merge comparator bound in Env")
 	}
-	v, sorted := env.Merge.MergeStreams(1, y1, y2)
+	v, sorted := env.Merge.MergeStreams(y1, y2)
 	if !sorted {
 		return "", unsortedErr(m)
 	}

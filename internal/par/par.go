@@ -1,8 +1,7 @@
 // Package par is the repository's one bounded fan-out: split the work
 // into n indexed pieces and run them on a fixed number of goroutines.
-// The executor's chunk runs, synthesis's observation and filter passes,
-// the sort merge's key ranges and the cluster's shard dispatch all go
-// through For.
+// The executor's chunk runs, synthesis's observation and filter passes
+// and the cluster's shard dispatch all go through For.
 //
 // For takes no context. A caller that can be cancelled checks its
 // context at the top of fn, so no new piece starts once it is done, and

@@ -151,8 +151,7 @@ func (p *Plan) Execute(ctx context.Context, env *unix.Env, stdin io.Reader, out 
 		k = 1
 	}
 	// Cap in-flight chunk executions at the machine's parallelism: with
-	// k > GOMAXPROCS the extra chunks wait for a free runner. A merge
-	// combine splits into the same number of key ranges.
+	// k > GOMAXPROCS the extra chunks wait for a free runner.
 	ex := &executor{
 		env:   env,
 		k:     k,

@@ -50,8 +50,7 @@ type executor struct {
 	// piped runs every line-mapper region live, whatever the source
 	// (T_orig): a materialized stream is made live again in front of one.
 	piped bool
-	// width bounds in-flight chunk executions, and is also the combine's
-	// width (a merge's key-range count).
+	// width bounds in-flight chunk executions.
 	width int
 	// leaves is the chunk fan-out (see Leaves).
 	leaves Leaves
@@ -485,10 +484,9 @@ func (ex *executor) exit(ctx context.Context, r *dataflow.Region, last bool, out
 	// The region's synthesized combiner: the §3.5 k-way combine.
 	_, span := obs.StartSpan(ctx, "combine")
 	span.AttrInt("parts", int64(len(outs)))
-	span.AttrInt("width", int64(ex.width))
 	span.AttrInt("bytes", totalLen(outs))
 	start := time.Now()
-	combined, err := r.Combiner.CombineKTree(outs, ex.width)
+	combined, err := r.Combiner.CombineKTree(outs, 1)
 	rm.CombineWall = time.Since(start)
 	span.End()
 	if err != nil {

@@ -174,14 +174,14 @@ func TestTraceLocalExecute(t *testing.T) {
 		if sp.Name != "combine" {
 			continue
 		}
-		// The combine span says how wide the merge could split and over
-		// how many bytes.
+		// The combine span says how many parts it joined and over how
+		// many bytes.
 		attrs := map[string]string{}
 		for _, a := range sp.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["width"] == "" || attrs["bytes"] == "" {
-			t.Errorf("combine span attributes %v lack width or bytes", sp.Attrs)
+		if attrs["parts"] == "" || attrs["bytes"] == "" {
+			t.Errorf("combine span attributes %v lack parts or bytes", sp.Attrs)
 		}
 	}
 	// sort | uniq -c runs as one fragment region.

@@ -3,7 +3,6 @@ package synth
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -55,13 +54,11 @@ var combineRows = []struct {
 // TestCombineKTreeMatchesSerial is the acceptance gate for the combine
 // plane: for every combiner synthesized over the example suite and the
 // fragments, the k-way combine of the chunk outputs must reproduce the
-// serial run byte for byte, on every stream family, at every k and every
-// merge width.
+// serial run byte for byte, on every stream family and at every k.
 func TestCombineKTreeMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes the full example suite")
 	}
-	widths := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, spec := range append(exampleSuiteSpecs, fragmentSpecs...) {
 		res := synthesize(t, spec)
 		if res.Err != nil {
@@ -92,14 +89,12 @@ func TestCombineKTreeMatchesSerial(t *testing.T) {
 							t.Fatalf("%s: chunk run: %v", spec, err)
 						}
 					}
-					for _, w := range widths {
-						got, err := res.Combiner.CombineKTree(outs, w)
-						if err != nil {
-							t.Fatalf("%s k=%d width=%d: %v", spec, k, w, err)
-						}
-						if got != want {
-							t.Fatalf("%s (%s) k=%d width=%d: combined=%q, serial=%q", spec, res.Combiner, k, w, got, want)
-						}
+					got, err := res.Combiner.CombineKTree(outs, k)
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", spec, k, err)
+					}
+					if got != want {
+						t.Fatalf("%s (%s) k=%d: combined=%q, serial=%q", spec, res.Combiner, k, got, want)
 					}
 				}
 			}
@@ -178,8 +173,7 @@ func TestKeyedMergeExhaustive(t *testing.T) {
 // TestCombineKSkipsUnsortedMerge: a merge member checks its domain in the
 // walk that merges, and an unsorted substream must skip it exactly as a
 // failed InDomain pre-pass did — falling through to the next member and
-// leaving no error of its own — at every width, on both sides of the
-// range-merge size cutoff.
+// leaving no error of its own — on small substreams and on 64 KB ones.
 func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 	cmd, err := unix.Parse("sort -m", unix.DefaultEnv())
 	if err != nil {
@@ -199,24 +193,22 @@ func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 		{big.String(), "w000100\nw000050\n"},
 		{"w000100\n" + big.String(), big.String()},
 	} {
-		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			combine := func(c *Combiner) (string, error) { return c.CombineKTree(outs, w) }
-			got, err := combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
-			if want := strings.Join(outs, ""); err != nil || got != want {
-				t.Errorf("width %d: merge, concat = %q, %v; want the concat %q", w, got, err, want)
-			}
-			_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge}, env: env})
-			if err == nil || err.Error() != "synth: no composite member accepts the substreams" {
-				t.Errorf("width %d: merge alone: error %v", w, err)
-			}
-			_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, rerun}, env: env})
-			if err == nil || err.Error() != "sort: -m: input is not sorted" {
-				t.Errorf("width %d: merge, rerun: error %v, want the rerun's", w, err)
-			}
-			_, err = dsl.CombineK(env, merge, outs, w)
-			if !errors.Is(err, dsl.ErrNotSorted) || err.Error() != "dsl: merge: operand is not sorted" {
-				t.Errorf("width %d: dsl.CombineK error %v", w, err)
-			}
+		combine := func(c *Combiner) (string, error) { return c.CombineKTree(outs, len(outs)) }
+		got, err := combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
+		if want := strings.Join(outs, ""); err != nil || got != want {
+			t.Errorf("merge, concat = %q, %v; want the concat %q", got, err, want)
+		}
+		_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge}, env: env})
+		if err == nil || err.Error() != "synth: no composite member accepts the substreams" {
+			t.Errorf("merge alone: error %v", err)
+		}
+		_, err = combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, rerun}, env: env})
+		if err == nil || err.Error() != "sort: -m: input is not sorted" {
+			t.Errorf("merge, rerun: error %v, want the rerun's", err)
+		}
+		_, err = dsl.CombineK(env, merge, outs)
+		if !errors.Is(err, dsl.ErrNotSorted) || err.Error() != "dsl: merge: operand is not sorted" {
+			t.Errorf("dsl.CombineK error %v", err)
 		}
 	}
 	// Without a comparator in the Env merge accepts nothing, and is

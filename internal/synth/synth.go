@@ -342,15 +342,15 @@ func (c *Combiner) IsRerunOnly() bool {
 // whose domain contains every nonempty substream, using the k-way
 // generalization of §3.5 (dsl.CombineK): concat, merge, the keyed merge
 // and rerun combine all substreams at once, every other combiner folds
-// left. width bounds
-// only the key ranges a merge splits into; the output is byte-identical
-// at every width. A merge checks its domain in the walk that merges: an
-// unsorted substream fails it with dsl.ErrNotSorted, which skips the
-// candidate exactly as a failed InDomain does.
+// left. A merge checks its domain in the walk that merges: an unsorted
+// substream fails it with dsl.ErrNotSorted, which skips the candidate
+// exactly as a failed InDomain does.
 //
-// The name predates the single fold; it is kept because the repository
-// benchmark calls it.
-func (c *Combiner) CombineKTree(outs []string, width int) (string, error) {
+// width is unused: a merge is one front at any k. The name predates the
+// single fold, and the name and the width are kept because the
+// repository benchmark calls the method so; both go when the benchmark
+// renames it to CombineK (ROADMAP).
+func (c *Combiner) CombineKTree(outs []string, _ int) (string, error) {
 	nonEmpty := 0
 	for _, o := range outs {
 		if o != "" {
@@ -379,7 +379,7 @@ func (c *Combiner) CombineKTree(outs []string, width int) (string, error) {
 		if !ok {
 			continue
 		}
-		v, err := dsl.CombineK(c.env, cand, outs, width)
+		v, err := dsl.CombineK(c.env, cand, outs)
 		if err == nil {
 			return v, nil
 		}

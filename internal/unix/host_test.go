@@ -74,10 +74,9 @@ func hostCorpora() []string {
 
 // TestSortMatchesHost: every sortReferenceSpecs ordering sorts each host
 // corpus as the host's sort does, and merges the host-sorted pieces of it
-// (held in files, the last one unterminated) as the host's sort -m does,
-// at every merge width. On the collapse corpora, which take the
-// collapse, sort, sort -r, sort -u and tr A-Z a-z | sort give the host's
-// bytes.
+// (held in files, the last one unterminated) as the host's sort -m does.
+// On the collapse corpora, which take the collapse, sort, sort -r,
+// sort -u and tr A-Z a-z | sort give the host's bytes.
 func TestSortMatchesHost(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(34))
@@ -108,10 +107,8 @@ func TestSortMatchesHost(t *testing.T) {
 				}
 			}
 			want = hostTool(t, "sort", "", append(append([]string{"-m"}, flags...), files...)...)
-			for _, p := range mergeWidths() {
-				if got, sorted := m.mergeRanges(p, runs); !sorted || got != want {
-					t.Errorf("%s corpus %d width %d: merge = %.200q, %v; host %.200q", m.Spec(), i, p, got, sorted, want)
-				}
+			if got, sorted := m.MergeStreams(runs...); !sorted || got != want {
+				t.Errorf("%s corpus %d: merge = %.200q, %v; host %.200q", m.Spec(), i, got, sorted, want)
 			}
 		}
 	}

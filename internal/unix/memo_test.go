@@ -30,50 +30,52 @@ func TestRerun(t *testing.T) {
 	}
 }
 
-// TestReadsEnvDeclarations covers every builtin: a command that holds
-// the Env declares whether it reads or writes the Env's files, and
-// ReadsEnv answers for it, and for every chain that has it as a member,
+// readsEnvCases are a representative spec of every builtin, file
+// operands included, and whether it reads or writes the Env's files.
+var readsEnvCases = []struct {
+	spec string
+	want bool
+}{
+	{"cat f000.txt", true},
+	{"cat", false},
+	{"cat -", false},
+	{"comm -23 - dict.sorted", true},
+	{"paste - f000.txt", true},
+	{"paste - -", false},
+	{"diff f000.txt f001.txt", true},
+	{"diff - f001.txt", true},
+	{"diff - -", false},
+	{"xargs cat", true},
+	{"file", true},
+	{"ls", true},
+	{"rm f000.txt", true},
+	{"mkfifo p", false},
+	{"tr A-Z a-z", false},
+	{"sort", false},
+	{"uniq -c", false},
+	{"grep a", false},
+	{"wc -l", false},
+	{"cut -c 1-4", false},
+	{"sed 's/a/b/'", false},
+	{"awk '{print $1}'", false},
+	{"head -n 1", false},
+	{"tail -n 1", false},
+	{"bigrams_aux", false},
+	{"fmt", false},
+	{"rev", false},
+	{"col -b", false},
+	{"iconv -f utf-8 -t ascii", false},
+	{"sort | uniq -c", false},
+	{"tr A-Z a-z | comm -23 - dict.sorted", true},
+}
+
+// TestReadsEnvDeclarations covers every builtin: ReadsEnv answers for
+// its representative spec, and for every chain that has it as a member,
 // at any depth.
 func TestReadsEnvDeclarations(t *testing.T) {
 	env := DefaultEnv()
-	cases := []struct {
-		spec string
-		want bool
-	}{
-		{"cat f000.txt", true},
-		{"cat", false},
-		{"cat -", false},
-		{"comm -23 - dict.sorted", true},
-		{"paste - f000.txt", true},
-		{"paste - -", false},
-		{"diff f000.txt f001.txt", true},
-		{"diff - f001.txt", true},
-		{"xargs cat", true},
-		{"file", true},
-		{"ls", true},
-		{"rm f000.txt", true},
-		{"mkfifo p", false},
-		{"tr A-Z a-z", false},
-		{"sort", false},
-		{"uniq -c", false},
-		{"grep a", false},
-		{"wc -l", false},
-		{"cut -c 1-4", false},
-		{"sed 's/a/b/'", false},
-		{"awk '{print $1}'", false},
-		{"head -n 1", false},
-		{"tail -n 1", false},
-		{"bigrams_aux", false},
-		{"fmt", false},
-		{"rev", false},
-		{"col -b", false},
-		{"iconv -f utf-8 -t ascii", false},
-		{"sort | uniq -c", false},
-		{"tr A-Z a-z | comm -23 - dict.sorted", true},
-	}
 	covered := map[string]bool{}
-	envType := reflect.TypeOf(env)
-	for _, tc := range cases {
+	for _, tc := range readsEnvCases {
 		cmd, err := Parse(tc.spec, env)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
@@ -86,20 +88,35 @@ func TestReadsEnvDeclarations(t *testing.T) {
 		}
 		for _, m := range Members(cmd) {
 			covered[strings.Fields(m.Spec())[0]] = true
-			v := reflect.ValueOf(m).Elem()
-			for i := 0; i < v.NumField(); i++ {
-				if v.Field(i).Type() != envType {
-					continue
-				}
-				if _, ok := m.(interface{ ReadsEnv() bool }); !ok {
-					t.Errorf("%s holds the Env but does not declare ReadsEnv", m.Spec())
-				}
-			}
 		}
 	}
 	for _, name := range Names() {
 		if !covered[name] {
 			t.Errorf("builtin %q has no row", name)
+		}
+	}
+}
+
+// TestEnvHoldersReadEnv: a command that holds a non-nil *Env or *FS
+// after parsing is ReadsEnv, so a command that can reach the Env's files
+// is never memoized or disk-cached unless it declares that it does not
+// hold them. Every builtin is parsed, file operands included.
+func TestEnvHoldersReadEnv(t *testing.T) {
+	env := DefaultEnv()
+	held := []reflect.Type{reflect.TypeOf(env), reflect.TypeOf(env.FS)}
+	for _, tc := range readsEnvCases {
+		cmd, err := Parse(tc.spec, env)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		for _, m := range Members(cmd) {
+			v := reflect.ValueOf(m).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				if slices.Contains(held, f.Type()) && !f.IsNil() && !ReadsEnv(m) {
+					t.Errorf("%s holds a %s but is not ReadsEnv", m.Spec(), f.Type())
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kumquat/internal/textio"
 )
@@ -508,7 +507,7 @@ func checkSortCase(t *testing.T, spec, input string, rng *rand.Rand) {
 	}
 	for _, streams := range [][]string{splitStreams(rng, sorted), parts} {
 		want := referenceMerge(s, streams...)
-		if got, sorted := s.MergeStreams(1, streams...); got != want || !sorted {
+		if got, sorted := s.MergeStreams(streams...); got != want || !sorted {
 			t.Fatalf("%s: MergeStreams(%q) = %q, %v; reference %q", spec, streams, got, sorted, want)
 		}
 		for _, st := range streams {
@@ -640,7 +639,7 @@ func TestMergeHeapMatchesScan(t *testing.T) {
 				streams[i] = genSorted(rng, s, rng.Intn(12))
 			}
 			want := referenceMerge(s, streams...)
-			got, sorted := s.MergeStreams(1, streams...)
+			got, sorted := s.MergeStreams(streams...)
 			if got != want || !sorted {
 				t.Fatalf("%s k=%d: heap merge = %q, scan merge = %q", spec, k, got, want)
 			}
@@ -655,7 +654,7 @@ func TestMergeHeapMatchesScan(t *testing.T) {
 // equal-key run — which must come from the earliest stream.
 func TestMergeHeapStability(t *testing.T) {
 	s := mergeSort(t, "sort -nu")
-	got, _ := s.MergeStreams(1, "1 c\n", "1 b\n2 x\n", "1 a\n")
+	got, _ := s.MergeStreams("1 c\n", "1 b\n2 x\n", "1 a\n")
 	want := "1 c\n2 x\n"
 	if got != want {
 		t.Errorf("stability: got %q, want %q", got, want)
@@ -669,7 +668,7 @@ func TestMergeHeapStability(t *testing.T) {
 // with Lines semantics, and the output is newline-terminated.
 func TestMergeHeapUnterminated(t *testing.T) {
 	s := mergeSort(t, "sort")
-	got, _ := s.MergeStreams(1, "a\nc", "b\n", "")
+	got, _ := s.MergeStreams("a\nc", "b\n", "")
 	want := referenceMerge(s, "a\nc", "b\n", "")
 	if got != want {
 		t.Errorf("unterminated: heap %q, scan %q", got, want)
@@ -724,7 +723,7 @@ func BenchmarkMergeReference(b *testing.B) {
 // BenchmarkMergeReference.
 func BenchmarkMergeFront(b *testing.B) {
 	benchMerge(b, func(s *SortCmd, streams ...string) string {
-		out, _ := s.MergeStreams(1, streams...)
+		out, _ := s.MergeStreams(streams...)
 		return out
 	})
 }
@@ -861,14 +860,10 @@ func BenchmarkCollapse(b *testing.B) {
 	}
 }
 
-// mergeWidths are the range counts the range-merge tests run at.
-func mergeWidths() []int { return []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} }
-
-// checkMergeWidth holds mergeRanges at every width to the reference: the
-// sortedness verdict of referenceIsSorted over every stream and, when
-// sorted, referenceMerge's bytes. mergeRanges is called directly, so
-// inputs far below MergeRangeCutoff still take the cuts.
-func checkMergeWidth(t *testing.T, s *SortCmd, streams []string) {
+// checkMerge holds MergeStreams to the reference: the sortedness verdict
+// of referenceIsSorted over every stream and, when sorted,
+// referenceMerge's bytes.
+func checkMerge(t *testing.T, s *SortCmd, streams []string) {
 	t.Helper()
 	wantSorted := true
 	for _, st := range streams {
@@ -878,12 +873,9 @@ func checkMergeWidth(t *testing.T, s *SortCmd, streams []string) {
 	if wantSorted {
 		want = referenceMerge(s, streams...)
 	}
-	for _, p := range mergeWidths() {
-		got, sorted := s.mergeRanges(p, streams)
-		if sorted != wantSorted || got != want {
-			t.Fatalf("%s width %d: mergeRanges(%q) = %q, %v; reference %q, %v",
-				s.Spec(), p, streams, got, sorted, want, wantSorted)
-		}
+	if got, sorted := s.MergeStreams(streams...); sorted != wantSorted || got != want {
+		t.Fatalf("%s: MergeStreams(%q) = %q, %v; reference %q, %v",
+			s.Spec(), streams, got, sorted, want, wantSorted)
 	}
 }
 
@@ -920,9 +912,8 @@ func dealRuns(rng *rand.Rand, sorted []string, k int, skewed bool) []string {
 // runCorpora are shaped for the run copies of the merge front and uniq:
 // a run of every length from 1 to 70, which crosses each doubling and
 // halving step of copies; runs of empty lines; a run that ends in an
-// unterminated copy; a run of thousands of lines that holds the byte
-// quantiles of every merge width, so the splitters fall inside it; and
-// runs of copies interleaved with lines that are key-equal to them
+// unterminated copy; a run of thousands of lines between short lines;
+// and runs of copies interleaved with lines that are key-equal to them
 // but different, under -f (a, A), -n (1, 01) and -k 2 (x 2, y 2).
 func runCorpora() []string {
 	rng := rand.New(rand.NewSource(35))
@@ -968,11 +959,13 @@ func TestCopies(t *testing.T) {
 	}
 }
 
-// TestMergeWidthMatchesReference: the range merge is byte-identical to
-// the reference merge at every width, for every covered ordering, over
-// the reference corpora dealt at random, skewed runs, all-identical
-// lines, a splitter equal to thousands of lines, empty and unterminated
-// runs, and the run corpora.
+// TestMergeWidthMatchesReference: MergeStreams is byte-identical to the
+// reference merge for every covered ordering, over the reference corpora
+// dealt at random, skewed runs, all-identical lines, a key shared by
+// thousands of lines, empty and unterminated runs, and the run corpora.
+// The merge once split into key ranges, and the tests of this file that
+// name a width are the ones that covered it at several; they now cover
+// its one front.
 func TestMergeWidthMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var same, plateau strings.Builder
@@ -992,14 +985,14 @@ func TestMergeWidthMatchesReference(t *testing.T) {
 				sorted := sortedLines(s, in)
 				for _, k := range []int{1, 2, 3, 8} {
 					runs := dealRuns(rng, sorted, k, false)
-					checkMergeWidth(t, s, runs)
+					checkMerge(t, s, runs)
 					// Unterminated runs, and an empty run in front.
 					for j := range runs {
 						runs[j] = strings.TrimSuffix(runs[j], "\n")
 					}
-					checkMergeWidth(t, s, append([]string{""}, runs...))
+					checkMerge(t, s, append([]string{""}, runs...))
 					if k > 1 {
-						checkMergeWidth(t, s, dealRuns(rng, sorted, k, true))
+						checkMerge(t, s, dealRuns(rng, sorted, k, true))
 					}
 				}
 			})
@@ -1007,12 +1000,9 @@ func TestMergeWidthMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMergeWidthDetectsDescent: one out-of-order pair anywhere — inside a
-// range, at either edge of a cut, at a run's last line, in the run the
-// splitters come from or another, right after a run of copies — gives
-// sorted == false at every width. No cut ever lands between the two
-// lines of the pair (cutRanges says why), so a cut-edge descent is the
-// one next to the cut.
+// TestMergeWidthDetectsDescent: one out-of-order pair anywhere — at every
+// position of either run, at a run's last line, terminated or not, right
+// after a run of copies — gives sorted == false.
 func TestMergeWidthDetectsDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, spec := range []string{"sort", "sort -n", "sort -rn", "sort -u", "sort -k2n", "sort -f"} {
@@ -1025,7 +1015,6 @@ func TestMergeWidthDetectsDescent(t *testing.T) {
 			referenceJoin(referenceSortLines(s, lines[:160])),
 			referenceJoin(referenceSortLines(s, lines[160:])),
 		}
-		edges := 0
 		for r := range runs {
 			for _, unterminated := range []bool{false, true} {
 				rl := textio.Lines(runs[r])
@@ -1040,32 +1029,9 @@ func TestMergeWidthDetectsDescent(t *testing.T) {
 					if unterminated {
 						streams[r] = strings.TrimSuffix(streams[r], "\n")
 					}
-					checkMergeWidth(t, s, streams)
-					// Where the pair's lines start, and where the line
-					// after them does.
-					first := len(strings.Join(swapped[:i], "\n")) + min(i, 1)
-					second := first + len(swapped[i]) + 1
-					after := second + len(swapped[i+1]) + 1
-					for _, p := range mergeWidths()[1:] {
-						cuts := make([]int, (p+1)*len(streams))
-						for j, st := range streams {
-							cuts[p*len(streams)+j] = len(st)
-						}
-						s.cutRanges(streams, p, cuts)
-						for c := 1; c < p; c++ {
-							switch cuts[c*len(streams)+r] {
-							case second:
-								t.Fatalf("%s width %d: a cut separates the descent %q, %q", spec, p, swapped[i], swapped[i+1])
-							case first, after:
-								edges++
-							}
-						}
-					}
+					checkMerge(t, s, streams)
 				}
 			}
-		}
-		if edges == 0 {
-			t.Errorf("%s: no descent sat next to a cut", spec)
 		}
 		// A line right after a run of at least three copies of a greater
 		// one: the front counts the copies by galloping, then meets it.
@@ -1082,14 +1048,14 @@ func TestMergeWidthDetectsDescent(t *testing.T) {
 			if referenceIsSorted(s, referenceJoin(run)) {
 				t.Fatalf("%s: %q after copies of %q is no descent", spec, rl[i-1], rl[i])
 			}
-			checkMergeWidth(t, s, []string{referenceJoin(run), runs[1]})
+			checkMerge(t, s, []string{referenceJoin(run), runs[1]})
 		}
 	}
 }
 
 // FuzzMergeWidthMatchesReference is TestMergeWidthMatchesReference over
 // arbitrary input: the input cut into runs as it is (sorted or not) and
-// each run sorted, at every width. reps repeats the input's lines as in
+// each run sorted. reps repeats the input's lines as in
 // FuzzSortMatchesReference, so the sorted runs hold runs of copies.
 func FuzzMergeWidthMatchesReference(f *testing.F) {
 	for i := range sortReferenceSpecs {
@@ -1103,11 +1069,11 @@ func FuzzMergeWidthMatchesReference(f *testing.F) {
 		input = repeatLines(input, int(reps%8))
 		rng := rand.New(rand.NewSource(int64(len(input))))
 		runs := splitStreams(rng, input)
-		checkMergeWidth(t, s, runs)
+		checkMerge(t, s, runs)
 		for i, r := range runs {
 			runs[i] = referenceJoin(referenceSortLines(s, textio.Lines(r)))
 		}
-		checkMergeWidth(t, s, runs)
+		checkMerge(t, s, runs)
 	})
 }
 
@@ -1171,10 +1137,9 @@ func dealWords(t testing.TB, s *SortCmd, size, k int, next func() string) []stri
 	return runs
 }
 
-// TestMergeWidthAllocations: over 1 MB at width P the range merge
-// allocates the output buffer and O(P·k) bookkeeping, nothing per line,
-// and every goroutine it starts has exited once it returns, sorted or
-// not.
+// TestMergeWidthAllocations: over 1 MB MergeStreams allocates the output
+// buffer and O(k) bookkeeping, nothing per line, and leaves no goroutine
+// behind, sorted or not.
 func TestMergeWidthAllocations(t *testing.T) {
 	const size = 1 << 20
 	byK := map[int][]string{}
@@ -1186,18 +1151,16 @@ func TestMergeWidthAllocations(t *testing.T) {
 	for _, spec := range []string{"sort", "sort -n", "sort -u"} {
 		s := mergeSort(t, spec)
 		for k, runs := range byK {
-			for _, p := range []int{1, 2, 4} {
-				allocs := testing.AllocsPerRun(5, func() { s.mergeRanges(p, runs) })
-				if bound := float64(8 + 3*p + p*k); allocs > bound {
-					t.Errorf("%s k=%d width %d: %v allocations per merge, want at most %v", spec, k, p, allocs, bound)
-				}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				s.mergeRanges(p, runs)
-				runtime.ReadMemStats(&after)
-				if bytes := after.TotalAlloc - before.TotalAlloc; bytes > size+size/8 {
-					t.Errorf("%s k=%d width %d: merge allocates %d bytes over %d input bytes", spec, k, p, bytes, size)
-				}
+			allocs := testing.AllocsPerRun(5, func() { s.MergeStreams(runs...) })
+			if bound := float64(8 + 3 + k); allocs > bound {
+				t.Errorf("%s k=%d: %v allocations per merge, want at most %v", spec, k, allocs, bound)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.MergeStreams(runs...)
+			runtime.ReadMemStats(&after)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes > size+size/8 {
+				t.Errorf("%s k=%d: merge allocates %d bytes over %d input bytes", spec, k, bytes, size)
 			}
 		}
 	}
@@ -1205,44 +1168,12 @@ func TestMergeWidthAllocations(t *testing.T) {
 	unsorted := []string{runs[0], runs[1][len(runs[1])/2:] + runs[1][:len(runs[1])/2]}
 	base := runtime.NumGoroutine()
 	for _, streams := range [][]string{runs, unsorted} {
-		_, sorted := s.mergeRanges(4, streams)
+		_, sorted := s.MergeStreams(streams...)
 		if want := &streams[0] == &runs[0]; sorted != want {
-			t.Fatalf("mergeRanges sorted = %v, want %v", sorted, want)
-		}
-		// A goroutine that has called wg.Done may still be exiting.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+			t.Fatalf("MergeStreams sorted = %v, want %v", sorted, want)
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("%d goroutines after the merge returned, %d before", n, base)
-		}
-	}
-}
-
-// BenchmarkMergeWidth times the checked merge — range merge and order
-// check in one walk — over Zipf words (BenchmarkSortRun's shape) dealt
-// into k sorted runs, by total size and width, and over all-distinct
-// words, where the front finds no run to copy. Width 1 is the single
-// heap; where the wider rows overtake it is MergeRangeCutoff.
-func BenchmarkMergeWidth(b *testing.B) {
-	s := mergeSort(b, "sort")
-	for _, shape := range runShapes {
-		for _, size := range []int{16 << 10, 256 << 10, 1 << 20, 6 << 20} {
-			for _, k := range []int{2, 4} {
-				runs := shape.runs(b, s, size, k)
-				for _, p := range []int{1, 2, 4} {
-					b.Run(fmt.Sprintf("%s/bytes=%d/k=%d/width=%d", shape.name, size, k, p), func(b *testing.B) {
-						b.ReportAllocs()
-						b.SetBytes(int64(size))
-						for b.Loop() {
-							if _, sorted := s.mergeRanges(p, runs); !sorted {
-								b.Fatal("sorted runs reported unsorted")
-							}
-						}
-					})
-				}
-			}
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // catCmd: identity over the stream. `cat $IN` at the head of a pipeline is
 // handled by the pipeline parser (it becomes the input source); a mid-
-// pipeline cat is the identity command.
+// pipeline cat is the identity command. It keeps the Env only when its
+// operand names a file.
 type catCmd struct {
 	spec string
 	env  *Env
@@ -18,12 +19,12 @@ type catCmd struct {
 }
 
 func newCat(spec string, args []string, env *Env) (Command, error) {
-	c := &catCmd{spec: spec, env: env}
+	c := &catCmd{spec: spec}
 	if len(args) > 1 {
 		return nil, fmt.Errorf("cat: at most one file operand supported")
 	}
 	if len(args) == 1 && args[0] != "-" {
-		c.file = args[0]
+		c.env, c.file = env, args[0]
 	}
 	return c, nil
 }
@@ -33,10 +34,10 @@ func (c *catCmd) Spec() string { return c.spec }
 // ReadsEnv reports whether Run's output depends on the simulated file
 // system (cat with a file operand): such results must not be reused
 // across environments.
-func (c *catCmd) ReadsEnv() bool { return c.file != "" }
+func (c *catCmd) ReadsEnv() bool { return c.env != nil }
 
 func (c *catCmd) Run(input string) (string, error) {
-	if c.file != "" {
+	if c.env != nil {
 		return c.env.FS.Read(c.file)
 	}
 	return input, nil
@@ -47,7 +48,7 @@ func (c *catCmd) LineFunc(emit EmitFunc) EmitFunc { return emit }
 
 // AsLineMapper: stdin cat is the identity line map.
 func (c *catCmd) AsLineMapper() (LineMapper, bool) {
-	if c.file != "" {
+	if c.env != nil {
 		return nil, false
 	}
 	return c, true

@@ -2,7 +2,6 @@ package unix
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"kumquat/internal/textio"
@@ -99,7 +98,7 @@ func (r *rmCmd) Run(string) (string, error) {
 // diffCmd implements diff FILE1 FILE2 for the benchmark's use on two
 // sorted streams: a merge walk emitting "< line" for lines only in FILE1
 // and "> line" for lines only in FILE2. -B (ignore blank lines) is
-// accepted.
+// accepted. It keeps the Env only when an operand names a file.
 type diffCmd struct {
 	spec         string
 	env          *Env
@@ -108,7 +107,7 @@ type diffCmd struct {
 }
 
 func newDiff(spec string, args []string, env *Env) (Command, error) {
-	d := &diffCmd{spec: spec, env: env}
+	d := &diffCmd{spec: spec}
 	for _, a := range args {
 		if a == "-B" {
 			d.ignoreBlanks = true
@@ -122,15 +121,14 @@ func newDiff(spec string, args []string, env *Env) (Command, error) {
 	if len(d.files) != 2 {
 		return nil, fmt.Errorf("diff: need two operands")
 	}
+	d.env = namesFile(d.files, env)
 	return d, nil
 }
 
 func (d *diffCmd) Spec() string { return d.spec }
 
 // ReadsEnv: diff reads every operand but "-" from the Env's files.
-func (d *diffCmd) ReadsEnv() bool {
-	return slices.ContainsFunc(d.files, func(f string) bool { return f != "-" })
-}
+func (d *diffCmd) ReadsEnv() bool { return d.env != nil }
 
 // MultiInput: diff reads two input streams.
 func (d *diffCmd) MultiInput() bool { return true }

@@ -12,7 +12,8 @@ import (
 // the i-th lines of its operands with tabs. The poets trigram scripts use
 // it to align a word list with its shifted copies. paste processes multiple
 // input streams, so it is one of the commands the paper excludes from
-// combiner synthesis (footnote 5); the planner runs it serially.
+// combiner synthesis (footnote 5); the planner runs it serially. It
+// keeps the Env only when an operand names a file.
 type pasteCmd struct {
 	spec  string
 	env   *Env
@@ -23,15 +24,22 @@ func newPaste(spec string, args []string, env *Env) (Command, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("paste: need at least one operand")
 	}
-	return &pasteCmd{spec: spec, env: env, files: args}, nil
+	return &pasteCmd{spec: spec, env: namesFile(args, env), files: args}, nil
+}
+
+// namesFile is env when some operand names a file (is not "-"), else
+// nil: a command that reads only its input keeps no Env.
+func namesFile(operands []string, env *Env) *Env {
+	if slices.ContainsFunc(operands, func(f string) bool { return f != "-" }) {
+		return env
+	}
+	return nil
 }
 
 func (p *pasteCmd) Spec() string { return p.spec }
 
 // ReadsEnv: paste reads every operand but "-" from the Env's files.
-func (p *pasteCmd) ReadsEnv() bool {
-	return slices.ContainsFunc(p.files, func(f string) bool { return f != "-" })
-}
+func (p *pasteCmd) ReadsEnv() bool { return p.env != nil }
 
 // MultiInput marks commands that read several input streams; the
 // synthesizer skips them (no single-stream combiner model applies).

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strings"
 
-	"kumquat/internal/par"
 	"kumquat/internal/textio"
 )
 
@@ -298,7 +296,7 @@ func (s *SortCmd) Run(input string) (string, error) {
 	if s.Merge {
 		// Single input: merging one stream is the identity (plus -u
 		// dedup), and the walk that copies it checks its order.
-		out, sorted := s.MergeStreams(1, input)
+		out, sorted := s.MergeStreams(input)
 		if !sorted {
 			return "", fmt.Errorf("sort: -m: input is not sorted")
 		}
@@ -829,12 +827,12 @@ func (c *mergeCursor) advance(o *ordering) bool {
 	return true
 }
 
-// mergeFront is the k-way merge front of one MergeStreams key range: a
-// hand-rolled binary min-heap of stream cursors ordered by (line under
-// the ordering, stream index), so the merge is stable by argument
-// position, and -u dedup applied as lines leave the front. The heap holds
-// pointers, so restoring it moves no cursor; at k = 2 it is a two-cursor
-// loop, one comparison per line.
+// mergeFront is the k-way merge front of MergeStreams: a hand-rolled
+// binary min-heap of stream cursors ordered by (line under the ordering,
+// stream index), so the merge is stable by argument position, and -u
+// dedup applied as lines leave the front. The heap holds pointers, so
+// restoring it moves no cursor; at k = 2 it is a two-cursor loop, one
+// comparison per line.
 //
 // The front also checks that the popped lines never descend, which holds
 // exactly when every stream is sorted: if a stream has x followed by a
@@ -967,12 +965,6 @@ func copies(s string, from, u int) int {
 	return m
 }
 
-// MergeRangeCutoff is the total input size below which MergeStreams
-// merges in one heap whatever its width: under it, cutting the streams
-// and starting a goroutine per range cost about what the ranges save
-// (BenchmarkMergeWidth; the table is in DESIGN.md).
-const MergeRangeCutoff = 16 << 10
-
 // MergeStreams merges k pre-sorted streams under this comparator, as the
 // Unix script "sort -m <flags> $*" does in the paper's k-way combiner
 // implementation (§3.5), and reports whether every stream was in fact
@@ -980,139 +972,28 @@ const MergeRangeCutoff = 16 << 10
 // sorted is false, merged is "". Stability: ties are taken from earlier
 // streams.
 //
-// width is how many key ranges may merge concurrently (see mergeRanges),
-// never more than GOMAXPROCS; at width 1, or below MergeRangeCutoff
-// bytes, one heap merges it all.
+// One front merges it all into one buffer sized to the input, an
+// unterminated last line's terminator included, so without -u the
+// output is exact; under -u it is the buffer's prefix dedup leaves.
 // A line costs O(log k) comparisons over keys computed once per line,
 // plus at most one that checks its order — except in a run of m
 // byte-identical lines from one stream, which the front copies whole
 // from its second line on, for O(log m) comparisons over the run's bytes
 // and one heap restore (see mergeFront). No stream is ever split into a
 // []string.
-func (s *SortCmd) MergeStreams(width int, streams ...string) (merged string, sorted bool) {
+func (s *SortCmd) MergeStreams(streams ...string) (merged string, sorted bool) {
 	size := 0
 	for _, st := range streams {
 		size += len(st)
-	}
-	if size < MergeRangeCutoff {
-		width = 1
-	}
-	return s.mergeRanges(min(width, runtime.GOMAXPROCS(0)), streams)
-}
-
-// mergeRanges is MergeStreams split into p key ranges merged
-// concurrently. The p−1 splitters are the lines at the byte quantiles of
-// the largest stream; every stream is cut at each splitter's upper bound
-// (cutRanges), and range i merges, with its own front, the pieces between
-// cut i and cut i+1. Each range writes at its own offset into one output
-// buffer sized to the input, so without -u the output is exact and
-// needs no concatenation; under -u the gaps dedup left are closed before
-// returning.
-//
-// The bytes are MergeStreams' at any p: a line lands in range i exactly
-// when it orders after splitter i−1 and not after splitter i, so lines
-// that compare equal share a range — tie order by stream index and -u
-// dedup never cross a cut — and every line of range i orders before
-// every line of range i+1. Sortedness stays exact too: each front checks
-// the lines inside its range, and each pair a cut separates is in order
-// by construction (see cutRanges).
-func (s *SortCmd) mergeRanges(p int, streams []string) (string, bool) {
-	p = max(p, 1)
-	k := len(streams)
-	// cuts[i*k+j] is where range i begins in stream j; row p is the end.
-	cuts := make([]int, (p+1)*k)
-	for j, st := range streams {
-		cuts[p*k+j] = len(st)
-	}
-	s.cutRanges(streams, p, cuts)
-	pieces := make([]string, p*k)
-	offs := make([]int, p+1) // where each range's output begins
-	for i := 0; i < p; i++ {
-		n := 0
-		for j, st := range streams {
-			lo, hi := cuts[i*k+j], cuts[(i+1)*k+j]
-			pieces[i*k+j] = st[lo:hi]
-			n += hi - lo
-			if hi > lo && hi == len(st) && st[hi-1] != '\n' {
-				n++ // the terminator an unterminated final line gains
-			}
+		if st != "" && st[len(st)-1] != '\n' {
+			size++ // the terminator an unterminated last line gains
 		}
-		offs[i+1] = offs[i] + n
 	}
-	out := make([]byte, offs[p])
-	wrote := make([]int, p)
-	descent := make([]bool, p)
-	par.For(p, p, func(i int) {
-		f := s.newFront(pieces[i*k : (i+1)*k])
-		wrote[i] = f.write(out[offs[i]:offs[i+1]])
-		descent[i] = f.descent
-	})
-	n := 0
-	for i := range p {
-		if descent[i] {
-			return "", false
-		}
-		if n != offs[i] {
-			copy(out[n:], out[offs[i]:offs[i]+wrote[i]])
-		}
-		n += wrote[i]
+	out := make([]byte, size)
+	f := s.newFront(streams)
+	n := f.write(out)
+	if f.descent {
+		return "", false
 	}
 	return textio.View(out[:n]), true
-}
-
-// cutRanges fills rows 1 to p−1 of cuts (see mergeRanges). Splitter i is
-// the line holding byte i·len/p of the largest stream, and cut i in a
-// stream is the first line at or after cut i−1 that orders strictly
-// after splitter i, found by bisecting byte offsets snapped to line
-// starts — no line index is built. On sorted streams the splitters
-// ascend and each cut is the splitter's upper bound; on any input,
-// searching from the previous cut keeps the cuts monotone, so the pieces
-// always tile every stream.
-//
-// The pair of lines a cut separates is in order on any input, so the
-// order check need not look at it: a cut strictly inside a stream ends
-// the bisection with the line before it probed as not after the
-// splitter and the line at it probed as after, so the two compare
-// through the splitter. A cut that did not move separates the pair the
-// one before it did.
-func (s *SortCmd) cutRanges(streams []string, p int, cuts []int) {
-	k := len(streams)
-	big := ""
-	for _, st := range streams {
-		if len(st) > len(big) {
-			big = st
-		}
-	}
-	if big == "" {
-		return // every stream is empty and every cut 0
-	}
-	var split, l sortLine
-	for i := 1; i < p; i++ {
-		start, end := lineAt(big, 0, i*len(big)/p)
-		s.ord.setKey(&split, big[start:end])
-		for j, st := range streams {
-			lo, hi := cuts[(i-1)*k+j], len(st)
-			for lo < hi {
-				start, end := lineAt(st, lo, lo+(hi-lo)/2)
-				s.ord.setKey(&l, st[start:end])
-				if s.ord.compare(&l, &split) > 0 {
-					hi = start
-				} else {
-					lo = min(end+1, len(st))
-				}
-			}
-			cuts[i*k+j] = lo
-		}
-	}
-}
-
-// lineAt returns the bounds of the line of st that holds byte off, its
-// terminator excluded, given that a line starts at from ≤ off.
-func lineAt(st string, from, off int) (start, end int) {
-	start = from + strings.LastIndexByte(st[from:off], '\n') + 1
-	end = len(st)
-	if j := strings.IndexByte(st[off:], '\n'); j >= 0 {
-		end = off + j
-	}
-	return start, end
 }

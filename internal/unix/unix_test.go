@@ -175,14 +175,14 @@ func TestSortFlags(t *testing.T) {
 func TestSortMergeStreams(t *testing.T) {
 	cmd, _ := Parse("sort -rn", nil)
 	s := cmd.(*SortCmd)
-	got, sorted := s.MergeStreams(1, "9\n5\n1\n", "8\n2\n", "7\n")
+	got, sorted := s.MergeStreams("9\n5\n1\n", "8\n2\n", "7\n")
 	if got != "9\n8\n7\n5\n2\n1\n" || !sorted {
 		t.Errorf("MergeStreams -rn = %q", got)
 	}
 	// Stability: equal keys come from earlier streams first.
 	cmd2, _ := Parse("sort -k1n", nil)
 	s2 := cmd2.(*SortCmd)
-	got, sorted = s2.MergeStreams(1, "1 a\n", "1 b\n")
+	got, sorted = s2.MergeStreams("1 a\n", "1 b\n")
 	if got != "1 a\n1 b\n" || !sorted {
 		t.Errorf("MergeStreams stability = %q", got)
 	}

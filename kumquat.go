@@ -368,8 +368,7 @@ type execConfig struct {
 
 // WithParallelism sets the data-parallelism degree k (default:
 // runtime.GOMAXPROCS(0)). Chunks run on a pool of min(k, GOMAXPROCS)
-// workers, and a merge combine of a parallel stage's k substreams splits
-// into the same number of key ranges.
+// workers; a parallel stage's k substreams combine in one k-way pass.
 func WithParallelism(k int) ExecOption {
 	return func(c *execConfig) { c.k = k }
 }
