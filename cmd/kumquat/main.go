@@ -363,10 +363,11 @@ func combine(d time.Duration) string {
 // elsewhere. inside maps each index into rep.Stages of a stage that ran
 // between a fused region's first and last run members to the region's
 // index: it has no figures of its own. heads maps each region that ran
-// inside its predecessor's segment (the predecessor split its chunk
-// outputs onward, and the region ran on them chunked) to the segment's
-// head region, which holds the whole segment's wall; headOf maps such a
-// region's first run member the same way.
+// inside its predecessor's segment (the predecessor ran chunked, not
+// streamed, and split its chunk outputs onward, and the region ran on
+// them chunked) to the segment's head region, which holds the whole
+// segment's wall; headOf maps such a region's first run member the same
+// way.
 func reportRefs(rep *kumquat.RunReport) (inside, heads, headOf map[int]int) {
 	first := map[int]int{} // pipeline → index of its first stage
 	for i := len(rep.Stages) - 1; i >= 0; i-- {
@@ -383,7 +384,7 @@ func reportRefs(rep *kumquat.RunReport) (inside, heads, headOf map[int]int) {
 		for j := 1; j < len(members)-1; j++ {
 			inside[members[j]] = ri
 		}
-		if ri > 0 && rep.Regions[ri-1].Exit == "split" && rg.Chunks > 1 {
+		if ri > 0 && rep.Regions[ri-1].Exit == "split" && rep.Regions[ri-1].Chunks > 1 && rg.Chunks > 1 {
 			head, ok := heads[ri-1]
 			if !ok {
 				head = ri - 1

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -66,47 +67,83 @@ func TestWriteReportFusedRegion(t *testing.T) {
 // segment names the head region that holds the segment's wall, on its
 // region line and on its first member's line, instead of printing a wall
 // of zero. grep | tr | cut fuse into a region whose split exit feeds the
-// sort | uniq -c fragment, and the walk runs both as one segment.
+// sort | uniq -c fragment. Over a registered file the walk runs both as
+// one segment; over an external stdin the first region streams and the
+// second starts a segment of its own, so it prints its own wall.
 func TestWriteReportSegment(t *testing.T) {
-	env := kumquat.NewEnv()
-	env.Register("in.txt", "light a\ndark b\nLight c\nlight a\n")
-	sys := kumquat.NewWithOptions(env, kumquat.Options{Seed: 1})
-	ctx := context.Background()
-	plan, err := sys.Parallelize(ctx, "cat in.txt | grep -i light | tr a-z A-Z | cut -c 1-5 | sort | uniq -c\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	rep, err := plan.Execute(ctx, kumquat.WithParallelism(2), kumquat.WithOutput(&out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "      3 LIGHT\n"; out.String() != want {
-		t.Fatalf("output %q, want %q", out.String(), want)
-	}
-	var b strings.Builder
-	writeReport(&b, rep)
-	lines := map[string]string{}
-	for _, l := range strings.Split(b.String(), "\n") {
-		for _, key := range []string{"region 0:", "region 1:", "grep -i light", "sort "} {
-			if strings.Contains(l, key) {
-				lines[key] = l
-			}
-		}
-	}
-	for key, want := range map[string]string{
-		"region 0:":     "exit=split 2 chunks wall=",
-		"region 1:":     "2 chunks segment: wall on region 0 in=18 out=14",
-		"grep -i light": "2 chunks   wall=",
-		"sort ":         "2 chunks   segment: wall on region 0 in=18",
+	const input = "light a\ndark b\nLight c\nlight a\n"
+	for _, tc := range []struct {
+		name, script string
+		stdin        io.Reader
+		want         map[string]string
+		ownWall      bool
+	}{
+		{
+			name:   "file",
+			script: "cat in.txt | grep -i light | tr a-z A-Z | cut -c 1-5 | sort | uniq -c\n",
+			want: map[string]string{
+				"region 0:":     "exit=split 2 chunks wall=",
+				"region 1:":     "2 chunks segment: wall on region 0 in=18 out=14",
+				"grep -i light": "2 chunks   wall=",
+				"sort ":         "2 chunks   segment: wall on region 0 in=18",
+			},
+		},
+		{
+			name:   "stdin",
+			script: "grep -i light | tr a-z A-Z | cut -c 1-5 | sort | uniq -c\n",
+			// A reader that is not in memory, as os.Stdin, streams live.
+			stdin: io.MultiReader(strings.NewReader(input)),
+			want: map[string]string{
+				"region 0:":     "exit=split streamed wall=",
+				"region 1:":     "2 chunks wall=",
+				"grep -i light": "streamed   wall=",
+				"sort ":         "2 chunks   wall=",
+			},
+			ownWall: true,
+		},
 	} {
-		if !strings.Contains(lines[key], want) {
-			t.Errorf("%q line %q lacks %q\n%s", key, lines[key], want, b.String())
-		}
-	}
-	for _, key := range []string{"region 1:", "sort "} {
-		if strings.Contains(lines[key], "wall=") {
-			t.Errorf("%q line prints a wall of its own: %q", key, lines[key])
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			env := kumquat.NewEnv()
+			env.Register("in.txt", input)
+			sys := kumquat.NewWithOptions(env, kumquat.Options{Seed: 1})
+			ctx := context.Background()
+			plan, err := sys.Parallelize(ctx, tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			opts := []kumquat.ExecOption{kumquat.WithParallelism(2), kumquat.WithOutput(&out)}
+			if tc.stdin != nil {
+				opts = append(opts, kumquat.WithStdin(tc.stdin))
+			}
+			rep, err := plan.Execute(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "      3 LIGHT\n"; out.String() != want {
+				t.Fatalf("output %q, want %q", out.String(), want)
+			}
+			var b strings.Builder
+			writeReport(&b, rep)
+			lines := map[string]string{}
+			for _, l := range strings.Split(b.String(), "\n") {
+				for key := range tc.want {
+					if strings.Contains(l, key) {
+						lines[key] = l
+					}
+				}
+			}
+			for key, want := range tc.want {
+				if !strings.Contains(lines[key], want) {
+					t.Errorf("%q line %q lacks %q\n%s", key, lines[key], want, b.String())
+				}
+			}
+			for _, key := range []string{"region 1:", "sort "} {
+				if strings.Contains(lines[key], "wall=") != tc.ownWall {
+					t.Errorf("%q line %q: prints a wall of its own = %v, want %v",
+						key, lines[key], !tc.ownWall, tc.ownWall)
+				}
+			}
+		})
 	}
 }

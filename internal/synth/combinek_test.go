@@ -89,7 +89,7 @@ func TestCombineKTreeMatchesSerial(t *testing.T) {
 							t.Fatalf("%s: chunk run: %v", spec, err)
 						}
 					}
-					got, err := res.Combiner.CombineKTree(outs, k)
+					got, err := res.Combiner.CombineKTree(outs, 1)
 					if err != nil {
 						t.Fatalf("%s k=%d: %v", spec, k, err)
 					}
@@ -193,7 +193,7 @@ func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 		{big.String(), "w000100\nw000050\n"},
 		{"w000100\n" + big.String(), big.String()},
 	} {
-		combine := func(c *Combiner) (string, error) { return c.CombineKTree(outs, len(outs)) }
+		combine := func(c *Combiner) (string, error) { return c.CombineKTree(outs, 1) }
 		got, err := combine(&Combiner{Spec: "sort -m", Candidates: []dsl.Candidate{merge, concat}, env: env})
 		if want := strings.Join(outs, ""); err != nil || got != want {
 			t.Errorf("merge, concat = %q, %v; want the concat %q", got, err, want)
@@ -218,7 +218,7 @@ func TestCombineKSkipsUnsortedMerge(t *testing.T) {
 	if got, err := (&Combiner{Candidates: []dsl.Candidate{merge, concat}, env: bare}).CombineKTree(outs, 1); err != nil || got != "a\nb\n" {
 		t.Errorf("merge, concat without a comparator = %q, %v; want the concat", got, err)
 	}
-	if _, err := (&Combiner{Candidates: []dsl.Candidate{merge}, env: bare}).CombineKTree(outs, 2); err == nil ||
+	if _, err := (&Combiner{Candidates: []dsl.Candidate{merge}, env: bare}).CombineKTree(outs, 1); err == nil ||
 		err.Error() != "synth: no composite member accepts the substreams" {
 		t.Errorf("merge alone without a comparator: error %v", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"kumquat/internal/textio"
 )
 
 // headCmd implements head: first N lines (default 10), accepting both
@@ -46,10 +48,12 @@ func newHead(spec string, args []string, _ *Env) (Command, error) {
 
 func (h *headCmd) Spec() string { return h.spec }
 
-// Run returns the first n lines as a view of input, found by scanning
-// for the n-th newline.
 func (h *headCmd) Run(input string) (string, error) {
-	return terminated(input[:skipLines(input, h.n)]), nil
+	lines := textio.Lines(input)
+	if len(lines) > h.n {
+		lines = lines[:h.n]
+	}
+	return textio.JoinLines(lines), nil
 }
 
 // Literals exposes the line count for preprocessing (head -n 3 behaves
@@ -106,47 +110,20 @@ func newTail(spec string, args []string, _ *Env) (Command, error) {
 
 func (t *tailCmd) Spec() string { return t.spec }
 
-// Run returns its lines as a view of input: for +N, found by scanning
-// forward past N−1 newlines; for -n N, by scanning backward from the end
-// for the newline in front of the N-th last line.
 func (t *tailCmd) Run(input string) (string, error) {
+	lines := textio.Lines(input)
 	if t.from > 0 {
-		return terminated(input[skipLines(input, t.from-1):]), nil
-	}
-	if t.n == 0 {
-		return "", nil
-	}
-	body := strings.TrimSuffix(input, "\n")
-	nl := len(body)
-	for range t.n {
-		if nl = strings.LastIndexByte(body[:nl], '\n'); nl < 0 {
-			break // input holds no more than n lines
+		if t.from-1 < len(lines) {
+			lines = lines[t.from-1:]
+		} else {
+			lines = nil
 		}
+		return textio.JoinLines(lines), nil
 	}
-	return terminated(input[nl+1:]), nil
-}
-
-// skipLines is the offset of the line after the first n lines of s, or
-// len(s) when s holds no more.
-func skipLines(s string, n int) int {
-	off := 0
-	for ; n > 0; n-- {
-		j := strings.IndexByte(s[off:], '\n')
-		if j < 0 {
-			return len(s)
-		}
-		off += j + 1
+	if len(lines) > t.n {
+		lines = lines[len(lines)-t.n:]
 	}
-	return off
-}
-
-// terminated is s with its last line terminated, as textio.JoinLines
-// writes it: only an unterminated s is copied.
-func terminated(s string) string {
-	if s == "" || s[len(s)-1] == '\n' {
-		return s
-	}
-	return s + "\n"
+	return textio.JoinLines(lines), nil
 }
 
 // Literals exposes the line count for preprocessing.
